@@ -48,8 +48,7 @@ def _print_result(r: BenchResult) -> None:
         line += f"  streamed={r.trace_records} records"
     if r.shard_stats is not None:
         line += (f"  windows={r.shard_stats['windows']} "
-                 f"stalls={r.shard_stats['window_stalls']} "
-                 f"rebalances={r.shard_stats.get('rebalances', 0)}")
+                 f"stalls={r.shard_stats['window_stalls']}")
     if r.speedup is not None:
         line += f"  speedup={r.speedup:.2f}x"
     if r.checked:

@@ -32,7 +32,7 @@ barriers — a property of the run, not of any one message).
 The summary groups percentile breakdowns per multicast group (``gid``
 when the spans carry one, else per source stream) and names the
 dominant stage per percentile band — the artifact the ROADMAP's
-compiled-kernel and shard-rebalancing items want for target picking.
+compiled-kernel item wants for target picking.
 :func:`chrome_trace` exports spans as Chrome-trace / Perfetto JSON.
 """
 

@@ -65,7 +65,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     from repro.experiments.runner import build_scenario
 
     spec = _spec(args)
-    plan = partition_spec(spec, args.shards, partitioner=args.partitioner)
+    plan = partition_spec(spec, args.shards)
     scenario = build_scenario(spec)
     cut = cut_edges(scenario.net.fabric, plan)
     lookahead = lookahead_of(cut)
@@ -131,9 +131,7 @@ def _print_shard_table(result) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     spec = _spec(args)
     result = run_sharded(spec, args.shards, record=args.record is not None,
-                         obs=args.obs is not None,
-                         partitioner=args.partitioner,
-                         rebalancer=args.rebalancer)
+                         obs=args.obs is not None)
     stats = result.stats_dict()
     for key, value in stats.items():
         print(f"  {key}: {value}")
@@ -165,16 +163,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     status = 0
     for k in shard_counts:
         print(f"recording {spec.name} with {k} shards ...", flush=True)
-        result = run_sharded(spec, k, record=True,
-                             partitioner=args.partitioner,
-                             rebalancer=args.rebalancer)
+        result = run_sharded(spec, k, record=True)
         div = first_divergence(seq.lines, result.merged_lines or [])
         if div is None:
             print(f"  shards={k}: byte-identical "
                   f"({len(result.merged_lines or [])} records, "
                   f"{result.windows} windows, "
-                  f"{sum(result.stalled_windows)} stalls, "
-                  f"{result.rebalances} rebalances)")
+                  f"{sum(result.stalled_windows)} stalls)")
         else:
             status = 1
             print(f"  shards={k}: DIVERGED at {div.describe()}")
@@ -188,14 +183,6 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="dotted-path spec override, repeatable")
-    p.add_argument("--partitioner", default=None, metavar="NAME",
-                   help="partition strategy: balanced (default) or lpt")
-
-
-def _add_rebalancer_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rebalancer", default=None, metavar="NAME",
-                   help="ownership-move strategy: load-aware (default) "
-                        "or none")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -219,7 +206,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run on K worker processes")
     _add_spec_args(p_run)
-    _add_rebalancer_arg(p_run)
     p_run.add_argument("--shards", type=int, default=2, metavar="K")
     p_run.add_argument("--record", default=None, metavar="FILE",
                        help="write the merged canonical trace (JSONL)")
@@ -234,7 +220,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser(
         "compare", help="assert sharded trace == sequential trace")
     _add_spec_args(p_cmp)
-    _add_rebalancer_arg(p_cmp)
     p_cmp.add_argument("--shards", default="2", metavar="K[,K2,...]",
                        help="shard counts to verify (default 2)")
     p_cmp.set_defaults(fn=cmd_compare)

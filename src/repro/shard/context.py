@@ -1,4 +1,4 @@
-"""Per-worker shard context: ownership, exports, probes, migrations.
+"""Per-worker shard context: ownership, exports, probes.
 
 One :class:`ShardContext` is installed on a worker's simulator
 (``sim.shard``) before the scenario is built.  It is the single object
@@ -16,6 +16,9 @@ the rest of the codebase talks to when running sharded:
   token-holder crash), and :meth:`consume_probe` for the merged answer;
 * the facade calls :meth:`adopt` when it creates entities mid-run
   (sources, churn MHs) so ownership stays total.
+
+Ownership never changes once assigned: the map is the partition plan
+plus adoptions, identical on every shard.
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ class ShardContext:
         #: runtime once the fabric exists); asserts the bounded-lag
         #: invariant on every export.
         self.lookahead_to: Optional[List[float]] = None
-        #: Cross-shard handoff notes since the last sync, recorded by
-        #: the owning shard: ``(time, mh, old_ap, new_ap, new_shard)``.
-        self.migration_notes: List[Tuple[float, NodeId, NodeId, NodeId, int]] = []
-        self.migrations = 0
         self.exported = 0
         self.imported = 0
         #: Peak outbox depth between syncs (how bursty cross-shard
@@ -66,12 +65,8 @@ class ShardContext:
     # ------------------------------------------------------------------
     # Ownership
     # ------------------------------------------------------------------
-    def shard_of(self, node: NodeId) -> int:
-        """Shard index owning ``node`` (strict: unknown ids are bugs)."""
-        return self._shard_of[node]
-
     def is_local(self, node: NodeId) -> bool:
-        """True when this shard owns ``node``."""
+        """True when this shard owns ``node`` (unknown ids are bugs)."""
         return self._shard_of[node] == self.shard_id
 
     def adopt(self, node: NodeId, alongside: NodeId) -> None:
@@ -81,16 +76,6 @@ class ShardContext:
         ``add_mobile_host``), so every shard's map stays identical.
         """
         self._shard_of[node] = self._shard_of[alongside]
-
-    def apply_moves(self, moves) -> None:
-        """Apply rebalance ownership moves to the local map.
-
-        Called on *every* shard at a rebalance barrier (the decision is
-        replicated), so the maps stay identical; the state handoff
-        itself happens only on the two shards involved.
-        """
-        for mv in moves:
-            self._shard_of[mv.mh] = mv.to_shard
 
     def emission_gate(self) -> bool:
         """Trace-bus gate: may the current context emit?
@@ -140,10 +125,6 @@ class ShardContext:
         """Drain the per-destination export batches queued since last sync."""
         out, self.outbox = self.outbox, {}
         self._outbox_depth = 0
-        return out
-
-    def take_migration_notes(self):
-        out, self.migration_notes = self.migration_notes, []
         return out
 
     # ------------------------------------------------------------------

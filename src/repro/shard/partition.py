@@ -1,4 +1,4 @@
-"""Topology partitioners and ownership rebalancers for sharded runs.
+"""Topology partitioning for sharded runs.
 
 The partition unit is a **subtree** of the RingNet hierarchy — the
 paper's self-similarity ("if we consider each logical ring as one node,
@@ -8,34 +8,25 @@ reservations) shard-local, while cross-shard traffic rides provisioned
 fabric links with positive latency — exactly what gives the
 conservative runtime its lookahead.
 
-Two partitioners implement the :class:`Partitioner` interface:
+:func:`partition_hierarchy` is the one algorithm: greedy LPT over
+whole BR subtrees (heaviest first onto the lightest shard) and, when
+the resulting max/min shard weight exceeds :data:`MAX_IMBALANCE` (or a
+shard would sit empty), every BR subtree is split one ring level down
+into the BR core plus one unit per child-ring member and LPT re-runs.
+On the symmetric topologies this turns a 2.0x max/min event split into
+~1.0x without giving up co-location of any subtree's traffic.
 
-* :class:`LPTPartitioner` — the original greedy LPT over whole BR
-  subtrees (heaviest first onto the lightest shard).
-* :class:`BalancedPartitioner` (default) — starts from BR subtrees and,
-  when the resulting load imbalance exceeds a threshold (or shards
-  would sit empty), splits every BR subtree one ring level down into
-  the BR core plus one unit per child-ring member, then re-runs LPT.
-  On the symmetric topologies this turns a 2.0x max/min event split
-  into ~1.0x without giving up co-location of any subtree's traffic.
-
-Ownership is not static either: a :class:`Rebalancer` proposes MH
-ownership *moves* at window boundaries, consumed by the runtime as
-replicated control-plane decisions with explicit state handoff.  The
-built-in :class:`LoadAwareRebalancer` chases MH→AP co-location (an MH
-that handed off to an AP on another shard should follow it) while
-refusing moves that would pile more load onto an already-hot shard.
-
-Both partitioners and rebalancers are deterministic: every worker and
-the coordinator derive identical plans and identical move lists from
-identical inputs.
+Ownership is static for the whole run: an MH stays on the shard of its
+initial AP, and one that roams under another shard's AP is served over
+the cut.  The plan is deterministic — every worker and the coordinator
+derive it independently from identical inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (AbstractSet, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from repro.net.address import NodeId
 from repro.topology.hierarchy import Hierarchy
@@ -63,7 +54,7 @@ class PartitionPlan:
     subtree_shard:
         Unit root id → shard index (the assignment's coarse form).
         Roots are BRs for coarse plans; a split plan adds the child
-        subtree roots the balancer carved out.
+        subtree roots carved out one ring level down.
     weights:
         Node count per shard (NEs + MHs), the balance the LPT greedy
         optimized.
@@ -255,108 +246,8 @@ def _lpt_assign(units: Sequence[_Unit], n_shards: int) -> PartitionPlan:
     )
 
 
-# ----------------------------------------------------------------------
-# Partitioner interface
-# ----------------------------------------------------------------------
-class Partitioner:
-    """Strategy interface: hierarchy + attachments → :class:`PartitionPlan`.
-
-    Implementations must be deterministic — every worker derives the
-    plan independently and the traces must stay byte-identical at every
-    shard count, so any total, co-located assignment is correct and the
-    choice is purely a load/locality tradeoff.
-    """
-
-    name: str = "base"
-
-    def partition(
-        self,
-        h: Hierarchy,
-        n_shards: int,
-        attachments: Optional[Mapping[NodeId, NodeId]] = None,
-    ) -> PartitionPlan:
-        raise NotImplementedError
-
-    def _check(self, h: Hierarchy, n_shards: int) -> None:
-        if n_shards < 1:
-            raise PartitionError(f"n_shards must be >= 1, got {n_shards}")
-        if h.top_ring_id is None:
-            raise PartitionError("hierarchy has no top ring to partition")
-
-
-class LPTPartitioner(Partitioner):
-    """Greedy LPT over whole BR subtrees (the original strategy)."""
-
-    name = "lpt"
-
-    def partition(self, h, n_shards, attachments=None):
-        self._check(h, n_shards)
-        units = _br_units(h, dict(attachments or {}))
-        return _lpt_assign(units, n_shards)
-
-
-class BalancedPartitioner(Partitioner):
-    """LPT that splits BR subtrees when the coarse plan is lopsided.
-
-    A BR-granular plan is kept when its max/min shard weight stays
-    within ``max_imbalance`` — it has the best locality (no tree link
-    is ever cut).  When it exceeds the threshold, or leaves shards
-    empty, every BR unit is split one ring level down (BR core + one
-    unit per child-ring member) and LPT re-runs over the finer units.
-    New cut edges are provisioned WIRED tree/ring links with positive
-    latency, so the lookahead bound survives.
-    """
-
-    name = "balanced"
-
-    def __init__(self, max_imbalance: float = 1.25):
-        if max_imbalance < 1.0:
-            raise PartitionError(
-                f"max_imbalance must be >= 1.0, got {max_imbalance}")
-        self.max_imbalance = max_imbalance
-
-    def partition(self, h, n_shards, attachments=None):
-        self._check(h, n_shards)
-        attachments = dict(attachments or {})
-        units = _br_units(h, attachments)
-        coarse = _lpt_assign(units, n_shards)
-        if n_shards == 1 or self._balanced(coarse.weights):
-            return coarse
-        fine_units: List[_Unit] = []
-        for unit in units:
-            fine_units.extend(_split_unit(h, unit, attachments))
-        return _lpt_assign(fine_units, n_shards)
-
-    def _balanced(self, weights: Sequence[int]) -> bool:
-        lo, hi = min(weights), max(weights)
-        if lo <= 0:
-            return False
-        return hi <= self.max_imbalance * lo
-
-
-#: Registry of partitioner strategies for CLI/config lookup.
-PARTITIONERS: Dict[str, type] = {
-    LPTPartitioner.name: LPTPartitioner,
-    BalancedPartitioner.name: BalancedPartitioner,
-}
-
-DEFAULT_PARTITIONER = BalancedPartitioner.name
-
-
-def get_partitioner(
-    which: Union[None, str, Partitioner] = None,
-) -> Partitioner:
-    """Resolve a partitioner name (or pass an instance through)."""
-    if which is None:
-        which = DEFAULT_PARTITIONER
-    if isinstance(which, Partitioner):
-        return which
-    cls = PARTITIONERS.get(which)
-    if cls is None:
-        raise PartitionError(
-            f"unknown partitioner {which!r} "
-            f"(have: {sorted(PARTITIONERS)})")
-    return cls()
+#: Largest max/min shard weight a BR-granular plan may have and be kept.
+MAX_IMBALANCE = 1.25
 
 
 def partition_hierarchy(
@@ -364,25 +255,40 @@ def partition_hierarchy(
     n_shards: int,
     attachments: Optional[Mapping[NodeId, NodeId]] = None,
 ) -> PartitionPlan:
-    """Partition a hierarchy into ``n_shards`` BR-subtree groups.
+    """Partition a hierarchy into ``n_shards`` groups of subtrees.
 
-    The original LPT entry point, kept for callers that want the
-    coarse BR-granular plan; :func:`partition_spec` routes through the
-    pluggable :class:`Partitioner` registry instead.
+    A BR-granular LPT plan is kept when its max/min shard weight stays
+    within :data:`MAX_IMBALANCE` — it has the best locality (no tree
+    link is ever cut).  When it exceeds the threshold, or leaves shards
+    empty, every BR unit is split one ring level down (BR core + one
+    unit per child-ring member) and LPT re-runs over the finer units.
+    New cut edges are provisioned WIRED tree/ring links with positive
+    latency, so the lookahead bound survives.  Any total, co-located
+    assignment is correct — traces are byte-identical at every shard
+    count — so the split is purely a load/locality tradeoff.
 
     ``attachments`` maps each initial MH to its AP; every MH is placed
     on its AP's shard (the co-location invariant the partition tests
     pin).  MHs present in the hierarchy but absent from ``attachments``
     are rejected — an unplaced MH would make ownership ambiguous.
     """
-    return LPTPartitioner().partition(h, n_shards, attachments)
+    if n_shards < 1:
+        raise PartitionError(f"n_shards must be >= 1, got {n_shards}")
+    if h.top_ring_id is None:
+        raise PartitionError("hierarchy has no top ring to partition")
+    attachments = dict(attachments or {})
+    units = _br_units(h, attachments)
+    coarse = _lpt_assign(units, n_shards)
+    lo, hi = min(coarse.weights), max(coarse.weights)
+    if lo > 0 and hi <= MAX_IMBALANCE * lo:
+        return coarse
+    fine_units: List[_Unit] = []
+    for unit in units:
+        fine_units.extend(_split_unit(h, unit, attachments))
+    return _lpt_assign(fine_units, n_shards)
 
 
-def partition_spec(
-    spec,
-    n_shards: int,
-    partitioner: Union[None, str, Partitioner] = None,
-) -> PartitionPlan:
+def partition_spec(spec, n_shards: int) -> PartitionPlan:
     """Build the topology a spec describes and partition it.
 
     Only the full RingNet system is shardable — the baselines have no
@@ -410,7 +316,7 @@ def partition_spec(
                            mhs_per_ap=shape.mhs_per_ap)
         h = build_hierarchy(hs)
         attach = initial_attachments(hs)
-    return get_partitioner(partitioner).partition(h, n_shards, attach)
+    return partition_hierarchy(h, n_shards, attach)
 
 
 # ----------------------------------------------------------------------
@@ -512,107 +418,3 @@ def min_lookahead(matrix: Sequence[Sequence[float]]) -> float:
             if i != j and lat < best:
                 best = lat
     return best
-
-
-# ----------------------------------------------------------------------
-# Rebalancers: ownership moves at window boundaries
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MoveProposal:
-    """One proposed ownership move, applied at a rebalance barrier."""
-
-    mh: NodeId
-    from_shard: int
-    to_shard: int
-
-
-class Rebalancer:
-    """Strategy interface: observed load + handoff hints → moves.
-
-    ``propose`` must be a pure, deterministic function of its inputs —
-    the coordinator calls it once per decision point and replicates the
-    result to every worker, and reproducibility of a run's rebalance
-    log depends on it.  Implementations may only move MHs (NEs anchor
-    the partition's tree locality), and proposals must respect MH→AP
-    co-location: an MH may move only to the shard owning its current
-    AP.
-    """
-
-    name: str = "base"
-
-    #: Minimum virtual time between decision points (ms).
-    min_interval: float = 250.0
-
-    def propose(
-        self,
-        pending: Mapping[NodeId, Tuple[int, int]],
-        shard_events: Sequence[int],
-    ) -> List[MoveProposal]:
-        """Decide moves.
-
-        ``pending`` maps each displaced MH to ``(owner_shard,
-        ap_shard)`` — the co-location deficits accumulated from the
-        owning shards' migration notes.  ``shard_events`` is the
-        cumulative per-shard event count (the observed load signal).
-        """
-        raise NotImplementedError
-
-
-class LoadAwareRebalancer(Rebalancer):
-    """Chase MH→AP co-location, unless the target shard is hot.
-
-    Every displaced MH (owned on one shard, attached to an AP on
-    another) is proposed to follow its AP — that re-localizes its
-    wireless traffic — except when the target shard's share of
-    processed events exceeds ``overload_factor`` × the mean while the
-    current owner is no busier: then the MH stays put and its traffic
-    keeps flowing over the cut, which is cheaper than feeding a hot
-    shard more work.  Proposals iterate MHs in sorted order, so the
-    move list is deterministic.
-    """
-
-    name = "load-aware"
-
-    def __init__(self, min_interval: float = 250.0,
-                 overload_factor: float = 1.5):
-        self.min_interval = min_interval
-        self.overload_factor = overload_factor
-
-    def propose(self, pending, shard_events):
-        moves: List[MoveProposal] = []
-        n = len(shard_events)
-        mean = (sum(shard_events) / n) if n else 0.0
-        for mh in sorted(pending):
-            frm, to = pending[mh]
-            if frm == to:
-                continue
-            if (mean > 0
-                    and shard_events[to] > self.overload_factor * mean
-                    and shard_events[to] >= shard_events[frm]):
-                continue
-            moves.append(MoveProposal(mh, frm, to))
-        return moves
-
-
-#: Registry of rebalancer strategies ("none" disables rebalancing).
-REBALANCERS: Dict[str, Optional[type]] = {
-    LoadAwareRebalancer.name: LoadAwareRebalancer,
-    "none": None,
-}
-
-DEFAULT_REBALANCER = LoadAwareRebalancer.name
-
-
-def get_rebalancer(
-    which: Union[None, str, Rebalancer] = None,
-) -> Optional[Rebalancer]:
-    """Resolve a rebalancer name; ``"none"`` → None (disabled)."""
-    if which is None:
-        which = DEFAULT_REBALANCER
-    if isinstance(which, Rebalancer):
-        return which
-    if which not in REBALANCERS:
-        raise PartitionError(
-            f"unknown rebalancer {which!r} (have: {sorted(REBALANCERS)})")
-    cls = REBALANCERS[which]
-    return None if cls is None else cls()

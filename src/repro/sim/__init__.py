@@ -1,17 +1,20 @@
 """Deterministic discrete-event simulation kernel.
 
 The kernel underpins every protocol in this repository.  It is a classic
-event-heap scheduler with three deliberate properties:
+event-heap scheduler with two deliberate properties:
 
-* **Determinism** — events with identical timestamps fire in scheduling
-  order (a monotonic tie-break counter), and all randomness flows through
+* **Determinism** — every event carries a causal key derived from the
+  event that scheduled it, so events with identical timestamps fire in
+  an order that depends only on their causal ancestry (never on what
+  else happens to be scheduled), and all randomness flows through
   named, seeded streams (:mod:`repro.sim.rand`).  The same seed always
   reproduces the same trace, which the test suite relies on.
-* **Two programming models** — callback-style event handlers (used by the
-  protocol state machines) and generator-based processes
-  (:mod:`repro.sim.process`, used by workload scripts).
 * **Observability** — a structured trace bus (:mod:`repro.sim.trace`)
   that metrics collectors subscribe to.
+
+Protocol state machines are callback-style event handlers; the
+``Timer``/``PeriodicTimer`` helpers re-exported here live with the
+runtime seam in :mod:`repro.runtime.timers`.
 
 Example
 -------
@@ -26,8 +29,7 @@ Example
 """
 
 from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.process import Process, Timeout, WaitSignal, Signal
-from repro.sim.timers import Timer, PeriodicTimer
+from repro.runtime.timers import Timer, PeriodicTimer
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import TraceBus, TraceRecord
 
@@ -35,10 +37,6 @@ __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
-    "Process",
-    "Timeout",
-    "WaitSignal",
-    "Signal",
     "Timer",
     "PeriodicTimer",
     "RandomStreams",

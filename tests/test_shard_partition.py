@@ -1,4 +1,4 @@
-"""Partitioner invariants: cut edges, balance, MH co-location.
+"""Partition invariants: cut edges, balance, MH co-location.
 
 These pin the properties the conservative runtime's correctness rests
 on: every cross-shard edge has finite positive latency (the lookahead
@@ -10,9 +10,7 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.runner import build_scenario
-from repro.shard.partition import (LoadAwareRebalancer, MoveProposal,
-                                   PartitionError, cut_edges,
-                                   get_partitioner, get_rebalancer,
+from repro.shard.partition import (PartitionError, cut_edges,
                                    latency_matrix, lookahead_of,
                                    min_lookahead, partition_hierarchy,
                                    partition_spec)
@@ -127,29 +125,20 @@ def test_mh_colocated_with_initial_ap(name):
 
 
 # ----------------------------------------------------------------------
-# Partitioner registry and the latency matrix
+# Sub-subtree splits and the latency matrix
 # ----------------------------------------------------------------------
-def test_partitioner_registry_roundtrip():
-    assert get_partitioner(None).name == "balanced"
-    assert get_partitioner("lpt").name == "lpt"
-    inst = get_partitioner("balanced")
-    assert get_partitioner(inst) is inst
-    with pytest.raises(PartitionError):
-        get_partitioner("nope")
-
-
-def test_balanced_partitioner_splits_skewed_plans():
-    """Where LPT leaves a 2x event skew (quickstart: 3 BR subtrees on 4
-    shards), the balanced partitioner splits subtrees one ring level
-    down and fills every shard."""
+def test_skewed_plan_splits_to_fill_every_shard():
+    """Whole-subtree assignment would leave a shard empty (quickstart:
+    3 BR subtrees on 4 shards), so the plan splits subtrees one ring
+    level down and fills every shard."""
     spec = registry.get("quickstart")
-    lpt = partition_spec(spec, 4, partitioner="lpt")
-    bal = partition_spec(spec, 4)
-    assert min(lpt.weights) == 0          # one empty shard under LPT
-    assert min(bal.weights) > 0
-    assert (max(bal.weights) - min(bal.weights)
-            < max(lpt.weights) - min(lpt.weights))
-    assert sorted(bal.shard_of) == sorted(lpt.shard_of)  # same universe
+    h, _ = _build_topology(spec)
+    assert len(h.top_ring.members) == 3
+    plan = partition_spec(spec, 4)
+    assert min(plan.weights) > 0
+    # More assignment units than BR subtrees: the split happened.
+    assert len(plan.subtree_shard) > 3
+    assert set(h.tier_of) <= set(plan.shard_of)  # same universe
 
 
 def test_latency_matrix_bounds_every_cut_edge():
@@ -185,51 +174,6 @@ def test_nodes_of_matches_shard_map():
         assert all(plan.shard_of[n] == shard for n in nodes)
         seen.update(nodes)
     assert seen == set(plan.shard_of)
-
-
-# ----------------------------------------------------------------------
-# Rebalancer interface
-# ----------------------------------------------------------------------
-def test_rebalancer_registry_roundtrip():
-    assert get_rebalancer(None).name == "load-aware"
-    assert get_rebalancer("none") is None
-    inst = LoadAwareRebalancer(min_interval=100.0)
-    assert get_rebalancer(inst) is inst
-    with pytest.raises(PartitionError):
-        get_rebalancer("nope")
-
-
-def test_rebalancer_proposals_are_deterministic():
-    rb = LoadAwareRebalancer()
-    pending = {"mh:b": (0, 1), "mh:a": (1, 0), "mh:c": (0, 2)}
-    events = (1000, 1100, 900)
-    first = rb.propose(dict(pending), events)
-    for _ in range(3):
-        assert rb.propose(dict(reversed(pending.items())), events) == first
-    # Sorted iteration order, not dict insertion order.
-    assert [mv.mh for mv in first] == ["mh:a", "mh:b", "mh:c"]
-
-
-def test_rebalancer_respects_colocation():
-    """Proposals only chase the MH to its AP's shard — never anywhere
-    else, and never a no-op move."""
-    rb = LoadAwareRebalancer()
-    pending = {"mh:x": (0, 1), "mh:y": (2, 2)}
-    moves = rb.propose(pending, (100, 100, 100))
-    assert moves == [MoveProposal("mh:x", 0, 1)]
-    for mv in moves:
-        assert mv.to_shard == pending[mv.mh][1]
-        assert mv.from_shard != mv.to_shard
-
-
-def test_rebalancer_skips_overloaded_targets():
-    rb = LoadAwareRebalancer(overload_factor=1.5)
-    pending = {"mh:x": (0, 1)}
-    # Target shard 1 is far above the mean and busier than the owner:
-    # the MH stays put.
-    assert rb.propose(pending, (100, 1000)) == []
-    # Target hot but the owner is even hotter: move anyway.
-    assert rb.propose(pending, (2000, 1000)) == [MoveProposal("mh:x", 0, 1)]
 
 
 # ----------------------------------------------------------------------

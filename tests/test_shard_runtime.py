@@ -6,6 +6,12 @@ cover the mechanisms it rests on plus targeted end-to-end runs for the
 synchronization-probe paths (churn, token-holder crash).
 """
 
+import multiprocessing
+import os
+import signal
+import threading
+import time
+
 import pytest
 
 from repro.experiments import registry
@@ -154,13 +160,14 @@ def test_token_holder_probe_path_byte_identical():
     assert div is None, div.describe() if div else None
 
 
-def test_mobility_migrations_are_observed():
+def test_roaming_mhs_are_served_over_the_cut():
     spec = short("handoff_storm", 2000.0)
     result = run_sharded(spec, 2, record=True)
-    # The corridor walk crosses the BR boundary: cross-shard handoffs
-    # must be detected, counted, and logged at window boundaries.
-    assert result.migrations > 0
-    assert len(result.migration_log) == result.migrations
+    # The corridor walk crosses the BR boundary while ownership stays
+    # with the initial AP's shard: the roamers' traffic must ride the
+    # cut as exported arrivals and still merge byte-identically.
+    assert result.exported > 0
+    assert result.rebalances == 0
     seq = record_spec(spec)
     assert first_divergence(seq.lines, result.merged_lines) is None
 
@@ -199,8 +206,59 @@ def test_bad_shard_count():
         run_sharded(short("quickstart", 100.0), 0)
 
 
+def test_stopped_worker_is_diagnosed_and_reaped(monkeypatch):
+    """A worker that is alive but silent must fail the run with a
+    diagnosis inside the deadline instead of hanging the coordinator,
+    and no worker may outlive the failed run."""
+    from repro.shard import runtime
+
+    deadline_s = 1.0
+    monkeypatch.setattr(runtime, "WORKER_SILENCE_DEADLINE_S", deadline_s)
+    # Long enough that the run cannot finish before a worker is stopped.
+    spec = short("quickstart", 600_000.0)
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(run_sharded(spec, 2))
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        give_up = time.monotonic() + 30.0
+        while len(multiprocessing.active_children()) < 2:
+            assert time.monotonic() < give_up, "workers never started"
+            time.sleep(0.01)
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGSTOP)
+        stopped_at = time.monotonic()
+        thread.join(timeout=deadline_s + 30.0)
+        assert not thread.is_alive(), "coordinator hung on a silent worker"
+        # The margin covers a loaded runner, not the protocol: the raise
+        # itself comes one poll after the deadline.
+        assert time.monotonic() - stopped_at < deadline_s + 10.0
+        (exc,) = outcome
+        assert isinstance(exc, RuntimeError), exc
+        msg = str(exc)
+        assert "alive but sent nothing" in msg
+        assert msg.startswith(("shard 0 worker", "shard 1 worker"))
+        for shard in (0, 1):
+            assert f"shard {shard}: front=" in msg
+        assert "earliest=" in msg
+        assert "parked on" in msg or "running" in msg
+        assert multiprocessing.active_children() == [], \
+            "run_sharded left workers behind"
+    finally:
+        for proc in multiprocessing.active_children():
+            os.kill(proc.pid, signal.SIGCONT)
+            proc.terminate()
+            proc.join(timeout=5.0)
+
+
 # ----------------------------------------------------------------------
-# Stall attribution and load-aware rebalancing
+# Stall attribution
 # ----------------------------------------------------------------------
 def test_stall_causes_partition_the_stall_count():
     """Every empty window is attributed to exactly one cause, and the
@@ -221,42 +279,10 @@ def test_stall_causes_partition_the_stall_count():
         f"not folded into {sorted(all_causes)}")
 
 
-def test_rebalancer_moves_ownership_and_keeps_identity():
-    spec = short("handoff_storm", 2000.0)
-    seq = record_spec(spec)
-    result = run_sharded(spec, 2, record=True)
-    # The corridor walk drives MHs across the BR cut: the load-aware
-    # rebalancer (on by default) must fire and actually move ownership.
-    assert result.rebalances > 0
-    assert result.rebalance_moves >= result.rebalances
-    assert first_divergence(seq.lines, result.merged_lines) is None
-    # The decision log is (time, n_moves) at replicated barriers:
-    # strictly increasing, inside the horizon, spaced >= min_interval.
-    times = [t for t, _ in result.rebalance_log]
-    assert all(0.0 < t < spec.duration_ms for t in times)
-    assert times == sorted(times)
-    from repro.shard.partition import LoadAwareRebalancer
-    min_interval = LoadAwareRebalancer().min_interval
-    assert all(b - a >= min_interval for a, b in zip(times, times[1:]))
-    assert sum(n for _, n in result.rebalance_log) == result.rebalance_moves
-
-
-def test_rebalancer_none_disables_moves():
-    spec = short("handoff_storm", 2000.0)
-    result = run_sharded(spec, 2, record=True, rebalancer="none")
-    assert result.rebalances == 0
-    assert result.rebalance_log == []
-    seq = record_spec(spec)
-    assert first_divergence(seq.lines, result.merged_lines) is None
-
-
 def test_stats_dict_reports_adaptive_runtime_fields():
     spec = short("handoff_storm", 2000.0)
     result = run_sharded(spec, 2)
     stats = result.stats_dict()
-    assert stats["rebalances"] == result.rebalances
-    assert stats["rebalance_moves"] == result.rebalance_moves
-    assert stats["rebalance_log"] == [list(e) for e in result.rebalance_log]
     matrix = stats["lookahead_matrix_ms"]
     assert len(matrix) == 2 and all(len(row) == 2 for row in matrix)
     assert matrix[0][0] == 0.0 and matrix[0][1] > 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.timers import PeriodicTimer, Timer
+from repro.runtime.timers import PeriodicTimer, Timer
 
 
 def test_timer_fires_once(sim):
