@@ -70,7 +70,7 @@ class MessageQueue:
       catch-up reserve (paper: ValidFront, NEs only).
     """
 
-    __slots__ = ("capacity", "start_seq", "_store", "_undelivered",
+    __slots__ = ("capacity", "start_seq", "_store", "_undelivered", "get",
                  "rear", "front", "valid_front", "peak_occupancy",
                  "overflows", "inserted", "tombstoned")
 
@@ -80,6 +80,9 @@ class MessageQueue:
         self.capacity = capacity
         self.start_seq = start_seq
         self._store: Dict[int, BufferedMessage] = {}
+        #: ``get(seq)`` — the buffered message at ``seq``, or None: the
+        #: store's own lookup (``_store`` is never rebound), frame-free.
+        self.get = self._store.get
         # Incremental index of buffered-but-undelivered seqs, maintained
         # by insert/mark_delivered/tombstone_lost, so pending queries
         # never have to sort the whole store (which also holds the
@@ -156,10 +159,6 @@ class MessageQueue:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def get(self, seq: int) -> Optional[BufferedMessage]:
-        """The buffered message at ``seq``, or None."""
-        return self._store.get(seq)
-
     def has(self, seq: int) -> bool:
         """Whether ``seq`` is currently buffered (received or tombstone)."""
         return seq in self._store
@@ -329,18 +328,22 @@ class WorkingTable:
     delivery state.
     """
 
-    __slots__ = ("_max_delivered",)
+    __slots__ = ("_max_delivered", "_sorted")
 
     def __init__(self) -> None:
         self._max_delivered: Dict[NodeId, int] = {}
+        self._sorted: Optional[List[NodeId]] = None
 
     def add_child(self, child: NodeId, from_seq: int) -> None:
         """Register/reset a child at ``from_seq``."""
+        if child not in self._max_delivered:
+            self._sorted = None
         self._max_delivered[child] = from_seq
 
     def remove_child(self, child: NodeId) -> None:
         """Forget a departed child; no-op when unknown."""
-        self._max_delivered.pop(child, None)
+        if self._max_delivered.pop(child, None) is not None:
+            self._sorted = None
 
     def record_delivered(self, child: NodeId, seq: int) -> None:
         """Raise a child's max delivered seq (never lowers it)."""
@@ -354,8 +357,11 @@ class WorkingTable:
 
     @property
     def children(self) -> List[NodeId]:
-        """Registered children (sorted for stable iteration)."""
-        return sorted(self._max_delivered)
+        """Registered children, sorted for stable iteration — once per
+        membership change; the list is shared, so do not mutate it."""
+        if self._sorted is None:
+            self._sorted = sorted(self._max_delivered)
+        return self._sorted
 
     def min_delivered_across(self) -> Optional[int]:
         """Min over children of max delivered seq (None when no children).

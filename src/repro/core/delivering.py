@@ -29,16 +29,28 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.net.address import NodeId, tier_of
-from repro.core.datastructures import BufferedMessage
 from repro.core.messages import DeliverDown, RingOrdered, WirelessDeliver
+
+
+class _Child:
+    """Delivery state of one registered child: the next global sequence
+    owed to it, its unacked sends (the sliding window), and the message
+    class of its hop — decided once from its tier, not per message."""
+
+    __slots__ = ("next_send", "in_flight", "wrap")
+
+    def __init__(self, child: NodeId, next_send: int):
+        self.next_send = next_send
+        self.in_flight = 0
+        self.wrap = WirelessDeliver if tier_of(child) == "mh" else DeliverDown
 
 
 class DeliveringMixin:
     """Downward delivery behaviour, mixed into NetworkEntity."""
 
     def _init_delivering(self) -> None:
-        self._next_send: Dict[NodeId, int] = {}
-        self._in_flight: Dict[NodeId, int] = {}
+        #: One record per child in the WT (registered and removed together).
+        self._kids: Dict[NodeId, _Child] = {}
         self.delivered_to_children = 0
         self.delivery_give_ups = 0
 
@@ -53,75 +65,89 @@ class DeliveringMixin:
         """
         base = self.mq.front if from_seq is None else from_seq
         self.wt.add_child(child, base)
-        self._next_send[child] = base + 1
-        self._in_flight[child] = 0
+        self._kids[child] = _Child(child, base + 1)
         self.try_deliver()
 
     def unregister_child(self, child: NodeId) -> None:
         """Stop delivering to ``child`` (leave, handoff away, failure)."""
         self.wt.remove_child(child)
-        self._next_send.pop(child, None)
-        self._in_flight.pop(child, None)
+        self._kids.pop(child, None)
         self.chan.cancel_all(child)
         self._after_delivery_progress()
 
     def has_child(self, child: NodeId) -> bool:
         """Whether ``child`` is currently registered for delivery."""
-        return child in self.wt
+        return child in self._kids
 
     # ------------------------------------------------------------------
     # The delivery loop
     # ------------------------------------------------------------------
     def try_deliver(self) -> None:
-        """Push in-order messages to every child up to the window limit."""
-        window = self.cfg.delivery_window
+        """Push in-order messages to every child up to the window limit
+        (run by whatever can make *any* child sendable, see _pump)."""
+        kids = self._kids
         for child in self.wt.children:
-            in_flight = self._in_flight.get(child, 0)
-            while in_flight < window:
-                seq = self._next_send[child]
-                bm = self.mq.get(seq)
-                if bm is None:
-                    if seq < self.mq.valid_front:
-                        # Unserveable forever (pruned / before this NE's
-                        # time): count it delivered and let the child's
-                        # gap machinery tombstone it.
-                        self.wt.record_delivered(child, seq)
-                        self._next_send[child] = seq + 1
-                        continue
-                    break  # not yet ordered/received here, or a hole
-                if bm.really_lost:
-                    # Nothing to send; the loss tombstone counts as
-                    # delivered for this child too.
-                    self.wt.record_delivered(child, seq)
-                    self._next_send[child] = seq + 1
-                    continue
-                self.chan.send(child, self._wrap_for(child, bm))
-                in_flight += 1
-                self._in_flight[child] = in_flight
-                self._next_send[child] = seq + 1
+            self._pump(child, kids[child])
         self._after_delivery_progress()
 
-    def _wrap_for(self, child: NodeId, bm: BufferedMessage) -> RingOrdered:
-        cls = WirelessDeliver if tier_of(child) == "mh" else DeliverDown
-        return cls(
-            gid=self.cfg.gid,
-            global_seq=bm.global_seq,
-            ordering_node=bm.ordering_node,
-            source=bm.source,
-            local_seq=bm.local_seq,
-            payload=bm.payload,
-            created_at=bm.created_at,
-        )
+    def _pump(self, child: NodeId, kid: _Child) -> None:
+        """Push in-order messages to one child up to the window limit.
+
+        **Fixed-point invariant.**  After :meth:`try_deliver` no child
+        is sendable: each is stopped by its window or by a sequence the
+        MQ does not hold.  Such a stop is lifted only by a new MQ entry,
+        a tombstone or a registration (each runs :meth:`try_deliver`) or
+        by the child's *own* ack or give-up.  Pruning cannot lift one:
+        ``valid_front <= front + 1 <= min over children of max-delivered
+        + 1 <= next_send`` of every child.  Hence an ack or give-up
+        pumps its child alone; ``tests/test_core_delivery_fixed_point.py``
+        is the oracle.
+        """
+        window = self.cfg.delivery_window
+        if kid.in_flight >= window:
+            return
+        mq = self.mq
+        get = mq.get
+        record = self.wt.record_delivered
+        send = self.chan.send
+        wrap = kid.wrap
+        gid = self.cfg.gid
+        while kid.in_flight < window:
+            seq = kid.next_send
+            bm = get(seq)
+            if bm is None:
+                if seq < mq.valid_front:
+                    # Unserveable forever (pruned / before this NE's
+                    # time): count it delivered and let the child's
+                    # gap machinery tombstone it.
+                    record(child, seq)
+                    kid.next_send = seq + 1
+                    continue
+                break  # not yet ordered/received here, or a hole
+            if not bm.received and not bm.waiting:
+                # Really lost: nothing to send; the loss tombstone
+                # counts as delivered for this child too.
+                record(child, seq)
+                kid.next_send = seq + 1
+                continue
+            send(child, wrap(gid, seq, bm.ordering_node, bm.source,
+                             bm.local_seq, bm.payload, bm.created_at))
+            kid.in_flight += 1
+            kid.next_send = seq + 1
 
     # ------------------------------------------------------------------
     # Channel callbacks (wired by NetworkEntity)
     # ------------------------------------------------------------------
     def _delivery_acked(self, child: NodeId, msg: RingOrdered) -> None:
-        if child in self.wt:
+        kid = self._kids.get(child)
+        if kid is not None:
             self.wt.record_delivered(child, msg.global_seq)
-            self._in_flight[child] = max(0, self._in_flight.get(child, 1) - 1)
+            if kid.in_flight > 0:
+                kid.in_flight -= 1
             self.delivered_to_children += 1
-        self.try_deliver()
+            # Only this child's window moved (see _pump).
+            self._pump(child, kid)
+        self._after_delivery_progress()
 
     def _delivery_gave_up(self, child: NodeId, msg: RingOrdered) -> None:
         # Best-effort: count as delivered; the child's own gap recovery
@@ -129,33 +155,40 @@ class DeliveringMixin:
         self.delivery_give_ups += 1
         self.sim.trace.emit(self.now, "deliver.give_up", node=self.id,
                             child=child, gseq=msg.global_seq)
-        if child in self.wt:
+        kid = self._kids.get(child)
+        if kid is not None:
             self.wt.record_delivered(child, msg.global_seq)
-            self._in_flight[child] = max(0, self._in_flight.get(child, 1) - 1)
-        self.try_deliver()
+            if kid.in_flight > 0:
+                kid.in_flight -= 1
+            self._pump(child, kid)
+        self._after_delivery_progress()
 
     # ------------------------------------------------------------------
     # Front advancement + pruning
     # ------------------------------------------------------------------
     def _after_delivery_progress(self) -> None:
-        if len(self.wt) == 0:
-            # No children: everything buffered is trivially delivered.
-            horizon = self.mq.rear
+        mq = self.mq
+        if self._kids:
+            horizon = self.wt.min_delivered_across()
         else:
-            m = self.wt.min_delivered_across()
-            horizon = m if m is not None else self.mq.front
+            # No children: everything buffered is trivially delivered.
+            horizon = mq.rear
+        seq = mq.front + 1
+        if horizon < seq:
+            return  # nothing new is delivered to every child
+        get = mq.get
         advanced = False
-        seq = self.mq.front + 1
         while seq <= horizon:
-            bm = self.mq.get(seq)
+            bm = get(seq)
             if bm is None:
                 break  # hole: gap recovery will fill or tombstone it
             if not bm.delivered:
-                self.mq.mark_delivered(seq, self.now)
-                self.sim.trace.emit(self.now, "ne.delivered", node=self.id,
+                now = self.sim.now
+                mq.mark_delivered(seq, now)
+                self.sim.trace.emit(now, "ne.delivered", node=self.id,
                                     gseq=seq)
             advanced = True
             seq += 1
         if advanced:
-            self.mq.advance_front()
-            self.mq.prune(self.cfg.mq_retention)
+            mq.advance_front()
+            mq.prune(self.cfg.mq_retention)

@@ -175,29 +175,35 @@ class MobileHost(NetNode):
 
     def _deliver_contiguous(self) -> None:
         """Deliver to the application strictly in global sequence order."""
-        while True:
-            bm = self.mq.get(self.mq.front + 1)
-            if bm is None:
-                break
-            if not bm.received:
-                # A tombstone: counted delivered, nothing reaches the app.
-                self.mq.mark_delivered(bm.global_seq)
-                self.mq.advance_front()
-                continue
-            self.mq.mark_delivered(bm.global_seq, at=self.now)
-            self.mq.advance_front()
-            latency = self.now - bm.created_at
-            self._delivered_n += 1
-            if self.cfg.retain_app_log:
-                self.app_log.append((bm.global_seq, bm.payload, latency))
-            self.last_delivery_at = self.now
-            self.sim.trace.emit(
-                self.now, "mh.deliver", mh=self.guid, gseq=bm.global_seq,
-                latency=latency, source=bm.source, local_seq=bm.local_seq,
-                created_at=bm.created_at,
-            )
+        mq = self.mq
+        bm = mq.get(mq.front + 1)
+        if bm is not None:
+            sim = self.sim
+            now = sim.now
+            retain = self.cfg.retain_app_log
+            while bm is not None:
+                seq = bm.global_seq
+                if not bm.received:
+                    # A tombstone: counted delivered, nothing reaches
+                    # the app.
+                    mq.mark_delivered(seq)
+                    mq.advance_front()
+                else:
+                    mq.mark_delivered(seq, at=now)
+                    mq.advance_front()
+                    latency = now - bm.created_at
+                    self._delivered_n += 1
+                    if retain:
+                        self.app_log.append((seq, bm.payload, latency))
+                    self.last_delivery_at = now
+                    sim.trace.emit(
+                        now, "mh.deliver", mh=self.guid, gseq=seq,
+                        latency=latency, source=bm.source,
+                        local_seq=bm.local_seq, created_at=bm.created_at,
+                    )
+                bm = mq.get(mq.front + 1)
         # MHs keep no delivered history (resource constraints, §1).
-        self.mq.prune(0)
+        mq.prune(0)
 
     # ------------------------------------------------------------------
     # Gap recovery (MH side)

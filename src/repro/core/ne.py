@@ -175,11 +175,11 @@ class NetworkEntity(OrderingMixin, ForwardingMixin, DeliveringMixin,
     # Channel callbacks
     # ------------------------------------------------------------------
     def _channel_acked(self, dst: NodeId, payload: Message) -> None:
-        if isinstance(payload, RingOrdered) and dst in self.wt:
+        if isinstance(payload, RingOrdered) and dst in self._kids:
             self._delivery_acked(dst, payload)
 
     def _channel_gave_up(self, dst: NodeId, payload: Message) -> None:
-        if isinstance(payload, RingOrdered) and dst in self.wt:
+        if isinstance(payload, RingOrdered) and dst in self._kids:
             self._delivery_gave_up(dst, payload)
         elif isinstance(payload, TokenPass):
             # The token may be lost in transit; membership's maintenance

@@ -9,11 +9,23 @@ is between configured neighbors (ring next/prev, parent/child, AP↔MH).
 
 A ``default_spec`` may be installed to auto-create links on first use,
 which keeps ad-hoc tests short.
+
+Hot-path contract: a transmission is ``NetNode.send`` -> ``Fabric.send``
+-> ``_dispatch`` -> ``schedule_at``; an arrival ``_arrive`` ->
+``NetNode.deliver`` -> ``on_message``.  ``Fabric.send`` and the two
+``NetNode`` methods are seams ``perfbench`` shims; ``_dispatch`` is the
+one backend seam (all :mod:`repro.live.fabric` overrides); under
+sharding ``send`` asks ``is_local(src)`` first and, once the link model
+has made its draws, ``is_local(dst)`` -> ``mint_child_key`` -> ``export``,
+so action counters tick identically on every shard.  Nothing is rebuilt
+per message: links are stored per sender (no sorted ``(a, b)`` key to
+build), the loss and jitter streams come from their caches
+(``_loss_rng``/``_jitter_rng`` run once per sender).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.net.address import NodeId
 from repro.net.link import Link, LinkSpec
@@ -37,7 +49,9 @@ class Fabric:
     def __init__(self, sim: Runtime, default_spec: Optional[LinkSpec] = None):
         self.sim = sim
         self.nodes: Dict[NodeId, NetNode] = {}
-        self._links: Dict[Tuple[NodeId, NodeId], Link] = {}
+        # Links, indexed the way the send path asks for them: sender ->
+        # peer -> Link, one shared Link object under both directions.
+        self._adj: Dict[NodeId, Dict[NodeId, Link]] = {}
         self.default_spec = default_spec
         self.messages_sent = 0
         self.messages_dropped = 0
@@ -76,19 +90,15 @@ class Fabric:
     # ------------------------------------------------------------------
     # Links
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key(a: NodeId, b: NodeId) -> Tuple[NodeId, NodeId]:
-        return (a, b) if a <= b else (b, a)
-
     def connect(self, a: NodeId, b: NodeId, spec: LinkSpec) -> Link:
         """Create (or replace the spec of) the link between a and b."""
         if a == b:
             raise ValueError(f"self-link on {a!r}")
-        key = self._key(a, b)
-        link = self._links.get(key)
+        link = self.link(a, b)
         if link is None:
-            link = Link(key[0], key[1], spec)
-            self._links[key] = link
+            link = Link(min(a, b), max(a, b), spec)
+            self._adj.setdefault(a, {})[b] = link
+            self._adj.setdefault(b, {})[a] = link
         else:
             link.spec = spec
             link.up = True
@@ -96,16 +106,19 @@ class Fabric:
 
     def disconnect(self, a: NodeId, b: NodeId) -> None:
         """Remove the link entirely (send() will then fail/auto-create)."""
-        if self._links.pop(self._key(a, b), None) is None:
+        if self.link(a, b) is None:
             raise KeyError(f"no link {a!r} <-> {b!r}")
+        del self._adj[a][b]
+        del self._adj[b][a]
 
     def link(self, a: NodeId, b: NodeId) -> Optional[Link]:
         """The link between a and b, or None."""
-        return self._links.get(self._key(a, b))
+        peers = self._adj.get(a)
+        return peers.get(b) if peers is not None else None
 
     def set_link_up(self, a: NodeId, b: NodeId, up: bool) -> None:
         """Raise/lower a link; messages on a down link are dropped."""
-        link = self._links.get(self._key(a, b))
+        link = self.link(a, b)
         if link is None:
             raise KeyError(f"no link {a!r} <-> {b!r}")
         link.up = up
@@ -113,23 +126,21 @@ class Fabric:
     @property
     def links(self) -> list[Link]:
         """All configured links (stable order for reports)."""
-        return [self._links[k] for k in sorted(self._links)]
+        adj = self._adj
+        return [adj[a][b] for a in sorted(adj) for b in sorted(adj[a])
+                if a < b]
 
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
     def _loss_rng(self, src: NodeId):
-        rng = self._loss_rngs.get(src)
-        if rng is None:
-            rng = self.sim.rng(f"link.loss.{src}")
-            self._loss_rngs[src] = rng
+        """First-use constructor of ``src``'s loss stream (cold)."""
+        rng = self._loss_rngs[src] = self.sim.rng(f"link.loss.{src}")
         return rng
 
     def _jitter_rng(self, src: NodeId):
-        rng = self._jitter_rngs.get(src)
-        if rng is None:
-            rng = self.sim.rng(f"link.jitter.{src}")
-            self._jitter_rngs[src] = rng
+        """First-use constructor of ``src``'s jitter stream (cold)."""
+        rng = self._jitter_rngs[src] = self.sim.rng(f"link.jitter.{src}")
         return rng
 
     def send(self, src: NodeId, dst: NodeId, msg: Message) -> bool:
@@ -159,12 +170,13 @@ class Fabric:
                     f"sim.call_owned(...)")
             if not sh.is_local(src):
                 return True
-        self.messages_sent += 1
-        link = self._links.get(self._key(src, dst))
+        peers = self._adj.get(src)
+        link = peers.get(dst) if peers is not None else None
         if link is None:
             if self.default_spec is None:
                 raise KeyError(f"no link {src!r} <-> {dst!r} and no default spec")
             link = self.connect(src, dst, self.default_spec)
+        self.messages_sent += 1
 
         msg.src = src
         msg.dst = dst
@@ -204,7 +216,10 @@ class Fabric:
                 if fx.factor != 1.0:
                     latency = latency * fx.factor
         if loss_prob > 0.0:
-            if self._loss_rng(src).random() < loss_prob:
+            rng = self._loss_rngs.get(src)
+            if rng is None:
+                rng = self._loss_rng(src)
+            if rng.random() < loss_prob:
                 link.dropped += 1
                 self.messages_dropped += 1
                 sim.trace.emit(sim.now, "net.loss", src=src, dst=dst,
@@ -213,7 +228,10 @@ class Fabric:
 
         delay = latency
         if spec.jitter > 0.0:
-            delay += self._jitter_rng(src).random() * spec.jitter
+            rng = self._jitter_rngs.get(src)
+            if rng is None:
+                rng = self._jitter_rng(src)
+            delay += rng.random() * spec.jitter
         if spec.bandwidth_bps > 0.0:
             delay += msg.size_bits / spec.bandwidth_bps * 1000.0  # ms units
 
@@ -232,7 +250,8 @@ class Fabric:
         route the arrival through a queue or a socket instead of the
         scheduler.
         """
-        self.sim.schedule(delay, self._arrive, dst, msg, owner=dst)
+        sim = self.sim
+        sim.schedule_at(sim.now + delay, self._arrive, dst, msg, owner=dst)
 
     def _arrive(self, dst: NodeId, msg: Message) -> None:
         node = self.nodes.get(dst)
@@ -244,6 +263,6 @@ class Fabric:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Fabric nodes={len(self.nodes)} links={len(self._links)} "
+            f"<Fabric nodes={len(self.nodes)} links={len(self.links)} "
             f"sent={self.messages_sent} delivered={self.messages_delivered}>"
         )

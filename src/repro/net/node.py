@@ -26,10 +26,14 @@ class NetNode:
     ``__slots__`` of their own still get a dict and lose nothing.
     """
 
-    __slots__ = ("fabric", "id", "alive", "rx_count", "tx_count")
+    __slots__ = ("fabric", "sim", "id", "alive", "rx_count", "tx_count")
 
     def __init__(self, fabric: "Fabric", node_id: NodeId):
         self.fabric = fabric
+        #: The runtime driving this node's fabric (sim or live) — fixed
+        #: for the fabric's life, so held directly: protocol code reads
+        #: it on every message.
+        self.sim: Runtime = fabric.sim
         self.id = node_id
         self.alive = True
         self.rx_count = 0
@@ -38,14 +42,9 @@ class NetNode:
 
     # ------------------------------------------------------------------
     @property
-    def sim(self) -> Runtime:
-        """The runtime driving this node's fabric (sim or live)."""
-        return self.fabric.sim
-
-    @property
     def now(self) -> float:
         """Current time (simulated or wall-clock-derived, in ms)."""
-        return self.fabric.sim.now
+        return self.sim.now
 
     # ------------------------------------------------------------------
     def send(self, dst: NodeId, msg: Message) -> bool:

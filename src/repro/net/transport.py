@@ -27,12 +27,20 @@ Usage pattern inside a node::
         if payload is None:        # transport control or duplicate
             return
         ...handle payload...
+
+Hot-path contract: ``send``, ``accept`` and ``cancel_all`` are the seams
+``perfbench`` shims, and every transmission leaves through
+``NetNode.send`` — the channel caches no link, so a disconnected one
+fails or auto-creates there as for any sender.  Per message they look up
+the peer's one :class:`_Peer` record and work on it; dedup, outstanding
+and RTO book-keeping are written out inside them (no per-message helper
+calls), and dispatch is on the exact message class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.net.address import NodeId
 from repro.net.message import Message
@@ -82,13 +90,33 @@ class _Outstanding:
     attribute dict were measurable on the send hot path.
     """
 
-    __slots__ = ("dst", "segment", "retries_left", "rto_event")
+    __slots__ = ("segment", "retries_left", "rto_event")
 
-    def __init__(self, dst: NodeId, segment: Segment, retries_left: int):
-        self.dst = dst
+    def __init__(self, segment: Segment, retries_left: int):
         self.segment = segment
         self.retries_left = retries_left
         self.rto_event: Optional[Any] = None
+
+
+class _Peer:
+    """Everything a channel knows about one remote node.
+
+    Sender side: the next sequence number, the unacked segments by seq
+    (insertion order = ascending seq) and their ``peak`` count, which
+    the validation monitors bound.  Receiver side: every seq below
+    ``floor`` was seen, plus the out-of-order ones in ``sparse`` (all
+    above ``floor``).  Records outlive ``cancel_all``: a peer that
+    returns continues its numbering instead of looking like duplicates.
+    """
+
+    __slots__ = ("next_seq", "outstanding", "peak", "floor", "sparse")
+
+    def __init__(self) -> None:
+        self.next_seq = 0
+        self.outstanding: Dict[int, _Outstanding] = {}
+        self.peak = 0
+        self.floor = 0
+        self.sparse: Set[int] = set()
 
 
 class ReliableChannel:
@@ -114,8 +142,7 @@ class ReliableChannel:
     """
 
     __slots__ = ("node", "rto", "max_retries", "on_give_up", "on_ack",
-                 "stats", "_next_seq", "_outstanding", "_in_flight_by_dst",
-                 "peak_in_flight_by_dst", "_seen_floor", "_seen_sparse")
+                 "stats", "_peers", "_in_flight")
 
     def __init__(
         self,
@@ -135,101 +162,111 @@ class ReliableChannel:
         self.on_give_up = on_give_up
         self.on_ack = on_ack
         self.stats = TransportStats()
-        self._next_seq: Dict[NodeId, int] = {}
-        self._outstanding: Dict[Tuple[NodeId, int], _Outstanding] = {}
-        # Retransmission-state boundedness accounting (read by the
-        # validation monitors): live and peak unacked segments per peer.
-        self._in_flight_by_dst: Dict[NodeId, int] = {}
-        self.peak_in_flight_by_dst: Dict[NodeId, int] = {}
-        # Receiver-side dedup state per peer: cumulative floor + sparse set.
-        self._seen_floor: Dict[NodeId, int] = {}
-        self._seen_sparse: Dict[NodeId, Set[int]] = {}
+        self._peers: Dict[NodeId, _Peer] = {}
+        self._in_flight = 0
+
+    def _peer(self, node_id: NodeId) -> _Peer:
+        """First-contact constructor of a peer record (cold)."""
+        peer = self._peers[node_id] = _Peer()
+        return peer
 
     # ------------------------------------------------------------------
     # Sender side
     # ------------------------------------------------------------------
     def send(self, dst: NodeId, payload: Message) -> int:
         """Send ``payload`` reliably; returns the channel sequence number."""
-        seq = self._next_seq.get(dst, 0)
-        self._next_seq[dst] = seq + 1
+        peer = self._peers.get(dst)
+        if peer is None:
+            peer = self._peer(dst)
+        seq = peer.next_seq
+        peer.next_seq = seq + 1
         seg = Segment(seq, payload)
-        out = _Outstanding(dst, seg, self.max_retries)
-        self._outstanding[(dst, seq)] = out
-        live = self._in_flight_by_dst.get(dst, 0) + 1
-        self._in_flight_by_dst[dst] = live
-        if live > self.peak_in_flight_by_dst.get(dst, 0):
-            self.peak_in_flight_by_dst[dst] = live
-            obs = self.node.sim.obs
+        out = _Outstanding(seg, self.max_retries)
+        outstanding = peer.outstanding
+        outstanding[seq] = out
+        self._in_flight += 1
+        node = self.node
+        sim = node.sim
+        if len(outstanding) > peer.peak:
+            peer.peak = len(outstanding)
+            obs = sim.obs
             if obs is not None:
-                obs.gauge_max("transport.in_flight_peak", live)
+                obs.gauge_max("transport.in_flight_peak", peer.peak)
         self.stats.sent += 1
-        spans = self.node.sim.spans
+        spans = sim.spans
         if spans is not None:
-            spans.seg_send(self.node.now, self.node.id, dst, payload, False)
-        self.node.send(dst, seg)
-        out.rto_event = self.node.sim.schedule(
-            self.rto, self._on_timeout, dst, seq)
+            spans.seg_send(sim.now, node.id, dst, payload, False)
+        node.send(dst, seg)
+        out.rto_event = sim.schedule_at(
+            sim.now + self.rto, self._on_timeout, dst, seq)
         return seq
 
-    def _drop_outstanding(self, dst: NodeId, seq: int) -> Optional[_Outstanding]:
-        out = self._outstanding.pop((dst, seq), None)
-        if out is not None:
-            self._in_flight_by_dst[dst] = self._in_flight_by_dst.get(dst, 1) - 1
-        return out
-
-    def _cancel_rto(self, out: _Outstanding) -> None:
-        if out.rto_event is not None:
-            self.node.sim.cancel(out.rto_event)
-            out.rto_event = None
-
     def _on_timeout(self, dst: NodeId, seq: int) -> None:
-        out = self._outstanding.get((dst, seq))
+        outstanding = self._peers[dst].outstanding
+        out = outstanding.get(seq)
         if out is None:
             return
-        if not self.node.alive:
+        node = self.node
+        if not node.alive:
             # A crashed node retransmits nothing; leave state for recovery.
             return
+        sim = node.sim
+        payload = out.segment.payload
         if out.retries_left <= 0:
-            self._drop_outstanding(dst, seq)
+            del outstanding[seq]
+            self._in_flight -= 1
             self.stats.gave_up += 1
-            obs = self.node.sim.obs
+            obs = sim.obs
             if obs is not None:
                 obs.inc("transport.give_up")
-            self.node.sim.trace.emit(
-                self.node.now, "transport.give_up",
-                src=self.node.id, dst=dst, msg_kind=out.segment.payload.kind,
+            sim.trace.emit(
+                sim.now, "transport.give_up",
+                src=node.id, dst=dst, msg_kind=payload.kind,
             )
-            spans = self.node.sim.spans
+            spans = sim.spans
             if spans is not None:
-                spans.give_up(self.node.now, self.node.id, dst,
-                              out.segment.payload)
+                spans.give_up(sim.now, node.id, dst, payload)
             if self.on_give_up is not None:
-                self.on_give_up(dst, out.segment.payload)
+                self.on_give_up(dst, payload)
             return
         out.retries_left -= 1
         self.stats.retransmitted += 1
-        obs = self.node.sim.obs
+        obs = sim.obs
         if obs is not None:
             obs.inc("transport.retransmitted")
-        spans = self.node.sim.spans
+        spans = sim.spans
         if spans is not None:
-            spans.seg_send(self.node.now, self.node.id, dst,
-                           out.segment.payload, True)
-        self.node.send(dst, out.segment)
-        out.rto_event = self.node.sim.schedule(
-            self.rto, self._on_timeout, dst, seq)
+            spans.seg_send(sim.now, node.id, dst, payload, True)
+        node.send(dst, out.segment)
+        out.rto_event = sim.schedule_at(
+            sim.now + self.rto, self._on_timeout, dst, seq)
 
     @property
     def in_flight(self) -> int:
-        """Number of currently unacked segments."""
-        return len(self._outstanding)
+        """Number of currently unacked segments (O(1))."""
+        return self._in_flight
+
+    @property
+    def peak_in_flight_by_dst(self) -> Dict[NodeId, int]:
+        """``{dst: most segments ever unacked at once}``, built per read."""
+        return {dst: peer.peak for dst, peer in self._peers.items()
+                if peer.peak}
 
     def cancel_all(self, dst: Optional[NodeId] = None) -> None:
-        """Abandon outstanding segments (to ``dst``, or all)."""
-        keys = [k for k in self._outstanding if dst is None or k[0] == dst]
-        for k in keys:
-            self._cancel_rto(self._outstanding[k])
-            self._drop_outstanding(*k)
+        """Abandon outstanding segments (to ``dst``, or all): O(that
+        peer's outstanding), its RTOs cancelled in ascending seq order."""
+        if dst is None:
+            peers = self._peers.values()
+        else:
+            peer = self._peers.get(dst)
+            peers = [] if peer is None else [peer]
+        cancel = self.node.sim.cancel
+        for peer in peers:
+            for out in peer.outstanding.values():
+                if out.rto_event is not None:   # its first send raised
+                    cancel(out.rto_event)
+            self._in_flight -= len(peer.outstanding)
+            peer.outstanding.clear()
 
     # ------------------------------------------------------------------
     # Receiver side
@@ -241,43 +278,50 @@ class ReliableChannel:
         exactly once per segment; returns None for acks, duplicates and
         non-transport messages are returned unchanged.
         """
-        if isinstance(msg, SegAck):
-            out = self._drop_outstanding(msg.src, msg.seq)
-            if out is not None:
-                self._cancel_rto(out)
-                self.stats.acked += 1
-                if self.on_ack is not None:
-                    self.on_ack(out.dst, out.segment.payload)
-            return None
-        if isinstance(msg, Segment):
+        kind = type(msg)
+        if kind is Segment:
+            src = msg.src
+            seq = msg.seq
+            node = self.node
             # Always (re-)ack: the previous ack may have been lost.
-            self.node.send(msg.src, SegAck(msg.seq))
-            if self._already_seen(msg.src, msg.seq):
+            node.send(src, SegAck(seq))
+            peer = self._peers.get(src)
+            if peer is None:
+                peer = self._peer(src)
+            floor = peer.floor
+            if seq == floor:
+                # In order: raise the floor, then over whatever the
+                # out-of-order arrivals already made contiguous.
+                floor += 1
+                sparse = peer.sparse
+                while floor in sparse:
+                    sparse.remove(floor)
+                    floor += 1
+                peer.floor = floor
+            elif seq < floor or seq in peer.sparse:
                 self.stats.duplicates += 1
                 return None
-            self._mark_seen(msg.src, msg.seq)
+            else:
+                peer.sparse.add(seq)
             self.stats.delivered += 1
             payload = msg.payload
-            payload.src = msg.src
+            payload.src = src
             payload.dst = msg.dst
             payload.sent_at = msg.sent_at
-            spans = self.node.sim.spans
+            spans = node.sim.spans
             if spans is not None:
-                spans.seg_recv(self.node.now, self.node.id, msg.src, payload)
+                spans.seg_recv(node.sim.now, node.id, src, payload)
             return payload
+        if kind is SegAck:
+            src = msg.src
+            peer = self._peers.get(src)
+            out = (peer.outstanding.pop(msg.seq, None)
+                   if peer is not None else None)
+            if out is not None:
+                self._in_flight -= 1
+                self.node.sim.cancel(out.rto_event)
+                self.stats.acked += 1
+                if self.on_ack is not None:
+                    self.on_ack(src, out.segment.payload)
+            return None
         return msg
-
-    def _already_seen(self, src: NodeId, seq: int) -> bool:
-        if seq < self._seen_floor.get(src, 0):
-            return True
-        return seq in self._seen_sparse.get(src, ())
-
-    def _mark_seen(self, src: NodeId, seq: int) -> None:
-        floor = self._seen_floor.get(src, 0)
-        sparse = self._seen_sparse.setdefault(src, set())
-        sparse.add(seq)
-        # Compact: advance the cumulative floor over contiguous seqs.
-        while floor in sparse:
-            sparse.remove(floor)
-            floor += 1
-        self._seen_floor[src] = floor

@@ -100,5 +100,6 @@ class PeriodicTimer:
     def _fire(self) -> None:
         self.fires += 1
         # Re-arm first so fn() may call stop() to cancel the next tick.
-        self._event = self.sim.schedule(self.period, self._fire)
+        sim = self.sim
+        self._event = sim.schedule_at(sim.now + self.period, self._fire)
         self.fn(*self.args)

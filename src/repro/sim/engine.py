@@ -35,6 +35,18 @@ events: ``(time, key)`` collides only on a 64-bit hash collision at an
 identical float timestamp, so comparisons essentially never reach the
 event object and stay entirely in C.
 
+Hot-path contract: every heap admission passes ``schedule_at`` or
+``schedule_keyed`` and every dispatch ``_execute``.  Those, with ``run``/
+``schedule``/``cancel``/``call_owned``, are *seams* and stay real methods
+the traffic traverses: the shard gate is consulted in ``schedule_at`` and
+``call_owned`` (after the counters tick, so keys stay aligned),
+``repro.obs`` routes dispatches through ``_execute``, and ``perfbench``
+counts and times calls by shimming exactly these class attributes.
+Between them nothing costs a frame per event: the heap push and its
+high-water mark live inside the two admission methods, per-message
+callers (fabric, transport, periodic timers) call ``schedule_at(now +
+delay, ...)`` directly, and a loop turn reads ``heap[0]`` once.
+
 Execution contexts and ownership
 --------------------------------
 Every event carries an ``owner`` — the id of the simulated entity whose
@@ -51,7 +63,7 @@ causal keys stay aligned across shards.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional, Tuple
 
 from repro.runtime.api import _INHERIT, Runtime
@@ -109,7 +121,10 @@ class Event:
         self.in_heap = True
 
     def __lt__(self, other: "Event") -> bool:
-        # Primary key: simulated time.  Tie-break: causal key.
+        """Heap fallback, not the ordering path: entries are ``(time,
+        key, Event)`` tuples, so this runs only when two entries tie on
+        both — a 64-bit key collision at an identical timestamp — where
+        it keeps ``heapq`` from raising ``TypeError``."""
         if self.time != other.time:
             return self.time < other.time
         return self.key < other.key
@@ -234,7 +249,10 @@ class Simulator(Runtime):
             ev.cancelled = True
             ev.in_heap = False
             return ev
-        self._push(time, key, ev)
+        heap = self._heap
+        heappush(heap, (time, key, ev))
+        if len(heap) > self.peak_heap:
+            self.peak_heap = len(heap)
         return ev
 
     def schedule_keyed(self, time: float, key: int, owner: Any,
@@ -250,20 +268,11 @@ class Simulator(Runtime):
                 f"cannot import at t={time} before current time t={self.now}"
             )
         ev = Event(time, key, fn, args, owner)
-        self._push(time, key, ev)
-        return ev
-
-    def _push(self, time: float, key: int, ev: Event) -> None:
-        """Enqueue one live event and track the heap high-water mark.
-
-        The single place heap growth is accounted: every admission path
-        (:meth:`schedule_at`, :meth:`schedule_keyed`) funnels through
-        here, so occupancy counters stay consistent by construction.
-        """
         heap = self._heap
-        heapq.heappush(heap, (time, key, ev))
+        heappush(heap, (time, key, ev))
         if len(heap) > self.peak_heap:
             self.peak_heap = len(heap)
+        return ev
 
     def mint_child_key(self) -> int:
         """Tick the action counter and return the key a
@@ -304,7 +313,7 @@ class Simulator(Runtime):
             if entry[2].cancelled:
                 entry[2].in_heap = False
         heap[:] = [e for e in heap if not e[2].cancelled]
-        heapq.heapify(heap)
+        heapify(heap)
         self._cancelled_in_heap = 0
         self.compactions += 1
         obs = self.obs
@@ -315,7 +324,7 @@ class Simulator(Runtime):
         """Pop cancelled entries off the top of the heap."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)[2].in_heap = False
+            heappop(heap)[2].in_heap = False
             self._cancelled_in_heap -= 1
 
     # ------------------------------------------------------------------
@@ -423,17 +432,17 @@ class Simulator(Runtime):
             while heap:
                 if self._stopped:
                     break
-                ev = heap[0][2]
+                t, _, ev = heap[0]
                 if ev.cancelled:
-                    heapq.heappop(heap)
+                    heappop(heap)
                     ev.in_heap = False
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and ev.time > until:
+                if until is not None and t > until:
                     break
-                heapq.heappop(heap)
+                heappop(heap)
                 ev.in_heap = False
-                if ev.time < self.now:  # pragma: no cover - defensive
+                if t < self.now:  # pragma: no cover - defensive
                     raise SimulationError("event heap yielded a past event")
                 if hook is None:
                     self._execute(ev)
@@ -482,7 +491,7 @@ class Simulator(Runtime):
             while heap:
                 t, k, ev = heap[0]
                 if ev.cancelled:
-                    heapq.heappop(heap)
+                    heappop(heap)
                     ev.in_heap = False
                     self._cancelled_in_heap -= 1
                     continue
@@ -491,7 +500,7 @@ class Simulator(Runtime):
                         break
                 elif t > stop_time or (t == stop_time and k >= stop_key):
                     break
-                heapq.heappop(heap)
+                heappop(heap)
                 ev.in_heap = False
                 if hook is None:
                     self._execute(ev)
@@ -517,7 +526,7 @@ class Simulator(Runtime):
         self._discard_cancelled_top()
         if not self._heap:
             return False
-        ev = heapq.heappop(self._heap)[2]
+        ev = heappop(self._heap)[2]
         ev.in_heap = False
         self._execute(ev)
         return True

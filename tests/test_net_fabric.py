@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.address import make_id, tier_of
 from repro.net.fabric import Fabric
+from repro.net.failure import FailureInjector
 from repro.net.link import LinkSpec, WIRED, WIRELESS
 
 from conftest import Ping, Recorder
@@ -253,3 +254,89 @@ def test_disconnect_unknown_pair_raises(sim):
     fabric.disconnect("a", "b")  # first removal succeeds...
     with pytest.raises(KeyError, match="'a' <-> 'b'"):
         fabric.disconnect("a", "b")  # ...the second is an error
+
+
+# ---------------------------------------------------------------------------
+# The send path resolves links through a per-sender index: an entry must
+# never outlive its link, in either direction.
+# ---------------------------------------------------------------------------
+def _connected_pair(sim, default_spec=None):
+    fabric = Fabric(sim, default_spec=default_spec)
+    a, b = Recorder(fabric, "a"), Recorder(fabric, "b")
+    fabric.connect("a", "b", LinkSpec(latency=1.0))
+    a.send("b", Ping())               # the index has served this pair
+    b.send("a", Ping())
+    sim.run()
+    return fabric, a, b
+
+
+def test_send_after_disconnect_raises_in_both_directions(sim):
+    fabric, a, b = _connected_pair(sim)
+    fabric.disconnect("b", "a")       # either endpoint order names the link
+    for node, peer in ((a, "b"), (b, "a")):
+        with pytest.raises(KeyError, match="no link"):
+            node.send(peer, Ping())
+    # Only transmissions that resolved a link are counted.
+    assert fabric.messages_sent == 2
+
+
+def test_reconnect_after_disconnect_sends_over_the_new_spec(sim):
+    fabric, a, b = _connected_pair(sim)
+    old = fabric.link("a", "b")
+    fabric.disconnect("a", "b")
+    fabric.connect("a", "b", LinkSpec(latency=7.0))
+    t0 = sim.now
+    a.send("b", Ping())
+    b.send("a", Ping())
+    sim.run()
+    assert len(a.received) == len(b.received) == 2
+    assert sim.now == t0 + 7.0
+    assert old.sent == 2 and fabric.link("a", "b").sent == 2
+    # ... and a lossy replacement loses: nothing of the old spec is cached.
+    fabric.disconnect("a", "b")
+    fabric.connect("a", "b", LinkSpec(latency=1.0, loss_prob=1.0))
+    a.send("b", Ping())
+    sim.run()
+    assert len(b.received) == 2 and fabric.messages_dropped == 1
+
+
+def test_connect_on_existing_pair_swaps_the_spec_under_the_index(sim):
+    fabric, a, b = _connected_pair(sim)
+    link = fabric.link("a", "b")
+    assert fabric.connect("b", "a", LinkSpec(latency=4.0)) is link
+    t0 = sim.now
+    a.send("b", Ping())
+    sim.run()
+    assert sim.now == t0 + 4.0 and link.sent == 3
+
+
+def test_default_spec_autocreates_again_after_disconnect(sim):
+    fabric, a, b = _connected_pair(sim, default_spec=LinkSpec(latency=3.0))
+    fabric.disconnect("a", "b")
+    t0 = sim.now
+    a.send("b", Ping())
+    sim.run()
+    assert sim.now == t0 + 3.0 and len(b.received) == 2
+    assert fabric.link("a", "b").spec.latency == 3.0
+    assert fabric.messages_sent == 3
+
+
+def test_failure_injector_link_faults_reach_an_indexed_link(sim):
+    fabric, a, b = _connected_pair(sim)
+    inj = FailureInjector(fabric)
+    inj.link_down("b", "a")
+    a.send("b", Ping())
+    b.send("a", Ping())
+    sim.run()
+    assert len(a.received) == len(b.received) == 1
+    assert fabric.messages_dropped == 2
+    inj.link_up("a", "b")
+    a.send("b", Ping())
+    sim.run()
+    assert len(b.received) == 2
+    inj.partition(["a"], ["b"])
+    a.send("b", Ping())
+    inj.heal()
+    b.send("a", Ping())
+    sim.run()
+    assert (len(a.received), len(b.received)) == (2, 2)

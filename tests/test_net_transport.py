@@ -1,10 +1,13 @@
 """Unit tests for the reliable channel (ack/retransmit/give-up/dedup)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.net.fabric import Fabric
 from repro.net.link import LinkSpec
-from repro.net.transport import ReliableChannel
+from repro.net.node import NetNode
+from repro.net.transport import ReliableChannel, Segment
+from repro.sim.engine import Simulator
 
 from conftest import Ping, ReliableRecorder
 
@@ -178,3 +181,117 @@ def test_cancel_all_disarms_rto_events(sim):
     assert a.chan.stats.retransmitted == 0
     assert a.chan.stats.gave_up == 0
     assert sim.events_processed == before + 10
+
+
+# ---------------------------------------------------------------------------
+# Per-peer records: cancel_all, links that go away under outstanding
+# segments, and the dedup filter against a reference model
+# ---------------------------------------------------------------------------
+def make_star(sim, peers=("x", "y"), rto=10.0):
+    fabric = Fabric(sim)
+    hub = ReliableRecorder(fabric, "hub", rto=rto)
+    nodes = {p: ReliableRecorder(fabric, p, rto=rto) for p in peers}
+    for p in peers:
+        fabric.connect("hub", p, LinkSpec(latency=1.0))
+    return fabric, hub, nodes
+
+
+def test_cancel_all_for_one_peer_leaves_the_others_armed(sim):
+    fabric, hub, _ = make_star(sim)
+    fabric.set_link_up("hub", "x", False)
+    for i in range(3):
+        hub.chan.send("x", Ping(i))
+    for i in range(2):
+        hub.chan.send("y", Ping(10 + i))
+    pending = sim.pending
+    hub.chan.cancel_all("x")
+    assert hub.chan.in_flight == 2
+    assert sim.pending == pending - 3         # x's three RTOs, nothing of y's
+    hub.chan.cancel_all("never-a-peer")       # unknown peer: no-op
+    assert hub.chan.in_flight == 2
+    sim.run(until=5.0)
+    assert sorted(p.n for _, p in hub.acked) == [10, 11]   # y's acks fire
+    assert hub.chan.in_flight == 0
+    sim.run(until=1_000.0)
+    assert hub.gave_up == [] and hub.chan.stats.retransmitted == 0
+    assert hub.chan.peak_in_flight_by_dst == {"x": 3, "y": 2}
+
+
+def test_peer_numbering_and_dedup_survive_cancel_all(sim):
+    """A peer that comes back continues its sequence numbers, so its
+    new segments are not mistaken for duplicates of the old ones."""
+    _, hub, nodes = make_star(sim)
+    assert [hub.chan.send("x", Ping(i)) for i in range(3)] == [0, 1, 2]
+    sim.run()
+    hub.chan.cancel_all("x")
+    nodes["x"].chan.cancel_all("hub")
+    assert hub.chan.send("x", Ping(3)) == 3
+    sim.run()
+    assert sorted(p.n for p in nodes["x"].payloads) == [0, 1, 2, 3]
+    assert nodes["x"].chan.stats.duplicates == 0
+
+
+def test_rto_after_disconnect_fails_like_any_send_without_a_link(sim):
+    fabric, hub, nodes = make_star(sim)
+    fabric.set_link_up("hub", "x", False)
+    hub.chan.send("x", Ping())
+    fabric.disconnect("hub", "x")
+    with pytest.raises(KeyError, match="no link 'hub' <-> 'x'"):
+        sim.run(until=50.0)                   # the RTO retransmits at t=10
+    # Reconnected with a new spec, the next RTO goes over the new link.
+    fabric.connect("hub", "x", LinkSpec(latency=3.0))
+    hub.chan.send("x", Ping(7))
+    sim.run(until=sim.now + 3.0)
+    assert [p.n for p in nodes["x"].payloads] == [7]
+
+
+def test_rto_after_disconnect_autocreates_from_default_spec(sim):
+    fabric = Fabric(sim, default_spec=LinkSpec(latency=2.0))
+    a = ReliableRecorder(fabric, "a", rto=10.0)
+    b = ReliableRecorder(fabric, "b", rto=10.0)
+    fabric.connect("a", "b", LinkSpec(latency=1.0, loss_prob=1.0))
+    a.chan.send("b", Ping(1))
+    fabric.disconnect("a", "b")
+    sim.run(until=13.0)                       # RTO at 10 + default latency 2
+    assert [p.n for p in b.payloads] == [1]
+    assert a.chan.stats.retransmitted == 1 and len(a.acked) == 0
+    sim.run(until=20.0)
+    assert len(a.acked) == 1 and a.chan.in_flight == 0
+
+
+def _segment(src, seq):
+    seg = Segment(seq, Ping(seq))
+    seg.src, seg.dst, seg.sent_at = src, "me", 0.0
+    return seg
+
+
+@given(st.lists(st.tuples(st.sampled_from(["p", "q"]),
+                          st.integers(min_value=0, max_value=12)),
+                max_size=80))
+def test_dedup_matches_a_reference_model(arrivals):
+    """Any arrival order with duplicates, two peers interleaved: each
+    payload comes out exactly once, and the floor/sparse state is the
+    reference's — through the in-order fast path and the slow path."""
+    fabric = Fabric(Simulator(seed=0), default_spec=LinkSpec(latency=1.0))
+    for peer in ("p", "q"):
+        NetNode(fabric, peer)
+    chan = ReliableChannel(NetNode(fabric, "me"))
+    seen = {"p": set(), "q": set()}           # the reference model
+    duplicates = 0
+    for src, seq in arrivals:
+        payload = chan.accept(_segment(src, seq))
+        if seq in seen[src]:
+            duplicates += 1
+            assert payload is None
+        else:
+            seen[src].add(seq)
+            assert payload.n == seq and payload.src == src
+    assert chan.stats.duplicates == duplicates
+    assert chan.stats.delivered == len(seen["p"]) + len(seen["q"])
+    for src, ref in seen.items():
+        if not ref:
+            continue
+        floor = next(n for n in range(len(ref) + 1) if n not in ref)
+        peer = chan._peers[src]
+        assert peer.floor == floor
+        assert peer.sparse == {s for s in ref if s > floor}

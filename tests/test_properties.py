@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.datastructures import BufferedMessage, MessageQueue, WorkingTable
 from repro.core.token import OrderingToken
 from repro.metrics.report import percentile, summarize
-from repro.net.transport import ReliableChannel
+from repro.net.fabric import Fabric
+from repro.net.link import LinkSpec
+from repro.net.message import Message
+from repro.net.node import NetNode
+from repro.net.transport import ReliableChannel, Segment
+from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
 from repro.topology.ring import LogicalRing
 
@@ -174,23 +179,20 @@ def test_ring_removal_preserves_cycle(ids, data):
 def test_transport_seen_floor_compaction(seqs):
     """The receiver-side dedup filter is exactly 'seen before' regardless
     of arrival order and floor compaction."""
-
-    class Dummy:
-        pass
-
-    chan = ReliableChannel.__new__(ReliableChannel)
-    chan._seen_floor = {}
-    chan._seen_sparse = {}
+    fabric = Fabric(Simulator(seed=0), default_spec=LinkSpec(latency=1.0))
+    NetNode(fabric, "p")
+    chan = ReliableChannel(NetNode(fabric, "me"))
     seen_ref = set()
     for s in seqs:
-        expected = s in seen_ref
-        assert chan._already_seen("p", s) == expected
-        if not expected:
-            chan._mark_seen("p", s)
-            seen_ref.add(s)
+        seg = Segment(s, Message())
+        seg.src, seg.dst, seg.sent_at = "p", "me", 0.0
+        fresh = chan.accept(seg) is not None
+        assert fresh == (s not in seen_ref)
+        seen_ref.add(s)
     # Memory bound: the sparse set holds only the out-of-order suffix.
-    floor = chan._seen_floor["p"]
-    assert all(s >= floor for s in chan._seen_sparse["p"])
+    peer = chan._peers["p"]
+    assert all(s > peer.floor for s in peer.sparse)
+    assert seen_ref == set(range(peer.floor)) | peer.sparse
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_inflated_channel_state_trips_bounds_monitor():
     net.start()
     sim.run(until=500.0)
     ne = next(iter(net.nes.values()))
-    ne.chan.peak_in_flight_by_dst["mh:ghost"] = 10 ** 6
+    ne.chan._peer("mh:ghost").peak = 10 ** 6
     mon.finish(net=net, end_time=sim.now)
     mon.detach()
     assert any("exceeds limit" in v for v in mon.violations)
@@ -149,7 +149,7 @@ def test_every_monitor_in_the_suite_has_teeth():
     # Bounds needs simulated network state: a tiny net with one channel
     # poked far past any configured ceiling.
     sim, net = small_net(seed=1)
-    next(iter(net.nes.values())).chan.peak_in_flight_by_dst["x"] = 10 ** 6
+    next(iter(net.nes.values())).chan._peer("x").peak = 10 ** 6
 
     suite.finish(net=net, end_time=20_000.0)
     suite.detach()
