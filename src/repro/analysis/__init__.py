@@ -1,13 +1,11 @@
-"""Analytic side of the reproduction: Theorem 5.1 bounds and comparisons.
+"""Analytic side of the reproduction: Theorem 5.1 bounds.
 
 :mod:`repro.analysis.bounds` computes the paper's closed-form bounds
-from protocol/topology parameters; :mod:`repro.analysis.compare` builds
-the paper-vs-measured rows that EXPERIMENTS.md records.
+from protocol/topology parameters; :mod:`repro.analysis.retransmission`
+models the per-hop retransmission scheme.
 """
 
 from repro.analysis.bounds import TheoremBounds, bounds_for
-from repro.analysis.compare import bound_check_row
 from repro.analysis.retransmission import RetransmissionModel
 
-__all__ = ["TheoremBounds", "bounds_for", "bound_check_row",
-           "RetransmissionModel"]
+__all__ = ["TheoremBounds", "bounds_for", "RetransmissionModel"]

@@ -1,41 +1,17 @@
-"""Events/sec benchmarking with trace-identical optimization guarantees.
+"""The scale-rung memory check: exact work counts and peak RSS.
 
-The bench subsystem turns "make it faster" into a measured, regression-
-guarded loop:
-
-* :mod:`repro.bench.ladder` — a pinned NE/MH scaling ladder (tens to
-  thousands of nodes) derived from the experiments registry.
-* :mod:`repro.bench.measure` — wall-clock / events-per-second /
-  peak-event-heap measurement of any :class:`~repro.experiments.spec.
-  ExperimentSpec`, via ``time.perf_counter`` and the engine's own
-  counters (``events_processed``, ``peak_heap``, ``compactions``).
-* :mod:`repro.bench.compare` — baseline comparison that flags
-  events/sec regressions beyond a threshold.
-* ``python -m repro.bench run|ladder|compare`` — the CLI; results are
-  written as machine-readable ``BENCH_<name>.json`` files.
-
-The companion guarantee: every optimization the bench motivates must
-leave recorded traces byte-identical (see ``tests/test_trace_identity
-.py`` and the seed traces under ``tests/data/seed_traces/``).
+:mod:`repro.bench.ladder` pins the NE/MH scaling ladder (tens of nodes
+to 10^6 lazily-declared MHs); :mod:`repro.bench.measure` runs a rung
+once, reports the engine's exact counters and the process's peak RSS,
+and gates RSS against a baseline; ``python -m repro.bench ladder`` is
+the CLI.  Throughput is ``perfbench``'s job — it borrows ``calibrate``,
+``write_report`` and ``peak_rss_bytes`` from here.
 """
 
-from repro.bench.compare import ComparisonReport, compare_reports
 from repro.bench.ladder import LADDER, Rung, node_counts, rung_names, rung_spec
-from repro.bench.measure import (BENCH_SCHEMA, BenchResult, bench_report,
-                                 calibrate, measure_spec, write_report)
+from repro.bench.measure import (BENCH_SCHEMA, bench_report, calibrate,
+                                 measure_spec, rss_gate, write_report)
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchResult",
-    "ComparisonReport",
-    "LADDER",
-    "Rung",
-    "bench_report",
-    "calibrate",
-    "compare_reports",
-    "measure_spec",
-    "node_counts",
-    "rung_names",
-    "rung_spec",
-    "write_report",
-]
+__all__ = ["BENCH_SCHEMA", "LADDER", "Rung", "bench_report", "calibrate",
+           "measure_spec", "node_counts", "rss_gate", "rung_names",
+           "rung_spec", "write_report"]

@@ -1,23 +1,19 @@
 """The pinned NE/MH scaling ladder.
 
-Every rung is the same workload shape — the registry's ``quickstart``
-scenario (two CBR senders, the paper's Figure-1 hierarchy) — scaled
-from tens of nodes to thousands by widening the BR ring, the AG fan-out,
-the AP fan-out, and the per-AP MH population.  Simulated duration
-shrinks as the population grows so a full ladder stays a
-minutes-not-hours affair; events/sec is duration-independent, which is
-the point of measuring a *rate*.
+Every rung is the registry's ``quickstart`` scenario (two CBR senders,
+the paper's Figure-1 hierarchy) scaled from tens of nodes to a million
+by widening the BR ring, the AG and AP fan-outs and the per-AP MH
+population; simulated duration shrinks as the population grows.
 
-Above ``xl`` the ladder switches regime: the ``xxl`` (~10^5 MHs) and
-``metro`` (~10^6 MHs) rungs declare almost their whole MH population as
-a lazy per-AP *catchment* — entities that exist only as a count until
-an open-world session arrival materializes one — with the per-MH app
-log off and MQ retention pinned to the Theorem 5.1 bound.  These rungs
-measure peak RSS as much as events/sec: resident memory must track the
-*active* population, not the declared one.
+Above ``xl`` the regime changes: ``xxl`` (~10^5 MHs) and ``metro``
+(~10^6 MHs) declare almost their whole MH population as a lazy per-AP
+*catchment* — a count until an open-world session arrival materializes
+one — with the per-MH app log off and MQ retention pinned to the
+Theorem 5.1 bound.  These are the rungs the peak-RSS gate is for:
+resident memory must track the *active* population, not the declared.
 
-Rungs are data, pinned here on purpose: a benchmark whose shape drifts
-with the registry cannot be compared across commits.
+Rungs are data, pinned here on purpose: a measurement whose shape
+drifts with the registry cannot be compared across commits.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from repro.experiments.spec import ExperimentSpec
 #: The registry scenario every rung derives from.
 BASE_SCENARIO = "quickstart"
 
-#: One fixed seed for the whole ladder: bench runs must be reproducible.
+#: One fixed seed for the whole ladder: runs must be reproducible.
 LADDER_SEED = 42
 
 
@@ -45,13 +41,10 @@ class Rung:
     aps_per_ag: int
     mhs_per_ap: int
     duration_ms: float
-    #: Lazily-registered idle MHs per AP: population that exists only
-    #: as a catchment count until an open-world session materializes
-    #: one.  The 10^5/10^6-endpoint rungs live here — they are memory-
-    #: infeasible as eagerly-built objects.
+    #: Lazily-registered idle MHs per AP (the catchment count); the
+    #: 10^5/10^6-endpoint rungs are memory-infeasible built eagerly.
     idle_per_ap: int = 0
-    #: Open-world session arrivals per second over the catchment
-    #: (0 = no session driver).  Requires ``idle_per_ap > 0``.
+    #: Open-world session arrivals/s over the catchment (0 = no driver).
     openworld_arrivals: float = 0.0
 
     @property
@@ -67,9 +60,8 @@ class Rung:
             "seed": LADDER_SEED,
         }
         if self.idle_per_ap:
-            # The big rungs run in bounded-memory mode: no per-MH app
-            # log, delivered history spilled past the Theorem 5.1 MQ
-            # bound.  Anything else grows with traffic, not population.
+            # Bounded-memory mode: no per-MH app log, delivered history
+            # spilled past the Theorem 5.1 MQ bound.
             d["hierarchy.idle_per_ap"] = self.idle_per_ap
             d["protocol.retain_app_log"] = False
             d["bound_retention"] = True
@@ -83,10 +75,7 @@ class Rung:
 #:   xs: (6, 4, 10)     s: (21, 24, 45)      m: (64, 192, 256)
 #:   l: (174, 864, 1038)   xl: (368, 1920, 2288)
 #:   xxl: (584, 100_352, 100_936)   metro: (4_232, 999_424, 1_003_656)
-#: The xxl/metro MH populations are 1 built + idle_per_ap *registered*
-#: per AP: lazy catchment counts, materialized only by open-world
-#: session arrivals — the rungs that prove O(active), not O(declared),
-#: memory.
+#: (xxl/metro MHs: 1 built + idle_per_ap *registered* per AP.)
 LADDER: Tuple[Rung, ...] = (
     Rung("xs", n_br=2, ags_per_br=1, aps_per_ag=1, mhs_per_ap=2,
          duration_ms=4_000.0),
@@ -104,11 +93,8 @@ LADDER: Tuple[Rung, ...] = (
          duration_ms=200.0, idle_per_ap=243, openworld_arrivals=300.0),
 )
 
-#: Rungs ``python -m repro.bench ladder`` runs when ``--rungs`` is not
-#: given: the closed-world ladder.  The lazy-population rungs (xxl,
-#: metro) are opt-in — they measure a different regime (million-endpoint
-#: build + open-world traffic) and would dominate a default run's wall
-#: clock.
+#: Rungs run when ``--rungs`` is not given: the closed-world ladder.
+#: xxl/metro are opt-in — they would dominate a default run's wall clock.
 DEFAULT_RUNGS: Tuple[str, ...] = ("xs", "s", "m", "l", "xl")
 
 
@@ -135,11 +121,8 @@ def rung_names() -> List[str]:
 
 
 def get_rung(name: str) -> Rung:
-    """The rung called ``name`` (KeyError with the valid list otherwise).
-
-    Accepts the canonical short names and their :data:`RUNG_ALIASES`
-    long forms, case-insensitively and whitespace-tolerantly.
-    """
+    """The rung called ``name`` or its :data:`RUNG_ALIASES` long form,
+    case- and whitespace-insensitively (KeyError lists the valid ones)."""
     canon = name.strip().lower()
     canon = RUNG_ALIASES.get(canon, canon)
     for rung in LADDER:
@@ -156,11 +139,8 @@ def rung_spec(rung: Rung) -> ExperimentSpec:
 
 
 def node_counts(spec: ExperimentSpec) -> Dict[str, int]:
-    """NE/MH/total population of a spec's hierarchy (depth-1 and deep).
-
-    ``mhs`` counts the *declared* population: eagerly-built MHs plus
-    the lazily-registered per-AP catchment (``idle_per_ap``).
-    """
+    """NE/MH/total population of a spec's hierarchy (depth-1 and deep);
+    ``mhs`` is the *declared* count: eagerly built + ``idle_per_ap``."""
     h = spec.hierarchy
     if h.depth > 1:
         ags = sum(h.n_br * h.ring_size ** level

@@ -19,9 +19,8 @@ Three pillars:
   lifecycle folding everything into fixed simulated-time windows and
   writing ``OBS_<name>.json`` + ``OBS_<name>_timeline.jsonl.gz``.
 
-Enable with ``--obs [DIR]`` on ``python -m repro.bench``,
-``python -m repro.experiments run|sweep``, or
-``python -m repro.shard run``; read artifacts back with
+Enable with ``--obs [DIR]`` on ``python -m repro.experiments
+run|sweep`` or ``python -m repro.shard run``; read artifacts back with
 ``python -m repro.obs summarize|top|timeline``.
 """
 

@@ -24,17 +24,18 @@ Subcommands
 backend), a ``SPANS_*.jsonl[.gz]`` span-event stream, or a recorded
 trace ``*.jsonl[.gz]`` (coarse stages only — trace records carry no
 per-hop detail).  Reports are produced by the ``--obs`` / ``--spans``
-flags on ``python -m repro.bench``, ``python -m repro.experiments
-run|sweep``, and ``python -m repro.shard run``.
+flags on ``python -m repro.experiments run|sweep`` and ``--obs`` on
+``python -m repro.shard run``.
 
 Examples
 --------
 ::
 
-    python -m repro.bench run quickstart --obs obs-out
-    python -m repro.obs summarize obs-out/OBS_quickstart.json
-    python -m repro.obs top obs-out/OBS_quickstart.json -n 5
-    python -m repro.obs timeline obs-out/OBS_quickstart_timeline.jsonl.gz \\
+    python -m repro.experiments run quickstart --obs obs-out
+    python -m repro.obs summarize 'obs-out/OBS_quickstart#p0r0.json'
+    python -m repro.obs top 'obs-out/OBS_quickstart#p0r0.json' -n 5
+    python -m repro.obs timeline \\
+        'obs-out/OBS_quickstart#p0r0_timeline.jsonl.gz' \\
         --metric transport.retransmitted --metric deliver
     python -m repro.obs critpath handoff_storm --duration 2500
     python -m repro.obs spans quickstart --shards 4

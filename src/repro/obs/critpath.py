@@ -238,8 +238,7 @@ def critpath_summary(spanset: SpanSet,
 
 def stage_means(summary: Dict[str, Any]) -> Dict[str, float]:
     """Compact ``{stage: mean_ms}`` view of a critpath summary — the
-    form bench reports embed as ``span_stages`` and the live diff
-    compares sides with."""
+    ``span_stages`` form the live diff compares sides with."""
     return {stage: st["mean_ms"]
             for stage, st in (summary.get("stages") or {}).items()}
 
@@ -320,7 +319,7 @@ def render_critpath(summary: Dict[str, Any], name: str = "run") -> str:
 def render_stage_delta(rows: List[Dict[str, Any]],
                        left: str = "current",
                        right: str = "baseline") -> str:
-    """Fixed-width per-stage delta table (bench compare, live diff)."""
+    """Fixed-width per-stage delta table (live diff)."""
     # Labels are often file paths; keep the tail, which disambiguates.
     left = left if len(left) <= 24 else "…" + left[-23:]
     right = right if len(right) <= 24 else "…" + right[-23:]

@@ -39,27 +39,6 @@ def _spec(args: argparse.Namespace):
     return spec_for_args(args)
 
 
-def _observed_loads(path: str, scenario: str,
-                    n_shards: int) -> Optional[list]:
-    """Per-shard event counts from a ``BENCH_*.json`` sharded entry.
-
-    Prefers an entry whose name mentions the scenario; falls back to
-    any entry measured at the same shard count.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    candidates = []
-    for entry in report.get("results") or []:
-        stats = entry.get("shard") or {}
-        events = stats.get("shard_events")
-        if entry.get("shards") == n_shards and events:
-            candidates.append((str(entry.get("name", "")), events))
-    for name, events in candidates:
-        if scenario in name:
-            return events
-    return candidates[0][1] if candidates else None
-
-
 # ----------------------------------------------------------------------
 def cmd_partition(args: argparse.Namespace) -> int:
     from repro.experiments.runner import build_scenario
@@ -73,8 +52,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
     matrix = latency_matrix(
         scenario.net.fabric, plan,
         wireless_floor=wireless.latency if wireless is not None else None)
-    observed = (_observed_loads(args.bench_report, spec.name, args.shards)
-                if args.bench_report else None)
     if args.json:
         payload = plan.to_dict()
         payload["cut_edges"] = [list(edge) for edge in cut]
@@ -83,8 +60,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
         payload["lookahead_matrix_ms"] = [
             [None if v == float("inf") else v for v in row]
             for row in matrix]
-        if observed is not None:
-            payload["observed_events"] = list(observed)
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0
@@ -92,15 +67,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
           f"{plan.n_shards} shards")
     for shard in range(plan.n_shards):
         brs = sorted(br for br, s in plan.subtree_shard.items() if s == shard)
-        line = (f"  shard {shard}: weight={plan.weights[shard]:4d}  ")
-        if observed is not None and shard < len(observed):
-            line += f"observed_events={observed[shard]:,}  "
-        line += f"subtrees={', '.join(brs) if brs else '(empty)'}"
-        print(line)
-    if observed is not None:
-        lo, hi = min(observed), max(observed)
-        print(f"  observed balance: {hi / lo:.2f}x max/min"
-              if lo else "  observed balance: n/a (empty shard)")
+        print(f"  shard {shard}: weight={plan.weights[shard]:4d}  "
+              f"subtrees={', '.join(brs) if brs else '(empty)'}")
     print(f"  cut edges: {len(cut)}  lookahead floor: "
           f"{'unbounded' if lookahead == float('inf') else f'{lookahead}ms'}"
           f"  matrix min: {min_lookahead(matrix)}ms")
@@ -197,11 +165,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--shards", type=int, default=2, metavar="K")
     p_part.add_argument("--json", action="store_true",
                         help="dump the full plan as JSON")
-    p_part.add_argument("--bench-report", default=None, metavar="FILE",
-                        dest="bench_report",
-                        help="BENCH_*.json with a sharded entry at the "
-                             "same shard count: print observed per-shard "
-                             "event loads next to the node-count weights")
     p_part.set_defaults(fn=cmd_partition)
 
     p_run = sub.add_parser("run", help="run on K worker processes")

@@ -59,8 +59,8 @@ from repro.shard.record import KeyedRecorder, merge_streams
 _INF = float("inf")
 
 #: How long the coordinator waits for the next message of a running
-#: worker before declaring it hung.  Sized from the committed ``xl@4shards`` rung
-#: (``benchmarks/BENCH_shard_ladder.json``), whose longest silent
+#: worker before declaring it hung.  Sized from the ``xl`` ladder rung
+#: at 4 shards, whose longest silent
 #: interval is the worker's spawn + scenario build before ``ready``,
 #: 0.23–0.40 s on the 2-core container (windows stay under 0.1 s): a
 #: 150x margin, which also clears the 1M-endpoint ``metro`` build.
@@ -296,8 +296,8 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
 
         spec = ExperimentSpec.from_dict(spec_dict)
         # Unrecorded (benchmark) runs use the same counting=False trace
-        # fast path measure_spec's sequential side uses, so speedup
-        # ratios compare like with like; recorded runs need counts for
+        # fast path sequential benchmark runs use, so speedup ratios
+        # compare like with like; recorded runs need counts for
         # the aggregate-equals-sequential cross-check.
         sim = Simulator(seed=spec.seed,
                         trace=TraceBus(counting=record))

@@ -1,9 +1,8 @@
-"""Tests for Theorem 5.1 bound computation and comparison rows."""
+"""Tests for Theorem 5.1 bound computation."""
 
 import pytest
 
 from repro.analysis.bounds import TheoremBounds, bounds_for, ring_hop_ms
-from repro.analysis.compare import bound_check_row, theorem_rows
 from repro.core.config import ProtocolConfig
 from repro.net.link import WIRED, WIRELESS, LinkSpec
 
@@ -67,31 +66,3 @@ def test_tau_increases_latency_and_wq_bounds_only():
 def test_invalid_ring_size():
     with pytest.raises(ValueError):
         bounds_for(ProtocolConfig(), 0, 1, 10, WIRED, WIRELESS)
-
-
-def test_bound_check_row_pass_fail():
-    ok = bound_check_row("x", bound=10.0, measured=9.0)
-    bad = bound_check_row("x", bound=10.0, measured=11.0)
-    assert ok["holds"] == "yes" and bad["holds"] == "NO"
-    loose = bound_check_row("x", bound=10.0, measured=11.0, within_factor=1.2)
-    assert loose["holds"] == "yes"
-
-
-def test_theorem_rows_complete():
-    b = TheoremBounds(t_order=10.0, t_transmit=8.0, t_deliver=5.0, tau=2.0,
-                      rate_per_ms=0.1)
-    rows = theorem_rows(b, measured_latency_max=12.0, measured_wq_peak=1.0,
-                        measured_mq_peak=0.5,
-                        measured_throughput=100.0)
-    assert [r["quantity"] for r in rows] == [
-        "latency_max", "wq_peak", "mq_peak", "throughput"]
-    assert all(r["holds"] == "yes" for r in rows)
-
-
-def test_theorem_rows_throughput_tolerance():
-    b = TheoremBounds(t_order=1, t_transmit=1, t_deliver=1, tau=1,
-                      rate_per_ms=0.1)  # 100 msg/s
-    rows = theorem_rows(b, 0, 0, 0, measured_throughput=90.0)
-    assert rows[-1]["holds"] == "NO"  # 10% off
-    rows = theorem_rows(b, 0, 0, 0, measured_throughput=97.0)
-    assert rows[-1]["holds"] == "yes"  # within 5%

@@ -1,15 +1,13 @@
-"""Unit tests for the repro.bench subsystem (ladder, measure, compare, CLI)."""
+"""Unit tests for the repro.bench subsystem (ladder, measure, RSS gate, CLI)."""
 
 import json
-import os
 
 import pytest
 
-from repro.bench import (LADDER, compare_reports, bench_report, measure_spec,
-                         node_counts, rung_names, rung_spec, write_report)
-from repro.bench.compare import ComparisonReport, Delta
+from repro.bench import (LADDER, bench_report, measure_spec, node_counts,
+                         rss_gate, rung_spec, write_report)
 from repro.bench.ladder import BASE_SCENARIO, LADDER_SEED, get_rung
-from repro.bench.measure import BENCH_SCHEMA
+from repro.bench.measure import BENCH_SCHEMA, RSS_GROWTH_LIMIT
 from repro.experiments import registry
 
 
@@ -73,33 +71,27 @@ def test_node_counts_depth1_formula():
 def tiny_result():
     spec = registry.get("quickstart", **{"duration_ms": 300.0,
                                          "warmup_ms": 0.0, "seed": 5})
-    return measure_spec(spec, repeat=2)
+    return measure_spec(spec)
 
 
 def test_measure_spec_reports_engine_counters(tiny_result):
     r = tiny_result
-    assert r.events > 0
-    assert r.wall_s > 0
-    assert r.events_per_sec == pytest.approx(r.events / r.wall_s)
-    assert r.peak_heap > 0
-    assert r.nodes == r.nes + r.mhs  # sources reported separately
-    assert r.sources == 2
-    assert len(r.wall_s_all) == 2
-    assert r.wall_s == min(r.wall_s_all)  # best-of-N headline
+    assert r["events"] > 0
+    assert r["deliveries"] > 0
+    assert r["wall_s"] > 0
+    assert r["peak_heap"] > 0
+    assert r["peak_rss"] > 0
+    assert r["nodes"] == r["nes"] + r["mhs"]  # sources reported separately
+    assert r["sources"] == 2
+    assert r["checked"] is False and r["violations"] == []
+    assert "trace_path" not in r  # only streamed runs carry one
 
 
 def test_measured_population_agrees_with_ladder_formula(tiny_result):
-    from repro.bench import node_counts
-
     counts = node_counts(registry.get("quickstart"))
-    assert tiny_result.nodes == counts["total"]
-    assert (tiny_result.nes, tiny_result.mhs) == (counts["nes"],
-                                                  counts["mhs"])
-
-
-def test_measure_spec_repeat_validates():
-    with pytest.raises(ValueError):
-        measure_spec(registry.get("quickstart"), repeat=0)
+    assert tiny_result["nodes"] == counts["total"]
+    assert (tiny_result["nes"], tiny_result["mhs"]) == (counts["nes"],
+                                                        counts["mhs"])
 
 
 def test_peak_heap_recorded_without_any_compaction():
@@ -111,53 +103,31 @@ def test_peak_heap_recorded_without_any_compaction():
         "hierarchy.mhs_per_ap": 0,  # no join storm: no timer churn
         "workload.s": 1, "workload.rate_per_sec": 5.0,
     })
-    r = measure_spec(spec, repeat=2)
-    assert r.compactions == 0  # nothing this small triggers compaction
-    assert r.peak_heap > 0
-    d = r.to_dict()
-    assert d["peak_heap"] == r.peak_heap
-    assert d["compactions"] == 0
-    assert d["shards"] == 1
-
-
-def test_measure_spec_sharded_counters():
-    spec = registry.get("quickstart", **{"duration_ms": 400.0,
-                                         "warmup_ms": 0.0})
-    r = measure_spec(spec, shards=2)
-    assert r.shards == 2
-    assert r.events > 0
-    assert r.peak_heap > 0
-    assert r.shard_stats is not None
-    assert r.shard_stats["windows"] > 0
-    assert "window_stalls" in r.shard_stats
-    d = r.to_dict()
-    assert d["shard"]["shards"] == 2
-
-
-def test_measure_spec_sharded_rejects_check():
-    with pytest.raises(ValueError):
-        measure_spec(registry.get("quickstart"), shards=2, check=True)
+    r = measure_spec(spec)
+    assert r["compactions"] == 0  # nothing this small triggers compaction
+    assert r["peak_heap"] > 0
 
 
 def test_measure_spec_check_attaches_monitors():
     spec = registry.get("quickstart", **{"duration_ms": 300.0,
                                          "warmup_ms": 0.0, "seed": 5})
     r = measure_spec(spec, check=True)
-    assert r.checked is True
-    assert r.violations == []
+    assert r["checked"] is True
+    assert r["violations"] == []
 
 
 def test_bench_report_shape(tiny_result):
-    report = bench_report([tiny_result], kind="run", name="quickstart",
-                          calibration=1_000_000.0)
+    report = bench_report([tiny_result])
     assert report["schema"] == BENCH_SCHEMA
-    assert report["kind"] == "run"
-    assert report["calibration_events_per_sec"] == 1_000_000.0
-    entry = report["results"][0]
+    (entry,) = report["results"]
     assert entry["name"] == "quickstart"
-    assert entry["events_per_sec"] > 0
-    assert entry["events_per_sec_norm"] == pytest.approx(
-        entry["events_per_sec"] / 1_000_000.0, rel=1e-3)
+    assert entry["peak_rss"] > 0
+    # Nothing derived from wall time beyond the two informational
+    # fields: a report states exact counts, not rates.
+    wallish = [k for k in list(entry) + list(report)
+               if "per_sec" in k or "speedup" in k or "calibration" in k]
+    assert wallish == []
+    assert {"wall_s", "build_s"} <= set(entry)
     json.dumps(report)  # must be JSON-serializable as-is
 
 
@@ -169,168 +139,122 @@ def test_calibrate_measures_null_engine_rate():
 
 
 # ---------------------------------------------------------------------------
-# Baseline comparison
+# Peak-RSS baseline gate
 # ---------------------------------------------------------------------------
-def _report(rates, calibration=None):
-    entries = []
-    for n, r in rates.items():
-        entry = {"name": n, "events_per_sec": r}
-        if calibration:
-            entry["events_per_sec_norm"] = r / calibration
-        entries.append(entry)
-    return {"schema": BENCH_SCHEMA, "kind": "ladder", "name": "ladder",
-            "results": entries}
+MIB = 1 << 20
 
 
-def test_compare_flags_regressions_beyond_threshold():
-    cmp = compare_reports(_report({"xs": 79.0, "s": 100.0}),
-                          _report({"xs": 100.0, "s": 95.0}),
-                          threshold=0.20)
-    assert not cmp.ok
-    assert [d.name for d in cmp.regressions] == ["xs"]
+def _report(rss_by_name):
+    return {"schema": BENCH_SCHEMA,
+            "results": [{"name": n} if rss is None
+                        else {"name": n, "peak_rss": rss}
+                        for n, rss in rss_by_name.items()]}
 
 
-def test_compare_tolerates_slowdown_within_threshold():
-    cmp = compare_reports(_report({"xs": 81.0}), _report({"xs": 100.0}),
-                          threshold=0.20)
-    assert cmp.ok
+def _oks(current, baseline):
+    return [ok for ok, _ in rss_gate(current, baseline)]
 
 
-def test_compare_prefers_normalized_metric_across_machines():
-    """A 2x-slower host with the same per-event cost profile must pass:
-    raw rate halves, but so does the calibration divisor."""
-    fast = _report({"xs": 100_000.0}, calibration=1_000_000.0)
-    slow = _report({"xs": 50_000.0}, calibration=500_000.0)
-    cmp = compare_reports(slow, fast, threshold=0.20)
-    assert cmp.metric == "events_per_sec_norm"
-    assert cmp.ok
-    # Raw fallback when either side lacks the normalized rate.
-    cmp_raw = compare_reports(_report({"xs": 50_000.0}), fast,
-                              threshold=0.20)
-    assert cmp_raw.metric == "events_per_sec"
-    assert not cmp_raw.ok
+def test_compare_gates_peak_rss_growth():
+    """Growth beyond RSS_GROWTH_LIMIT fails, shrinkage never does."""
+    assert RSS_GROWTH_LIMIT == 0.50
+    base = _report({"xxl": 100 * MIB})
+    ((ok, line),) = rss_gate(_report({"xxl": 160 * MIB}), base)
+    assert not ok
+    assert "MiB" in line and "+60.0%" in line
+    assert _oks(_report({"xxl": 140 * MIB}), base) == [True]
+    assert _oks(_report({"xxl": 150 * MIB}), base) == [True]  # at the limit
+    assert _oks(_report({"xxl": 10 * MIB}), base) == [True]
 
 
-def test_compare_unmatched_entries_never_fail():
-    cmp = compare_reports(_report({"xs": 10.0, "new": 1.0}),
-                          _report({"xs": 10.0, "old": 500.0}))
-    assert cmp.ok
-    assert cmp.only_current == ["new"]
-    assert cmp.only_baseline == ["old"]
+def test_gate_fails_when_measured_rung_has_no_baseline_entry():
+    """A gate that compared nothing must not print ok: a measured rung
+    absent from the baseline fails; unmeasured baseline entries don't."""
+    rows = rss_gate(_report({"xs": 40 * MIB, "xxl": 58 * MIB}),
+                    _report({"xxl": 58 * MIB, "metro": 400 * MIB}))
+    assert [ok for ok, _ in rows] == [False, True]
+    assert "xs: no baseline entry" in rows[0][1]
+
+
+@pytest.mark.parametrize("cur, base, side", [
+    pytest.param(58 * MIB, None, "baseline", id="baseline-missing"),
+    pytest.param(58 * MIB, 0, "baseline", id="baseline-zero"),
+    pytest.param(None, 58 * MIB, "measured", id="measured-missing"),
+    pytest.param(0, 58 * MIB, "measured", id="measured-zero"),
+])
+def test_gate_fails_without_positive_rss_on_both_sides(cur, base, side):
+    ((ok, line),) = rss_gate(_report({"xxl": cur}), _report({"xxl": base}))
+    assert not ok
+    assert f"no positive peak_rss on the {side} side" in line
 
 
 def test_compare_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        compare_reports({"nope": 1}, _report({}))
+        rss_gate({"nope": 1}, _report({}))
     with pytest.raises(ValueError):
-        compare_reports(_report({}), _report({}), threshold=1.5)
-
-
-def test_delta_zero_baseline_is_infinite_improvement():
-    d = Delta("x", current=10.0, baseline=0.0)
-    assert d.ratio == float("inf")
-    assert not d.regressed(0.2)
-
-
-def test_compare_gates_peak_rss_growth():
-    """Matched entries with peak_rss on both sides also gate memory:
-    growth beyond mem_threshold fails, shrinkage never does."""
-    mib = 1 << 20
-    cur = _report({"xs": 100.0})
-    base = _report({"xs": 100.0})
-    cur["results"][0]["peak_rss"] = 160 * mib
-    base["results"][0]["peak_rss"] = 100 * mib
-    cmp = compare_reports(cur, base, mem_threshold=0.50)
-    assert not cmp.ok
-    (bad,) = cmp.regressions
-    assert bad.metric == "peak_rss"
-    assert "MiB" in bad.describe()
-    # Within the memory threshold: fine.
-    cur["results"][0]["peak_rss"] = 140 * mib
-    assert compare_reports(cur, base, mem_threshold=0.50).ok
-    # Shrinking memory is never a regression, whatever the threshold.
-    cur["results"][0]["peak_rss"] = 10 * mib
-    assert compare_reports(cur, base, mem_threshold=0.0).ok
-
-
-def test_compare_old_baselines_without_rss_skip_memory_gate():
-    mib = 1 << 20
-    cur = _report({"xs": 100.0})
-    cur["results"][0]["peak_rss"] = 500 * mib
-    base = _report({"xs": 100.0})  # pre-RSS baseline: no peak_rss key
-    cmp = compare_reports(cur, base, mem_threshold=0.0)
-    assert cmp.ok
-    assert all(d.metric != "peak_rss" for d in cmp.deltas)
-    # ...and the skip is reported, not silent.
-    assert cmp.mem_skipped == ["xs"]
-    assert cmp.to_dict()["mem_skipped"] == ["xs"]
-
-
-def test_compare_prints_memory_gate_skip(capsys):
-    from repro.bench.__main__ import _print_comparison
-
-    mib = 1 << 20
-    cur = _report({"xs": 100.0})
-    cur["results"][0]["peak_rss"] = 500 * mib
-    base = _report({"xs": 100.0})
-    cmp = compare_reports(cur, base)
-    status = _print_comparison(cmp, 0.2, "cur.json", "base.json")
-    out = capsys.readouterr().out
-    assert status == 0
-    assert "xs: memory gate skipped (old baseline)" in out
-
-
-def test_comparison_report_to_dict_round_trips():
-    cmp = ComparisonReport(threshold=0.2,
-                           deltas=[Delta("xs", 75.0, 100.0)])
-    data = cmp.to_dict()
-    assert data["ok"] is False
-    assert data["deltas"][0]["regressed"] is True
-    json.dumps(data)
+        rss_gate(_report({}), {"nope": 1})
 
 
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-def test_cli_run_writes_bench_json(tmp_path, capsys):
-    from repro.bench.__main__ import main
-
-    out = tmp_path / "BENCH_quickstart.json"
-    rc = main(["run", "quickstart", "--duration", "300",
-               "--out", str(out)])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert report["schema"] == BENCH_SCHEMA
-    assert report["results"][0]["events_per_sec"] > 0
-
-
-def test_cli_ladder_smallest_rung_and_baseline_cycle(tmp_path):
+def test_cli_ladder_smallest_rung_and_baseline_cycle(tmp_path, capsys):
     from repro.bench.__main__ import main
 
     out = tmp_path / "BENCH_ladder.json"
     assert main(["ladder", "--rungs", "xs", "--out", str(out)]) == 0
-    # Second run against the first as baseline: same machine, same
-    # workload, must be within any sane threshold.
+    report = json.loads(out.read_text())
+    assert report["schema"] == BENCH_SCHEMA
+    assert report["results"][0]["name"] == "xs"  # rung, not base scenario
+    # Second run against the first as baseline: same process, same
+    # workload — the high-water mark cannot have grown 50%.
     out2 = tmp_path / "BENCH_ladder2.json"
     assert main(["ladder", "--rungs", "xs", "--out", str(out2),
-                 "--baseline", str(out), "--threshold", "0.9"]) == 0
-    # And the standalone compare agrees.
-    assert main(["compare", str(out2), str(out),
-                 "--threshold", "0.9"]) == 0
+                 "--baseline", str(out)]) == 0
+    assert "ok: peak RSS within" in capsys.readouterr().out
 
 
-def test_cli_compare_detects_regression(tmp_path):
+def test_cli_baseline_gate_exit_codes(tmp_path, capsys):
+    """Exit 1 on growth past the limit and when nothing was compared."""
     from repro.bench.__main__ import main
 
-    cur, base = tmp_path / "cur.json", tmp_path / "base.json"
-    write_report(str(cur), _report({"xs": 50.0}))
-    write_report(str(base), _report({"xs": 100.0}))
-    assert main(["compare", str(cur), str(base)]) == 1
-    assert main(["compare", str(base), str(cur)]) == 0
+    out = tmp_path / "BENCH_ladder.json"
+    assert main(["ladder", "--rungs", "xs", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    report["results"][0]["peak_rss"] //= 2
+    halved = tmp_path / "halved.json"
+    write_report(str(halved), report)
+    assert main(["ladder", "--rungs", "xs", "--out", str(out),
+                 "--baseline", str(halved)]) == 1
+    report["results"][0]["name"] = "xxl"
+    other = tmp_path / "other.json"
+    write_report(str(other), report)
+    capsys.readouterr()
+    assert main(["ladder", "--rungs", "xs", "--out", str(out),
+                 "--baseline", str(other)]) == 1
+    printed = capsys.readouterr().out
+    assert "xs: no baseline entry" in printed
+    assert "ok:" not in printed
 
 
-def test_cli_unknown_scenario_is_usage_error(tmp_path):
+def test_cli_check_duration_and_stream_trace(tmp_path, capsys):
+    from repro.bench.__main__ import main
+    from repro.validation.__main__ import main as validation_main
+
+    out = tmp_path / "BENCH_ladder.json"
+    assert main(["ladder", "--rungs", "xs", "--duration", "500", "--check",
+                 "--stream-trace", str(tmp_path / "tr"),
+                 "--out", str(out)]) == 0
+    assert "check=ok" in capsys.readouterr().out
+    entry = json.loads(out.read_text())["results"][0]
+    assert entry["checked"] is True and entry["duration_ms"] == 500.0
+    assert entry["trace_path"] == str(tmp_path / "tr" / "xs.jsonl.gz")
+    assert entry["trace_records"] > 0
+    assert validation_main(["replay", entry["trace_path"]]) == 0
+
+
+def test_cli_unknown_rung_is_usage_error(tmp_path):
     from repro.bench.__main__ import main
 
-    assert main(["run", "no_such_scenario",
+    assert main(["ladder", "--rungs", "no_such_rung",
                  "--out", str(tmp_path / "x.json")]) == 2

@@ -347,48 +347,6 @@ class TestChromeTrace:
 
 
 # ----------------------------------------------------------------------
-# Satellite: bench compare span table
-# ----------------------------------------------------------------------
-def _bench_report(name, rate, stages):
-    entry = {"name": name, "events_per_sec": rate, "peak_rss": 0}
-    if stages is not None:
-        entry["span_stages"] = stages
-    return {"schema": "repro.bench/v1", "results": [entry]}
-
-
-class TestCompareSpanTable:
-    def test_table_built_when_both_sides_carry_stages(self):
-        from repro.bench.compare import compare_reports
-        cur = _bench_report("xs", 1000.0, {"uplink": 2.0, "ring": 4.0})
-        base = _bench_report("xs", 1000.0, {"uplink": 1.5, "ring": 4.5})
-        cmp = compare_reports(cur, base)
-        assert "xs" in cmp.span_tables
-        rows = {r["stage"]: r for r in cmp.span_tables["xs"]}
-        assert rows["uplink"]["delta_ms"] == pytest.approx(0.5)
-        assert cmp.to_dict()["span_tables"]["xs"]
-        assert cmp.ok  # informational: never gates
-
-    def test_no_table_when_one_side_missing(self):
-        from repro.bench.compare import compare_reports
-        cur = _bench_report("xs", 1000.0, {"uplink": 2.0})
-        base = _bench_report("xs", 1000.0, None)
-        assert compare_reports(cur, base).span_tables == {}
-
-
-def test_measure_spec_spans_digest():
-    from repro.bench.measure import measure_spec
-    spec = spec_for("quickstart").with_overrides({"duration_ms": 1200.0})
-    result = measure_spec(spec, spans=True)
-    assert result.span_events
-    assert result.span_stages
-    assert set(result.span_stages) <= set(STAGE_ORDER)
-    assert "span_stages" in result.to_dict()
-    plain = measure_spec(spec)
-    assert plain.span_events is None
-    assert "span_stages" not in plain.to_dict()
-
-
-# ----------------------------------------------------------------------
 # Satellite: live lag gauges
 # ----------------------------------------------------------------------
 def test_live_obs_report_carries_lag_gauges():
