@@ -12,6 +12,10 @@ validation monitors attached; ``diff`` runs the sim-vs-live
 differential harness; ``udp-smoke`` is the loopback socket round-trip
 check CI gates on.
 
+``run`` exits 0 when clean, 1 on a monitor or ordering violation and,
+with ``--max-lag-ms MS``, 3 when the loop fell further behind its
+schedule than that (the summary line then reads ``OVERLOADED``).
+
 The ``REPRO_LIVE_DURATION_MS`` environment variable overrides every
 duration (the CI hook, mirroring ``REPRO_EXAMPLE_DURATION_MS`` in the
 examples); ``--duration`` wins over both.
@@ -28,6 +32,10 @@ from typing import Optional
 from repro.experiments import registry
 
 ENV_DURATION = "REPRO_LIVE_DURATION_MS"
+
+#: ``run --max-lag-ms`` exit code: the loop missed its schedule.  Apart
+#: from the violation exit (1) and argparse's usage exit (2).
+EXIT_OVERLOADED = 3
 
 
 def _resolve_spec(name: str, duration: Optional[float], seed: Optional[int]):
@@ -70,6 +78,11 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"time_scale={args.time_scale}")
     run.run()
     report = run.report()
+    lag, limit = report["lag"], args.max_lag_ms
+    overloaded = limit is not None and lag["max_lag_ms"] > limit
+    if limit is not None:
+        report["overloaded"] = overloaded
+        report["max_lag_limit_ms"] = limit
     _write_out(report, args.out, args.quiet)
     if args.obs is not None:
         from repro.obs.session import write_artifacts
@@ -83,13 +96,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"delivered={report['delivered']} "
               f"goodput={report['goodput']:.2f}/s "
               f"p50={report['latency'].get('p50', 0.0):.1f}ms "
-              f"max_lag={report['lag']['max_lag_ms']:.1f}ms")
+              f"max_lag={lag['max_lag_ms']:.1f}ms "
+              f"callbacks/yield={lag['events'] / max(lag['yields'], 1):.1f}")
         for v in violations:
             print(f"VIOLATION: {v}", file=sys.stderr)
     if violations or order:
         print(f"FAIL: {len(violations)} monitor violation(s), "
               f"{order} order violation(s)", file=sys.stderr)
         return 1
+    if overloaded:
+        print(f"OVERLOADED: zero violations, but the loop ran "
+              f"{lag['max_lag_ms']:.1f} logical ms behind its schedule "
+              f"(limit {limit:g})", file=sys.stderr)
+        return EXIT_OVERLOADED
     if not args.quiet:
         print("ok: zero violations")
     return 0
@@ -181,6 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fabric", choices=("queue", "udp"), default="queue")
     p.add_argument("--no-monitors", action="store_true",
                    help="skip the validation monitor suite")
+    p.add_argument("--max-lag-ms", type=float, default=None, metavar="MS",
+                   help="lag SLO: when any callback ran more than MS "
+                        "logical ms behind its deadline, mark the report "
+                        f"overloaded and exit {EXIT_OVERLOADED}")
     p.add_argument("--obs", nargs="?", const=".", default=None,
                    metavar="DIR",
                    help="write an OBS_<name>.json run report (lag "

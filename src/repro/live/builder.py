@@ -94,6 +94,7 @@ class LiveRun:
         reg.set_gauge("live.mean_lag_ms", lag["mean_lag_ms"])
         reg.set_gauge("live.time_scale", lag["time_scale"])
         reg.set_gauge("live.events", lag["events"])
+        reg.set_gauge("live.yields", lag["yields"])
         spec = self.spec
         return {
             "schema": OBS_SCHEMA,

@@ -7,9 +7,10 @@ point, so a live run models exactly the network the sim modelled and
 then adds a real data path on top:
 
 * :class:`QueueFabric` — each node owns an ``asyncio.Queue`` rx queue
-  drained by a pump task; the arrival deadline rides along with the
-  message, so deliveries execute with the same logical timestamps the
-  sim would assign.  The single-host multi-tier configuration.
+  drained by a pump task; a message is on the queue from the moment it
+  is sent, its arrival deadline riding along, so deliveries execute
+  with the same logical timestamps the sim would assign.  The
+  single-host multi-tier configuration.
 * :class:`UdpFabric` — each node binds a real UDP socket on the
   loopback; messages are pickled onto the wire after their modelled
   link delay and delivered when the peer's socket actually receives
@@ -33,12 +34,19 @@ from repro.net.node import NetNode
 class QueueFabric(Fabric):
     """In-process fabric: per-node ``asyncio.Queue`` rx queues.
 
-    The send path computes the modelled delay as usual; at the arrival
-    deadline the message is enqueued on the destination's rx queue, and
-    that node's pump task re-injects it into the deadline heap at the
-    arrival time — so deliveries execute with the same logical
-    timestamps the sim would assign, while the data still flows through
-    real asyncio machinery.
+    The send path computes the modelled delay as usual and puts
+    ``(arrival deadline, message)`` on the destination's rx queue there
+    and then: the message is on the queue for the length of its flight,
+    not for zero time after it.  The runtime is told the deadline
+    (:meth:`LiveRuntime.expect_input`), so it yields to the pump tasks
+    before it runs anything that late; the destination's pump re-injects
+    the message into the deadline heap at its arrival time — so
+    deliveries execute with the same logical timestamps the sim would
+    assign, at one heap event per hop like the sim, while the data still
+    flows through real asyncio machinery.  Whether the destination
+    exists is decided on arrival, as in the sim: a queue (and, during a
+    run, its pump) is opened by the first send to an id, registered or
+    not.
     """
 
     def __init__(self, runtime: LiveRuntime,
@@ -50,37 +58,35 @@ class QueueFabric(Fabric):
         runtime.add_service(self)
 
     # -- Fabric overrides ----------------------------------------------
-    def register(self, node: NetNode) -> None:
-        super().register(node)
-        if self._running:
-            # Nodes materialized mid-run (catchment activation) get
-            # their rx pump immediately.
-            self._ensure_pump(node.id)
-
     def _dispatch(self, dst: NodeId, msg: Message, delay: float) -> None:
-        self.sim.schedule(delay, self._enqueue, dst, msg, owner=dst)
-
-    def _enqueue(self, dst: NodeId, msg: Message) -> None:
         queue = self._queues.get(dst)
         if queue is None:
-            queue = asyncio.Queue()
-            self._queues[dst] = queue
-        queue.put_nowait((self.sim.now, msg))
+            queue = self._open(dst)
+        sim = self.sim
+        at = sim.now + delay
+        queue.put_nowait((at, msg))
+        sim.expect_input(at)
+
+    def _open(self, dst: NodeId) -> asyncio.Queue:
+        """First send to ``dst``: its rx queue and, mid-run, its pump."""
+        queue = self._queues[dst] = asyncio.Queue()
+        if self._running:
+            self._start_pump(dst, queue)
+        return queue
 
     # -- service lifecycle ---------------------------------------------
     async def start(self) -> None:
         self._running = True
-        for node_id in list(self.nodes):
-            self._ensure_pump(node_id)
+        # Sends made before the run (build-time joins) are already
+        # queued; their deadlines were announced when they were sent.
+        for node_id, queue in self._queues.items():
+            self._start_pump(node_id, queue)
 
     async def stop(self) -> None:
         self._running = False
-        # Drain anything already enqueued before tearing the pumps down,
-        # so messages in flight at the horizon are not silently lost.
-        for node_id, queue in self._queues.items():
-            while not queue.empty():
-                at, msg = queue.get_nowait()
-                self.sim.run_inline(node_id, at, self._arrive, node_id, msg)
+        # The loop has flushed every arrival due by the horizon; what is
+        # still queued is due after it and is dropped, exactly like a
+        # heap entry past the horizon.
         for task in self._pumps.values():
             task.cancel()
         if self._pumps:
@@ -88,13 +94,7 @@ class QueueFabric(Fabric):
                                  return_exceptions=True)
         self._pumps.clear()
 
-    def _ensure_pump(self, node_id: NodeId) -> None:
-        if node_id in self._pumps:
-            return
-        queue = self._queues.get(node_id)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._queues[node_id] = queue
+    def _start_pump(self, node_id: NodeId, queue: asyncio.Queue) -> None:
         self._pumps[node_id] = asyncio.get_running_loop().create_task(
             self._pump(node_id, queue))
 

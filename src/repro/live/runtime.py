@@ -18,6 +18,26 @@ leaks into the next, matching the sim engine's semantics exactly.  The
 wall lateness itself is tracked (:attr:`max_lag_ms`, :attr:`lag_sum_ms`)
 so a run report can show how far behind the loop fell.
 
+When the loop yields: callbacks that are due run back to back, in
+``(deadline, schedule order)`` order, without returning to asyncio in
+between.  The loop hands control back (one trip through the selector,
+every ready task runs once) only
+
+* to sleep, when the next deadline is still in the wall-clock future;
+* before a callback whose deadline is at or past the earliest input a
+  service has announced with :meth:`LiveRuntime.expect_input` and not
+  yet injected — and at heap-empty or the horizon while such input is
+  due within the run;
+* after :data:`YIELD_EVERY` callbacks in a row, so services that cannot
+  announce their input (sockets) are still polled while the loop works
+  off a backlog.
+
+The invariant this keeps: **no callback at logical time *t* runs while
+a service holds input due before *t***, so executed deadlines never go
+backwards and arrivals interleave with timers exactly where the heap
+puts them, however late the loop is running.  Input due after the
+horizon is not flushed; it is dropped like a heap entry past it.
+
 Outside callbacks, :attr:`now` is the wall-derived logical time.
 Services (socket fabrics, queue pumps) injecting work from their own
 tasks use :meth:`run_inline` so protocol code still executes with a
@@ -33,6 +53,20 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.runtime.api import _INHERIT, Runtime
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import TraceBus
+
+_INF = float("inf")
+
+#: Callbacks the loop runs back to back before it yields unprompted.
+#: It bounds how long input nobody announced (UDP sockets, foreign
+#: tasks) waits while the loop works off a backlog: asyncio runs a
+#: reader found ready by one poll after the batch already queued, so up
+#: to two batches — about 1.5 ms of callbacks at 64 — and its datagram
+#: transport reads one datagram per socket per poll.  Sized by
+#: measurement on the saturated queue fabric, where announced input
+#: already forces a yield every ~18 callbacks: wall is flat from 32 up
+#: (64 adds 25 yields to 2,291 per run), +3.5% at 16, +11% at 8; UDP
+#: goodput under overload showed no trend between 16 and 256.
+YIELD_EVERY = 64
 
 
 class LiveHandle:
@@ -90,10 +124,16 @@ class LiveRuntime(Runtime):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wall0 = 0.0
         self._wake: Optional[asyncio.Event] = None
+        #: Deadline the loop is asleep toward (-inf while it is awake).
+        self._sleeping_toward = -_INF
+        #: Earliest deadline of input a service holds, announced through
+        #: :meth:`expect_input` since the loop last yielded.
+        self._input_due = _INF
         self._stopped = False
         self._services: List[Any] = []
         # Run accounting.
         self.events_processed = 0
+        self.yields = 0
         self.max_lag_ms = 0.0
         self.lag_sum_ms = 0.0
 
@@ -132,7 +172,7 @@ class LiveRuntime(Runtime):
         handle = LiveHandle(time, fn, args, owner)
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, handle))
-        if self._wake is not None:
+        if time < self._sleeping_toward:
             # A new earliest deadline must interrupt the loop's sleep.
             self._wake.set()
         return handle
@@ -191,6 +231,14 @@ class LiveRuntime(Runtime):
         awaited around the run loop (socket binding, pump tasks)."""
         self._services.append(service)
 
+    def expect_input(self, by: float) -> None:
+        """A service now holds input due at logical time ``by`` that one
+        of its tasks will inject (``schedule_at``) the next time the
+        loop yields.  The loop yields before it runs anything at or
+        past the earliest such deadline."""
+        if by < self._input_due:
+            self._input_due = by
+
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
@@ -238,54 +286,74 @@ class LiveRuntime(Runtime):
                           max_events: Optional[int]) -> None:
         loop = self._loop
         heap = self._heap
-        scale = self.time_scale / 1000.0
+        scale = self.time_scale / 1000.0    # wall seconds per logical ms
+        last = _INF if until is None else until
+        wall_ms = 0.0       # the wall clock, in logical ms, as last read
         processed = 0
+        batch = 0           # callbacks run since the loop last yielded
         while not self._stopped:
-            while heap and heap[0][2].cancelled:
-                heapq.heappop(heap)
-            next_time = heap[0][0] if heap else None
-            if next_time is None or (until is not None and next_time > until):
-                if until is None:
-                    break  # heap drained, no horizon: done
-                # Nothing left before the horizon: sleep toward it, but
-                # stay interruptible — a service may inject new work.
-                dt = (self._wall0 + until * scale) - loop.time()
-                if dt > 0 and await self._interruptible_sleep(dt):
-                    continue
-                break
-            dt = (self._wall0 + next_time * scale) - loop.time()
-            if dt > 0:
-                if await self._interruptible_sleep(dt):
-                    continue  # woken early: re-evaluate the heap top
-            # Execute everything due at the current wall instant,
-            # yielding after each callback so service tasks (queue
-            # pumps, datagram receivers) can re-inject arrivals at
-            # their correct logical position before the loop advances
-            # past them — even when the loop is lagging the wall clock.
-            wall_ms = (loop.time() - self._wall0) / scale
-            horizon = wall_ms if until is None else min(wall_ms, until)
-            while heap and not self._stopped:
+            if heap:
                 t, _, handle = heap[0]
                 if handle.cancelled:
                     heapq.heappop(heap)
                     continue
-                if t > horizon:
-                    break
+            if not heap or t > last:
+                # Nothing left before the horizon — except what a
+                # service has not injected yet: flush that first.
+                if self._input_due <= last and self._input_due != _INF:
+                    pause, toward = 0.0, _INF
+                elif until is None:
+                    break  # heap drained, no horizon: done
+                else:
+                    # Sleep toward the horizon, but stay interruptible —
+                    # a service may inject new work.
+                    wall_ms = (loop.time() - self._wall0) / scale
+                    if wall_ms >= until:
+                        break
+                    pause, toward = (until - wall_ms) * scale, until
+            elif t > wall_ms:
+                # Not due at the last clock reading: look again.
+                wall_ms = (loop.time() - self._wall0) / scale
+                if t <= wall_ms:
+                    continue
+                pause, toward = (t - wall_ms) * scale, t
+            elif t >= self._input_due or batch >= YIELD_EVERY:
+                # A service holds input due no later than this callback
+                # (or has not been polled for a while): let its task put
+                # the input on the heap first.
+                pause, toward = 0.0, _INF
+            else:
                 heapq.heappop(heap)
                 self._execute(handle, wall_ms)
+                batch += 1
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     return
-                await asyncio.sleep(0)
+                continue
+            await self._yield(pause, toward)
+            batch = 0
+            wall_ms = (loop.time() - self._wall0) / scale
 
-    async def _interruptible_sleep(self, dt_wall: float) -> bool:
-        """Sleep up to ``dt_wall`` seconds; True when woken early."""
+    async def _yield(self, dt_wall: float, toward: float) -> None:
+        """Hand control to asyncio: every ready task runs once and the
+        selector is polled.  With ``dt_wall`` > 0, additionally sleep up
+        to that many seconds toward logical deadline ``toward``, waking
+        early for :meth:`stop` or a deadline scheduled before it."""
+        self.yields += 1
+        # Everything announced so far is injected during this yield;
+        # what is announced while it lasts stays flagged.
+        self._input_due = _INF
+        if dt_wall <= 0:
+            await asyncio.sleep(0)
+            return
         self._wake.clear()
+        self._sleeping_toward = toward
         try:
             await asyncio.wait_for(self._wake.wait(), timeout=dt_wall)
-            return True
         except asyncio.TimeoutError:
-            return False
+            pass
+        finally:
+            self._sleeping_toward = -_INF
 
     def _execute(self, handle: LiveHandle, wall_ms: float) -> None:
         lag = wall_ms - handle.time
@@ -317,6 +385,9 @@ class LiveRuntime(Runtime):
         n = self.events_processed
         return {
             "events": n,
+            # Times the loop handed control to asyncio (cooperative
+            # yields + sleeps); events / yields is the batch size.
+            "yields": self.yields,
             "max_lag_ms": round(self.max_lag_ms, 3),
             "mean_lag_ms": round(self.lag_sum_ms / n, 3) if n else 0.0,
             "time_scale": self.time_scale,

@@ -11,16 +11,23 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import socket
 
 import pytest
 
 from repro.experiments import registry
+from repro.experiments.runner import build_scenario
+from repro.live.__main__ import EXIT_OVERLOADED, main as live_main
 from repro.live.builder import NetworkBuilder
 from repro.live.diff import (DEFAULT_TOLERANCES, diff_spec, order_agreement,
                              _count_inversions, validate_report)
-from repro.live.runtime import LiveRuntime
+from repro.live.fabric import QueueFabric
+from repro.live.runtime import YIELD_EVERY, LiveRuntime
+from repro.net.link import LinkSpec
 from repro.runtime.timers import PeriodicTimer
 from repro.sim.engine import Simulator
+
+from conftest import Ping, Recorder
 
 FAST = 0.02  # wall seconds per logical second: 50x faster than real time
 
@@ -137,6 +144,313 @@ class TestLiveRuntime:
         assert rep["time_scale"] == 0.0001
         assert rep["max_lag_ms"] >= 0.0
         assert rep["mean_lag_ms"] >= 0.0
+        assert rep["yields"] == rt.yields
+
+    def test_sleeps_count_as_yields(self):
+        rt = LiveRuntime(time_scale=FAST)
+        rt.schedule(50.0, lambda: None)     # 1 ms of wall away
+        rt.run(until=1000.0)                # 20 ms
+        # One sleep toward the callback, one toward the horizon (more
+        # only if a timer fired a clock tick early).
+        assert 2 <= rt.lag_report()["yields"] <= 4
+
+
+# ----------------------------------------------------------------------
+# The batched loop: when it yields, and the order that keeps
+# ----------------------------------------------------------------------
+SATURATED = 0.001   # the loop is always behind the wall clock
+
+
+def _pair(rt: LiveRuntime, latency: float):
+    """Two recorders ``a``/``b`` on a queue fabric, one link."""
+    fabric = QueueFabric(rt)
+    a, b = Recorder(fabric, "a"), Recorder(fabric, "b")
+    fabric.connect("a", "b", LinkSpec(latency=latency))
+    return fabric, a, b
+
+
+class _Script:
+    """A service whose task acts at wall instants, outside the heap —
+    the position a socket receiver is in."""
+
+    def __init__(self, rt: LiveRuntime, steps):
+        self.steps = steps      # [(wall seconds from start, fn), ...]
+        rt.add_service(self)
+
+    async def start(self) -> None:
+        self.task = asyncio.get_running_loop().create_task(self._play())
+
+    async def _play(self) -> None:
+        t0 = asyncio.get_running_loop().time()
+        for at, fn in self.steps:
+            await asyncio.sleep(t0 + at - asyncio.get_running_loop().time())
+            fn()
+
+    async def stop(self) -> None:
+        self.task.cancel()
+        await asyncio.gather(self.task, return_exceptions=True)
+
+
+class TestHorizon:
+    """Arrivals due by the horizon are flushed before the loop exits;
+    later ones are dropped like a heap entry past it."""
+
+    def test_arrival_past_the_horizon_is_dropped(self):
+        rt = LiveRuntime(time_scale=SATURATED)
+        fabric, a, b = _pair(rt, latency=4.0)
+        rt.schedule(5.0, a.send, "b", Ping(1))      # due 9 <= 10
+        rt.schedule(6.0, a.send, "b", Ping(2))      # due 10: inclusive
+        rt.schedule(7.0, a.send, "b", Ping(3))      # due 11 > 10
+        rt.run(until=10.0)
+        assert [m.n for m in b.received] == [1, 2]
+        assert fabric.messages_sent == 3
+        assert fabric.messages_delivered == 2
+        assert rt.now == 10.0
+
+    def test_drain_mode_flushes_arrivals(self):
+        # until=None: the heap is empty once the send has run, but the
+        # run is not over while a queue holds the arrival.
+        rt = LiveRuntime(time_scale=SATURATED)
+        seen = []
+        fabric, a, b = _pair(rt, latency=4.0)
+        b.on_message = lambda msg: seen.append((msg.n, rt.now))
+        rt.schedule(1.0, a.send, "b", Ping(7))
+        rt.run()
+        assert seen == [(7, 5.0)]
+
+    def test_sends_made_before_run_are_delivered(self):
+        # The join storm in scenario.start() happens before run().
+        rt = LiveRuntime(time_scale=SATURATED)
+        seen = []
+        fabric, a, b = _pair(rt, latency=4.0)
+        b.on_message = lambda msg: seen.append((msg.n, rt.now))
+        a.send("b", Ping(1))
+        rt.schedule(2.0, seen.append, "timer@2")
+        rt.schedule(6.0, seen.append, "timer@6")
+        rt.run(until=10.0)
+        assert seen == ["timer@2", (1, 4.0), "timer@6"]
+
+    def test_arrival_precedes_work_scheduled_later_for_its_instant(self):
+        # The sim's order at one logical instant is schedule order: the
+        # arrival (scheduled when sent, at 1) runs before what a
+        # callback at 5 adds for 5 — so the loop yields *at* the
+        # announced deadline, not after it.
+        rt = LiveRuntime(time_scale=SATURATED)
+        seen = []
+        fabric, a, b = _pair(rt, latency=4.0)
+        b.on_message = lambda msg: seen.append("arrival")
+
+        def at_five():
+            seen.append("timer")
+            rt.schedule(0.0, seen.append, "child")
+
+        rt.schedule(5.0, at_five)
+        rt.schedule(1.0, a.send, "b", Ping())
+        rt.run(until=10.0)
+        assert seen == ["timer", "arrival", "child"]
+
+    def test_node_registered_mid_run_gets_pump_and_queued_arrivals(self):
+        rt = LiveRuntime(time_scale=SATURATED)
+        fabric = QueueFabric(rt)
+        a = Recorder(fabric, "a")
+        fabric.connect("a", "late", LinkSpec(latency=4.0))
+        late = []
+        rt.schedule(1.0, a.send, "late", Ping(1))   # due 5: nobody there
+        rt.schedule(3.0, a.send, "late", Ping(2))   # due 7: queued
+        rt.schedule(6.0, lambda: late.append(Recorder(fabric, "late")))
+        rt.schedule(8.0, a.send, "late", Ping(3))   # due 12
+        rt.run(until=20.0)
+        assert [m.n for m in late[0].received] == [2, 3]
+        # The sim's verdict on the first one: no such node on arrival.
+        assert fabric.messages_dropped == 1
+        assert fabric.messages_delivered == 2
+
+
+class TestSleepWake:
+    """``schedule_at`` interrupts the loop's sleep only for a deadline
+    earlier than the one it sleeps toward (real time: 1 logical ms is
+    1 wall ms; the margins are hundreds of ms)."""
+
+    def _run(self, latency: float, until: float):
+        rt = LiveRuntime(time_scale=1.0)
+        fabric, a, b = _pair(rt, latency=latency)
+        marks = {}
+        b.on_message = lambda msg: marks.update(
+            arrival=rt.now, arrival_wall_ms=(rt._loop.time() - rt._wall0)
+            * 1000.0)
+        rt.schedule(400.0, lambda: marks.update(timer=rt.now))
+
+        def send_from_outside():
+            # A foreign task sends while the loop sleeps toward 400.
+            marks["yields_before"] = rt.yields
+            marks["sent_at"] = rt.now
+            rt.run_inline("a", marks["sent_at"], a.send, "b", Ping())
+
+        _Script(rt, [(0.030, send_from_outside),
+                     (0.150, lambda: marks.update(yields_later=rt.yields))])
+        rt.run(until=until)
+        return marks
+
+    def test_earlier_arrival_wakes_the_sleeper(self):
+        marks = self._run(latency=40.0, until=420.0)
+        assert marks["arrival"] == pytest.approx(marks["sent_at"] + 40.0)
+        # It ran when it was due, not when the loop would have woken
+        # for the timer at 400.
+        assert marks["arrival_wall_ms"] < 300.0
+        assert marks["yields_later"] > marks["yields_before"]
+        assert marks["timer"] == 400.0
+
+    def test_later_arrival_does_not(self):
+        marks = self._run(latency=500.0, until=600.0)
+        # Still in the one sleep toward 400 long after the send...
+        assert marks["yields_later"] == marks["yields_before"]
+        # ...and the arrival still runs at its deadline.
+        assert marks["timer"] == 400.0
+        assert marks["arrival"] == pytest.approx(marks["sent_at"] + 500.0)
+
+
+def test_unannounced_service_is_polled_during_a_backlog():
+    # A service that cannot announce its input — only a trip through
+    # the selector reveals it, which is what UdpFabric's sockets are.
+    K = 5
+    # Two batches more than K: asyncio runs a reader found ready by one
+    # poll after the batch that was already queued, so the first
+    # sighting is two batches in, and the loop leaves without a yield
+    # after the last.
+    backlog = (K + 2) * YIELD_EVERY
+    rt = LiveRuntime(time_scale=SATURATED)
+    polls = []
+    done = []
+
+    class Readable:
+        async def start(self):
+            self.r, self.w = socket.socketpair()
+            self.w.send(b"x")   # never drained: readable at every poll
+            asyncio.get_running_loop().add_reader(
+                self.r, lambda: polls.append(len(done)))
+
+        async def stop(self):
+            asyncio.get_running_loop().remove_reader(self.r)
+            self.r.close()
+            self.w.close()
+
+    rt.add_service(Readable())
+    for _ in range(backlog):
+        rt.schedule(1.0, done.append, None)     # all due at once
+    rt.run(until=2.0)
+    assert len(done) == backlog
+    during = [n for n in polls if 0 < n <= backlog]
+    assert len(during) >= K
+    assert during[0] <= 2 * YIELD_EVERY
+    assert all(b - a <= YIELD_EVERY for a, b in zip(during, during[1:]))
+
+
+# ----------------------------------------------------------------------
+# Ordering oracle: the saturated loop against the sim
+# ----------------------------------------------------------------------
+def _delivery_log(trace):
+    by_mh = {}
+    trace.subscribe(
+        "mh.deliver",
+        lambda rec: by_mh.setdefault(rec["mh"], []).append(
+            (rec["source"], rec["local_seq"], rec["gseq"])))
+    return by_mh
+
+
+@pytest.fixture(scope="module")
+def saturated_vs_sim():
+    spec = registry.get("quickstart", duration_ms=3000.0)
+    sim = Simulator(seed=spec.seed)
+    sim_log = _delivery_log(sim.trace)
+    sim_scenario = build_scenario(spec, sim=sim)
+    sim_scenario.run()
+
+    run = NetworkBuilder(spec, fabric="queue", time_scale=SATURATED,
+                         monitors=True).build()
+    live_log = _delivery_log(run.runtime.trace)
+    deadlines = []
+    execute = run.runtime._execute
+
+    def recording_execute(handle, wall_ms):
+        deadlines.append(handle.time)
+        execute(handle, wall_ms)
+
+    run.runtime._execute = recording_execute
+    run.run()
+    return {"run": run, "deadlines": deadlines, "live": live_log,
+            "sim": sim_log, "sim_net": sim_scenario.net}
+
+
+class TestSaturatedOrdering:
+    """With ``expect_input`` made a no-op every assertion here fails:
+    the clock goes backwards 473 times, a monitor fires, the sequences
+    differ and 2,784 of 2,832 are delivered."""
+
+    def test_executed_deadlines_never_go_backwards(self, saturated_vs_sim):
+        deadlines = saturated_vs_sim["deadlines"]
+        assert len(deadlines) > 10_000
+        backwards = sum(1 for a, b in zip(deadlines, deadlines[1:]) if b < a)
+        assert backwards == 0
+
+    def test_every_mh_delivers_the_sims_sequence(self, saturated_vs_sim):
+        assert len(saturated_vs_sim["sim"]) == 24
+        assert saturated_vs_sim["live"] == saturated_vs_sim["sim"]
+
+    def test_delivers_what_the_sim_delivers(self, saturated_vs_sim):
+        # The horizon: nothing due by 3,000 ms is lost, nothing due
+        # after it is run.
+        delivered = saturated_vs_sim["run"].report()["delivered"]
+        assert delivered == 2832
+        assert delivered == saturated_vs_sim["sim_net"].total_app_deliveries()
+
+    def test_zero_monitor_violations(self, saturated_vs_sim):
+        assert saturated_vs_sim["run"].violations() == []
+
+    def test_callbacks_run_in_batches(self, saturated_vs_sim):
+        rt = saturated_vs_sim["run"].runtime
+        assert rt.yields == rt.lag_report()["yields"]
+        assert 0 < rt.yields < rt.events_processed / 8
+
+
+# ----------------------------------------------------------------------
+# CLI: the lag SLO
+# ----------------------------------------------------------------------
+class TestMaxLagFlag:
+    ARGS = ["run", "quickstart", "--time-scale", "0.001", "--duration",
+            "800", "--no-monitors"]
+
+    def test_overloaded_run_is_marked_and_exits_nonzero(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "report.json"
+        code = live_main(self.ARGS + ["--max-lag-ms", "100",
+                                      "--out", str(out)])
+        assert code == EXIT_OVERLOADED
+        assert code not in (0, 1, 2)
+        report = json.loads(out.read_text())
+        assert report["overloaded"] is True
+        assert report["max_lag_limit_ms"] == 100.0
+        assert report["lag"]["max_lag_ms"] > 100.0
+        captured = capsys.readouterr()
+        assert "OVERLOADED" in captured.err
+        assert "ok: zero violations" not in captured.out
+        assert "callbacks/yield=" in captured.out
+
+    def test_within_the_limit_is_ok(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = live_main(self.ARGS + ["--max-lag-ms", "1e12",
+                                      "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["overloaded"] is False
+        assert "ok: zero violations" in capsys.readouterr().out
+
+    def test_unset_changes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert live_main(self.ARGS + ["--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert "overloaded" not in report
+        assert "max_lag_limit_ms" not in report
+        assert "ok: zero violations" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

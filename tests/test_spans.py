@@ -363,6 +363,7 @@ def test_live_obs_report_carries_lag_gauges():
     assert gauges["live.max_lag_ms"]["value"] == lag["max_lag_ms"]
     assert gauges["live.mean_lag_ms"]["value"] == lag["mean_lag_ms"]
     assert gauges["live.events"]["value"] == run.runtime.events_processed
+    assert gauges["live.yields"]["value"] == run.runtime.yields > 0
     # Protocol counters reached the registry through runtime.obs.
     assert report["registry"]["counters"]
     text = render_summary(report)
