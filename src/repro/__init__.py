@@ -1,28 +1,9 @@
 """RingNet: a reliable totally-ordered group multicast protocol for
 mobile Internet — a full reproduction of Wang, Cao & Chan (ICPPW 2004).
 
-Package map
------------
-* :mod:`repro.sim` — deterministic discrete-event simulation kernel.
-* :mod:`repro.net` — network substrate (links, fabric, reliable transport).
-* :mod:`repro.topology` — the RingNet hierarchy (rings + tree).
-* :mod:`repro.membership` — group membership bookkeeping.
-* :mod:`repro.mobility` — cells, movement models, handoff driving.
-* :mod:`repro.core` — **the paper's protocol**: ordering, forwarding,
-  delivering, token recovery, MMAs, handoff.
-* :mod:`repro.baselines` — unordered / single-ring / Host-View / RelM /
-  sequencer comparators.
-* :mod:`repro.metrics` — collectors and the total-order checker.
-* :mod:`repro.analysis` — Theorem 5.1 bounds.
-* :mod:`repro.workloads` — sources, churn, the runnable Scenario bundle.
-* :mod:`repro.experiments` — **declarative experiments**: specs, grids,
-  the parallel sweep runner, machine-readable results, the scenario
-  registry, and the ``python -m repro.experiments`` CLI.
-* :mod:`repro.validation` — **machine-checked conformance**: online
-  protocol-invariant monitors (token uniqueness/liveness, membership
-  consistency, handoff atomicity, buffer boundedness, post-failure
-  recovery), deterministic trace record/replay/diff, and a
-  scenario-fuzzing harness (``python -m repro.validation``).
+The package map is the "Layout" table in README.md (one map, kept
+there); "How a spec becomes a run" in the same file is the path from an
+``ExperimentSpec`` to results on any of the three backends.
 
 Quickstart
 ----------

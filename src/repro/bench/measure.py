@@ -16,7 +16,9 @@ import sys
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.experiments.runner import observed_scenario, run_point
 from repro.experiments.spec import ExperimentSpec
+from repro.obs.session import ObsSession
 from repro.sim.engine import Simulator
 from repro.sim.trace import StreamingTraceSink, TraceBus
 
@@ -91,23 +93,18 @@ def measure_spec(spec: ExperimentSpec, check: bool = False,
     one *separate* run with the :mod:`repro.validation` suite attached
     and reports its violations.
     """
-    from repro.experiments.runner import build_scenario  # lazy: heavy
-
     sim = Simulator(seed=spec.seed, trace=TraceBus(counting=False))
-    sink = None
-    if stream_path is not None:
-        sink = StreamingTraceSink(stream_path)
-        sink.attach(sim.trace)
+    sink = StreamingTraceSink(stream_path) if stream_path is not None \
+        else None
     t0 = time.perf_counter()
-    scenario = build_scenario(spec, sim=sim)
-    session = None
-    if progress:
-        from repro.obs.session import ObsSession  # lazy: optional layer
-        session = ObsSession(sim, horizon_ms=spec.duration_ms,
-                             name=spec.name, progress=True)
-    t1 = time.perf_counter()
     try:
-        scenario.run()
+        with observed_scenario(spec, sink, sim=sim) as scenario:
+            session = None
+            if progress:
+                session = ObsSession(sim, horizon_ms=spec.duration_ms,
+                                     name=spec.name, progress=True)
+            t1 = time.perf_counter()
+            scenario.run()
     finally:
         if sink is not None:
             sink.close()
@@ -137,8 +134,7 @@ def measure_spec(spec: ExperimentSpec, check: bool = False,
         result["trace_path"] = stream_path
         result["trace_records"] = sink.count
     if check:
-        from repro.validation.suite import check_spec  # lazy: optional layer
-        result["violations"] = list(check_spec(spec).violations)
+        result["violations"] = run_point(spec, check=True).violations
     return result
 
 

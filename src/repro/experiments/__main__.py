@@ -68,21 +68,25 @@ def _parse_sets(items: Optional[Sequence[str]]) -> Dict[str, Any]:
     return {k: vs[0] for k, vs in _parse_params(items).items()}
 
 
-def spec_for_args(args: argparse.Namespace):
-    """Resolve a registry scenario plus CLI overrides into a spec.
+def add_spec_args(p: argparse.ArgumentParser) -> None:
+    """The arguments that name a spec, for this CLI, ``repro.shard`` and
+    ``repro.validation record``."""
+    p.add_argument("scenario", nargs="?", default="quickstart",
+                   help="registry scenario name (default: quickstart)")
+    p.add_argument("--duration", type=float, default=None, metavar="MS",
+                   help="override duration_ms (warmup is zeroed if it "
+                        "no longer fits)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the seed (replication seeds derive "
+                        "from it)")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="dotted-path spec override, repeatable")
 
-    Shared by this CLI and ``python -m repro.validation record``, so
-    ``--duration`` / ``--seed`` / ``--set`` mean the same thing in both.
-    """
-    overrides = _parse_sets(getattr(args, "set", None))
-    if args.duration is not None:
-        overrides["duration_ms"] = args.duration
-        if registry.entry(args.scenario).factory().warmup_ms >= args.duration \
-                and "warmup_ms" not in overrides:
-            overrides["warmup_ms"] = 0.0
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return registry.get(args.scenario, **overrides)
+
+def spec_for_args(args: argparse.Namespace):
+    """:func:`registry.resolve` over what :func:`add_spec_args` parsed."""
+    return registry.resolve(args.scenario, args.duration, args.seed,
+                            _parse_sets(args.set))
 
 
 def _result_rows(results: Sequence[RunResult]) -> List[Dict[str, Any]]:
@@ -220,15 +224,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------------
 def _add_common(p: argparse.ArgumentParser, default_jobs: int) -> None:
-    p.add_argument("scenario", nargs="?", default="quickstart",
-                   help="registry scenario name (default: quickstart)")
-    p.add_argument("--duration", type=float, default=None, metavar="MS",
-                   help="override duration_ms (warmup is zeroed if it "
-                        "no longer fits)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="root seed (replication seeds derive from it)")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="dotted-path spec override, repeatable")
+    add_spec_args(p)
     p.add_argument("--reps", type=int, default=None,
                    help="replications per point")
     p.add_argument("--jobs", type=int, default=default_jobs,

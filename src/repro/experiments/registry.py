@@ -73,6 +73,27 @@ def get(name: str, **overrides: Any) -> ExperimentSpec:
     return spec
 
 
+def resolve(name: str, duration_ms: Optional[float] = None,
+            seed: Optional[int] = None,
+            overrides: Optional[Mapping[str, Any]] = None) -> ExperimentSpec:
+    """The spec a command line names: ``NAME --duration --seed --set``.
+
+    The one resolver behind every CLI.  ``overrides`` are the ``--set``
+    dotted-path pairs; ``duration_ms`` and ``seed`` win over them.  A
+    duration that no longer leaves room for the scenario's warm-up
+    zeroes the warm-up, unless ``overrides`` sets one itself.
+    """
+    merged = dict(overrides or {})
+    if duration_ms is not None:
+        merged["duration_ms"] = duration_ms
+        if entry(name).factory().warmup_ms >= duration_ms \
+                and "warmup_ms" not in merged:
+            merged["warmup_ms"] = 0.0
+    if seed is not None:
+        merged["seed"] = seed
+    return get(name, **merged)
+
+
 def default_sweep(name: str) -> Optional[Dict[str, List[Any]]]:
     """The scenario's default parameter grid, or None."""
     sweep = entry(name).default_sweep

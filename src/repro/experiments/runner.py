@@ -4,8 +4,13 @@
   runnable :class:`~repro.workloads.scenarios.Scenario` (any system:
   the RingNet protocol, the unordered flooding baseline, or the one-big
   single-ring baseline of [16]).
-* :func:`run_point` — execute one run with the standard collector set
-  attached and distill a :class:`RunResult`.
+* :func:`observed_scenario` — the one build-and-attach seam: observers
+  subscribe to the runtime's trace, *then* the scenario is built, on
+  whichever backend's runtime the caller hands in.
+* :class:`Harvest` — the standard observer set (collectors, optional
+  monitor suite, handoff/tombstone counters) and the :class:`RunResult`
+  it distills; every backend's summary comes from here.
+* :func:`run_point` — seam + harvest for one sequential run.
 * :func:`run_sweep` — execute a list of :class:`RunPoint`\\ s; ``jobs > 1``
   fans runs out to ``multiprocessing`` worker processes (each run is an
   independent single-threaded simulation, so this is embarrassingly
@@ -20,13 +25,16 @@ dicts, so the pool works under both fork and spawn start methods.
 
 from __future__ import annotations
 
+import json
 import math
 import multiprocessing
 import os
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from functools import cached_property
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Union)
 
 from repro.analysis.bounds import bounds_for
 from repro.experiments.grid import RunPoint
@@ -46,11 +54,16 @@ from repro.mobility.models import DirectionalWalk, RandomWalk
 from repro.net.fabric import Fabric
 from repro.net.failure import FailureInjector
 from repro.net.link import WIRED, WIRELESS
+from repro.obs.critpath import critpath_summary
+from repro.obs.session import ObsSession
+from repro.obs.spans import SpanCollector, assemble, write_span_events
 from repro.sim.engine import Simulator
 from repro.topology.builder import (HierarchySpec, build_deep_hierarchy,
                                     deep_initial_attachments,
                                     provision_links)
 from repro.topology.tiers import Tier
+from repro.validation.monitor import MonitorSuite
+from repro.validation import suite as validation_suite
 from repro.workloads.churn import ChurnDriver
 from repro.workloads.generators import RateCurve, weighted_sources
 from repro.workloads.openworld import OpenWorldDriver
@@ -203,12 +216,13 @@ def build_scenario(spec: ExperimentSpec,
                    fabric: Optional[Fabric] = None) -> Scenario:
     """Materialize a spec: runtime, protocol, workload, dynamics.
 
-    Pass a pre-created ``sim`` (seeded with ``spec.seed``) to observe
-    construction-time trace records — initial MH joins happen while the
-    network is built, so monitors that care must subscribe before this
-    call.  ``sim`` may be any :class:`~repro.runtime.api.Runtime`; the
-    live backend passes a :class:`~repro.live.runtime.LiveRuntime`
-    together with a queue- or socket-backed ``fabric`` (ringnet only).
+    Initial MH joins are emitted while the network is built, so a run
+    that is watched goes through :func:`observed_scenario`, which
+    subscribes its observers to ``sim.trace`` and then calls this.
+    ``sim`` (seeded with ``spec.seed``) may be any
+    :class:`~repro.runtime.api.Runtime`; the live backend passes a
+    :class:`~repro.live.runtime.LiveRuntime` together with a queue- or
+    socket-backed ``fabric`` (ringnet only).
     """
     if sim is None:
         sim = Simulator(seed=spec.seed)
@@ -289,7 +303,49 @@ def build_scenario(spec: ExperimentSpec,
 
 
 # ----------------------------------------------------------------------
-# One run
+# The build-and-attach seam
+# ----------------------------------------------------------------------
+@contextmanager
+def observed_scenario(spec: ExperimentSpec, *observers,
+                      sim: Optional[Simulator] = None,
+                      fabric: Optional[Fabric] = None) -> Iterator[Scenario]:
+    """Build ``spec`` with ``observers`` attached **before** construction.
+
+    The one place that knows the load-bearing ordering rule: initial MH
+    joins are emitted while the network is built, so whatever watches
+    the trace must subscribe before :func:`build_scenario` or silently
+    miss them.  An observer is anything with ``attach(trace)`` /
+    ``detach()`` (a :class:`Harvest`, a monitor or suite, a trace
+    recorder or streaming sink, a span collector) and, optionally,
+    ``finish(net=, end_time=)``, called when the ``with`` body — in
+    which the caller runs the scenario — leaves cleanly.  Observers
+    always detach on exit; a ``None`` among them is skipped, so optional
+    observers pass straight through.
+
+    ``sim`` / ``fabric`` are :func:`build_scenario`'s: a caller that
+    needs a particular runtime (a counting-off trace bus, a shard-gated
+    engine, a live runtime with its fabric) constructs it and passes it
+    in; the default is a fresh :class:`Simulator` seeded from the spec.
+    """
+    if sim is None:
+        sim = Simulator(seed=spec.seed)
+    observers = [obs for obs in observers if obs is not None]
+    for obs in observers:
+        obs.attach(sim.trace)
+    try:
+        scenario = build_scenario(spec, sim=sim, fabric=fabric)
+        yield scenario
+        for obs in observers:
+            finish = getattr(obs, "finish", None)
+            if finish is not None:
+                finish(net=scenario.net, end_time=sim.now)
+    finally:
+        for obs in observers:
+            obs.detach()
+
+
+# ----------------------------------------------------------------------
+# The standard harvest
 # ----------------------------------------------------------------------
 def _total_retransmissions(net) -> int:
     total = 0
@@ -309,6 +365,101 @@ def _peak_buffer(net) -> int:
     return max((r["wq_peak"] + r["mq_peak"] for r in reports()), default=0)
 
 
+class Harvest:
+    """The standard observer set, distilled into a :class:`RunResult`.
+
+    Itself an observer (hand it to :func:`observed_scenario`): attaching
+    subscribes the latency and throughput collectors, the handoff and
+    tombstone counters, and either the monitor suite (a checked run) or
+    a bare :class:`OrderChecker`; ``finish`` runs the suite's end-of-run
+    checks, after which :attr:`result` is the run's summary.  All of it
+    only observes, so a checked run's metrics are byte-identical to an
+    unchecked run's.
+    """
+
+    def __init__(self, point: Union[RunPoint, ExperimentSpec],
+                 check: Union[bool, MonitorSuite] = False):
+        if isinstance(point, ExperimentSpec):
+            point = RunPoint(spec=point, params={}, seed=point.seed)
+        self.point = point
+        #: ``check=True`` is the spec's standard suite (the factory is
+        #: looked up per call, so a test can swap in a poisoned one); a
+        #: caller with its own windows (the fuzzer) passes the suite.
+        self.suite: Optional[MonitorSuite] = (
+            validation_suite.suite_for_spec(point.spec) if check is True
+            else check or None)
+        self._wall_start = time.perf_counter()
+
+    def attach(self, trace) -> "Harvest":
+        spec = self.point.spec
+        if self.suite is not None:
+            self.suite.attach(trace)
+            # The suite already carries a total-order checker for
+            # ordered systems; reuse it, don't attach a second one.
+            self._order = next((m for m in self.suite
+                                if m.name == "total_order"), None)
+        else:
+            self._order = OrderChecker(trace) if spec.system != "unordered" \
+                else None
+        self._latency = LatencyCollector(trace, warmup=spec.warmup_ms)
+        self._throughput = ThroughputCollector(trace)
+        self._counts = counts = {"mh.handoff": 0, "mh.tombstone": 0}
+        for topic in counts:
+            trace.subscribe(
+                topic,
+                lambda rec, t=topic: counts.__setitem__(t, counts[t] + 1))
+        return self
+
+    def detach(self) -> None:
+        # The collectors have no detach of their own and die with the bus.
+        if self.suite is not None:
+            self.suite.detach()
+
+    def finish(self, net, end_time: Optional[float] = None) -> None:
+        if self.suite is not None:
+            self.suite.finish(net=net, end_time=end_time)
+        self._net = net
+        self._wall_s = time.perf_counter() - self._wall_start
+
+    @cached_property
+    def result(self) -> RunResult:
+        """The finished run's summary, distilled on first read — not
+        inside ``finish``, which a live run's timed teardown calls."""
+        net, point, suite = self._net, self.point, self.suite
+        spec, order, throughput = point.spec, self._order, self._throughput
+        t0, t1 = spec.warmup_ms, spec.duration_ms
+        return RunResult(
+            run_id=point.run_id,
+            name=spec.name,
+            system=spec.system,
+            params=dict(point.params),
+            point_index=point.point_index,
+            replication=point.replication,
+            seed=spec.seed,
+            duration_ms=spec.duration_ms,
+            warmup_ms=spec.warmup_ms,
+            sent=sum(src.sent for src in net.sources.values()),
+            delivered=net.total_app_deliveries(),
+            goodput=throughput.goodput(t0, t1),
+            sent_rate=throughput.sent_rate(t0, t1),
+            min_goodput=throughput.min_goodput(t0, t1),
+            latency=self._latency.summary(),
+            order_checked=order is not None,
+            order_violations=order.violation_count if order is not None
+            else 0,
+            retransmissions=_total_retransmissions(net),
+            handoffs=self._counts["mh.handoff"],
+            tombstones=self._counts["mh.tombstone"],
+            members=len(net.member_hosts()),
+            peak_buffer=_peak_buffer(net),
+            wall_time_s=self._wall_s,
+            violations=suite.all_violations() if suite is not None else None,
+        )
+
+
+# ----------------------------------------------------------------------
+# One run
+# ----------------------------------------------------------------------
 def run_point(point: Union[RunPoint, ExperimentSpec],
               check: bool = False,
               obs_dir: Optional[str] = None,
@@ -329,98 +480,27 @@ def run_point(point: Union[RunPoint, ExperimentSpec],
     (also a pure observer) and writes ``SPANS_<run_id>.jsonl.gz`` plus
     a ``CRITPATH_<run_id>.json`` latency-attribution report there.
     """
-    if isinstance(point, ExperimentSpec):
-        point = RunPoint(spec=point, params={}, seed=point.seed)
-    spec = point.spec
-
-    wall_start = time.perf_counter()
-    suite = None
-    if check:
-        # Lazy import: validation is an optional layer over experiments.
-        from repro.validation.suite import observed_scenario, suite_for_spec
-        suite = suite_for_spec(spec)
-        # observed_scenario attaches the suite before construction, so
-        # build-time records (initial MH joins) are observed too.
-        scenario_cm = observed_scenario(spec, suite)
-    else:
-        scenario_cm = nullcontext(build_scenario(spec))
-
-    with scenario_cm as scenario:
+    harvest = Harvest(point, check)
+    spec, run_id = harvest.point.spec, harvest.point.run_id
+    collector = SpanCollector() if spans_dir is not None else None
+    with observed_scenario(spec, harvest, collector) as scenario:
         session = None
         if obs_dir is not None:
-            from repro.obs.session import ObsSession  # lazy: optional layer
+            # The session takes the runtime, not the trace (it installs
+            # the engine's dispatch hook), so it attaches to the built
+            # scenario: it times the run, not the construction.
             session = ObsSession(scenario.sim, horizon_ms=spec.duration_ms,
-                                 name=point.run_id)
-        trace = scenario.sim.trace
-        collector = None
-        if spans_dir is not None:
-            from repro.obs.spans import SpanCollector  # lazy: optional layer
-            collector = SpanCollector()
-            collector.attach(trace, sim=scenario.sim)
-        if suite is not None:
-            # The suite already carries a total-order checker for
-            # ordered systems; reuse it, don't attach a second one.
-            order = next((m for m in suite if m.name == "total_order"),
-                         None)
-        else:
-            order = OrderChecker(trace) if spec.system != "unordered" \
-                else None
-        latency = LatencyCollector(trace, warmup=spec.warmup_ms)
-        throughput = ThroughputCollector(trace)
-        counters = {"mh.handoff": 0, "mh.tombstone": 0}
-        for topic in counters:
-            trace.subscribe(
-                topic,
-                lambda rec, t=topic: counters.__setitem__(t, counters[t] + 1))
-
+                                 name=run_id)
         scenario.run()
-
         if session is not None:
             session.finish()
             session.write(obs_dir)
-        if collector is not None:
-            collector.detach()
-            _write_span_artifacts(spans_dir, point.run_id, collector.events)
-        net = scenario.net
-        violations = None
-        if suite is not None:
-            suite.finish(net=net, end_time=scenario.sim.now)
-            violations = suite.all_violations()
-    t0, t1 = spec.warmup_ms, spec.duration_ms
-    return RunResult(
-        run_id=point.run_id,
-        name=spec.name,
-        system=spec.system,
-        params=dict(point.params),
-        point_index=point.point_index,
-        replication=point.replication,
-        seed=spec.seed,
-        duration_ms=spec.duration_ms,
-        warmup_ms=spec.warmup_ms,
-        sent=scenario.fleet.total_sent,
-        delivered=net.total_app_deliveries(),
-        goodput=throughput.goodput(t0, t1),
-        sent_rate=throughput.sent_rate(t0, t1),
-        min_goodput=throughput.min_goodput(t0, t1),
-        latency=latency.summary(),
-        order_checked=order is not None,
-        order_violations=order.violation_count if order is not None else 0,
-        retransmissions=_total_retransmissions(net),
-        handoffs=counters["mh.handoff"],
-        tombstones=counters["mh.tombstone"],
-        members=len(net.member_hosts()),
-        peak_buffer=_peak_buffer(net),
-        wall_time_s=time.perf_counter() - wall_start,
-        violations=violations,
-    )
+    if collector is not None:
+        _write_span_artifacts(spans_dir, run_id, collector.events)
+    return harvest.result
 
 
 def _write_span_artifacts(out_dir: str, run_id: str, events) -> None:
-    import json
-
-    from repro.obs.critpath import critpath_summary
-    from repro.obs.spans import assemble, write_span_events
-
     os.makedirs(out_dir, exist_ok=True)
     write_span_events(os.path.join(out_dir, f"SPANS_{run_id}.jsonl.gz"),
                       events)

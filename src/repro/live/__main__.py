@@ -12,9 +12,11 @@ validation monitors attached; ``diff`` runs the sim-vs-live
 differential harness; ``udp-smoke`` is the loopback socket round-trip
 check CI gates on.
 
-``run`` exits 0 when clean, 1 on a monitor or ordering violation and,
-with ``--max-lag-ms MS``, 3 when the loop fell further behind its
-schedule than that (the summary line then reads ``OVERLOADED``).
+``run`` exits 0 when clean, 1 on a monitor or ordering violation, 2 on
+an unknown scenario or an invalid spec (``error: ...`` on stderr, as in
+every other CLI) and, with ``--max-lag-ms MS``, 3 when the loop fell
+further behind its schedule than that (the summary line then reads
+``OVERLOADED``).
 
 The ``REPRO_LIVE_DURATION_MS`` environment variable overrides every
 duration (the CI hook, mirroring ``REPRO_EXAMPLE_DURATION_MS`` in the
@@ -38,18 +40,11 @@ ENV_DURATION = "REPRO_LIVE_DURATION_MS"
 EXIT_OVERLOADED = 3
 
 
-def _resolve_spec(name: str, duration: Optional[float], seed: Optional[int]):
-    overrides = {}
+def _spec(name: str, duration: Optional[float], seed: Optional[int]):
     env = os.environ.get(ENV_DURATION)
     if duration is None and env is not None:
         duration = float(env)
-    if duration is not None:
-        overrides["duration_ms"] = duration
-        if registry.entry(name).factory().warmup_ms >= duration:
-            overrides["warmup_ms"] = 0.0
-    if seed is not None:
-        overrides["seed"] = seed
-    return registry.get(name, **overrides)
+    return registry.resolve(name, duration, seed)
 
 
 def _write_out(payload: dict, out: Optional[str], quiet: bool) -> None:
@@ -66,7 +61,7 @@ def _write_out(payload: dict, out: Optional[str], quiet: bool) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.live.builder import NetworkBuilder
 
-    spec = _resolve_spec(args.scenario, args.duration, args.seed)
+    spec = _spec(args.scenario, args.duration, args.seed)
     builder = NetworkBuilder(spec, fabric=args.fabric,
                              time_scale=args.time_scale,
                              monitors=not args.no_monitors)
@@ -117,7 +112,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_diff(args: argparse.Namespace) -> int:
     from repro.live.diff import diff_spec
 
-    spec = _resolve_spec(args.scenario, args.duration, args.seed)
+    spec = _spec(args.scenario, args.duration, args.seed)
     tolerances = {}
     if args.latency_rel is not None:
         tolerances["latency_rel"] = args.latency_rel
@@ -156,7 +151,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_udp_smoke(args: argparse.Namespace) -> int:
     from repro.live.builder import NetworkBuilder
 
-    spec = _resolve_spec("quickstart", args.duration, None)
+    spec = _spec("quickstart", args.duration, None)
     builder = NetworkBuilder(spec, fabric="udp",
                              time_scale=args.time_scale, monitors=False)
     run = builder.build()
@@ -230,7 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,18 +11,20 @@ stream — then :meth:`NetworkBuilder.build` hands back a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from contextlib import ExitStack
+from dataclasses import dataclass
+from typing import Dict
 
+from repro.experiments.runner import Harvest, observed_scenario
 from repro.experiments.spec import ExperimentSpec
 from repro.live.fabric import QueueFabric, UdpFabric
 from repro.live.loadgen import LoadGenerator
 from repro.live.runtime import LiveRuntime
-from repro.metrics.collectors import LatencyCollector, ThroughputCollector
-from repro.metrics.order_checker import OrderChecker
+from repro.obs.registry import MetricsRegistry
+from repro.obs.session import OBS_SCHEMA
 from repro.workloads.scenarios import Scenario
 
-FABRICS = ("queue", "udp")
+FABRICS = {"queue": QueueFabric, "udp": UdpFabric}
 
 
 @dataclass
@@ -33,42 +35,29 @@ class LiveRun:
     scenario: Scenario
     fabric_kind: str
     loadgen: LoadGenerator
-    latency: LatencyCollector
-    throughput: ThroughputCollector
-    order: Optional[OrderChecker] = None
-    suite: Optional[object] = None  # MonitorSuite when monitors attached
-    spec: Optional[ExperimentSpec] = None
+    #: The same standard harvest a sim run carries.
+    harvest: Harvest
+    #: The open :func:`observed_scenario` seam; :meth:`run` closes it.
+    observed: ExitStack
 
     def run(self) -> None:
         """Execute the scenario for its spec duration, in wall time."""
-        self.scenario.run()
-        if self.suite is not None:
-            self.suite.finish(net=self.scenario.net,
-                              end_time=self.runtime.now)
+        with self.observed:
+            self.scenario.run()
 
     def violations(self) -> list:
         """Monitor violations (empty when no suite was attached)."""
-        return [] if self.suite is None else self.suite.all_violations()
+        suite = self.harvest.suite
+        return [] if suite is None else suite.all_violations()
 
     def report(self) -> Dict[str, object]:
-        """Machine-readable run summary (metrics + loop health)."""
-        spec = self.spec
-        t0 = spec.warmup_ms if spec is not None else 0.0
-        t1 = spec.duration_ms if spec is not None else self.runtime.now
-        net = self.scenario.net
+        """Machine-readable summary of a finished run: the sim's
+        :class:`~repro.experiments.results.RunResult` fields plus what
+        only a wall-clock run has (fabric, load generator, loop lag)."""
         return {
+            **self.harvest.result.to_dict(),
             "backend": "live",
             "fabric": self.fabric_kind,
-            "name": spec.name if spec is not None else "",
-            "seed": self.runtime.seed,
-            "duration_ms": t1,
-            "sent": self.scenario.fleet.total_sent,
-            "delivered": net.total_app_deliveries(),
-            "goodput": self.throughput.goodput(t0, t1),
-            "sent_rate": self.throughput.sent_rate(t0, t1),
-            "latency": self.latency.summary(),
-            "order_violations": (self.order.violation_count
-                                 if self.order is not None else 0),
             "monitor_violations": self.violations(),
             "loadgen": self.loadgen.report(),
             "lag": self.runtime.lag_report(),
@@ -83,9 +72,6 @@ class LiveRun:
         ``repro.obs summarize`` works on live-run telemetry the same
         way it does on sim runs.
         """
-        from repro.obs.registry import MetricsRegistry  # lazy: optional
-        from repro.obs.session import OBS_SCHEMA
-
         reg = self.runtime.obs
         if reg is None:
             reg = MetricsRegistry()
@@ -95,14 +81,13 @@ class LiveRun:
         reg.set_gauge("live.time_scale", lag["time_scale"])
         reg.set_gauge("live.events", lag["events"])
         reg.set_gauge("live.yields", lag["yields"])
-        spec = self.spec
+        spec = self.harvest.point.spec
         return {
             "schema": OBS_SCHEMA,
-            "name": spec.name if spec is not None else "live",
+            "name": spec.name,
             "backend": "live",
             "fabric": self.fabric_kind,
-            "horizon_ms": (spec.duration_ms if spec is not None
-                           else self.runtime.now),
+            "horizon_ms": spec.duration_ms,
             "window_ms": 0.0,
             "windows": 0,
             "events": self.runtime.events_processed,
@@ -133,7 +118,7 @@ class NetworkBuilder:
                  time_scale: float = 1.0, monitors: bool = False):
         if fabric not in FABRICS:
             raise ValueError(
-                f"unknown fabric {fabric!r}; choose from {FABRICS}")
+                f"unknown fabric {fabric!r}; choose from {tuple(FABRICS)}")
         if spec.system != "ringnet":
             raise ValueError(
                 f"the live backend runs the ringnet system, "
@@ -143,40 +128,25 @@ class NetworkBuilder:
         self.time_scale = time_scale
         self.monitors = monitors
 
-    def build(self) -> LiveRun:
-        """Construct runtime, fabric, tiers, workload, and monitors."""
-        # Lazy: runner imports a wide slice of the repo.
-        from repro.experiments.runner import build_scenario
-        from repro.validation.suite import standard_suite
+    def build(self, *observers) -> LiveRun:
+        """Construct runtime, fabric, tiers, workload, and monitors.
 
+        ``observers`` ride through :func:`observed_scenario` next to the
+        harvest: attached before construction, finished and detached
+        when :meth:`LiveRun.run` returns.
+        """
         spec = self.spec
         runtime = LiveRuntime(seed=spec.seed, time_scale=self.time_scale)
         # Give the live loop a metrics registry up front: protocol code
         # reaches it through ``sim.obs`` exactly as under an ObsSession,
         # and obs_report() folds the lag gauges in after the run.
-        from repro.obs.registry import MetricsRegistry  # lazy: optional
         runtime.obs = MetricsRegistry()
-        suite = None
-        if self.monitors:
-            suite = standard_suite(spec.system)
-            suite.attach(runtime.trace)
-            # The suite already carries the total-order checker; reuse
-            # it rather than double-subscribing a second one.
-            order = next((m for m in suite if m.name == "total_order"),
-                         None)
-        else:
-            order = OrderChecker(runtime.trace)
-        # Collectors subscribe before construction too, mirroring
-        # observed_scenario's ordering rule.
-        latency = LatencyCollector(runtime.trace, warmup=spec.warmup_ms)
-        throughput = ThroughputCollector(runtime.trace)
-        if self.fabric_kind == "udp":
-            fabric = UdpFabric(runtime)
-        else:
-            fabric = QueueFabric(runtime)
-        scenario = build_scenario(spec, sim=runtime, fabric=fabric)
+        harvest = Harvest(spec, self.monitors)
+        observed = ExitStack()
+        scenario = observed.enter_context(observed_scenario(
+            spec, harvest, *observers, sim=runtime,
+            fabric=FABRICS[self.fabric_kind](runtime)))
         return LiveRun(runtime=runtime, scenario=scenario,
                        fabric_kind=self.fabric_kind,
                        loadgen=LoadGenerator(scenario, runtime),
-                       latency=latency, throughput=throughput,
-                       order=order, suite=suite, spec=spec)
+                       harvest=harvest, observed=observed)

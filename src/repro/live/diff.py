@@ -27,9 +27,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.experiments.runner import Harvest, observed_scenario
 from repro.experiments.spec import ExperimentSpec
-from repro.metrics.collectors import LatencyCollector, ThroughputCollector
-from repro.metrics.order_checker import OrderChecker
+from repro.live.builder import NetworkBuilder
+from repro.obs.critpath import critpath_summary, stage_delta, stage_means
+from repro.obs.spans import SpanCollector, assemble
 from repro.sim.trace import TraceBus, TraceRecord
 
 #: Default tolerance bands.
@@ -42,18 +44,33 @@ DEFAULT_TOLERANCES = {
 }
 
 
+#: What the report keeps of each side's :class:`RunResult` fields.
+_SIDE_KEYS = ("sent", "delivered", "goodput", "sent_rate", "latency",
+              "order_violations")
+
+
 class DeliveryLog:
     """Per-MH delivery sequences keyed by message identity.
 
-    Subscribes to ``mh.deliver`` and records, per MH, the ordered list
+    An observer of ``mh.deliver``: records, per MH, the ordered list
     of ``(source, local_seq)`` identities — the cross-backend-stable
     message names (gseq numbering is an artifact of each run's token
     arrival order).
     """
 
-    def __init__(self, trace: TraceBus):
+    def __init__(self) -> None:
         self.by_mh: Dict[str, List[Tuple[str, int]]] = {}
+        self._trace: Optional[TraceBus] = None
+
+    def attach(self, trace: TraceBus) -> "DeliveryLog":
+        self._trace = trace
         trace.subscribe("mh.deliver", self._on_deliver)
+        return self
+
+    def detach(self) -> None:
+        if self._trace is not None:
+            self._trace.unsubscribe("mh.deliver", self._on_deliver)
+            self._trace = None
 
     def _on_deliver(self, rec: TraceRecord) -> None:
         key = (rec["source"], rec["local_seq"])
@@ -108,64 +125,6 @@ def order_agreement(sim_seq: List[Tuple[str, int]],
 
 
 # ----------------------------------------------------------------------
-# The two runs
-# ----------------------------------------------------------------------
-def _span_stage_means(events) -> Dict[str, float]:
-    from repro.obs.critpath import critpath_summary, stage_means
-    from repro.obs.spans import assemble
-
-    return stage_means(critpath_summary(assemble(events)))
-
-
-def _run_sim(spec: ExperimentSpec) -> Dict[str, Any]:
-    from repro.experiments.runner import build_scenario
-    from repro.obs.spans import SpanCollector
-    from repro.sim.engine import Simulator
-
-    sim = Simulator(seed=spec.seed)
-    log = DeliveryLog(sim.trace)
-    latency = LatencyCollector(sim.trace, warmup=spec.warmup_ms)
-    throughput = ThroughputCollector(sim.trace)
-    order = OrderChecker(sim.trace)
-    spans = SpanCollector()
-    spans.attach(sim.trace, sim=sim)
-    scenario = build_scenario(spec, sim=sim)
-    scenario.run()
-    spans.detach()
-    t0, t1 = spec.warmup_ms, spec.duration_ms
-    return {
-        "backend": "sim",
-        "sent": scenario.fleet.total_sent,
-        "delivered": scenario.net.total_app_deliveries(),
-        "goodput": throughput.goodput(t0, t1),
-        "sent_rate": throughput.sent_rate(t0, t1),
-        "latency": latency.summary(),
-        "order_violations": order.violation_count,
-        "deliveries": log.by_mh,
-        "span_stages": _span_stage_means(spans.events),
-    }
-
-
-def _run_live(spec: ExperimentSpec, fabric: str = "queue",
-              time_scale: float = 1.0) -> Dict[str, Any]:
-    from repro.live.builder import NetworkBuilder
-    from repro.obs.spans import SpanCollector
-
-    builder = NetworkBuilder(spec, fabric=fabric, time_scale=time_scale,
-                             monitors=True)
-    run = builder.build()
-    log = DeliveryLog(run.runtime.trace)
-    spans = SpanCollector()
-    spans.attach(run.runtime.trace, sim=run.runtime)
-    run.run()
-    spans.detach()
-    report = run.report()
-    report["deliveries"] = log.by_mh
-    report["span_stages"] = _span_stage_means(spans.events)
-    return report
-
-
-# ----------------------------------------------------------------------
 # Comparison
 # ----------------------------------------------------------------------
 def _envelope(metric: str, sim_value: float, live_value: float,
@@ -190,15 +149,25 @@ def diff_spec(spec: ExperimentSpec, fabric: str = "queue",
     if tolerances:
         tol.update(tolerances)
 
-    sim = _run_sim(spec)
-    live = _run_live(spec, fabric=fabric, time_scale=time_scale)
+    # The same three observers on both backends, through the same seam
+    # (the live builder opens it; LiveRun.run closes it).
+    sim_harvest, sim_log, sim_spans = (Harvest(spec), DeliveryLog(),
+                                       SpanCollector())
+    with observed_scenario(spec, sim_harvest, sim_log,
+                           sim_spans) as scenario:
+        scenario.run()
+    sim = sim_harvest.result.to_dict()
+    live_log, live_spans = DeliveryLog(), SpanCollector()
+    run = NetworkBuilder(spec, fabric=fabric, time_scale=time_scale,
+                         monitors=True).build(live_log, live_spans)
+    run.run()
+    live = run.report()
 
     # Per-group (per-MH) order agreement on the common delivered set.
     groups = []
-    mhs = sorted(set(sim["deliveries"]) | set(live["deliveries"]))
-    for mh in mhs:
-        s = sim["deliveries"].get(mh, [])
-        l = live["deliveries"].get(mh, [])
+    for mh in sorted(set(sim_log.by_mh) | set(live_log.by_mh)):
+        s = sim_log.by_mh.get(mh, [])
+        l = live_log.by_mh.get(mh, [])
         agreement, common, inversions = order_agreement(s, l)
         overlap = common / max(len(s), len(l)) if (s or l) else 1.0
         groups.append({
@@ -232,18 +201,19 @@ def diff_spec(spec: ExperimentSpec, fabric: str = "queue",
     # Per-stage latency attribution on both backends (informational —
     # the verdict comes from envelopes/groups, but when an envelope
     # fails this names the stage the divergence lives in).
-    from repro.obs.critpath import stage_delta
+    sim_stages, live_stages = (
+        stage_means(critpath_summary(assemble(spans.events)))
+        for spans in (sim_spans, live_spans))
     span_stages = {
-        "sim": sim.get("span_stages") or {},
-        "live": live.get("span_stages") or {},
-        "delta": stage_delta(live.get("span_stages") or {},
-                             sim.get("span_stages") or {}),
+        "sim": sim_stages,
+        "live": live_stages,
+        "delta": stage_delta(live_stages, sim_stages),
     }
 
     conformance = {
         "sim_order_violations": sim["order_violations"],
         "live_order_violations": live["order_violations"],
-        "live_monitor_violations": list(live.get("monitor_violations", [])),
+        "live_monitor_violations": list(live["monitor_violations"]),
     }
     ok = (all(g["ok"] for g in groups)
           and all(e["ok"] for e in envelopes)
@@ -259,12 +229,8 @@ def diff_spec(spec: ExperimentSpec, fabric: str = "queue",
         "fabric": fabric,
         "time_scale": time_scale,
         "tolerances": tol,
-        "sim": {k: sim[k] for k in
-                ("sent", "delivered", "goodput", "sent_rate", "latency",
-                 "order_violations")},
-        "live": {k: live[k] for k in
-                 ("sent", "delivered", "goodput", "sent_rate", "latency",
-                  "order_violations", "lag")},
+        "sim": {k: sim[k] for k in _SIDE_KEYS},
+        "live": {k: live[k] for k in _SIDE_KEYS + ("lag",)},
         "groups": groups,
         "envelopes": envelopes,
         "span_stages": span_stages,

@@ -92,19 +92,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Span subcommands
 # ----------------------------------------------------------------------
-def _spec_for(name: str, duration: Optional[float], seed: Optional[int]):
-    from repro.experiments import registry
-
-    overrides: Dict[str, Any] = {}
-    if duration is not None:
-        overrides["duration_ms"] = duration
-        if registry.entry(name).factory().warmup_ms >= duration:
-            overrides["warmup_ms"] = 0.0
-    if seed is not None:
-        overrides["seed"] = seed
-    return registry.get(name, **overrides)
-
-
 def _resolve_span_events(args: argparse.Namespace,
                          ) -> Tuple[List[tuple], str, Dict[str, Any]]:
     """INPUT -> (span events, display name, overlays).
@@ -113,8 +100,9 @@ def _resolve_span_events(args: argparse.Namespace,
     a recorded trace (lines are JSON objects — coarse stages only);
     anything else is a registry scenario name, run in-process.
     """
-    from repro.obs.spans import (RATE_ENV, events_from_trace,
-                                 read_span_events)
+    from repro.experiments import registry
+    from repro.obs.spans import events_from_trace, read_span_events
+    from repro.shard.runtime import run_sharded
 
     target = args.input
     if os.path.exists(target):
@@ -127,17 +115,13 @@ def _resolve_span_events(args: argparse.Namespace,
         with opener(target, "rt", encoding="utf-8") as fh:
             return events_from_trace(fh), name, {}
 
-    spec = _spec_for(target, args.duration, args.seed)
-    shards = getattr(args, "shards", 1) or 1
-    if args.rate is not None and shards > 1:
-        # Worker collectors read the rate from the environment.
-        os.environ[RATE_ENV] = repr(args.rate)
-    if shards > 1:
-        from repro.shard.runtime import run_sharded
-        res = run_sharded(spec, shards, spans=True)
-        return res.span_events or [], spec.name, res.span_overlays()
-    from repro.obs.spans import collect_spec
-    return collect_spec(spec, rate=args.rate), spec.name, {}
+    spec = registry.resolve(target, args.duration, args.seed)
+    # ``--shards 1`` (the default) is the sequential engine; the rate
+    # travels as an argument, so worker collectors see it and the
+    # calling process's environment is never touched.
+    res = run_sharded(spec, getattr(args, "shards", 1) or 1,
+                      spans=True if args.rate is None else args.rate)
+    return res.span_events or [], spec.name, res.span_overlays()
 
 
 def cmd_spans(args: argparse.Namespace) -> int:

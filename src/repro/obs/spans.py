@@ -176,7 +176,7 @@ class SpanCollector:
 
     Attach with the same ``attach(trace)`` / ``detach()`` surface the
     validation observers use, so it composes with
-    :func:`repro.validation.suite.observed_scenario` unchanged; the
+    :func:`repro.experiments.runner.observed_scenario` unchanged; the
     owning runtime is found through the bus back-reference (or passed
     explicitly for runtimes built ahead of the bus).  Attaching
     installs the collector as ``sim.spans`` for the transport hooks and
@@ -614,26 +614,3 @@ def completeness(spanset: SpanSet) -> Dict[str, Any]:
         "orphan_events": len(spanset.orphans),
         "ok": not unrooted and not spanset.orphans,
     }
-
-
-# ----------------------------------------------------------------------
-# Running a spec with spans attached
-# ----------------------------------------------------------------------
-def collect_spec(spec, rate: Optional[float] = None,
-                 stream_path: Optional[str] = None) -> List[SpanEvent]:
-    """Build and run ``spec`` sequentially with a collector attached.
-
-    Returns the event list; with ``stream_path`` the events are instead
-    streamed to disk (read back with :func:`read_span_events`) and the
-    returned list is empty.
-    """
-    from repro.validation.suite import observed_scenario
-    sink = SpanStreamWriter(stream_path) if stream_path else None
-    collector = SpanCollector(rate=rate, sink=sink)
-    try:
-        with observed_scenario(spec, collector) as scenario:
-            scenario.run()
-    finally:
-        if sink is not None:
-            sink.close()
-    return collector.events

@@ -29,21 +29,19 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.experiments.__main__ import add_spec_args, spec_for_args
+from repro.experiments.runner import build_scenario
+from repro.obs.session import write_artifacts
 from repro.shard.partition import (cut_edges, latency_matrix, lookahead_of,
                                    min_lookahead, partition_spec)
 from repro.shard.runtime import run_sharded
-
-
-def _spec(args: argparse.Namespace):
-    from repro.experiments.__main__ import spec_for_args
-    return spec_for_args(args)
+from repro.sim.trace import write_trace_lines
+from repro.validation.record import first_divergence, record_spec
 
 
 # ----------------------------------------------------------------------
 def cmd_partition(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import build_scenario
-
-    spec = _spec(args)
+    spec = spec_for_args(args)
     plan = partition_spec(spec, args.shards)
     scenario = build_scenario(spec)
     cut = cut_edges(scenario.net.fabric, plan)
@@ -97,7 +95,7 @@ def _print_shard_table(result) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec(args)
+    spec = spec_for_args(args)
     result = run_sharded(spec, args.shards, record=args.record is not None,
                          obs=args.obs is not None)
     stats = result.stats_dict()
@@ -105,13 +103,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  {key}: {value}")
     _print_shard_table(result)
     if args.record is not None:
-        with open(args.record, "w", encoding="utf-8") as fh:
-            for line in result.merged_lines or []:
-                fh.write(line + "\n")
-        print(f"wrote {len(result.merged_lines or [])} records "
-              f"to {args.record}")
+        n = write_trace_lines(args.record, result.merged_lines or [])
+        print(f"wrote {n} records to {args.record}")
     if args.obs is not None and result.obs_report is not None:
-        from repro.obs.session import write_artifacts
         name = (spec.name if result.n_shards == 1
                 else f"{spec.name}@{result.n_shards}shards")
         paths = write_artifacts(result.obs_report, result.obs_timeline or [],
@@ -121,9 +115,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.validation.record import first_divergence, record_spec
-
-    spec = _spec(args)
+    spec = spec_for_args(args)
     shard_counts = [int(k) for k in str(args.shards).split(",")]
     print(f"recording {spec.name} sequentially ...", flush=True)
     seq = record_spec(spec)
@@ -145,14 +137,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("scenario", help="registry scenario name")
-    p.add_argument("--duration", type=float, default=None, metavar="MS")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="dotted-path spec override, repeatable")
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.shard",
@@ -161,14 +145,14 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_part = sub.add_parser("partition", help="show the shard plan")
-    _add_spec_args(p_part)
+    add_spec_args(p_part)
     p_part.add_argument("--shards", type=int, default=2, metavar="K")
     p_part.add_argument("--json", action="store_true",
                         help="dump the full plan as JSON")
     p_part.set_defaults(fn=cmd_partition)
 
     p_run = sub.add_parser("run", help="run on K worker processes")
-    _add_spec_args(p_run)
+    add_spec_args(p_run)
     p_run.add_argument("--shards", type=int, default=2, metavar="K")
     p_run.add_argument("--record", default=None, metavar="FILE",
                        help="write the merged canonical trace (JSONL)")
@@ -182,7 +166,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser(
         "compare", help="assert sharded trace == sequential trace")
-    _add_spec_args(p_cmp)
+    add_spec_args(p_cmp)
     p_cmp.add_argument("--shards", default="2", metavar="K[,K2,...]",
                        help="shard counts to verify (default 2)")
     p_cmp.set_defaults(fn=cmd_compare)

@@ -13,10 +13,9 @@ byte.  That merge is the determinism proof the acceptance tests run.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from repro.sim.trace import TraceBus, TraceRecord
-from repro.validation.record import record_to_line
+from repro.sim.trace import TraceBus, TraceRecord, record_to_line
 
 MergeKey = Tuple
 Entry = Tuple[MergeKey, str]
@@ -30,13 +29,17 @@ class KeyedRecorder:
     would double-tick it.
     """
 
-    def __init__(self, trace: TraceBus):
+    def __init__(self) -> None:
+        self.entries: List[Entry] = []
+        self._trace: Optional[TraceBus] = None
+
+    def attach(self, trace: TraceBus) -> "KeyedRecorder":
         if trace._sim is None:
             raise RuntimeError("bus is not attached to a simulator")
-        self.entries: List[Entry] = []
         self._trace = trace
         self._sim = trace._sim
         trace.subscribe(None, self._on_record)
+        return self
 
     def detach(self) -> None:
         if self._trace is not None:

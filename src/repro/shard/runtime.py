@@ -37,9 +37,12 @@ Execution model (bulk-synchronous conservative PDES):
   AP is served over the cut — correctness never depends on placement,
   because the wireless latency floors every pair of the matrix.
 
-``shards=1`` bypasses all of this and runs the plain sequential engine
-— the exact code path every non-sharded caller uses — so non-sharded
-behaviour cannot drift behind the parallel backend's back.
+``shards=1`` bypasses all of this and runs the plain sequential
+engine.  It and every worker build through
+:func:`repro.experiments.runner.observed_scenario` — the same seam
+``run_point``, ``record_spec`` and the live builder build through — so
+what a non-sharded caller observes cannot drift behind the parallel
+backend's back.
 """
 
 from __future__ import annotations
@@ -48,13 +51,19 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.experiments.runner import observed_scenario
 from repro.experiments.spec import ExperimentSpec
+from repro.obs.session import OBS_SCHEMA, ObsSession
+from repro.obs.spans import SpanCollector, default_rate
 from repro.shard.context import ShardContext
 from repro.shard.partition import (PartitionPlan, latency_matrix,
                                    min_lookahead, partition_spec)
 from repro.shard.record import KeyedRecorder, merge_streams
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus, write_trace_lines
+from repro.validation.record import TraceRecorder
 
 _INF = float("inf")
 
@@ -288,12 +297,8 @@ def _windowed_run(sim, ctx: ShardContext, net, conn,
 
 def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
                  shard_id: int, record: bool, obs: bool = False,
-                 spans: bool = False) -> None:
+                 spans: float = 0.0) -> None:
     try:
-        from repro.experiments.runner import build_scenario
-        from repro.sim.engine import Simulator
-        from repro.sim.trace import TraceBus
-
         spec = ExperimentSpec.from_dict(spec_dict)
         # Unrecorded (benchmark) runs use the same counting=False trace
         # fast path sequential benchmark runs use, so speedup ratios
@@ -305,47 +310,46 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
         sim.shard = ctx
         sim.gate = ctx.is_local
         sim.trace.gate = ctx.emission_gate
-        recorder = KeyedRecorder(sim.trace) if record else None
-        collector = None
-        if spans:
-            # The trace gate masks subscriber callbacks to locally-owned
-            # records, and transport hooks only fire inside owner-gated
-            # events, so each span event lands on exactly one shard —
-            # the merged streams equal the sequential collection.
-            from repro.obs.spans import SpanCollector
-            collector = SpanCollector()
-            collector.attach(sim.trace)
+        recorder = KeyedRecorder() if record else None
+        # The trace gate masks subscriber callbacks to locally-owned
+        # records, and transport hooks only fire inside owner-gated
+        # events, so each span event lands on exactly one shard —
+        # the merged streams equal the sequential collection.
+        collector = SpanCollector(rate=spans) if spans else None
 
         t0 = time.perf_counter()
-        scenario = build_scenario(spec, sim=sim)
-        build_s = time.perf_counter() - t0
-        fabric = scenario.net.fabric
-        wireless = getattr(scenario.net, "wireless", None)
-        matrix = latency_matrix(
-            fabric, plan,
-            wireless_floor=wireless.latency if wireless is not None
-            else None)
-        ctx.lookahead = min_lookahead(matrix)
-        ctx.lookahead_to = list(matrix[shard_id])
-        _bind(ctx, scenario)
+        with observed_scenario(spec, recorder, collector,
+                               sim=sim) as scenario:
+            build_s = time.perf_counter() - t0
+            fabric = scenario.net.fabric
+            wireless = getattr(scenario.net, "wireless", None)
+            matrix = latency_matrix(
+                fabric, plan,
+                wireless_floor=wireless.latency if wireless is not None
+                else None)
+            ctx.lookahead = min_lookahead(matrix)
+            ctx.lookahead_to = list(matrix[shard_id])
+            _bind(ctx, scenario)
 
-        conn.send({"t": "ready", "build_s": build_s,
-                   "lookahead": ctx.lookahead, "matrix": matrix})
-        go = conn.recv()
-        if go.get("t") != "go":
-            raise RuntimeError(f"expected 'go' after 'ready', got {go!r}")
+            conn.send({"t": "ready", "build_s": build_s,
+                       "lookahead": ctx.lookahead, "matrix": matrix})
+            go = conn.recv()
+            if go.get("t") != "go":
+                raise RuntimeError(
+                    f"expected 'go' after 'ready', got {go!r}")
 
-        session = None
-        if obs:
-            from repro.obs.session import ObsSession
-            session = ObsSession(sim, horizon_ms=spec.duration_ms,
-                                 name=f"shard{shard_id}")
+            session = None
+            if obs:
+                session = ObsSession(sim, horizon_ms=spec.duration_ms,
+                                     name=f"shard{shard_id}")
 
-        t1 = time.perf_counter()
-        scenario.start()
-        loop_stats = _windowed_run(sim, ctx, scenario.net, conn,
-                                   horizon=spec.duration_ms)
-        wall = time.perf_counter() - t1
+            # The one difference from a sequential run: the engine is
+            # driven through coordinator-granted windows.
+            t1 = time.perf_counter()
+            scenario.start()
+            loop_stats = _windowed_run(sim, ctx, scenario.net, conn,
+                                       horizon=spec.duration_ms)
+            wall = time.perf_counter() - t1
 
         obs_payload = None
         if session is not None:
@@ -421,36 +425,22 @@ def _merge_probe_data(kind: str, datas: List[Any]) -> Any:
 
 def _sequential_result(spec: ExperimentSpec, record: bool,
                        obs: bool = False,
-                       spans: bool = False) -> ShardRunResult:
-    """The exact sequential engine path, packaged as a 1-shard result."""
-    from repro.experiments.runner import build_scenario
-    from repro.sim.engine import Simulator
-    from repro.sim.trace import TraceBus
-    from repro.validation.record import TraceRecorder
-
+                       spans: float = 0.0) -> ShardRunResult:
+    """The sequential engine path, packaged as a 1-shard result."""
     sim = Simulator(seed=spec.seed, trace=TraceBus(counting=record))
-    recorder = TraceRecorder(sim.trace) if record else None
-    collector = None
-    if spans:
-        from repro.obs.spans import SpanCollector
-        collector = SpanCollector()
-        collector.attach(sim.trace)
+    recorder = TraceRecorder() if record else None
+    collector = SpanCollector(rate=spans) if spans else None
     t0 = time.perf_counter()
-    scenario = build_scenario(spec, sim=sim)
-    session = None
-    if obs:
-        from repro.obs.session import ObsSession
-        session = ObsSession(sim, horizon_ms=spec.duration_ms,
-                             name=spec.name)
-    t1 = time.perf_counter()
-    scenario.run()
-    t2 = time.perf_counter()
-    if session is not None:
-        session.finish()
-    if recorder is not None:
-        recorder.detach()
-    if collector is not None:
-        collector.detach()
+    with observed_scenario(spec, recorder, collector, sim=sim) as scenario:
+        session = None
+        if obs:
+            session = ObsSession(sim, horizon_ms=spec.duration_ms,
+                                 name=spec.name)
+        t1 = time.perf_counter()
+        scenario.run()
+        t2 = time.perf_counter()
+        if session is not None:
+            session.finish()
     net = scenario.net
     result = ShardRunResult(
         n_shards=1,
@@ -485,8 +475,6 @@ def _sequential_result(spec: ExperimentSpec, record: bool,
 def _assemble_obs(result: ShardRunResult, spec: ExperimentSpec,
                   obs_per_shard: List[Optional[Dict[str, Any]]]) -> None:
     """Roll per-shard obs payloads into one run report + timeline."""
-    from repro.obs.session import OBS_SCHEMA
-
     payloads = [p for p in obs_per_shard if p is not None]
     if not payloads:  # pragma: no cover - defensive
         return
@@ -592,7 +580,7 @@ class _Coordinator:
 
 def run_sharded(spec: ExperimentSpec, shards: int,
                 record: bool = False, obs: bool = False,
-                spans: bool = False) -> ShardRunResult:
+                spans: Union[bool, float] = False) -> ShardRunResult:
     """Run one spec on ``shards`` worker processes.
 
     ``record=True`` captures every shard's keyed trace stream and
@@ -612,7 +600,8 @@ def run_sharded(spec: ExperimentSpec, shards: int,
     collects only the events its gate admits, and the coordinator
     merges the streams into :attr:`ShardRunResult.span_events` in a
     deterministic order (time, event code, fields), so the merged
-    stream assembles identically to a sequential collection.
+    stream assembles identically to a sequential collection.  A float
+    in (0, 1] instead of ``True`` is the collectors' sampling rate.
 
     A worker that dies raises ``RuntimeError`` at once; one that stays
     alive but silent for :data:`WORKER_SILENCE_DEADLINE_S` raises it
@@ -621,6 +610,8 @@ def run_sharded(spec: ExperimentSpec, shards: int,
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
+    if spans is True:
+        spans = default_rate()
     if shards == 1:
         return _sequential_result(spec, record, obs=obs, spans=spans)
 
@@ -813,6 +804,5 @@ def record_sharded(spec: ExperimentSpec, shards: int,
     result = run_sharded(spec, shards, record=True)
     lines = result.merged_lines or []
     if stream_path is not None:
-        from repro.sim.trace import write_trace_lines
         write_trace_lines(stream_path, lines)
     return lines

@@ -85,18 +85,17 @@ class StreamingTraceSink:
     byte-stable framing as the committed seed goldens, so a streamed
     file of an unchanged scenario diffs clean against its golden.
 
-    Use as a context manager (detaches *and* closes on exit), or via
-    :meth:`attach` / :meth:`detach` / :meth:`close` directly::
+    An observer (:meth:`attach` / :meth:`detach`, the surface
+    :class:`~repro.validation.record.TraceRecorder` has) that also owns
+    a file, so it is closed after the run (or used as a context
+    manager, which detaches *and* closes on exit)::
 
         sink = StreamingTraceSink(path)
-        with sink.attached(sim.trace):
-            scenario.run()
-        sink.close()
-
-    The attach/detach surface matches
-    :class:`~repro.validation.record.TraceRecorder`, so anything that
-    composes with the recorder — ``observed_scenario`` in particular —
-    takes the sink unchanged.
+        try:
+            with observed_scenario(spec, sink) as scenario:
+                scenario.run()
+        finally:
+            sink.close()
     """
 
     def __init__(self, path: str, window: int = 4096):
@@ -127,15 +126,6 @@ class StreamingTraceSink:
         if self._trace is not None:
             self._trace.unsubscribe(None, self._on_record)
             self._trace = None
-
-    @contextmanager
-    def attached(self, trace: TraceBus) -> Iterator["StreamingTraceSink"]:
-        """Scoped attach: detaches (but does not close) on exit."""
-        self.attach(trace)
-        try:
-            yield self
-        finally:
-            self.detach()
 
     def __enter__(self) -> "StreamingTraceSink":
         return self

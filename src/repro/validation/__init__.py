@@ -14,8 +14,8 @@ token-based recovery — become executable invariants here:
 * :mod:`repro.validation.record` — deterministic trace record/replay:
   canonical JSONL streams, offline replay through monitors, and
   first-divergence diffing between two runs.
-* :mod:`repro.validation.suite` — per-system suite assembly and
-  :func:`check_spec`, the one-call checked run.
+* :mod:`repro.validation.suite` — per-system suite assembly; a checked
+  run is ``repro.experiments.run_point(spec, check=True)``.
 * :mod:`repro.validation.fuzz` — randomized-but-seeded scenario
   generation and the conformance campaign harness.
 
@@ -36,12 +36,13 @@ Record a run, replay it offline, diff two runs::
     python -m repro.validation diff a.jsonl b.jsonl
 """
 
-# The monitor contract and the monitor family are leaf modules
-# (importing only repro.sim.trace) and load eagerly; everything that
-# reaches toward repro.experiments (record/suite/fuzz) resolves lazily
-# via PEP 562 so that `from repro.validation.monitor import Monitor` —
-# which core code like repro.metrics.order_checker performs — never
-# drags the whole harness in or risks an import cycle.
+# Only the leaf modules (the monitor contract and the monitor family,
+# importing nothing but repro.sim.trace) load here.  record / suite /
+# fuzz import repro.metrics.order_checker — suite directly, the other
+# two through repro.experiments.runner — and order_checker imports
+# `repro.validation.monitor`: re-exported from this file they would
+# re-enter a half-initialised order_checker whenever it is the first of
+# the two to be imported.  Import them from their own modules.
 from repro.validation.monitor import Monitor, MonitorSuite
 from repro.validation.monitors import (
     BoundsMonitor,
@@ -51,39 +52,8 @@ from repro.validation.monitors import (
     TokenMonitor,
 )
 
-_LAZY = {
-    "TraceRecorder": "repro.validation.record",
-    "Divergence": "repro.validation.record",
-    "first_divergence": "repro.validation.record",
-    "read_jsonl": "repro.validation.record",
-    "write_jsonl": "repro.validation.record",
-    "replay": "repro.validation.record",
-    "record_spec": "repro.validation.record",
-    "CheckResult": "repro.validation.suite",
-    "check_spec": "repro.validation.suite",
-    "standard_suite": "repro.validation.suite",
-    "suite_for_spec": "repro.validation.suite",
-    "FuzzReport": "repro.validation.fuzz",
-    "fuzz": "repro.validation.fuzz",
-    "random_spec": "repro.validation.fuzz",
-}
-
 __all__ = [
     "Monitor", "MonitorSuite",
     "TokenMonitor", "MembershipMonitor", "HandoffMonitor",
     "BoundsMonitor", "QuiescenceMonitor",
-    *sorted(_LAZY),
 ]
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    return getattr(importlib.import_module(module), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

@@ -28,9 +28,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.experiments.__main__ import add_spec_args, spec_for_args
+from repro.experiments.results import RunResult
 from repro.validation.fuzz import fuzz
-from repro.validation.record import first_divergence, read_jsonl, replay
-from repro.validation.suite import CheckResult, standard_suite
+from repro.validation.record import (first_divergence, read_jsonl,
+                                     record_spec, replay)
+from repro.validation.suite import standard_suite
 
 
 def _print_violations(violations: Sequence[str], limit: int = 20) -> None:
@@ -44,15 +47,15 @@ def _print_violations(violations: Sequence[str], limit: int = 20) -> None:
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    def progress(i: int, total: int, result: CheckResult) -> None:
+    def progress(i: int, total: int, result: RunResult) -> None:
         if args.quiet:
             return
-        status = "ok" if result.ok else f"{len(result.violations)} VIOLATIONS"
+        status = (f"{len(result.violations)} VIOLATIONS"
+                  if result.violations else "ok")
         print(f"[{i + 1:3d}/{total}] {result.name:12s} "
               f"system={result.system:11s} seed={result.seed:<20d} "
-              f"deliveries={result.deliveries:6d}  {status}", flush=True)
-        if not result.ok:
-            _print_violations(result.violations)
+              f"deliveries={result.delivered:6d}  {status}", flush=True)
+        _print_violations(result.violations)
 
     report = fuzz(budget=args.budget, base_seed=args.seed,
                   duration_ms=args.duration, progress=progress,
@@ -69,13 +72,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    # One spec-override resolver shared with `repro.experiments`, so
-    # --duration/--seed/--set mean exactly the same thing in both CLIs.
-    from repro.experiments.__main__ import spec_for_args
-    from repro.validation.record import record_spec
-
-    spec = spec_for_args(args)
-    rec = record_spec(spec)
+    rec = record_spec(spec_for_args(args))
     rec.write(args.out)
     print(f"recorded {rec.count} trace records to {args.out}")
     return 0
@@ -135,12 +132,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
     p_rec = sub.add_parser("record", help="record a scenario's trace")
-    p_rec.add_argument("scenario", nargs="?", default="quickstart",
-                       help="registry scenario name (default: quickstart)")
-    p_rec.add_argument("--duration", type=float, default=None, metavar="MS")
-    p_rec.add_argument("--seed", type=int, default=None)
-    p_rec.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="dotted-path spec override, repeatable")
+    add_spec_args(p_rec)
     p_rec.add_argument("--out", required=True, metavar="FILE",
                        help="JSONL output path")
     p_rec.set_defaults(fn=cmd_record)

@@ -4,11 +4,10 @@ The fuzzer draws random — but fully seed-determined — experiment specs
 over the space the runner supports (hierarchy shape × workload ×
 churn/failure/mobility schedules × bounded :mod:`repro.faults` plans:
 healing partitions, degradation windows, flapping links, loss bursts),
-runs each through the complete monitor suite
-(:func:`repro.validation.suite.check_spec`), and reports every
-invariant violation with the spec that provoked it.  Because
-specs serialize to JSON, any failing case replays exactly from the
-report alone.
+runs each with the complete monitor suite attached (:func:`run_case`),
+and reports every invariant violation with the spec that provoked it.
+Because specs serialize to JSON, any failing case replays exactly from
+the report alone.
 
 Entry points: :func:`fuzz` (library) and ``python -m repro.validation
 fuzz`` (CLI).
@@ -16,15 +15,23 @@ fuzz`` (CLI).
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.experiments.results import RunResult
+from repro.experiments.runner import Harvest, observed_scenario
+from repro.experiments.spec import (ChurnSpec, ExperimentSpec, FailureEvent,
+                                    HierarchyShape, MobilitySpec,
+                                    WorkloadSpec)
 from repro.faults.plan import (Degrade, FaultPlan, Flap, LossBurst,
                                Partition)
 from repro.sim.rand import derive_seed
+from repro.validation.monitor import MonitorSuite
 from repro.validation.monitors import DEFAULT_RECOVERY_WINDOW_MS
-from repro.validation.suite import CheckResult, check_spec, standard_suite
+from repro.validation.record import TraceRecorder
+from repro.validation.suite import standard_suite
 
 #: Weighted system choices: the paper's protocol dominates; the ordered
 #: single-ring baseline and the unordered ablation keep the monitors
@@ -114,10 +121,6 @@ def random_spec(rng: random.Random, *, index: int, seed: int,
     ringnet, crash targets that exist in the generated shape, and
     failures early enough that the recovery window fits the run.
     """
-    from repro.experiments.spec import (ChurnSpec, ExperimentSpec,
-                                        FailureEvent, HierarchyShape,
-                                        MobilitySpec, WorkloadSpec)
-
     system = _choice_weighted(rng, _SYSTEM_WEIGHTS)
 
     n_br = rng.randint(2, 4)
@@ -244,18 +247,31 @@ class FuzzReport:
         }
 
 
-def _case_payload(spec, result: CheckResult) -> Dict[str, Any]:
-    payload = result.to_dict()
+def run_case(spec, suite: MonitorSuite, *observers) -> RunResult:
+    """Run one spec with ``suite`` (and any extra observers) attached."""
+    harvest = Harvest(spec, suite)
+    with observed_scenario(spec, harvest, *observers) as scenario:
+        scenario.run()
+    return harvest.result
+
+
+def _case_payload(spec, result: RunResult,
+                  suite: MonitorSuite) -> Dict[str, Any]:
+    payload = {
+        "name": spec.name,
+        "system": spec.system,
+        "seed": spec.seed,
+        "duration_ms": spec.duration_ms,
+        "deliveries": result.delivered,
+        "ok": not result.violations,
+        "violations": list(result.violations),
+        "reports": suite.report(),
+    }
     # The full spec travels with every failing case so it replays from
     # the report alone; passing cases keep the report compact.
     if result.violations:
         payload["spec"] = spec.to_dict()
     return payload
-
-
-def run_case(spec, *, record_trace: bool = False) -> CheckResult:
-    """Check one generated spec (thin wrapper kept for workers/tests)."""
-    return check_spec(spec, record_trace=record_trace)
 
 
 def fuzz(
@@ -271,6 +287,8 @@ def fuzz(
     seed is independently derived via
     :func:`repro.sim.rand.derive_seed`, so a campaign is reproducible
     end-to-end from ``(budget, base_seed, duration_ms)``.
+    ``progress(index, budget, result)`` sees each case's
+    :class:`~repro.experiments.results.RunResult`.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -283,26 +301,23 @@ def fuzz(
         spec = random_spec(shape_rng, index=index, seed=seed,
                            duration_ms=duration_ms)
         suite = standard_suite(spec.system, recovery_window_ms=window)
-        result = check_spec(spec, suite=suite)
+        result = run_case(spec, suite)
         if result.violations and save_traces_dir is not None:
             # Re-run the failing case with recording on: traces are too
             # big to capture speculatively for every passing case.
-            result = check_spec(
-                spec, record_trace=True,
-                suite=standard_suite(spec.system, recovery_window_ms=window))
-            _save_failure(save_traces_dir, spec, result)
-        report.cases.append(_case_payload(spec, result))
+            suite = standard_suite(spec.system, recovery_window_ms=window)
+            recorder = TraceRecorder()
+            result = run_case(spec, suite, recorder)
+            _save_failure(save_traces_dir, spec, recorder)
+        report.cases.append(_case_payload(spec, result, suite))
         if progress is not None:
             progress(index, budget, result)
     return report
 
 
-def _save_failure(dirpath: str, spec, result: CheckResult) -> None:
-    import os
+def _save_failure(dirpath: str, spec, recorder: TraceRecorder) -> None:
     os.makedirs(dirpath, exist_ok=True)
     base = os.path.join(dirpath, spec.name)
     with open(base + ".spec.json", "w", encoding="utf-8") as fh:
         fh.write(spec.to_json() + "\n")
-    if result.trace_jsonl is not None:
-        with open(base + ".trace.jsonl", "w", encoding="utf-8") as fh:
-            fh.write(result.trace_jsonl)
+    recorder.write(base + ".trace.jsonl")

@@ -21,10 +21,10 @@ never semantically distinguishes list from tuple), keys sort, floats use
 
 from __future__ import annotations
 
-import gzip
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, TextIO, Union
+from typing import Any, Iterable, List, Optional, Sequence, Union
 
+from repro.experiments.runner import observed_scenario
 # The canonical (de)serialization lives beside the bus in
 # ``repro.sim.trace`` (shared with the streaming sink and the shard
 # merge); re-exported here because this module is its historical home.
@@ -47,11 +47,9 @@ class TraceRecorder:
         rec.write(path)
     """
 
-    def __init__(self, trace: Optional[TraceBus] = None,
-                 sink: Optional[TextIO] = None):
+    def __init__(self, trace: Optional[TraceBus] = None):
         self.lines: List[str] = []
         self.count = 0
-        self._sink = sink
         self._trace: Optional[TraceBus] = None
         if trace is not None:
             self.attach(trace)
@@ -75,12 +73,8 @@ class TraceRecorder:
         self.detach()
 
     def _on_record(self, rec: TraceRecord) -> None:
-        line = record_to_line(rec)
+        self.lines.append(record_to_line(rec))
         self.count += 1
-        if self._sink is not None:
-            self._sink.write(line + "\n")
-        else:
-            self.lines.append(line)
 
     # ------------------------------------------------------------------
     def to_jsonl(self) -> str:
@@ -96,26 +90,9 @@ class TraceRecorder:
 # ----------------------------------------------------------------------
 # File I/O and replay
 # ----------------------------------------------------------------------
-def write_jsonl(path: str, records: Iterable[TraceRecord]) -> int:
-    """Serialize ``records`` to ``path``; returns the record count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(record_to_line(rec) + "\n")
-            n += 1
-    return n
-
-
 def read_jsonl(path: str) -> List[TraceRecord]:
     """Load a recorded stream back into memory (``.gz`` transparent)."""
-    opener = gzip.open if path.endswith(".gz") else open
-    out: List[TraceRecord] = []
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(line_to_record(line))
-    return out
+    return [line_to_record(line) for line in read_trace_lines(path)]
 
 
 def replay(records: Sequence[TraceRecord], monitors: Iterable,
@@ -192,7 +169,7 @@ def record_spec(spec, stream_path: Optional[str] = None,
                 window: int = 4096):
     """Build and run ``spec``, recording the complete trace stream.
 
-    Uses :func:`repro.validation.suite.observed_scenario`, so the
+    Uses :func:`~repro.experiments.runner.observed_scenario`, so the
     recorder attaches before construction and build-time records
     (initial MH joins) are part of the stream.
 
@@ -205,16 +182,14 @@ def record_spec(spec, stream_path: Optional[str] = None,
     :func:`~repro.sim.trace.read_trace_lines`.  Both paths serialize
     through :func:`record_to_line`, so the bytes are identical.
     """
-    from repro.validation.suite import observed_scenario
     if stream_path is None:
-        rec = TraceRecorder()
-        with observed_scenario(spec, rec) as scenario:
-            scenario.run()
-        return rec
-    sink = StreamingTraceSink(stream_path, window=window)
+        recorder = TraceRecorder()
+    else:
+        recorder = StreamingTraceSink(stream_path, window=window)
     try:
-        with observed_scenario(spec, sink) as scenario:
+        with observed_scenario(spec, recorder) as scenario:
             scenario.run()
     finally:
-        sink.close()
-    return sink
+        if stream_path is not None:
+            recorder.close()
+    return recorder

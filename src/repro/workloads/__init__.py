@@ -1,4 +1,4 @@
-"""Workload construction: traffic, churn, and canned scenarios.
+"""Workload construction: traffic, churn, and the scenario bundle.
 
 * :mod:`repro.workloads.generators` — source fleets (uniform /
   heterogeneous rates, CBR / Poisson) attached round-robin to the top
@@ -6,15 +6,14 @@
 * :mod:`repro.workloads.churn` — join/leave churn scripts driving MH
   membership over time.
 * :mod:`repro.workloads.scenarios` — the runnable :class:`Scenario`
-  bundle plus compatibility builders (conference, campus); new
-  scenarios belong in :mod:`repro.experiments.registry` as declarative
-  specs.
+  bundle; named scenarios are declarative specs in
+  :mod:`repro.experiments.registry`.
 """
 
 from repro.workloads.generators import (SourceFleet, uniform_sources,
                                         weighted_sources)
 from repro.workloads.churn import ChurnDriver
-from repro.workloads.scenarios import Scenario, conference_scenario, campus_scenario
+from repro.workloads.scenarios import Scenario
 
 __all__ = [
     "SourceFleet",
@@ -22,6 +21,4 @@ __all__ = [
     "weighted_sources",
     "ChurnDriver",
     "Scenario",
-    "conference_scenario",
-    "campus_scenario",
 ]

@@ -1,26 +1,21 @@
-"""Canned end-to-end scenarios for examples and benchmarks.
+"""The runnable end-to-end bundle.
 
-A :class:`Scenario` bundles the simulator, the protocol instance, the
+A :class:`Scenario` bundles the runtime, the protocol instance, the
 traffic fleet, and (optionally) mobility and churn — ready to ``run()``.
-
-Since the :mod:`repro.experiments` subsystem landed, scenarios are built
-from declarative :class:`~repro.experiments.spec.ExperimentSpec` objects
-by :func:`repro.experiments.runner.build_scenario`; the named builders
-here (`conference_scenario`, `campus_scenario`) are thin wrappers that
-assemble a spec and delegate, kept for API compatibility and as the
-shortest path from "I want a runnable conference" to a `Scenario`.
+Scenarios are built from declarative
+:class:`~repro.experiments.spec.ExperimentSpec` objects by
+:func:`repro.experiments.runner.build_scenario`; the named ones live in
+:mod:`repro.experiments.registry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.config import ProtocolConfig
 from repro.core.protocol import RingNet
 from repro.mobility.cells import CellGrid
 from repro.mobility.handoff import HandoffDriver
-from repro.mobility.models import MobilityModel
 from repro.runtime.api import Runtime
 from repro.workloads.churn import ChurnDriver
 from repro.workloads.generators import SourceFleet
@@ -74,85 +69,3 @@ class Scenario:
         """Start everything and run to ``until`` (or the duration)."""
         self.start()
         self.sim.run(until=until if until is not None else self.duration_ms)
-
-
-def _protocol_overrides(cfg: Optional[ProtocolConfig]) -> dict:
-    return {} if cfg is None else asdict(cfg)
-
-
-def conference_scenario(
-    seed: int = 1,
-    n_br: int = 3,
-    ags_per_br: int = 2,
-    aps_per_ag: int = 2,
-    mhs_per_ap: int = 3,
-    s: int = 2,
-    rate_per_sec: float = 20.0,
-    cfg: Optional[ProtocolConfig] = None,
-    duration_ms: float = 10_000.0,
-) -> Scenario:
-    """Video-conference-like: a few steady senders, static audience.
-
-    This is the §1 motivating workload ("video conferencing, distance
-    learning"): low sender count, every member must see the same totally
-    ordered stream.
-    """
-    from repro.experiments.runner import build_scenario
-    from repro.experiments.spec import (ExperimentSpec, HierarchyShape,
-                                        WorkloadSpec)
-
-    spec = ExperimentSpec(
-        name="conference",
-        hierarchy=HierarchyShape(n_br=n_br, ags_per_br=ags_per_br,
-                                 aps_per_ag=aps_per_ag,
-                                 mhs_per_ap=mhs_per_ap),
-        workload=WorkloadSpec(s=s, rate_per_sec=rate_per_sec),
-        protocol=_protocol_overrides(cfg),
-        duration_ms=duration_ms,
-        warmup_ms=0.0,
-        seed=seed,
-    )
-    return build_scenario(spec)
-
-
-def campus_scenario(
-    seed: int = 1,
-    n_br: int = 3,
-    ags_per_br: int = 3,
-    aps_per_ag: int = 3,
-    mhs_per_ap: int = 2,
-    s: int = 2,
-    rate_per_sec: float = 10.0,
-    mean_dwell_ms: float = 2000.0,
-    model: Optional[MobilityModel] = None,
-    cfg: Optional[ProtocolConfig] = None,
-    duration_ms: float = 15_000.0,
-) -> Scenario:
-    """Campus roaming: the same conference traffic plus cell mobility.
-
-    All APs form one grid; MHs random-walk across it, handing off on
-    every cell crossing — the paper's "frequent handoff" regime when
-    ``mean_dwell_ms`` is small.  Pass a :class:`MobilityModel` instance
-    to substitute a custom movement model.
-    """
-    from repro.experiments.runner import build_scenario
-    from repro.experiments.spec import (ExperimentSpec, HierarchyShape,
-                                        MobilitySpec, WorkloadSpec)
-
-    spec = ExperimentSpec(
-        name="campus",
-        hierarchy=HierarchyShape(n_br=n_br, ags_per_br=ags_per_br,
-                                 aps_per_ag=aps_per_ag,
-                                 mhs_per_ap=mhs_per_ap),
-        workload=WorkloadSpec(s=s, rate_per_sec=rate_per_sec),
-        mobility=MobilitySpec(enabled=True, model="random_walk",
-                              mean_dwell_ms=mean_dwell_ms),
-        protocol=_protocol_overrides(cfg),
-        duration_ms=duration_ms,
-        warmup_ms=0.0,
-        seed=seed,
-    )
-    scenario = build_scenario(spec)
-    if model is not None:
-        scenario.mobility.model = model
-    return scenario

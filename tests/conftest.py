@@ -9,7 +9,10 @@ from repro.net.link import LinkSpec
 from repro.net.message import Message
 from repro.net.node import NetNode
 from repro.net.transport import ReliableChannel
+from repro.shard.runtime import run_sharded
 from repro.sim.engine import Simulator
+
+from helpers import golden_spec
 
 
 @pytest.fixture
@@ -22,6 +25,28 @@ def sim() -> Simulator:
 def fabric(sim: Simulator) -> Fabric:
     """A fabric with a permissive default link (tests may override)."""
     return Fabric(sim, default_spec=LinkSpec(latency=1.0))
+
+
+@pytest.fixture(scope="session")
+def sharded_golden_run():
+    """``(name, shards) -> ShardRunResult`` of the golden-horizon spec,
+    recorded *and* span-collected, simulated once per session.
+
+    ``record`` and ``spans`` compose by design (collectors are out of
+    band), so the trace-identity and span-completeness suites assert on
+    the same run instead of each simulating the full registry at 2 and
+    4 shards.
+    """
+    runs = {}
+
+    def run(name: str, shards: int):
+        key = (name, shards)
+        if key not in runs:
+            runs[key] = run_sharded(golden_spec(name), shards,
+                                    record=True, spans=True)
+        return runs[key]
+
+    return run
 
 
 class Ping(Message):

@@ -6,9 +6,35 @@ from typing import Optional, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import RingNet
+from repro.experiments import registry
 from repro.metrics.order_checker import OrderChecker
 from repro.sim.engine import Simulator
 from repro.topology.builder import HierarchySpec
+
+
+#: Horizons (ms) the goldens under ``tests/data/seed_traces/`` were
+#: recorded at.  Trimmed for suite speed, but always covering every
+#: scheduled failure event of the scenario (failure_drill crashes at
+#: 3000/6000, correlated_ap_failures at 5000).  Every fault-plan
+#: scenario (split_brain & co.) activates all of its actions inside the
+#: default horizon — asserted by tests/test_faults_scenarios.py — so the
+#: sharded-identity runs exercise partitions, degradation, flapping, and
+#: burst loss too.
+GOLDEN_DURATIONS = {
+    "failure_drill": 7000.0,
+    "correlated_ap_failures": 6000.0,
+}
+GOLDEN_DEFAULT_DURATION = 2500.0
+
+
+def golden_spec(name: str):
+    """Registry scenario ``name`` exactly as its golden was recorded."""
+    duration = GOLDEN_DURATIONS.get(name, GOLDEN_DEFAULT_DURATION)
+    spec = registry.get(name)
+    overrides = {"duration_ms": duration}
+    if spec.warmup_ms >= duration:
+        overrides["warmup_ms"] = duration / 2
+    return spec.with_overrides(overrides)
 
 
 def small_net(

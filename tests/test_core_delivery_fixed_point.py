@@ -16,9 +16,9 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import registry
+from repro.experiments.runner import observed_scenario
 from repro.sim.engine import Simulator
 from repro.validation.record import TraceRecorder, first_divergence
-from repro.validation.suite import observed_scenario
 
 DURATION_MS = 2500.0
 

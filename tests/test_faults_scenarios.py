@@ -10,7 +10,8 @@ or burst-lost traffic), so the zero-violation verdict is not vacuous.
 import pytest
 
 from repro.experiments import registry
-from repro.experiments.runner import build_scenario, run_point
+from repro.experiments.runner import (Harvest, build_scenario,
+                                      observed_scenario, run_point)
 
 FAULT_SCENARIOS = (
     "split_brain",
@@ -72,14 +73,12 @@ def test_overlay_saw_traffic(name):
 
 
 def test_partition_recovery_reports_heals_on_partition_scenarios():
-    result = run_point(registry.get("split_brain"), check=True)
-    assert result.violations == []
-    # The checked run's report must show the partition was observed and
+    spec = registry.get("split_brain")
+    harvest = Harvest(spec, check=True)
+    with observed_scenario(spec, harvest) as scenario:
+        scenario.run()
+    assert harvest.result.violations == []
+    # The checked run's suite must show the partition was observed and
     # healed (the zero-violation verdict is about a real partition).
-    # run_point folds reports into RunResult.violations only; re-check
-    # through the suite API instead.
-    from repro.validation.suite import check_spec
-    res = check_spec(registry.get("split_brain"))
-    pr = res.reports["partition_recovery"]
+    pr = harvest.suite.report()["partition_recovery"]
     assert pr["partitions"] == 1 and pr["heals"] == 1
-    assert res.ok, res.violations

@@ -63,6 +63,25 @@ def test_obs_missing_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_sharded_span_rate_does_not_leak_into_the_process(capsys):
+    """``--shards K --rate R`` hands the workers their rate through the
+    environment they inherit; the calling process gets it back as it
+    was, so a collector built afterwards samples everything again."""
+    from repro.obs.spans import RATE_ENV, SpanCollector
+
+    before = dict(os.environ)
+    assert RATE_ENV not in before
+    assert obs_main(["spans", "quickstart", "--shards", "2",
+                     "--rate", "0.5", "--duration", "800"]) == 0
+    sampled = capsys.readouterr().out
+    assert dict(os.environ) == before
+    assert SpanCollector().rate == 1.0
+    # The rate did reach the workers: an unsampled run reads differently.
+    assert obs_main(["spans", "quickstart", "--shards", "2",
+                     "--duration", "800"]) == 0
+    assert sampled.split("->")[1] != capsys.readouterr().out.split("->")[1]
+
+
 # ----------------------------------------------------------------------
 # --obs flags of the other CLIs
 # ----------------------------------------------------------------------

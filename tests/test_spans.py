@@ -25,6 +25,7 @@ import os
 import pytest
 
 from repro.experiments import registry
+from repro.experiments.runner import observed_scenario
 from repro.obs.critpath import (STAGE_ORDER, chrome_trace, critpath_summary,
                                 dominant_stage, iter_deliveries,
                                 render_critpath, render_stage_delta,
@@ -34,25 +35,10 @@ from repro.obs.spans import (RATE_ENV, SpanCollector, SpanStreamWriter,
                              events_from_trace, read_span_events, sampled,
                              write_span_events)
 from repro.validation.record import TraceRecorder, first_divergence
-from repro.validation.suite import observed_scenario
+
+from helpers import golden_spec as spec_for
 
 TRACE_DIR = os.path.join(os.path.dirname(__file__), "data", "seed_traces")
-
-# Same horizons the trace-identity suite records the goldens at.
-DURATIONS = {
-    "failure_drill": 7000.0,
-    "correlated_ap_failures": 6000.0,
-}
-DEFAULT_DURATION = 2500.0
-
-
-def spec_for(name: str):
-    duration = DURATIONS.get(name, DEFAULT_DURATION)
-    spec = registry.get(name)
-    overrides = {"duration_ms": duration}
-    if spec.warmup_ms >= duration:
-        overrides["warmup_ms"] = duration / 2
-    return spec.with_overrides(overrides)
 
 
 def golden_lines(name: str):
@@ -112,15 +98,14 @@ def test_sequential_spans_complete_and_trace_identical(name):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [2, 4])
 @pytest.mark.parametrize("name", registry.names())
-def test_sharded_spans_complete_and_trace_identical(name, shards):
+def test_sharded_spans_complete_and_trace_identical(name, shards,
+                                                    sharded_golden_run):
     """Spans stitch across shard export boundaries without loss.
 
     The same runs double as the spans-ON sharded identity proof: the
     merged canonical stream must still equal the sequential golden.
     """
-    from repro.shard.runtime import run_sharded
-
-    result = run_sharded(spec_for(name), shards, record=True, spans=True)
+    result = sharded_golden_run(name, shards)
     div = first_divergence(golden_lines(name), result.merged_lines or [])
     assert div is None, (
         f"{name} @ {shards} shards diverged from the sequential golden "
@@ -133,10 +118,8 @@ def test_sharded_spans_complete_and_trace_identical(name, shards):
     assert len(overlays["window_stall"]["barrier_wait_s_per_shard"]) == shards
 
 
-def test_sharded_span_stream_equals_sequential():
+def test_sharded_span_stream_equals_sequential(sharded_golden_run):
     """The deterministically merged stream is the sequential stream."""
-    from repro.shard.runtime import run_sharded
-
     spec = spec_for("quickstart")
     collector = SpanCollector()
     with observed_scenario(spec, collector) as scenario:
@@ -145,7 +128,7 @@ def test_sharded_span_stream_equals_sequential():
         collector.events,
         key=lambda ev: (ev[1], ev[0], tuple(str(x) for x in ev[2:])))
     for shards in (2, 4):
-        result = run_sharded(spec, shards, spans=True)
+        result = sharded_golden_run("quickstart", shards)
         assert result.span_events == sequential, (
             f"{shards}-shard span stream differs from sequential")
 
@@ -243,13 +226,16 @@ class TestSpanStream:
         assert read_span_events(path) == self.EVENTS
 
     def test_collector_streaming_sink(self, tmp_path):
-        from repro.obs.spans import collect_spec
         spec = spec_for("quickstart")
-        in_memory = collect_spec(spec)
+        in_memory = SpanCollector()
         path = str(tmp_path / "stream.jsonl.gz")
-        streamed = collect_spec(spec, stream_path=path)
-        assert streamed == []  # events went to disk, not memory
-        assert read_span_events(path) == in_memory
+        with SpanStreamWriter(path) as sink:
+            streamed = SpanCollector(sink=sink)
+            for collector in (in_memory, streamed):
+                with observed_scenario(spec, collector) as scenario:
+                    scenario.run()
+        assert streamed.events == []  # events went to disk, not memory
+        assert read_span_events(path) == in_memory.events
 
 
 # ----------------------------------------------------------------------

@@ -21,33 +21,19 @@ import os
 import pytest
 
 from repro.experiments import registry
+from repro.shard import record_sharded
+from repro.sim.trace import read_trace_lines
 from repro.validation.record import first_divergence, record_spec, replay
 from repro.validation.suite import standard_suite
 
-TRACE_DIR = os.path.join(os.path.dirname(__file__), "data", "seed_traces")
+from helpers import golden_spec
 
-#: Shortened recording horizons (ms).  Durations are trimmed for suite
-#: speed but always cover every scheduled failure event of the scenario
-#: (failure_drill crashes at 3000/6000, correlated_ap_failures at 5000).
-#: Every fault-plan scenario (split_brain & co.) activates all of its
-#: actions inside the default horizon — asserted by
-#: tests/test_faults_scenarios.py — so the sharded-identity runs below
-#: exercise partitions, degradation, flapping, and burst loss too.
-DURATIONS = {
-    "failure_drill": 7000.0,
-    "correlated_ap_failures": 6000.0,
-}
-DEFAULT_DURATION = 2500.0
+TRACE_DIR = os.path.join(os.path.dirname(__file__), "data", "seed_traces")
 
 
 def record(name: str):
     """Record ``name`` exactly the way the goldens were recorded."""
-    duration = DURATIONS.get(name, DEFAULT_DURATION)
-    spec = registry.get(name)
-    overrides = {"duration_ms": duration}
-    if spec.warmup_ms >= duration:
-        overrides["warmup_ms"] = duration / 2
-    return record_spec(spec.with_overrides(overrides))
+    return record_spec(golden_spec(name))
 
 
 def golden_lines(name: str):
@@ -80,16 +66,8 @@ def test_streamed_trace_byte_identical_to_seed(name, tmp_path):
     windowed gzip sink — then read back from disk.  A small window
     forces many flush boundaries inside every scenario.
     """
-    from repro.sim.trace import read_trace_lines
-
-    duration = DURATIONS.get(name, DEFAULT_DURATION)
-    spec = registry.get(name)
-    overrides = {"duration_ms": duration}
-    if spec.warmup_ms >= duration:
-        overrides["warmup_ms"] = duration / 2
     path = str(tmp_path / f"{name}.jsonl.gz")
-    sink = record_spec(spec.with_overrides(overrides), stream_path=path,
-                       window=256)
+    sink = record_spec(golden_spec(name), stream_path=path, window=256)
     div = first_divergence(golden_lines(name), read_trace_lines(path))
     assert div is None, (
         f"{name} streamed trace diverged from its seed-commit trace at "
@@ -102,17 +80,13 @@ def test_sharded_streamed_trace_byte_identical(shards, tmp_path):
     """Sharded runs stream their merged lines byte-identically too.
 
     The sharded stream writes the same merged-lines object the stream-off
-    sharded identity test (below, full 18-scenario matrix) already
+    sharded identity test (below, full registry matrix) already
     compares, so one scenario per shard count suffices to cover the
     write-and-read-back path.
     """
-    from repro.shard import record_sharded
-    from repro.sim.trace import read_trace_lines
-
-    spec = registry.get("quickstart").with_overrides(
-        {"duration_ms": DEFAULT_DURATION})
     path = str(tmp_path / "quickstart.jsonl.gz")
-    lines = record_sharded(spec, shards, stream_path=path)
+    lines = record_sharded(golden_spec("quickstart"), shards,
+                           stream_path=path)
     assert read_trace_lines(path) == lines
     div = first_divergence(golden_lines("quickstart"), lines)
     assert div is None, div and div.describe()
@@ -120,7 +94,8 @@ def test_sharded_streamed_trace_byte_identical(shards, tmp_path):
 
 @pytest.mark.parametrize("shards", [2, 4])
 @pytest.mark.parametrize("name", registry.names())
-def test_sharded_trace_byte_identical_to_sequential(name, shards):
+def test_sharded_trace_byte_identical_to_sequential(name, shards,
+                                                    sharded_golden_run):
     """The space-parallel backend's determinism guarantee, in full.
 
     Re-record each scenario with K worker shards and compare the merged
@@ -130,15 +105,12 @@ def test_sharded_trace_byte_identical_to_sequential(name, shards):
     scenario — crossing the window protocol, the replicated control
     plane, churn/token-holder synchronization probes, cross-shard
     handoffs, and the deterministic merge.
-    """
-    from repro.shard import record_sharded
 
-    duration = DURATIONS.get(name, DEFAULT_DURATION)
-    spec = registry.get(name)
-    overrides = {"duration_ms": duration}
-    if spec.warmup_ms >= duration:
-        overrides["warmup_ms"] = duration / 2
-    lines = record_sharded(spec.with_overrides(overrides), shards)
+    The run is the session's one recorded, span-collected run of this
+    ``(name, shards)`` (tests/test_spans.py asserts span completeness on
+    it); identity with no collector attached is the next test's.
+    """
+    lines = sharded_golden_run(name, shards).merged_lines
     div = first_divergence(golden_lines(name), lines)
     assert div is None, (
         f"{name} with {shards} shards diverged from the sequential "
@@ -153,19 +125,25 @@ SHARDS8_SUBSET = ["quickstart", "handoff_storm", "open_world_mobile",
                   "split_brain"]
 
 
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("name", SHARDS8_SUBSET[1:])
+def test_sharded_trace_byte_identical_with_no_collector(name, shards):
+    """Spans-off sharded identity at the shard counts whose full-registry
+    matrix above runs with collectors attached (``quickstart``, the
+    subset's first, is the streamed test's at both counts)."""
+    lines = record_sharded(golden_spec(name), shards)
+    div = first_divergence(golden_lines(name), lines)
+    assert div is None, (
+        f"{name} with {shards} shards (no collector) diverged from the "
+        f"sequential engine at {div.describe()}")
+
+
 @pytest.mark.parametrize("name", SHARDS8_SUBSET)
 def test_sharded_trace_byte_identical_at_eight_shards(name):
     """Identity survives the 8-way split, where BR units must be split
     below subtree granularity and a roaming MH can attach under any of
     seven foreign shards."""
-    from repro.shard import record_sharded
-
-    duration = DURATIONS.get(name, DEFAULT_DURATION)
-    spec = registry.get(name)
-    overrides = {"duration_ms": duration}
-    if spec.warmup_ms >= duration:
-        overrides["warmup_ms"] = duration / 2
-    lines = record_sharded(spec.with_overrides(overrides), 8)
+    lines = record_sharded(golden_spec(name), 8)
     div = first_divergence(golden_lines(name), lines)
     assert div is None, (
         f"{name} with 8 shards diverged from the sequential engine at "

@@ -216,7 +216,7 @@ def test_ringnet_same_regime_is_clean():
     from repro.experiments.spec import (ChurnSpec, ExperimentSpec,
                                         FailureEvent, HierarchyShape,
                                         WorkloadSpec)
-    from repro.validation.suite import check_spec
+    from repro.experiments.runner import run_point
 
     spec = ExperimentSpec(
         name="baseline-regime",
@@ -228,6 +228,6 @@ def test_ringnet_same_regime_is_clean():
                                target="ap:0.0.0")],
         duration_ms=DURATION, warmup_ms=0.0, seed=SEED,
     )
-    result = check_spec(spec)
+    result = run_point(spec, check=True)
     assert result.violations == []
-    assert result.deliveries > 0
+    assert result.delivered > 0

@@ -86,8 +86,8 @@ def test_fuzz_budget_validation():
 def test_progress_callback_sees_every_case():
     seen = []
     fuzz(budget=2, base_seed=1, duration_ms=1_000.0,
-         progress=lambda i, total, result: seen.append((i, total,
-                                                        result.ok)))
+         progress=lambda i, total, result: seen.append(
+             (i, total, result.violations)))
     assert [s[:2] for s in seen] == [(0, 2), (1, 2)]
 
 
@@ -142,8 +142,8 @@ def test_fault_plan_specs_roundtrip_json():
 def test_fuzz_smoke_ten_seeded_fault_plans_are_clean():
     """Ten generated specs *with* fault plans, full monitor suite, zero
     violations (the PR's fault-fuzzing conformance gate)."""
-    from repro.validation.fuzz import _campaign_recovery_window
-    from repro.validation.suite import check_spec, standard_suite
+    from repro.validation.fuzz import _campaign_recovery_window, run_case
+    from repro.validation.suite import standard_suite
 
     duration = 2_500.0
     rng = random.Random(20260729)
@@ -159,6 +159,6 @@ def test_fuzz_smoke_ten_seeded_fault_plans_are_clean():
     window = _campaign_recovery_window(duration)
     for spec in cases:
         suite = standard_suite(spec.system, recovery_window_ms=window)
-        result = check_spec(spec, suite=suite)
-        assert result.ok, (spec.name, spec.faults.to_dict(),
-                           result.violations[:3])
+        result = run_case(spec, suite)
+        assert not result.violations, (spec.name, spec.faults.to_dict(),
+                                       result.violations[:3])

@@ -12,7 +12,8 @@ from repro.validation.monitors import (
     QuiescenceMonitor,
     TokenMonitor,
 )
-from repro.validation.suite import check_spec, standard_suite
+from repro.experiments.runner import run_point
+from repro.validation.suite import standard_suite
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +345,9 @@ def test_registry_scenarios_conform(scenario, duration):
     from repro.experiments import registry
     spec = registry.get(scenario, **{"duration_ms": duration,
                                      "warmup_ms": 0.0})
-    result = check_spec(spec)
+    result = run_point(spec, check=True)
     assert result.violations == []
-    assert result.deliveries > 0
+    assert result.delivered > 0
 
 
 def test_unordered_suite_skips_order_and_token_monitors():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import registry
-from repro.sim.trace import TraceBus, TraceRecord
+from repro.sim.trace import TraceBus, TraceRecord, write_trace_lines
 from repro.validation.record import (
     TraceRecorder,
     first_divergence,
@@ -12,7 +12,6 @@ from repro.validation.record import (
     record_spec,
     record_to_line,
     replay,
-    write_jsonl,
 )
 from repro.validation.suite import standard_suite
 
@@ -59,7 +58,7 @@ def test_recorder_captures_and_detaches():
 def test_recorder_file_roundtrip(tmp_path):
     path = str(tmp_path / "trace.jsonl")
     records = [TraceRecord(float(i), "k", {"i": i}) for i in range(5)]
-    assert write_jsonl(path, records) == 5
+    assert write_trace_lines(path, map(record_to_line, records)) == 5
     back = read_jsonl(path)
     assert [record_to_line(r) for r in back] \
         == [record_to_line(r) for r in records]

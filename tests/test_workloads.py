@@ -1,12 +1,12 @@
-"""Tests for source fleets, churn, and canned scenarios."""
+"""Tests for source fleets, churn, and the registry's canned scenarios."""
 
 import pytest
 
+from repro.experiments import build_scenario, registry, run_point
 from repro.metrics.order_checker import OrderChecker
 from repro.topology.tiers import Tier
 from repro.workloads.churn import ChurnDriver
 from repro.workloads.generators import uniform_sources
-from repro.workloads.scenarios import campus_scenario, conference_scenario
 
 from helpers import small_net
 
@@ -88,24 +88,23 @@ def test_churn_validation():
 # Scenarios
 # ---------------------------------------------------------------------------
 def test_conference_scenario_runs_and_orders():
-    sc = conference_scenario(seed=3, duration_ms=4_000)
-    checker = OrderChecker(sc.sim.trace)
-    sc.run()
-    checker.assert_ok()
-    assert sc.net.total_app_deliveries() > 0
-    assert sc.fleet.total_sent > 0
+    result = run_point(registry.get("conference", seed=3, duration_ms=4_000.0,
+                                    warmup_ms=0.0))
+    assert result.order_checked and result.order_violations == 0
+    assert result.delivered > 0
+    assert result.sent > 0
 
 
 def test_campus_scenario_moves_hosts():
-    sc = campus_scenario(seed=3, mean_dwell_ms=800.0, duration_ms=6_000)
-    checker = OrderChecker(sc.sim.trace)
-    sc.run()
-    checker.assert_ok()
-    assert sc.mobility is not None
-    assert sc.mobility.handoffs_driven > 0
+    spec = registry.get("campus", **{"seed": 3, "duration_ms": 6_000.0,
+                                     "warmup_ms": 0.0,
+                                     "mobility.mean_dwell_ms": 800.0})
+    result = run_point(spec)
+    assert result.order_checked and result.order_violations == 0
+    assert result.handoffs > 0
 
 
 def test_scenario_run_until_override():
-    sc = conference_scenario(seed=3, duration_ms=10_000)
+    sc = build_scenario(registry.get("conference", seed=3))
     sc.run(until=1_000)
     assert sc.sim.now == 1_000
