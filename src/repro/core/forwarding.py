@@ -61,6 +61,7 @@ class ForwardingMixin:
         )
         if not self.wq.insert(entry):
             return  # duplicate via retransmission or rejoin
+        self._tau_timer.wake()
         self.forward_raw(entry)
 
     # ------------------------------------------------------------------
@@ -93,7 +94,11 @@ class ForwardingMixin:
             created_at=msg.created_at,
             ordered_at=self.now,
         )
-        if not self.mq.insert(bm):
+        mq = self.mq
+        rear = mq.rear
+        if not mq.insert(bm):
             return  # duplicate
+        if msg.global_seq > rear + 1:
+            self._maint_timer.wake()    # a hole opened behind this one
         self.forward_ordered(bm)
         self.try_deliver()

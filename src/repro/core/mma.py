@@ -96,6 +96,10 @@ class MMATable:
         """Whether (gid, ap) has an entry (standby or active)."""
         return (gid, ap) in self._entries
 
+    def has_standby(self) -> bool:
+        """Whether any entry is a standby reservation (could expire)."""
+        return any(e.standby for e in self._entries.values())
+
     def expire_standby(self, now: float, ttl: float) -> List[MMAEntry]:
         """Drop standby entries idle longer than ``ttl``; returns them."""
         dead = [

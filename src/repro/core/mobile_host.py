@@ -204,6 +204,9 @@ class MobileHost(NetNode):
                 bm = mq.get(mq.front + 1)
         # MHs keep no delivered history (resource constraints, §1).
         mq.prune(0)
+        if mq.rear > mq.front:
+            # Stopped short of rear: a hole for the gap tick to watch.
+            self._gap_timer.wake()
 
     # ------------------------------------------------------------------
     # Gap recovery (MH side)
@@ -213,8 +216,11 @@ class MobileHost(NetNode):
             return
         hole = self.mq.front + 1
         if self.mq.rear < hole:
+            # Nothing outstanding: park until _deliver_contiguous stops
+            # short of rear.
             self._gap_state = None
-            return  # nothing outstanding
+            self._gap_timer.park()
+            return
         if self.mq.has(hole):
             self._gap_state = None
             return

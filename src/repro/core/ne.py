@@ -162,14 +162,21 @@ class NetworkEntity(OrderingMixin, ForwardingMixin, DeliveringMixin,
 
     def _tau_tick(self) -> None:
         self.order_assignment()
+        if not self.wq.occupancy:
+            # Nothing left to order: park until the next wq.insert.
+            self._tau_timer.park()
 
     def _maintenance_tick(self) -> None:
-        self.gap_check()
+        hole = self.gap_check()
         # Expire stale standby reservations (AGs with an MMA population).
         for entry in self.mma.expire_standby(self.now, self.cfg.reservation_ttl):
             self.unregister_child(entry.ap)
             self.sim.trace.emit(self.now, "mma.expired", node=self.id,
                                 ap=entry.ap)
+        if not hole and not self.mma.has_standby():
+            # No hole to chase, no reservation to age: park until an MQ
+            # insert jumps rear or a standby PathReserve arrives.
+            self._maint_timer.park()
 
     # ------------------------------------------------------------------
     # Channel callbacks
@@ -351,6 +358,7 @@ class NetworkEntity(OrderingMixin, ForwardingMixin, DeliveringMixin,
             # expirable again.
             self.mma.reserve(msg.gid, msg.ap, self.now)
             self.mma.deactivate(msg.gid, msg.ap, self.now)
+            self._maint_timer.wake()    # a standby entry to age
         if not self.has_child(msg.ap):
             self.register_child(msg.ap)
             self.sim.trace.emit(self.now, "mma.path_built", node=self.id,

@@ -81,6 +81,7 @@ class OrderingMixin:
         )
         if not self.wq.insert(entry):
             return  # duplicate
+        self._tau_timer.wake()
         self.sim.trace.emit(self.now, "wq.insert", node=self.id,
                             local_seq=msg.local_seq)
         self.forward_raw(entry)
@@ -269,7 +270,10 @@ class OrderingMixin:
                     ordered_at=self.now,
                 )
                 del stream[local_seq]
+                rear = self.mq.rear
                 if self.mq.insert(bm):
+                    if gseq > rear + 1:
+                        self._maint_timer.wake()    # a hole opened
                     moved += 1
                     self.messages_ordered += 1
                     if obs is not None:

@@ -42,14 +42,31 @@ class GapRecoveryMixin:
         self.gap_fills_served = 0
 
     # ------------------------------------------------------------------
-    # Detection (called from the τ/periodic maintenance tick)
+    # Detection (called from the periodic maintenance tick).  The tick
+    # is quiescent, not polled: with no hole (and no standby MMA entry)
+    # ``NetworkEntity._maintenance_tick`` parks its timer, and the two
+    # MQ inserts that can open one — ``handle_ring_ordered`` and
+    # ``order_assignment``, when ``rear`` jumps by more than one — wake
+    # it (a standby ``PathReserve`` does too).  A tombstoned range opens
+    # none: it answers this NE's own request, below ``rear``.  The 30 ms
+    # grid the rounds are counted on survives only because the goldens
+    # pin it; nothing in §4.2.3 asks for one.
     # ------------------------------------------------------------------
-    def gap_check(self) -> None:
-        """Detect persistent MQ holes and drive the recovery rounds."""
+    def gap_check(self) -> bool:
+        """Detect persistent MQ holes and drive the recovery rounds.
+
+        Returns whether it saw a hole — False is the maintenance tick's
+        leave to park.
+        """
         hole = self._first_hole()
         if hole is None:
             self._gap_state = None
-            return
+            return False
+        self._gap_round(hole)
+        return True
+
+    def _gap_round(self, hole: int) -> None:
+        """One tick's worth of recovery for the hole starting at ``hole``."""
         if self._gap_state is None or self._gap_state[0] != hole:
             self._gap_state = (hole, self.now, 0)
             return

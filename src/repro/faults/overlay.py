@@ -204,7 +204,7 @@ class FaultOverlay:
         chain still advances, keeping draw counts outcome-independent)."""
         rng = self._ge_rngs.get(src)
         if rng is None:
-            rng = self.sim.rng(f"fault.ge.{src}")
+            rng = self.sim.streams.uniform(f"fault.ge.{src}")
             self._ge_rngs[src] = rng
         dropped: Optional[int] = None
         for index, entry in fx.bursts:

@@ -180,6 +180,17 @@ class LiveRuntime(Runtime):
     def cancel(self, handle: LiveHandle) -> None:
         handle.cancelled = True
 
+    def resume(self, handle: LiveHandle, period: float) -> LiveHandle:
+        """Re-queue a parked periodic chain at its first grid instant
+        after ``now`` — by time alone: this backend has no causal keys,
+        so a tick due exactly now counts as passed."""
+        t = handle.time
+        now = self.now
+        while t <= now:
+            t += period
+        return self.schedule_at(t, handle.fn, *handle.args,
+                                owner=handle.owner)
+
     @property
     def pending(self) -> int:
         """Number of non-cancelled callbacks still queued."""

@@ -14,12 +14,33 @@ unchanged on any implementation:
     attribute (True once cancelled *or* refused by a shard gate), which
     is all the timers inspect.  ``cancel`` is idempotent and a no-op on
     handles that already fired.
+``resume(handle, period)``
+    Re-queue a *parked* periodic chain (:meth:`PeriodicTimer.park` /
+    ``wake``).  ``handle`` is the cancelled handle of the chain's next
+    tick; the chain re-enters at its first tick that has not yet
+    passed, stepping ``period`` at a time from ``handle.time`` — the
+    float arithmetic firing each skipped tick would have done, so ticks
+    stay on the grid ``start + k·period``.  The sim engine guarantees
+    more: the resumed tick carries the ``(time, causal key)`` it would
+    have had unparked (each skipped tick advances the key as its re-arm
+    would), and a tick has *passed* when ``(time, key) <= (now, key of
+    the executing event)`` — so a wake at exactly a grid instant
+    leaves the tick where polling had it, before or after the waker,
+    and a parked run is byte-identical to a polling one.  The live
+    backend orders by time alone: a tick due exactly ``now`` counts as
+    passed and the chain resumes at the next grid instant.
 ``rng(name)``
     The named deterministic random stream (``random()``,
     ``exponential()``, ``integers()`` — see
     :class:`repro.sim.rand.RandomStreams`).  Same seed + same per-stream
     draw sequence on every backend, which is what makes the sim-vs-live
     differential harness meaningful.
+``streams``
+    The :class:`~repro.sim.rand.RandomStreams` behind ``rng``.  Code
+    whose stream draws nothing but ``random()`` (link loss and jitter,
+    the Gilbert–Elliott chains) reads it through
+    ``streams.uniform(name)`` instead: the same doubles, drawn a block
+    at a time; a name is served by one accessor only.
 ``trace``
     The :class:`repro.sim.trace.TraceBus`; emit with
     ``rt.trace.emit(now, kind, **fields)``.  Monitors subscribe to it —
@@ -59,6 +80,8 @@ class Runtime:
     now: float
     #: Master seed for the deterministic random streams.
     seed: int
+    #: The named random streams (:class:`repro.sim.rand.RandomStreams`).
+    streams: Any
     #: The structured trace bus.
     trace: TraceBus
 
@@ -91,6 +114,12 @@ class Runtime:
 
     def cancel(self, handle) -> None:
         """Cancel a pending handle (no-op if it already fired)."""
+        raise NotImplementedError
+
+    def resume(self, handle, period: float):
+        """Re-queue the parked periodic chain whose next tick was the
+        (cancelled) ``handle`` at its first tick not yet passed; returns
+        the new handle.  See the module docstring for the tie rule."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

@@ -4,9 +4,9 @@ Protocol state machines use these instead of raw :meth:`Runtime.schedule`
 so that the common patterns — "restart the retransmission timer", "tick the
 Order-Assignment task every τ" — are one-liners with correct cancellation
 semantics.  They depend only on the :class:`~repro.runtime.api.Runtime`
-contract (``schedule``/``cancel`` plus handles with a ``cancelled``
-attribute), so the same timer code runs on the discrete-event engine and
-on the wall-clock asyncio backend.
+contract (``schedule``/``cancel``/``resume`` plus handles with a
+``cancelled`` attribute), so the same timer code runs on the
+discrete-event engine and on the wall-clock asyncio backend.
 """
 
 from __future__ import annotations
@@ -58,9 +58,26 @@ class PeriodicTimer:
     The first fire happens one full period after :meth:`start` (optionally
     offset by ``phase``), matching the paper's description of the
     Order-Assignment task that "periodically checks its WQ" with cycle τ.
+
+    **Quiescence.**  The stack does not poll.  A tick whose ``fn`` found
+    nothing to watch calls :meth:`park`; the owner calls :meth:`wake` at
+    the mutation that can create work.  One rule, three callers: the MH
+    gap tick parks with no hole behind ``front`` and
+    ``_deliver_contiguous`` wakes it when it stops short of ``rear``;
+    the NE maintenance tick parks with no MQ hole and no standby MMA
+    entry and is woken by an MQ insert that jumps ``rear`` and by a
+    standby ``PathReserve``; the τ tick parks on an empty WQ and a
+    successful ``wq.insert`` wakes it.  Parking never moves a tick: the
+    chain resumes (:meth:`Runtime.resume`) on its own grid ``start +
+    k·period`` — on the engine at the very ``(time, causal key)`` the
+    skipped ticks would have handed down — so a parked run is the
+    polling run minus the ticks that did nothing.  The grid itself (30 ms
+    gap checks, τ) is an artefact the goldens pin, not a protocol need:
+    a regeneration may replace it by exact deadlines.
     """
 
-    __slots__ = ("sim", "period", "phase", "fn", "args", "_event", "fires")
+    __slots__ = ("sim", "period", "phase", "fn", "args", "_event",
+                 "_parked", "fires")
 
     def __init__(
         self,
@@ -78,28 +95,54 @@ class PeriodicTimer:
         self.fn = fn
         self.args = args
         self._event: Optional[Any] = None
+        #: While parked: the cancelled handle of the chain's next tick —
+        #: the resume point.
+        self._parked: Optional[Any] = None
+        #: Ticks executed (a tick skipped while parked is not one).
         self.fires: int = 0
 
     @property
     def running(self) -> bool:
-        """True while ticking."""
-        return self._event is not None and not self._event.cancelled
+        """True between :meth:`start` and :meth:`stop`, parked or not."""
+        return self._parked is not None or (
+            self._event is not None and not self._event.cancelled)
 
     def start(self) -> None:
-        """Begin ticking; idempotent when already running."""
+        """Begin ticking; idempotent when already running (or parked)."""
         if self.running:
             return
         self._event = self.sim.schedule(self.phase + self.period, self._fire)
 
     def stop(self) -> None:
-        """Stop ticking; safe to call when already stopped."""
+        """Stop ticking and forget any resume point; safe to call when
+        already stopped."""
+        self._parked = None
         if self._event is not None:
             self.sim.cancel(self._event)
             self._event = None
 
+    def park(self) -> None:
+        """Suspend the chain until :meth:`wake`.  For the tick's own
+        ``fn``, once it has found nothing to watch: cancels the already
+        re-armed next tick and keeps its handle as the resume point."""
+        ev = self._event
+        if ev is not None and not ev.cancelled:
+            self.sim.cancel(ev)
+            self._parked = ev
+            self._event = None
+
+    def wake(self) -> None:
+        """Resume a parked chain at its first tick that has not passed;
+        a no-op unless parked.  For the owner, at the mutation that can
+        create work for ``fn``."""
+        ev = self._parked
+        if ev is not None:
+            self._parked = None
+            self._event = self.sim.resume(ev, self.period)
+
     def _fire(self) -> None:
         self.fires += 1
-        # Re-arm first so fn() may call stop() to cancel the next tick.
+        # Re-arm first so fn() may call stop() or park() on the next tick.
         sim = self.sim
         self._event = sim.schedule_at(sim.now + self.period, self._fire)
         self.fn(*self.args)

@@ -45,7 +45,11 @@ counts and times calls by shimming exactly these class attributes.
 Between them nothing costs a frame per event: the heap push and its
 high-water mark live inside the two admission methods, per-message
 callers (fabric, transport, periodic timers) call ``schedule_at(now +
-delay, ...)`` directly, and a loop turn reads ``heap[0]`` once.
+delay, ...)`` directly, and a loop turn reads ``heap[0]`` once.  ``run``
+and ``run_window`` are two stop conditions on one loop (``_loop``).  A
+periodic chain that parked (:class:`~repro.runtime.timers.PeriodicTimer`)
+leaves through ``cancel`` and re-enters through ``schedule_keyed``
+(:meth:`Simulator.resume`), so the admission balance still holds.
 
 Execution contexts and ownership
 --------------------------------
@@ -80,6 +84,9 @@ class SimulationError(RuntimeError):
 COMPACT_MIN_SIZE = 64
 
 _MASK = (1 << 64) - 1
+#: Sorts after every causal key: the inclusive end of an instant.
+_KEY_END = _MASK + 1
+_INF = float("inf")
 
 
 def mix_key(base: int, salt: int) -> int:
@@ -274,6 +281,27 @@ class Simulator(Runtime):
             self.peak_heap = len(heap)
         return ev
 
+    def resume(self, handle: Event, period: float) -> Event:
+        """Re-queue a parked periodic chain (see :meth:`Runtime.resume`)
+        at its first tick the engine has not yet passed.
+
+        Each skipped tick advances ``(time, key)`` exactly as firing it
+        would have: the re-arm is action 0 of a tick's context.  A tick
+        has passed when it sorts at or before the executing event —
+        between runs, when it is not after ``now`` (``run``'s horizon
+        is inclusive).  Enters through :meth:`schedule_keyed`, so no
+        counter ticks and the chain stays with the handle's owner.
+        """
+        t = handle.time
+        key = handle.key
+        now = self.now
+        root = self._ctx_root if self._running else _KEY_END
+        while t < now or (t == now and key <= root):
+            t += period
+            key = mix_key(key, 0)
+        return self.schedule_keyed(t, key, handle.owner, handle.fn,
+                                   *handle.args)
+
     def mint_child_key(self) -> int:
         """Tick the action counter and return the key a
         :meth:`schedule_at` call made right now would assign.
@@ -403,17 +431,12 @@ class Simulator(Runtime):
         ev.fn(*ev.args)
         self.events_processed += 1
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Run until the event heap drains, ``until`` is reached, or
-        ``max_events`` have been processed.
-
-        ``until`` is inclusive: events scheduled exactly at ``until`` fire,
-        and ``now`` is advanced to ``until`` even if the heap drains early
-        (so periodic metric sampling sees a consistent end time).
+    def _loop(self, stop_time: float, stop_key: int,
+              max_events: Optional[int]) -> int:
+        """The one event loop, behind :meth:`run` and :meth:`run_window`:
+        execute pending events strictly below ``(stop_time, stop_key)``
+        until :meth:`stop` or ``max_events``; returns how many ran.
+        The stop test costs one float compare while ``t < stop_time``.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -432,13 +455,13 @@ class Simulator(Runtime):
             while heap:
                 if self._stopped:
                     break
-                t, _, ev = heap[0]
+                t, k, ev = heap[0]
                 if ev.cancelled:
                     heappop(heap)
                     ev.in_heap = False
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and t > until:
+                if t >= stop_time and (t > stop_time or k >= stop_key):
                     break
                 heappop(heap)
                 ev.in_heap = False
@@ -455,18 +478,32 @@ class Simulator(Runtime):
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     break
-            # Advance the clock to the requested horizon when nothing is
-            # pending before it (so periodic samplers see a consistent
-            # end time even if the heap drained or only future events
-            # remain).
-            if until is not None and until > self.now:
-                nxt = self.peek()
-                if nxt is None or nxt > until:
-                    self.now = until
         finally:
             if hook is not None:
                 hook._countdown = hk_count
             self._running = False
+        return processed
+
+    def run(
+        self,
+        until: Optional[float] = None,
+        max_events: Optional[int] = None,
+    ) -> None:
+        """Run until the event heap drains, ``until`` is reached, or
+        ``max_events`` have been processed.
+
+        ``until`` is inclusive: events scheduled exactly at ``until`` fire,
+        and ``now`` is advanced to ``until`` even if the heap drains early
+        (so periodic metric sampling sees a consistent end time).
+        """
+        self._loop(_INF if until is None else until, _KEY_END, max_events)
+        # Advance the clock to the requested horizon when nothing is
+        # pending before it (so periodic samplers see a consistent end
+        # time even if the heap drained or only future events remain).
+        if until is not None and until > self.now:
+            nxt = self.peek()
+            if nxt is None or nxt > until:
+                self.now = until
 
     def run_window(self, stop_time: float, stop_key: int = 0,
                    inclusive: bool = False) -> int:
@@ -479,43 +516,8 @@ class Simulator(Runtime):
         ``now`` past the last executed event; the caller owns the final
         clock advance.  Returns the number of events processed.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
-        processed = 0
-        heap = self._heap
-        # Same inline observability protocol as :meth:`run`.
-        hook = self.obs_hook
-        hk_count = hook._countdown if hook is not None else 0
-        try:
-            while heap:
-                t, k, ev = heap[0]
-                if ev.cancelled:
-                    heappop(heap)
-                    ev.in_heap = False
-                    self._cancelled_in_heap -= 1
-                    continue
-                if inclusive:
-                    if t > stop_time:
-                        break
-                elif t > stop_time or (t == stop_time and k >= stop_key):
-                    break
-                heappop(heap)
-                ev.in_heap = False
-                if hook is None:
-                    self._execute(ev)
-                else:
-                    hk_count -= 1
-                    if hk_count:
-                        self._execute(ev)
-                    else:
-                        hk_count = hook.slow_dispatch(self, ev)
-                processed += 1
-        finally:
-            if hook is not None:
-                hook._countdown = hk_count
-            self._running = False
-        return processed
+        return self._loop(stop_time, _KEY_END if inclusive else stop_key,
+                          None)
 
     def stop(self) -> None:
         """Request the main loop to stop after the current event."""
@@ -528,7 +530,12 @@ class Simulator(Runtime):
             return False
         ev = heappop(self._heap)[2]
         ev.in_heap = False
-        self._execute(ev)
+        # :meth:`resume` must see an executing event here, as in `run`.
+        was_running, self._running = self._running, True
+        try:
+            self._execute(ev)
+        finally:
+            self._running = was_running
         return True
 
     def peek(self) -> Optional[float]:
