@@ -9,7 +9,7 @@ figure in this repo is moving onto.
 
 The same sweep from the command line::
 
-    python -m repro.experiments sweep quickstart \\
+    python -m repro sweep quickstart \\
         --param hierarchy.n_br=3,5 --param workload.rate_per_sec=10,20,40 \\
         --reps 2 --jobs 4 --out sweep_demo.json
 

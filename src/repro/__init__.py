@@ -36,25 +36,28 @@ across worker processes with identical results either way::
 
 or, from a shell::
 
-    python -m repro.experiments list
-    python -m repro.experiments run quickstart --duration 2000
-    python -m repro.experiments sweep --out results.json --jobs 4
+    python -m repro list
+    python -m repro run quickstart --duration 2000
+    python -m repro sweep --out results.json --jobs 4
+
+``python -m repro`` (:mod:`repro.__main__`) is the one command line;
+README "Command line" lists every subcommand and exit code.
 
 Validation
 ----------
 Every run can carry the full protocol-invariant monitor suite — pure
 observers, so checked and unchecked runs are byte-identical::
 
-    python -m repro.experiments run failure_drill --check
+    python -m repro run failure_drill --check
 
 and randomized-but-seeded conformance campaigns, trace recording,
-offline replay, and first-divergence diffing live under
-``python -m repro.validation``::
+offline replay, and first-divergence diffing come from
+:mod:`repro.validation`::
 
-    python -m repro.validation fuzz --budget 50 --duration 3000
-    python -m repro.validation record quickstart --out a.jsonl
-    python -m repro.validation replay a.jsonl
-    python -m repro.validation diff a.jsonl b.jsonl
+    python -m repro fuzz --budget 50 --duration 3000
+    python -m repro run quickstart --record a.jsonl
+    python -m repro replay a.jsonl
+    python -m repro diff a.jsonl b.jsonl
 """
 
 __version__ = "1.0.0"

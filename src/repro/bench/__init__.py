@@ -3,8 +3,8 @@
 :mod:`repro.bench.ladder` pins the NE/MH scaling ladder (tens of nodes
 to 10^6 lazily-declared MHs); :mod:`repro.bench.measure` runs a rung
 once, reports the engine's exact counters and the process's peak RSS,
-and gates RSS against a baseline; ``python -m repro.bench ladder`` is
-the CLI.  Throughput is ``perfbench``'s job — it borrows ``calibrate``,
+and gates RSS against a baseline; ``python -m repro ladder`` is the
+command.  Throughput is ``perfbench``'s job — it borrows ``calibrate``,
 ``write_report`` and ``peak_rss_bytes`` from here.
 """
 

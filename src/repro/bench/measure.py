@@ -96,21 +96,17 @@ def measure_spec(spec: ExperimentSpec, check: bool = False,
     sim = Simulator(seed=spec.seed, trace=TraceBus(counting=False))
     sink = StreamingTraceSink(stream_path) if stream_path is not None \
         else None
+    heartbeat = ObsSession(horizon_ms=spec.duration_ms, name=spec.name,
+                           progress=True) if progress else None
     t0 = time.perf_counter()
     try:
-        with observed_scenario(spec, sink, sim=sim) as scenario:
-            session = None
-            if progress:
-                session = ObsSession(sim, horizon_ms=spec.duration_ms,
-                                     name=spec.name, progress=True)
+        with observed_scenario(spec, sink, heartbeat, sim=sim) as scenario:
             t1 = time.perf_counter()
             scenario.run()
     finally:
         if sink is not None:
             sink.close()
     t2 = time.perf_counter()
-    if session is not None:
-        session.finish()
 
     result = {
         "name": spec.name,

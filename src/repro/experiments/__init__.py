@@ -18,8 +18,8 @@ data-driven experiment campaigns:
   JSON/CSV export.
 * :mod:`~repro.experiments.registry` — the named scenario library
   (``quickstart``, ``handoff_storm``, ``churn_heavy``, ...).
-* ``python -m repro.experiments`` — the CLI (``list`` / ``run`` /
-  ``sweep``).
+* ``python -m repro list | run | sweep`` — the same from a shell
+  (:mod:`repro.__main__`).
 
 Quickstart
 ----------

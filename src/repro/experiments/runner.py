@@ -38,7 +38,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from repro.analysis.bounds import bounds_for
 from repro.experiments.grid import RunPoint
-from repro.faults.driver import FaultDriver
+from repro.faults.driver import FaultDriver, token_holder
 from repro.experiments.results import RunResult
 from repro.experiments.spec import ExperimentSpec
 from repro.baselines.single_ring import SingleRingMulticast
@@ -165,21 +165,7 @@ def _schedule_failures(sim: Simulator, net, spec: ExperimentSpec) -> None:
     injector = FailureInjector(net.fabric)
 
     def crash_token_holder() -> None:
-        # "Who holds the token" is data-plane state scattered across
-        # shards; under the sharded backend this event runs right after
-        # a synchronization probe gathered the holder set, so every
-        # shard picks the same victim the sequential engine would.
-        if sim.shard is not None:
-            holding = set(sim.shard.consume_probe())
-            holder_id = next((n for n in net.hierarchy.top_ring.members
-                              if n in holding), None)
-        else:
-            holder = next((ne for ne in net.top_ring_nes()
-                           if ne.held_token is not None), None)
-            holder_id = holder.id if holder is not None else None
-        victim = holder_id if holder_id is not None \
-            else net.hierarchy.top_ring.members[-1]
-        net.crash_ne(victim)
+        net.crash_ne(token_holder(sim, net))
 
     for ev in spec.failures:
         if ev.kind == "crash":
@@ -460,55 +446,55 @@ class Harvest:
 # ----------------------------------------------------------------------
 # One run
 # ----------------------------------------------------------------------
-def run_point(point: Union[RunPoint, ExperimentSpec],
+def run_point(point: Union[RunPoint, ExperimentSpec], *observers,
               check: bool = False,
               obs_dir: Optional[str] = None,
               spans_dir: Optional[str] = None) -> RunResult:
     """Execute one run and distill its :class:`RunResult`.
 
     Accepts either a grid :class:`RunPoint` or a bare spec (treated as a
-    single point, replication 0).  ``check=True`` attaches the full
-    :mod:`repro.validation` monitor suite to the same run — monitors are
-    pure observers, so every metric stays byte-identical to an
-    unchecked run — and fills ``RunResult.violations``.
+    single point, replication 0).  ``observers`` ride through
+    :func:`observed_scenario` next to the harvest — a trace recorder, an
+    :class:`~repro.obs.session.ObsSession`, a span collector; all pure
+    observers, so every metric stays byte-identical to an unwatched run.
+    ``check=True`` adds the full :mod:`repro.validation` monitor suite
+    and fills ``RunResult.violations``.
 
-    ``obs_dir`` attaches an out-of-band :class:`~repro.obs.session.
-    ObsSession` (another pure observer — metrics stay byte-identical)
-    and writes ``OBS_<run_id>.json`` + timeline artifacts there.
-
-    ``spans_dir`` attaches a :class:`~repro.obs.spans.SpanCollector`
-    (also a pure observer) and writes ``SPANS_<run_id>.jsonl.gz`` plus
-    a ``CRITPATH_<run_id>.json`` latency-attribution report there.
+    ``obs_dir`` / ``spans_dir`` are the same observers as switches, for
+    a caller in another process (:func:`run_sweep`'s workers): an
+    :class:`ObsSession` whose ``OBS_<run_id>.json`` + timeline land in
+    ``obs_dir``, a :class:`SpanCollector` whose ``SPANS_<run_id>.jsonl.gz``
+    + ``CRITPATH_<run_id>.json`` land in ``spans_dir``.
     """
     harvest = Harvest(point, check)
     spec, run_id = harvest.point.spec, harvest.point.run_id
+    session = ObsSession(horizon_ms=spec.duration_ms, name=run_id) \
+        if obs_dir is not None else None
     collector = SpanCollector() if spans_dir is not None else None
-    with observed_scenario(spec, harvest, collector) as scenario:
-        session = None
-        if obs_dir is not None:
-            # The session takes the runtime, not the trace (it installs
-            # the engine's dispatch hook), so it attaches to the built
-            # scenario: it times the run, not the construction.
-            session = ObsSession(scenario.sim, horizon_ms=spec.duration_ms,
-                                 name=run_id)
+    with observed_scenario(spec, harvest, session, collector,
+                           *observers) as scenario:
         scenario.run()
-        if session is not None:
-            session.finish()
-            session.write(obs_dir)
+    if session is not None:
+        session.write(obs_dir)
     if collector is not None:
-        _write_span_artifacts(spans_dir, run_id, collector.events)
+        write_span_artifacts(spans_dir, run_id, collector.events)
     return harvest.result
 
 
-def _write_span_artifacts(out_dir: str, run_id: str, events) -> None:
+def write_span_artifacts(out_dir: str, name: str, events,
+                         overlays: Optional[Dict[str, Any]] = None,
+                         ) -> Dict[str, str]:
+    """Write ``SPANS_<name>.jsonl.gz`` + ``CRITPATH_<name>.json``; returns
+    the paths.  ``overlays`` are a sharded run's ``span_overlays()``."""
     os.makedirs(out_dir, exist_ok=True)
-    write_span_events(os.path.join(out_dir, f"SPANS_{run_id}.jsonl.gz"),
-                      events)
-    summary = critpath_summary(assemble(events))
-    path = os.path.join(out_dir, f"CRITPATH_{run_id}.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    spans = os.path.join(out_dir, f"SPANS_{name}.jsonl.gz")
+    write_span_events(spans, events)
+    summary = critpath_summary(assemble(events), overlays=overlays or None)
+    critpath = os.path.join(out_dir, f"CRITPATH_{name}.json")
+    with open(critpath, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return {"spans": spans, "critpath": critpath}
 
 
 # ----------------------------------------------------------------------
@@ -524,21 +510,10 @@ def _run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def resolve_jobs(jobs: int) -> int:
-    """Effective sweep worker count.
-
-    ``REPRO_SWEEP_JOBS`` (when set to a valid positive integer)
-    overrides the requested value; the result is clamped to the
-    machine's ``os.cpu_count()`` so oversubscribed requests degrade to
+    """Effective sweep worker count: ``jobs`` clamped to the machine's
+    ``os.cpu_count()``, so an oversubscribed request degrades to
     full-but-not-thrashing parallelism.  Raises ``ValueError`` for a
-    non-positive request, matching the old contract.
-    """
-    env = os.environ.get("REPRO_SWEEP_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SWEEP_JOBS must be an integer, got {env!r}")
+    non-positive request."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     return min(jobs, max(1, os.cpu_count() or 1))
@@ -561,10 +536,7 @@ def run_sweep(
     with the validation monitor suite attached (see :func:`run_point`);
     ``obs_dir`` writes per-run ``OBS_*`` telemetry artifacts there and
     ``spans_dir`` per-run ``SPANS_*`` / ``CRITPATH_*`` span artifacts.
-
-    The ``REPRO_SWEEP_JOBS`` environment variable overrides ``jobs``
-    (handy in CI, where the caller cannot edit every invocation), and
-    the effective worker count is clamped to ``os.cpu_count()`` so an
+    The effective worker count is clamped to ``os.cpu_count()`` so an
     oversubscribed request degrades gracefully instead of thrashing.
     """
     points = list(points)

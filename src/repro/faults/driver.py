@@ -83,6 +83,26 @@ def subtree_nodes(net, root: str) -> set:
     return group
 
 
+def token_holder(sim, net) -> str:
+    """The top-ring NE holding the token right now (last member if none).
+
+    "Who holds the token" is data-plane state scattered across shards;
+    under the sharded backend the calling event was registered as a
+    ``token.holders`` probe and runs right after the synchronization
+    gathered the holder set, so every shard resolves the member the
+    sequential engine's scan of the top ring would.
+    """
+    members = net.hierarchy.top_ring.members
+    if sim.shard is not None:
+        holding = set(sim.shard.consume_probe())
+        holder = next((n for n in members if n in holding), None)
+    else:
+        ne = next((ne for ne in net.top_ring_nes()
+                   if ne.held_token is not None), None)
+        holder = ne.id if ne is not None else None
+    return holder if holder is not None else members[-1]
+
+
 class FaultDriver:
     """Schedules a plan's activation/heal events and owns the overlay."""
 
@@ -122,23 +142,12 @@ class FaultDriver:
     # ------------------------------------------------------------------
     # Group resolution
     # ------------------------------------------------------------------
-    def _token_holder(self) -> str:
-        sim, net = self.sim, self.net
-        members = net.hierarchy.top_ring.members
-        if sim.shard is not None:
-            holding = set(sim.shard.consume_probe())
-            holder = next((n for n in members if n in holding), None)
-        else:
-            ne = next((ne for ne in net.top_ring_nes()
-                       if ne.held_token is not None), None)
-            holder = ne.id if ne is not None else None
-        return holder if holder is not None else members[-1]
-
     def _resolve_groups(self, action: Partition) -> Tuple[frozenset, ...]:
         all_nodes = sorted(self.fabric.nodes)
         holder_subtree: Optional[set] = None
         if action.dynamic:
-            holder_subtree = subtree_nodes(self.net, self._token_holder())
+            holder_subtree = subtree_nodes(self.net,
+                                          token_holder(self.sim, self.net))
         resolved: List[set] = []
         rest_at: Optional[int] = None
         claimed: set = set()

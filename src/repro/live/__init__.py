@@ -16,7 +16,7 @@ this package binds the exact same protocol code — via the
 * :class:`LoadGenerator` — the existing workload fleets driven in wall
   time, with live send/delivery rate accounting;
 * :func:`diff_spec` — the sim-vs-live differential harness behind
-  ``python -m repro.live diff``.
+  ``python -m repro live-diff``.
 """
 
 from repro.live.builder import LiveRun, NetworkBuilder

@@ -64,12 +64,12 @@ class LiveRun:
         }
 
     def obs_report(self) -> Dict[str, object]:
-        """``OBS_*``-style run report readable by ``python -m repro.obs``.
+        """``OBS_*``-style run report (``run --live FABRIC --obs``).
 
         The live loop's lag/drift accounting becomes registry gauges
         (``live.max_lag_ms``, ``live.mean_lag_ms``, ...) next to any
         counters protocol code accumulated through ``runtime.obs``, so
-        ``repro.obs summarize`` works on live-run telemetry the same
+        ``python -m repro summarize`` works on live-run telemetry the same
         way it does on sim runs.
         """
         reg = self.runtime.obs

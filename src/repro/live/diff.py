@@ -1,4 +1,4 @@
-"""Sim-vs-live differential harness (``python -m repro.live diff``).
+"""Sim-vs-live differential harness (``python -m repro live-diff``).
 
 Run the same spec — same seed-derived workload — once on the
 discrete-event engine and once on the live asyncio backend, then

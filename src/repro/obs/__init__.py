@@ -15,13 +15,13 @@ Three pillars:
 * :class:`~repro.obs.profiler.DispatchProfiler` — stride-sampling wall
   time attribution per handler/kind in the dispatch loop (the target
   list for the compiled event-loop kernel);
-* :class:`~repro.obs.session.ObsSession` — the attach-to-finish
-  lifecycle folding everything into fixed simulated-time windows and
-  writing ``OBS_<name>.json`` + ``OBS_<name>_timeline.jsonl.gz``.
+* :class:`~repro.obs.session.ObsSession` — the observer folding
+  everything into fixed simulated-time windows and writing
+  ``OBS_<name>.json`` + ``OBS_<name>_timeline.jsonl.gz``.
 
-Enable with ``--obs [DIR]`` on ``python -m repro.experiments
-run|sweep`` or ``python -m repro.shard run``; read artifacts back with
-``python -m repro.obs summarize|top|timeline``.
+Enable with ``--obs [DIR]`` on ``python -m repro run`` (any backend) or
+``sweep``; read artifacts back with ``python -m repro summarize | top |
+timeline``.
 """
 
 from repro.obs.profiler import DEFAULT_STRIDE, DispatchProfiler, render_top

@@ -3,7 +3,7 @@
 The writers live on :class:`~repro.obs.session.ObsSession` (sequential
 runs) and in :mod:`repro.shard.runtime` (per-shard reports rolled up by
 the coordinator); this module is the read side shared by the
-``python -m repro.obs`` CLI and tests.
+``summarize`` / ``top`` / ``timeline`` subcommands and tests.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """One observability session: registry + profiler + windowed timeline.
 
-An :class:`ObsSession` attaches to a :class:`~repro.sim.engine.Simulator`
-**out-of-band**: it installs itself as the engine's dispatch hook
-(``sim.obs_hook``) and exposes its :class:`~repro.obs.registry.
-MetricsRegistry` as ``sim.obs``, which instrumented protocol code
-null-checks before touching.  It never emits trace records, never
+An :class:`ObsSession` is an observer (``attach(trace)`` / ``finish`` /
+``detach()``, the contract :func:`repro.experiments.runner.
+observed_scenario` carries) that watches a :class:`~repro.sim.engine.
+Simulator` **out-of-band**: it finds the engine through the bus
+back-reference, installs itself as its dispatch hook (``sim.obs_hook``)
+and exposes its :class:`~repro.obs.registry.MetricsRegistry` as
+``sim.obs``, which instrumented protocol code null-checks before
+touching.  It never emits trace records, never
 schedules events, and never draws randomness, so a run with a session
 attached produces a canonical trace byte-identical to a run without —
 the invariant every optimization in this repo is already held to.
@@ -22,7 +25,8 @@ are deltas of the engine's event counter).
 Artifacts: :meth:`write` produces ``OBS_<name>.json`` — the final
 machine-readable run report (registry snapshot, profiler cost centers,
 engine counters) — plus ``OBS_<name>_timeline.jsonl.gz``, the
-compressed per-window timeline.  ``python -m repro.obs`` renders both.
+compressed per-window timeline.  ``python -m repro summarize | top |
+timeline`` render both.
 """
 
 from __future__ import annotations
@@ -46,37 +50,19 @@ DEFAULT_WINDOWS = 20
 #: Wall-clock seconds between ``--progress`` heartbeat lines.
 PROGRESS_INTERVAL_S = 2.0
 
-#: Environment override for the profiler's dispatch-sampling stride.
-STRIDE_ENV = "REPRO_OBS_SAMPLE_EVERY"
-
-
-def effective_stride(stride: Optional[int] = None) -> int:
-    """Resolve the sampling stride: explicit arg > env > default.
-
-    ``REPRO_OBS_SAMPLE_EVERY=1`` times every dispatch (exact but slow);
-    larger strides cheapen observation proportionally.  The resolved
-    value is stamped into the run report as ``sample_every`` so a
-    report always says what rate produced it.
-    """
-    if stride is not None:
-        return stride
-    raw = os.environ.get(STRIDE_ENV)
-    if raw is None:
-        return DEFAULT_STRIDE
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{STRIDE_ENV} must be >= 1, got {raw!r}")
-    return value
-
 
 class ObsSession:
-    """Attach-to-finish lifecycle of one observed run.
+    """One observed run, as an observer: ``attach`` installs the engine
+    hooks, ``finish`` closes the windows, ``detach`` removes the hooks.
 
     Parameters
     ----------
     sim:
-        The simulator to observe.  Attachment happens immediately;
-        events dispatched from here on are counted, sampled, and folded.
+        Shorthand: ``ObsSession(sim, ...)`` is ``ObsSession(...)`` with
+        ``attach(sim.trace)`` called for you.  Left out, the session is
+        handed to :func:`~repro.experiments.runner.observed_scenario`
+        (or anything that passes observers on to it), which attaches it
+        before the build.
     horizon_ms:
         The run's simulated end time (windows and ETA derive from it).
     name:
@@ -84,10 +70,9 @@ class ObsSession:
     window_ms:
         Timeline window width; defaults to ``horizon_ms / 20``.
     stride:
-        Profiler sampling stride (1 = time every event).  ``None`` (the
-        default) resolves through :func:`effective_stride` — the
-        ``REPRO_OBS_SAMPLE_EVERY`` environment override, else
-        :data:`~repro.obs.profiler.DEFAULT_STRIDE`.
+        Profiler sampling stride (1 = time every event; default
+        :data:`~repro.obs.profiler.DEFAULT_STRIDE`), stamped into the
+        report as ``sample_every``.
     progress:
         Emit a heartbeat line (events done, ev/s, ETA) roughly every
         :data:`PROGRESS_INTERVAL_S` wall seconds, piggybacked on
@@ -95,29 +80,27 @@ class ObsSession:
         wall clock.
     """
 
-    def __init__(self, sim, horizon_ms: float, name: str = "run",
+    def __init__(self, sim=None, *, horizon_ms: float, name: str = "run",
                  window_ms: Optional[float] = None,
-                 stride: Optional[int] = None,
+                 stride: int = DEFAULT_STRIDE,
                  progress: bool = False,
                  progress_sink: Optional[TextIO] = None):
         if horizon_ms <= 0:
             raise ValueError(f"horizon_ms must be positive, got {horizon_ms}")
         if window_ms is not None and window_ms <= 0:
             raise ValueError(f"window_ms must be positive, got {window_ms}")
-        self.sim = sim
+        self.sim = None
         self.name = name
         self.horizon_ms = horizon_ms
         self.window_ms = window_ms if window_ms is not None \
             else horizon_ms / DEFAULT_WINDOWS
         self.registry = MetricsRegistry()
-        self.profiler = DispatchProfiler(effective_stride(stride))
+        self.profiler = DispatchProfiler(stride)
         self.rows: List[Dict[str, Any]] = []
         self.events_total = 0
         self._stride = self.profiler.stride
         self._countdown = 1  # sample the very first event
         self._last_heap = 0
-        self._t0 = sim.now
-        self._edge = sim.now + self.window_ms
         self._finished = False
         self.wall_s = 0.0
         # Heap-depth distribution fed from sampled dispatches only.
@@ -125,20 +108,38 @@ class ObsSession:
         # Progress heartbeat (wall-clock throttled, sampled path only).
         self._progress = progress
         self._progress_sink = progress_sink
-        self._wall_start = perf_counter()
-        self._last_beat = self._wall_start
+        #: Stamped by the first dispatch (always sampled), so ``wall_s``
+        #: times the run and not a build the session was attached before.
+        self._wall_start: Optional[float] = None
+        self._last_beat = 0.0
+        if sim is not None:
+            self.attach(sim.trace)
+
+    def attach(self, trace) -> "ObsSession":
+        """Start observing the engine that owns ``trace``.  Attached
+        before the build (the seam's order), window 0 and
+        ``trace_counts`` include what the build emitted."""
+        sim = trace._sim
+        if sim is None:
+            raise RuntimeError("trace bus has no runtime back-reference")
+        if self.sim is not None:
+            raise RuntimeError("session is already attached")
+        self.sim = sim
+        self._t0 = sim.now
+        self._edge = sim.now + self.window_ms
         # Baselines for per-window deltas.
         self._counters_before = self.registry.counter_values()
         self._events_at_attach = sim.events_processed
         self._win_mark = sim.events_processed
-        self._saved_counting = sim.trace.counting
-        self._kinds_at_attach = dict(sim.trace.counts)
-        self._kinds_before = dict(sim.trace.counts)
-        # Attach: the engine consults these two attributes and nothing
-        # else; "events by kind" rides the trace bus's counting mode.
-        sim.trace.counting = True
+        self._saved_counting = trace.counting
+        self._kinds_at_attach = dict(trace.counts)
+        self._kinds_before = dict(trace.counts)
+        # The engine consults these two attributes and nothing else;
+        # "events by kind" rides the trace bus's counting mode.
+        trace.counting = True
         sim.obs = self.registry
         sim.obs_hook = self
+        return self
 
     # ------------------------------------------------------------------
     # The engine-facing hot path
@@ -164,6 +165,8 @@ class ObsSession:
         if ev.time >= self._edge:
             self._roll(ev.time)
         t0 = perf_counter()
+        if self._wall_start is None:
+            self._wall_start = self._last_beat = t0
         sim._execute(ev)
         elapsed = perf_counter() - t0
         self.profiler.record(ev.fn, elapsed)
@@ -237,12 +240,11 @@ class ObsSession:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def finish(self) -> None:
-        """Close trailing windows and detach from the simulator.
+    def finish(self, net=None, end_time: Optional[float] = None) -> None:
+        """Close trailing windows, then :meth:`detach`.
 
-        Idempotent.  After this the simulator is exactly as found
-        (``obs``/``obs_hook`` cleared, trace counting restored), so a
-        finished session is pure data.
+        Idempotent; takes (and ignores) the observer contract's
+        ``net``/``end_time``.  A finished session is pure data.
         """
         if self._finished:
             return
@@ -257,12 +259,19 @@ class ObsSession:
             self._edge = edge + self.window_ms
         if now > self._t0 or sim.events_processed > self._win_mark:
             self._close_window(now)
-        self.wall_s = perf_counter() - self._wall_start
+        if self._wall_start is not None:
+            self.wall_s = perf_counter() - self._wall_start
+        self.detach()
+
+    def detach(self) -> None:
+        """Leave the simulator exactly as found (``obs``/``obs_hook``
+        cleared, trace counting restored).  Idempotent."""
+        sim = self.sim
         if sim.obs is self.registry:
             sim.obs = None
+            sim.trace.counting = self._saved_counting
         if sim.obs_hook is self:
             sim.obs_hook = None
-        sim.trace.counting = self._saved_counting
 
     # ------------------------------------------------------------------
     # Reporting
@@ -303,9 +312,9 @@ def write_artifacts(report: Dict[str, Any], rows: List[Dict[str, Any]],
                     out_dir: str = ".", name: str = "run") -> Dict[str, str]:
     """Write one run report + timeline pair; returns the paths.
 
-    Shared by :meth:`ObsSession.write` (sequential runs) and the CLIs
-    that receive already-assembled report/rows pairs (the sharded
-    coordinator, bench repeats).
+    The one place ``OBS_*`` files are written: :meth:`ObsSession.write`
+    for a session, the ``run`` command for the pairs a sharded or live
+    run assembled.
     """
     safe = name.replace("/", "_").replace(" ", "_")
     os.makedirs(out_dir, exist_ok=True)
@@ -324,5 +333,4 @@ def write_artifacts(report: Dict[str, Any], rows: List[Dict[str, Any]],
 
 
 __all__ = ["OBS_SCHEMA", "DEFAULT_WINDOWS", "PROGRESS_INTERVAL_S",
-           "STRIDE_ENV", "ObsSession", "effective_stride",
-           "write_artifacts"]
+           "ObsSession", "write_artifacts"]

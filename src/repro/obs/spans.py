@@ -37,23 +37,18 @@ threshold.  ``local_seq`` is the one key field present at *every*
 instrumentation site without cross-entity state, so every shard and
 every stage agree on the sampled set (the cost: messages with the same
 local seq across sources sample together, which biases no per-stage
-statistic).  At the xxl/metro rungs a :class:`SpanStreamWriter` streams
-events to windowed gzip JSONL instead of holding them.
+statistic).
 """
 
 from __future__ import annotations
 
 import gzip
 import json
-import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 from zlib import crc32
 
 #: Schema tag stamped into span report payloads.
 SPAN_SCHEMA = "repro.spans/v1"
-
-#: Environment override for the sampling rate (fraction in (0, 1]).
-RATE_ENV = "REPRO_SPANS_SAMPLE"
 
 #: Trace kinds the collector subscribes to (the semantic waypoints).
 TRACE_KINDS = ("source.send", "wq.insert", "ordered", "mh.deliver")
@@ -70,18 +65,6 @@ Key = Tuple[Any, int]
 #:   ("segr", t, node, peer, kind, source, local_seq)
 #:   ("gup",  t, src, dst, kind, source, local_seq)
 SpanEvent = Tuple[Any, ...]
-
-
-def default_rate() -> float:
-    """The sampling rate: ``REPRO_SPANS_SAMPLE`` or 1.0 (keep all)."""
-    raw = os.environ.get(RATE_ENV)
-    if raw is None:
-        return 1.0
-    rate = float(raw)
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"{RATE_ENV} must be a fraction in (0, 1], "
-                         f"got {raw!r}")
-    return rate
 
 
 def sampled(local_seq: Any, rate: float) -> bool:
@@ -187,15 +170,12 @@ class SpanCollector:
     module.
     """
 
-    def __init__(self, rate: Optional[float] = None,
-                 sink: Optional[SpanStreamWriter] = None):
-        rate = default_rate() if rate is None else float(rate)
+    def __init__(self, rate: float = 1.0):
+        rate = float(rate)
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {rate}")
         self.rate = rate
         self.events: List[SpanEvent] = []
-        self._sink = sink
-        self._add = sink.write if sink is not None else self.events.append
         # None means "keep everything" (the fast path); otherwise a
         # local_seq -> bool memo so the crc is paid once per message.
         self._keep: Optional[Dict[Any, bool]] = None if rate >= 1.0 else {}
@@ -260,8 +240,8 @@ class SpanCollector:
             return
         if self._keep is not None and not self._sampled(lseq):
             return
-        self._add(("dlv", rec.time, a["mh"], a["source"], lseq,
-                   a["gseq"], a["latency"]))
+        self.events.append(("dlv", rec.time, a["mh"], a["source"], lseq,
+                            a["gseq"], a["latency"]))
 
     def _on_ordered(self, rec) -> None:
         a = rec.attrs
@@ -270,8 +250,8 @@ class SpanCollector:
             return
         if self._keep is not None and not self._sampled(lseq):
             return
-        self._add(("ord", rec.time, a["node"], a["ordering_node"],
-                   lseq, a["gseq"]))
+        self.events.append(("ord", rec.time, a["node"],
+                            a["ordering_node"], lseq, a["gseq"]))
 
     def _on_wq(self, rec) -> None:
         a = rec.attrs
@@ -280,7 +260,7 @@ class SpanCollector:
             return
         if self._keep is not None and not self._sampled(lseq):
             return
-        self._add(("wq", rec.time, a["node"], lseq))
+        self.events.append(("wq", rec.time, a["node"], lseq))
 
     def _on_send(self, rec) -> None:
         a = rec.attrs
@@ -289,8 +269,8 @@ class SpanCollector:
             return
         if self._keep is not None and not self._sampled(lseq):
             return
-        self._add(("send", rec.time, a["source"], lseq,
-                   a.get("corresponding")))
+        self.events.append(("send", rec.time, a["source"], lseq,
+                            a.get("corresponding")))
 
     # -- transport hooks (called from ReliableChannel) ------------------
     def _payload_kind(self, payload: Any) -> Optional[str]:
@@ -311,8 +291,9 @@ class SpanCollector:
         lseq = payload.local_seq
         if self._keep is not None and not self._sampled(lseq):
             return
-        self._add(("segs", t, src, dst, kind, payload.source, lseq,
-                   1 if retx else 0, getattr(payload, "gid", None)))
+        self.events.append(("segs", t, src, dst, kind, payload.source,
+                            lseq, 1 if retx else 0,
+                            getattr(payload, "gid", None)))
 
     def seg_recv(self, t: float, node: Any, peer: Any,
                  payload: Any) -> None:
@@ -322,7 +303,8 @@ class SpanCollector:
         lseq = payload.local_seq
         if self._keep is not None and not self._sampled(lseq):
             return
-        self._add(("segr", t, node, peer, kind, payload.source, lseq))
+        self.events.append(("segr", t, node, peer, kind, payload.source,
+                            lseq))
 
     def give_up(self, t: float, src: Any, dst: Any, payload: Any) -> None:
         kind = self._payload_kind(payload)
@@ -331,7 +313,8 @@ class SpanCollector:
         lseq = payload.local_seq
         if self._keep is not None and not self._sampled(lseq):
             return
-        self._add(("gup", t, src, dst, kind, payload.source, lseq))
+        self.events.append(("gup", t, src, dst, kind, payload.source,
+                            lseq))
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,14 @@ unchanged on any implementation:
 
 Implementations also carry ``gate``/``shard``/``obs``/``obs_hook``/
 ``spans`` attributes (default ``None``); instrumented code null-checks
-them, so a backend that never sets them pays nothing.
+them, so a backend that never sets them pays nothing.  Three objects
+install the five: a shard worker's ``ShardContext`` is ``shard`` and its
+``is_local`` the ``gate`` (set by hand, because ownership must be in
+place before the build); ``ObsSession.attach`` sets ``obs``/``obs_hook``
+and ``SpanCollector.attach`` sets ``spans``, both as observers handed to
+:func:`repro.experiments.runner.observed_scenario`, whose ``detach()``
+clears them again.  The live ``NetworkBuilder`` gives its runtime a bare
+``obs`` registry (no hook) before the build.
 """
 
 from __future__ import annotations

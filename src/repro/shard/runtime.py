@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.experiments.runner import observed_scenario
 from repro.experiments.spec import ExperimentSpec
 from repro.obs.session import OBS_SCHEMA, ObsSession
-from repro.obs.spans import SpanCollector, default_rate
+from repro.obs.spans import SpanCollector
 from repro.shard.context import ShardContext
 from repro.shard.partition import (PartitionPlan, latency_matrix,
                                    min_lookahead, partition_spec)
@@ -119,7 +119,7 @@ class ShardRunResult:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
     def stats_dict(self) -> Dict[str, Any]:
-        """Machine-readable summary (bench reports embed this)."""
+        """Machine-readable summary (``run --shards`` prints it)."""
         matrix = None
         if self.lookahead_matrix is not None:
             matrix = [[None if v == _INF else v for v in row]
@@ -316,9 +316,11 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
         # events, so each span event lands on exactly one shard —
         # the merged streams equal the sequential collection.
         collector = SpanCollector(rate=spans) if spans else None
+        session = ObsSession(horizon_ms=spec.duration_ms,
+                             name=f"shard{shard_id}") if obs else None
 
         t0 = time.perf_counter()
-        with observed_scenario(spec, recorder, collector,
+        with observed_scenario(spec, recorder, collector, session,
                                sim=sim) as scenario:
             build_s = time.perf_counter() - t0
             fabric = scenario.net.fabric
@@ -338,11 +340,6 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
                 raise RuntimeError(
                     f"expected 'go' after 'ready', got {go!r}")
 
-            session = None
-            if obs:
-                session = ObsSession(sim, horizon_ms=spec.duration_ms,
-                                     name=f"shard{shard_id}")
-
             # The one difference from a sequential run: the engine is
             # driven through coordinator-granted windows.
             t1 = time.perf_counter()
@@ -353,7 +350,6 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
 
         obs_payload = None
         if session is not None:
-            session.finish()
             sub_report = session.report()
             sub_report["shard"] = shard_id
             sub_report["shard_windows"] = {
@@ -430,17 +426,14 @@ def _sequential_result(spec: ExperimentSpec, record: bool,
     sim = Simulator(seed=spec.seed, trace=TraceBus(counting=record))
     recorder = TraceRecorder() if record else None
     collector = SpanCollector(rate=spans) if spans else None
+    session = ObsSession(horizon_ms=spec.duration_ms,
+                         name=spec.name) if obs else None
     t0 = time.perf_counter()
-    with observed_scenario(spec, recorder, collector, sim=sim) as scenario:
-        session = None
-        if obs:
-            session = ObsSession(sim, horizon_ms=spec.duration_ms,
-                                 name=spec.name)
+    with observed_scenario(spec, recorder, collector, session,
+                           sim=sim) as scenario:
         t1 = time.perf_counter()
         scenario.run()
         t2 = time.perf_counter()
-        if session is not None:
-            session.finish()
     net = scenario.net
     result = ShardRunResult(
         n_shards=1,
@@ -611,7 +604,7 @@ def run_sharded(spec: ExperimentSpec, shards: int,
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if spans is True:
-        spans = default_rate()
+        spans = 1.0
     if shards == 1:
         return _sequential_result(spec, record, obs=obs, spans=spans)
 

@@ -23,17 +23,17 @@ Quickstart
 ----------
 Check any registry scenario online::
 
-    python -m repro.experiments run failure_drill --check
+    python -m repro run failure_drill --check
 
 Fuzz the protocol over random scenarios (exit code 1 on violations)::
 
-    python -m repro.validation fuzz --budget 50 --duration 3000
+    python -m repro fuzz --budget 50 --duration 3000
 
 Record a run, replay it offline, diff two runs::
 
-    python -m repro.validation record quickstart --out a.jsonl
-    python -m repro.validation replay a.jsonl
-    python -m repro.validation diff a.jsonl b.jsonl
+    python -m repro run quickstart --record a.jsonl
+    python -m repro replay a.jsonl
+    python -m repro diff a.jsonl b.jsonl
 """
 
 # Only the leaf modules (the monitor contract and the monitor family,

@@ -9,8 +9,7 @@ and reports every invariant violation with the spec that provoked it.
 Because specs serialize to JSON, any failing case replays exactly from
 the report alone.
 
-Entry points: :func:`fuzz` (library) and ``python -m repro.validation
-fuzz`` (CLI).
+Entry points: :func:`fuzz` (library) and ``python -m repro fuzz``.
 """
 
 from __future__ import annotations

@@ -199,7 +199,7 @@ def test_compare_rejects_bad_inputs():
 # CLI
 # ---------------------------------------------------------------------------
 def test_cli_ladder_smallest_rung_and_baseline_cycle(tmp_path, capsys):
-    from repro.bench.__main__ import main
+    from repro.__main__ import main
 
     out = tmp_path / "BENCH_ladder.json"
     assert main(["ladder", "--rungs", "xs", "--out", str(out)]) == 0
@@ -216,7 +216,7 @@ def test_cli_ladder_smallest_rung_and_baseline_cycle(tmp_path, capsys):
 
 def test_cli_baseline_gate_exit_codes(tmp_path, capsys):
     """Exit 1 on growth past the limit and when nothing was compared."""
-    from repro.bench.__main__ import main
+    from repro.__main__ import main
 
     out = tmp_path / "BENCH_ladder.json"
     assert main(["ladder", "--rungs", "xs", "--out", str(out)]) == 0
@@ -238,8 +238,7 @@ def test_cli_baseline_gate_exit_codes(tmp_path, capsys):
 
 
 def test_cli_check_duration_and_stream_trace(tmp_path, capsys):
-    from repro.bench.__main__ import main
-    from repro.validation.__main__ import main as validation_main
+    from repro.__main__ import main
 
     out = tmp_path / "BENCH_ladder.json"
     assert main(["ladder", "--rungs", "xs", "--duration", "500", "--check",
@@ -250,11 +249,11 @@ def test_cli_check_duration_and_stream_trace(tmp_path, capsys):
     assert entry["checked"] is True and entry["duration_ms"] == 500.0
     assert entry["trace_path"] == str(tmp_path / "tr" / "xs.jsonl.gz")
     assert entry["trace_records"] > 0
-    assert validation_main(["replay", entry["trace_path"]]) == 0
+    assert main(["replay", entry["trace_path"]]) == 0
 
 
 def test_cli_unknown_rung_is_usage_error(tmp_path):
-    from repro.bench.__main__ import main
+    from repro.__main__ import main
 
     assert main(["ladder", "--rungs", "no_such_rung",
                  "--out", str(tmp_path / "x.json")]) == 2

@@ -1,0 +1,438 @@
+"""The one front door: ``python -m repro``.
+
+Five guarantees, each enforced by a test:
+
+(a) **One parser** — the subcommand list is pinned, every ``<sub>
+    --help`` parses, the (subcommand, argument) count has a ceiling, and
+    ``src/repro`` holds one ``ArgumentParser(`` call, one ``__main__.py``
+    and no environment-variable read.
+(b) **One meaning per flag** — the backend × observer-flag matrix of
+    ``run``: every supported cell writes the artifact it names under the
+    same name rule on sim, ``--shards 2`` and ``--live queue``; every
+    unsupported cell is ``error: ...`` / exit 2 with the flag named.
+(c) **One observer list** — ``--record`` composes with the other three
+    in one simulation and records the bytes ``record_spec`` and the
+    sharded backend record; a live recording replays to the verdict the
+    online suite gave.
+(d) **One meaning per exit code** — 0 ok, 1 a check failed, 2 usage /
+    unknown name / unreadable file, 3 OVERLOADED and nothing else.
+(e) **``ObsSession`` through the seam** — ``run --obs`` and
+    ``run_sharded(spec, 1, obs=True)`` report the same run; the
+    constructor form is ``attach`` called for you.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+
+import pytest
+
+from repro.__main__ import (EXIT_CODES, EXIT_FAILED, EXIT_OVERLOADED,
+                            EXIT_USAGE, main, make_parser)
+from repro.experiments import registry
+from repro.experiments.grid import expand_grid
+from repro.experiments.runner import build_scenario, observed_scenario
+from repro.live.fabric import QueueFabric
+from repro.obs.report import load_report, load_timeline
+from repro.obs.session import ObsSession
+from repro.obs.spans import write_span_events
+from repro.shard.runtime import run_sharded
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
+from repro.validation import suite as validation_suite
+from repro.validation.record import record_spec
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
+
+SUBCOMMANDS = ["list", "run", "sweep", "partition", "compare", "live-diff",
+               "fuzz", "replay", "diff", "show-plan", "validate-plan",
+               "ladder", "summarize", "top", "timeline", "spans",
+               "critpath", "export-trace"]
+
+#: ISSUE 20's ceilings (the parent had 23 subcommands, 119 pairs).
+MAX_SUBCOMMANDS, MAX_PAIRS = 19, 92
+
+DURATION = 600.0
+RUN = ["run", "quickstart", "--duration", str(DURATION), "--quiet"]
+BACKENDS = {
+    "sim": [],
+    "shards": ["--shards", "2"],
+    "live": ["--live", "queue", "--time-scale", "0.001"],
+}
+#: ``run`` executes grid point 0, replication 0 on every backend, so
+#: every backend names its artifacts after the same run id.
+NAME = "quickstart#p0r0"
+
+
+def _point_spec():
+    """The spec ``RUN`` executes (the point's derived seed included)."""
+    return expand_grid(registry.resolve("quickstart", DURATION))[0].spec
+
+
+def _subparsers():
+    (action,) = [a for a in make_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# ----------------------------------------------------------------------
+# (a) Parser shape
+# ----------------------------------------------------------------------
+class TestParserShape:
+    def test_subcommand_list_is_pinned(self):
+        assert list(_subparsers()) == SUBCOMMANDS
+        assert len(SUBCOMMANDS) <= MAX_SUBCOMMANDS
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_help_parses(self, sub, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([sub, "--help"])
+        assert exit_.value.code == 0
+        assert f"python -m repro {sub}" in capsys.readouterr().out
+
+    def test_argument_count_has_a_ceiling(self):
+        pairs = [(name, action.dest)
+                 for name, sub in _subparsers().items()
+                 for action in sub._actions
+                 if not isinstance(action, argparse._HelpAction)]
+        assert len(pairs) <= MAX_PAIRS, len(pairs)
+
+    def test_exit_code_table_is_in_the_help(self):
+        assert EXIT_CODES in make_parser().format_help()
+        assert (EXIT_FAILED, EXIT_USAGE, EXIT_OVERLOADED) == (1, 2, 3)
+
+    def test_one_parser_one_main_no_environment_knob(self):
+        parsers, mains, env_reads = [], [], []
+        for dirpath, _, files in os.walk(SRC):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, SRC)
+                if name == "__main__.py":
+                    mains.append(rel)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read(), filename=path)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Call) and "ArgumentParser" in (
+                            getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None)):
+                        parsers.append(f"{rel}:{node.lineno}")
+                    elif isinstance(node, ast.Attribute) and node.attr in (
+                            "environ", "getenv"):
+                        env_reads.append(f"{rel}:{node.lineno}")
+        assert mains == ["__main__.py"]
+        assert len(parsers) == 1 and parsers[0].startswith("__main__.py:")
+        assert env_reads == []
+
+
+# ----------------------------------------------------------------------
+# (b) The backend x flag matrix of ``run``
+# ----------------------------------------------------------------------
+#: flag -> (the value it takes under ``out``, the files it must write,
+#: the subcommand that reads the first of them back).
+def _observer(flag: str, out: str):
+    return {
+        "--check": ([], [], None),
+        "--record": ([os.path.join(out, "trace.jsonl")],
+                     ["trace.jsonl"], "replay"),
+        "--obs": ([out], [f"OBS_{NAME}.json",
+                          f"OBS_{NAME}_timeline.jsonl.gz"], "summarize"),
+        "--spans": ([out], [f"SPANS_{NAME}.jsonl.gz",
+                            f"CRITPATH_{NAME}.json"], "spans"),
+    }[flag]
+
+
+#: backend -> {flag it cannot honour: a value for it}.
+UNSUPPORTED = {
+    "sim": {"--time-scale": ["0.5"], "--max-lag-ms": ["100"]},
+    "shards": {"--check": [], "--reps": ["2"], "--jobs": ["2"],
+               "--csv": ["x.csv"], "--timing": [], "--out": ["x.json"],
+               "--time-scale": ["0.5"], "--max-lag-ms": ["100"]},
+    "live": {"--reps": ["2"], "--jobs": ["2"], "--csv": ["x.csv"],
+             "--timing": []},
+}
+
+
+@pytest.mark.parametrize("backend,flag", [
+    (backend, flag) for backend in BACKENDS
+    for flag in ("--check", "--record", "--obs", "--spans")
+    if flag not in UNSUPPORTED[backend]])
+def test_supported_cell_writes_the_artifact_it_names(backend, flag,
+                                                     tmp_path, capsys):
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    value, files, reader = _observer(flag, out)
+    assert main(RUN + BACKENDS[backend] + [flag] + value) == 0
+    assert sorted(os.listdir(out)) == sorted(files)
+    if reader is not None:
+        assert main([reader, os.path.join(out, files[0])]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("backend,flag", [
+    (backend, flag) for backend, flags in UNSUPPORTED.items()
+    for flag in flags])
+def test_unsupported_cell_is_exit_2_with_the_flag_named(backend, flag,
+                                                        tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = RUN + BACKENDS[backend] + [flag] + UNSUPPORTED[backend][flag]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and flag in captured.err
+    assert captured.out == "" and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("extra,named", [
+    (["--shards", "2", "--live", "queue"], "--live"),
+    (["--rate", "0.5"], "--spans"),
+    (["--reps", "2", "--record", "t.jsonl"], "--record"),
+])
+def test_contradictory_run_flags_are_exit_2(extra, named, tmp_path,
+                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(RUN + extra) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_set_reaches_every_subcommand_that_takes_a_scenario():
+    for name, sub in _subparsers().items():
+        dests = {a.dest for a in sub._actions}
+        if "scenario" in dests:
+            assert {"duration", "seed", "set"} <= dests, name
+
+
+# ----------------------------------------------------------------------
+# (c) One observer list
+# ----------------------------------------------------------------------
+def test_record_composes_and_is_the_same_bytes_on_sim_and_shards(tmp_path):
+    expected = "".join(line + "\n" for line in record_spec(_point_spec()).lines)
+    out = str(tmp_path / "out")
+    sim, sharded = tmp_path / "sim.jsonl", tmp_path / "sharded.jsonl"
+    # All four observers on one simulation: the recording is the bare one.
+    assert main(RUN + ["--check", "--obs", out, "--spans", out,
+                       "--record", str(sim)]) == 0
+    assert len(os.listdir(out)) == 4
+    assert main(RUN + ["--shards", "2", "--record", str(sharded)]) == 0
+    assert sim.read_text() == expected == sharded.read_text()
+
+
+def test_live_recording_replays_to_the_online_verdict(tmp_path, capsys):
+    trace = str(tmp_path / "live.jsonl")
+    assert main(RUN + BACKENDS["live"] + ["--check", "--record", trace]) == 0
+    assert main(["replay", trace]) == 0
+    assert "no violations" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# (d) The exit-code table
+# ----------------------------------------------------------------------
+@pytest.fixture
+def poisoned_suite(monkeypatch):
+    """The standard suite, told at attach that one MH saw gseq 5 and
+    then gseq 4 — a total-order breach every checked run must report."""
+    real = validation_suite.suite_for_spec
+
+    def poisoned(spec):
+        monitors = real(spec)
+        attach = monitors.attach
+
+        def attach_and_poison(trace):
+            attached = attach(trace)
+            for gseq in (5, 4):
+                trace.emit(0.0, "mh.deliver", mh="mh:ghost", gseq=gseq,
+                           latency=1.0, source="src:ghost", local_seq=gseq,
+                           created_at=0.0)
+            return attached
+
+        monitors.attach = attach_and_poison
+        return monitors
+
+    # Harvest(check=True) looks the factory up in its module per call.
+    monkeypatch.setattr(validation_suite, "suite_for_spec", poisoned)
+
+
+class TestExitCodes:
+    def test_a_check_violation_is_1_in_every_checked_command(
+            self, poisoned_suite, tmp_path, capsys):
+        out = str(tmp_path / "x.json")
+        for argv in (
+                RUN + ["--check"],
+                RUN + BACKENDS["live"] + ["--check"],
+                # Overloaded too, but a violation is never reported as 3.
+                RUN + BACKENDS["live"] + ["--check", "--max-lag-ms", "1e-9"],
+                ["sweep", "quickstart", "--duration", "400", "--quiet",
+                 "--param", "workload.rate_per_sec=10", "--reps", "1",
+                 "--jobs", "1", "--check", "--out", out],
+                ["ladder", "--rungs", "xs", "--duration", "300", "--check",
+                 "--out", out]):
+            assert main(argv) == EXIT_FAILED, argv
+        capsys.readouterr()
+        # Unchecked, the same runs are clean: the poison is the suite's.
+        assert main(RUN) == 0
+
+    def test_a_failed_artifact_check_is_1(self, tmp_path, capsys):
+        clean, other = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+        assert main(RUN + ["--record", clean]) == 0
+        assert main(RUN + ["--seed", "5", "--record", other]) == 0
+        assert main(["diff", clean, other]) == EXIT_FAILED
+
+        # One delivery told twice: a dirty trace.
+        with open(clean) as fh:
+            lines = fh.read().splitlines()
+        dirty = str(tmp_path / "dirty.jsonl")
+        with open(dirty, "w") as fh:
+            last = [ln for ln in lines if '"k":"mh.deliver"' in ln][-1]
+            fh.write("\n".join(lines + [last]) + "\n")
+        assert main(["replay", clean]) == 0
+        assert main(["replay", dirty]) == EXIT_FAILED
+
+        # A delivery whose message was never sent: an unrooted tree.
+        unrooted = str(tmp_path / "SPANS_unrooted.jsonl.gz")
+        write_span_events(unrooted, [("dlv", 9.0, "mh:0", "src:0", 1, 1, 2.0)])
+        assert main(["spans", unrooted]) == EXIT_FAILED
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"actions": [{"kind": "partition", "at_ms": 1.0,
+                          "groups": [["a"]]}]}))
+        assert main(["validate-plan", str(plan)]) == EXIT_FAILED
+        assert "INVALID" in capsys.readouterr().err
+
+    def test_a_dead_wire_is_1_on_every_live_run(self, monkeypatch, capsys):
+        """What ``udp-smoke`` alone used to check: sources sent, nothing
+        crossed the fabric."""
+        monkeypatch.setattr(QueueFabric, "_dispatch",
+                            lambda self, dst, msg, delay: None)
+        assert main(RUN + BACKENDS["live"]) == EXIT_FAILED
+        assert "no traffic crossed the wire" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "no_such_scenario"],
+        ["partition", "no_such_scenario"],
+        ["compare", "no_such_scenario"],
+        ["run", "quickstart", "--set", "hierarchy.n_br=0"],
+        ["run", "quickstart", "--set", "no.such.field=1"],
+        ["ladder", "--rungs", "no_such_rung"],
+        ["replay", "no_such_file.jsonl"],
+        ["diff", "no_such_file.jsonl", "no_such_file.jsonl"],
+        ["summarize", "no_such_file.json"],
+        ["top", "no_such_file.json"],
+        ["timeline", "no_such_file.jsonl.gz"],
+        ["critpath", "no_such_file.json"],
+        ["export-trace", "no_such_file.jsonl.gz"],
+        ["show-plan", "no_such_file.json"],
+    ])
+    def test_unknown_names_invalid_specs_and_unreadable_files_are_2(
+            self, argv, tmp_path, monkeypatch, capsys):
+        # tests/test_run_pipeline.py holds the rows the retired programs
+        # had; these are the subcommands that had no such row.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["no-such-subcommand"], ["run", "--no-such-flag"],
+        ["run", "quickstart", "--live", "carrier-pigeon"],
+        ["replay", "x.jsonl", "--system", "no_such_system"],
+    ])
+    def test_usage_errors_are_argparse_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == EXIT_USAGE
+        assert "usage: python -m repro" in capsys.readouterr().err
+
+    def test_overloaded_is_3_and_only_a_live_run_returns_it(self, capsys):
+        argv = RUN + BACKENDS["live"]
+        assert main(argv + ["--max-lag-ms", "1e-9"]) == EXIT_OVERLOADED
+        assert "OVERLOADED" in capsys.readouterr().err
+        assert main(argv + ["--max-lag-ms", "1e12"]) == 0
+
+
+# ----------------------------------------------------------------------
+# (e) ObsSession through the seam
+# ----------------------------------------------------------------------
+#: Report fields that are exact (not ``name``, ``wall_s`` or the
+#: profiler's timings).
+EXACT_FIELDS = ("events", "windows", "engine", "trace_counts", "horizon_ms",
+                "window_ms", "sample_every")
+
+
+def _exact(report, rows):
+    return ({k: report[k] for k in EXACT_FIELDS},
+            report["registry"]["counters"],
+            [{k: row.get(k) for k in ("w", "t0", "t1", "events", "kinds",
+                                      "counters")} for row in rows])
+
+
+def test_run_obs_reports_what_the_shards_1_path_reports(tmp_path):
+    out = str(tmp_path)
+    assert main(RUN + ["--obs", out]) == 0
+    cli = _exact(load_report(os.path.join(out, f"OBS_{NAME}.json")),
+                 load_timeline(os.path.join(
+                     out, f"OBS_{NAME}_timeline.jsonl.gz")))
+    result = run_sharded(_point_spec(), 1, obs=True)
+    assert cli == _exact(result.obs_report, result.obs_timeline)
+    assert cli[0]["events"] > 0 and cli[0]["trace_counts"]["mh.join"] == 24
+
+
+class TestObsSessionIsAnObserver:
+    SPEC = registry.resolve("quickstart", DURATION)
+
+    def _session(self, sim=None):
+        return ObsSession(sim, horizon_ms=self.SPEC.duration_ms, name="q")
+
+    def _through_the_seam(self):
+        session = self._session()
+        with observed_scenario(self.SPEC, session) as scenario:
+            assert scenario.sim.obs_hook is session
+            scenario.run()
+        assert scenario.sim.obs is None and scenario.sim.obs_hook is None
+        return session
+
+    def test_constructor_form_is_attach_called_for_you(self):
+        seam = self._through_the_seam()
+        # perfbench's call, on a runtime that has not built yet.
+        sim = Simulator(seed=self.SPEC.seed)
+        by_hand = self._session(sim)
+        assert sim.obs_hook is by_hand
+        build_scenario(self.SPEC, sim=sim).run()
+        assert _exact(by_hand.report(), by_hand.rows) \
+            == _exact(seam.report(), seam.rows)
+        assert sim.obs is None and sim.obs_hook is None
+
+    def test_attached_after_the_build_only_window_0_differs(self):
+        """What moved in an ``OBS_*.json`` when the four callers stopped
+        attaching by hand after the build: window 0 and ``trace_counts``
+        gained what the build emitted.  Nothing else."""
+        seam = self._through_the_seam()
+        sim = Simulator(seed=self.SPEC.seed)
+        scenario = build_scenario(self.SPEC, sim=sim)
+        late = self._session(sim)
+        scenario.run()
+        early_report, late_report = seam.report(), late.report()
+        assert late.rows[1:] == seam.rows[1:]
+        moved = {k for k in seam.rows[0]
+                 if seam.rows[0][k] != late.rows[0].get(k)}
+        assert {"kinds"} <= moved <= {"kinds", "counters"}
+        assert seam.rows[0]["kinds"]["mh.join"] == 24
+        assert "mh.join" not in late.rows[0].get("kinds", {})
+        differing = {k for k in EXACT_FIELDS
+                     if early_report[k] != late_report[k]}
+        assert differing == {"trace_counts"}
+        assert early_report["wall_s"] > 0
+
+    def test_attach_needs_a_runtime_and_happens_once(self):
+        with pytest.raises(RuntimeError, match="back-reference"):
+            self._session().attach(TraceBus())
+        session = self._session(Simulator(seed=1))
+        with pytest.raises(RuntimeError, match="already attached"):
+            session.attach(Simulator(seed=2).trace)

@@ -18,7 +18,7 @@ from repro.experiments import (ChurnSpec, ExperimentSpec, FailureEvent,
                                RunResult, WorkloadSpec, aggregate,
                                build_scenario, expand_grid, export_csv,
                                export_json, registry, run_point, run_sweep)
-from repro.experiments.__main__ import main as cli_main
+from repro.__main__ import main as cli_main
 from repro.sim.rand import RandomStreams, derive_seed
 
 #: Small, fast spec used by the execution tests (~0.2 s wall per run).
@@ -242,35 +242,16 @@ class TestRunner:
 
         from repro.experiments.runner import resolve_jobs
 
-        monkeypatch.delenv("REPRO_SWEEP_JOBS", raising=False)
+        # The REPRO_SWEEP_JOBS override is gone (``--jobs`` / ``jobs=``
+        # is the one value): setting it changes nothing.
+        monkeypatch.setenv("REPRO_SWEEP_JOBS", "1")
         cpus = max(1, os.cpu_count() or 1)
         # Oversubscription clamps to the machine instead of thrashing.
         assert resolve_jobs(10_000) == cpus
         assert resolve_jobs(1) == 1
-        # The environment overrides the requested value...
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "1")
-        assert resolve_jobs(64) == 1
-        # ...and is itself clamped.
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "9999")
-        assert resolve_jobs(1) == cpus
-        # Garbage and non-positive values fail loudly.
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "lots")
+        # Non-positive values fail loudly.
         with pytest.raises(ValueError):
-            resolve_jobs(2)
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "0")
-        with pytest.raises(ValueError):
-            resolve_jobs(2)
-
-    def test_sweep_honors_jobs_env(self, monkeypatch):
-        points = expand_grid(TINY, {"workload.rate_per_sec": [10.0, 30.0]},
-                             replications=1)
-        baseline = run_sweep(points, jobs=1)
-        # An env-forced serial run is byte-identical to an explicit one,
-        # proving the override reached the pool sizing.
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "1")
-        forced = run_sweep(points, jobs=8)
-        assert [r.to_dict(include_timing=False) for r in forced] == \
-               [r.to_dict(include_timing=False) for r in baseline]
+            resolve_jobs(0)
 
     def test_unordered_system_runs(self):
         r = run_point(TINY.with_overrides({"system": "unordered"}))
@@ -421,7 +402,7 @@ class TestReportFallback:
 # ----------------------------------------------------------------------
 class TestCli:
     def test_parse_value_booleans(self):
-        from repro.experiments.__main__ import _parse_params
+        from repro.__main__ import _parse_params
         # Python and JSON spellings both become real booleans — a
         # string "False" would truthy-enable boolean protocol knobs.
         assert _parse_params(["protocol.smooth_handoff=True,false"]) == \

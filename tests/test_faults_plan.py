@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.spec import ExperimentSpec
-from repro.faults import __main__ as faults_cli
+from repro.__main__ import main as cli_main
 from repro.faults.plan import (Degrade, FaultAction, FaultPlan, Flap,
                                LossBurst, Partition, selector_matches)
 
@@ -144,36 +144,38 @@ def test_registry_scenarios_with_plans_roundtrip():
 # CLI
 # ----------------------------------------------------------------------
 def test_cli_list_names_fault_scenarios(capsys):
-    assert faults_cli.main(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "split_brain" in out and "rolling_ap_brownout" in out
+    assert cli_main(["list"]) == 0
+    plans = {line.split()[0]: line for line in
+             capsys.readouterr().out.splitlines() if "action(s)" in line}
+    assert "split_brain" in plans and "rolling_ap_brownout" in plans
+    assert "quickstart" not in plans
 
 
 def test_cli_show_timeline_and_json(capsys):
-    assert faults_cli.main(["show", "split_brain"]) == 0
+    assert cli_main(["show-plan", "split_brain"]) == 0
     out = capsys.readouterr().out
     assert "partition" in out and "@token_holder_subtree" in out
-    assert faults_cli.main(["show", "split_brain", "--json"]) == 0
+    assert cli_main(["show-plan", "split_brain", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["actions"][0]["kind"] == "partition"
 
 
 def test_cli_show_empty_plan(capsys):
-    assert faults_cli.main(["show", "quickstart"]) == 0
+    assert cli_main(["show-plan", "quickstart"]) == 0
     assert "empty fault plan" in capsys.readouterr().out
 
 
 def test_cli_validate_file(tmp_path, capsys):
     good = tmp_path / "plan.json"
     good.write_text(_sample_plan().to_json())
-    assert faults_cli.main(["validate", str(good)]) == 0
+    assert cli_main(["validate-plan", str(good)]) == 0
     assert "4 action(s)" in capsys.readouterr().out
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
         {"actions": [{"kind": "partition", "at_ms": 1.0,
                       "groups": [["a"]]}]}))
-    assert faults_cli.main(["validate", str(bad)]) == 1
+    assert cli_main(["validate-plan", str(bad)]) == 1
     assert "INVALID" in capsys.readouterr().err
 
 
@@ -192,6 +194,6 @@ def test_describe_keeps_plan_indices():
 
 
 def test_cli_show_unknown_scenario_is_a_clean_error(capsys):
-    assert faults_cli.main(["show", "no_such_scenario"]) == 1
+    assert cli_main(["show-plan", "no_such_scenario"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "no_such_scenario" in err

@@ -15,9 +15,9 @@ import socket
 
 import pytest
 
+from repro.__main__ import EXIT_OVERLOADED, main as cli_main
 from repro.experiments import registry
 from repro.experiments.runner import build_scenario
-from repro.live.__main__ import EXIT_OVERLOADED, main as live_main
 from repro.live.builder import NetworkBuilder
 from repro.live.diff import (DEFAULT_TOLERANCES, diff_spec, order_agreement,
                              _count_inversions, validate_report)
@@ -416,14 +416,14 @@ class TestSaturatedOrdering:
 # CLI: the lag SLO
 # ----------------------------------------------------------------------
 class TestMaxLagFlag:
-    ARGS = ["run", "quickstart", "--time-scale", "0.001", "--duration",
-            "800", "--no-monitors"]
+    ARGS = ["run", "quickstart", "--live", "queue", "--time-scale", "0.001",
+            "--duration", "800"]
 
     def test_overloaded_run_is_marked_and_exits_nonzero(self, tmp_path,
                                                          capsys):
         out = tmp_path / "report.json"
-        code = live_main(self.ARGS + ["--max-lag-ms", "100",
-                                      "--out", str(out)])
+        code = cli_main(self.ARGS + ["--max-lag-ms", "100",
+                                     "--out", str(out)])
         assert code == EXIT_OVERLOADED
         assert code not in (0, 1, 2)
         report = json.loads(out.read_text())
@@ -437,8 +437,8 @@ class TestMaxLagFlag:
 
     def test_within_the_limit_is_ok(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        code = live_main(self.ARGS + ["--max-lag-ms", "1e12",
-                                      "--out", str(out)])
+        code = cli_main(self.ARGS + ["--max-lag-ms", "1e12",
+                                     "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["overloaded"] is False
@@ -446,7 +446,7 @@ class TestMaxLagFlag:
 
     def test_unset_changes_nothing(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        assert live_main(self.ARGS + ["--out", str(out)]) == 0
+        assert cli_main(self.ARGS + ["--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert "overloaded" not in report
         assert "max_lag_limit_ms" not in report

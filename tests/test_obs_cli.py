@@ -1,6 +1,7 @@
-"""CLI smoke tests: ``python -m repro.obs``, the ``--obs`` flags of the
-experiments / shard entry points and the bench ``--progress`` flag,
-exercised in-process."""
+"""CLI smoke tests: the readers of ``OBS_*`` artifacts (``summarize``,
+``top``, ``timeline``), ``run --obs`` on the sim and sharded backends,
+sampled ``run --spans --rate`` and ``ladder --progress``, exercised
+in-process."""
 
 import glob
 import json
@@ -8,13 +9,10 @@ import os
 
 import pytest
 
-from repro.bench.__main__ import main as bench_main
+from repro.__main__ import main
 from repro.experiments import registry
-from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.runner import build_scenario
-from repro.obs.__main__ import main as obs_main
 from repro.obs.session import ObsSession
-from repro.shard.__main__ import main as shard_main
 from repro.sim.engine import Simulator
 
 
@@ -32,24 +30,24 @@ def artifacts(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# python -m repro.obs
+# summarize / top / timeline
 # ----------------------------------------------------------------------
 def test_obs_summarize(artifacts, capsys):
-    assert obs_main(["summarize", artifacts["report"]]) == 0
+    assert main(["summarize", artifacts["report"]]) == 0
     out = capsys.readouterr().out
     assert "clismoke" in out
     assert "token.holds" in out
 
 
 def test_obs_top(artifacts, capsys):
-    assert obs_main(["top", artifacts["report"]]) == 0
+    assert main(["top", artifacts["report"]]) == 0
     out = capsys.readouterr().out
     assert "Fabric._arrive" in out
     assert "share" in out
 
 
 def test_obs_timeline(artifacts, capsys):
-    assert obs_main(["timeline", artifacts["timeline"]]) == 0
+    assert main(["timeline", artifacts["timeline"]]) == 0
     out = capsys.readouterr().out
     assert "events" in out
     # One line per window plus the header block.
@@ -59,64 +57,68 @@ def test_obs_timeline(artifacts, capsys):
 
 def test_obs_missing_file_exits_2(tmp_path, capsys):
     missing = os.path.join(str(tmp_path), "OBS_nope.json")
-    assert obs_main(["summarize", missing]) == 2
+    assert main(["summarize", missing]) == 2
     assert "error" in capsys.readouterr().err
 
 
-def test_sharded_span_rate_does_not_leak_into_the_process(capsys):
-    """``--shards K --rate R`` hands the workers their rate through the
-    environment they inherit; the calling process gets it back as it
-    was, so a collector built afterwards samples everything again."""
-    from repro.obs.spans import RATE_ENV, SpanCollector
+def test_sharded_span_rate_does_not_leak_into_the_process(tmp_path, capsys):
+    """``run --shards K --spans --rate R`` hands the workers their rate
+    as an argument, not through process state: a collector built
+    afterwards samples everything again, and the sampled stream still
+    assembles into complete trees — fewer than the unsampled run's."""
+    from repro.obs.spans import SpanCollector
 
     before = dict(os.environ)
-    assert RATE_ENV not in before
-    assert obs_main(["spans", "quickstart", "--shards", "2",
-                     "--rate", "0.5", "--duration", "800"]) == 0
-    sampled = capsys.readouterr().out
+    run = ["run", "quickstart", "--shards", "2", "--duration", "800",
+           "--quiet", "--spans"]
+    stream = "SPANS_quickstart#p0r0.jsonl.gz"
+    assert main(run + [str(tmp_path / "half"), "--rate", "0.5"]) == 0
     assert dict(os.environ) == before
     assert SpanCollector().rate == 1.0
-    # The rate did reach the workers: an unsampled run reads differently.
-    assert obs_main(["spans", "quickstart", "--shards", "2",
-                     "--duration", "800"]) == 0
+    assert main(run + [str(tmp_path / "full")]) == 0
+    capsys.readouterr()
+    assert main(["spans", str(tmp_path / "half" / stream)]) == 0
+    sampled = capsys.readouterr().out
+    assert "completeness: ok" in sampled
+    assert main(["spans", str(tmp_path / "full" / stream)]) == 0
     assert sampled.split("->")[1] != capsys.readouterr().out.split("->")[1]
 
 
 # ----------------------------------------------------------------------
-# --obs flags of the other CLIs
+# run --obs, ladder --progress
 # ----------------------------------------------------------------------
 def test_experiments_run_obs(tmp_path):
     cwd = os.getcwd()
     os.chdir(str(tmp_path))
     try:
-        rc = experiments_main(["run", "quickstart", "--duration", "800",
-                               "--quiet", "--obs", str(tmp_path)])
+        rc = main(["run", "quickstart", "--duration", "800",
+                   "--quiet", "--obs", str(tmp_path)])
     finally:
         os.chdir(cwd)
     assert rc == 0
     obs_files = glob.glob(str(tmp_path / "OBS_quickstart*p0r0.json"))
-    assert obs_files, "experiments --obs wrote no OBS report"
+    assert obs_files, "run --obs wrote no OBS report"
 
 
 def test_shard_run_obs(tmp_path, capsys):
-    rc = shard_main(["run", "quickstart", "--shards", "2",
-                     "--duration", "1200", "--obs", str(tmp_path)])
+    rc = main(["run", "quickstart", "--shards", "2",
+               "--duration", "1200", "--obs", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "per shard:" in out
     assert "export_q_peak" in out
-    obs_files = glob.glob(str(tmp_path / "OBS_quickstart@2shards.json"))
-    assert obs_files, "shard --obs wrote no OBS report"
+    obs_files = glob.glob(str(tmp_path / "OBS_quickstart#p0r0.json"))
+    assert obs_files, "run --shards --obs wrote no OBS report"
     report = json.load(open(obs_files[0], encoding="utf-8"))
     assert report["n_shards"] == 2
     # The sharded report renders through the same CLI.
-    assert obs_main(["summarize", obs_files[0]]) == 0
-    assert obs_main(["top", obs_files[0]]) == 0
+    assert main(["summarize", obs_files[0]]) == 0
+    assert main(["top", obs_files[0]]) == 0
 
 
 def test_bench_progress_flag(tmp_path, capsys):
     out = str(tmp_path / "BENCH_p.json")
-    rc = bench_main(["ladder", "--rungs", "xs", "--duration", "600",
-                     "--progress", "--out", out])
+    rc = main(["ladder", "--rungs", "xs", "--duration", "600",
+               "--progress", "--out", out])
     assert rc == 0
     assert os.path.exists(out)

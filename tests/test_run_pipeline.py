@@ -5,8 +5,9 @@ Three guarantees, each enforced by a test:
 1. **One seam, one harvest** (AST guard) — outside
    ``experiments/runner.py`` no module under ``src/repro`` hands
    ``build_scenario`` a runtime, constructs the standard collectors, or
-   finishes a monitor suite.  Every backend and harness goes through
-   :func:`observed_scenario` and :class:`Harvest`.
+   finishes a monitor suite, and nobody attaches an ``ObsSession`` at
+   construction or finishes an observer by hand.  Every backend and
+   harness goes through :func:`observed_scenario` and :class:`Harvest`.
 2. **Every backend's observers see the build** — a recording observer
    on the sim path, the ``shards=1`` path, a 2-shard run and a saturated
    queue-fabric live run holds the same build-time ``mh.join`` records.
@@ -14,7 +15,8 @@ Three guarantees, each enforced by a test:
    ``shards=1`` result and the sim side of ``diff_spec`` agree exactly.
 
 Plus the observer contract itself, the one spec resolver's rules, and
-the ``error: ...`` / exit 2 contract of every CLI that resolves a spec.
+the ``error: ...`` / exit 2 contract of every subcommand that resolves
+a name or opens a file.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
 #: The module that owns the seam and the harvest.
 OWNER = os.path.join("experiments", "runner.py")
+
+#: Where ``ObsSession`` lives: ``report()`` may finish itself.
+SESSION = os.path.join("obs", "session.py")
 
 #: Monitor-suite assembly constructs the suite's own order checker.
 ORDER_CHECKER_ALSO = os.path.join("validation", "suite.py")
@@ -85,6 +90,14 @@ class TestOneSeamOneHarvest:
                       and isinstance(node.func.value, ast.Name)
                       and node.func.value.id == "suite"):
                     offenders.append(f"{where} suite.finish")
+                elif rel != SESSION and (
+                        (name == "ObsSession" and node.args)
+                        or (name == "finish"
+                            and not node.args and not node.keywords)):
+                    # A session is built detached and reaches a runtime
+                    # as one more name in the seam's argument list,
+                    # which also finishes and detaches it.
+                    offenders.append(f"{where} hand-rolled {name} lifecycle")
         assert offenders == [], (
             "build / attach / harvest outside experiments/runner.py — go "
             f"through observed_scenario and Harvest instead: {offenders}")
@@ -247,18 +260,23 @@ class TestResolve:
         assert registry.resolve("campus") == registry.get("campus")
 
 
-@pytest.mark.parametrize("module,argv", [
+#: (the retired program the row went through — it stays the test id, so
+#: each row keeps its history —, what the row is spelled now).
+@pytest.mark.parametrize("was,argv", [
     ("repro.experiments", ["run", "no_such_scenario"]),
-    ("repro.shard", ["run", "no_such_scenario"]),
-    ("repro.validation", ["record", "no_such_scenario", "--out", "x"]),
-    ("repro.obs", ["spans", "no_such_scenario"]),
-    ("repro.live", ["run", "no_such_scenario"]),
-    ("repro.live", ["diff", "no_such_scenario"]),
+    ("repro.shard", ["run", "no_such_scenario", "--shards", "2"]),
+    ("repro.validation", ["run", "no_such_scenario", "--record", "x"]),
+    ("repro.obs", ["spans", "no_such_file.jsonl"]),  # reads files only
+    ("repro.live", ["run", "no_such_scenario", "--live", "queue"]),
+    ("repro.live", ["live-diff", "no_such_scenario"]),
+    ("repro.faults", ["show-plan", "no_such_scenario"]),
+    ("repro.faults", ["validate-plan", "no_such_file.json"]),
 ])
-def test_unknown_scenario_is_error_exit_2_in_every_cli(module, argv, capsys):
-    import importlib
-    main = importlib.import_module(module + ".__main__").main
+def test_unknown_scenario_is_error_exit_2_in_every_cli(was, argv, capsys):
+    from repro.__main__ import main
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: unknown scenario")
+    assert captured.err.startswith(
+        "error: No such file" if "no_such_file" in argv[1]
+        else "error: unknown scenario")
     assert "Traceback" not in captured.err and captured.out == ""

@@ -30,10 +30,9 @@ from repro.obs.critpath import (STAGE_ORDER, chrome_trace, critpath_summary,
                                 dominant_stage, iter_deliveries,
                                 render_critpath, render_stage_delta,
                                 stage_delta, stage_means)
-from repro.obs.spans import (RATE_ENV, SpanCollector, SpanStreamWriter,
-                             assemble, completeness, default_rate,
-                             events_from_trace, read_span_events, sampled,
-                             write_span_events)
+from repro.obs.spans import (SpanCollector, SpanStreamWriter, assemble,
+                             completeness, events_from_trace,
+                             read_span_events, sampled, write_span_events)
 from repro.validation.record import TraceRecorder, first_divergence
 
 from helpers import golden_spec as spec_for
@@ -153,16 +152,14 @@ class TestSampling:
         assert low <= high
 
     def test_default_rate_env(self, monkeypatch):
-        monkeypatch.delenv(RATE_ENV, raising=False)
-        assert default_rate() == 1.0
-        monkeypatch.setenv(RATE_ENV, "0.25")
-        assert default_rate() == 0.25
-        monkeypatch.setenv(RATE_ENV, "1.5")
-        with pytest.raises(ValueError):
-            default_rate()
-        monkeypatch.setenv(RATE_ENV, "0")
-        with pytest.raises(ValueError):
-            default_rate()
+        # The REPRO_SPANS_SAMPLE override is gone: the default is the
+        # constant 1.0 and ``rate=`` the one way to sample.
+        monkeypatch.setenv("REPRO_SPANS_SAMPLE", "0.25")
+        assert SpanCollector().rate == 1.0
+        assert SpanCollector(rate=0.25).rate == 0.25
+        for bad in (1.5, 0):
+            with pytest.raises(ValueError):
+                SpanCollector(rate=bad)
 
     def test_sampled_collector_keeps_whole_trees(self):
         spec = spec_for("quickstart")
@@ -224,18 +221,6 @@ class TestSpanStream:
             for ev in self.EVENTS:
                 sink.write(ev)
         assert read_span_events(path) == self.EVENTS
-
-    def test_collector_streaming_sink(self, tmp_path):
-        spec = spec_for("quickstart")
-        in_memory = SpanCollector()
-        path = str(tmp_path / "stream.jsonl.gz")
-        with SpanStreamWriter(path) as sink:
-            streamed = SpanCollector(sink=sink)
-            for collector in (in_memory, streamed):
-                with observed_scenario(spec, collector) as scenario:
-                    scenario.run()
-        assert streamed.events == []  # events went to disk, not memory
-        assert read_span_events(path) == in_memory.events
 
 
 # ----------------------------------------------------------------------
@@ -369,32 +354,29 @@ def test_live_diff_reports_span_stages():
 
 
 # ----------------------------------------------------------------------
-# Satellite: profiler stride override
+# Satellite: profiler stride
 # ----------------------------------------------------------------------
 class TestSampleEvery:
     def test_default_and_env(self, monkeypatch):
-        from repro.obs.session import (DEFAULT_STRIDE, STRIDE_ENV,
-                                       effective_stride)
-        monkeypatch.delenv(STRIDE_ENV, raising=False)
-        assert effective_stride() == DEFAULT_STRIDE
-        monkeypatch.setenv(STRIDE_ENV, "8")
-        assert effective_stride() == 8
-        assert effective_stride(4) == 4  # explicit beats env
-        monkeypatch.setenv(STRIDE_ENV, "0")
+        from repro.obs.session import DEFAULT_STRIDE, ObsSession
+        # The REPRO_OBS_SAMPLE_EVERY override is gone: ``stride=`` or
+        # the default.
+        monkeypatch.setenv("REPRO_OBS_SAMPLE_EVERY", "8")
+        assert ObsSession(horizon_ms=100.0).profiler.stride == DEFAULT_STRIDE
         with pytest.raises(ValueError):
-            effective_stride()
+            ObsSession(horizon_ms=100.0, stride=0)
 
-    def test_report_stamps_effective_stride(self, monkeypatch):
+    def test_report_stamps_effective_stride(self):
         from repro.experiments.runner import build_scenario
         from repro.obs.report import render_summary
-        from repro.obs.session import STRIDE_ENV, ObsSession
+        from repro.obs.session import ObsSession
         from repro.sim.engine import Simulator
 
-        monkeypatch.setenv(STRIDE_ENV, "16")
         spec = registry.get("quickstart", duration_ms=400.0, warmup_ms=100.0)
         sim = Simulator(seed=spec.seed)
         scenario = build_scenario(spec, sim=sim)
-        session = ObsSession(sim, horizon_ms=spec.duration_ms, name="q")
+        session = ObsSession(sim, horizon_ms=spec.duration_ms, name="q",
+                             stride=16)
         scenario.run()
         report = session.report()
         assert report["sample_every"] == 16

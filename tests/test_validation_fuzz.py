@@ -95,7 +95,7 @@ def test_progress_callback_sees_every_case():
 # CLI
 # ---------------------------------------------------------------------------
 def test_cli_fuzz_writes_report(tmp_path, capsys):
-    from repro.validation.__main__ import main
+    from repro.__main__ import main
     out = str(tmp_path / "report.json")
     code = main(["fuzz", "--budget", "2", "--duration", "1000",
                  "--seed", "321", "--quiet", "--out", out])

@@ -135,14 +135,14 @@ def test_divergence_on_truncated_stream():
 # CLI surface
 # ---------------------------------------------------------------------------
 def test_cli_record_replay_diff(tmp_path, capsys):
-    from repro.validation.__main__ import main
+    from repro.__main__ import main
 
     a = str(tmp_path / "a.jsonl")
     b = str(tmp_path / "b.jsonl")
-    assert main(["record", "quickstart", "--duration", "1200",
-                 "--out", a]) == 0
-    assert main(["record", "quickstart", "--duration", "1200",
-                 "--out", b]) == 0
+    assert main(["run", "quickstart", "--duration", "1200", "--quiet",
+                 "--record", a]) == 0
+    assert main(["run", "quickstart", "--duration", "1200", "--quiet",
+                 "--record", b]) == 0
     assert main(["diff", a, b]) == 0
     assert main(["replay", a]) == 0
     out = capsys.readouterr().out
