@@ -24,6 +24,7 @@ from repro.mobility.models import DirectionalWalk
 from repro.sim.engine import Simulator
 from repro.topology.builder import HierarchySpec
 from repro.topology.tiers import Tier
+from repro.validation.monitors import MembershipMonitor
 
 from _common import emit, run_once
 
@@ -42,6 +43,7 @@ def run_cell(smooth: bool, dwell: float, seed: int = 707) -> dict:
                                            aps_per_ag=12, mhs_per_ap=0),
                         cfg=cfg)
     checker = OrderChecker(sim.trace)
+    membership = MembershipMonitor(sim.trace)
     inter = InterruptionCollector(sim.trace)
     src = net.add_source(corresponding="br:0", rate_per_sec=RATE)
     aps = net.hierarchy.nodes_of_tier(Tier.AP)
@@ -55,6 +57,11 @@ def run_cell(smooth: bool, dwell: float, seed: int = 707) -> dict:
     driver.track("mh:walker", aps[0])
     sim.run(until=DURATION)
     checker.assert_ok()
+    # Smooth handoff must also leave the walker registered where it is,
+    # and only there (ROADMAP 1a: a stale home registration would pass
+    # the order check).
+    membership.finish(net=net, end_time=sim.now)
+    assert membership.violations == []
     mh = net.mobile_hosts["mh:walker"]
     s = inter.summary()
     return {

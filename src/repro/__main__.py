@@ -1,7 +1,9 @@
 """The command line: ``python -m repro <subcommand>``.
 
 One parser, one ``main()``.  ``run NAME`` is the one way to execute a
-registry scenario; the backend is read off which selector is present:
+scenario — a registry name or an ``ExperimentSpec`` JSON file, through
+:func:`repro.experiments.registry.resolve` on every subcommand that
+takes one; the backend is read off which selector is present:
 
 * neither — the sequential engine, through the sweep runner
   (``--reps`` / ``--jobs`` / ``--out`` / ``--csv`` / ``--timing``);
@@ -24,7 +26,8 @@ of what it writes (``replay``, ``diff``, ``summarize``, ``top``,
 ``timeline``, ``spans``, ``critpath``, ``export-trace``), plus ``list``,
 ``partition``, ``show-plan`` and ``validate-plan``.  ``--duration`` /
 ``--seed`` / ``--set`` mean the same on every subcommand that takes a
-scenario name.  Examples::
+scenario, name or file; ``fuzz`` is a sweep over generated specs and
+``--save-traces`` writes its failures as spec files.  Examples::
 
     python -m repro list
     python -m repro run quickstart --duration 2000 --check
@@ -36,6 +39,8 @@ scenario name.  Examples::
         --reps 3 --jobs 4 --out results.json --csv results.csv
     python -m repro compare failure_drill --shards 2,4
     python -m repro replay trace.jsonl
+    python -m repro fuzz --budget 20 --save-traces failures
+    python -m repro run failures/fuzz-0007.spec.json --check --spans out
 
 Sweep exports are deterministic: the same scenario, axes and ``--seed``
 produce byte-identical ``--out`` files (``--timing`` adds wall-clock
@@ -79,7 +84,7 @@ from repro.shard.partition import (cut_edges, latency_matrix, lookahead_of,
                                    min_lookahead, partition_spec)
 from repro.shard.runtime import ShardRunResult, run_sharded
 from repro.sim.trace import StreamingTraceSink, write_trace_lines
-from repro.validation.fuzz import fuzz
+from repro.validation import fuzz as campaign
 from repro.validation.record import (first_divergence, read_jsonl,
                                      record_spec, replay)
 from repro.validation.suite import standard_suite
@@ -95,6 +100,9 @@ exit codes:
 """
 
 EXIT_FAILED, EXIT_USAGE, EXIT_OVERLOADED = 1, 2, 3
+
+#: Worker processes of a campaign (``sweep``, ``fuzz``) by default.
+SWEEP_JOBS = 2
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +135,8 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     """The arguments that name a spec, on every subcommand that takes a
     scenario."""
     p.add_argument("scenario", nargs="?", default="quickstart",
-                   help="registry scenario name (default: quickstart)")
+                   help="registry scenario name or ExperimentSpec JSON "
+                        "file (default: quickstart)")
     p.add_argument("--duration", type=float, default=None, metavar="MS",
                    help="override duration_ms (warmup is zeroed if it "
                         "no longer fits)")
@@ -149,19 +158,15 @@ def _load_json(path: str) -> Any:
         return json.load(fh)
 
 
-def _write_json(path: str, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=list)
-        fh.write("\n")
-    print(f"wrote {path}")
-
-
 def _emit_report(args: argparse.Namespace, report: Dict[str, Any]) -> None:
     """A live report goes to ``--out``, else (unless quiet) to stdout."""
+    text = json.dumps(report, indent=2, sort_keys=True, default=list)
     if args.out:
-        _write_json(args.out, report)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {args.out}")
     elif not args.quiet:
-        print(json.dumps(report, indent=2, sort_keys=True, default=list))
+        print(text)
 
 
 def _print_violations(violations: Sequence[str], limit: int = 20) -> None:
@@ -190,17 +195,16 @@ def _report_check(results: Sequence[RunResult]) -> int:
     return EXIT_FAILED
 
 
-def _write_sweep_artifacts(args: argparse.Namespace,
-                           results: List[RunResult],
-                           meta: Dict[str, Any]) -> None:
+def _write_sweep_artifacts(results: List[RunResult], meta: Dict[str, Any],
+                           out: Optional[str], csv: Optional[str] = None,
+                           timing: bool = False) -> None:
     aggs = aggregate(results)
-    if args.out:
-        export_json(args.out, results, aggs, meta=meta,
-                    include_timing=args.timing)
-        print(f"wrote {args.out}")
-    if args.csv:
-        export_csv(args.csv, aggs)
-        print(f"wrote {args.csv}")
+    if out:
+        export_json(out, results, aggs, meta=meta, include_timing=timing)
+        print(f"wrote {out}")
+    if csv:
+        export_csv(csv, aggs)
+        print(f"wrote {csv}")
 
 
 # ----------------------------------------------------------------------
@@ -275,15 +279,15 @@ def _result_rows(results: Sequence[RunResult]) -> List[Dict[str, Any]]:
 
 
 @contextmanager
-def _recording(args: argparse.Namespace):
+def _recording(path: Optional[str]):
     """``--record FILE`` as an observer for the in-process backends:
     yields the sink (closed and reported on exit) or ``None``."""
-    if args.record is None:
+    if path is None:
         yield None
         return
-    with StreamingTraceSink(args.record) as sink:
+    with StreamingTraceSink(path) as sink:
         yield sink
-    print(f"wrote {sink.count} records to {args.record}")
+    print(f"wrote {sink.count} records to {path}")
 
 
 def _span_rate(args: argparse.Namespace) -> float:
@@ -309,7 +313,7 @@ def _run_sim(args: argparse.Namespace, points: List[RunPoint],
                              name=point.run_id) \
             if args.obs is not None else None
         collector = _collector(args)
-        with _recording(args) as recorder:
+        with _recording(args.record) as recorder:
             results = [run_point(point, recorder, session, collector,
                                  check=args.check)]
         if progress is not None:
@@ -327,10 +331,10 @@ def _run_sim(args: argparse.Namespace, points: List[RunPoint],
                             obs_dir=args.obs, spans_dir=args.spans)
     print()
     print(format_table(_result_rows(results)))
-    _write_sweep_artifacts(args, results, meta={
+    _write_sweep_artifacts(results, {
         "command": "run", "scenario": args.scenario,
         "replications": len(points), "root_seed": root_seed,
-    })
+    }, args.out, args.csv, args.timing)
     return (_report_check(results) if args.check else 0), obs, spans
 
 
@@ -372,7 +376,7 @@ def _run_live(args: argparse.Namespace, point: RunPoint):
     spec, quiet = point.spec, args.quiet
     time_scale = 1.0 if args.time_scale is None else args.time_scale
     collector = _collector(args)
-    with _recording(args) as recorder:
+    with _recording(args.record) as recorder:
         run = NetworkBuilder(spec, fabric=args.live, time_scale=time_scale,
                              monitors=args.check).build(recorder, collector)
         if not quiet:
@@ -425,9 +429,15 @@ def _run_live(args: argparse.Namespace, point: RunPoint):
 
 def cmd_run(args: argparse.Namespace) -> int:
     base = _spec(args)
-    points = expand_grid(base, sweep=None,
-                         replications=1 if args.reps is None else args.reps,
-                         root_seed=args.seed)
+    if args.reps is None and args.scenario not in registry.names():
+        # A registry scenario is a template, its runs draw derived
+        # replication seeds; a spec file is a resolved point (a saved
+        # failure) and, run alone, runs as written — seed included.
+        points = [RunPoint(spec=base, seed=base.seed)]
+    else:
+        points = expand_grid(base, sweep=None, root_seed=args.seed,
+                             replications=1 if args.reps is None
+                             else args.reps)
     backend = "shards" if args.shards is not None else \
         "live" if args.live is not None else "sim"
     _reject_unsupported(args, backend, len(points))
@@ -474,7 +484,7 @@ def _aggregate_rows(aggs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _spec(args)
     reps = 2 if args.reps is None else args.reps
-    jobs = 2 if args.jobs is None else args.jobs
+    jobs = SWEEP_JOBS if args.jobs is None else args.jobs
     sweep = _parse_params(args.param) \
         or registry.default_sweep(args.scenario) or {}
     if not sweep:
@@ -491,11 +501,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         spans_dir=args.spans)
     print()
     print(format_table(_aggregate_rows(aggregate(results))))
-    _write_sweep_artifacts(args, results, meta={
+    _write_sweep_artifacts(results, {
         "command": "sweep", "scenario": args.scenario,
         "sweep": {k: list(v) for k, v in sweep.items()},
         "replications": reps, "root_seed": base.seed,
-    })
+    }, args.out, args.csv, args.timing)
     return _report_check(results) if args.check else 0
 
 
@@ -595,25 +605,31 @@ def cmd_live_diff(args: argparse.Namespace) -> int:
 # fuzz / replay / diff
 # ----------------------------------------------------------------------
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    def progress(i: int, total: int, result: RunResult) -> None:
-        if args.quiet:
-            return
-        status = (f"{len(result.violations)} VIOLATIONS"
-                  if result.violations else "ok")
-        print(f"[{i + 1:3d}/{total}] {result.name:12s} "
-              f"system={result.system:11s} seed={result.seed:<20d} "
-              f"deliveries={result.delivered:6d}  {status}", flush=True)
-        _print_violations(result.violations)
-
-    report = fuzz(budget=args.budget, base_seed=args.seed,
-                  duration_ms=args.duration, progress=progress,
-                  save_traces_dir=args.save_traces)
-    print(f"\nfuzz: {report.budget} cases, "
-          f"{len(report.failed_cases)} failed, "
-          f"{report.total_violations} total violations")
-    if args.out:
-        _write_json(args.out, report.to_dict())
-    return 0 if report.ok else EXIT_FAILED
+    """A campaign is a sweep: the generator's points, the sweep runner,
+    the campaign's suite as its check, the sweep's artifact."""
+    points = campaign.fuzz_points(args.budget, args.seed, args.duration)
+    check = campaign.campaign_suite
+    results = run_sweep(points, jobs=SWEEP_JOBS,
+                        progress=_progress if not args.quiet else None,
+                        check=check)
+    failed = [p for p, r in zip(points, results) if r.violations]
+    print(f"\nfuzz: {len(points)} cases, {len(failed)} failed, "
+          f"{sum(len(r.violations) for r in results)} total violations")
+    _write_sweep_artifacts(results, {
+        "command": "fuzz", "budget": args.budget, "base_seed": args.seed,
+        "duration_ms": args.duration,
+    }, args.out)
+    if args.save_traces is not None and failed:
+        # Traces are too big to capture speculatively for every passing
+        # case: re-run each failing one with a recorder beside the suite.
+        os.makedirs(args.save_traces, exist_ok=True)
+        for point in failed:
+            base = os.path.join(args.save_traces, point.spec.name)
+            with open(base + ".spec.json", "w", encoding="utf-8") as fh:
+                fh.write(point.spec.to_json() + "\n")
+            with _recording(base + ".trace.jsonl") as recorder:
+                run_point(point, recorder, check=check)
+    return _report_check(results)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -649,17 +665,19 @@ def cmd_diff(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # show-plan / validate-plan
 # ----------------------------------------------------------------------
-def _plan_of(data: Dict[str, Any]) -> FaultPlan:
-    """The plan in a parsed JSON file: a bare plan (``{"actions":
-    [...]}``) or a full experiment spec (its ``faults`` section)."""
-    if "actions" in data:
-        return FaultPlan.from_dict(data)
-    return ExperimentSpec.from_dict(data).faults
+def _plan_of(source: str) -> FaultPlan:
+    """The fault plan ``source`` names: a scenario's (a registry name or
+    a spec file, through the resolver) or — the one file the resolver
+    cannot read — a bare ``{"actions": [...]}`` plan."""
+    if source not in registry.names() and os.path.isfile(source):
+        data = _load_json(source)
+        if "actions" in data:
+            return FaultPlan.from_dict(data)
+    return registry.resolve(source).faults
 
 
 def cmd_show_plan(args: argparse.Namespace) -> int:
-    plan = _plan_of(_load_json(args.source)) \
-        if os.path.exists(args.source) else registry.get(args.source).faults
+    plan = _plan_of(args.source)
     if not plan:
         print(f"{args.source}: empty fault plan")
     elif args.json:
@@ -672,16 +690,11 @@ def cmd_show_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_plan(args: argparse.Namespace) -> int:
-    data = _load_json(args.file)  # unreadable or not JSON: exit 2
+    _load_json(args.file)  # unreadable or not JSON: exit 2
     try:
-        plan = _plan_of(data)
+        plan = _plan_of(args.file)
     except (ValueError, KeyError) as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    # Round-trip: dict -> plan -> dict must be a fixed point.
-    again = FaultPlan.from_dict(plan.to_dict())
-    if again.to_dict() != plan.to_dict():  # pragma: no cover - paranoia
-        print("INVALID: plan does not round-trip", file=sys.stderr)
         return EXIT_FAILED
     print(f"ok: {len(plan)} action(s)")
     return 0
@@ -984,7 +997,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add("show-plan", cmd_show_plan,
             "render a fault plan as a timeline")
-    p.add_argument("source", help="registry scenario name or JSON file")
+    p.add_argument("source", help="registry scenario name, spec file or "
+                                  "bare-plan JSON file")
     p.add_argument("--json", action="store_true",
                    help="print the canonical JSON instead")
 

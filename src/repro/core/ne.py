@@ -309,6 +309,9 @@ class NetworkEntity(OrderingMixin, ForwardingMixin, DeliveringMixin,
             return
         if msg.epoch > self._mh_detached_epoch.get(mh, -1):
             self._mh_detached_epoch[mh] = msg.epoch
+        if mh in self._pending_joins:
+            # A joiner parked behind a cold path left before it warmed.
+            self._pending_joins.remove(mh)
         self.unregister_child(mh)
         self.sim.trace.emit(self.now, "ap.detach", node=self.id,
                             mh=msg.mh_guid)

@@ -2,18 +2,20 @@
 
 Every entry is a factory producing a fresh :class:`ExperimentSpec`
 (callers can mutate or override freely), plus a one-line description and
-an optional *default sweep* — the parameter grid ``python -m
-repro.experiments sweep <name>`` expands when the user gives no axes of
-their own.
+an optional *default sweep* — the parameter grid ``python -m repro
+sweep <name>`` expands when the user gives no axes of their own.
 
 This registry supersedes the ad-hoc builders that used to accrete in
 ``workloads/scenarios.py``: a scenario here is data, so it can be
 listed, swept, serialized, and run identically from the CLI, a test, or
-a worker process.
+a worker process.  Being data, a scenario need not be registered at
+all: :func:`resolve` takes the path of a spec file (``to_json`` output,
+e.g. a failure ``fuzz --save-traces`` saved) wherever it takes a name.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
@@ -73,30 +75,45 @@ def get(name: str, **overrides: Any) -> ExperimentSpec:
     return spec
 
 
+def _base(name: str) -> ExperimentSpec:
+    """A fresh spec for a registered name or, failing that, the
+    :class:`ExperimentSpec` JSON file ``name`` is the path of."""
+    if name not in _REGISTRY and (name.endswith(".json")
+                                  or os.path.isfile(name)):
+        with open(name, "r", encoding="utf-8") as fh:
+            return ExperimentSpec.from_json(fh.read())
+    return entry(name).factory()
+
+
 def resolve(name: str, duration_ms: Optional[float] = None,
             seed: Optional[int] = None,
             overrides: Optional[Mapping[str, Any]] = None) -> ExperimentSpec:
-    """The spec a command line names: ``NAME --duration --seed --set``.
+    """The spec a command line names: ``NAME|FILE --duration --seed --set``.
 
-    The one resolver behind every CLI.  ``overrides`` are the ``--set``
-    dotted-path pairs; ``duration_ms`` and ``seed`` win over them.  A
-    duration that no longer leaves room for the scenario's warm-up
-    zeroes the warm-up, unless ``overrides`` sets one itself.
+    The one resolver behind every CLI.  A scenario is a registered name
+    or a spec file (``ExperimentSpec.to_json`` output — what ``fuzz
+    --save-traces`` writes); a registered name wins, a missing file is
+    an ``OSError`` and an invalid one a ``ValueError``.  ``overrides``
+    are the ``--set`` dotted-path pairs; ``duration_ms`` and ``seed``
+    win over them.  A duration that no longer leaves room for the
+    scenario's warm-up zeroes the warm-up, unless ``overrides`` sets one
+    itself.
     """
+    base = _base(name)
     merged = dict(overrides or {})
     if duration_ms is not None:
         merged["duration_ms"] = duration_ms
-        if entry(name).factory().warmup_ms >= duration_ms \
-                and "warmup_ms" not in merged:
+        if base.warmup_ms >= duration_ms and "warmup_ms" not in merged:
             merged["warmup_ms"] = 0.0
     if seed is not None:
         merged["seed"] = seed
-    return get(name, **merged)
+    return base.with_overrides(merged) if merged else base
 
 
 def default_sweep(name: str) -> Optional[Dict[str, List[Any]]]:
-    """The scenario's default parameter grid, or None."""
-    sweep = entry(name).default_sweep
+    """The scenario's default parameter grid, or None (a spec file has
+    none)."""
+    sweep = _REGISTRY[name].default_sweep if name in _REGISTRY else None
     return dict(sweep) if sweep is not None else None
 
 

@@ -333,6 +333,12 @@ def observed_scenario(spec: ExperimentSpec, *observers,
 # ----------------------------------------------------------------------
 # The standard harvest
 # ----------------------------------------------------------------------
+#: What ``check=`` takes: ``True`` (the spec's standard suite), a ready
+#: suite, or a per-spec suite factory (the fuzz campaign's, with its own
+#: windows) — module-level, so it pickles to :func:`run_sweep`'s workers.
+Check = Union[bool, MonitorSuite, Callable[[ExperimentSpec], MonitorSuite]]
+
+
 def _total_retransmissions(net) -> int:
     total = 0
     for group in (net.nes.values(), net.mobile_hosts.values(),
@@ -364,16 +370,14 @@ class Harvest:
     """
 
     def __init__(self, point: Union[RunPoint, ExperimentSpec],
-                 check: Union[bool, MonitorSuite] = False):
+                 check: Check = False):
         if isinstance(point, ExperimentSpec):
             point = RunPoint(spec=point, params={}, seed=point.seed)
         self.point = point
-        #: ``check=True`` is the spec's standard suite (the factory is
-        #: looked up per call, so a test can swap in a poisoned one); a
-        #: caller with its own windows (the fuzzer) passes the suite.
-        self.suite: Optional[MonitorSuite] = (
-            validation_suite.suite_for_spec(point.spec) if check is True
-            else check or None)
+        if check is True:
+            # Looked up per call, so a test can swap in a poisoned one.
+            check = validation_suite.suite_for_spec
+        self.suite = check(point.spec) if callable(check) else check or None
         self._wall_start = time.perf_counter()
 
     def attach(self, trace) -> "Harvest":
@@ -447,7 +451,7 @@ class Harvest:
 # One run
 # ----------------------------------------------------------------------
 def run_point(point: Union[RunPoint, ExperimentSpec], *observers,
-              check: bool = False,
+              check: Check = False,
               obs_dir: Optional[str] = None,
               spans_dir: Optional[str] = None) -> RunResult:
     """Execute one run and distill its :class:`RunResult`.
@@ -458,7 +462,8 @@ def run_point(point: Union[RunPoint, ExperimentSpec], *observers,
     :class:`~repro.obs.session.ObsSession`, a span collector; all pure
     observers, so every metric stays byte-identical to an unwatched run.
     ``check=True`` adds the full :mod:`repro.validation` monitor suite
-    and fills ``RunResult.violations``.
+    (a :data:`Check` factory: the suite it makes for this spec) and
+    fills ``RunResult.violations``.
 
     ``obs_dir`` / ``spans_dir`` are the same observers as switches, for
     a caller in another process (:func:`run_sweep`'s workers): an
@@ -523,7 +528,7 @@ def run_sweep(
     points: Sequence[RunPoint],
     jobs: int = 1,
     progress: Optional[Callable[[int, int, RunResult], None]] = None,
-    check: bool = False,
+    check: Check = False,
     obs_dir: Optional[str] = None,
     spans_dir: Optional[str] = None,
 ) -> List[RunResult]:
@@ -532,8 +537,8 @@ def run_sweep(
     ``jobs > 1`` uses a ``multiprocessing.Pool`` of that many worker
     processes.  ``progress`` (serial mode and parallel mode alike) is
     called as ``progress(i, total, result)`` as finished results are
-    collected, in submission order.  ``check=True`` runs every point
-    with the validation monitor suite attached (see :func:`run_point`);
+    collected, in submission order.  ``check`` runs every point with a
+    validation monitor suite attached (see :func:`run_point`);
     ``obs_dir`` writes per-run ``OBS_*`` telemetry artifacts there and
     ``spans_dir`` per-run ``SPANS_*`` / ``CRITPATH_*`` span artifacts.
     The effective worker count is clamped to ``os.cpu_count()`` so an
@@ -554,13 +559,11 @@ def run_sweep(
     payloads = [dict(p.to_dict(), check=check, obs_dir=obs_dir,
                      spans_dir=spans_dir)
                 for p in points]
+    results = []
     with multiprocessing.Pool(processes=min(jobs, len(points))) as pool:
-        done = 0
-        results_by_index: Dict[int, RunResult] = {}
+        # imap yields in submission order, whichever worker finished first.
         for index, raw in enumerate(pool.imap(_run_point_payload, payloads)):
-            result = RunResult.from_dict(raw)
-            results_by_index[index] = result
+            results.append(RunResult.from_dict(raw))
             if progress is not None:
-                progress(done, len(points), result)
-            done += 1
-    return [results_by_index[i] for i in range(len(points))]
+                progress(index, len(points), results[-1])
+    return results

@@ -55,11 +55,6 @@ class GilbertElliott:
         pi_b = self.stationary_bad
         return pi_b * self.loss_bad + (1.0 - pi_b) * self.loss_good
 
-    @property
-    def mean_burst_length(self) -> float:
-        """Expected consecutive transmissions spent in the bad state."""
-        return 1.0 / self.p_bg
-
     # ------------------------------------------------------------------
     def step(self, rng) -> bool:
         """Advance one transmission; True when it is dropped.

@@ -66,11 +66,6 @@ class HandoffDriver:
         """Stop moving ``mh_id`` (it stays wherever it is)."""
         self._active[mh_id] = False
 
-    def stop_all(self) -> None:
-        """Freeze every tracked MH."""
-        for mh in self._active:
-            self._active[mh] = False
-
     def cell_of(self, mh_id: NodeId) -> Optional[Cell]:
         """The driver's belief of where ``mh_id`` currently is."""
         return self._cell.get(mh_id)

@@ -68,11 +68,3 @@ class FailureInjector:
     def recover_node_at(self, time: float, node_id: NodeId) -> None:
         """Schedule a recovery at an absolute time."""
         self.fabric.sim.schedule_at(time, self.recover_node, node_id)
-
-    def link_down_at(self, time: float, a: NodeId, b: NodeId) -> None:
-        """Schedule a link fault at an absolute time."""
-        self.fabric.sim.schedule_at(time, self.link_down, a, b)
-
-    def link_up_at(self, time: float, a: NodeId, b: NodeId) -> None:
-        """Schedule a link restoration at an absolute time."""
-        self.fabric.sim.schedule_at(time, self.link_up, a, b)

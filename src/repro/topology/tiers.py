@@ -24,11 +24,6 @@ class Tier(enum.Enum):
     MH = "mh"
 
     @property
-    def in_ring(self) -> bool:
-        """Whether entities of this tier are organized into logical rings."""
-        return self in (Tier.BR, Tier.AG)
-
-    @property
     def prefix(self) -> str:
         """Node-id prefix used by :func:`repro.net.address.make_id`."""
         return self.value

@@ -17,7 +17,8 @@ token-based recovery — become executable invariants here:
 * :mod:`repro.validation.suite` — per-system suite assembly; a checked
   run is ``repro.experiments.run_point(spec, check=True)``.
 * :mod:`repro.validation.fuzz` — randomized-but-seeded scenario
-  generation and the conformance campaign harness.
+  generation; a conformance campaign is the sweep runner over
+  ``fuzz_points(...)`` with ``check=campaign_suite``.
 
 Quickstart
 ----------
@@ -25,9 +26,11 @@ Check any registry scenario online::
 
     python -m repro run failure_drill --check
 
-Fuzz the protocol over random scenarios (exit code 1 on violations)::
+Fuzz the protocol over random scenarios (exit code 1 on violations),
+then re-run a failure from the spec file the campaign saved::
 
-    python -m repro fuzz --budget 50 --duration 3000
+    python -m repro fuzz --budget 50 --duration 3000 --save-traces D
+    python -m repro run D/fuzz-0007.spec.json --check --spans out
 
 Record a run, replay it offline, diff two runs::
 
@@ -39,7 +42,7 @@ Record a run, replay it offline, diff two runs::
 # Only the leaf modules (the monitor contract and the monitor family,
 # importing nothing but repro.sim.trace) load here.  record / suite /
 # fuzz import repro.metrics.order_checker — suite directly, the other
-# two through repro.experiments.runner — and order_checker imports
+# two through repro.experiments — and order_checker imports
 # `repro.validation.monitor`: re-exported from this file they would
 # re-enter a half-initialised order_checker whenever it is the first of
 # the two to be imported.  Import them from their own modules.

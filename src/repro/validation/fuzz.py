@@ -1,26 +1,26 @@
-"""Scenario fuzzing: randomized-but-seeded conformance sweeps.
+"""Scenario fuzzing: randomized-but-seeded conformance campaigns.
 
-The fuzzer draws random — but fully seed-determined — experiment specs
-over the space the runner supports (hierarchy shape × workload ×
+The generator draws random — but fully seed-determined — experiment
+specs over the space the runner supports (hierarchy shape × workload ×
 churn/failure/mobility schedules × bounded :mod:`repro.faults` plans:
-healing partitions, degradation windows, flapping links, loss bursts),
-runs each with the complete monitor suite attached (:func:`run_case`),
-and reports every invariant violation with the spec that provoked it.
-Because specs serialize to JSON, any failing case replays exactly from
-the report alone.
+healing partitions, degradation windows, flapping links, loss bursts).
+A campaign is those specs as a list of run points
+(:func:`fuzz_points`) handed to the sweep runner with the campaign's
+monitor suite as its check (:func:`campaign_suite`)::
 
-Entry points: :func:`fuzz` (library) and ``python -m repro fuzz``.
+    run_sweep(fuzz_points(20, 0, 3000.0), jobs=2, check=campaign_suite)
+
+which is all ``python -m repro fuzz`` does — there is no second
+harness.  Because specs serialize to JSON and ``run`` takes a spec
+file, a failing case replays exactly from what ``--save-traces`` wrote.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.experiments.results import RunResult
-from repro.experiments.runner import Harvest, observed_scenario
+from repro.experiments.grid import RunPoint
 from repro.experiments.spec import (ChurnSpec, ExperimentSpec, FailureEvent,
                                     HierarchyShape, MobilitySpec,
                                     WorkloadSpec)
@@ -29,7 +29,6 @@ from repro.faults.plan import (Degrade, FaultPlan, Flap, LossBurst,
 from repro.sim.rand import derive_seed
 from repro.validation.monitor import MonitorSuite
 from repro.validation.monitors import DEFAULT_RECOVERY_WINDOW_MS
-from repro.validation.record import TraceRecorder
 from repro.validation.suite import standard_suite
 
 #: Weighted system choices: the paper's protocol dominates; the ordered
@@ -42,10 +41,14 @@ _SYSTEM_WEIGHTS = (("ringnet", 6), ("single_ring", 2), ("unordered", 2))
 _RECOVERY_FRACTION = 0.45
 
 
-def _campaign_recovery_window(duration_ms: float) -> float:
-    """The recovery window a campaign of this duration checks with."""
-    return min(DEFAULT_RECOVERY_WINDOW_MS,
-               duration_ms * _RECOVERY_FRACTION)
+def campaign_suite(spec: ExperimentSpec) -> MonitorSuite:
+    """The suite a campaign checks ``spec`` with: the standard one, its
+    recovery window scaled to the run so a generated crash — always at
+    least that far from the end — is verified, not skipped."""
+    return standard_suite(
+        spec.system,
+        recovery_window_ms=min(DEFAULT_RECOVERY_WINDOW_MS,
+                               spec.duration_ms * _RECOVERY_FRACTION))
 
 
 def _choice_weighted(rng: random.Random, pairs) -> str:
@@ -209,114 +212,22 @@ def random_spec(rng: random.Random, *, index: int, seed: int,
     )
 
 
-# ----------------------------------------------------------------------
-# The harness
-# ----------------------------------------------------------------------
-@dataclass
-class FuzzReport:
-    """Machine-readable outcome of one fuzz campaign."""
+def fuzz_points(budget: int = 20, base_seed: int = 0,
+                duration_ms: float = 3_000.0) -> List[RunPoint]:
+    """The campaign ``(budget, base_seed, duration_ms)`` as run points.
 
-    budget: int
-    base_seed: int
-    duration_ms: float
-    cases: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def total_violations(self) -> int:
-        return sum(len(c["violations"]) for c in self.cases)
-
-    @property
-    def failed_cases(self) -> List[Dict[str, Any]]:
-        return [c for c in self.cases if c["violations"]]
-
-    @property
-    def ok(self) -> bool:
-        return self.total_violations == 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": "repro.validation.fuzz/v1",
-            "budget": self.budget,
-            "base_seed": self.base_seed,
-            "duration_ms": self.duration_ms,
-            "ok": self.ok,
-            "total_violations": self.total_violations,
-            "n_failed_cases": len(self.failed_cases),
-            "cases": list(self.cases),
-        }
-
-
-def run_case(spec, suite: MonitorSuite, *observers) -> RunResult:
-    """Run one spec with ``suite`` (and any extra observers) attached."""
-    harvest = Harvest(spec, suite)
-    with observed_scenario(spec, harvest, *observers) as scenario:
-        scenario.run()
-    return harvest.result
-
-
-def _case_payload(spec, result: RunResult,
-                  suite: MonitorSuite) -> Dict[str, Any]:
-    payload = {
-        "name": spec.name,
-        "system": spec.system,
-        "seed": spec.seed,
-        "duration_ms": spec.duration_ms,
-        "deliveries": result.delivered,
-        "ok": not result.violations,
-        "violations": list(result.violations),
-        "reports": suite.report(),
-    }
-    # The full spec travels with every failing case so it replays from
-    # the report alone; passing cases keep the report compact.
-    if result.violations:
-        payload["spec"] = spec.to_dict()
-    return payload
-
-
-def fuzz(
-    budget: int = 20,
-    base_seed: int = 0,
-    duration_ms: float = 3_000.0,
-    progress: Optional[Any] = None,
-    save_traces_dir: Optional[str] = None,
-) -> FuzzReport:
-    """Generate and check ``budget`` random scenarios.
-
-    Spec shapes derive from ``base_seed`` alone; each case's simulation
-    seed is independently derived via
-    :func:`repro.sim.rand.derive_seed`, so a campaign is reproducible
-    end-to-end from ``(budget, base_seed, duration_ms)``.
-    ``progress(index, budget, result)`` sees each case's
-    :class:`~repro.experiments.results.RunResult`.
+    Spec shapes derive from ``base_seed`` alone (one shared stream);
+    each case's simulation seed is independently derived via
+    :func:`repro.sim.rand.derive_seed`, so the campaign is reproducible
+    end-to-end from its three numbers.  Case ``i`` is point ``i``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    report = FuzzReport(budget=budget, base_seed=base_seed,
-                        duration_ms=duration_ms)
     shape_rng = random.Random(derive_seed(base_seed, "fuzz-shapes"))
-    window = _campaign_recovery_window(duration_ms)
+    points = []
     for index in range(budget):
         seed = derive_seed(base_seed, "fuzz-case", index)
         spec = random_spec(shape_rng, index=index, seed=seed,
                            duration_ms=duration_ms)
-        suite = standard_suite(spec.system, recovery_window_ms=window)
-        result = run_case(spec, suite)
-        if result.violations and save_traces_dir is not None:
-            # Re-run the failing case with recording on: traces are too
-            # big to capture speculatively for every passing case.
-            suite = standard_suite(spec.system, recovery_window_ms=window)
-            recorder = TraceRecorder()
-            result = run_case(spec, suite, recorder)
-            _save_failure(save_traces_dir, spec, recorder)
-        report.cases.append(_case_payload(spec, result, suite))
-        if progress is not None:
-            progress(index, budget, result)
-    return report
-
-
-def _save_failure(dirpath: str, spec, recorder: TraceRecorder) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    base = os.path.join(dirpath, spec.name)
-    with open(base + ".spec.json", "w", encoding="utf-8") as fh:
-        fh.write(spec.to_json() + "\n")
-    recorder.write(base + ".trace.jsonl")
+        points.append(RunPoint(spec=spec, point_index=index, seed=seed))
+    return points

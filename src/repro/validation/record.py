@@ -44,7 +44,9 @@ class TraceRecorder:
 
         with TraceRecorder(sim.trace) as rec:
             scenario.run()
-        rec.write(path)
+        rec.to_jsonl()
+
+    To write a file, stream it: :class:`~repro.sim.trace.StreamingTraceSink`.
     """
 
     def __init__(self, trace: Optional[TraceBus] = None):
@@ -80,11 +82,6 @@ class TraceRecorder:
     def to_jsonl(self) -> str:
         """The full stream as one string (trailing newline included)."""
         return "".join(line + "\n" for line in self.lines)
-
-    def write(self, path: str) -> None:
-        """Write the buffered stream to ``path``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
 
 
 # ----------------------------------------------------------------------

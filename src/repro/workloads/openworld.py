@@ -87,11 +87,6 @@ class OpenWorldDriver:
         """Stop generating further arrivals (live sessions still end)."""
         self._running = False
 
-    @property
-    def active_sessions(self) -> int:
-        """Sessions currently in progress."""
-        return len(self._in_session)
-
     # ------------------------------------------------------------------
     def _schedule(self) -> None:
         gap = float(self.rng.exponential(1000.0 / self.arrivals_per_sec))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from typing import Optional, Tuple
 
 from repro.core.config import ProtocolConfig
@@ -74,3 +75,28 @@ def run_with_traffic(
     if checker is not None:
         checker.assert_ok()
     return sim, net, checker
+
+
+def spec_path(name: str) -> str:
+    """A committed spec file under ``tests/data/specs/``."""
+    return os.path.join(os.path.dirname(__file__), "data", "specs", name)
+
+
+def poisoned(suite_factory):
+    """``suite_factory``, its suites told at attach that one MH saw gseq
+    5 and then gseq 4 — a total-order breach every checked run reports."""
+    def factory(spec):
+        suite = suite_factory(spec)
+        attach = suite.attach
+
+        def attach_and_poison(trace):
+            attached = attach(trace)
+            for gseq in (5, 4):
+                trace.emit(0.0, "mh.deliver", mh="mh:ghost", gseq=gseq,
+                           latency=1.0, source="src:ghost", local_seq=gseq,
+                           created_at=0.0)
+            return attached
+
+        suite.attach = attach_and_poison
+        return suite
+    return factory

@@ -19,6 +19,9 @@ Five guarantees, each enforced by a test:
 (e) **``ObsSession`` through the seam** — ``run --obs`` and
     ``run_sharded(spec, 1, obs=True)`` report the same run; the
     constructor form is ``attach`` called for you.
+
+Plus (b'): a scenario argument is a registry name *or a spec file*,
+through the one resolver, on every subcommand that takes one.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from repro.sim.trace import TraceBus
 from repro.validation import suite as validation_suite
 from repro.validation.record import record_spec
 
+from helpers import poisoned
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
 SUBCOMMANDS = ["list", "run", "sweep", "partition", "compare", "live-diff",
@@ -52,8 +57,9 @@ SUBCOMMANDS = ["list", "run", "sweep", "partition", "compare", "live-diff",
                "ladder", "summarize", "top", "timeline", "spans",
                "critpath", "export-trace"]
 
-#: ISSUE 20's ceilings (the parent had 23 subcommands, 119 pairs).
-MAX_SUBCOMMANDS, MAX_PAIRS = 19, 92
+#: Where PR 20 landed (its parent had 23 subcommands, 119 pairs); spec
+#: files and the fuzz-is-a-sweep merge (PR 22) added none.
+MAX_SUBCOMMANDS, MAX_PAIRS = 18, 86
 
 DURATION = 600.0
 RUN = ["run", "quickstart", "--duration", str(DURATION), "--quiet"]
@@ -201,11 +207,137 @@ def test_contradictory_run_flags_are_exit_2(extra, named, tmp_path,
     assert os.listdir(tmp_path) == []
 
 
-def test_set_reaches_every_subcommand_that_takes_a_scenario():
+def test_set_reaches_every_subcommand_that_takes_a_scenario(spec_file,
+                                                           monkeypatch):
+    takes_a_scenario = []
     for name, sub in _subparsers().items():
         dests = {a.dest for a in sub._actions}
         if "scenario" in dests:
             assert {"duration", "seed", "set"} <= dests, name
+            takes_a_scenario.append(name)
+    assert takes_a_scenario == ["run", "sweep", "partition", "compare",
+                                "live-diff"]
+    # ... and means the same for a spec file as for a name: every one of
+    # them hands what it parsed to the one resolver.
+    resolved = []
+    monkeypatch.setattr(registry, "resolve",
+                        lambda *a: resolved.append(a) or 1 / 0)
+    for name in takes_a_scenario:
+        for scenario in ("quickstart", spec_file):
+            with pytest.raises(ZeroDivisionError):
+                main([name, scenario, "--duration", "700", "--seed", "9",
+                      "--set", "workload.s=1"])
+            assert resolved.pop() == (scenario, 700.0, 9, {"workload.s": 1})
+
+
+# ----------------------------------------------------------------------
+# (b') A scenario is a registry name or a spec file
+# ----------------------------------------------------------------------
+@pytest.fixture
+def spec_file(tmp_path):
+    """``quickstart`` as data: what ``fuzz --save-traces`` writes."""
+    path = tmp_path / "saved.spec.json"
+    path.write_text(registry.get("quickstart").to_json() + "\n")
+    return str(path)
+
+
+class TestSpecFileIsAScenario:
+    def test_overrides_apply_to_a_file_as_to_a_name(self, spec_file):
+        for args in ((), (DURATION,), (DURATION + 5_000.0, 3),
+                     (None, None, {"workload.s": 1, "seed": 4}),
+                     (500.0, None, {"warmup_ms": 100.0})):
+            assert registry.resolve(spec_file, *args) \
+                == registry.resolve("quickstart", *args), args
+        # The warm-up rule reads the *file's* warm-up, not a registry's.
+        assert registry.resolve(spec_file, DURATION).warmup_ms == 0.0
+
+    def test_run_executes_the_file_as_written(self, spec_file, tmp_path):
+        """A saved failure is a resolved point: run alone, its seed is
+        the run's (a name's runs draw derived replication seeds)."""
+        spec = registry.resolve(spec_file, DURATION)
+        out, trace = str(tmp_path / "x.json"), tmp_path / "t.jsonl"
+        assert main(["run", spec_file, "--duration", str(DURATION),
+                     "--quiet", "--check", "--record", str(trace),
+                     "--out", out]) == 0
+        assert trace.read_text() == "".join(
+            line + "\n" for line in record_spec(spec).lines)
+        (run,) = json.load(open(out))["runs"]
+        assert (run["run_id"], run["seed"]) == (NAME, spec.seed)
+        # Replications derive their seeds from it, as for a name.
+        assert main(["run", spec_file, "--duration", str(DURATION),
+                     "--quiet", "--reps", "2", "--out", out]) == 0
+        assert [r["seed"] for r in json.load(open(out))["runs"]] == [
+            p.seed for p in expand_grid(spec, replications=2)]
+
+    def test_every_scenario_subcommand_takes_the_file(self, spec_file,
+                                                      tmp_path, capsys):
+        out = str(tmp_path / "sweep.json")
+        short = ["--duration", str(DURATION)]
+        assert main(["sweep", spec_file, "--param", "seed=1,2", "--reps",
+                     "1", "--quiet", "--check", "--out", out] + short) == 0
+        doc = json.load(open(out))
+        assert [r["seed"] for r in doc["runs"]] == [1, 2]
+        assert doc["meta"]["scenario"] == spec_file
+        assert main(["compare", spec_file, "--shards", "2"] + short) == 0
+        assert "shards=2: byte-identical" in capsys.readouterr().out
+        assert main(["partition", spec_file, "--shards", "2"]) == 0
+        assert "quickstart: " in capsys.readouterr().out
+        assert main(["live-diff", spec_file, "--time-scale", "0.001",
+                     "--quiet"] + short) == 0
+        assert main(["run", spec_file, "--shards", "2", "--quiet"]
+                    + short) == 0
+        assert main(["run", spec_file, "--quiet"] + BACKENDS["live"]
+                    + short) == 0
+
+    def test_show_plan_reads_a_spec_file_and_a_bare_plan(self, tmp_path,
+                                                         capsys):
+        spec = registry.get("split_brain")
+        saved, bare = tmp_path / "s.json", tmp_path / "plan.json"
+        saved.write_text(spec.to_json())
+        bare.write_text(spec.faults.to_json())
+        expected = spec.faults.to_json()
+        for source in ("split_brain", str(saved), str(bare)):
+            assert main(["show-plan", source, "--json"]) == 0
+            assert capsys.readouterr().out.strip() == expected
+        for source in (str(saved), str(bare)):
+            assert main(["validate-plan", source]) == 0
+        assert capsys.readouterr().out == \
+            f"ok: {len(spec.faults)} action(s)\n" * 2
+
+    def test_a_registered_name_beats_a_same_named_file(self, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "quickstart").write_text(
+            registry.get("split_brain").to_json())
+        assert registry.resolve("quickstart") == registry.get("quickstart")
+        assert main(["show-plan", "quickstart"]) == 0
+        assert "empty fault plan" in capsys.readouterr().out
+        # Unregistered, the same file is found without a .json suffix.
+        os.rename("quickstart", "saved")
+        assert registry.resolve("saved") == registry.get("split_brain")
+
+    def test_a_sweep_of_a_file_needs_its_axes(self, spec_file, capsys):
+        assert main(["sweep", spec_file]) == EXIT_USAGE
+        assert "no default sweep" in capsys.readouterr().err
+
+    def test_a_missing_or_invalid_file_is_exit_2(self, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "nope.json"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: No such file or directory: nope.json")
+        data = registry.get("quickstart").to_dict()
+        data["no_such_key"] = 1
+        (tmp_path / "typo.json").write_text(json.dumps(data))
+        (tmp_path / "garbage.json").write_text("{not json")
+        for argv in (["run", "typo.json"], ["compare", "typo.json"],
+                     ["show-plan", "typo.json"]):
+            assert main(argv) == EXIT_USAGE
+            assert "no_such_key" in capsys.readouterr().err
+        assert main(["run", "garbage.json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 # ----------------------------------------------------------------------
@@ -235,27 +367,11 @@ def test_live_recording_replays_to_the_online_verdict(tmp_path, capsys):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def poisoned_suite(monkeypatch):
-    """The standard suite, told at attach that one MH saw gseq 5 and
-    then gseq 4 — a total-order breach every checked run must report."""
-    real = validation_suite.suite_for_spec
-
-    def poisoned(spec):
-        monitors = real(spec)
-        attach = monitors.attach
-
-        def attach_and_poison(trace):
-            attached = attach(trace)
-            for gseq in (5, 4):
-                trace.emit(0.0, "mh.deliver", mh="mh:ghost", gseq=gseq,
-                           latency=1.0, source="src:ghost", local_seq=gseq,
-                           created_at=0.0)
-            return attached
-
-        monitors.attach = attach_and_poison
-        return monitors
-
-    # Harvest(check=True) looks the factory up in its module per call.
-    monkeypatch.setattr(validation_suite, "suite_for_spec", poisoned)
+    """The standard suite, reporting a total-order breach on every
+    checked run.  Harvest(check=True) looks the factory up in its module
+    per call."""
+    monkeypatch.setattr(validation_suite, "suite_for_spec",
+                        poisoned(validation_suite.suite_for_spec))
 
 
 class TestExitCodes:

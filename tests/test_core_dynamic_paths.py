@@ -4,10 +4,12 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.datastructures import MessageQueue, BufferedMessage
+from repro.experiments import registry
+from repro.experiments.runner import Harvest, observed_scenario
 from repro.metrics.order_checker import OrderChecker
 from repro.topology.tiers import Tier
 
-from helpers import small_net
+from helpers import small_net, spec_path
 
 
 def dyn_cfg(**kw) -> ProtocolConfig:
@@ -128,3 +130,52 @@ def test_last_member_leaving_demotes_path_to_standby():
     mh.leave()
     sim.run(until=3_000)  # standby reservation expires
     assert not ag.has_child("ap:0.0.0")
+
+
+# ---------------------------------------------------------------------------
+# ROADMAP 1a: the stale home registration
+# ---------------------------------------------------------------------------
+def test_parked_joiner_that_left_is_not_registered_when_the_path_warms():
+    sim, net = small_net(mhs_per_ap=0, cfg=dyn_cfg())
+    src = net.add_source(rate_per_sec=20)
+    net.start()
+    home, away = net.nes["ap:0.0.0"], net.nes["ap:0.0.1"]
+    mh = net.add_mobile_host("mh:x", home.id)
+    sim.run(until=200)  # no stream yet: the join is parked behind a cold AP
+    assert home._pending_joins == ["mh:x"] and not home.path_established
+    net.handoff("mh:x", away.id)
+    sim.run(until=400)
+    assert home._pending_joins == [] and away._pending_joins == ["mh:x"]
+    src.start()
+    sim.run(until=3_000)  # both paths warm; only the AP it is at registers it
+    assert home.path_established and away.path_established
+    assert not home.has_child("mh:x") and away.has_child("mh:x")
+    assert mh.is_member and mh.delivered_count > 0
+
+
+#: FINDINGS table 1 as a spec file, through the one resolver.
+CAMPUS = spec_path("campus_dynamic_paths.json")
+
+
+@pytest.mark.parametrize("seed,horizon", [(11, 3_000.0), (12, 3_000.0),
+                                          (1, 6_000.0), (11, 6_000.0),
+                                          (21, 6_000.0)])
+def test_findings_seeds_leave_every_member_registered_at_one_ap(seed,
+                                                                horizon):
+    """Each of these five runs ended with a roaming member registered at
+    two APs — its home AP one of them — before ``_ap_handle_detach``
+    dropped parked joiners."""
+    spec = registry.resolve(CAMPUS, duration_ms=horizon, seed=seed)
+    harvest = Harvest(spec, check=True)
+    with observed_scenario(spec, harvest) as scenario:
+        scenario.run()
+    membership = harvest.suite.get("membership")
+    assert membership.violations == []
+    net = scenario.net
+    # Like the monitor, leave out a handoff still in flight at the end.
+    members = {mh_id for mh_id, mh in net.mobile_hosts.items()
+               if mh.is_member and membership._settled(mh_id, horizon)}
+    assert len(members) > 30
+    registered = [child for ne in net.nes.values() if ne.alive
+                  for child in ne.wt.children if child in members]
+    assert sorted(registered) == sorted(members)

@@ -44,25 +44,27 @@ this NE's own request, so it lies below ``rear`` and opens no hole.
 
 from __future__ import annotations
 
-import random
+import hashlib
+import json
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from perfbench.workloads import get as perfbench_workload
+from repro.experiments import registry
 from repro.experiments.runner import observed_scenario
-from repro.experiments.spec import (ChurnSpec, ExperimentSpec,
-                                    HierarchyShape, MobilitySpec,
-                                    WorkloadSpec)
+from repro.experiments.spec import ExperimentSpec
 from repro.live.runtime import LiveRuntime
 from repro.runtime.timers import PeriodicTimer
 from repro.sim import rand
 from repro.sim.engine import Simulator, mix_key
 from repro.sim.rand import (PurePythonGenerator, RandomStreams,
-                            UniformBlocks, derive_seed)
-from repro.validation.fuzz import random_spec
+                            UniformBlocks)
+from repro.validation.fuzz import fuzz_points
 from repro.validation.record import TraceRecorder, first_divergence
+
+from helpers import spec_path
 
 
 def _poll(self) -> None:
@@ -72,37 +74,31 @@ def _poll(self) -> None:
 # ----------------------------------------------------------------------
 # (a) Parked vs polling, whole stacks
 # ----------------------------------------------------------------------
-def _fuzz_specs(n: int, base_seed: int = 0, duration_ms: float = 3_000.0):
-    """The first ``n`` specs exactly as ``fuzz(base_seed, duration_ms)``
-    draws them (one shared shape stream, per-case derived seeds)."""
-    shape_rng = random.Random(derive_seed(base_seed, "fuzz-shapes"))
-    return [random_spec(shape_rng, index=i,
-                        seed=derive_seed(base_seed, "fuzz-case", i),
-                        duration_ms=duration_ms) for i in range(n)]
-
-
-def _campus_dynamic_paths() -> ExperimentSpec:
-    # perfbench/FINDINGS.md: campus(11, protocol={"static_ap_paths": False})
-    return ExperimentSpec(
-        name="campus-dynamic-paths",
-        hierarchy=HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=4,
-                                 mhs_per_ap=3),
-        workload=WorkloadSpec(s=3, rate_per_sec=20.0, pattern="poisson"),
-        mobility=MobilitySpec(enabled=True, model="directional",
-                              mean_dwell_ms=800.0, persistence=0.9),
-        churn=ChurnSpec(enabled=True, mean_interval_ms=400.0),
-        protocol={"static_ap_paths": False},
-        duration_ms=6_000.0, warmup_ms=500.0, seed=11)
-
-
 def _quick_window(name: str) -> ExperimentSpec:
     workload = perfbench_workload(name)
     return workload.spec(workload.default_seed, quick=True)
 
 
-DIFFERENTIAL_SPECS = _fuzz_specs(40) + [
+#: perfbench/FINDINGS.md: campus(11, protocol={"static_ap_paths": False}).
+CAMPUS_DYNAMIC_PATHS = spec_path("campus_dynamic_paths.json")
+
+DIFFERENTIAL_SPECS = [p.spec for p in fuzz_points(40, 0, 3_000.0)] + [
     _quick_window("lossy_churn"), _quick_window("roaming_clean"),
-    _campus_dynamic_paths()]
+    registry.resolve(CAMPUS_DYNAMIC_PATHS)]
+
+
+def test_the_differential_runs_the_specs_it_always_ran():
+    """The 40 fuzz specs are what the hand-copied derivation this file
+    carried before ``fuzz_points`` produced (``to_dict()`` hash of that
+    list at the parent commit), and the campus file is the hand copy."""
+    blob = json.dumps([spec.to_dict() for spec in DIFFERENTIAL_SPECS[:40]],
+                      sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "f49fbc6ad650c265bc8918cf645c3299a575479f02c75d251f359ce4cac616b4")
+    campus = DIFFERENTIAL_SPECS[-1]
+    assert (campus.name, campus.seed, campus.duration_ms,
+            campus.protocol) == ("campus-dynamic-paths", 11, 6_000.0,
+                                 {"static_ap_paths": False})
 
 
 def _record(spec):
