@@ -397,13 +397,14 @@ def _run_live(args: argparse.Namespace, point: RunPoint):
 
     violations = report["monitor_violations"]
     order = report["order_violations"]
-    wire = run.scenario.net.fabric.messages_delivered
+    wire = report["wire"]["delivered"]
     if not quiet:
         print(f"delivered={report['delivered']} "
               f"goodput={report['goodput']:.2f}/s "
               f"p50={report['latency'].get('p50', 0.0):.1f}ms "
               f"max_lag={lag['max_lag_ms']:.1f}ms "
-              f"callbacks/yield={lag['events'] / max(lag['yields'], 1):.1f}")
+              f"callbacks/yield={lag['events'] / max(lag['yields'], 1):.1f} "
+              f"unaccounted={report['wire']['unaccounted']}")
         for v in violations:
             print(f"VIOLATION: {v}", file=sys.stderr)
     if violations or order:

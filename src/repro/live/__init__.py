@@ -7,9 +7,9 @@ this package binds the exact same protocol code — via the
 * :class:`LiveRuntime` — loop-based timers with drift correction
   (callbacks observe their *scheduled* deadline, so periodic work ticks
   on absolute deadlines and never accumulates drift);
-* :class:`QueueFabric` / :class:`UdpFabric` — transmission over
-  per-node ``asyncio.Queue`` rx queues (single-host multi-tier runs)
-  or real UDP sockets on the loopback;
+* :class:`QueueFabric` / :class:`UdpFabric` — transmission over one
+  in-process inbox and its pump task (single-host multi-tier runs) or
+  real UDP sockets on the loopback;
 * :class:`NetworkBuilder` — BR/AG/AP/MH tiers from an existing
   :class:`~repro.experiments.spec.ExperimentSpec`, with the
   :mod:`repro.validation` monitors attached to the live trace stream;

@@ -53,7 +53,13 @@ class LiveRun:
     def report(self) -> Dict[str, object]:
         """Machine-readable summary of a finished run: the sim's
         :class:`~repro.experiments.results.RunResult` fields plus what
-        only a wall-clock run has (fabric, load generator, loop lag)."""
+        only a wall-clock run has (fabric, load generator, loop lag).
+        ``wire.unaccounted`` is what was sent and neither dropped nor
+        delivered: in flight at the horizon, plus kernel drops on UDP."""
+        fabric = self.scenario.net.fabric
+        sent, dropped, delivered = (fabric.messages_sent,
+                                    fabric.messages_dropped,
+                                    fabric.messages_delivered)
         return {
             **self.harvest.result.to_dict(),
             "backend": "live",
@@ -61,6 +67,9 @@ class LiveRun:
             "monitor_violations": self.violations(),
             "loadgen": self.loadgen.report(),
             "lag": self.runtime.lag_report(),
+            "wire": {"sent": sent, "dropped": dropped,
+                     "delivered": delivered,
+                     "unaccounted": sent - dropped - delivered},
         }
 
     def obs_report(self) -> Dict[str, object]:
@@ -103,7 +112,7 @@ class NetworkBuilder:
     spec:
         Any :class:`ExperimentSpec` with ``system == "ringnet"``.
     fabric:
-        ``"queue"`` (in-process asyncio queues) or ``"udp"`` (loopback
+        ``"queue"`` (the in-process inbox) or ``"udp"`` (loopback
         sockets).  UDP requires a static population — no open-world
         arrivals.
     time_scale:

@@ -1,4 +1,4 @@
-"""Live transmission substrates: asyncio queues and UDP sockets.
+"""Live transmission substrates: an in-process inbox and UDP sockets.
 
 Both fabrics inherit the full link model from
 :class:`~repro.net.fabric.Fabric` — link lookup, fault overlay, loss
@@ -6,9 +6,9 @@ and jitter draws, bandwidth delay — and override only the dispatch
 point, so a live run models exactly the network the sim modelled and
 then adds a real data path on top:
 
-* :class:`QueueFabric` — each node owns an ``asyncio.Queue`` rx queue
-  drained by a pump task; a message is on the queue from the moment it
-  is sent, its arrival deadline riding along, so deliveries execute
+* :class:`QueueFabric` — one inbox for the whole population, drained
+  by one pump task; a message is in the fabric's hands from the moment
+  it is sent, its arrival deadline riding along, so deliveries execute
   with the same logical timestamps the sim would assign.  The
   single-host multi-tier configuration.
 * :class:`UdpFabric` — each node binds a real UDP socket on the
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import asyncio
 import pickle
-from typing import Dict, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.live.runtime import LiveRuntime
 from repro.net.address import NodeId
@@ -32,82 +33,72 @@ from repro.net.node import NetNode
 
 
 class QueueFabric(Fabric):
-    """In-process fabric: per-node ``asyncio.Queue`` rx queues.
+    """In-process fabric: one inbox, drained by one pump task.
 
-    The send path computes the modelled delay as usual and puts
-    ``(arrival deadline, message)`` on the destination's rx queue there
-    and then: the message is on the queue for the length of its flight,
-    not for zero time after it.  The runtime is told the deadline
-    (:meth:`LiveRuntime.expect_input`), so it yields to the pump tasks
-    before it runs anything that late; the destination's pump re-injects
-    the message into the deadline heap at its arrival time — so
-    deliveries execute with the same logical timestamps the sim would
-    assign, at one heap event per hop like the sim, while the data still
-    flows through real asyncio machinery.  Whether the destination
-    exists is decided on arrival, as in the sim: a queue (and, during a
-    run, its pump) is opened by the first send to an id, registered or
-    not.
+    The send path computes the modelled delay as usual and appends
+    ``(arrival deadline, dst, message)`` to the inbox there and then:
+    the fabric holds the message for the length of its flight, not for
+    zero time after it.  The runtime is told the deadline
+    (:meth:`LiveRuntime.expect_input`), so it yields to the pump before
+    it runs anything that late; the pump wakes once per yield and
+    re-injects the whole inbox into the deadline heap, each message at
+    its arrival time and in send order — so deliveries execute with the
+    same logical timestamps the sim would assign, at one append and one
+    heap event per hop, while every arrival is still input that a
+    foreign task hands the loop.  Whether the destination exists is
+    decided on arrival, as in the sim.
     """
 
     def __init__(self, runtime: LiveRuntime,
                  default_spec: Optional[LinkSpec] = None):
         super().__init__(runtime, default_spec)
-        self._queues: Dict[NodeId, asyncio.Queue] = {}
-        self._pumps: Dict[NodeId, asyncio.Task] = {}
-        self._running = False
+        self._inbox: Deque[Tuple[float, NodeId, Message]] = deque()
+        #: What the parked pump awaits; None while it runs or is not up.
+        self._idle: Optional[asyncio.Future] = None
+        self._pump_task: Optional[asyncio.Task] = None
         runtime.add_service(self)
 
     # -- Fabric overrides ----------------------------------------------
     def _dispatch(self, dst: NodeId, msg: Message, delay: float) -> None:
-        queue = self._queues.get(dst)
-        if queue is None:
-            queue = self._open(dst)
         sim = self.sim
         at = sim.now + delay
-        queue.put_nowait((at, msg))
+        self._inbox.append((at, dst, msg))
         sim.expect_input(at)
-
-    def _open(self, dst: NodeId) -> asyncio.Queue:
-        """First send to ``dst``: its rx queue and, mid-run, its pump."""
-        queue = self._queues[dst] = asyncio.Queue()
-        if self._running:
-            self._start_pump(dst, queue)
-        return queue
+        idle = self._idle
+        if idle is not None:
+            self._idle = None
+            idle.set_result(None)
 
     # -- service lifecycle ---------------------------------------------
     async def start(self) -> None:
-        self._running = True
-        # Sends made before the run (build-time joins) are already
-        # queued; their deadlines were announced when they were sent.
-        for node_id, queue in self._queues.items():
-            self._start_pump(node_id, queue)
+        # Sends made before the run (build-time joins) are already in
+        # the inbox; their deadlines were announced when they were sent.
+        self._pump_task = asyncio.get_running_loop().create_task(
+            self._pump())
 
     async def stop(self) -> None:
-        self._running = False
         # The loop has flushed every arrival due by the horizon; what is
-        # still queued is due after it and is dropped, exactly like a
-        # heap entry past the horizon.
-        for task in self._pumps.values():
-            task.cancel()
-        if self._pumps:
-            await asyncio.gather(*self._pumps.values(),
-                                 return_exceptions=True)
-        self._pumps.clear()
+        # still in the inbox is due after it and is dropped, exactly
+        # like a heap entry past the horizon.
+        self._idle = None
+        self._pump_task.cancel()
+        await asyncio.gather(self._pump_task, return_exceptions=True)
 
-    def _start_pump(self, node_id: NodeId, queue: asyncio.Queue) -> None:
-        self._pumps[node_id] = asyncio.get_running_loop().create_task(
-            self._pump(node_id, queue))
-
-    async def _pump(self, node_id: NodeId, queue: asyncio.Queue) -> None:
+    async def _pump(self) -> None:
+        inbox = self._inbox
+        schedule_at, arrive = self.sim.schedule_at, self._arrive
+        loop = asyncio.get_running_loop()
         while True:
-            at, msg = await queue.get()
             # Re-inject through the deadline heap rather than calling
             # _arrive inline: the arrival then interleaves with other
             # work at the same logical time in deterministic heap
-            # order, instead of landing wherever the pump task happened
-            # to get scheduled.
-            self.sim.schedule_at(at, self._arrive, node_id, msg,
-                                 owner=node_id)
+            # order, instead of landing wherever this task happened to
+            # get scheduled.
+            while inbox:
+                at, dst, msg = inbox.popleft()
+                schedule_at(at, arrive, dst, msg, owner=dst)
+            self._idle = loop.create_future()
+            await self._idle
 
 
 class _UdpEndpoint(asyncio.DatagramProtocol):

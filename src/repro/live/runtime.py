@@ -39,7 +39,7 @@ puts them, however late the loop is running.  Input due after the
 horizon is not flushed; it is dropped like a heap entry past it.
 
 Outside callbacks, :attr:`now` is the wall-derived logical time.
-Services (socket fabrics, queue pumps) injecting work from their own
+Services (socket fabrics, the queue pump) injecting work from their own
 tasks use :meth:`run_inline` so protocol code still executes with a
 consistent frozen clock and owner context.
 """
@@ -219,7 +219,7 @@ class LiveRuntime(Runtime):
         """Execute ``fn(*args)`` immediately with ``now`` frozen at
         ``at`` and the owner context set.
 
-        The entry point for service tasks (queue pumps, datagram
+        The entry point for service tasks (the queue pump, datagram
         receivers) handing work to protocol code: everything the
         callback emits or schedules sees a consistent clock, exactly as
         if it had been dispatched from the deadline heap.
@@ -239,7 +239,7 @@ class LiveRuntime(Runtime):
     # ------------------------------------------------------------------
     def add_service(self, service: Any) -> None:
         """Register an object with async ``start()``/``stop()`` hooks,
-        awaited around the run loop (socket binding, pump tasks)."""
+        awaited around the run loop (socket binding, the pump task)."""
         self._services.append(service)
 
     def expect_input(self, by: float) -> None:
@@ -279,12 +279,16 @@ class LiveRuntime(Runtime):
         self._wake = asyncio.Event()
         self._stopped = False
         self._wall0 = loop.time()
-        for svc in self._services:
-            await svc.start()
+        started: List[Any] = []
         try:
+            # Inside the try: a start() that raises (a bind error) must
+            # still stop what did start and leave the runtime runnable.
+            for svc in self._services:
+                await svc.start()
+                started.append(svc)
             await self._loop_until(until, max_events)
         finally:
-            for svc in self._services:
+            for svc in reversed(started):
                 await svc.stop()
             end = (loop.time() - self._wall0) * 1000.0 / self.time_scale
             if until is not None:
