@@ -6,10 +6,15 @@ scenario — a registry name or an ``ExperimentSpec`` JSON file, through
 takes one; the backend is read off which selector is present:
 
 * neither — the sequential engine, through the sweep runner
-  (``--reps`` / ``--jobs`` / ``--out`` / ``--csv`` / ``--timing``);
+  (``--reps`` / ``--jobs``);
 * ``--shards K`` — K worker processes (:func:`repro.shard.run_sharded`);
 * ``--live queue|udp`` — the wall-clock asyncio backend
   (``--time-scale``, ``--max-lag-ms``).
+
+Each prints the same run table and writes the same artifact
+(``--out`` / ``--csv`` / ``--timing``): one
+:class:`~repro.experiments.results.RunResult` per run, a sharded or
+live one with its ``shard`` / ``live`` section.
 
 ``--check`` / ``--record FILE`` / ``--obs [DIR]`` / ``--spans [DIR]``
 are four observers (the monitor suite, a trace recorder, an
@@ -82,7 +87,7 @@ from repro.obs.spans import (SpanCollector, assemble, completeness,
                              events_from_trace, read_span_events)
 from repro.shard.partition import (cut_edges, latency_matrix, lookahead_of,
                                    min_lookahead, partition_spec)
-from repro.shard.runtime import ShardRunResult, run_sharded
+from repro.shard.runtime import run_sharded
 from repro.sim.trace import StreamingTraceSink, write_trace_lines
 from repro.validation import fuzz as campaign
 from repro.validation.record import (first_divergence, read_jsonl,
@@ -158,17 +163,6 @@ def _load_json(path: str) -> Any:
         return json.load(fh)
 
 
-def _emit_report(args: argparse.Namespace, report: Dict[str, Any]) -> None:
-    """A live report goes to ``--out``, else (unless quiet) to stdout."""
-    text = json.dumps(report, indent=2, sort_keys=True, default=list)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
-    elif not args.quiet:
-        print(text)
-
-
 def _print_violations(violations: Sequence[str], limit: int = 20) -> None:
     for v in violations[:limit]:
         print(f"  VIOLATION {v}")
@@ -236,11 +230,12 @@ def cmd_list(args: argparse.Namespace) -> int:
 # run: one scenario, three backends, four observers
 # ----------------------------------------------------------------------
 #: argparse dests a backend cannot honour (left at None/False = not given).
+#: ``--check`` needs the net for its end-of-run checks, which a sharded
+#: run has in no one process.
 _UNSUPPORTED = {
     "sim": ("time_scale", "max_lag_ms"),
-    "shards": ("reps", "jobs", "out", "csv", "timing", "check",
-               "time_scale", "max_lag_ms"),
-    "live": ("reps", "jobs", "csv", "timing"),
+    "shards": ("reps", "jobs", "check", "time_scale", "max_lag_ms"),
+    "live": ("reps", "jobs"),
 }
 
 
@@ -302,6 +297,18 @@ def _collector(args: argparse.Namespace) -> Optional[SpanCollector]:
     return SpanCollector(rate=rate) if rate else None
 
 
+def _report_runs(args: argparse.Namespace, results: List[RunResult],
+                 root_seed: int) -> None:
+    """The run table and the ``--out`` / ``--csv`` artifacts, the same on
+    every backend."""
+    print()
+    print(format_table(_result_rows(results)))
+    _write_sweep_artifacts(results, {
+        "command": "run", "scenario": args.scenario,
+        "replications": len(results), "root_seed": root_seed,
+    }, args.out, args.csv, args.timing)
+
+
 def _run_sim(args: argparse.Namespace, points: List[RunPoint],
              root_seed: int):
     progress = None if args.quiet else _progress
@@ -329,39 +336,25 @@ def _run_sim(args: argparse.Namespace, points: List[RunPoint],
                             jobs=1 if args.jobs is None else args.jobs,
                             progress=progress, check=args.check,
                             obs_dir=args.obs, spans_dir=args.spans)
-    print()
-    print(format_table(_result_rows(results)))
-    _write_sweep_artifacts(results, {
-        "command": "run", "scenario": args.scenario,
-        "replications": len(points), "root_seed": root_seed,
-    }, args.out, args.csv, args.timing)
+    _report_runs(args, results, root_seed)
     return (_report_check(results) if args.check else 0), obs, spans
 
 
-def _print_shard_table(result: ShardRunResult) -> None:
-    """Per-shard lines: events, stalls by cause, barrier wait,
-    export-queue peak."""
-    print("  per shard:")
-    for i, events in enumerate(result.shard_events):
-        causes = ", ".join(f"{k}={v}" for k, v
-                           in sorted(result.stall_causes[i].items()))
-        print(f"    shard {i}: events={events:,}  "
-              f"stalls={result.stalled_windows[i]}"
-              f"{' (' + causes + ')' if causes else ''}  "
-              f"barrier_wait={result.barrier_wait_s[i]:.3f}s  "
-              f"export_q_peak={result.export_q_peaks[i]}")
-
-
-def _run_shards(args: argparse.Namespace, point: RunPoint):
+def _run_shards(args: argparse.Namespace, points: List[RunPoint],
+                root_seed: int):
     # Another process runs the scenario: the flags travel as
     # run_sharded's switches and each worker constructs the observers.
-    result = run_sharded(point.spec, args.shards,
-                         record=args.record is not None,
+    # The merged trace is always recorded: the run's RunResult is
+    # harvested from it.
+    point = points[0]
+    result = run_sharded(point.spec, args.shards, record=True,
                          obs=args.obs is not None, spans=_span_rate(args))
+    run = result.run_result(point)
     if not args.quiet:
-        for key, value in result.stats_dict().items():
+        # The shard section, per-shard lists included.
+        for key, value in run.shard.items():
             print(f"  {key}: {value}")
-        _print_shard_table(result)
+    _report_runs(args, [run], root_seed)
     if args.record is not None:
         n = write_trace_lines(args.record, result.merged_lines or [])
         print(f"wrote {n} records to {args.record}")
@@ -372,48 +365,50 @@ def _run_shards(args: argparse.Namespace, point: RunPoint):
     return 0, obs, spans
 
 
-def _run_live(args: argparse.Namespace, point: RunPoint):
-    spec, quiet = point.spec, args.quiet
+def _run_live(args: argparse.Namespace, points: List[RunPoint],
+              root_seed: int):
+    spec, quiet = points[0].spec, args.quiet
     time_scale = 1.0 if args.time_scale is None else args.time_scale
     collector = _collector(args)
+    # Built before --record opens its file: a spec the fabric cannot
+    # run leaves no artifact behind.
+    builder = NetworkBuilder(spec, fabric=args.live, time_scale=time_scale,
+                             monitors=args.check)
     with _recording(args.record) as recorder:
-        run = NetworkBuilder(spec, fabric=args.live, time_scale=time_scale,
-                             monitors=args.check).build(recorder, collector)
+        run = builder.build(recorder, collector)
         if not quiet:
             print(f"live run: {spec.name} fabric={args.live} "
                   f"nodes={len(run.scenario.net.fabric.nodes)} "
                   f"duration={spec.duration_ms:.0f}ms "
                   f"time_scale={time_scale}")
         run.run()
-    report = run.report()
-    lag, limit = report["lag"], args.max_lag_ms
+    result = run.result
+    lag, wire, limit = result.live["lag"], result.live["wire"], args.max_lag_ms
     overloaded = limit is not None and lag["max_lag_ms"] > limit
     if limit is not None:
-        report["overloaded"] = overloaded
-        report["max_lag_limit_ms"] = limit
-    _emit_report(args, report)
+        result.live.update(overloaded=overloaded, max_lag_limit_ms=limit)
+    _report_runs(args, [result], root_seed)
     obs = (run.obs_report(), []) if args.obs is not None else None
     spans = (collector.events, None) if collector is not None else None
 
-    violations = report["monitor_violations"]
-    order = report["order_violations"]
-    wire = report["wire"]["delivered"]
+    violations = run.violations()
+    order, delivered = result.order_violations, result.delivered
     if not quiet:
-        print(f"delivered={report['delivered']} "
-              f"goodput={report['goodput']:.2f}/s "
-              f"p50={report['latency'].get('p50', 0.0):.1f}ms "
+        print(f"delivered={delivered} "
+              f"goodput={result.goodput:.2f}/s "
+              f"p50={result.latency.get('p50', 0.0):.1f}ms "
               f"max_lag={lag['max_lag_ms']:.1f}ms "
               f"callbacks/yield={lag['events'] / max(lag['yields'], 1):.1f} "
-              f"unaccounted={report['wire']['unaccounted']}")
+              f"unaccounted={wire['unaccounted']}")
         for v in violations:
             print(f"VIOLATION: {v}", file=sys.stderr)
     if violations or order:
         print(f"FAIL: {len(violations)} monitor violation(s), "
               f"{order} order violation(s)", file=sys.stderr)
         code = EXIT_FAILED
-    elif report["sent"] and not (wire and report["delivered"]):
-        print(f"FAIL: no traffic crossed the wire ({report['sent']} sent, "
-              f"{wire} fabric deliveries, {report['delivered']} app "
+    elif result.sent and not (wire["delivered"] and delivered):
+        print(f"FAIL: no traffic crossed the wire ({result.sent} sent, "
+              f"{wire['delivered']} fabric deliveries, {delivered} app "
               f"deliveries)", file=sys.stderr)
         code = EXIT_FAILED
     elif overloaded:
@@ -443,13 +438,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "live" if args.live is not None else "sim"
     _reject_unsupported(args, backend, len(points))
     # Every backend runs the same point: same derived seed, same run id,
-    # hence the same artifact names.
-    if backend == "sim":
-        code, obs, spans = _run_sim(args, points, base.seed)
-    elif backend == "shards":
-        code, obs, spans = _run_shards(args, points[0])
-    else:
-        code, obs, spans = _run_live(args, points[0])
+    # hence the same artifact names and the same run entry.
+    run = {"sim": _run_sim, "shards": _run_shards, "live": _run_live}[backend]
+    code, obs, spans = run(args, points, base.seed)
     name = points[0].run_id
     if obs is not None:
         paths = write_artifacts(*obs, out_dir=args.obs, name=name)
@@ -578,7 +569,13 @@ def cmd_live_diff(args: argparse.Namespace) -> int:
                       ("rate_rel", args.rate_rel)) if value is not None}
     report = diff_spec(spec, fabric=args.fabric, time_scale=args.time_scale,
                        tolerances=tolerances or None)
-    _emit_report(args, report)
+    text = json.dumps(report, indent=2, sort_keys=True, default=list)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {args.out}")
+    elif not args.quiet:
+        print(text)
     if not args.quiet:
         worst = min((g["agreement"] for g in report["groups"]), default=1.0)
         print(f"diff {spec.name}: envelopes "
@@ -876,8 +873,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                    help="worker processes (default: run 1 = serial, "
                         "sweep 2)")
     p.add_argument("--out", default=None, metavar="FILE",
-                   help="write the JSON artifact here (--live: the run "
-                        "report)")
+                   help="write the JSON artifact (one run entry per "
+                        "run) here")
     p.add_argument("--csv", default=None, metavar="FILE",
                    help="write aggregate rows as CSV here")
     p.add_argument("--check", action="store_true",

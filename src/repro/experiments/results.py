@@ -68,13 +68,20 @@ class RunResult:
     #: Omitted from dict/JSON forms when None so unchecked artifacts
     #: stay byte-identical to pre-validation ones.
     violations: Optional[List[str]] = None
+    #: What only one backend has, omitted when None like ``violations``:
+    #: a wall-clock run's fabric, load generator, loop lag and wire
+    #: counts (``live``), a sharded run's coordination counters
+    #: (``shard``).  Both carry wall-clock numbers.
+    live: Optional[Dict[str, Any]] = None
+    shard: Optional[Dict[str, Any]] = None
 
     def to_dict(self, include_timing: bool = True) -> Dict[str, Any]:
         data = asdict(self)
         if not include_timing:
             data.pop("wall_time_s")
-        if self.violations is None:
-            data.pop("violations")
+        for key in ("violations", "live", "shard"):
+            if data[key] is None:
+                data.pop(key)
         return data
 
     @classmethod

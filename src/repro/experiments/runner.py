@@ -339,22 +339,30 @@ def observed_scenario(spec: ExperimentSpec, *observers,
 Check = Union[bool, MonitorSuite, Callable[[ExperimentSpec], MonitorSuite]]
 
 
-def _total_retransmissions(net) -> int:
-    total = 0
-    for group in (net.nes.values(), net.mobile_hosts.values(),
-                  net.sources.values()):
-        for node in group:
-            chan = getattr(node, "chan", None)
-            if chan is not None:
-                total += chan.stats.retransmitted
-    return total
+def network_totals(net, is_local: Optional[Callable[[str], bool]] = None
+                   ) -> Dict[str, int]:
+    """What a run's summary reads off its network at the end, not off
+    the trace: ``sent``, ``delivered``, ``retransmissions``, ``members``
+    and ``peak_buffer`` (max per-NE WQ+MQ occupancy).
 
-
-def _peak_buffer(net) -> int:
-    reports = getattr(net, "buffer_reports", None)
-    if reports is None:
-        return 0
-    return max((r["wq_peak"] + r["mq_peak"] for r in reports()), default=0)
+    ``is_local`` (a shard worker's ownership test) counts only the nodes
+    it admits, so a sharded run's totals are its workers' summed —
+    ``peak_buffer`` by max.
+    """
+    mine = is_local or (lambda node_id: True)
+    mhs = [mh for mid, mh in net.mobile_hosts.items() if mine(mid)]
+    sources = [src for sid, src in net.sources.items() if mine(sid)]
+    nodes = [ne for nid, ne in net.nes.items() if mine(nid)] + mhs + sources
+    reports = net.buffer_reports() if hasattr(net, "buffer_reports") else ()
+    return {
+        "sent": sum(src.sent for src in sources),
+        "delivered": sum(mh.delivered_count for mh in mhs),
+        "retransmissions": sum(node.chan.stats.retransmitted for node in nodes
+                               if getattr(node, "chan", None) is not None),
+        "members": sum(1 for mh in mhs if mh.is_member),
+        "peak_buffer": max((r["wq_peak"] + r["mq_peak"] for r in reports
+                            if mine(r["node"])), default=0),
+    }
 
 
 class Harvest:
@@ -412,10 +420,18 @@ class Harvest:
         self._wall_s = time.perf_counter() - self._wall_start
 
     @cached_property
+    def totals(self) -> Dict[str, int]:
+        """:func:`network_totals` of the finished run's net.  A sharded
+        run's net is split over its workers, so
+        :meth:`~repro.shard.runtime.ShardRunResult.run_result` sets
+        their summed totals here instead."""
+        return network_totals(self._net)
+
+    @cached_property
     def result(self) -> RunResult:
         """The finished run's summary, distilled on first read — not
         inside ``finish``, which a live run's timed teardown calls."""
-        net, point, suite = self._net, self.point, self.suite
+        point, suite = self.point, self.suite
         spec, order, throughput = point.spec, self._order, self._throughput
         t0, t1 = spec.warmup_ms, spec.duration_ms
         return RunResult(
@@ -428,8 +444,6 @@ class Harvest:
             seed=spec.seed,
             duration_ms=spec.duration_ms,
             warmup_ms=spec.warmup_ms,
-            sent=sum(src.sent for src in net.sources.values()),
-            delivered=net.total_app_deliveries(),
             goodput=throughput.goodput(t0, t1),
             sent_rate=throughput.sent_rate(t0, t1),
             min_goodput=throughput.min_goodput(t0, t1),
@@ -437,13 +451,11 @@ class Harvest:
             order_checked=order is not None,
             order_violations=order.violation_count if order is not None
             else 0,
-            retransmissions=_total_retransmissions(net),
             handoffs=self._counts["mh.handoff"],
             tombstones=self._counts["mh.tombstone"],
-            members=len(net.member_hosts()),
-            peak_buffer=_peak_buffer(net),
             wall_time_s=self._wall_s,
             violations=suite.all_violations() if suite is not None else None,
+            **self.totals,
         )
 
 

@@ -12,9 +12,11 @@ stream — then :meth:`NetworkBuilder.build` hands back a
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict
 
+from repro.experiments.results import RunResult
 from repro.experiments.runner import Harvest, observed_scenario
 from repro.experiments.spec import ExperimentSpec
 from repro.live.fabric import QueueFabric, UdpFabric
@@ -50,27 +52,33 @@ class LiveRun:
         suite = self.harvest.suite
         return [] if suite is None else suite.all_violations()
 
-    def report(self) -> Dict[str, object]:
-        """Machine-readable summary of a finished run: the sim's
-        :class:`~repro.experiments.results.RunResult` fields plus what
-        only a wall-clock run has (fabric, load generator, loop lag).
-        ``wire.unaccounted`` is what was sent and neither dropped nor
-        delivered: in flight at the horizon, plus kernel drops on UDP."""
+    @cached_property
+    def result(self) -> RunResult:
+        """The finished run's :class:`RunResult`, the harvest's with what
+        only a wall-clock run has as its ``live`` section: fabric, load
+        generator, loop lag, and the wire, whose ``unaccounted`` is what
+        was sent and neither dropped nor delivered (in flight at the
+        horizon, plus kernel drops on UDP)."""
         fabric = self.scenario.net.fabric
         sent, dropped, delivered = (fabric.messages_sent,
                                     fabric.messages_dropped,
                                     fabric.messages_delivered)
-        return {
-            **self.harvest.result.to_dict(),
-            "backend": "live",
+        return replace(self.harvest.result, live={
             "fabric": self.fabric_kind,
-            "monitor_violations": self.violations(),
             "loadgen": self.loadgen.report(),
             "lag": self.runtime.lag_report(),
             "wire": {"sent": sent, "dropped": dropped,
                      "delivered": delivered,
                      "unaccounted": sent - dropped - delivered},
-        }
+        })
+
+    def report(self) -> Dict[str, object]:
+        """:attr:`result` as a dict, plus ``monitor_violations``: an
+        alias of :meth:`violations` that perfbench's live check reads
+        (not part of the run artifact; goes when perfbench stops
+        reading it)."""
+        return {**self.result.to_dict(),
+                "monitor_violations": self.violations()}
 
     def obs_report(self) -> Dict[str, object]:
         """``OBS_*``-style run report (``run --live FABRIC --obs``).
@@ -132,6 +140,12 @@ class NetworkBuilder:
             raise ValueError(
                 f"the live backend runs the ringnet system, "
                 f"not {spec.system!r}")
+        if fabric == "udp" and spec.openworld.enabled:
+            # Its sockets bind at start; an arrival cannot get one later.
+            raise ValueError(
+                "the udp fabric needs a static population: "
+                f"{spec.name!r} has open-world arrivals (the queue fabric "
+                "takes them)")
         self.spec = spec
         self.fabric_kind = fabric
         self.time_scale = time_scale

@@ -18,9 +18,10 @@ compare:
   violations in the live run.
 
 The result is a machine-readable report whose shape is pinned by the
-committed schema fixture ``tests/data/live_diff_report.schema.json``
-(validated by :func:`validate_report` — a dependency-free structural
-checker, not a full JSON-Schema engine).
+committed schema fixture ``tests/data/live_diff_report.schema.json``;
+its ``sim`` and ``live`` blocks are the two runs' whole run entries,
+the live one with its ``live`` section
+(``tests/data/run_entry.schema.json``).
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ DEFAULT_TOLERANCES = {
     "order_agreement_min": 0.95,
     "overlap_min": 0.85,
 }
-
-
-#: What the report keeps of each side's :class:`RunResult` fields.
-_SIDE_KEYS = ("sent", "delivered", "goodput", "sent_rate", "latency",
-              "order_violations")
 
 
 class DeliveryLog:
@@ -156,12 +152,12 @@ def diff_spec(spec: ExperimentSpec, fabric: str = "queue",
     with observed_scenario(spec, sim_harvest, sim_log,
                            sim_spans) as scenario:
         scenario.run()
-    sim = sim_harvest.result.to_dict()
+    sim = sim_harvest.result.to_dict(include_timing=False)
     live_log, live_spans = DeliveryLog(), SpanCollector()
     run = NetworkBuilder(spec, fabric=fabric, time_scale=time_scale,
                          monitors=True).build(live_log, live_spans)
     run.run()
-    live = run.report()
+    live = run.result.to_dict(include_timing=False)
 
     # Per-group (per-MH) order agreement on the common delivered set.
     groups = []
@@ -213,7 +209,7 @@ def diff_spec(spec: ExperimentSpec, fabric: str = "queue",
     conformance = {
         "sim_order_violations": sim["order_violations"],
         "live_order_violations": live["order_violations"],
-        "live_monitor_violations": list(live["monitor_violations"]),
+        "live_monitor_violations": run.violations(),
     }
     ok = (all(g["ok"] for g in groups)
           and all(e["ok"] for e in envelopes)
@@ -229,8 +225,8 @@ def diff_spec(spec: ExperimentSpec, fabric: str = "queue",
         "fabric": fabric,
         "time_scale": time_scale,
         "tolerances": tol,
-        "sim": {k: sim[k] for k in _SIDE_KEYS},
-        "live": {k: live[k] for k in _SIDE_KEYS + ("lag",)},
+        "sim": sim,
+        "live": live,
         "groups": groups,
         "envelopes": envelopes,
         "span_stages": span_stages,
@@ -238,50 +234,3 @@ def diff_spec(spec: ExperimentSpec, fabric: str = "queue",
         "ok": bool(ok),
     }
 
-
-# ----------------------------------------------------------------------
-# Report schema validation (dependency-free structural check)
-# ----------------------------------------------------------------------
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "number": (int, float),
-    "integer": int,
-    "boolean": bool,
-}
-
-
-def validate_report(report: Any, schema: Dict[str, Any],
-                    path: str = "$") -> List[str]:
-    """Check ``report`` against a minimal JSON-Schema-style ``schema``.
-
-    Supports the subset the committed fixture uses: ``type``,
-    ``required``, ``properties``, and ``items``.  Returns a list of
-    human-readable problems (empty = valid).
-    """
-    problems: List[str] = []
-    expected = schema.get("type")
-    if expected is not None:
-        py = _TYPES[expected]
-        if expected == "number" and isinstance(report, bool):
-            problems.append(f"{path}: expected number, got bool")
-            return problems
-        if not isinstance(report, py) or (
-                expected == "integer" and isinstance(report, bool)):
-            problems.append(
-                f"{path}: expected {expected}, got {type(report).__name__}")
-            return problems
-    if isinstance(report, dict):
-        for key in schema.get("required", ()):
-            if key not in report:
-                problems.append(f"{path}: missing required key {key!r}")
-        for key, sub in schema.get("properties", {}).items():
-            if key in report:
-                problems.extend(
-                    validate_report(report[key], sub, f"{path}.{key}"))
-    if isinstance(report, list) and "items" in schema:
-        for i, item in enumerate(report):
-            problems.extend(
-                validate_report(item, schema["items"], f"{path}[{i}]"))
-    return problems

@@ -18,6 +18,7 @@ Public API::
     plan = partition_spec(spec, 4)
     result = run_sharded(spec, 4, record=True)
     assert result.merged_lines == sequential_lines
+    result.run_result(spec)   # == run_point(spec) but wall time + shard
 """
 
 from repro.shard.partition import (PartitionError, PartitionPlan, cut_edges,

@@ -50,10 +50,13 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.experiments.runner import observed_scenario
+from repro.experiments.grid import RunPoint
+from repro.experiments.results import RunResult
+from repro.experiments.runner import (Harvest, network_totals,
+                                      observed_scenario)
 from repro.experiments.spec import ExperimentSpec
 from repro.obs.session import OBS_SCHEMA, ObsSession
 from repro.obs.spans import SpanCollector
@@ -62,8 +65,8 @@ from repro.shard.partition import (PartitionPlan, latency_matrix,
                                    min_lookahead, partition_spec)
 from repro.shard.record import KeyedRecorder, merge_streams
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceBus, write_trace_lines
-from repro.validation.record import TraceRecorder
+from repro.sim.trace import TraceBus, line_to_record, write_trace_lines
+from repro.validation.record import TraceRecorder, replay
 
 _INF = float("inf")
 
@@ -99,9 +102,9 @@ class ShardRunResult:
     peak_heap: int = 0
     compactions: int = 0
     rebalances: int = 0  #: always 0 (static ownership); perfbench reads it
-    deliveries: int = 0
-    sent: int = 0
-    members: int = 0
+    #: :func:`~repro.experiments.runner.network_totals` of each worker's
+    #: own nodes, summed (``peak_buffer``: max).
+    totals: Dict[str, int] = field(default_factory=dict)
     build_s: float = 0.0
     wall_s: float = 0.0
     trace_counts: Dict[str, int] = field(default_factory=dict)
@@ -118,13 +121,26 @@ class ShardRunResult:
         """Aggregate engine throughput over the parallel section."""
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
-    def stats_dict(self) -> Dict[str, Any]:
-        """Machine-readable summary (``run --shards`` prints it)."""
+    def run_result(self, point: Union[RunPoint, ExperimentSpec]) -> RunResult:
+        """The run's :class:`RunResult`, equal to ``run_point(point)``'s
+        apart from the wall time and the ``shard`` section.
+
+        The merged trace (a ``record=True`` run's) replays through the
+        standard :class:`Harvest` for everything the trace carries;
+        :attr:`totals` stands in for the net, which no one process has.
+        """
+        if self.merged_lines is None:
+            raise ValueError("a sharded RunResult is harvested from the "
+                             "merged trace: run with record=True")
+        harvest = Harvest(point)
+        harvest.totals = self.totals
+        replay([line_to_record(line) for line in self.merged_lines],
+               [harvest])
         matrix = None
         if self.lookahead_matrix is not None:
             matrix = [[None if v == _INF else v for v in row]
                       for row in self.lookahead_matrix]
-        return {
+        shard = {
             "shards": self.n_shards,
             "lookahead_ms": self.lookahead if self.lookahead != _INF
             else None,
@@ -143,11 +159,13 @@ class ShardRunResult:
             "exported": self.exported,
             "peak_heap": self.peak_heap,
             "compactions": self.compactions,
-            "deliveries": self.deliveries,
             "wall_s": round(self.wall_s, 6),
             "build_s": round(self.build_s, 6),
             "events_per_sec": round(self.events_per_sec, 1),
         }
+        # Build plus run, as a sequential run's wall_time_s counts.
+        return replace(harvest.result, shard=shard,
+                       wall_time_s=self.build_s + self.wall_s)
 
     def span_overlays(self) -> Dict[str, Any]:
         """Run-level pseudo-stages for the critpath summary.
@@ -363,14 +381,6 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
                 "rows": [dict(r, shard=shard_id) for r in session.rows],
             }
 
-        net = scenario.net
-        deliveries = sum(mh.delivered_count
-                         for mid, mh in net.mobile_hosts.items()
-                         if ctx.is_local(mid))
-        members = sum(1 for mid, mh in net.mobile_hosts.items()
-                      if ctx.is_local(mid) and mh.is_member)
-        sent = sum(src.sent for sid, src in net.sources.items()
-                   if ctx.is_local(sid))
         conn.send({
             "t": "done",
             "events": sim.events_processed,
@@ -387,9 +397,7 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
             "spans": collector.events if collector is not None else None,
             "peak_heap": sim.peak_heap,
             "compactions": sim.compactions,
-            "deliveries": deliveries,
-            "members": members,
-            "sent": sent,
+            "totals": network_totals(scenario.net, ctx.is_local),
             "trace_counts": dict(sim.trace.counts),
             "entries": recorder.entries if recorder is not None else None,
         })
@@ -434,7 +442,6 @@ def _sequential_result(spec: ExperimentSpec, record: bool,
         t1 = time.perf_counter()
         scenario.run()
         t2 = time.perf_counter()
-    net = scenario.net
     result = ShardRunResult(
         n_shards=1,
         lookahead=float("inf"),
@@ -447,11 +454,9 @@ def _sequential_result(spec: ExperimentSpec, record: bool,
         stall_causes=[{}],
         barrier_wait_s=[0.0],
         export_q_peaks=[0],
-        deliveries=net.total_app_deliveries(),
         peak_heap=sim.peak_heap,
         compactions=sim.compactions,
-        sent=scenario.fleet.total_sent,
-        members=len(net.member_hosts()),
+        totals=network_totals(scenario.net),
         build_s=t1 - t0,
         wall_s=t2 - t1,
         trace_counts=dict(sim.trace.counts),
@@ -579,7 +584,9 @@ def run_sharded(spec: ExperimentSpec, shards: int,
     ``record=True`` captures every shard's keyed trace stream and
     merges them into :attr:`ShardRunResult.merged_lines` — the stream
     that must be byte-identical to a sequential
-    :func:`~repro.validation.record.record_spec` run.
+    :func:`~repro.validation.record.record_spec` run, and from which
+    :meth:`ShardRunResult.run_result` harvests the run's
+    :class:`~repro.experiments.results.RunResult`.
 
     ``obs=True`` attaches one out-of-band
     :class:`~repro.obs.session.ObsSession` per worker and assembles
@@ -681,9 +688,10 @@ def run_sharded(spec: ExperimentSpec, shards: int,
             result.exported += m["exported"]
             result.peak_heap = max(result.peak_heap, m["peak_heap"])
             result.compactions += m["compactions"]
-            result.deliveries += m["deliveries"]
-            result.members += m["members"]
-            result.sent += m["sent"]
+            for key, n in m["totals"].items():
+                have = result.totals.get(key, 0)
+                result.totals[key] = max(have, n) if key == "peak_buffer" \
+                    else have + n
             result.windows = max(result.windows, m["windows"])
             result.probe_syncs = max(result.probe_syncs, m["probes"])
             for kind, n in m["trace_counts"].items():

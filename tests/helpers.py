@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import RingNet
@@ -80,6 +81,69 @@ def run_with_traffic(
 def spec_path(name: str) -> str:
     """A committed spec file under ``tests/data/specs/``."""
     return os.path.join(os.path.dirname(__file__), "data", "specs", name)
+
+
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "number": (int, float),
+    "integer": int,
+    "boolean": bool,
+}
+
+
+def validate_report(report: Any, schema: Dict[str, Any],
+                    path: str = "$") -> List[str]:
+    """Check ``report`` against a minimal JSON-Schema-style ``schema``.
+
+    A dependency-free structural check, not a full JSON-Schema engine:
+    it supports the subset the committed fixtures use — ``type``,
+    ``required``, ``properties``, and ``items`` (and ``$ref``, through
+    :func:`load_schema`).  Returns a list of human-readable problems
+    (empty = valid).
+    """
+    problems: List[str] = []
+    expected = schema.get("type")
+    if expected is not None:
+        py = _TYPES[expected]
+        if expected == "number" and isinstance(report, bool):
+            problems.append(f"{path}: expected number, got bool")
+            return problems
+        if not isinstance(report, py) or (
+                expected == "integer" and isinstance(report, bool)):
+            problems.append(
+                f"{path}: expected {expected}, got {type(report).__name__}")
+            return problems
+    if isinstance(report, dict):
+        for key in schema.get("required", ()):
+            if key not in report:
+                problems.append(f"{path}: missing required key {key!r}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in report:
+                problems.extend(
+                    validate_report(report[key], sub, f"{path}.{key}"))
+    if isinstance(report, list) and "items" in schema:
+        for i, item in enumerate(report):
+            problems.extend(
+                validate_report(item, schema["items"], f"{path}[{i}]"))
+    return problems
+
+
+def load_schema(name: str) -> dict:
+    """A committed schema fixture under ``tests/data/``, every
+    ``{"$ref": FILE}`` in it replaced by that fixture — so the live-diff
+    report's ``sim`` / ``live`` blocks are checked as run entries."""
+    def inline(node):
+        if isinstance(node, dict):
+            if "$ref" in node:
+                return load_schema(node["$ref"])
+            return {k: inline(v) for k, v in node.items()}
+        return node
+
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as fh:
+        return inline(json.load(fh))
 
 
 def poisoned(suite_factory):

@@ -8,8 +8,10 @@ Five guarantees, each enforced by a test:
     and no environment-variable read.
 (b) **One meaning per flag** — the backend × observer-flag matrix of
     ``run``: every supported cell writes the artifact it names under the
-    same name rule on sim, ``--shards 2`` and ``--live queue``; every
-    unsupported cell is ``error: ...`` / exit 2 with the flag named.
+    same name rule on sim, ``--shards 2`` and ``--live queue``, and
+    ``--out`` / ``--csv`` / ``--timing`` write the same run entry on
+    all three; every unsupported cell is ``error: ...`` / exit 2 with
+    the flag named.
 (c) **One observer list** — ``--record`` composes with the other three
     in one simulation and records the bytes ``record_spec`` and the
     sharded backend record; a live recording replays to the verdict the
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import json
 import os
 
@@ -37,6 +40,7 @@ from repro.__main__ import (EXIT_CODES, EXIT_FAILED, EXIT_OVERLOADED,
                             EXIT_USAGE, main, make_parser)
 from repro.experiments import registry
 from repro.experiments.grid import expand_grid
+from repro.experiments.results import RunResult
 from repro.experiments.runner import build_scenario, observed_scenario
 from repro.live.fabric import QueueFabric
 from repro.obs.report import load_report, load_timeline
@@ -48,7 +52,9 @@ from repro.sim.trace import TraceBus
 from repro.validation import suite as validation_suite
 from repro.validation.record import record_spec
 
-from helpers import poisoned
+from helpers import load_schema, poisoned, validate_report
+
+RUN_ENTRY = load_schema("run_entry.schema.json")
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
@@ -152,14 +158,23 @@ def _observer(flag: str, out: str):
     }[flag]
 
 
-#: backend -> {flag it cannot honour: a value for it}.
+#: backend -> {flag it cannot honour: a value for it}.  ``--out`` /
+#: ``--csv`` / ``--timing`` are on every backend: each writes the same
+#: run entry.
 UNSUPPORTED = {
     "sim": {"--time-scale": ["0.5"], "--max-lag-ms": ["100"]},
     "shards": {"--check": [], "--reps": ["2"], "--jobs": ["2"],
-               "--csv": ["x.csv"], "--timing": [], "--out": ["x.json"],
                "--time-scale": ["0.5"], "--max-lag-ms": ["100"]},
-    "live": {"--reps": ["2"], "--jobs": ["2"], "--csv": ["x.csv"],
-             "--timing": []},
+    "live": {"--reps": ["2"], "--jobs": ["2"]},
+}
+
+#: The artifact flags, as (the argv they take under ``out``, the file
+#: they write).  ``--timing`` shapes ``--out``'s file.
+ARTIFACTS = {
+    "--out": (lambda out: ["--out", os.path.join(out, "r.json")], "r.json"),
+    "--csv": (lambda out: ["--csv", os.path.join(out, "r.csv")], "r.csv"),
+    "--timing": (lambda out: ["--timing", "--out",
+                              os.path.join(out, "r.json")], "r.json"),
 }
 
 
@@ -191,6 +206,43 @@ def test_unsupported_cell_is_exit_2_with_the_flag_named(backend, flag,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and flag in captured.err
     assert captured.out == "" and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("backend,flag", [
+    (backend, flag) for backend in BACKENDS for flag in ARTIFACTS])
+def test_artifact_cell_writes_and_reads_back_the_run_entry(backend, flag,
+                                                           tmp_path, capsys):
+    out = str(tmp_path)
+    argv, written = ARTIFACTS[flag]
+    assert main(RUN + BACKENDS[backend] + argv(out)) == 0
+    assert os.listdir(out) == [written]
+    path = os.path.join(out, written)
+    if written.endswith(".csv"):
+        with open(path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["name"], row["n"]) == ("quickstart", "1")
+        assert float(row["delivered_mean"]) > 0
+    else:
+        (run,) = json.load(open(path))["runs"]
+        assert validate_report(run, RUN_ENTRY) == []
+        assert run["run_id"] == NAME
+        section = {"sim": set(), "shards": {"shard"}, "live": {"live"}}
+        assert {"shard", "live"} & set(run) == section[backend]
+        timing = flag == "--timing"
+        assert ("wall_time_s" in run) == timing
+        assert RunResult.from_dict(run).to_dict(include_timing=timing) == run
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_shards_out_is_the_sequential_artifact_but_its_section(shards,
+                                                               tmp_path):
+    seq, sharded = str(tmp_path / "seq.json"), str(tmp_path / "sharded.json")
+    assert main(RUN + ["--out", seq]) == 0
+    assert main(RUN + ["--shards", str(shards), "--out", sharded]) == 0
+    doc = json.load(open(sharded))
+    assert doc["runs"][0].pop("shard")["shards"] == shards
+    assert doc == json.load(open(seq))
 
 
 @pytest.mark.parametrize("extra,named", [

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import pathlib
 import socket
 
@@ -22,7 +21,7 @@ from repro.experiments import registry
 from repro.experiments.runner import build_scenario
 from repro.live.builder import NetworkBuilder
 from repro.live.diff import (DEFAULT_TOLERANCES, diff_spec, order_agreement,
-                             _count_inversions, validate_report)
+                             _count_inversions)
 from repro.live.fabric import QueueFabric
 from repro.live.runtime import YIELD_EVERY, LiveRuntime
 from repro.net.link import LinkSpec
@@ -30,11 +29,9 @@ from repro.runtime.timers import PeriodicTimer
 from repro.sim.engine import Simulator
 
 from conftest import Ping, Recorder
+from helpers import load_schema, validate_report
 
 FAST = 0.02  # wall seconds per logical second: 50x faster than real time
-
-SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "data",
-                           "live_diff_report.schema.json")
 
 
 def short_quickstart(duration_ms: float = 1200.0):
@@ -564,10 +561,10 @@ class TestMaxLagFlag:
                                      "--out", str(out)])
         assert code == EXIT_OVERLOADED
         assert code not in (0, 1, 2)
-        report = json.loads(out.read_text())
-        assert report["overloaded"] is True
-        assert report["max_lag_limit_ms"] == 100.0
-        assert report["lag"]["max_lag_ms"] > 100.0
+        live = json.loads(out.read_text())["runs"][0]["live"]
+        assert live["overloaded"] is True
+        assert live["max_lag_limit_ms"] == 100.0
+        assert live["lag"]["max_lag_ms"] > 100.0
         captured = capsys.readouterr()
         assert "OVERLOADED" in captured.err
         assert "ok: zero violations" not in captured.out
@@ -578,16 +575,16 @@ class TestMaxLagFlag:
         code = cli_main(self.ARGS + ["--max-lag-ms", "1e12",
                                      "--out", str(out)])
         assert code == 0
-        report = json.loads(out.read_text())
-        assert report["overloaded"] is False
+        live = json.loads(out.read_text())["runs"][0]["live"]
+        assert live["overloaded"] is False
         assert "ok: zero violations" in capsys.readouterr().out
 
     def test_unset_changes_nothing(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert cli_main(self.ARGS + ["--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert "overloaded" not in report
-        assert "max_lag_limit_ms" not in report
+        live = json.loads(out.read_text())["runs"][0]["live"]
+        assert "overloaded" not in live
+        assert "max_lag_limit_ms" not in live
         assert "ok: zero violations" in capsys.readouterr().out
 
 
@@ -604,6 +601,31 @@ class TestNetworkBuilder:
         spec.system = "bspt"
         with pytest.raises(ValueError, match="ringnet"):
             NetworkBuilder(spec)
+
+    #: The registry scenarios with open-world arrivals, and one more by
+    #: ``--set`` (arrivals land in idle catchments, so it needs some).
+    OPEN_WORLD = [["open_world"], ["open_world_mobile"],
+                  ["quickstart", "--set", "openworld.enabled=true",
+                   "--set", "hierarchy.idle_per_ap=4"]]
+
+    @pytest.mark.parametrize("argv", OPEN_WORLD,
+                             ids=["open_world", "open_world_mobile",
+                                  "quickstart+openworld"])
+    def test_udp_with_open_world_arrivals_is_exit_2(self, argv, tmp_path,
+                                                    monkeypatch, capsys):
+        """An arrival needs a socket after start: rejected before any
+        binds, as a usage error — it used to crash mid-run with a
+        traceback and exit 1, the code of a failed check."""
+        monkeypatch.chdir(tmp_path)
+        run = ["run"] + argv + ["--time-scale", "0.001", "--duration", "500",
+                                "--quiet", "--out", "x.json"]
+        assert cli_main(run + ["--live", "udp", "--record", "t.jsonl"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the udp fabric needs a "
+                                       "static population")
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+        assert cli_main(run + ["--live", "queue"]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -631,18 +653,23 @@ class TestQueueFabricRun:
 
     def test_report_shape(self, queue_run):
         rep = queue_run.report()
-        assert rep["backend"] == "live"
-        assert rep["fabric"] == "queue"
+        # The run entry plus perfbench's alias; no backend tag: the
+        # live section says which backend ran.
+        assert rep == {**queue_run.result.to_dict(),
+                       "monitor_violations": queue_run.violations()}
+        assert "backend" not in rep
+        live = rep["live"]
+        assert live["fabric"] == "queue"
         assert rep["delivered"] > 0
-        assert rep["lag"]["events"] > 0
-        assert rep["loadgen"]["offered_rate_per_sec"] == 40.0
-        assert rep["loadgen"]["total_sent"] == rep["sent"]
+        assert live["lag"]["events"] > 0
+        assert live["loadgen"]["offered_rate_per_sec"] == 40.0
+        assert live["loadgen"]["total_sent"] == rep["sent"]
         # The report must be JSON-serializable: it is the CI artifact.
         json.dumps(rep, default=list)
 
     def test_report_says_what_the_wire_lost(self, queue_run):
         fabric = queue_run.scenario.net.fabric
-        wire = json.loads(json.dumps(queue_run.report()["wire"]))
+        wire = json.loads(json.dumps(queue_run.report()["live"]["wire"]))
         assert wire == {
             "sent": fabric.messages_sent,
             "dropped": fabric.messages_dropped,
@@ -671,7 +698,7 @@ class TestUdpFabric:
         assert run.scenario.net.total_app_deliveries() > 0
         rep = run.report()
         assert rep["order_checked"] and rep["order_violations"] == 0
-        wire = json.loads(json.dumps(rep["wire"]))
+        wire = json.loads(json.dumps(rep["live"]["wire"]))
         assert sorted(wire) == ["delivered", "dropped", "sent", "unaccounted"]
         assert wire["unaccounted"] == (wire["sent"] - wire["dropped"]
                                        - wire["delivered"]) >= 0
@@ -760,23 +787,30 @@ class TestDiffHarness:
         assert len(diff_report["groups"]) == 24
 
     def test_report_matches_committed_schema(self, diff_report):
-        with open(SCHEMA_PATH) as fh:
-            schema = json.load(fh)
+        schema = load_schema("live_diff_report.schema.json")
         problems = validate_report(diff_report, schema)
         assert problems == []
+        # The two blocks are whole run entries; only the live one has
+        # a live section.
+        assert validate_report(diff_report["sim"],
+                               load_schema("run_entry.schema.json")) == []
+        assert "live" not in diff_report["sim"]
+        assert diff_report["live"]["live"]["fabric"] == "queue"
 
     def test_report_is_json_serializable(self, diff_report):
         json.dumps(diff_report)
 
     def test_schema_catches_missing_keys(self, diff_report):
-        with open(SCHEMA_PATH) as fh:
-            schema = json.load(fh)
+        schema = load_schema("live_diff_report.schema.json")
         broken = dict(diff_report)
         del broken["envelopes"]
         broken["seed"] = "seven"
+        broken["live"] = {k: v for k, v in diff_report["live"].items()
+                          if k != "latency"}
         problems = validate_report(broken, schema)
         assert any("envelopes" in p for p in problems)
         assert any("seed" in p for p in problems)
+        assert "$.live: missing required key 'latency'" in problems
 
     def test_default_tolerances_preserved_in_report(self, diff_report):
         assert diff_report["tolerances"] == DEFAULT_TOLERANCES

@@ -105,8 +105,9 @@ def test_shard_run_obs(tmp_path, capsys):
                "--duration", "1200", "--obs", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "per shard:" in out
-    assert "export_q_peak" in out
+    # The run entry's shard section, printed: per-shard lists.
+    assert "  window_stalls_per_shard: [" in out
+    assert "  export_queue_peak_per_shard: [" in out
     obs_files = glob.glob(str(tmp_path / "OBS_quickstart#p0r0.json"))
     assert obs_files, "run --shards --obs wrote no OBS report"
     report = json.load(open(obs_files[0], encoding="utf-8"))

@@ -12,9 +12,12 @@ Three guarantees, each enforced by a test:
    on the sim path, the ``shards=1`` path, a 2-shard run and a saturated
    queue-fabric live run holds the same build-time ``mh.join`` records.
 3. **One harvest means one answer** — ``run_point(check=True)``, the
-   ``shards=1`` result and the sim side of ``diff_spec`` agree exactly.
+   harvested ``shards=1`` result and the sim side of ``diff_spec``
+   agree exactly, and a live report is that run entry with a ``live``
+   section.
 
-Plus the observer contract itself, the one spec resolver's rules, and
+Plus the observer contract itself, the run entry's schema fixture and
+its optional sections, the one spec resolver's rules, and
 the ``error: ...`` / exit 2 contract of every subcommand that resolves
 a name or opens a file.
 """
@@ -24,15 +27,23 @@ from __future__ import annotations
 import ast
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import registry
+from repro.experiments.results import RunResult, aggregate, export_csv
 from repro.experiments.runner import observed_scenario, run_point
 from repro.live.builder import NetworkBuilder
 from repro.live.diff import diff_spec
 from repro.shard.runtime import run_sharded
 from repro.validation.record import TraceRecorder
+
+from helpers import load_schema, validate_report
+
+#: The run entry's fields read off the network, not the trace.
+NETWORK_FIELDS = ("sent", "delivered", "retransmissions", "members",
+                  "peak_buffer")
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
@@ -205,18 +216,19 @@ def test_sim_paths_agree_exactly_on_quickstart():
     assert checked.violations == []
     assert checked.sent > 0 and checked.delivered > 0 and checked.latency
 
-    unchecked = run_point(spec)
-    assert (unchecked.to_dict(include_timing=False)
+    unchecked = run_point(spec).to_dict(include_timing=False)
+    assert (unchecked
             == {k: v for k, v in checked.to_dict(include_timing=False).items()
                 if k != "violations"})
 
-    seq = run_sharded(spec, 1)
-    assert (seq.sent, seq.deliveries) == (checked.sent, checked.delivered)
+    seq = run_sharded(spec, 1, record=True)
+    assert seq.totals == {k: unchecked[k] for k in NETWORK_FIELDS}
+    harvested = seq.run_result(spec).to_dict(include_timing=False)
+    assert harvested.pop("shard")["shards"] == 1
+    assert harvested == unchecked
 
     report = diff_spec(spec, time_scale=SATURATED)
-    for key in ("sent", "delivered", "latency", "goodput", "sent_rate",
-                "order_violations"):
-        assert report["sim"][key] == getattr(checked, key), key
+    assert report["sim"] == unchecked
 
 
 def test_live_report_is_a_superset_of_the_run_result():
@@ -224,10 +236,82 @@ def test_live_report_is_a_superset_of_the_run_result():
     run = NetworkBuilder(spec, time_scale=SATURATED, monitors=True).build()
     run.run()
     report = run.report()
-    assert set(run.harvest.result.to_dict()) <= set(report)
-    assert {"backend", "fabric", "lag", "loadgen",
-            "monitor_violations"} <= set(report)
+    # The harvest's run entry, the live section beside its fields, and
+    # perfbench's alias of the violations — not a shape of its own.
+    assert report == {**run.harvest.result.to_dict(),
+                      "live": run.result.live,
+                      "monitor_violations": run.violations()}
+    assert {"fabric", "lag", "loadgen", "wire"} == set(report["live"])
+    assert "backend" not in report
     assert report["violations"] == report["monitor_violations"] == []
+
+
+# ----------------------------------------------------------------------
+# One run entry: RunResult, its optional sections, the schema fixture
+# ----------------------------------------------------------------------
+class TestRunEntry:
+    SCHEMA = load_schema("run_entry.schema.json")
+
+    @staticmethod
+    def _entry(**sections):
+        return RunResult(run_id="q#p0r0", name="q", sent=3, delivered=5,
+                         latency={"mean": 1.0, "p50": 1.0, "p95": 2.0,
+                                  "p99": 2.0, "max": 3.0},
+                         **sections)
+
+    def test_every_run_of_the_sweep_artifact_is_a_run_entry(self, tmp_path):
+        out = str(tmp_path / "sweep.json")
+        from repro.__main__ import main
+        assert main(["sweep", "quickstart", "--param",
+                     "workload.rate_per_sec=10,20", "--reps", "1",
+                     "--duration", "400", "--jobs", "1", "--check",
+                     "--quiet", "--out", out]) == 0
+        with open(out) as fh:
+            runs = json.load(fh)["runs"]
+        assert len(runs) == 2
+        for run in runs:
+            assert validate_report(run, self.SCHEMA) == []
+            assert run["violations"] == []
+            assert not {"live", "shard", "wall_time_s"} & set(run)
+
+    def test_a_run_entry_without_latency_is_a_problem(self):
+        entry = self._entry().to_dict()
+        assert validate_report(entry, self.SCHEMA) == []
+        del entry["latency"]
+        assert validate_report(entry, self.SCHEMA) == [
+            "$: missing required key 'latency'"]
+
+    def test_sections_round_trip_and_are_absent_when_unset(self):
+        live = {"fabric": "queue",
+                "loadgen": {"offered_rate_per_sec": 40.0,
+                            "achieved_rate_per_sec": 39.9,
+                            "total_sent": 3, "samples": 2},
+                "lag": {"events": 9, "yields": 1, "max_lag_ms": 0.5,
+                        "mean_lag_ms": 0.1, "time_scale": 0.001},
+                "wire": {"sent": 4, "dropped": 0, "delivered": 4,
+                         "unaccounted": 0}}
+        shard = {"shards": 2, "windows": 7, "stall_causes": [{}, {}]}
+        both = self._entry(live=live, shard=shard, violations=[])
+        data = both.to_dict()
+        assert RunResult.from_dict(data) == both
+        assert (data["live"], data["shard"]) == (live, shard)
+        assert validate_report({k: v for k, v in data.items()
+                                if k != "shard"}, self.SCHEMA) == []
+        bare = self._entry().to_dict()
+        assert not {"live", "shard", "violations"} & set(bare)
+        assert RunResult.from_dict(bare) == self._entry()
+
+    def test_sections_leave_aggregates_and_csv_unchanged(self, tmp_path):
+        bare = [self._entry(), replace(self._entry(), replication=1,
+                                       delivered=7)]
+        dressed = [replace(r, live={"fabric": "udp"},
+                           shard={"shards": 4}) for r in bare]
+        assert aggregate(dressed) == aggregate(bare)
+        paths = [str(tmp_path / "bare.csv"), str(tmp_path / "dressed.csv")]
+        export_csv(paths[0], aggregate(bare))
+        export_csv(paths[1], aggregate(dressed))
+        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+            assert a.read() == b.read()
 
 
 # ----------------------------------------------------------------------

@@ -186,9 +186,10 @@ def test_shard_result_statistics_are_consistent():
     assert result.windows > 0
     assert result.lookahead == 2.0  # the WIRED cut latency
     assert result.peak_heap > 0
-    stats = result.stats_dict()
+    stats = result.run_result(spec).shard
     assert stats["window_stalls"] == sum(result.stalled_windows)
     assert stats["events_per_sec"] >= 0
+    assert "deliveries" not in stats, "the run entry's delivered says it"
     # Per-kind trace counts aggregate to the sequential run's counts.
     assert sum(result.trace_counts.values()) == len(seq.lines)
 
@@ -199,6 +200,14 @@ def test_merge_streams_orders_by_key():
         [((1.0, 2, 0), "a"), ((1.0, 7, 0), "c")],
     ]
     assert merge_streams(streams) == ["a", "b", "c", "d"]
+
+
+def test_run_result_needs_the_merged_trace():
+    spec = short("quickstart", 100.0)
+    result = run_sharded(spec, 1)
+    assert result.merged_lines is None and result.totals["sent"] > 0
+    with pytest.raises(ValueError, match="record=True"):
+        result.run_result(spec)
 
 
 def test_bad_shard_count():
@@ -280,9 +289,10 @@ def test_stall_causes_partition_the_stall_count():
 
 
 def test_stats_dict_reports_adaptive_runtime_fields():
+    """The run entry's ``shard`` section (what ``stats_dict()`` was)."""
     spec = short("handoff_storm", 2000.0)
-    result = run_sharded(spec, 2)
-    stats = result.stats_dict()
+    result = run_sharded(spec, 2, record=True)
+    stats = result.run_result(spec).shard
     matrix = stats["lookahead_matrix_ms"]
     assert len(matrix) == 2 and all(len(row) == 2 for row in matrix)
     assert matrix[0][0] == 0.0 and matrix[0][1] > 0.0

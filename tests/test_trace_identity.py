@@ -7,7 +7,8 @@ trace dispatch, the MQ pending index, and the transport timer rework).
 Every optimization of the hot paths must keep each scenario's canonical
 JSONL stream **byte-identical**: ``first_divergence`` over the full
 stream is the proof that ordering, membership, and timing behaviour did
-not move at all.
+not move at all.  The sharded runs are also harvested: their run
+entries must equal the sequential ``run_point``'s.
 
 Regenerating goldens (only after an *intentional* behaviour change —
 never to make an optimization "pass"):
@@ -21,6 +22,7 @@ import os
 import pytest
 
 from repro.experiments import registry
+from repro.experiments.runner import run_point
 from repro.shard import record_sharded
 from repro.sim.trace import read_trace_lines
 from repro.validation.record import first_divergence, record_spec, replay
@@ -115,6 +117,34 @@ def test_sharded_trace_byte_identical_to_sequential(name, shards,
     assert div is None, (
         f"{name} with {shards} shards diverged from the sequential "
         f"engine at {div.describe()}")
+
+
+#: The result oracle's scenarios: churn probes, token-holder probes,
+#: roaming over the cut, a fault plan, open-world arrivals, the smoke.
+RESULT_SCENARIOS = ["churn_heavy", "failure_drill", "handoff_storm",
+                    "split_brain", "open_world_mobile", "quickstart"]
+
+#: name -> the sequential run entry, simulated once for both shard counts.
+_SEQUENTIAL_ENTRIES = {}
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("name", RESULT_SCENARIOS)
+def test_sharded_run_result_equals_sequential(name, shards,
+                                              sharded_golden_run):
+    """Results, not just traces: the session's recorded run harvested
+    (trace fields from the merged stream, network fields as the workers'
+    summed totals) is ``run_point``'s entry but the wall time and the
+    ``shard`` section."""
+    spec = golden_spec(name)
+    if name not in _SEQUENTIAL_ENTRIES:
+        _SEQUENTIAL_ENTRIES[name] = run_point(spec).to_dict(
+            include_timing=False)
+    entry = sharded_golden_run(name, shards).run_result(spec).to_dict(
+        include_timing=False)
+    assert entry.pop("shard")["shards"] == shards
+    assert entry == _SEQUENTIAL_ENTRIES[name]
+    assert entry["delivered"] > 0
 
 
 #: Representative subset for the deeper 8-way decomposition: the
