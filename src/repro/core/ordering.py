@@ -101,9 +101,10 @@ class OrderingMixin:
     def handle_token(self, msg: TokenPass) -> None:
         """Receive the OrderingToken: assign, snapshot, schedule the pass."""
         token = msg.token
+        now = self.now
         if token.token_id in self.killed_token_ids:
             # Multiple-Token resolution ruled this token dead.
-            self.sim.trace.emit(self.now, "token.destroyed", node=self.id,
+            self.sim.trace.emit(now, "token.destroyed", node=self.id,
                                 token_id=token.token_id)
             return
         # Self-detection of the Multiple-Token problem: a token with a
@@ -116,22 +117,22 @@ class OrderingMixin:
         if (self.last_token_id is not None
                 and token.token_id != self.last_token_id
                 and self.last_token_seen >= 0
-                and self.now - self.last_token_seen
+                and now - self.last_token_seen
                     <= 2.0 * self.expected_token_rotation()):
             self.quiesce_until = max(
                 self.quiesce_until,
-                self.now + 2.0 * self.expected_token_rotation(),
+                now + 2.0 * self.expected_token_rotation(),
             )
             if (self.new_token is not None
                     and self.new_token.token_id == self.last_token_id
                     and self.last_token_id not in self._announced):
                 self.announce_token(self.new_token)
 
-        self.last_token_seen = self.now
+        self.last_token_seen = now
         self.last_token_id = token.token_id
         self.tokens_held += 1
         self.held_token = token
-        self._hold_started = self.now
+        self._hold_started = now
         obs = self.sim.obs
         oc = None
         if obs is not None:
@@ -147,11 +148,12 @@ class OrderingMixin:
                 )
             oc[1].value += 1
 
-        if self.quiescing:
-            # Multiple-Token resolution in progress: announce this token
-            # (it may have been in flight when the signal arrived), but
-            # neither assign nor snapshot — a doomed token must not mint
-            # global sequences that the surviving one will mint again.
+        if now < self.quiesce_until:
+            # ``quiescing``: Multiple-Token resolution in progress.
+            # Announce this token (it may have been in flight when the
+            # signal arrived), but neither assign nor snapshot — a
+            # doomed token must not mint global sequences that the
+            # surviving one will mint again.
             if token.token_id not in self._announced:
                 self.announce_token(token)
             if self._pass_timer is None:
@@ -186,7 +188,7 @@ class OrderingMixin:
             if depth > g.max:
                 g.max = depth
                 g.value = depth
-        self.sim.trace.emit(self.now, "token.hold", node=self.id,
+        self.sim.trace.emit(now, "token.hold", node=self.id,
                             next_gseq=token.next_global_seq,
                             token_id=token.token_id)
         # Pass after the processing/hold time.

@@ -10,23 +10,28 @@ contiguous run of global sequence numbers.
 Entries age out after a bounded number of token hops.  The Order-
 Assignment algorithm only ever consults a node's two retained snapshots
 (New/Old OrderingToken), and a node refreshes its snapshot every full
-rotation, so a TTL of ≥ 2 rotations guarantees no node misses an entry;
-:meth:`OrderingToken.assign` stamps new entries with the configured TTL
-and :meth:`OrderingToken.age` decrements on every hop.
+rotation, so a TTL of ≥ 2 rotations guarantees no node misses an entry.
+:meth:`OrderingToken.assign` stamps a new entry with the absolute token
+hop it expires at (``hops`` now + TTL), and :meth:`OrderingToken.age`
+advances ``hops`` without touching the entries.  Entries are immutable,
+so a token, its snapshots and a token regenerated from one share them:
+:meth:`OrderingToken.snapshot` copies the list, not the entries, and a
+hop builds no entry however deep the WTSNP is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.net.address import NodeId
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class WTSNPEntry:
     """One ordered run: local seqs [min_local, max_local] of ``source``
-    were assigned global seqs [min_global, max_global] by ``ordering_node``."""
+    were assigned global seqs [min_global, max_global] by ``ordering_node``;
+    pruned once the token's ``hops`` reaches ``expires_at``."""
 
     source: NodeId
     min_local: int
@@ -34,17 +39,10 @@ class WTSNPEntry:
     ordering_node: NodeId
     min_global: int
     max_global: int
-    ttl_hops: int = 64
-
-    def covers(self, ordering_node: NodeId, local_seq: int) -> bool:
-        """Whether this entry orders (ordering_node, local_seq)."""
-        return (
-            self.ordering_node == ordering_node
-            and self.min_local <= local_seq <= self.max_local
-        )
+    expires_at: int
 
     def global_for(self, local_seq: int) -> int:
-        """Global seq assigned to ``local_seq`` (caller checked covers())."""
+        """Global seq assigned to ``local_seq`` (caller found it by lookup)."""
         return self.min_global + (local_seq - self.min_local)
 
     @property
@@ -78,9 +76,10 @@ class OrderingToken:
     ) -> WTSNPEntry:
         """Assign global seqs to local run [min_local, max_local].
 
-        Returns the new WTSNP entry; ``next_global_seq`` advances by the
-        run length.  This is the *only* operation that mints global
-        sequence numbers, which is what makes the order total.
+        Returns the new WTSNP entry, which expires ``ttl_hops`` hops from
+        now; ``next_global_seq`` advances by the run length.  This is the
+        *only* operation that mints global sequence numbers, which is
+        what makes the order total.
         """
         if max_local < min_local:
             raise ValueError(f"empty run [{min_local}, {max_local}]")
@@ -92,71 +91,52 @@ class OrderingToken:
             ordering_node=ordering_node,
             min_global=self.next_global_seq,
             max_global=self.next_global_seq + n - 1,
-            ttl_hops=ttl_hops,
+            expires_at=self.hops + ttl_hops,
         )
         self.wtsnp.append(entry)
         self.next_global_seq += n
         return entry
 
     def age(self) -> int:
-        """One token hop: decrement entry TTLs and prune the expired.
+        """One token hop: advance ``hops`` and prune the expired.
 
-        Returns the number of entries pruned on this hop.
+        Pruning runs only when the head entry has expired, and then drops
+        every expired entry; until then an expired entry behind the head
+        stays visible to :meth:`lookup`, so the ordered output depends on
+        this rule.  Returns the number pruned on this hop.
         """
-        self.hops += 1
-        for e in self.wtsnp:
-            e.ttl_hops -= 1
-        if self.wtsnp and self.wtsnp[0].ttl_hops <= 0:
-            before = len(self.wtsnp)
-            self.wtsnp = [e for e in self.wtsnp if e.ttl_hops > 0]
-            return before - len(self.wtsnp)
+        self.hops = hops = self.hops + 1
+        wtsnp = self.wtsnp
+        if wtsnp and wtsnp[0].expires_at <= hops:
+            self.wtsnp = [e for e in wtsnp if e.expires_at > hops]
+            return len(wtsnp) - len(self.wtsnp)
         return 0
 
     def lookup(self, ordering_node: NodeId, local_seq: int) -> Optional[WTSNPEntry]:
-        """Find the entry covering (ordering_node, local_seq), if any."""
+        """The first entry, in WTSNP order, covering (ordering_node,
+        local_seq), if any."""
         for e in self.wtsnp:
-            if e.covers(ordering_node, local_seq):
+            if (e.ordering_node == ordering_node
+                    and e.min_local <= local_seq <= e.max_local):
                 return e
         return None
 
     def snapshot(self) -> "OrderingToken":
         """Independent copy kept as a node's New/Old OrderingToken.
 
-        Field-wise rather than ``copy.deepcopy``: a snapshot is taken on
-        every token hop and every regeneration, and deepcopy's generic
-        memo machinery dominated that hot path.  ``token_id`` is a tuple
-        of immutables and safe to share; WTSNP entries are rebuilt so
-        later :meth:`age`/:meth:`assign` calls on either copy never
-        alias the other.
+        The entry list is copied and the entries are shared: they are
+        immutable, so a later :meth:`age` / :meth:`assign` on either copy
+        never reaches the other.  ``token_id`` is a tuple of immutables.
         """
         return OrderingToken(
             gid=self.gid,
             next_global_seq=self.next_global_seq,
-            wtsnp=[
-                WTSNPEntry(
-                    source=e.source,
-                    min_local=e.min_local,
-                    max_local=e.max_local,
-                    ordering_node=e.ordering_node,
-                    min_global=e.min_global,
-                    max_global=e.max_global,
-                    ttl_hops=e.ttl_hops,
-                )
-                for e in self.wtsnp
-            ],
+            wtsnp=self.wtsnp[:],
             token_id=self.token_id,
             hops=self.hops,
         )
 
     # ------------------------------------------------------------------
-    @property
-    def entries_by_node(self) -> Dict[NodeId, List[WTSNPEntry]]:
-        """WTSNP entries grouped by ordering node (for O(streams) scans)."""
-        out: Dict[NodeId, List[WTSNPEntry]] = {}
-        for e in self.wtsnp:
-            out.setdefault(e.ordering_node, []).append(e)
-        return out
-
     def __len__(self) -> int:
         return len(self.wtsnp)
 

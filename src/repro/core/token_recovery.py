@@ -115,7 +115,10 @@ class TokenRecoveryMixin:
         return OrderingToken(gid=self.cfg.gid, token_id=(0, self.id))
 
     def _restart_with(self, snapshot: OrderingToken) -> None:
-        """Regenerate a live token from a snapshot and resume ordering."""
+        """Regenerate a live token from a snapshot and resume ordering.
+
+        The new token shares the snapshot's immutable WTSNP entries and
+        its ``hops``, so every entry keeps its absolute expiry hop."""
         self.regen_epoch += 1
         self.tokens_regenerated += 1
         token = snapshot.snapshot()

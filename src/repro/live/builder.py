@@ -58,7 +58,8 @@ class LiveRun:
         only a wall-clock run has as its ``live`` section: fabric, load
         generator, loop lag, and the wire, whose ``unaccounted`` is what
         was sent and neither dropped nor delivered (in flight at the
-        horizon, plus kernel drops on UDP)."""
+        horizon, plus kernel drops on UDP) and whose ``foreign`` counts
+        datagrams from sockets the fabric did not bind, dropped unread."""
         fabric = self.scenario.net.fabric
         sent, dropped, delivered = (fabric.messages_sent,
                                     fabric.messages_dropped,
@@ -69,7 +70,8 @@ class LiveRun:
             "lag": self.runtime.lag_report(),
             "wire": {"sent": sent, "dropped": dropped,
                      "delivered": delivered,
-                     "unaccounted": sent - dropped - delivered},
+                     "unaccounted": sent - dropped - delivered,
+                     "foreign": fabric.foreign},
         })
 
     def report(self) -> Dict[str, object]:

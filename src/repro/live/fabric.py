@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.live.runtime import LiveRuntime
 from repro.net.address import NodeId
@@ -48,6 +48,9 @@ class QueueFabric(Fabric):
     foreign task hands the loop.  Whether the destination exists is
     decided on arrival, as in the sim.
     """
+
+    #: Nothing outside the process reaches the inbox (see UdpFabric).
+    foreign = 0
 
     def __init__(self, runtime: LiveRuntime,
                  default_spec: Optional[LinkSpec] = None):
@@ -102,17 +105,26 @@ class QueueFabric(Fabric):
 
 
 class _UdpEndpoint(asyncio.DatagramProtocol):
-    """One node's receive protocol: unpickle and deliver inline."""
+    """One node's receive protocol: unpickle and deliver inline.
+
+    Only a datagram sent from a socket this fabric bound is unpickled;
+    anything else landing on the port is dropped and counted in
+    ``UdpFabric.foreign``.
+    """
 
     def __init__(self, fabric: "UdpFabric", node_id: NodeId):
         self.fabric = fabric
         self.node_id = node_id
 
     def datagram_received(self, data: bytes, addr) -> None:
+        fabric = self.fabric
+        if addr not in fabric._bound:
+            fabric.foreign += 1
+            return
         msg = pickle.loads(data)
-        rt: LiveRuntime = self.fabric.sim
+        rt: LiveRuntime = fabric.sim
         # Receives happen at the wall instant the kernel hands them up.
-        rt.run_inline(self.node_id, rt.now, self.fabric._arrive,
+        rt.run_inline(self.node_id, rt.now, fabric._arrive,
                       self.node_id, msg)
 
 
@@ -134,8 +146,13 @@ class UdpFabric(Fabric):
         self.host = host
         self._ports: Dict[NodeId, int] = {}
         self._transports: Dict[NodeId, asyncio.DatagramTransport] = {}
+        #: Every ``(host, port)`` this fabric bound: the only senders
+        #: whose datagrams are unpickled.
+        self._bound: Set[Tuple[str, int]] = set()
         self._running = False
         self.bytes_on_wire = 0
+        #: Datagrams from any other sender, dropped unread.
+        self.foreign = 0
         runtime.add_service(self)
 
     # -- Fabric overrides ----------------------------------------------
@@ -171,7 +188,9 @@ class UdpFabric(Fabric):
                 lambda nid=node_id: _UdpEndpoint(self, nid),
                 local_addr=(self.host, 0))
             self._transports[node_id] = transport
-            self._ports[node_id] = transport.get_extra_info("sockname")[1]
+            sockname = transport.get_extra_info("sockname")
+            self._bound.add(sockname)
+            self._ports[node_id] = sockname[1]
         self._running = True
 
     async def stop(self) -> None:
@@ -182,3 +201,4 @@ class UdpFabric(Fabric):
         await asyncio.sleep(0)
         self._transports.clear()
         self._ports.clear()
+        self._bound.clear()

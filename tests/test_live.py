@@ -11,6 +11,8 @@ from __future__ import annotations
 import asyncio
 import json
 import pathlib
+import pickle
+import random
 import socket
 
 import pytest
@@ -675,7 +677,8 @@ class TestQueueFabricRun:
             "dropped": fabric.messages_dropped,
             "delivered": fabric.messages_delivered,
             "unaccounted": fabric.messages_sent - fabric.messages_dropped
-            - fabric.messages_delivered}
+            - fabric.messages_delivered,
+            "foreign": 0}
         assert wire["delivered"] > 0 and 0 <= wire["unaccounted"] < 50
 
     def test_loadgen_sampled(self, queue_run):
@@ -686,6 +689,20 @@ class TestQueueFabricRun:
 # ----------------------------------------------------------------------
 # UDP loopback fabric
 # ----------------------------------------------------------------------
+_FLIPPED = []
+
+
+def _flip():
+    _FLIPPED.append(True)
+
+
+class _Flip:
+    """Unpickling this calls :func:`_flip`."""
+
+    def __reduce__(self):
+        return (_flip, ())
+
+
 class TestUdpFabric:
     def test_loopback_roundtrip(self):
         run = NetworkBuilder(short_quickstart(duration_ms=1000.0),
@@ -699,9 +716,42 @@ class TestUdpFabric:
         rep = run.report()
         assert rep["order_checked"] and rep["order_violations"] == 0
         wire = json.loads(json.dumps(rep["live"]["wire"]))
-        assert sorted(wire) == ["delivered", "dropped", "sent", "unaccounted"]
+        assert sorted(wire) == ["delivered", "dropped", "foreign", "sent",
+                                "unaccounted"]
+        assert wire["foreign"] == 0
         assert wire["unaccounted"] == (wire["sent"] - wire["dropped"]
                                        - wire["delivered"]) >= 0
+
+    def test_a_strangers_datagram_is_never_unpickled(self):
+        """Mid-run, a socket the fabric did not bind sends a node a
+        pickle whose ``__reduce__`` flips a flag, then 16 random bytes:
+        both are dropped unread and counted as ``wire.foreign``."""
+        evil = pickle.dumps(_Flip())
+        run = NetworkBuilder(short_quickstart(duration_ms=1500.0),
+                             fabric="udp", time_scale=0.2,
+                             monitors=True).build()
+        fabric = run.scenario.net.fabric
+        stranger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+
+        def inject():
+            port = fabric._ports[min(fabric._ports)]
+            for data in (evil, random.Random(0).randbytes(16)):
+                stranger.sendto(data, (fabric.host, port))
+
+        run.runtime.schedule(200.0, inject)
+        try:
+            run.run()
+        finally:
+            stranger.close()
+        assert _FLIPPED == []
+        result = run.result
+        assert result.live["wire"]["foreign"] == 2
+        assert run.violations() == [] and result.order_violations == 0
+        assert result.live["wire"]["delivered"] > 0
+        assert run.scenario.net.total_app_deliveries() > 0
+        pickle.loads(evil)          # the payload was live all along
+        assert _FLIPPED == [True]
+        _FLIPPED.clear()
 
     def test_late_registration_rejected(self):
         rt = LiveRuntime(time_scale=FAST)
