@@ -398,8 +398,8 @@ def _run_live(args: argparse.Namespace, points: List[RunPoint],
               f"goodput={result.goodput:.2f}/s "
               f"p50={result.latency.get('p50', 0.0):.1f}ms "
               f"max_lag={lag['max_lag_ms']:.1f}ms "
-              f"callbacks/yield={lag['events'] / max(lag['yields'], 1):.1f} "
-              f"unaccounted={wire['unaccounted']}")
+              f"yields={lag['yields']} "
+              f"unaccounted={wire['unaccounted']} lost={wire['lost']}")
         for v in violations:
             print(f"VIOLATION: {v}", file=sys.stderr)
     if violations or order:

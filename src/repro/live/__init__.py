@@ -4,12 +4,13 @@ The discrete-event engine (:mod:`repro.sim`) is the correctness oracle;
 this package binds the exact same protocol code — via the
 :class:`~repro.runtime.api.Runtime` seam — to real time:
 
-* :class:`LiveRuntime` — loop-based timers with drift correction
-  (callbacks observe their *scheduled* deadline, so periodic work ticks
-  on absolute deadlines and never accumulates drift);
-* :class:`QueueFabric` / :class:`UdpFabric` — transmission over one
-  in-process inbox and its pump task (single-host multi-tier runs) or
-  real UDP sockets on the loopback;
+* :class:`LiveRuntime` — a deadline heap paced to the wall by asyncio
+  (``now`` is the executing callback's *scheduled* deadline, so
+  periodic work ticks on absolute deadlines and never accumulates
+  drift);
+* :class:`QueueFabric` / :class:`UdpFabric` — the sim fabric on that
+  heap (single-host multi-tier runs) or real UDP sockets on the
+  loopback;
 * :class:`NetworkBuilder` — BR/AG/AP/MH tiers from an existing
   :class:`~repro.experiments.spec.ExperimentSpec`, with the
   :mod:`repro.validation` monitors attached to the live trace stream;

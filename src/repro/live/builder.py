@@ -28,6 +28,11 @@ from repro.workloads.scenarios import Scenario
 
 FABRICS = {"queue": QueueFabric, "udp": UdpFabric}
 
+#: The callback each fabric queues a message under while it is in
+#: flight: one still on the heap at the horizon was neither dropped nor
+#: delivered, and is not lost.
+_IN_FLIGHT = {"queue": "_arrive", "udp": "_transmit"}
+
 
 @dataclass
 class LiveRun:
@@ -56,21 +61,27 @@ class LiveRun:
     def result(self) -> RunResult:
         """The finished run's :class:`RunResult`, the harvest's with what
         only a wall-clock run has as its ``live`` section: fabric, load
-        generator, loop lag, and the wire, whose ``unaccounted`` is what
-        was sent and neither dropped nor delivered (in flight at the
-        horizon, plus kernel drops on UDP) and whose ``foreign`` counts
-        datagrams from sockets the fabric did not bind, dropped unread."""
+        generator, loop lag, and the wire.  Its ``unaccounted`` is what
+        was sent and neither dropped nor delivered; ``in_flight`` the
+        part of it still on the heap at the horizon and ``lost`` the
+        rest (datagrams the kernel dropped or still held; 0 on the
+        queue fabric); ``foreign`` counts datagrams from sockets the
+        fabric did not bind, dropped unread."""
         fabric = self.scenario.net.fabric
         sent, dropped, delivered = (fabric.messages_sent,
                                     fabric.messages_dropped,
                                     fabric.messages_delivered)
+        unaccounted = sent - dropped - delivered
+        in_flight = self.runtime.queued(
+            getattr(fabric, _IN_FLIGHT[self.fabric_kind]))
         return replace(self.harvest.result, live={
             "fabric": self.fabric_kind,
             "loadgen": self.loadgen.report(),
             "lag": self.runtime.lag_report(),
             "wire": {"sent": sent, "dropped": dropped,
-                     "delivered": delivered,
-                     "unaccounted": sent - dropped - delivered,
+                     "delivered": delivered, "unaccounted": unaccounted,
+                     "in_flight": in_flight,
+                     "lost": unaccounted - in_flight,
                      "foreign": fabric.foreign},
         })
 
@@ -122,7 +133,7 @@ class NetworkBuilder:
     spec:
         Any :class:`ExperimentSpec` with ``system == "ringnet"``.
     fabric:
-        ``"queue"`` (the in-process inbox) or ``"udp"`` (loopback
+        ``"queue"`` (the sim fabric, in process) or ``"udp"`` (loopback
         sockets).  UDP requires a static population — no open-world
         arrivals.
     time_scale:

@@ -1,28 +1,26 @@
-"""Live transmission substrates: an in-process inbox and UDP sockets.
+"""Live transmission substrates: the sim fabric and UDP sockets.
 
 Both fabrics inherit the full link model from
 :class:`~repro.net.fabric.Fabric` — link lookup, fault overlay, loss
-and jitter draws, bandwidth delay — and override only the dispatch
-point, so a live run models exactly the network the sim modelled and
-then adds a real data path on top:
+and jitter draws, bandwidth delay — so a live run models exactly the
+network the sim modelled:
 
-* :class:`QueueFabric` — one inbox for the whole population, drained
-  by one pump task; a message is in the fabric's hands from the moment
-  it is sent, its arrival deadline riding along, so deliveries execute
-  with the same logical timestamps the sim would assign.  The
+* :class:`QueueFabric` — the sim fabric itself, on the live deadline
+  heap: each arrival is scheduled when its message is sent, so
+  deliveries execute with the logical timestamps the sim assigns.  The
   single-host multi-tier configuration.
-* :class:`UdpFabric` — each node binds a real UDP socket on the
-  loopback; messages are pickled onto the wire after their modelled
-  link delay and delivered when the peer's socket actually receives
-  them.  Real kernel scheduling, real serialization, real reordering.
+* :class:`UdpFabric` — overrides the dispatch point: each node binds a
+  real UDP socket on the loopback; messages are pickled onto the wire
+  after their modelled link delay and delivered when the peer's socket
+  actually receives them.  Real kernel scheduling, real serialization,
+  real reordering.
 """
 
 from __future__ import annotations
 
 import asyncio
 import pickle
-from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.live.runtime import LiveRuntime
 from repro.net.address import NodeId
@@ -33,75 +31,18 @@ from repro.net.node import NetNode
 
 
 class QueueFabric(Fabric):
-    """In-process fabric: one inbox, drained by one pump task.
+    """In-process fabric: the sim fabric on the live heap.
 
-    The send path computes the modelled delay as usual and appends
-    ``(arrival deadline, dst, message)`` to the inbox there and then:
-    the fabric holds the message for the length of its flight, not for
-    zero time after it.  The runtime is told the deadline
-    (:meth:`LiveRuntime.expect_input`), so it yields to the pump before
-    it runs anything that late; the pump wakes once per yield and
-    re-injects the whole inbox into the deadline heap, each message at
-    its arrival time and in send order — so deliveries execute with the
-    same logical timestamps the sim would assign, at one append and one
-    heap event per hop, while every arrival is still input that a
-    foreign task hands the loop.  Whether the destination exists is
-    decided on arrival, as in the sim.
+    It overrides nothing.  A send schedules its arrival at ``now +
+    delay`` on the runtime's deadline heap, exactly as on the sim, so
+    deliveries execute with the logical timestamps the sim assigns, in
+    the sim's order, and the loop has nothing outside its heap to wait
+    for.  Whether the destination exists is decided on arrival, as in
+    the sim; an arrival due after the horizon stays on the heap.
     """
 
-    #: Nothing outside the process reaches the inbox (see UdpFabric).
+    #: Nothing outside the process reaches this fabric (see UdpFabric).
     foreign = 0
-
-    def __init__(self, runtime: LiveRuntime,
-                 default_spec: Optional[LinkSpec] = None):
-        super().__init__(runtime, default_spec)
-        self._inbox: Deque[Tuple[float, NodeId, Message]] = deque()
-        #: What the parked pump awaits; None while it runs or is not up.
-        self._idle: Optional[asyncio.Future] = None
-        self._pump_task: Optional[asyncio.Task] = None
-        runtime.add_service(self)
-
-    # -- Fabric overrides ----------------------------------------------
-    def _dispatch(self, dst: NodeId, msg: Message, delay: float) -> None:
-        sim = self.sim
-        at = sim.now + delay
-        self._inbox.append((at, dst, msg))
-        sim.expect_input(at)
-        idle = self._idle
-        if idle is not None:
-            self._idle = None
-            idle.set_result(None)
-
-    # -- service lifecycle ---------------------------------------------
-    async def start(self) -> None:
-        # Sends made before the run (build-time joins) are already in
-        # the inbox; their deadlines were announced when they were sent.
-        self._pump_task = asyncio.get_running_loop().create_task(
-            self._pump())
-
-    async def stop(self) -> None:
-        # The loop has flushed every arrival due by the horizon; what is
-        # still in the inbox is due after it and is dropped, exactly
-        # like a heap entry past the horizon.
-        self._idle = None
-        self._pump_task.cancel()
-        await asyncio.gather(self._pump_task, return_exceptions=True)
-
-    async def _pump(self) -> None:
-        inbox = self._inbox
-        schedule_at, arrive = self.sim.schedule_at, self._arrive
-        loop = asyncio.get_running_loop()
-        while True:
-            # Re-inject through the deadline heap rather than calling
-            # _arrive inline: the arrival then interleaves with other
-            # work at the same logical time in deterministic heap
-            # order, instead of landing wherever this task happened to
-            # get scheduled.
-            while inbox:
-                at, dst, msg = inbox.popleft()
-                schedule_at(at, arrive, dst, msg, owner=dst)
-            self._idle = loop.create_future()
-            await self._idle
 
 
 class _UdpEndpoint(asyncio.DatagramProtocol):
@@ -124,7 +65,7 @@ class _UdpEndpoint(asyncio.DatagramProtocol):
         msg = pickle.loads(data)
         rt: LiveRuntime = fabric.sim
         # Receives happen at the wall instant the kernel hands them up.
-        rt.run_inline(self.node_id, rt.now, fabric._arrive,
+        rt.run_inline(self.node_id, rt.wall_now(), fabric._arrive,
                       self.node_id, msg)
 
 

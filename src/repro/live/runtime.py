@@ -9,39 +9,38 @@ event loop's monotonic clock by ``wall = start + deadline·time_scale``.
 CI smoke runs — logical timestamps, and therefore every trace record
 and metric, are unchanged).
 
-Drift correction: while a scheduled callback executes, :attr:`now`
-reads the callback's *scheduled deadline*, not the (slightly later)
-wall instant it actually ran at.  A :class:`~repro.runtime.timers.
-PeriodicTimer` that re-arms with ``schedule(period)`` therefore ticks
-on the absolute grid ``phase + k·period`` — lateness of one tick never
-leaks into the next, matching the sim engine's semantics exactly.  The
-wall lateness itself is tracked (:attr:`max_lag_ms`, :attr:`lag_sum_ms`)
-so a run report can show how far behind the loop fell.
+The clock: :attr:`now` is a plain attribute, as on the sim engine.  It
+reads the executing callback's *scheduled deadline*, not the (slightly
+later) wall instant it actually ran at; between callbacks, the last
+executed deadline; after a run that reached its horizon, the horizon.
+A :class:`~repro.runtime.timers.PeriodicTimer` that re-arms with
+``schedule(period)`` therefore ticks on the absolute grid ``phase +
+k·period`` — lateness of one tick never leaks into the next, matching
+the sim engine's semantics exactly.  The wall lateness itself is
+tracked (:attr:`max_lag_ms`, :attr:`lag_sum_ms`) so a run report can
+show how far behind the loop fell; :meth:`LiveRuntime.wall_now` reads
+the wall.
 
 When the loop yields: callbacks that are due run back to back, in
 ``(deadline, schedule order)`` order, without returning to asyncio in
 between.  The loop hands control back (one trip through the selector,
 every ready task runs once) only
 
-* to sleep, when the next deadline is still in the wall-clock future;
-* before a callback whose deadline is at or past the earliest input a
-  service has announced with :meth:`LiveRuntime.expect_input` and not
-  yet injected — and at heap-empty or the horizon while such input is
-  due within the run;
-* after :data:`YIELD_EVERY` callbacks in a row, so services that cannot
-  announce their input (sockets) are still polled while the loop works
+* to sleep, when the next deadline (or the horizon) is still in the
+  wall-clock future;
+* after :data:`YIELD_EVERY` callbacks in a row, and only while a
+  service is registered: a service (sockets) is the one thing outside
+  the heap that can hold input, and it is polled while the loop works
   off a backlog.
 
-The invariant this keeps: **no callback at logical time *t* runs while
-a service holds input due before *t***, so executed deadlines never go
-backwards and arrivals interleave with timers exactly where the heap
-puts them, however late the loop is running.  Input due after the
-horizon is not flushed; it is dropped like a heap entry past it.
-
-Outside callbacks, :attr:`now` is the wall-derived logical time.
-Services (socket fabrics, the queue pump) injecting work from their own
-tasks use :meth:`run_inline` so protocol code still executes with a
-consistent frozen clock and owner context.
+An in-process fabric schedules each arrival on the heap when the
+message is sent, so with no service the heap is all the input there
+is: executed deadlines never go backwards and arrivals interleave with
+timers exactly where the sim's heap puts them, however late the loop
+is running.  Services injecting work from their own tasks (datagram
+receivers) use :meth:`run_inline`, at the wall instant of the input,
+so protocol code still executes with a consistent clock and owner
+context.
 """
 
 from __future__ import annotations
@@ -56,16 +55,14 @@ from repro.sim.trace import TraceBus
 
 _INF = float("inf")
 
-#: Callbacks the loop runs back to back before it yields unprompted.
-#: It bounds how long input nobody announced (UDP sockets, foreign
-#: tasks) waits while the loop works off a backlog: asyncio runs a
-#: reader found ready by one poll after the batch already queued, so up
-#: to two batches — about 1.5 ms of callbacks at 64 — and its datagram
-#: transport reads one datagram per socket per poll.  Sized by
-#: measurement on the saturated queue fabric, where announced input
-#: already forces a yield every ~18 callbacks: wall is flat from 32 up
-#: (64 adds 25 yields to 2,291 per run), +3.5% at 16, +11% at 8; UDP
-#: goodput under overload showed no trend between 16 and 256.
+#: Callbacks the loop runs back to back before it yields unprompted,
+#: while a service is registered.  It bounds how long a service's input
+#: (UDP sockets, foreign tasks) waits while the loop works off a
+#: backlog: asyncio runs a reader found ready by one poll after the
+#: batch already queued, so up to two batches — about 1.5 ms of
+#: callbacks at 64 — and its datagram transport reads one datagram per
+#: socket per poll.  Wall cost was flat from 32 up, +3.5% at 16, +11%
+#: at 8; UDP goodput under overload showed no trend between 16 and 256.
 YIELD_EVERY = 64
 
 
@@ -117,18 +114,13 @@ class LiveRuntime(Runtime):
         self._heap: List[Tuple[float, int, LiveHandle]] = []
         self._seq = 0
         self._ctx_owner: Optional[str] = None
-        #: Scheduled deadline of the executing callback (None outside).
-        self._frozen: Optional[float] = None
-        #: Logical clock before the loop starts / after it finishes.
-        self._now = 0.0
+        #: Logical time (ms); see the module docstring.
+        self.now = 0.0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wall0 = 0.0
         self._wake: Optional[asyncio.Event] = None
         #: Deadline the loop is asleep toward (-inf while it is awake).
         self._sleeping_toward = -_INF
-        #: Earliest deadline of input a service holds, announced through
-        #: :meth:`expect_input` since the loop last yielded.
-        self._input_due = _INF
         self._stopped = False
         self._services: List[Any] = []
         # Run accounting.
@@ -140,14 +132,11 @@ class LiveRuntime(Runtime):
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Logical time (ms): frozen deadline inside callbacks,
-        wall-derived between them, last horizon when not running."""
-        if self._frozen is not None:
-            return self._frozen
+    def wall_now(self) -> float:
+        """The wall clock in logical ms since the run started (``now``
+        when no run is in progress)."""
         if self._loop is None:
-            return self._now
+            return self.now
         return (self._loop.time() - self._wall0) * 1000.0 / self.time_scale
 
     # ------------------------------------------------------------------
@@ -196,6 +185,11 @@ class LiveRuntime(Runtime):
         """Number of non-cancelled callbacks still queued."""
         return sum(1 for _, _, h in self._heap if not h.cancelled)
 
+    def queued(self, fn: Callable[..., Any]) -> int:
+        """Number of non-cancelled calls of ``fn`` still queued."""
+        return sum(1 for _, _, h in self._heap
+                   if h.fn == fn and not h.cancelled)
+
     # ------------------------------------------------------------------
     # Deterministic services / contexts
     # ------------------------------------------------------------------
@@ -216,22 +210,22 @@ class LiveRuntime(Runtime):
 
     def run_inline(self, owner: Optional[str], at: float,
                    fn: Callable[..., Any], *args: Any):
-        """Execute ``fn(*args)`` immediately with ``now`` frozen at
-        ``at`` and the owner context set.
+        """Execute ``fn(*args)`` immediately with ``now`` set to ``at``
+        (restored afterwards) and the owner context set.
 
-        The entry point for service tasks (the queue pump, datagram
-        receivers) handing work to protocol code: everything the
-        callback emits or schedules sees a consistent clock, exactly as
-        if it had been dispatched from the deadline heap.
+        The entry point for service tasks (datagram receivers) handing
+        work to protocol code: everything the callback emits or
+        schedules sees a consistent clock, exactly as if it had been
+        dispatched from the deadline heap.
         """
         saved_owner = self._ctx_owner
-        saved_frozen = self._frozen
+        saved_now = self.now
         self._ctx_owner = owner
-        self._frozen = at
+        self.now = at
         try:
             return fn(*args)
         finally:
-            self._frozen = saved_frozen
+            self.now = saved_now
             self._ctx_owner = saved_owner
 
     # ------------------------------------------------------------------
@@ -239,16 +233,10 @@ class LiveRuntime(Runtime):
     # ------------------------------------------------------------------
     def add_service(self, service: Any) -> None:
         """Register an object with async ``start()``/``stop()`` hooks,
-        awaited around the run loop (socket binding, the pump task)."""
+        awaited around the run loop (socket binding); while one is
+        registered the loop polls it every :data:`YIELD_EVERY`
+        callbacks."""
         self._services.append(service)
-
-    def expect_input(self, by: float) -> None:
-        """A service now holds input due at logical time ``by`` that one
-        of its tasks will inject (``schedule_at``) the next time the
-        loop yields.  The loop yields before it runs anything at or
-        past the earliest such deadline."""
-        if by < self._input_due:
-            self._input_due = by
 
     # ------------------------------------------------------------------
     # The loop
@@ -269,8 +257,9 @@ class LiveRuntime(Runtime):
 
         ``until`` is inclusive, like the sim engine: callbacks scheduled
         exactly at the horizon fire, and ``now`` ends at the horizon.
-        With ``until=None`` the loop exits when the heap drains — only
-        sensible without socket services that may inject new work.
+        With ``until=None`` the loop exits when the heap drains (``now``
+        ends at the last deadline) — only sensible without socket
+        services that may inject new work.
         """
         if self._loop is not None:
             raise RuntimeError("runtime is already running")
@@ -290,10 +279,6 @@ class LiveRuntime(Runtime):
         finally:
             for svc in reversed(started):
                 await svc.stop()
-            end = (loop.time() - self._wall0) * 1000.0 / self.time_scale
-            if until is not None:
-                end = min(end, until)
-            self._now = max(self._now, end)
             self._loop = None
             self._wake = None
 
@@ -303,6 +288,8 @@ class LiveRuntime(Runtime):
         heap = self._heap
         scale = self.time_scale / 1000.0    # wall seconds per logical ms
         last = _INF if until is None else until
+        # With no service, nothing outside the heap can hold input.
+        every = YIELD_EVERY if self._services else _INF
         wall_ms = 0.0       # the wall clock, in logical ms, as last read
         processed = 0
         batch = 0           # callbacks run since the loop last yielded
@@ -313,29 +300,23 @@ class LiveRuntime(Runtime):
                     heapq.heappop(heap)
                     continue
             if not heap or t > last:
-                # Nothing left before the horizon — except what a
-                # service has not injected yet: flush that first.
-                if self._input_due <= last and self._input_due != _INF:
-                    pause, toward = 0.0, _INF
-                elif until is None:
+                if until is None:
                     break  # heap drained, no horizon: done
-                else:
-                    # Sleep toward the horizon, but stay interruptible —
-                    # a service may inject new work.
-                    wall_ms = (loop.time() - self._wall0) / scale
-                    if wall_ms >= until:
-                        break
-                    pause, toward = (until - wall_ms) * scale, until
+                # Sleep toward the horizon, but stay interruptible — a
+                # service may inject new work.
+                wall_ms = (loop.time() - self._wall0) / scale
+                if wall_ms >= until:
+                    self.now = until
+                    break
+                pause, toward = (until - wall_ms) * scale, until
             elif t > wall_ms:
                 # Not due at the last clock reading: look again.
                 wall_ms = (loop.time() - self._wall0) / scale
                 if t <= wall_ms:
                     continue
                 pause, toward = (t - wall_ms) * scale, t
-            elif t >= self._input_due or batch >= YIELD_EVERY:
-                # A service holds input due no later than this callback
-                # (or has not been polled for a while): let its task put
-                # the input on the heap first.
+            elif batch >= every:
+                # The services have not been polled for a while.
                 pause, toward = 0.0, _INF
             else:
                 heapq.heappop(heap)
@@ -355,9 +336,6 @@ class LiveRuntime(Runtime):
         to that many seconds toward logical deadline ``toward``, waking
         early for :meth:`stop` or a deadline scheduled before it."""
         self.yields += 1
-        # Everything announced so far is injected during this yield;
-        # what is announced while it lasts stays flagged.
-        self._input_due = _INF
         if dt_wall <= 0:
             await asyncio.sleep(0)
             return
@@ -378,14 +356,11 @@ class LiveRuntime(Runtime):
             self.lag_sum_ms += lag
         saved_owner = self._ctx_owner
         self._ctx_owner = handle.owner
-        self._frozen = handle.time
+        self.now = handle.time
         try:
             handle.fn(*handle.args)
         finally:
-            self._frozen = None
             self._ctx_owner = saved_owner
-        if handle.time > self._now:
-            self._now = handle.time
         self.events_processed += 1
 
     def stop(self) -> None:
@@ -400,8 +375,8 @@ class LiveRuntime(Runtime):
         n = self.events_processed
         return {
             "events": n,
-            # Times the loop handed control to asyncio (cooperative
-            # yields + sleeps); events / yields is the batch size.
+            # Times the loop handed control to asyncio: sleeps, plus the
+            # polls of a registered service during a backlog.
             "yields": self.yields,
             "max_lag_ms": round(self.max_lag_ms, 3),
             "mean_lag_ms": round(self.lag_sum_ms / n, 3) if n else 0.0,

@@ -14,7 +14,7 @@ Hot-path contract: a transmission is ``NetNode.send`` -> ``Fabric.send``
 -> ``_dispatch`` -> ``schedule_at``; an arrival ``_arrive`` ->
 ``NetNode.deliver`` -> ``on_message``.  ``Fabric.send`` and the two
 ``NetNode`` methods are seams ``perfbench`` shims; ``_dispatch`` is the
-one backend seam (all :mod:`repro.live.fabric` overrides); under
+one backend seam (the live UDP fabric overrides it); under
 sharding ``send`` asks ``is_local(src)`` first and, once the link model
 has made its draws, ``is_local(dst)`` -> ``mint_child_key`` -> ``export``,
 so action counters tick identically on every shard.  Nothing is rebuilt
@@ -250,9 +250,8 @@ class Fabric:
 
         The single backend-specific point of the send path: everything
         above (links, faults, loss, jitter, bandwidth) is pure modelling,
-        so live fabrics (:mod:`repro.live.fabric`) override only this to
-        route the arrival through a queue or a socket instead of the
-        scheduler.
+        so the UDP fabric (:mod:`repro.live.fabric`) overrides only this
+        to route the arrival through a socket instead of the scheduler.
         """
         sim = self.sim
         sim.schedule_at(sim.now + delay, self._arrive, dst, msg, owner=dst)

@@ -7,8 +7,14 @@ sections).  The contract is intentionally small; everything in
 unchanged on any implementation:
 
 ``now``
-    Current time in milliseconds.  Simulated time on the sim backend,
-    wall-clock-derived time on the live backend.  Only moves forward.
+    Current time in milliseconds, a plain attribute on both backends:
+    the deadline of the executing callback, the last executed deadline
+    between callbacks, the horizon after a run that reached it.  Only
+    moves forward, with two live exceptions: ``LiveRuntime.run_inline``
+    (input a socket service received) runs at the wall instant of the
+    input, which may be ahead of the heap's next deadline, and restores
+    ``now`` afterwards; and a ``schedule_at`` into the past, which the
+    sim refuses, runs late.  The live wall clock is ``wall_now()``.
 ``schedule(delay, fn, *args, owner=...)`` / ``schedule_at`` / ``cancel``
     One-shot callbacks.  The returned handle exposes a ``cancelled``
     attribute (True once cancelled *or* refused by a shard gate), which
@@ -78,9 +84,8 @@ class Runtime:
 
     Subclasses must set :attr:`now`, :attr:`seed`, and :attr:`trace`,
     and implement the scheduling and context methods below.  The base
-    class deliberately has no ``__init__``: the sim backend initializes
-    its state inline on the hot path, and the live backend has an
-    entirely different notion of "now".
+    class deliberately has no ``__init__``: each backend initializes
+    its state inline, on its own hot path.
     """
 
     #: Current time (ms).  Subclass state.

@@ -1,6 +1,6 @@
 """Tests for the live asyncio backend (`repro.live`).
 
-Covers the wall-clock runtime's seam semantics (frozen clock, absolute
+Covers the wall-clock runtime's seam semantics (the clock, absolute
 timer grid, seed parity with the sim engine), both fabrics, the
 spec-driven builder, and the sim-vs-live differential harness — whose
 report shape is pinned by the committed schema fixture.
@@ -200,6 +200,10 @@ class TestLiveRuntime:
 # ----------------------------------------------------------------------
 SATURATED = 0.001   # the loop is always behind the wall clock
 
+#: ``call_soon``s of a run that never yields: ``asyncio.run``'s task
+#: start and shutdown (a handful), however many callbacks it runs.
+CALL_SOONS_PER_RUN = 10
+
 
 def _pair(rt: LiveRuntime, latency: float):
     """Two recorders ``a``/``b`` on a queue fabric, one link."""
@@ -341,13 +345,13 @@ class TestHorizon:
 
 
 class TestInbox:
-    """The queue fabric is one inbox and one pump task, whatever the
-    population."""
+    """The queue fabric is the sim fabric on the live heap: no inbox, no
+    task, no service, whatever the population."""
 
     def test_one_fabric_task_however_many_nodes(self, saturated_census):
         assert len(saturated_census["run"].scenario.net.fabric.nodes) > 40
-        # The runtime's own task and the pump.
-        assert saturated_census["tasks"] == [2, 2]
+        # The runtime's own task is the only one.
+        assert saturated_census["tasks"] == [1, 1]
 
     def test_no_asyncio_queue_in_the_tree(self):
         src = pathlib.Path(repro.__file__).parent
@@ -355,11 +359,13 @@ class TestInbox:
                 if "asyncio.Queue" in p.read_text(encoding="utf-8")] == []
 
     def test_call_soons_per_yield(self, saturated_census):
-        # Two per yield: the loop's own resumption and the pump's
-        # wake-up (7.86 with a queue and a pump per node).
+        # Flat out with no service the loop never returns to asyncio,
+        # so asyncio's own bookkeeping is what starting and ending a
+        # run costs.
         rt = saturated_census["run"].runtime
-        assert rt.yields > 100
-        assert saturated_census["call_soons"] <= 3 * rt.yields
+        assert rt.yields == 0
+        assert rt.events_processed > 5000
+        assert saturated_census["call_soons"] <= CALL_SOONS_PER_RUN
 
     def test_equal_deadlines_arrive_in_send_order(self):
         rt = LiveRuntime(time_scale=SATURATED)
@@ -412,14 +418,13 @@ class TestSleepWake:
         fabric, a, b = _pair(rt, latency=latency)
         marks = {}
         b.on_message = lambda msg: marks.update(
-            arrival=rt.now, arrival_wall_ms=(rt._loop.time() - rt._wall0)
-            * 1000.0)
+            arrival=rt.now, arrival_wall_ms=rt.wall_now())
         rt.schedule(400.0, lambda: marks.update(timer=rt.now))
 
         def send_from_outside():
             # A foreign task sends while the loop sleeps toward 400.
             marks["yields_before"] = rt.yields
-            marks["sent_at"] = rt.now
+            marks["sent_at"] = rt.wall_now()
             rt.run_inline("a", marks["sent_at"], a.send, "b", Ping())
 
         _Script(rt, [(0.030, send_from_outside),
@@ -443,6 +448,42 @@ class TestSleepWake:
         # ...and the arrival still runs at its deadline.
         assert marks["timer"] == 400.0
         assert marks["arrival"] == pytest.approx(marks["sent_at"] + 500.0)
+
+
+class TestLiveClock:
+    """``now`` is a plain attribute: inside a callback its deadline,
+    inside ``run_inline`` its ``at``, between callbacks the last
+    executed deadline (never ahead of the wall), after the run the
+    horizon.  (A callback's deadline and the horizon:
+    ``TestLiveRuntime.test_frozen_clock_inside_callback``.)"""
+
+    def test_between_callbacks_and_inline(self):
+        rt = LiveRuntime(time_scale=0.1)     # 1 logical ms = 0.1 wall ms
+        rt.schedule(10.0, lambda: None)
+        rt.schedule(1000.0, lambda: None)
+        marks = []
+
+        def look():
+            # 300 logical ms in: the loop sleeps toward 1,000.
+            marks.append((rt.now, rt.wall_now()))
+            marks.append(rt.run_inline(
+                "x", 123.0, lambda: (rt.now, rt.current_owner)))
+            marks.append((rt.now, rt.current_owner))
+
+        _Script(rt, [(0.030, look)])
+        rt.run(until=1100.0)
+        (between, wall), inline, after = marks
+        assert between == 10.0 and wall >= 250.0
+        assert inline == (123.0, "x")
+        assert after == (10.0, None)
+        assert rt.now == 1100.0
+        assert rt.wall_now() == rt.now      # no run in progress
+
+    def test_after_a_drain_the_last_deadline(self):
+        rt = LiveRuntime(time_scale=SATURATED)
+        rt.schedule(3.0, lambda: None)
+        rt.run()
+        assert rt.now == 3.0
 
 
 def test_unannounced_service_is_polled_during_a_backlog():
@@ -493,41 +534,76 @@ def _delivery_log(trace):
     return by_mh
 
 
-@pytest.fixture(scope="module")
-def saturated_vs_sim():
-    spec = registry.get("quickstart", duration_ms=3000.0)
-    sim = Simulator(seed=spec.seed)
-    sim_log = _delivery_log(sim.trace)
-    sim_scenario = build_scenario(spec, sim=sim)
-    sim_scenario.run()
+def _backwards(deadlines):
+    return sum(1 for a, b in zip(deadlines, deadlines[1:]) if b < a)
 
-    run = NetworkBuilder(spec, fabric="queue", time_scale=SATURATED,
-                         monitors=True).build()
-    live_log = _delivery_log(run.runtime.trace)
+
+SATURATED_SPEC = registry.get("quickstart", duration_ms=3000.0)
+
+
+@pytest.fixture(scope="module")
+def sim_reference():
+    sim = Simulator(seed=SATURATED_SPEC.seed)
+    sim_log = _delivery_log(sim.trace)
+    sim_scenario = build_scenario(SATURATED_SPEC, sim=sim)
+    sim_scenario.run()
+    return {"sim": sim_log, "sim_net": sim_scenario.net}
+
+
+def _saturated_run(sim_reference, mutate=None):
+    """The saturated live run of :data:`SATURATED_SPEC` beside the sim's,
+    with every executed deadline recorded; ``mutate(rt, handle)`` may
+    edit each handle just before it runs."""
+    run = NetworkBuilder(SATURATED_SPEC, fabric="queue",
+                         time_scale=SATURATED, monitors=True).build()
+    rt = run.runtime
+    live_log = _delivery_log(rt.trace)
     deadlines = []
-    execute = run.runtime._execute
+    execute = rt._execute
 
     def recording_execute(handle, wall_ms):
         deadlines.append(handle.time)
+        if mutate is not None:
+            mutate(rt, handle)
         execute(handle, wall_ms)
 
-    run.runtime._execute = recording_execute
+    rt._execute = recording_execute
     run.run()
     return {"run": run, "deadlines": deadlines, "live": live_log,
-            "sim": sim_log, "sim_net": sim_scenario.net}
+            **sim_reference}
+
+
+@pytest.fixture(scope="module")
+def saturated_vs_sim(sim_reference):
+    return _saturated_run(sim_reference)
+
+
+def _stale_clock(rt, handle):
+    """Mutation: a callback sees the previous callback's deadline as
+    ``now`` instead of its own (the clock is set after it runs)."""
+    fn, stale, own = handle.fn, rt.now, handle.time
+
+    def late(*args):
+        rt.now = stale
+        try:
+            fn(*args)
+        finally:
+            rt.now = own
+
+    handle.fn = late
 
 
 class TestSaturatedOrdering:
-    """With ``expect_input`` made a no-op the four ordering assertions
-    here fail: the clock goes backwards 403 times, a monitor fires, the
-    sequences differ and 2,768 of 2,832 are delivered (re-run on the
-    one-inbox fabric; only the batching test still passes)."""
+    """The live loop flat out against the sim, four ordering
+    assertions: executed deadlines never go backwards, every MH
+    delivers the sim's sequence, the sim's delivery count, and zero
+    monitor violations.  :meth:`test_the_oracle_catches_a_stale_clock`
+    keeps them able to fail."""
 
     def test_executed_deadlines_never_go_backwards(self, saturated_vs_sim):
         deadlines = saturated_vs_sim["deadlines"]
         assert len(deadlines) > 10_000
-        backwards = sum(1 for a, b in zip(deadlines, deadlines[1:]) if b < a)
-        assert backwards == 0
+        assert _backwards(deadlines) == 0
 
     def test_every_mh_delivers_the_sims_sequence(self, saturated_vs_sim):
         assert len(saturated_vs_sim["sim"]) == 24
@@ -544,9 +620,34 @@ class TestSaturatedOrdering:
         assert saturated_vs_sim["run"].violations() == []
 
     def test_callbacks_run_in_batches(self, saturated_vs_sim):
+        # With no service the loop yields only to sleep (see
+        # test_sleeps_count_as_yields), and flat out it never needs to:
+        # the whole run is one batch.
         rt = saturated_vs_sim["run"].runtime
-        assert rt.yields == rt.lag_report()["yields"]
-        assert 0 < rt.yields < rt.events_processed / 8
+        assert rt.yields == rt.lag_report()["yields"] == 0
+        assert rt.events_processed > 10_000
+
+    def test_what_is_unaccounted_is_in_flight(self, saturated_vs_sim):
+        # Arrivals due after the horizon stay on the heap; the queue
+        # fabric loses nothing (5 in flight at ``run quickstart``'s
+        # derived seed).
+        wire = saturated_vs_sim["run"].result.live["wire"]
+        assert (wire["unaccounted"], wire["in_flight"], wire["lost"]) \
+            == (4, 4, 0)
+
+    def test_the_oracle_catches_a_stale_clock(self, sim_reference):
+        """Under :func:`_stale_clock` three of the four fail: the
+        executed deadlines go backwards 164 times, all 24 MHs deliver a
+        sequence other than the sim's, and 2,860 are delivered instead
+        of 2,832.  The monitors stay silent (0 violations): a clock one
+        callback late breaks agreement with the sim, not total order."""
+        mutant = _saturated_run(sim_reference, mutate=_stale_clock)
+        oracle = {"backwards": _backwards(mutant["deadlines"]),
+                  "same_sequences": mutant["live"] == mutant["sim"],
+                  "delivered": mutant["run"].report()["delivered"],
+                  "violations": len(mutant["run"].violations())}
+        assert oracle != {"backwards": 0, "same_sequences": True,
+                          "delivered": 2832, "violations": 0}
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +671,7 @@ class TestMaxLagFlag:
         captured = capsys.readouterr()
         assert "OVERLOADED" in captured.err
         assert "ok: zero violations" not in captured.out
-        assert "callbacks/yield=" in captured.out
+        assert "yields=" in captured.out and " lost=0" in captured.out
 
     def test_within_the_limit_is_ok(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -678,8 +779,11 @@ class TestQueueFabricRun:
             "delivered": fabric.messages_delivered,
             "unaccounted": fabric.messages_sent - fabric.messages_dropped
             - fabric.messages_delivered,
+            "in_flight": queue_run.runtime.queued(fabric._arrive),
+            "lost": 0,
             "foreign": 0}
-        assert wire["delivered"] > 0 and 0 <= wire["unaccounted"] < 50
+        assert wire["delivered"] > 0 and 0 < wire["unaccounted"] < 50
+        assert wire["in_flight"] == wire["unaccounted"]
 
     def test_loadgen_sampled(self, queue_run):
         assert queue_run.loadgen.samples, "load generator never sampled"
@@ -716,11 +820,35 @@ class TestUdpFabric:
         rep = run.report()
         assert rep["order_checked"] and rep["order_violations"] == 0
         wire = json.loads(json.dumps(rep["live"]["wire"]))
-        assert sorted(wire) == ["delivered", "dropped", "foreign", "sent",
-                                "unaccounted"]
+        assert sorted(wire) == ["delivered", "dropped", "foreign",
+                                "in_flight", "lost", "sent", "unaccounted"]
         assert wire["foreign"] == 0
         assert wire["unaccounted"] == (wire["sent"] - wire["dropped"]
                                        - wire["delivered"]) >= 0
+        assert wire["in_flight"] == run.runtime.queued(fabric._transmit)
+        assert wire["lost"] == wire["unaccounted"] - wire["in_flight"] >= 0
+
+    def test_datagrams_arrive_at_the_wall_clock(self):
+        # Each receive runs at the wall reading taken for it, in the
+        # order the kernel handed them up.
+        run = NetworkBuilder(short_quickstart(duration_ms=600.0),
+                             fabric="udp", time_scale=0.2).build()
+        rt, fabric = run.runtime, run.scenario.net.fabric
+        walls, seen = [], []
+        wall_now, arrive = rt.wall_now, fabric._arrive
+
+        def reading():
+            walls.append(wall_now())
+            return walls[-1]
+
+        def arriving(dst, msg):
+            seen.append(rt.now)
+            arrive(dst, msg)
+
+        rt.wall_now, fabric._arrive = reading, arriving
+        run.run()
+        assert len(seen) > 100
+        assert seen == walls == sorted(walls)
 
     def test_a_strangers_datagram_is_never_unpickled(self):
         """Mid-run, a socket the fabric did not bind sends a node a

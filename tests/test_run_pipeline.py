@@ -289,7 +289,8 @@ class TestRunEntry:
                 "lag": {"events": 9, "yields": 1, "max_lag_ms": 0.5,
                         "mean_lag_ms": 0.1, "time_scale": 0.001},
                 "wire": {"sent": 4, "dropped": 0, "delivered": 4,
-                         "unaccounted": 0, "foreign": 0}}
+                         "unaccounted": 0, "in_flight": 0, "lost": 0,
+                         "foreign": 0}}
         shard = {"shards": 2, "windows": 7, "stall_causes": [{}, {}]}
         both = self._entry(live=live, shard=shard, violations=[])
         data = both.to_dict()

@@ -325,7 +325,9 @@ def test_live_obs_report_carries_lag_gauges():
     from repro.obs.report import render_summary
 
     spec = registry.get("quickstart", duration_ms=600.0, warmup_ms=100.0)
-    run = NetworkBuilder(spec, fabric="queue", time_scale=0.02).build()
+    # Paced (120 ms of wall): the loop sleeps between deadlines, which
+    # is what ``yields`` counts with no service registered.
+    run = NetworkBuilder(spec, fabric="queue", time_scale=0.2).build()
     run.run()
     report = run.obs_report()
     assert report["schema"] == "repro.obs/v1"
