@@ -85,8 +85,7 @@ from repro.obs.report import (load_report, load_timeline, render_summary,
 from repro.obs.session import ObsSession, write_artifacts
 from repro.obs.spans import (SpanCollector, assemble, completeness,
                              events_from_trace, read_span_events)
-from repro.shard.partition import (cut_edges, latency_matrix, lookahead_of,
-                                   min_lookahead, partition_spec)
+from repro.shard.partition import cut_edges, lookahead_of, partition_spec
 from repro.shard.runtime import run_sharded
 from repro.sim.trace import StreamingTraceSink, write_trace_lines
 from repro.validation import fuzz as campaign
@@ -328,7 +327,7 @@ def _run_sim(args: argparse.Namespace, points: List[RunPoint],
         if session is not None:
             obs = (session.report(), session.rows)
         if collector is not None:
-            spans = (collector.events, None)
+            spans = collector.events
     else:
         # Worker processes: the flags travel as run_sweep's switches and
         # each worker's run_point constructs the same observers.
@@ -360,9 +359,7 @@ def _run_shards(args: argparse.Namespace, points: List[RunPoint],
         print(f"wrote {n} records to {args.record}")
     obs = (result.obs_report, result.obs_timeline or []) \
         if result.obs_report is not None else None
-    spans = (result.span_events, result.span_overlays()) \
-        if result.span_events is not None else None
-    return 0, obs, spans
+    return 0, obs, result.span_events
 
 
 def _run_live(args: argparse.Namespace, points: List[RunPoint],
@@ -389,7 +386,7 @@ def _run_live(args: argparse.Namespace, points: List[RunPoint],
         result.live.update(overloaded=overloaded, max_lag_limit_ms=limit)
     _report_runs(args, [result], root_seed)
     obs = (run.obs_report(), []) if args.obs is not None else None
-    spans = (collector.events, None) if collector is not None else None
+    spans = collector.events if collector is not None else None
 
     violations = run.violations()
     order, delivered = result.order_violations, result.delivered
@@ -446,7 +443,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         paths = write_artifacts(*obs, out_dir=args.obs, name=name)
         print(f"wrote {paths['report']}")
     if spans is not None:
-        paths = write_span_artifacts(args.spans, name, *spans)
+        paths = write_span_artifacts(args.spans, name, spans)
         print(f"wrote {paths['spans']}, {paths['critpath']}")
     return code
 
@@ -509,19 +506,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
     plan = partition_spec(spec, args.shards)
     scenario = build_scenario(spec)
     cut = cut_edges(scenario.net.fabric, plan)
-    lookahead = lookahead_of(cut)
-    wireless = getattr(scenario.net, "wireless", None)
-    matrix = latency_matrix(
-        scenario.net.fabric, plan,
-        wireless_floor=wireless.latency if wireless is not None else None)
+    # The run's lookahead, exactly as every worker derives it.
+    lookahead = lookahead_of(cut, scenario.net.wireless.latency)
     if args.json:
         payload = plan.to_dict()
         payload["cut_edges"] = [list(edge) for edge in cut]
-        payload["lookahead_ms"] = None if lookahead == float("inf") \
-            else lookahead
-        payload["lookahead_matrix_ms"] = [
-            [None if v == float("inf") else v for v in row]
-            for row in matrix]
+        payload["lookahead_ms"] = lookahead
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0
@@ -531,9 +521,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         brs = sorted(br for br, s in plan.subtree_shard.items() if s == shard)
         print(f"  shard {shard}: weight={plan.weights[shard]:4d}  "
               f"subtrees={', '.join(brs) if brs else '(empty)'}")
-    print(f"  cut edges: {len(cut)}  lookahead floor: "
-          f"{'unbounded' if lookahead == float('inf') else f'{lookahead}ms'}"
-          f"  matrix min: {min_lookahead(matrix)}ms")
+    print(f"  cut edges: {len(cut)}  lookahead: {lookahead}ms")
     return 0
 
 

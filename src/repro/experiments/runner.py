@@ -498,15 +498,13 @@ def run_point(point: Union[RunPoint, ExperimentSpec], *observers,
     return harvest.result
 
 
-def write_span_artifacts(out_dir: str, name: str, events,
-                         overlays: Optional[Dict[str, Any]] = None,
-                         ) -> Dict[str, str]:
+def write_span_artifacts(out_dir: str, name: str, events) -> Dict[str, str]:
     """Write ``SPANS_<name>.jsonl.gz`` + ``CRITPATH_<name>.json``; returns
-    the paths.  ``overlays`` are a sharded run's ``span_overlays()``."""
+    the paths."""
     os.makedirs(out_dir, exist_ok=True)
     spans = os.path.join(out_dir, f"SPANS_{name}.jsonl.gz")
     write_span_events(spans, events)
-    summary = critpath_summary(assemble(events), overlays=overlays or None)
+    summary = critpath_summary(assemble(events))
     critpath = os.path.join(out_dir, f"CRITPATH_{name}.json")
     with open(critpath, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

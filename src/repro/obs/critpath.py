@@ -24,10 +24,8 @@ partitioned into causally ordered stages:
     (:func:`~repro.obs.spans.events_from_trace`) or messages delivered
     via gap-repair paths that bypass the normal hop chain.
 
-Two overlays ride along without being part of the partition:
-``retransmit`` (per-hop extra send-window time) and, for sharded runs,
-``window_stall`` (wall-clock time shards spent blocked at window
-barriers — a property of the run, not of any one message).
+One overlay rides along without being part of the partition:
+``retransmit`` (per-hop extra send-window time).
 
 The summary groups percentile breakdowns per multicast group (``gid``
 when the spans carry one, else per source stream) and names the
@@ -144,13 +142,8 @@ def dominant_stage(stage_ms: Dict[str, float]) -> Optional[str]:
 # ----------------------------------------------------------------------
 def critpath_summary(spanset: SpanSet,
                      bands: Tuple[Tuple[float, float], ...] = DEFAULT_BANDS,
-                     overlays: Optional[Dict[str, Any]] = None,
                      ) -> Dict[str, Any]:
-    """The full attribution report for one assembled span set.
-
-    ``overlays`` lets backends add run-level pseudo-stages — the shard
-    coordinator passes ``window_stall`` wall-time here.
-    """
+    """The full attribution report for one assembled span set."""
     rows = sorted(iter_deliveries(spanset), key=lambda r: r[2])
     totals = [r[2] for r in rows]
 
@@ -214,7 +207,7 @@ def critpath_summary(spanset: SpanSet,
     give_ups = sum(h.give_ups for s in spanset.spans.values()
                    for h in s.hops.values())
 
-    summary = {
+    return {
         "schema": CRITPATH_SCHEMA,
         "deliveries": n,
         "messages": len(spanset),
@@ -231,9 +224,6 @@ def critpath_summary(spanset: SpanSet,
         },
         "mean_total_ms": mean_total,
     }
-    if overlays:
-        summary["overlays"] = dict(overlays)
-    return summary
 
 
 def stage_means(summary: Dict[str, Any]) -> Dict[str, float]:
@@ -299,9 +289,6 @@ def render_critpath(summary: Dict[str, Any], name: str = "run") -> str:
             f"  retransmit overlay: {retx.get('count', 0)} retx, "
             f"{retx.get('give_ups', 0)} give-ups, "
             f"mean {retx.get('overlay_ms_mean', 0.0):.2f} ms/message")
-    overlays = summary.get("overlays") or {}
-    for key, value in sorted(overlays.items()):
-        lines.append(f"  overlay {key}: {value}")
     omitted = summary.get("groups_omitted", 0)
     groups = summary.get("groups") or {}
     if len(groups) > 1 or omitted:

@@ -113,22 +113,13 @@ def render_summary(report: Dict[str, Any], top: int = 5) -> str:
             lines.append(
                 f"  shard {i}: {sub.get('events', 0):,} events  "
                 f"stalls={win.get('stalls', 0)} "
-                f"{_causes(win.get('stall_causes') or {})} "
-                f"barrier_wait={win.get('barrier_wait_s', 0.0):.3f}s  "
-                f"export_q_peak={win.get('export_q_peak', 0)}")
+                f"barrier_wait={win.get('barrier_wait_s', 0.0):.3f}s")
         merged = merge_counter_dicts(
             [(s.get("registry") or {}).get("counters") or {}
              for s in shards])
         if merged:
             lines.extend(_kv_lines("counters (all shards)", merged))
     return "\n".join(lines)
-
-
-def _causes(causes: Dict[str, int]) -> str:
-    if not causes:
-        return ""
-    inner = ", ".join(f"{k}={v}" for k, v in sorted(causes.items()))
-    return f"({inner})"
 
 
 def render_timeline(rows: Iterable[Dict[str, Any]],

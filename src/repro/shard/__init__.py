@@ -4,12 +4,13 @@ Partitions a built RingNet topology into K shards
 (:func:`~repro.shard.partition.partition_hierarchy`: LPT over
 BR-subtree units, split one ring level down when lopsided, each MH
 riding with its initial AP for the whole run), runs one event loop per
-worker process, and synchronizes conservatively behind per-shard grants
-derived from the cut-latency matrix ``L[j][i]`` — shard *i* only waits
-on links that can actually reach it.  The merge order ``(time, causal
-key, emission index)`` makes a K-shard run produce **byte-identical**
-canonical traces to the sequential engine; ``shards=1`` is the exact
-sequential engine path.
+worker process, and synchronizes conservatively in lock-step rounds:
+every round, every shard runs to the same grant, computed from one
+scalar lookahead (the smallest cut latency, capped by the wireless
+latency).  The merge order ``(time, causal key, emission index)``
+makes a K-shard run produce **byte-identical** canonical traces to the
+sequential engine; ``shards=1`` is the exact sequential engine path.
+The backend is a decomposition-invariance oracle, not a speedup.
 
 Public API::
 
@@ -22,8 +23,7 @@ Public API::
 """
 
 from repro.shard.partition import (PartitionError, PartitionPlan, cut_edges,
-                                   latency_matrix, lookahead_of,
-                                   min_lookahead, partition_hierarchy,
+                                   lookahead_of, partition_hierarchy,
                                    partition_spec)
 from repro.shard.record import KeyedRecorder, merge_streams
 from repro.shard.runtime import ShardRunResult, record_sharded, run_sharded
@@ -34,10 +34,8 @@ __all__ = [
     "KeyedRecorder",
     "ShardRunResult",
     "cut_edges",
-    "latency_matrix",
     "lookahead_of",
     "merge_streams",
-    "min_lookahead",
     "partition_hierarchy",
     "partition_spec",
     "record_sharded",

@@ -42,25 +42,15 @@ class ShardContext:
         #: Batches travel the coordinator pipe as one object per
         #: destination instead of one per message.
         self.outbox: Dict[int, List[Tuple[float, int, NodeId, Any]]] = {}
-        self._outbox_depth = 0
         #: Pending synchronization probes: ``(time, key, kind, event)``.
         self._probes: List[Tuple[float, int, str, Any]] = []
         self._probe_result: Any = None
         #: Probe gather functions by kind, bound by the runtime.
         self.gatherers: Dict[str, Callable[[], Any]] = {}
-        #: Scalar lookahead floor (minimum over the matrix), kept for
-        #: reporting; the per-destination row below is what the export
-        #: bound actually checks.
+        #: The run's one lookahead (set by the runtime once the fabric
+        #: exists); every export is checked against it.
         self.lookahead: float = 0.0
-        #: Per-destination lookahead row ``L[self][dest]`` (set by the
-        #: runtime once the fabric exists); asserts the bounded-lag
-        #: invariant on every export.
-        self.lookahead_to: Optional[List[float]] = None
         self.exported = 0
-        self.imported = 0
-        #: Peak outbox depth between syncs (how bursty cross-shard
-        #: traffic gets before a window boundary drains it).
-        self.export_q_peak = 0
 
     # ------------------------------------------------------------------
     # Ownership
@@ -105,26 +95,17 @@ class ShardContext:
         the delay equals the lookahead.
         """
         dest = self._shard_of[dst]
-        bound = (self.lookahead_to[dest] if self.lookahead_to is not None
-                 else self.lookahead)
-        if delay < bound:
+        if delay < self.lookahead:
             raise RuntimeError(
                 f"bounded-lag violation: export to shard {dest} arriving "
-                f"{delay}ms ahead, lookahead {bound}ms — partition "
+                f"{delay}ms ahead, lookahead {self.lookahead}ms — partition "
                 f"assumption broken")
         self.outbox.setdefault(dest, []).append((time, key, dst, msg))
         self.exported += 1
-        self._outbox_depth += 1
-        if self._outbox_depth > self.export_q_peak:
-            self.export_q_peak = self._outbox_depth
-            obs = self.sim.obs
-            if obs is not None:
-                obs.gauge_max("shard.export_q_peak", self._outbox_depth)
 
     def take_outbox(self) -> Dict[int, List[Tuple[float, int, NodeId, Any]]]:
         """Drain the per-destination export batches queued since last sync."""
         out, self.outbox = self.outbox, {}
-        self._outbox_depth = 0
         return out
 
     # ------------------------------------------------------------------

@@ -340,81 +340,28 @@ def cut_edges(fabric, plan: PartitionPlan) -> List[Tuple[NodeId, NodeId, float]]
     return out
 
 
-def lookahead_of(cut: Sequence[Tuple[NodeId, NodeId, float]]) -> float:
-    """Conservative window width: the minimum cut-link latency.
+def lookahead_of(cut: Sequence[Tuple[NodeId, NodeId, float]],
+                 wireless_floor: Optional[float] = None) -> float:
+    """Conservative window width: the smallest cross-shard latency.
 
     Every cross-shard effect rides a message over a cut link, so
     nothing sent at time ``t`` can matter to another shard before
-    ``t + lookahead`` — the bounded-lag guarantee the window protocol
-    rests on.  A cut link with non-positive latency would break it, so
-    that is a hard error, not a warning.  An empty cut (everything on
+    ``t + lookahead`` — the bounded-lag guarantee the lock-step rounds
+    rest on.  ``wireless_floor`` — the facade's wireless spec latency —
+    caps it, because the one kind of link minted mid-run is an MH↔AP
+    attachment at exactly that spec, and a roaming MH can wire any two
+    shards together; with the cap the lookahead holds for the whole
+    run.  A non-positive latency would break the bound, so it is a hard
+    error, not a warning.  An empty cut with no floor (everything on
     one shard) has unbounded lookahead.
     """
-    if not cut:
-        return float("inf")
-    lookahead = min(lat for _, _, lat in cut)
+    lats = [lat for _, _, lat in cut]
+    if wireless_floor is not None:
+        lats.append(wireless_floor)
+    lookahead = min(lats, default=float("inf"))
     if not lookahead > 0.0:
         offenders = [(a, b) for a, b, lat in cut if not lat > 0.0]
         raise PartitionError(
-            f"cut links with non-positive latency break the lookahead "
-            f"bound: {offenders}")
+            f"non-positive latency breaks the lookahead bound: cut links "
+            f"{offenders}, wireless floor {wireless_floor}")
     return lookahead
-
-
-def latency_matrix(
-    fabric,
-    plan: PartitionPlan,
-    wireless_floor: Optional[float] = None,
-) -> List[List[float]]:
-    """Per-shard-pair lookahead: ``L[j][i]`` bounds influence j → i.
-
-    Nothing shard *j* does at time ``t`` can affect shard *i* before
-    ``t + L[j][i]``: every direct cross-shard effect rides a fabric
-    link, so the bound for a pair is the minimum latency over links
-    crossing it.  Two terms contribute:
-
-    * provisioned links crossing the cut right now, and
-    * ``wireless_floor`` — the facade's wireless spec latency — on
-      *every* pair, because the one kind of link minted mid-run is an
-      MH↔AP attachment at exactly that spec (``handoff`` /
-      ``add_mobile_host``), and a roaming MH can wire any shard pair
-      together.  With the floor in place the matrix is invariant for
-      the whole run and every worker derives it identically at build
-      time — no recompute protocol needed.
-
-    Pairs with no link and no floor are ``inf`` (never constrain); the
-    diagonal is 0.  Non-positive entries would break the bounded-lag
-    guarantee and raise :class:`PartitionError`.
-    """
-    n = plan.n_shards
-    inf = float("inf")
-    mat = [[0.0 if i == j else inf for i in range(n)] for j in range(n)]
-    for a, b, lat in cut_edges(fabric, plan):
-        if not lat > 0.0:
-            raise PartitionError(
-                f"cut link ({a!r}, {b!r}) with non-positive latency {lat} "
-                f"breaks the lookahead bound")
-        sa, sb = plan.shard_of[a], plan.shard_of[b]
-        if lat < mat[sa][sb]:
-            mat[sa][sb] = lat
-            mat[sb][sa] = lat
-    if wireless_floor is not None:
-        if not wireless_floor > 0.0:
-            raise PartitionError(
-                f"wireless floor latency must be positive, "
-                f"got {wireless_floor}")
-        for j in range(n):
-            for i in range(n):
-                if i != j and wireless_floor < mat[j][i]:
-                    mat[j][i] = wireless_floor
-    return mat
-
-
-def min_lookahead(matrix: Sequence[Sequence[float]]) -> float:
-    """Smallest finite off-diagonal entry (the old scalar lookahead)."""
-    best = float("inf")
-    for j, row in enumerate(matrix):
-        for i, lat in enumerate(row):
-            if i != j and lat < best:
-                best = lat
-    return best

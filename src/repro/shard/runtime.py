@@ -17,25 +17,29 @@ Execution model (bulk-synchronous conservative PDES):
   sequential engine would have used, batched per destination shard,
   and imported into the destination's heap at the next
   synchronization.
-* Workers advance behind **per-shard grants** derived from the
-  cut-latency matrix ``L[j][i]`` (:func:`repro.shard.partition
-  .latency_matrix`): shard *i* may run to ``min_j(lb_j + L[j][i])``
-  where ``lb_j`` lower-bounds anything shard *j* can still send.  The
-  bounds are closed under multi-hop influence (a Bellman–Ford
-  relaxation over the matrix), so a shard stalls only on the links
-  that can actually reach it — not on the fastest link anywhere in the
-  fabric.  The coordinator grants asynchronously per shard; a shard
-  whose bound has not moved is simply not answered until it has.
+* Workers advance in **lock-step rounds**.  Every round each live
+  shard reports once — its front, its earliest pending event and the
+  exports it produced — and the coordinator answers all of them with
+  the same reply: the merged probe data when all are parked at the same
+  probe, otherwise the tail or one grant ``min(horizon, lb +
+  lookahead)``.  ``lb`` is the earliest pending event or routed arrival
+  over all shards, and ``lookahead`` the one scalar
+  :func:`repro.shard.partition.lookahead_of` gives: the smallest cut
+  latency, capped by the wireless latency.  Anything a shard sends at
+  ``t >= lb`` arrives at or after ``t + lookahead >= grant``, so no
+  arrival, nor any chain of them, lands inside the window.
 * Events registered as **probes** (churn ticks, token-holder crashes)
   need globally-gathered inputs: every shard pauses exactly at the
   probe's ``(time, key)``, the coordinator merges the per-shard
   gathers, and the event then executes replicated with identical
-  inputs.
+  inputs.  Probe lists are replicated and every shard runs to the same
+  grant, so all shards reach a probe in the same round: a round is all
+  probes or all windows, never mixed.
 * **Ownership is static**: the partition plan fixes every entity's
   shard for the whole run (entities created mid-run are adopted onto
   an existing entity's shard).  An MH that roams under another shard's
   AP is served over the cut — correctness never depends on placement,
-  because the wireless latency floors every pair of the matrix.
+  because the wireless latency caps the lookahead.
 
 ``shards=1`` bypasses all of this and runs the plain sequential
 engine.  It and every worker build through
@@ -61,8 +65,8 @@ from repro.experiments.spec import ExperimentSpec
 from repro.obs.session import OBS_SCHEMA, ObsSession
 from repro.obs.spans import SpanCollector
 from repro.shard.context import ShardContext
-from repro.shard.partition import (PartitionPlan, latency_matrix,
-                                   min_lookahead, partition_spec)
+from repro.shard.partition import (PartitionPlan, cut_edges, lookahead_of,
+                                   partition_spec)
 from repro.shard.record import KeyedRecorder, merge_streams
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus, line_to_record, write_trace_lines
@@ -84,10 +88,9 @@ class ShardRunResult:
     """Aggregate outcome of one sharded run."""
 
     n_shards: int
+    #: The run's one lookahead (``inf`` for sequential runs).
     lookahead: float
     horizon: float
-    #: Per-shard-pair lookahead matrix (``None`` for sequential runs).
-    lookahead_matrix: Optional[List[List[float]]] = None
     windows: int = 0
     windows_per_shard: List[int] = field(default_factory=list)
     probe_syncs: int = 0
@@ -95,9 +98,7 @@ class ShardRunResult:
     shard_events: List[int] = field(default_factory=list)
     shard_walls: List[float] = field(default_factory=list)
     stalled_windows: List[int] = field(default_factory=list)
-    stall_causes: List[Dict[str, int]] = field(default_factory=list)
     barrier_wait_s: List[float] = field(default_factory=list)
-    export_q_peaks: List[int] = field(default_factory=list)
     exported: int = 0
     peak_heap: int = 0
     compactions: int = 0
@@ -136,24 +137,17 @@ class ShardRunResult:
         harvest.totals = self.totals
         replay([line_to_record(line) for line in self.merged_lines],
                [harvest])
-        matrix = None
-        if self.lookahead_matrix is not None:
-            matrix = [[None if v == _INF else v for v in row]
-                      for row in self.lookahead_matrix]
         shard = {
             "shards": self.n_shards,
             "lookahead_ms": self.lookahead if self.lookahead != _INF
             else None,
-            "lookahead_matrix_ms": matrix,
             "windows": self.windows,
             "windows_per_shard": list(self.windows_per_shard),
             "probe_syncs": self.probe_syncs,
             "window_stalls": sum(self.stalled_windows),
             "window_stalls_per_shard": list(self.stalled_windows),
-            "stall_causes": list(self.stall_causes),
             "barrier_wait_s": [round(b, 6) for b in self.barrier_wait_s],
             "shard_wall_s": [round(w, 6) for w in self.shard_walls],
-            "export_queue_peak_per_shard": list(self.export_q_peaks),
             "events": self.events,
             "shard_events": list(self.shard_events),
             "exported": self.exported,
@@ -166,22 +160,6 @@ class ShardRunResult:
         # Build plus run, as a sequential run's wall_time_s counts.
         return replace(harvest.result, shard=shard,
                        wall_time_s=self.build_s + self.wall_s)
-
-    def span_overlays(self) -> Dict[str, Any]:
-        """Run-level pseudo-stages for the critpath summary.
-
-        Window-stall time is wall-clock coordination cost, a property
-        of the sharded run rather than of any message's logical
-        latency, so it reports as an overlay instead of a stage.
-        """
-        if self.n_shards <= 1:
-            return {}
-        return {"window_stall": {
-            "wall_ms_total": round(sum(self.barrier_wait_s) * 1e3, 3),
-            "stalled_windows_per_shard": list(self.stalled_windows),
-            "barrier_wait_s_per_shard": [round(b, 6)
-                                         for b in self.barrier_wait_s],
-        }}
 
 
 # ----------------------------------------------------------------------
@@ -206,30 +184,18 @@ def _bind(ctx: ShardContext, scenario) -> None:
     ctx.gatherers["token.holders"] = token_holders
 
 
-def _apply_imports(sim, fabric, imports) -> int:
-    for (time_, key, dst, msg) in imports:
-        sim.schedule_keyed(time_, key, dst, fabric._arrive, dst, msg)
-    return len(imports)
-
-
 def _windowed_run(sim, ctx: ShardContext, net, conn,
                   horizon: float) -> Dict[str, Any]:
-    """Drive the engine through coordinator-granted windows."""
+    """Drive the engine through lock-step rounds."""
     fabric = net.fabric
     front = 0.0
-    granted: Optional[float] = None
     windows = stalls = probes = 0
     barrier_wait = 0.0
-    stall_causes: Dict[str, int] = {}
 
-    def payload(kind: str) -> Dict[str, Any]:
-        return {"t": kind, "front": front,
-                "earliest": sim.peek_entry(),
-                "exports": ctx.take_outbox()}
-
-    def sync(msg: Dict[str, Any]) -> Dict[str, Any]:
+    def sync(kind: str, **extra: Any) -> Dict[str, Any]:
         nonlocal barrier_wait
-        conn.send(msg)
+        conn.send({"t": kind, "front": front, "earliest": sim.peek_entry(),
+                   "exports": ctx.take_outbox(), **extra})
         t0 = time.perf_counter()
         reply = conn.recv()
         waited = time.perf_counter() - t0
@@ -237,20 +203,16 @@ def _windowed_run(sim, ctx: ShardContext, net, conn,
         obs = sim.obs
         if obs is not None:
             obs.observe("shard.barrier_wait_ms", waited * 1e3)
+        for (time_, key, dst, msg) in reply["imports"]:
+            sim.schedule_keyed(time_, key, dst, fabric._arrive, dst, msg)
         return reply
-
-    def apply(reply: Dict[str, Any]) -> None:
-        ctx.imported += _apply_imports(sim, fabric, reply["imports"])
 
     def run_probe(probe) -> None:
         nonlocal probes
         probe_t, probe_k, kind, _ev = probe
         sim.run_window(probe_t, probe_k)
-        msg = payload("probe")
-        msg["probe"] = (kind, probe_t, probe_k)
-        msg["data"] = ctx.gather(kind)
-        reply = sync(msg)
-        apply(reply)
+        reply = sync("probe", probe=(kind, probe_t, probe_k),
+                     data=ctx.gather(kind))
         ctx.stash_probe(reply["probe_data"])
         entry = sim.peek_entry()
         if entry != (probe_t, probe_k):  # pragma: no cover - invariant
@@ -260,45 +222,23 @@ def _windowed_run(sim, ctx: ShardContext, net, conn,
         ctx.pop_probe()
         probes += 1
 
-    tail = False
-    while not tail:
-        if granted is None:
-            reply = sync(payload("window"))
-            apply(reply)
-            if reply.get("tail"):
-                tail = True
-                break
-            granted = reply["grant"]
-            continue
+    while True:
+        reply = sync("window")
+        if reply.get("tail"):
+            break
+        granted = reply["grant"]
         probe = ctx.peek_probe()
-        if probe is not None and (probe[0], probe[1]) < (granted, 0):
+        while probe is not None and (probe[0], probe[1]) < (granted, 0):
             run_probe(probe)
-            continue
-        n = sim.run_window(granted)
-        front = granted
-        granted = None
-        windows += 1
-        if n == 0:
+            probe = ctx.peek_probe()
+        if sim.run_window(granted) == 0:
             stalls += 1
-            # Attribute the stall: blocked on a pending probe barrier,
-            # genuinely idle (empty heap), or work beyond the granted
-            # boundary (partition-quality signal).
-            entry = sim.peek_entry()
-            if probe is not None and (entry is None
-                                      or (probe[0], probe[1]) <= entry):
-                cause = "probe"
-            elif entry is None:
-                cause = "idle"
-            else:
-                cause = "lookahead"
-            stall_causes[cause] = stall_causes.get(cause, 0) + 1
-            obs = sim.obs
-            if obs is not None:
-                obs.inc("shard.stall." + cause)
+        front = granted
+        windows += 1
 
-    # Tail: every live shard sits at the horizon, so only events at
-    # exactly t == horizon remain and their exports land beyond it.
-    # Probes at the horizon still need their gather exchange.
+    # Tail: every shard sits at the horizon, so only events at exactly
+    # t == horizon remain and their exports land beyond it.  Probes at
+    # the horizon still need their gather exchange.
     while True:
         probe = ctx.peek_probe()
         if probe is not None and probe[0] <= horizon:
@@ -310,7 +250,7 @@ def _windowed_run(sim, ctx: ShardContext, net, conn,
     if sim.now < horizon:
         sim.now = horizon
     return {"windows": windows, "stalls": stalls, "probes": probes,
-            "stall_causes": stall_causes, "barrier_wait_s": barrier_wait}
+            "barrier_wait_s": barrier_wait}
 
 
 def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
@@ -341,25 +281,20 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
         with observed_scenario(spec, recorder, collector, session,
                                sim=sim) as scenario:
             build_s = time.perf_counter() - t0
-            fabric = scenario.net.fabric
-            wireless = getattr(scenario.net, "wireless", None)
-            matrix = latency_matrix(
-                fabric, plan,
-                wireless_floor=wireless.latency if wireless is not None
-                else None)
-            ctx.lookahead = min_lookahead(matrix)
-            ctx.lookahead_to = list(matrix[shard_id])
+            ctx.lookahead = lookahead_of(
+                cut_edges(scenario.net.fabric, plan),
+                scenario.net.wireless.latency)
             _bind(ctx, scenario)
 
             conn.send({"t": "ready", "build_s": build_s,
-                       "lookahead": ctx.lookahead, "matrix": matrix})
+                       "lookahead": ctx.lookahead})
             go = conn.recv()
             if go.get("t") != "go":
                 raise RuntimeError(
                     f"expected 'go' after 'ready', got {go!r}")
 
             # The one difference from a sequential run: the engine is
-            # driven through coordinator-granted windows.
+            # driven through the coordinator's lock-step rounds.
             t1 = time.perf_counter()
             scenario.start()
             loop_stats = _windowed_run(sim, ctx, scenario.net, conn,
@@ -372,9 +307,7 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
             sub_report["shard"] = shard_id
             sub_report["shard_windows"] = {
                 "stalls": loop_stats["stalls"],
-                "stall_causes": loop_stats["stall_causes"],
                 "barrier_wait_s": round(loop_stats["barrier_wait_s"], 6),
-                "export_q_peak": ctx.export_q_peak,
             }
             obs_payload = {
                 "report": sub_report,
@@ -388,11 +321,9 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
             "build_s": build_s,
             "windows": loop_stats["windows"],
             "stalls": loop_stats["stalls"],
-            "stall_causes": loop_stats["stall_causes"],
             "barrier_wait_s": loop_stats["barrier_wait_s"],
             "probes": loop_stats["probes"],
             "exported": ctx.exported,
-            "export_q_peak": ctx.export_q_peak,
             "obs": obs_payload,
             "spans": collector.events if collector is not None else None,
             "peak_heap": sim.peak_heap,
@@ -451,9 +382,7 @@ def _sequential_result(spec: ExperimentSpec, record: bool,
         shard_walls=[t2 - t1],
         windows_per_shard=[0],
         stalled_windows=[0],
-        stall_causes=[{}],
         barrier_wait_s=[0.0],
-        export_q_peaks=[0],
         peak_heap=sim.peak_heap,
         compactions=sim.compactions,
         totals=network_totals(scenario.net),
@@ -494,86 +423,13 @@ def _assemble_obs(result: ShardRunResult, spec: ExperimentSpec,
         key=lambda r: (r.get("w", 0), r.get("shard", 0)))
 
 
-class _Coordinator:
-    """Round state for one sharded run: grants and probes.
+def _grant(lb: float, lookahead: float, horizon: float) -> float:
+    """The window end every shard runs to in a round.
 
-    The coordinator is message-driven: it receives exactly one payload
-    from every shard it has answered, ingests side effects (export
-    routing) immediately, and then serves whatever round the stashed
-    payloads allow — a probe barrier when *all* live shards parked
-    there, otherwise per-shard grants to the window-parked shards whose
-    bound moved.
+    Nothing sent at ``t >= lb`` arrives before ``t + lookahead``, so no
+    import can land inside ``[lb, grant)``.
     """
-
-    def __init__(self, shards: int, horizon: float):
-        self.n = shards
-        self.horizon = horizon
-        #: Cut-latency matrix, set once the workers report ``ready``.
-        self.matrix: List[List[float]] = []
-        self.fronts = [0.0] * shards
-        self.earliest: List[Optional[Tuple[float, int]]] = [None] * shards
-        self.inbound: List[List[Tuple]] = [[] for _ in range(shards)]
-        self.inbound_min = [_INF] * shards
-
-    # -- ingestion ------------------------------------------------------
-    def ingest(self, i: int, m: Dict[str, Any]) -> None:
-        self.fronts[i] = m["front"]
-        self.earliest[i] = m["earliest"]
-        for dest, batch in m["exports"].items():
-            for item in batch:
-                self.inbound[dest].append(item)
-                if item[0] < self.inbound_min[dest]:
-                    self.inbound_min[dest] = item[0]
-
-    def drain(self, i: int) -> List[Tuple]:
-        batch, self.inbound[i] = self.inbound[i], []
-        self.inbound_min[i] = _INF
-        return batch
-
-    # -- grant math -----------------------------------------------------
-    def lower_bounds(self) -> List[float]:
-        """Earliest time each shard can still influence anyone.
-
-        Base: its earliest unexecuted event or queued inbound arrival.
-        Relaxed over the latency matrix (Bellman–Ford) so multi-hop
-        wake-up chains — shard k wakes j, j then reaches i sooner than
-        j's own events would — are bounded too.
-        """
-        lb = []
-        for j in range(self.n):
-            e = self.earliest[j]
-            b = e[0] if e is not None else _INF
-            if self.inbound_min[j] < b:
-                b = self.inbound_min[j]
-            lb.append(b)
-        mat = self.matrix
-        for _ in range(self.n):
-            changed = False
-            for j in range(self.n):
-                row_j = lb[j]
-                for k in range(self.n):
-                    if k == j:
-                        continue
-                    c = lb[k] + mat[k][j]
-                    if c < row_j:
-                        row_j = c
-                        changed = True
-                lb[j] = row_j
-            if not changed:
-                break
-        return lb
-
-    def grant_for(self, i: int, lb: List[float]) -> float:
-        raw = _INF
-        mat = self.matrix
-        for j in range(self.n):
-            if j == i:
-                continue
-            c = lb[j] + mat[j][i]
-            if c < raw:
-                raw = c
-        grant = min(self.horizon, raw)
-        return max(grant, self.fronts[i])
+    return min(horizon, lb + lookahead)
 
 
 def run_sharded(spec: ExperimentSpec, shards: int,
@@ -632,24 +488,21 @@ def run_sharded(spec: ExperimentSpec, shards: int,
         conns.append(parent_conn)
         procs.append(proc)
 
-    result = ShardRunResult(n_shards=shards, lookahead=0.0,
-                            horizon=spec.duration_ms)
+    horizon = spec.duration_ms
+    result = ShardRunResult(n_shards=shards, lookahead=0.0, horizon=horizon)
     entries_per_shard: List[Optional[list]] = [None] * shards
     obs_per_shard: List[Optional[Dict[str, Any]]] = [None] * shards
     spans_per_shard: List[Optional[list]] = [None] * shards
-    done = [False] * shards
-    coord = _Coordinator(shards, spec.duration_ms)
-    #: The one unanswered payload of each parked shard (None: running).
-    stash: List[Optional[Dict[str, Any]]] = [None] * shards
+    fronts = [0.0] * shards
+    earliest: List[Optional[Tuple[float, int]]] = [None] * shards
+    #: Exports routed to each shard, delivered with its next reply.
+    inbound: List[List[Tuple]] = [[] for _ in range(shards)]
 
     def recv(i: int) -> Dict[str, Any]:
         if not conns[i].poll(WORKER_SILENCE_DEADLINE_S):
-            where = "; ".join(
-                f"shard {j}: front={coord.fronts[j]} "
-                f"earliest={coord.earliest[j]} "
-                + ("running" if stash[j] is None
-                   else f"parked on {stash[j]['t']}")
-                for j in range(shards))
+            where = "; ".join(f"shard {j}: front={fronts[j]} "
+                              f"earliest={earliest[j]}"
+                              for j in range(shards))
             raise RuntimeError(
                 f"shard {i} worker is alive but sent nothing for "
                 f"{WORKER_SILENCE_DEADLINE_S}s ({where})")
@@ -663,12 +516,11 @@ def run_sharded(spec: ExperimentSpec, shards: int,
 
     try:
         readies = [recv(i) for i in range(shards)]
-        matrices = [r["matrix"] for r in readies]
-        if any(m != matrices[0] for m in matrices):  # pragma: no cover
+        lookaheads = {r["lookahead"] for r in readies}
+        if len(lookaheads) != 1:  # pragma: no cover - invariant
             raise RuntimeError(
-                f"workers disagree on the lookahead matrix: {matrices}")
-        result.lookahead_matrix = coord.matrix = matrices[0]
-        result.lookahead = min_lookahead(matrices[0])
+                f"workers disagree on the lookahead: {sorted(lookaheads)}")
+        result.lookahead = lookahead = lookaheads.pop()
         result.build_s = max(r["build_s"] for r in readies)
 
         wall_start = time.perf_counter()
@@ -676,14 +528,11 @@ def run_sharded(spec: ExperimentSpec, shards: int,
             conn.send({"t": "go"})
 
         def collect_done(i: int, m: Dict[str, Any]) -> None:
-            done[i] = True
             result.shard_events.append(m["events"])
             result.shard_walls.append(m["wall_s"])
             result.windows_per_shard.append(m["windows"])
             result.stalled_windows.append(m["stalls"])
-            result.stall_causes.append(m["stall_causes"])
             result.barrier_wait_s.append(m["barrier_wait_s"])
-            result.export_q_peaks.append(m["export_q_peak"])
             result.events += m["events"]
             result.exported += m["exported"]
             result.peak_heap = max(result.peak_heap, m["peak_heap"])
@@ -701,67 +550,37 @@ def run_sharded(spec: ExperimentSpec, shards: int,
             obs_per_shard[i] = m["obs"]
             spans_per_shard[i] = m["spans"]
 
-        while not all(done):
-            for i in range(shards):
-                if not done[i] and stash[i] is None:
-                    m = recv(i)
-                    if m["t"] != "done":
-                        coord.ingest(i, m)
-                    stash[i] = m
-            kinds = {stash[i]["t"] for i in range(shards) if not done[i]}
-
+        while True:
+            msgs = [recv(i) for i in range(shards)]
+            kinds = {m["t"] for m in msgs}
             if kinds == {"done"}:
-                for i in range(shards):
-                    if not done[i]:
-                        collect_done(i, stash[i])
-                        stash[i] = None
+                for i, m in enumerate(msgs):
+                    collect_done(i, m)
                 break
-            if "done" in kinds:  # pragma: no cover - invariant
-                raise RuntimeError(
-                    f"shards desynchronized at completion: {kinds}")
-
+            # Same probes, same grants: a round is never mixed.
+            if len(kinds) != 1:  # pragma: no cover - invariant
+                raise RuntimeError(f"shards desynchronized: {sorted(kinds)}")
+            for i, m in enumerate(msgs):
+                fronts[i], earliest[i] = m["front"], m["earliest"]
+                for dest, batch in m["exports"].items():
+                    inbound[dest].extend(batch)
             if kinds == {"probe"}:
-                idents = {stash[i]["probe"] for i in range(shards)}
+                idents = {m["probe"] for m in msgs}
                 if len(idents) != 1:  # pragma: no cover - invariant
                     raise RuntimeError(
                         f"probe desync across shards: {idents}")
-                kind = idents.pop()[0]
-                merged = _merge_probe_data(
-                    kind, [stash[i]["data"] for i in range(shards)])
-                for i in range(shards):
-                    conns[i].send({"imports": coord.drain(i),
-                                   "probe_data": merged})
-                    stash[i] = None
-                continue
-
-            # Mixed round: answer the window-parked shards whose bound
-            # lets them advance; probe-parked shards stay stashed until
-            # everyone reaches the barrier.
-            widx = [i for i in range(shards)
-                    if stash[i] is not None and stash[i]["t"] == "window"]
-            if len(widx) == shards and all(f >= spec.duration_ms
-                                           for f in coord.fronts):
-                for i in range(shards):
-                    conns[i].send({"imports": coord.drain(i),
-                                   "tail": True})
-                    stash[i] = None
-                continue
-            lb = coord.lower_bounds()
-            served = 0
-            for i in widx:
-                grant = coord.grant_for(i, lb)
-                # Hold zero-width grants: a shard whose bound has not
-                # moved stays parked instead of spinning.
-                if grant <= coord.fronts[i]:
-                    continue
-                conns[i].send({"imports": coord.drain(i),
-                               "grant": grant})
-                stash[i] = None
-                served += 1
-            if served == 0:  # pragma: no cover - invariant
-                raise RuntimeError(
-                    "window protocol stalled: no shard can advance "
-                    f"(fronts={coord.fronts}, lb={lb})")
+                reply = {"probe_data": _merge_probe_data(
+                    idents.pop()[0], [m["data"] for m in msgs])}
+            elif min(fronts) >= horizon:
+                reply = {"tail": True}
+            else:
+                lb = min([e[0] for e in earliest if e is not None]
+                         + [item[0] for batch in inbound for item in batch],
+                         default=_INF)
+                reply = {"grant": _grant(lb, lookahead, horizon)}
+            for i, conn in enumerate(conns):
+                conn.send(dict(reply, imports=inbound[i]))
+                inbound[i] = []
 
         result.wall_s = time.perf_counter() - wall_start
 

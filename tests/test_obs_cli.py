@@ -107,7 +107,8 @@ def test_shard_run_obs(tmp_path, capsys):
     out = capsys.readouterr().out
     # The run entry's shard section, printed: per-shard lists.
     assert "  window_stalls_per_shard: [" in out
-    assert "  export_queue_peak_per_shard: [" in out
+    assert "  lookahead_ms: 2.0" in out
+    assert "stall_causes" not in out
     obs_files = glob.glob(str(tmp_path / "OBS_quickstart#p0r0.json"))
     assert obs_files, "run --shards --obs wrote no OBS report"
     report = json.load(open(obs_files[0], encoding="utf-8"))

@@ -291,7 +291,7 @@ class TestRunEntry:
                 "wire": {"sent": 4, "dropped": 0, "delivered": 4,
                          "unaccounted": 0, "in_flight": 0, "lost": 0,
                          "foreign": 0}}
-        shard = {"shards": 2, "windows": 7, "stall_causes": [{}, {}]}
+        shard = {"shards": 2, "windows": 7, "windows_per_shard": [7, 7]}
         both = self._entry(live=live, shard=shard, violations=[])
         data = both.to_dict()
         assert RunResult.from_dict(data) == both

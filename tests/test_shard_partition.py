@@ -10,10 +10,8 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.runner import build_scenario
-from repro.shard.partition import (PartitionError, cut_edges,
-                                   latency_matrix, lookahead_of,
-                                   min_lookahead, partition_hierarchy,
-                                   partition_spec)
+from repro.shard.partition import (PartitionError, cut_edges, lookahead_of,
+                                   partition_hierarchy, partition_spec)
 from repro.topology.builder import (HierarchySpec, build_deep_hierarchy,
                                     build_hierarchy,
                                     deep_initial_attachments,
@@ -125,7 +123,7 @@ def test_mh_colocated_with_initial_ap(name):
 
 
 # ----------------------------------------------------------------------
-# Sub-subtree splits and the latency matrix
+# Sub-subtree splits and the run's lookahead
 # ----------------------------------------------------------------------
 def test_skewed_plan_splits_to_fill_every_shard():
     """Whole-subtree assignment would leave a shard empty (quickstart:
@@ -141,27 +139,25 @@ def test_skewed_plan_splits_to_fill_every_shard():
     assert set(h.tier_of) <= set(plan.shard_of)  # same universe
 
 
-def test_latency_matrix_bounds_every_cut_edge():
+def test_lookahead_of_bounds_every_cut_edge():
     spec = registry.get("quickstart")
     plan = partition_spec(spec, 4)
     scenario = build_scenario(spec)
     wireless = scenario.net.wireless
-    matrix = latency_matrix(scenario.net.fabric, plan,
-                            wireless_floor=wireless.latency)
-    assert len(matrix) == 4 and all(len(row) == 4 for row in matrix)
-    assert all(matrix[i][i] == 0.0 for i in range(4))
-    # Every provisioned cut edge is bounded by its pair's entry, and the
-    # wireless floor caps every off-diagonal pair (mid-run MH links).
-    for a, b, lat in cut_edges(scenario.net.fabric, plan):
-        i, j = plan.shard_of[a], plan.shard_of[b]
-        assert matrix[i][j] <= lat
-        assert matrix[j][i] <= lat
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                assert 0.0 < matrix[i][j] <= wireless.latency
-    assert min_lookahead(matrix) == min(
-        matrix[i][j] for i in range(4) for j in range(4) if i != j)
+    cut = cut_edges(scenario.net.fabric, plan)
+    lookahead = lookahead_of(cut, wireless.latency)
+    # Every provisioned cut edge is bounded by it, and the wireless
+    # floor caps it (mid-run MH links can join any two shards).
+    assert 0.0 < lookahead <= wireless.latency
+    assert all(lat >= lookahead for _, _, lat in cut)
+    assert lookahead == min([lat for _, _, lat in cut] + [wireless.latency])
+    assert lookahead_of(cut, 0.5) == 0.5
+    assert lookahead_of([], 3.0) == 3.0
+    for bad in (0.0, -1.0):
+        with pytest.raises(PartitionError):
+            lookahead_of(cut, bad)
+        with pytest.raises(PartitionError):
+            lookahead_of(cut + [("a", "b", bad)], wireless.latency)
 
 
 def test_nodes_of_matches_shard_map():

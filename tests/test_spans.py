@@ -111,10 +111,8 @@ def test_sharded_spans_complete_and_trace_identical(name, shards,
         f"with span collectors attached: {div.describe()}")
     assert_complete(result.span_events or [], result.merged_lines or [],
                     f"{name} @ {shards} shards")
-    # Window-stall accounting rides along as a run-level overlay.
-    overlays = result.span_overlays()
-    assert "window_stall" in overlays
-    assert len(overlays["window_stall"]["barrier_wait_s_per_shard"]) == shards
+    # Lock-step: every round, every shard runs one window.
+    assert result.windows_per_shard == [result.windows] * shards
 
 
 def test_sharded_span_stream_equals_sequential(sharded_golden_run):
@@ -255,11 +253,6 @@ class TestCritpath:
         assert summary["mean_total_ms"] > 0
         # JSON-able end to end.
         json.dumps(summary)
-
-    def test_overlays_pass_through(self, quickstart_spans):
-        overlays = {"window_stall": {"wall_ms_total": 12.5}}
-        summary = critpath_summary(quickstart_spans, overlays=overlays)
-        assert summary["overlays"] == overlays
 
     def test_dominant_stage_tie_breaks_causally(self):
         assert dominant_stage({"ring": 1.0, "uplink": 1.0}) == "uplink"
