@@ -12,7 +12,9 @@ Determinism contract (what keeps K-shard traces byte-identical):
 * install/remove happen in replicated control-plane events, so every
   shard sees the same active set at the same simulated instant;
 * partition/degrade verdicts for a (src, dst) pair are pure functions of
-  the active set, memoized per pair and invalidated on every change;
+  the active set, resolved per sender and pair (the fabric keeps them on
+  its per-sender record) and invalidated by :attr:`FaultOverlay.epoch`,
+  which every change bumps;
 * flap up/down is a pure function of simulated time (no toggle events);
 * Gilbert–Elliott chains advance per *sender* transmission from a
   per-sender random stream (``fault.ge.<src>``), so a sender's draw
@@ -37,19 +39,25 @@ def _pair_matches(patterns: List[List[str]], src: str, dst: str) -> bool:
 
 
 class _PairFx:
-    """Memoized per-(src, dst) effect summary of the active set."""
+    """The active set's verdict on one (src, dst) pair for one epoch:
+    ``blocks`` — can :meth:`FaultOverlay.blocked_by` silence it at all;
+    ``bursts`` — ``src``'s own chains, stepped with ``ge``, its
+    ``fault.ge.<src>`` reader."""
 
-    __slots__ = ("partition_of", "flaps", "loss", "factor", "bursts")
+    __slots__ = ("blocks", "partition_of", "flaps", "loss", "factor",
+                 "bursts", "ge")
 
     def __init__(self, partition_of: Optional[int],
                  flaps: Tuple[Tuple[int, Flap], ...],
                  loss: Optional[float], factor: float,
-                 bursts: Tuple[Tuple[int, "_BurstEntry"], ...]):
+                 bursts: Tuple[Tuple[int, GilbertElliott], ...], ge):
+        self.blocks = partition_of is not None or bool(flaps)
         self.partition_of = partition_of
         self.flaps = flaps
         self.loss = loss
         self.factor = factor
         self.bursts = bursts
+        self.ge = ge
 
 
 class _BurstEntry:
@@ -66,17 +74,9 @@ class _BurstEntry:
         self.loss_bad = loss_bad
         self.chains: Dict[str, GilbertElliott] = {}
 
-    def chain_for(self, src: str) -> GilbertElliott:
-        chain = self.chains.get(src)
-        if chain is None:
-            chain = GilbertElliott(self.p_gb, self.p_bg,
-                                   self.loss_good, self.loss_bad)
-            self.chains[src] = chain
-        return chain
-
 
 class FaultOverlay:
-    """Active fault entries + the per-pair effect memo."""
+    """Active fault entries and the per-pair verdicts they imply."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -87,8 +87,9 @@ class FaultOverlay:
         #: index -> the Flap action (time function lives on the action)
         self._flaps: Dict[int, Flap] = {}
         self._bursts: Dict[int, _BurstEntry] = {}
-        self._memo: Dict[Tuple[str, str], Optional[_PairFx]] = {}
-        self._ge_rngs: Dict[str, object] = {}
+        #: Bumped by every change of the active set; a verdict resolved
+        #: under another epoch is stale.
+        self.epoch = 0
         #: Per-action drop tallies (diagnostics; never trace-bearing).
         self.drops_by_action: Dict[int, int] = {}
         self.active = False
@@ -110,7 +111,7 @@ class FaultOverlay:
     # Entry management (driver-only)
     # ------------------------------------------------------------------
     def _changed(self) -> None:
-        self._memo.clear()
+        self.epoch += 1
         self.active = bool(self._partitions or self._degrades
                            or self._flaps or self._bursts)
 
@@ -144,7 +145,9 @@ class FaultOverlay:
     # ------------------------------------------------------------------
     # Send-path queries
     # ------------------------------------------------------------------
-    def _compute(self, src: str, dst: str) -> Optional[_PairFx]:
+    def verdict(self, src: str, dst: str) -> Optional[_PairFx]:
+        """The active set's effect on ``src -> dst``, or None (cold: the
+        fabric resolves a pair once per epoch and keeps the result)."""
         partition_of: Optional[int] = None
         for index in sorted(self._partitions):
             groups, direction = self._partitions[index]
@@ -172,22 +175,15 @@ class FaultOverlay:
             if d_loss is not None:
                 loss = d_loss if loss is None else max(loss, d_loss)
             factor *= d_factor
-        bursts = tuple((i, e) for i, e in sorted(self._bursts.items())
-                       if _pair_matches(e.patterns, src, dst))
+        bursts = tuple((i, e.chains.setdefault(src, GilbertElliott(
+            e.p_gb, e.p_bg, e.loss_good, e.loss_bad)))
+            for i, e in sorted(self._bursts.items())
+            if _pair_matches(e.patterns, src, dst))
         if partition_of is None and not flaps and loss is None \
                 and factor == 1.0 and not bursts:
             return None
-        return _PairFx(partition_of, flaps, loss, factor, bursts)
-
-    def effects(self, src: str, dst: str) -> Optional[_PairFx]:
-        """The (memoized) effect summary for a pair, or None."""
-        pair = (src, dst)
-        try:
-            return self._memo[pair]
-        except KeyError:
-            fx = self._compute(src, dst)
-            self._memo[pair] = fx
-            return fx
+        ge = self.sim.streams.uniform(f"fault.ge.{src}") if bursts else None
+        return _PairFx(partition_of, flaps, loss, factor, bursts, ge)
 
     def blocked_by(self, fx: _PairFx, now: float) -> Optional[int]:
         """Action index silencing this pair right now, or None."""
@@ -197,20 +193,6 @@ class FaultOverlay:
             if not flap.is_up(now):
                 return index
         return None
-
-    def burst_drop(self, fx: _PairFx, src: str) -> Optional[int]:
-        """Advance every matching Gilbert–Elliott chain for ``src``;
-        returns the index of a chain that dropped the transmission (every
-        chain still advances, keeping draw counts outcome-independent)."""
-        rng = self._ge_rngs.get(src)
-        if rng is None:
-            rng = self.sim.streams.uniform(f"fault.ge.{src}")
-            self._ge_rngs[src] = rng
-        dropped: Optional[int] = None
-        for index, entry in fx.bursts:
-            if entry.chain_for(src).step(rng) and dropped is None:
-                dropped = index
-        return dropped
 
     def note_drop(self, index: int) -> None:
         self.drops_by_action[index] = self.drops_by_action.get(index, 0) + 1

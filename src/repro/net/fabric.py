@@ -17,16 +17,16 @@ Hot-path contract: a transmission is ``NetNode.send`` -> ``Fabric.send``
 one backend seam (the live UDP fabric overrides it); under
 sharding ``send`` asks ``is_local(src)`` first and, once the link model
 has made its draws, ``is_local(dst)`` -> ``mint_child_key`` -> ``export``,
-so action counters tick identically on every shard.  Nothing is rebuilt
-per message: links are stored per sender (no sorted ``(a, b)`` key to
-build), the loss and jitter streams come from their caches
-(``_loss_rng``/``_jitter_rng`` run once per sender) and draw nothing but
-``random()``, so they are block-drawn ``RandomStreams.uniform`` readers
-— a numpy scalar draw was ~8 % of a wide fan-out's wall.
+so action counters tick identically on every shard.  A send looks its
+sender up once: the peer's ``Link``, the loss and jitter readers and the
+fault overlay's verdict on the pair (resolved once per pair and
+``FaultOverlay.epoch``) all live on the sender's :class:`_Sender`, and a
+reader's ``random`` is a C callable, so a draw runs no python frame.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Optional
 
 from repro.net.address import NodeId
@@ -34,6 +34,23 @@ from repro.net.link import Link, LinkSpec
 from repro.net.message import Message
 from repro.net.node import NetNode
 from repro.runtime.api import Runtime
+
+
+class _Sender:
+    """One sender's slice of the fabric: ``peers`` (peer -> ``Link``),
+    the ``random`` of its ``link.loss.<src>`` / ``link.jitter.<src>``
+    readers (None until the first draw; keyed by sender, so its draws
+    never depend on how other senders interleave — which the shard
+    backend needs) and ``fx``, peer -> the overlay's verdict on the pair
+    (None: unaffected), valid while ``epoch`` is the overlay's."""
+
+    __slots__ = ("peers", "loss", "jitter", "fx", "epoch")
+
+    def __init__(self):
+        self.peers: Dict[NodeId, Link] = {}
+        self.loss = self.jitter = None
+        self.fx: Optional[dict] = None
+        self.epoch: Optional[int] = None
 
 
 class Fabric:
@@ -51,21 +68,13 @@ class Fabric:
     def __init__(self, sim: Runtime, default_spec: Optional[LinkSpec] = None):
         self.sim = sim
         self.nodes: Dict[NodeId, NetNode] = {}
-        # Links, indexed the way the send path asks for them: sender ->
-        # peer -> Link, one shared Link object under both directions.
-        self._adj: Dict[NodeId, Dict[NodeId, Link]] = {}
+        # Links, indexed the way the send path asks for them: sender's
+        # record -> peer -> Link, one shared Link under both directions.
+        self._adj: Dict[NodeId, _Sender] = defaultdict(_Sender)
         self.default_spec = default_spec
         self.messages_sent = 0
         self.messages_dropped = 0
         self.messages_delivered = 0
-        # Per-sender loss/jitter stream caches.  Streams are keyed by the
-        # *sending* node so a sender's draw sequence depends only on its
-        # own transmission history — never on how other senders' sends
-        # interleave globally.  That makes link randomness
-        # decomposition-invariant, which the space-parallel backend
-        # (repro.shard) requires for byte-identical traces.
-        self._loss_rngs: Dict[NodeId, object] = {}
-        self._jitter_rngs: Dict[NodeId, object] = {}
         #: Optional :class:`repro.faults.overlay.FaultOverlay` consulted
         #: on every send while a fault action is active (partitions,
         #: degradation, flapping, correlated loss).  ``None`` — the
@@ -99,8 +108,8 @@ class Fabric:
         link = self.link(a, b)
         if link is None:
             link = Link(min(a, b), max(a, b), spec)
-            self._adj.setdefault(a, {})[b] = link
-            self._adj.setdefault(b, {})[a] = link
+            self._adj[a].peers[b] = link
+            self._adj[b].peers[a] = link
         else:
             link.spec = spec
             link.up = True
@@ -110,13 +119,13 @@ class Fabric:
         """Remove the link entirely (send() will then fail/auto-create)."""
         if self.link(a, b) is None:
             raise KeyError(f"no link {a!r} <-> {b!r}")
-        del self._adj[a][b]
-        del self._adj[b][a]
+        del self._adj[a].peers[b]
+        del self._adj[b].peers[a]
 
     def link(self, a: NodeId, b: NodeId) -> Optional[Link]:
         """The link between a and b, or None."""
-        peers = self._adj.get(a)
-        return peers.get(b) if peers is not None else None
+        rec = self._adj.get(a)
+        return rec.peers.get(b) if rec is not None else None
 
     def set_link_up(self, a: NodeId, b: NodeId, up: bool) -> None:
         """Raise/lower a link; messages on a down link are dropped."""
@@ -129,24 +138,12 @@ class Fabric:
     def links(self) -> list[Link]:
         """All configured links (stable order for reports)."""
         adj = self._adj
-        return [adj[a][b] for a in sorted(adj) for b in sorted(adj[a])
-                if a < b]
+        return [adj[a].peers[b] for a in sorted(adj)
+                for b in sorted(adj[a].peers) if a < b]
 
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def _loss_rng(self, src: NodeId):
-        """First-use constructor of ``src``'s loss stream (cold)."""
-        rng = self._loss_rngs[src] = self.sim.streams.uniform(
-            f"link.loss.{src}")
-        return rng
-
-    def _jitter_rng(self, src: NodeId):
-        """First-use constructor of ``src``'s jitter stream (cold)."""
-        rng = self._jitter_rngs[src] = self.sim.streams.uniform(
-            f"link.jitter.{src}")
-        return rng
-
     def send(self, src: NodeId, dst: NodeId, msg: Message) -> bool:
         """Simulate one transmission hop.
 
@@ -174,11 +171,13 @@ class Fabric:
                     f"sim.call_owned(...)")
             if not sh.is_local(src):
                 return True
-        peers = self._adj.get(src)
-        link = peers.get(dst) if peers is not None else None
-        if link is None:
+        rec = self._adj[src]
+        try:
+            link = rec.peers[dst]
+        except KeyError:
             if self.default_spec is None:
-                raise KeyError(f"no link {src!r} <-> {dst!r} and no default spec")
+                raise KeyError(f"no link {src!r} <-> {dst!r} and no "
+                               f"default spec") from None
             link = self.connect(src, dst, self.default_spec)
         self.messages_sent += 1
 
@@ -196,18 +195,28 @@ class Fabric:
         latency = spec.latency
         overlay = self.fault_overlay
         if overlay is not None and overlay.active:
-            fx = overlay.effects(src, dst)
+            if rec.epoch != overlay.epoch:
+                rec.epoch = overlay.epoch
+                rec.fx = {}
+            try:
+                fx = rec.fx[dst]
+            except KeyError:
+                fx = rec.fx[dst] = overlay.verdict(src, dst)
             if fx is not None:
-                blocked = overlay.blocked_by(fx, sim.now)
-                if blocked is not None:
-                    # Partition / flap-down: silent drop, exactly like a
-                    # down link (the reliable transport sees timeouts).
-                    overlay.note_drop(blocked)
-                    link.dropped += 1
-                    self.messages_dropped += 1
-                    return True
+                if fx.blocks:
+                    blocked = overlay.blocked_by(fx, sim.now)
+                    if blocked is not None:
+                        # Partition / flap-down: silent, like a down link.
+                        overlay.note_drop(blocked)
+                        link.dropped += 1
+                        self.messages_dropped += 1
+                        return True
                 if fx.bursts:
-                    burst = overlay.burst_drop(fx, src)
+                    burst = None    # every chain steps; the first drop counts
+                    ge = fx.ge
+                    for index, chain in fx.bursts:
+                        if chain.step(ge) and burst is None:
+                            burst = index
                     if burst is not None:
                         overlay.note_drop(burst)
                         link.dropped += 1
@@ -220,10 +229,11 @@ class Fabric:
                 if fx.factor != 1.0:
                     latency = latency * fx.factor
         if loss_prob > 0.0:
-            rng = self._loss_rngs.get(src)
-            if rng is None:
-                rng = self._loss_rng(src)
-            if rng.random() < loss_prob:
+            draw = rec.loss
+            if draw is None:
+                draw = rec.loss = sim.streams.uniform(
+                    f"link.loss.{src}").random
+            if draw() < loss_prob:
                 link.dropped += 1
                 self.messages_dropped += 1
                 sim.trace.emit(sim.now, "net.loss", src=src, dst=dst,
@@ -232,10 +242,11 @@ class Fabric:
 
         delay = latency
         if spec.jitter > 0.0:
-            rng = self._jitter_rngs.get(src)
-            if rng is None:
-                rng = self._jitter_rng(src)
-            delay += rng.random() * spec.jitter
+            draw = rec.jitter
+            if draw is None:
+                draw = rec.jitter = sim.streams.uniform(
+                    f"link.jitter.{src}").random
+            delay += draw() * spec.jitter
         if spec.bandwidth_bps > 0.0:
             delay += msg.size_bits / spec.bandwidth_bps * 1000.0  # ms units
 

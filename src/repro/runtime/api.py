@@ -46,7 +46,9 @@ unchanged on any implementation:
     whose stream draws nothing but ``random()`` (link loss and jitter,
     the Gilbert–Elliott chains) reads it through
     ``streams.uniform(name)`` instead: the same doubles, drawn a block
-    at a time; a name is served by one accessor only.
+    at a time, and the reader's ``random`` is a C callable (a draw runs
+    no python frame; only a block refill does), so a hot path keeps the
+    bound ``random`` itself; a name is served by one accessor only.
 ``trace``
     The :class:`repro.sim.trace.TraceBus`; emit with
     ``rt.trace.emit(now, kind, **fields)``.  Monitors subscribe to it —

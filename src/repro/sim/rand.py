@@ -17,8 +17,9 @@ replay still holds within either mode.
 
 A stream that draws nothing but ``random()`` can be read through
 :meth:`RandomStreams.uniform` instead of :meth:`RandomStreams.get`: the
-same doubles, drawn from numpy a block at a time (a scalar draw through
-a ``Generator`` costs six times a python-level one).
+same doubles, drawn from numpy a block at a time, through a ``random``
+that is a C callable — a draw costs ~55 ns where a numpy scalar draw
+costs 450–750 ns, and runs no python frame (:class:`UniformBlocks`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import hashlib
 import random as _pyrandom
 import zlib
 from array import array
+from itertools import chain
 from typing import Dict, Optional
 
 try:  # optional: the simulator degrades to python's Mersenne Twister
@@ -78,7 +80,7 @@ class PurePythonGenerator:
 
 
 #: Largest block a :class:`UniformBlocks` reader draws per refill.
-UNIFORM_BLOCK = 8
+UNIFORM_BLOCK = 64
 
 
 class UniformBlocks:
@@ -92,32 +94,29 @@ class UniformBlocks:
     name out through :meth:`~RandomStreams.uniform` *or*
     :meth:`~RandomStreams.get`, never both.
 
-    A numpy scalar ``random()`` costs 450–750 ns, a refill ~1.3 µs
-    however long: 8 amortises that to ~230 ns a draw.  16 would reach
-    ~170 ns and 64 ~120 ns, but a wide fan-out holds 2,000 of these and
-    ``peak_rss`` is gated: measured on ``perfbench``, 8 reads +0.1–0.7 %
-    on every workload where 16 read +1.5 % on ``lossy_churn``.  Blocks
-    double from 2 up to :data:`UNIFORM_BLOCK`, so the senders of a large
-    population that draw a handful of times each hold an ``array('d')``
-    of a few doubles, not a full block.
+    ``random`` is ``__next__`` of a ``chain`` over the blocks that
+    ``iter(self._refill, None)`` yields, so a draw runs no python frame;
+    only a refill does.  A draw costs ~55 ns at a block of 64, ~100 ns
+    at 32 and ~340 ns at 8, where the python-level reader this replaced
+    cost ~450 ns at 8 and a numpy scalar draw 450–750 ns (2-core
+    container, python 3.11.7).  Blocks double from 2 up to
+    :data:`UNIFORM_BLOCK`, so a sender that draws a handful of times
+    holds a few doubles, not a full block.  A reader holds ~440 B after
+    its first draw (the python-level one 176 B) plus its block; measured
+    on ``perfbench``, 64 reads +1.9 % peak RSS on ``fanout_wide`` (~2,000
+    readers), +0.5 % on ``lossy_churn`` and ±0.1 % elsewhere.
     """
 
-    __slots__ = ("_gen", "_buf", "_i")
+    __slots__ = ("random", "_gen", "_n")
 
     def __init__(self, gen):
         self._gen = gen
-        self._buf = array("d")
-        self._i = 0
+        self._n = 0
+        self.random = chain.from_iterable(iter(self._refill, None)).__next__
 
-    def random(self) -> float:
-        i = self._i
-        buf = self._buf
-        if i == len(buf):
-            n = min(2 * i or 2, UNIFORM_BLOCK)
-            buf = self._buf = array("d", self._gen.random(n).tobytes())
-            i = 0
-        self._i = i + 1
-        return buf[i]
+    def _refill(self) -> array:
+        n = self._n = min(2 * self._n or 2, UNIFORM_BLOCK)
+        return array("d", self._gen.random(n).tobytes())
 
 
 class RandomStreams:

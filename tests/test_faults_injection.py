@@ -7,11 +7,13 @@ from conftest import Ping, Recorder
 from repro.experiments import registry
 from repro.experiments.runner import build_scenario
 from repro.faults.driver import FaultDriver, structural_home, subtree_nodes
+from repro.faults.gilbert import GilbertElliott
 from repro.faults.overlay import FaultOverlay, _BurstEntry
 from repro.faults.plan import Flap
 from repro.net.fabric import Fabric
 from repro.net.link import LinkSpec
 from repro.sim.engine import Simulator
+from repro.sim.rand import RandomStreams
 
 
 FAST = LinkSpec(latency=1.0)
@@ -154,6 +156,51 @@ def test_burst_chain_is_per_sender(sim):
         return sorted(m.n for m in nodes["sink"].received if m.n < 1000)
 
     assert drop_pattern(False) == drop_pattern(True)
+
+
+def test_a_fault_change_reaches_a_warm_pair(sim):
+    """The fabric keeps each pair's verdict on the sender's record; every
+    install and remove must reach a pair whose verdict is already warm,
+    and a burst installed mid-run steps the sender's existing
+    ``fault.ge.<src>`` reader, not a fresh one."""
+    fabric, nodes = _mesh(sim, ["a", "b", "c", "d"])
+    ov = FaultOverlay(sim)
+    fabric.fault_overlay = ov
+    ov.install_degrade(0, [["c", "d"]], 0.5, 1.0)   # active, not on a-b
+    n = iter(range(10_000))
+
+    def sent_and_arrived(count=1):
+        """Send ``count`` pings a -> b now; which of them arrive."""
+        ks = [next(n) for _ in range(count)]
+        for k in ks:
+            nodes["a"].send("b", Ping(k))
+        sim.run()
+        got = {m.n for m in nodes["b"].received}
+        return [k in got for k in ks]
+
+    assert sent_and_arrived() == [True]             # a -> b: warm, clean
+    ov.install_degrade(1, [["a", "b"]], 1.0, 1.0)
+    assert sent_and_arrived() == [False]
+    ov.remove(1)
+    assert sent_and_arrived() == [True]
+
+    # Replay the sender's Gilbert–Elliott draws on a twin of its stream.
+    params = dict(p_gb=0.4, p_bg=0.4, loss_good=0.2, loss_bad=0.8)
+    twin = RandomStreams(sim.streams.master_seed).get("fault.ge.a")
+
+    def expected(steps):
+        chain = GilbertElliott(**params)
+        return [not chain.step(twin) for _ in range(steps)]
+
+    ov.install_burst(2, _BurstEntry([["a", "b"]], **params))
+    assert sent_and_arrived(40) == expected(40)
+    ov.remove(2)
+    assert sent_and_arrived(3) == [True] * 3
+    t = sim.now + 5.0
+    sim.schedule_at(t, ov.install_burst, 3,
+                    _BurstEntry([["a", "b"]], **params))
+    sim.run(until=t + 1.0)                          # installed mid-run
+    assert sent_and_arrived(40) == expected(40)
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from unittest import mock
 
 import pytest
@@ -357,6 +358,31 @@ def test_block_reader_offers_random_only():
     assert isinstance(reader, UniformBlocks)
     assert not hasattr(reader, "exponential")
     assert not hasattr(reader, "integers")
+
+
+@pytest.mark.skipif(rand.np is None, reason="block draws need numpy")
+def test_a_draw_runs_no_python_frame():
+    cap = rand.UNIFORM_BLOCK
+    reader = RandomStreams(5).uniform("link.loss.x")
+    warm, n = 0, 0
+    while n < cap:                  # blocks double from 2 up to the cap
+        n = min(2 * n or 2, cap)
+        warm += n
+    for _ in range(warm):           # ... and the last full block runs dry
+        reader.random()
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for _ in range(1000):
+            reader.random()
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == -(-1000 // cap), calls[:5]   # one per refill
 
 
 def test_a_stream_is_served_by_one_accessor_only():

@@ -9,6 +9,7 @@ replay round trip).
 """
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro.bench.ladder import get_rung, node_counts, rung_spec
 from repro.experiments import registry
 from repro.experiments.runner import build_scenario
+from repro.sim import rand
 from repro.validation.record import (line_to_record, read_trace_lines,
                                      record_spec, record_to_line)
 
@@ -25,6 +27,14 @@ from repro.validation.record import (line_to_record, read_trace_lines,
 #: room for allocator noise while still catching any accidental
 #: per-member object.
 IDLE_MH_BYTE_BOUND = 64
+
+#: Traced bytes per ``UniformBlocks`` reader after its first draw, the
+#: generator aside.  A wide fan-out holds ~2,000 of them (a loss and a
+#: jitter reader per sender) and its peak RSS is gated: the reader is a
+#: chain over a bound refill (440 B measured on python 3.11.7; the
+#: python-level reader it replaced read 176 B), so a reader that grows
+#: another iterator object fails here first.
+READER_BYTE_BOUND = 480
 
 
 def _traced_build_bytes(spec):
@@ -111,3 +121,23 @@ def test_stream_uses_small_windows(tmp_path, roundtrip_spec):
     record_spec(roundtrip_spec, stream_path=big)
     record_spec(roundtrip_spec, stream_path=small, window=7)
     assert read_trace_lines(small) == read_trace_lines(big)
+
+
+# ---------------------------------------------------------------------------
+# Block-drawn uniform readers
+# ---------------------------------------------------------------------------
+@pytest.mark.skipif(rand.np is None, reason="block draws need numpy")
+def test_a_block_reader_is_small_after_its_first_draw():
+    gens = [rand.np.random.default_rng(i) for i in range(2048)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        readers = [rand.UniformBlocks(gen) for gen in gens]
+        for reader in readers:
+            reader.random()
+        gc.collect()
+        size, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_reader = (size - sys.getsizeof(readers)) / len(readers)
+    assert per_reader <= READER_BYTE_BOUND, f"{per_reader:.1f} B per reader"
