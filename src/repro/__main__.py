@@ -16,13 +16,14 @@ Each prints the same run table and writes the same artifact
 :class:`~repro.experiments.results.RunResult` per run, a sharded or
 live one with its ``shard`` / ``live`` section.
 
-``--check`` / ``--record FILE`` / ``--obs [DIR]`` / ``--spans [DIR]``
-are four observers (the monitor suite, a trace recorder, an
+``--check`` / ``--record FILE`` / ``--obs`` / ``--spans [DIR]`` are
+four observers (the monitor suite, a trace recorder, an
 :class:`~repro.obs.session.ObsSession`, a span collector) that reach the
 build through :func:`repro.experiments.runner.observed_scenario`; they
-mean the same thing and write the same artifact names
-(``OBS_<run_id>.json``, ``SPANS_<run_id>.jsonl.gz``,
-``CRITPATH_<run_id>.json``) on every backend that has them.  A flag a
+mean the same thing on every backend that has them.  ``--obs`` is a
+switch whose ``obs`` section lands in ``--out``'s run entry (no
+``--out`` is a usage error); ``--spans`` writes
+``SPANS_<run_id>.jsonl.gz`` + ``CRITPATH_<run_id>.json``.  A flag a
 backend cannot honour is ``error: ...`` and exit 2, never ignored.
 
 The other subcommands are ``run``'s grid form (``sweep``), harnesses
@@ -38,7 +39,8 @@ scenario, name or file; ``fuzz`` is a sweep over generated specs and
     python -m repro run quickstart --duration 2000 --check
     python -m repro run handoff_storm --shards 4 --record trace.jsonl
     python -m repro run quickstart --live udp --time-scale 0.2 --check
-    python -m repro run quickstart --obs out --spans out
+    python -m repro run quickstart --obs --out run.json --spans out
+    python -m repro summarize run.json
     python -m repro critpath 'out/SPANS_quickstart#p0r0.jsonl.gz'
     python -m repro sweep quickstart --param hierarchy.n_br=3,5,7 \\
         --reps 3 --jobs 4 --out results.json --csv results.csv
@@ -58,14 +60,15 @@ import argparse
 import gzip
 import json
 import os
+import platform
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.ladder import (DEFAULT_RUNGS, get_rung, node_counts,
                                 rung_names, rung_spec)
-from repro.bench.measure import (RSS_GROWTH_LIMIT, bench_report,
-                                 measure_spec, rss_gate, write_report)
+from repro.bench.measure import RSS_GROWTH_LIMIT, peak_rss_bytes, rss_gate
 from repro.experiments import registry
 from repro.experiments.grid import RunPoint, expand_grid
 from repro.experiments.results import (RunResult, aggregate, export_csv,
@@ -80,9 +83,8 @@ from repro.metrics.report import format_table
 from repro.obs.critpath import (critpath_summary, render_critpath,
                                 render_stage_delta, write_chrome_trace)
 from repro.obs.profiler import render_top
-from repro.obs.report import (load_report, load_timeline, render_summary,
-                              render_timeline, shard_reports)
-from repro.obs.session import ObsSession, write_artifacts
+from repro.obs.report import render_summary, render_timeline
+from repro.obs.session import ObsSession
 from repro.obs.spans import (SpanCollector, assemble, completeness,
                              events_from_trace, read_span_events)
 from repro.shard.partition import cut_edges, lookahead_of, partition_spec
@@ -249,6 +251,9 @@ def _reject_unsupported(args: argparse.Namespace, backend: str,
         raise ValueError(
             f"{', '.join(bad)} not supported "
             + ("without --live" if backend == "sim" else f"with --{backend}"))
+    if args.obs and args.out is None:
+        raise ValueError("--obs writes an obs section into the run entry "
+                         "of --out's artifact; give --out FILE")
     if args.rate is not None and args.spans is None:
         raise ValueError("--rate samples span tracing; it needs --spans")
     if n_runs > 1 and (args.record is not None or args.rate is not None):
@@ -311,21 +316,16 @@ def _report_runs(args: argparse.Namespace, results: List[RunResult],
 def _run_sim(args: argparse.Namespace, points: List[RunPoint],
              root_seed: int):
     progress = None if args.quiet else _progress
-    obs = spans = None
+    spans = None
     if len(points) == 1:
         # In-process: the flags are observer objects on run_point's list.
         point = points[0]
-        session = ObsSession(horizon_ms=point.spec.duration_ms,
-                             name=point.run_id) \
-            if args.obs is not None else None
         collector = _collector(args)
         with _recording(args.record) as recorder:
-            results = [run_point(point, recorder, session, collector,
-                                 check=args.check)]
+            results = [run_point(point, recorder, collector,
+                                 check=args.check, obs=args.obs)]
         if progress is not None:
             progress(0, 1, results[0])
-        if session is not None:
-            obs = (session.report(), session.rows)
         if collector is not None:
             spans = collector.events
     else:
@@ -334,9 +334,9 @@ def _run_sim(args: argparse.Namespace, points: List[RunPoint],
         results = run_sweep(points,
                             jobs=1 if args.jobs is None else args.jobs,
                             progress=progress, check=args.check,
-                            obs_dir=args.obs, spans_dir=args.spans)
+                            obs=args.obs, spans_dir=args.spans)
     _report_runs(args, results, root_seed)
-    return (_report_check(results) if args.check else 0), obs, spans
+    return (_report_check(results) if args.check else 0), spans
 
 
 def _run_shards(args: argparse.Namespace, points: List[RunPoint],
@@ -347,7 +347,7 @@ def _run_shards(args: argparse.Namespace, points: List[RunPoint],
     # harvested from it.
     point = points[0]
     result = run_sharded(point.spec, args.shards, record=True,
-                         obs=args.obs is not None, spans=_span_rate(args))
+                         obs=args.obs, spans=_span_rate(args))
     run = result.run_result(point)
     if not args.quiet:
         # The shard section, per-shard lists included.
@@ -357,9 +357,7 @@ def _run_shards(args: argparse.Namespace, points: List[RunPoint],
     if args.record is not None:
         n = write_trace_lines(args.record, result.merged_lines or [])
         print(f"wrote {n} records to {args.record}")
-    obs = (result.obs_report, result.obs_timeline or []) \
-        if result.obs_report is not None else None
-    return 0, obs, result.span_events
+    return 0, result.span_events
 
 
 def _run_live(args: argparse.Namespace, points: List[RunPoint],
@@ -370,7 +368,7 @@ def _run_live(args: argparse.Namespace, points: List[RunPoint],
     # Built before --record opens its file: a spec the fabric cannot
     # run leaves no artifact behind.
     builder = NetworkBuilder(spec, fabric=args.live, time_scale=time_scale,
-                             monitors=args.check)
+                             monitors=args.check, obs=args.obs)
     with _recording(args.record) as recorder:
         run = builder.build(recorder, collector)
         if not quiet:
@@ -385,7 +383,6 @@ def _run_live(args: argparse.Namespace, points: List[RunPoint],
     if limit is not None:
         result.live.update(overloaded=overloaded, max_lag_limit_ms=limit)
     _report_runs(args, [result], root_seed)
-    obs = (run.obs_report(), []) if args.obs is not None else None
     spans = collector.events if collector is not None else None
 
     violations = run.violations()
@@ -417,7 +414,7 @@ def _run_live(args: argparse.Namespace, points: List[RunPoint],
         code = 0
         if not quiet:
             print("ok: zero violations")
-    return code, obs, spans
+    return code, spans
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -437,13 +434,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Every backend runs the same point: same derived seed, same run id,
     # hence the same artifact names and the same run entry.
     run = {"sim": _run_sim, "shards": _run_shards, "live": _run_live}[backend]
-    code, obs, spans = run(args, points, base.seed)
-    name = points[0].run_id
-    if obs is not None:
-        paths = write_artifacts(*obs, out_dir=args.obs, name=name)
-        print(f"wrote {paths['report']}")
+    code, spans = run(args, points, base.seed)
     if spans is not None:
-        paths = write_span_artifacts(args.spans, name, spans)
+        paths = write_span_artifacts(args.spans, points[0].run_id, spans)
         print(f"wrote {paths['spans']}, {paths['critpath']}")
     return code
 
@@ -486,7 +479,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
           f"({len(points) // reps} points × {reps} reps, jobs={jobs})")
     results = run_sweep(points, jobs=jobs,
                         progress=_progress if not args.quiet else None,
-                        check=args.check, obs_dir=args.obs,
+                        check=args.check, obs=args.obs,
                         spans_dir=args.spans)
     print()
     print(format_table(_aggregate_rows(aggregate(results))))
@@ -689,22 +682,21 @@ def cmd_validate_plan(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # ladder (scale rungs: exact counts and peak RSS)
 # ----------------------------------------------------------------------
-def _print_rung(r: Dict[str, Any]) -> None:
-    line = (f"{r['name']:6s} nodes={r['nodes']:7d} events={r['events']:9d} "
-            f"deliveries={r['deliveries']:7d} wall={r['wall_s']:7.3f}s  "
-            f"peak_heap={r['peak_heap']} "
-            f"peak_rss={r['peak_rss'] / (1 << 20):.0f}MiB")
-    if "trace_path" in r:
-        line += f"  streamed={r['trace_records']} records"
-    if r["checked"]:
-        line += ("  check=ok" if not r["violations"]
-                 else f"  check={len(r['violations'])} VIOLATIONS")
+def _print_rung(r: RunResult) -> None:
+    obs = r.obs
+    line = (f"{r.name:6s} events={obs['engine']['events_processed']:9d} "
+            f"deliveries={r.delivered:7d} wall={obs['wall_s']:7.3f}s  "
+            f"peak_heap={obs['engine']['peak_heap']} "
+            f"peak_rss={obs['peak_rss'] / (1 << 20):.0f}MiB")
+    if r.violations is not None:
+        line += ("  check=ok" if not r.violations
+                 else f"  check={len(r.violations)} VIOLATIONS")
     print(line, flush=True)
 
 
-def _rss_gate(report: Dict[str, Any], baseline_path: str) -> int:
+def _rss_gate(artifact: Dict[str, Any], baseline_path: str) -> int:
     """Print the peak-RSS comparison; returns the exit code."""
-    rows = rss_gate(report, _load_json(baseline_path))
+    rows = rss_gate(artifact, _load_json(baseline_path))
     for ok, line in rows:
         print(f"  {'' if ok else 'FAIL '}{line}")
     failed = sum(not ok for ok, _ in rows)
@@ -718,33 +710,46 @@ def _rss_gate(report: Dict[str, Any], baseline_path: str) -> int:
 
 
 def cmd_ladder(args: argparse.Namespace) -> int:
+    """Each rung is one observed run; its entry's ``obs`` section gets
+    the process's peak RSS stamped in before ``--check``'s separate
+    checked run, so monitors never inflate what is measured."""
     names = args.rungs.split(",") if args.rungs else DEFAULT_RUNGS
     rungs = [get_rung(n) for n in names]  # rejects a bad name up front
     if args.stream_trace:
         os.makedirs(args.stream_trace, exist_ok=True)
     results = []
     for rung in rungs:
-        spec = rung_spec(rung)
+        overrides: Dict[str, Any] = {"name": rung.name}
         if args.duration is not None:
-            spec = spec.with_overrides({"duration_ms": args.duration})
+            overrides["duration_ms"] = args.duration
+        spec = rung_spec(rung).with_overrides(overrides)
         pops = node_counts(spec)
         print(f"[{rung.name}] nes={pops['nes']} mhs={pops['mhs']} "
               f"duration={spec.duration_ms:.0f}ms ...", flush=True)
+        session = ObsSession(horizon_ms=spec.duration_ms, name=rung.name,
+                             progress=args.progress)
         stream_path = (os.path.join(args.stream_trace,
                                     f"{rung.name}.jsonl.gz")
                        if args.stream_trace else None)
-        result = measure_spec(spec, check=args.check,
-                              progress=args.progress,
-                              stream_path=stream_path)
-        result["name"] = rung.name  # not the base scenario's
+        with _recording(stream_path) as sink:
+            result = run_point(spec, sink, session)
+        obs = dict(session.report(), peak_rss=peak_rss_bytes())
+        if sink is not None:
+            obs.update(trace_path=stream_path, trace_records=sink.count)
+        violations = run_point(spec, check=True).violations \
+            if args.check else None
+        result = replace(result, obs=obs, violations=violations)
         results.append(result)
         _print_rung(result)
 
-    report = bench_report(results)
-    write_report(args.out, report)
+    meta = {"command": "ladder", "rungs": [r.name for r in rungs],
+            "python": platform.python_version(),
+            "platform": platform.platform()}
+    export_json(args.out, results, meta=meta, include_timing=True)
     print(f"wrote {args.out}")
-    status = _rss_gate(report, args.baseline) if args.baseline else 0
-    violations = sum(len(r["violations"]) for r in results)
+    status = _rss_gate({"runs": [r.to_dict() for r in results]},
+                       args.baseline) if args.baseline else 0
+    violations = sum(len(r.violations or ()) for r in results)
     if violations:
         print(f"FAIL: --check found {violations} invariant violations")
         return EXIT_FAILED
@@ -752,32 +757,50 @@ def cmd_ladder(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# summarize / top / timeline (readers of OBS_* artifacts)
+# summarize / top / timeline (readers of a run artifact's obs sections)
 # ----------------------------------------------------------------------
+def _obs_sections(path: str):
+    """Every ``obs`` section in the run artifact at ``path`` (``run``
+    / ``sweep --obs --out``), each under a ``run_id:`` heading when
+    there are several."""
+    doc = _load_json(path)
+    runs = [run for run in (doc.get("runs") if isinstance(doc, dict)
+                            else None) or () if run.get("obs")]
+    if not runs:
+        raise ValueError(f"{path}: no run entry carries an obs section "
+                         f"(write one with run/sweep --obs --out)")
+    for run in runs:
+        if len(runs) > 1:
+            print(f"{run['run_id']}:")
+        yield run["obs"]
+
+
 def cmd_summarize(args: argparse.Namespace) -> int:
-    print(render_summary(load_report(args.report), top=args.top))
+    for obs in _obs_sections(args.artifact):
+        print(render_summary(obs, top=args.top))
     return 0
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    report = load_report(args.report)
-    rows = (report.get("profiler") or {}).get("top") or []
-    subs = shard_reports(report)
-    if rows or not subs:
-        print(render_top(rows, limit=args.n))
-        return 0
-    # A sharded report carries one profiler per shard; wall times are
-    # per-process, so no cross-shard re-ranking.
-    for i, sub in enumerate(subs):
-        print(f"shard {i}:")
-        print(render_top((sub.get("profiler") or {}).get("top") or [],
-                         limit=args.n))
+    for obs in _obs_sections(args.artifact):
+        rows = (obs.get("profiler") or {}).get("top") or []
+        subs = obs.get("shards") or []
+        if rows or not subs:
+            print(render_top(rows, limit=args.n))
+            continue
+        # A sharded section carries one profiler per shard; wall times
+        # are per-process, so no cross-shard re-ranking.
+        for i, sub in enumerate(subs):
+            print(f"shard {i}:")
+            print(render_top((sub.get("profiler") or {}).get("top") or [],
+                             limit=args.n))
     return 0
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
-    rows = load_timeline(args.timeline)
-    print(render_timeline(rows, metrics=args.metric or (), tail=args.tail))
+    for obs in _obs_sections(args.artifact):
+        print(render_timeline(obs["timeline"], metrics=args.metric or (),
+                              tail=args.tail))
     return 0
 
 
@@ -868,11 +891,9 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--check", action="store_true",
                    help="attach the repro.validation monitor suite to "
                         "every run; exit 1 on any invariant violation")
-    p.add_argument("--obs", nargs="?", const=".", default=None,
-                   metavar="DIR",
-                   help="attach out-of-band telemetry to every run and "
-                        "write OBS_<run_id>.json + timeline to DIR "
-                        "(default: cwd)")
+    p.add_argument("--obs", action="store_true",
+                   help="attach out-of-band telemetry to every run; its "
+                        "obs section lands in --out's run entries")
     p.add_argument("--spans", nargs="?", const=".", default=None,
                    metavar="DIR",
                    help="attach causal span tracing to every run and "
@@ -1009,23 +1030,27 @@ def make_parser() -> argparse.ArgumentParser:
                    help="stream every rung's full trace to "
                         "DIR/<rung>.jsonl.gz (windowed gzip JSONL)")
     p.add_argument("--out", default="BENCH_ladder.json", metavar="FILE",
-                   help="report path (default: %(default)s in cwd)")
+                   help="run artifact path, one entry per rung "
+                        "(default: %(default)s in cwd)")
     p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="gate each measured rung's peak_rss against this "
-                        "report; exit 1 on growth or nothing to compare")
+                   help="gate each measured rung's obs.peak_rss against "
+                        "this ladder artifact; exit 1 on growth or "
+                        "nothing to compare")
 
-    p = add("summarize", cmd_summarize, "digest one OBS_*.json report")
-    p.add_argument("report", help="path to an OBS_*.json run report")
+    obs_input = "run artifact written with --obs --out"
+    p = add("summarize", cmd_summarize,
+            "digest every obs section of a run artifact")
+    p.add_argument("artifact", help=obs_input)
     p.add_argument("--top", type=int, default=5,
                    help="profiler rows to include (default 5)")
 
     p = add("top", cmd_top, "dispatch cost centers, heaviest first")
-    p.add_argument("report", help="path to an OBS_*.json run report")
+    p.add_argument("artifact", help=obs_input)
     p.add_argument("-n", type=int, default=10,
                    help="rows to show (default 10)")
 
     p = add("timeline", cmd_timeline, "tabulate a per-window timeline")
-    p.add_argument("timeline", help="path to OBS_*_timeline.jsonl[.gz]")
+    p.add_argument("artifact", help=obs_input)
     p.add_argument("--metric", action="append", metavar="NAME",
                    help="add a per-window counter/kind/gauge column, "
                         "repeatable")

@@ -98,39 +98,20 @@ LADDER: Tuple[Rung, ...] = (
 DEFAULT_RUNGS: Tuple[str, ...] = ("xs", "s", "m", "l", "xl")
 
 
-#: Long-form spellings accepted anywhere a rung name is: people type
-#: ``--rungs xs,small`` at least as often as ``xs,s``.
-RUNG_ALIASES = {
-    "xsmall": "xs",
-    "extra-small": "xs",
-    "small": "s",
-    "medium": "m",
-    "large": "l",
-    "xlarge": "xl",
-    "extra-large": "xl",
-    "xxlarge": "xxl",
-    "extra-extra-large": "xxl",
-    "million": "metro",
-    "metropolitan": "metro",
-}
-
-
 def rung_names() -> List[str]:
     """Ladder rung names, smallest first."""
     return [r.name for r in LADDER]
 
 
 def get_rung(name: str) -> Rung:
-    """The rung called ``name`` or its :data:`RUNG_ALIASES` long form,
-    case- and whitespace-insensitively (KeyError lists the valid ones)."""
+    """The rung called ``name``, case- and whitespace-insensitively
+    (KeyError lists the valid ones)."""
     canon = name.strip().lower()
-    canon = RUNG_ALIASES.get(canon, canon)
     for rung in LADDER:
         if rung.name == canon:
             return rung
     raise KeyError(
-        f"unknown ladder rung {name!r}; known: {', '.join(rung_names())} "
-        f"(aliases: {', '.join(sorted(RUNG_ALIASES))})")
+        f"unknown ladder rung {name!r}; known: {', '.join(rung_names())}")
 
 
 def rung_spec(rung: Rung) -> ExperimentSpec:

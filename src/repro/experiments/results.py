@@ -74,12 +74,18 @@ class RunResult:
     #: (``shard``).  Both carry wall-clock numbers.
     live: Optional[Dict[str, Any]] = None
     shard: Optional[Dict[str, Any]] = None
+    #: Out-of-band telemetry of an observed run (``--obs``), omitted when
+    #: None: :meth:`~repro.obs.session.ObsSession.report` — engine
+    #: counters, registry snapshot, profiler, per-window ``timeline``
+    #: rows — or what a sharded or live run assembles in its place.
+    #: Carries wall-clock numbers.
+    obs: Optional[Dict[str, Any]] = None
 
     def to_dict(self, include_timing: bool = True) -> Dict[str, Any]:
         data = asdict(self)
         if not include_timing:
             data.pop("wall_time_s")
-        for key in ("violations", "live", "shard"):
+        for key in ("violations", "live", "shard", "obs"):
             if data[key] is None:
                 data.pop(key)
         return data

@@ -464,7 +464,7 @@ class Harvest:
 # ----------------------------------------------------------------------
 def run_point(point: Union[RunPoint, ExperimentSpec], *observers,
               check: Check = False,
-              obs_dir: Optional[str] = None,
+              obs: bool = False,
               spans_dir: Optional[str] = None) -> RunResult:
     """Execute one run and distill its :class:`RunResult`.
 
@@ -477,24 +477,25 @@ def run_point(point: Union[RunPoint, ExperimentSpec], *observers,
     (a :data:`Check` factory: the suite it makes for this spec) and
     fills ``RunResult.violations``.
 
-    ``obs_dir`` / ``spans_dir`` are the same observers as switches, for
-    a caller in another process (:func:`run_sweep`'s workers): an
-    :class:`ObsSession` whose ``OBS_<run_id>.json`` + timeline land in
-    ``obs_dir``, a :class:`SpanCollector` whose ``SPANS_<run_id>.jsonl.gz``
-    + ``CRITPATH_<run_id>.json`` land in ``spans_dir``.
+    ``obs`` / ``spans_dir`` are two observers as switches, so a caller
+    in another process (:func:`run_sweep`'s workers) can ask for them:
+    ``obs=True`` attaches an :class:`ObsSession` whose report comes back
+    as the result's ``obs`` section; a :class:`SpanCollector` writes
+    ``SPANS_<run_id>.jsonl.gz`` + ``CRITPATH_<run_id>.json`` to
+    ``spans_dir``.
     """
     harvest = Harvest(point, check)
     spec, run_id = harvest.point.spec, harvest.point.run_id
     session = ObsSession(horizon_ms=spec.duration_ms, name=run_id) \
-        if obs_dir is not None else None
+        if obs else None
     collector = SpanCollector() if spans_dir is not None else None
     with observed_scenario(spec, harvest, session, collector,
                            *observers) as scenario:
         scenario.run()
-    if session is not None:
-        session.write(obs_dir)
     if collector is not None:
         write_span_artifacts(spans_dir, run_id, collector.events)
+    if session is not None:
+        return replace(harvest.result, obs=session.report())
     return harvest.result
 
 
@@ -518,10 +519,10 @@ def write_span_artifacts(out_dir: str, name: str, events) -> Dict[str, str]:
 def _run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry: dict in, dict out (picklable under fork and spawn)."""
     check = payload.pop("check", False)
-    obs_dir = payload.pop("obs_dir", None)
+    obs = payload.pop("obs", False)
     spans_dir = payload.pop("spans_dir", None)
     return run_point(RunPoint.from_dict(payload), check=check,
-                     obs_dir=obs_dir, spans_dir=spans_dir).to_dict()
+                     obs=obs, spans_dir=spans_dir).to_dict()
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -539,7 +540,7 @@ def run_sweep(
     jobs: int = 1,
     progress: Optional[Callable[[int, int, RunResult], None]] = None,
     check: Check = False,
-    obs_dir: Optional[str] = None,
+    obs: bool = False,
     spans_dir: Optional[str] = None,
 ) -> List[RunResult]:
     """Execute every point; returns results in submission order.
@@ -549,8 +550,8 @@ def run_sweep(
     called as ``progress(i, total, result)`` as finished results are
     collected, in submission order.  ``check`` runs every point with a
     validation monitor suite attached (see :func:`run_point`);
-    ``obs_dir`` writes per-run ``OBS_*`` telemetry artifacts there and
-    ``spans_dir`` per-run ``SPANS_*`` / ``CRITPATH_*`` span artifacts.
+    ``obs`` fills every result's ``obs`` section and ``spans_dir``
+    receives per-run ``SPANS_*`` / ``CRITPATH_*`` span artifacts.
     The effective worker count is clamped to ``os.cpu_count()`` so an
     oversubscribed request degrades gracefully instead of thrashing.
     """
@@ -559,14 +560,14 @@ def run_sweep(
     if jobs == 1 or len(points) <= 1:
         results = []
         for i, point in enumerate(points):
-            result = run_point(point, check=check, obs_dir=obs_dir,
+            result = run_point(point, check=check, obs=obs,
                                spans_dir=spans_dir)
             results.append(result)
             if progress is not None:
                 progress(i, len(points), result)
         return results
 
-    payloads = [dict(p.to_dict(), check=check, obs_dir=obs_dir,
+    payloads = [dict(p.to_dict(), check=check, obs=obs,
                      spans_dir=spans_dir)
                 for p in points]
     results = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.experiments.results import RunResult
 from repro.experiments.runner import Harvest, observed_scenario
@@ -23,7 +23,6 @@ from repro.live.fabric import QueueFabric, UdpFabric
 from repro.live.loadgen import LoadGenerator
 from repro.live.runtime import LiveRuntime
 from repro.obs.registry import MetricsRegistry
-from repro.obs.session import OBS_SCHEMA
 from repro.workloads.scenarios import Scenario
 
 FABRICS = {"queue": QueueFabric, "udp": UdpFabric}
@@ -66,7 +65,11 @@ class LiveRun:
         part of it still on the heap at the horizon and ``lost`` the
         rest (datagrams the kernel dropped or still held; 0 on the
         queue fabric); ``foreign`` counts datagrams from sockets the
-        fabric did not bind, dropped unread."""
+        fabric did not bind, dropped unread.
+
+        A run built with ``obs=True`` also has an ``obs`` section: the
+        registry protocol code fed through ``runtime.obs``, with the
+        loop's lag accounting folded in as ``live.*`` gauges."""
         fabric = self.scenario.net.fabric
         sent, dropped, delivered = (fabric.messages_sent,
                                     fabric.messages_dropped,
@@ -74,7 +77,7 @@ class LiveRun:
         unaccounted = sent - dropped - delivered
         in_flight = self.runtime.queued(
             getattr(fabric, _IN_FLIGHT[self.fabric_kind]))
-        return replace(self.harvest.result, live={
+        return replace(self.harvest.result, obs=self._obs(), live={
             "fabric": self.fabric_kind,
             "loadgen": self.loadgen.report(),
             "lag": self.runtime.lag_report(),
@@ -93,35 +96,21 @@ class LiveRun:
         return {**self.result.to_dict(),
                 "monitor_violations": self.violations()}
 
-    def obs_report(self) -> Dict[str, object]:
-        """``OBS_*``-style run report (``run --live FABRIC --obs``).
-
-        The live loop's lag/drift accounting becomes registry gauges
-        (``live.max_lag_ms``, ``live.mean_lag_ms``, ...) next to any
-        counters protocol code accumulated through ``runtime.obs``, so
-        ``python -m repro summarize`` works on live-run telemetry the same
-        way it does on sim runs.
-        """
+    def _obs(self) -> Optional[Dict[str, object]]:
         reg = self.runtime.obs
         if reg is None:
-            reg = MetricsRegistry()
+            return None
         lag = self.runtime.lag_report()
-        reg.set_gauge("live.max_lag_ms", lag["max_lag_ms"])
-        reg.set_gauge("live.mean_lag_ms", lag["mean_lag_ms"])
-        reg.set_gauge("live.time_scale", lag["time_scale"])
-        reg.set_gauge("live.events", lag["events"])
-        reg.set_gauge("live.yields", lag["yields"])
+        for key in ("max_lag_ms", "mean_lag_ms", "time_scale", "events",
+                    "yields"):
+            reg.set_gauge(f"live.{key}", lag[key])
         spec = self.harvest.point.spec
         return {
-            "schema": OBS_SCHEMA,
             "name": spec.name,
-            "backend": "live",
-            "fabric": self.fabric_kind,
             "horizon_ms": spec.duration_ms,
-            "window_ms": 0.0,
-            "windows": 0,
             "events": self.runtime.events_processed,
             "registry": reg.snapshot(),
+            "timeline": [],
         }
 
 
@@ -142,10 +131,16 @@ class NetworkBuilder:
         Attach the standard :mod:`repro.validation` suite to the live
         trace stream (before construction, so build-time joins are
         observed).
+    obs:
+        Install a :class:`~repro.obs.registry.MetricsRegistry` as
+        ``runtime.obs`` before construction; the run's result then
+        carries an ``obs`` section.  Off, protocol code skips every
+        registry call, as on the sim engine without an ObsSession.
     """
 
     def __init__(self, spec: ExperimentSpec, fabric: str = "queue",
-                 time_scale: float = 1.0, monitors: bool = False):
+                 time_scale: float = 1.0, monitors: bool = False,
+                 obs: bool = False):
         if fabric not in FABRICS:
             raise ValueError(
                 f"unknown fabric {fabric!r}; choose from {tuple(FABRICS)}")
@@ -163,6 +158,7 @@ class NetworkBuilder:
         self.fabric_kind = fabric
         self.time_scale = time_scale
         self.monitors = monitors
+        self.obs = obs
 
     def build(self, *observers) -> LiveRun:
         """Construct runtime, fabric, tiers, workload, and monitors.
@@ -173,10 +169,11 @@ class NetworkBuilder:
         """
         spec = self.spec
         runtime = LiveRuntime(seed=spec.seed, time_scale=self.time_scale)
-        # Give the live loop a metrics registry up front: protocol code
-        # reaches it through ``sim.obs`` exactly as under an ObsSession,
-        # and obs_report() folds the lag gauges in after the run.
-        runtime.obs = MetricsRegistry()
+        if self.obs:
+            # Up front, so build-time counters land too: protocol code
+            # reaches it through ``sim.obs`` exactly as under an
+            # ObsSession.
+            runtime.obs = MetricsRegistry()
         harvest = Harvest(spec, self.monitors)
         observed = ExitStack()
         scenario = observed.enter_context(observed_scenario(

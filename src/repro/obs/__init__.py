@@ -16,28 +16,25 @@ Three pillars:
   time attribution per handler/kind in the dispatch loop (the target
   list for the compiled event-loop kernel);
 * :class:`~repro.obs.session.ObsSession` — the observer folding
-  everything into fixed simulated-time windows and writing
-  ``OBS_<name>.json`` + ``OBS_<name>_timeline.jsonl.gz``.
+  everything into fixed simulated-time windows; its report is the run
+  entry's ``obs`` section (:attr:`repro.experiments.results.RunResult.
+  obs`).
 
-Enable with ``--obs [DIR]`` on ``python -m repro run`` (any backend) or
-``sweep``; read artifacts back with ``python -m repro summarize | top |
-timeline``.
+Enable with ``--obs`` on ``python -m repro run`` (any backend) or
+``sweep``: the section lands in ``--out``'s artifact, and
+``python -m repro summarize | top | timeline`` render it from there.
 """
 
 from repro.obs.profiler import DEFAULT_STRIDE, DispatchProfiler, render_top
 from repro.obs.registry import (Counter, Gauge, Histogram, MetricsRegistry,
                                 diff_counts, merge_counter_dicts)
-from repro.obs.report import (load_report, load_timeline, render_summary,
-                              render_timeline)
-from repro.obs.session import (DEFAULT_WINDOWS, OBS_SCHEMA,
-                               PROGRESS_INTERVAL_S, ObsSession,
-                               write_artifacts)
+from repro.obs.report import render_summary, render_timeline
+from repro.obs.session import DEFAULT_WINDOWS, PROGRESS_INTERVAL_S, ObsSession
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "diff_counts", "merge_counter_dicts",
     "DEFAULT_STRIDE", "DispatchProfiler", "render_top",
-    "DEFAULT_WINDOWS", "OBS_SCHEMA", "PROGRESS_INTERVAL_S", "ObsSession",
-    "write_artifacts",
-    "load_report", "load_timeline", "render_summary", "render_timeline",
+    "DEFAULT_WINDOWS", "PROGRESS_INTERVAL_S", "ObsSession",
+    "render_summary", "render_timeline",
 ]

@@ -238,7 +238,7 @@ class MetricsRegistry:
         return {name: c.value for name, c in self.counters.items()}
 
     def snapshot(self) -> Dict[str, Any]:
-        """Full JSON-able registry state for the final run report."""
+        """Full JSON-able registry state for the run's ``obs`` section."""
         return {
             "counters": {n: c.value for n, c in sorted(self.counters.items())},
             "gauges": {n: {"value": g.value, "max": g.max}

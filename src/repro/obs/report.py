@@ -1,45 +1,18 @@
-"""Load and render ``OBS_*`` run reports and timelines.
+"""Render a run's ``obs`` section: digest, cost centers, timeline.
 
-The writers live on :class:`~repro.obs.session.ObsSession` (sequential
-runs) and in :mod:`repro.shard.runtime` (per-shard reports rolled up by
-the coordinator); this module is the read side shared by the
-``summarize`` / ``top`` / ``timeline`` subcommands and tests.
+The section is :meth:`~repro.obs.session.ObsSession.report` on the
+sequential engine, the per-shard reports rolled up by
+:mod:`repro.shard.runtime` on the sharded one and the registry snapshot
+of :class:`~repro.live.builder.LiveRun` on the live one; this module is
+the read side shared by the ``summarize`` / ``top`` / ``timeline``
+subcommands and tests.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
 from typing import Any, Dict, Iterable, List
 
 from repro.obs.profiler import render_top
-from repro.obs.registry import merge_counter_dicts
-
-
-def load_report(path: str) -> Dict[str, Any]:
-    """Read one ``OBS_*.json`` run report."""
-    with open(path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    if not isinstance(report, dict) or "schema" not in report:
-        raise ValueError(f"{path} is not an obs run report")
-    return report
-
-
-def load_timeline(path: str) -> List[Dict[str, Any]]:
-    """Read a ``*_timeline.jsonl.gz`` (or plain ``.jsonl``) timeline."""
-    opener = gzip.open if path.endswith(".gz") else open
-    rows = []
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
-
-
-def shard_reports(report: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Per-shard sub-reports of a sharded run report ([] otherwise)."""
-    return list(report.get("shards") or [])
 
 
 def _fmt_value(v: Any) -> str:
@@ -68,13 +41,13 @@ def _sort_key(v: Any) -> float:
 
 
 def render_summary(report: Dict[str, Any], top: int = 5) -> str:
-    """Human-readable digest of one run report."""
-    shards = shard_reports(report)
-    lines = [f"{report.get('name', '?')}: "
-             f"{report.get('events', 0):,} events over "
-             f"{report.get('windows', 0)} windows of "
-             f"{report.get('window_ms', 0):g} ms "
-             f"(horizon {report.get('horizon_ms', 0):g} ms)"]
+    """Human-readable digest of one run's ``obs`` section."""
+    shards = report.get("shards") or []
+    head = f"{report.get('name', '?')}: {report.get('events', 0):,} events"
+    if report.get("windows"):
+        head += (f" over {report['windows']} windows of "
+                 f"{report.get('window_ms', 0):g} ms")
+    lines = [f"{head} (horizon {report.get('horizon_ms', 0):g} ms)"]
     engine = report.get("engine") or {}
     if engine:
         lines.append(
@@ -114,11 +87,6 @@ def render_summary(report: Dict[str, Any], top: int = 5) -> str:
                 f"  shard {i}: {sub.get('events', 0):,} events  "
                 f"stalls={win.get('stalls', 0)} "
                 f"barrier_wait={win.get('barrier_wait_s', 0.0):.3f}s")
-        merged = merge_counter_dicts(
-            [(s.get("registry") or {}).get("counters") or {}
-             for s in shards])
-        if merged:
-            lines.extend(_kv_lines("counters (all shards)", merged))
     return "\n".join(lines)
 
 
@@ -164,5 +132,4 @@ def render_timeline(rows: Iterable[Dict[str, Any]],
     return "\n".join(out)
 
 
-__all__ = ["load_report", "load_timeline", "shard_reports",
-           "render_summary", "render_timeline"]
+__all__ = ["render_summary", "render_timeline"]

@@ -22,27 +22,21 @@ spec regardless of host speed; edge detection trails the true boundary
 by at most ``stride - 1`` events (counts themselves stay exact — they
 are deltas of the engine's event counter).
 
-Artifacts: :meth:`write` produces ``OBS_<name>.json`` — the final
-machine-readable run report (registry snapshot, profiler cost centers,
-engine counters) — plus ``OBS_<name>_timeline.jsonl.gz``, the
-compressed per-window timeline.  ``python -m repro summarize | top |
-timeline`` render both.
+:meth:`report` is the run's ``obs`` section
+(:attr:`repro.experiments.results.RunResult.obs`): registry snapshot,
+profiler cost centers, engine counters and the per-window ``timeline``
+rows.  ``python -m repro summarize | top | timeline`` render it from a
+``--out`` artifact.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
-import os
 import sys
 from time import perf_counter
 from typing import Any, Dict, List, Optional, TextIO
 
 from repro.obs.profiler import DEFAULT_STRIDE, DispatchProfiler
 from repro.obs.registry import MetricsRegistry, diff_counts
-
-#: Schema tag written into every run report, bumped on breaking changes.
-OBS_SCHEMA = "repro.obs/v1"
 
 #: Default number of timeline windows a run is folded into.
 DEFAULT_WINDOWS = 20
@@ -66,7 +60,7 @@ class ObsSession:
     horizon_ms:
         The run's simulated end time (windows and ETA derive from it).
     name:
-        Stamped into the report and artifact filenames.
+        Stamped into the report.
     window_ms:
         Timeline window width; defaults to ``horizon_ms / 20``.
     stride:
@@ -277,11 +271,10 @@ class ObsSession:
     # Reporting
     # ------------------------------------------------------------------
     def report(self) -> Dict[str, Any]:
-        """The machine-readable run report (JSON-able)."""
+        """The run's ``obs`` section (JSON-able), timeline rows included."""
         self.finish()
         sim = self.sim
         return {
-            "schema": OBS_SCHEMA,
             "name": self.name,
             "horizon_ms": self.horizon_ms,
             "window_ms": round(self.window_ms, 6),
@@ -299,38 +292,8 @@ class ObsSession:
                                         self._kinds_at_attach),
             "registry": self.registry.snapshot(),
             "profiler": self.profiler.to_dict(),
+            "timeline": list(self.rows),
         }
 
-    def write(self, out_dir: str = ".",
-              name: Optional[str] = None) -> Dict[str, str]:
-        """Write ``OBS_<name>.json`` + timeline; returns the paths."""
-        return write_artifacts(self.report(), self.rows, out_dir=out_dir,
-                               name=name if name is not None else self.name)
 
-
-def write_artifacts(report: Dict[str, Any], rows: List[Dict[str, Any]],
-                    out_dir: str = ".", name: str = "run") -> Dict[str, str]:
-    """Write one run report + timeline pair; returns the paths.
-
-    The one place ``OBS_*`` files are written: :meth:`ObsSession.write`
-    for a session, the ``run`` command for the pairs a sharded or live
-    run assembled.
-    """
-    safe = name.replace("/", "_").replace(" ", "_")
-    os.makedirs(out_dir, exist_ok=True)
-    timeline = os.path.join(out_dir, f"OBS_{safe}_timeline.jsonl.gz")
-    with gzip.open(timeline, "wt", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True,
-                                separators=(",", ":")) + "\n")
-    report = dict(report)
-    report["timeline"] = os.path.basename(timeline)
-    path = os.path.join(out_dir, f"OBS_{safe}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return {"report": path, "timeline": timeline}
-
-
-__all__ = ["OBS_SCHEMA", "DEFAULT_WINDOWS", "PROGRESS_INTERVAL_S",
-           "ObsSession", "write_artifacts"]
+__all__ = ["DEFAULT_WINDOWS", "PROGRESS_INTERVAL_S", "ObsSession"]

@@ -62,7 +62,8 @@ from repro.experiments.results import RunResult
 from repro.experiments.runner import (Harvest, network_totals,
                                       observed_scenario)
 from repro.experiments.spec import ExperimentSpec
-from repro.obs.session import OBS_SCHEMA, ObsSession
+from repro.obs.registry import merge_counter_dicts
+from repro.obs.session import ObsSession
 from repro.obs.spans import SpanCollector
 from repro.shard.context import ShardContext
 from repro.shard.partition import (PartitionPlan, cut_edges, lookahead_of,
@@ -110,9 +111,9 @@ class ShardRunResult:
     wall_s: float = 0.0
     trace_counts: Dict[str, int] = field(default_factory=dict)
     merged_lines: Optional[List[str]] = None
-    #: Assembled obs run report / timeline rows (``obs=True`` runs only).
+    #: The run's ``obs`` section, timeline rows included (``obs=True``
+    #: runs only).
     obs_report: Optional[Dict[str, Any]] = None
-    obs_timeline: Optional[List[Dict[str, Any]]] = None
     #: Merged span events across shards (``spans=True`` runs only);
     #: assemble with :func:`repro.obs.spans.assemble`.
     span_events: Optional[List[Tuple]] = None
@@ -124,7 +125,8 @@ class ShardRunResult:
 
     def run_result(self, point: Union[RunPoint, ExperimentSpec]) -> RunResult:
         """The run's :class:`RunResult`, equal to ``run_point(point)``'s
-        apart from the wall time and the ``shard`` section.
+        apart from the wall time and the ``shard`` section (and the
+        ``obs`` section of an ``obs=True`` run).
 
         The merged trace (a ``record=True`` run's) replays through the
         standard :class:`Harvest` for everything the trace carries;
@@ -158,7 +160,7 @@ class ShardRunResult:
             "events_per_sec": round(self.events_per_sec, 1),
         }
         # Build plus run, as a sequential run's wall_time_s counts.
-        return replace(harvest.result, shard=shard,
+        return replace(harvest.result, shard=shard, obs=self.obs_report,
                        wall_time_s=self.build_s + self.wall_s)
 
 
@@ -301,17 +303,13 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
                                        horizon=spec.duration_ms)
             wall = time.perf_counter() - t1
 
-        obs_payload = None
+        sub_report = None
         if session is not None:
             sub_report = session.report()
             sub_report["shard"] = shard_id
             sub_report["shard_windows"] = {
                 "stalls": loop_stats["stalls"],
                 "barrier_wait_s": round(loop_stats["barrier_wait_s"], 6),
-            }
-            obs_payload = {
-                "report": sub_report,
-                "rows": [dict(r, shard=shard_id) for r in session.rows],
             }
 
         conn.send({
@@ -324,7 +322,7 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
             "barrier_wait_s": loop_stats["barrier_wait_s"],
             "probes": loop_stats["probes"],
             "exported": ctx.exported,
-            "obs": obs_payload,
+            "obs": sub_report,
             "spans": collector.events if collector is not None else None,
             "peak_heap": sim.peak_heap,
             "compactions": sim.compactions,
@@ -393,34 +391,32 @@ def _sequential_result(spec: ExperimentSpec, record: bool,
     )
     if session is not None:
         result.obs_report = session.report()
-        result.obs_timeline = list(session.rows)
     if collector is not None:
         result.span_events = collector.events
     return result
 
 
 def _assemble_obs(result: ShardRunResult, spec: ExperimentSpec,
-                  obs_per_shard: List[Optional[Dict[str, Any]]]) -> None:
-    """Roll per-shard obs payloads into one run report + timeline."""
-    payloads = [p for p in obs_per_shard if p is not None]
-    if not payloads:  # pragma: no cover - defensive
-        return
-    reports = [p["report"] for p in payloads]
+                  reports: List[Dict[str, Any]]) -> None:
+    """Roll the per-shard reports into the run's ``obs`` section: run
+    totals, counters summed over shards, the sub-reports under
+    ``shards`` and every shard's timeline rows (tagged ``shard``)."""
+    rows = [dict(row, shard=r["shard"]) for r in reports
+            for row in r.pop("timeline")]
     result.obs_report = {
-        "schema": OBS_SCHEMA,
         "name": spec.name,
         "horizon_ms": spec.duration_ms,
-        "window_ms": reports[0].get("window_ms"),
-        "windows": max(r.get("windows", 0) for r in reports),
+        "window_ms": reports[0]["window_ms"],
+        "windows": max(r["windows"] for r in reports),
         "events": result.events,
         "wall_s": round(result.wall_s, 6),
         "n_shards": result.n_shards,
         "trace_counts": dict(result.trace_counts),
+        "registry": {"counters": merge_counter_dicts(
+            [r["registry"]["counters"] for r in reports])},
         "shards": reports,
+        "timeline": sorted(rows, key=lambda r: (r["w"], r["shard"])),
     }
-    result.obs_timeline = sorted(
-        (row for p in payloads for row in p["rows"]),
-        key=lambda r: (r.get("w", 0), r.get("shard", 0)))
 
 
 def _grant(lb: float, lookahead: float, horizon: float) -> float:
@@ -446,8 +442,8 @@ def run_sharded(spec: ExperimentSpec, shards: int,
 
     ``obs=True`` attaches one out-of-band
     :class:`~repro.obs.session.ObsSession` per worker and assembles
-    the per-shard reports into :attr:`ShardRunResult.obs_report` /
-    :attr:`ShardRunResult.obs_timeline` (rows tagged with ``shard``).
+    the per-shard reports into :attr:`ShardRunResult.obs_report`, the
+    run's ``obs`` section (timeline rows tagged with ``shard``).
     Because observability never touches the trace stream, ``record``
     and ``obs`` compose freely.
 

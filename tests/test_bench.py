@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from repro.bench import (LADDER, bench_report, measure_spec, node_counts,
-                         rss_gate, rung_spec, write_report)
+from repro.__main__ import main
+from repro.bench import LADDER, node_counts, rss_gate, rung_spec, write_report
 from repro.bench.ladder import BASE_SCENARIO, LADDER_SEED, get_rung
-from repro.bench.measure import BENCH_SCHEMA, RSS_GROWTH_LIMIT
+from repro.bench.measure import RSS_GROWTH_LIMIT
 from repro.experiments import registry
+from repro.experiments.runner import build_scenario, run_point
 
 
 # ---------------------------------------------------------------------------
@@ -37,21 +38,10 @@ def test_get_rung_by_name_and_unknown():
         get_rung("nope")
 
 
-def test_get_rung_accepts_long_form_aliases():
-    # `--rungs xs,small` must mean the same as `--rungs xs,s`.
-    assert get_rung("small") is get_rung("s")
-    assert get_rung("xsmall") is get_rung("xs")
-    assert get_rung("medium") is get_rung("m")
-    assert get_rung("large") is get_rung("l")
-    assert get_rung("xlarge") is get_rung("xl")
-    assert get_rung(" Small ") is get_rung("s")  # whitespace + case
-
-
 def test_scale_rungs_are_opt_in_and_count_idle_population():
     from repro.bench.ladder import DEFAULT_RUNGS
 
     assert "xxl" not in DEFAULT_RUNGS and "metro" not in DEFAULT_RUNGS
-    assert get_rung("million") is get_rung("metro")
     xxl = node_counts(rung_spec(get_rung("xxl")))
     assert xxl["mhs"] > 100_000  # declared = eager + idle catchment
     metro = node_counts(rung_spec(get_rung("metro")))
@@ -65,33 +55,40 @@ def test_node_counts_depth1_formula():
 
 
 # ---------------------------------------------------------------------------
-# Measurement
+# Measurement: a rung is one observed run entry
 # ---------------------------------------------------------------------------
+def _ladder(tmp_path, *extra):
+    """``ladder --rungs xs`` (300 ms) -> its artifact."""
+    out = tmp_path / "BENCH_ladder.json"
+    assert main(["ladder", "--rungs", "xs", "--duration", "300",
+                 "--out", str(out), *extra]) == 0
+    return json.loads(out.read_text())
+
+
 @pytest.fixture(scope="module")
-def tiny_result():
-    spec = registry.get("quickstart", **{"duration_ms": 300.0,
-                                         "warmup_ms": 0.0, "seed": 5})
-    return measure_spec(spec)
+def tiny_artifact(tmp_path_factory):
+    return _ladder(tmp_path_factory.mktemp("ladder"))
 
 
-def test_measure_spec_reports_engine_counters(tiny_result):
-    r = tiny_result
-    assert r["events"] > 0
-    assert r["deliveries"] > 0
-    assert r["wall_s"] > 0
-    assert r["peak_heap"] > 0
-    assert r["peak_rss"] > 0
-    assert r["nodes"] == r["nes"] + r["mhs"]  # sources reported separately
-    assert r["sources"] == 2
-    assert r["checked"] is False and r["violations"] == []
-    assert "trace_path" not in r  # only streamed runs carry one
+def test_ladder_entry_reports_engine_counters(tiny_artifact):
+    (r,) = tiny_artifact["runs"]
+    obs = r["obs"]
+    assert obs["engine"]["events_processed"] > 0
+    assert r["delivered"] > 0
+    assert obs["wall_s"] > 0
+    assert obs["engine"]["peak_heap"] > 0
+    assert obs["peak_rss"] > 0
+    assert "violations" not in r  # only --check runs carry them
+    assert "trace_path" not in obs  # only streamed runs carry one
 
 
-def test_measured_population_agrees_with_ladder_formula(tiny_result):
-    counts = node_counts(registry.get("quickstart"))
-    assert tiny_result["nodes"] == counts["total"]
-    assert (tiny_result["nes"], tiny_result["mhs"]) == (counts["nes"],
-                                                        counts["mhs"])
+def test_measured_population_agrees_with_ladder_formula():
+    spec = rung_spec(get_rung("xxl")).with_overrides({"duration_ms": 1.0})
+    counts = node_counts(spec)
+    net = build_scenario(spec).net
+    assert (len(net.nes), len(net.mobile_hosts) + net.catchment_idle) \
+        == (counts["nes"], counts["mhs"])
+    assert len(net.sources) == 2  # reported apart from the nodes
 
 
 def test_peak_heap_recorded_without_any_compaction():
@@ -103,32 +100,30 @@ def test_peak_heap_recorded_without_any_compaction():
         "hierarchy.mhs_per_ap": 0,  # no join storm: no timer churn
         "workload.s": 1, "workload.rate_per_sec": 5.0,
     })
-    r = measure_spec(spec)
-    assert r["compactions"] == 0  # nothing this small triggers compaction
-    assert r["peak_heap"] > 0
+    engine = run_point(spec, obs=True).obs["engine"]
+    assert engine["compactions"] == 0  # nothing this small compacts
+    assert engine["peak_heap"] > 0
 
 
-def test_measure_spec_check_attaches_monitors():
-    spec = registry.get("quickstart", **{"duration_ms": 300.0,
-                                         "warmup_ms": 0.0, "seed": 5})
-    r = measure_spec(spec, check=True)
-    assert r["checked"] is True
+def test_ladder_check_attaches_monitors(tmp_path, capsys):
+    (r,) = _ladder(tmp_path, "--check")["runs"]
     assert r["violations"] == []
+    assert "check=ok" in capsys.readouterr().out
 
 
-def test_bench_report_shape(tiny_result):
-    report = bench_report([tiny_result])
-    assert report["schema"] == BENCH_SCHEMA
-    (entry,) = report["results"]
-    assert entry["name"] == "quickstart"
-    assert entry["peak_rss"] > 0
-    # Nothing derived from wall time beyond the two informational
-    # fields: a report states exact counts, not rates.
-    wallish = [k for k in list(entry) + list(report)
+def test_bench_report_shape(tiny_artifact):
+    assert tiny_artifact["schema"] == "repro.experiments/v1"
+    (entry,) = tiny_artifact["runs"]
+    assert (entry["name"], entry["run_id"]) == ("xs", "xs#p0r0")
+    assert entry["obs"]["peak_rss"] > 0
+    # Nothing derived from wall time beyond the informational wall
+    # times: a rung states exact counts, not rates.
+    wallish = [k for k in list(entry) + list(entry["obs"])
+               + list(tiny_artifact["meta"])
                if "per_sec" in k or "speedup" in k or "calibration" in k]
     assert wallish == []
-    assert {"wall_s", "build_s"} <= set(entry)
-    json.dumps(report)  # must be JSON-serializable as-is
+    assert {"wall_time_s"} <= set(entry) and "wall_s" in entry["obs"]
+    assert {"python", "platform"} <= set(tiny_artifact["meta"])
 
 
 def test_calibrate_measures_null_engine_rate():
@@ -145,10 +140,10 @@ MIB = 1 << 20
 
 
 def _report(rss_by_name):
-    return {"schema": BENCH_SCHEMA,
-            "results": [{"name": n} if rss is None
-                        else {"name": n, "peak_rss": rss}
-                        for n, rss in rss_by_name.items()]}
+    return {"schema": "repro.experiments/v1",
+            "runs": [{"name": n, "obs": {}} if rss is None
+                     else {"name": n, "obs": {"peak_rss": rss}}
+                     for n, rss in rss_by_name.items()]}
 
 
 def _oks(current, baseline):
@@ -199,13 +194,11 @@ def test_compare_rejects_bad_inputs():
 # CLI
 # ---------------------------------------------------------------------------
 def test_cli_ladder_smallest_rung_and_baseline_cycle(tmp_path, capsys):
-    from repro.__main__ import main
-
     out = tmp_path / "BENCH_ladder.json"
     assert main(["ladder", "--rungs", "xs", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == BENCH_SCHEMA
-    assert report["results"][0]["name"] == "xs"  # rung, not base scenario
+    assert report["schema"] == "repro.experiments/v1"
+    assert report["runs"][0]["name"] == "xs"  # rung, not base scenario
     # Second run against the first as baseline: same process, same
     # workload — the high-water mark cannot have grown 50%.
     out2 = tmp_path / "BENCH_ladder2.json"
@@ -216,17 +209,15 @@ def test_cli_ladder_smallest_rung_and_baseline_cycle(tmp_path, capsys):
 
 def test_cli_baseline_gate_exit_codes(tmp_path, capsys):
     """Exit 1 on growth past the limit and when nothing was compared."""
-    from repro.__main__ import main
-
     out = tmp_path / "BENCH_ladder.json"
     assert main(["ladder", "--rungs", "xs", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    report["results"][0]["peak_rss"] //= 2
+    report["runs"][0]["obs"]["peak_rss"] //= 2
     halved = tmp_path / "halved.json"
     write_report(str(halved), report)
     assert main(["ladder", "--rungs", "xs", "--out", str(out),
                  "--baseline", str(halved)]) == 1
-    report["results"][0]["name"] = "xxl"
+    report["runs"][0]["name"] = "xxl"
     other = tmp_path / "other.json"
     write_report(str(other), report)
     capsys.readouterr()
@@ -238,22 +229,19 @@ def test_cli_baseline_gate_exit_codes(tmp_path, capsys):
 
 
 def test_cli_check_duration_and_stream_trace(tmp_path, capsys):
-    from repro.__main__ import main
-
     out = tmp_path / "BENCH_ladder.json"
     assert main(["ladder", "--rungs", "xs", "--duration", "500", "--check",
                  "--stream-trace", str(tmp_path / "tr"),
                  "--out", str(out)]) == 0
     assert "check=ok" in capsys.readouterr().out
-    entry = json.loads(out.read_text())["results"][0]
-    assert entry["checked"] is True and entry["duration_ms"] == 500.0
-    assert entry["trace_path"] == str(tmp_path / "tr" / "xs.jsonl.gz")
-    assert entry["trace_records"] > 0
-    assert main(["replay", entry["trace_path"]]) == 0
+    entry = json.loads(out.read_text())["runs"][0]
+    assert entry["violations"] == [] and entry["duration_ms"] == 500.0
+    obs = entry["obs"]
+    assert obs["trace_path"] == str(tmp_path / "tr" / "xs.jsonl.gz")
+    assert obs["trace_records"] > 0
+    assert main(["replay", obs["trace_path"]]) == 0
 
 
 def test_cli_unknown_rung_is_usage_error(tmp_path):
-    from repro.__main__ import main
-
     assert main(["ladder", "--rungs", "no_such_rung",
                  "--out", str(tmp_path / "x.json")]) == 2

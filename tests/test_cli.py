@@ -43,7 +43,6 @@ from repro.experiments.grid import expand_grid
 from repro.experiments.results import RunResult
 from repro.experiments.runner import build_scenario, observed_scenario
 from repro.live.fabric import QueueFabric
-from repro.obs.report import load_report, load_timeline
 from repro.obs.session import ObsSession
 from repro.obs.spans import write_span_events
 from repro.shard.runtime import run_sharded
@@ -151,8 +150,8 @@ def _observer(flag: str, out: str):
         "--check": ([], [], None),
         "--record": ([os.path.join(out, "trace.jsonl")],
                      ["trace.jsonl"], "replay"),
-        "--obs": ([out], [f"OBS_{NAME}.json",
-                          f"OBS_{NAME}_timeline.jsonl.gz"], "summarize"),
+        "--obs": (["--out", os.path.join(out, "run.json")], ["run.json"],
+                  "summarize"),
         "--spans": ([out], [f"SPANS_{NAME}.jsonl.gz",
                             f"CRITPATH_{NAME}.json"], "spans"),
     }[flag]
@@ -245,10 +244,29 @@ def test_shards_out_is_the_sequential_artifact_but_its_section(shards,
     assert doc == json.load(open(seq))
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_obs_entry_is_the_plain_entry_plus_its_obs_section(backend,
+                                                           tmp_path):
+    plain, observed = str(tmp_path / "plain.json"), str(tmp_path / "obs.json")
+    assert main(RUN + BACKENDS[backend] + ["--out", plain]) == 0
+    assert main(RUN + BACKENDS[backend] + ["--obs", "--out", observed]) == 0
+    doc, bare = json.load(open(observed)), json.load(open(plain))
+    (run,) = doc["runs"]
+    assert validate_report(run, RUN_ENTRY) == []
+    assert run.pop("obs")["events"] > 0
+    assert "wall_time_s" not in run
+    # The backend sections carry wall-clock numbers; the rest is exact.
+    for entry in (run, bare["runs"][0]):
+        entry.pop("shard", None)
+        entry.pop("live", None)
+    assert doc == bare
+
+
 @pytest.mark.parametrize("extra,named", [
     (["--shards", "2", "--live", "queue"], "--live"),
     (["--rate", "0.5"], "--spans"),
     (["--reps", "2", "--record", "t.jsonl"], "--record"),
+    (["--obs"], "--out"),
 ])
 def test_contradictory_run_flags_are_exit_2(extra, named, tmp_path,
                                             monkeypatch, capsys):
@@ -400,9 +418,11 @@ def test_record_composes_and_is_the_same_bytes_on_sim_and_shards(tmp_path):
     out = str(tmp_path / "out")
     sim, sharded = tmp_path / "sim.jsonl", tmp_path / "sharded.jsonl"
     # All four observers on one simulation: the recording is the bare one.
-    assert main(RUN + ["--check", "--obs", out, "--spans", out,
+    os.makedirs(out)
+    assert main(RUN + ["--check", "--obs", "--out",
+                       os.path.join(out, "run.json"), "--spans", out,
                        "--record", str(sim)]) == 0
-    assert len(os.listdir(out)) == 4
+    assert len(os.listdir(out)) == 3
     assert main(RUN + ["--shards", "2", "--record", str(sharded)]) == 0
     assert sim.read_text() == expected == sharded.read_text()
 
@@ -542,13 +562,12 @@ def _exact(report, rows):
 
 
 def test_run_obs_reports_what_the_shards_1_path_reports(tmp_path):
-    out = str(tmp_path)
-    assert main(RUN + ["--obs", out]) == 0
-    cli = _exact(load_report(os.path.join(out, f"OBS_{NAME}.json")),
-                 load_timeline(os.path.join(
-                     out, f"OBS_{NAME}_timeline.jsonl.gz")))
+    out = str(tmp_path / "run.json")
+    assert main(RUN + ["--obs", "--out", out]) == 0
+    (run,) = json.load(open(out))["runs"]
+    cli = _exact(run["obs"], run["obs"]["timeline"])
     result = run_sharded(_point_spec(), 1, obs=True)
-    assert cli == _exact(result.obs_report, result.obs_timeline)
+    assert cli == _exact(result.obs_report, result.obs_report["timeline"])
     assert cli[0]["events"] > 0 and cli[0]["trace_counts"]["mh.join"] == 24
 
 
@@ -578,7 +597,7 @@ class TestObsSessionIsAnObserver:
         assert sim.obs is None and sim.obs_hook is None
 
     def test_attached_after_the_build_only_window_0_differs(self):
-        """What moved in an ``OBS_*.json`` when the four callers stopped
+        """What moved in an ``obs`` section when the four callers stopped
         attaching by hand after the build: window 0 and ``trace_counts``
         gained what the build emitted.  Nothing else."""
         seam = self._through_the_seam()

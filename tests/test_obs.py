@@ -2,9 +2,7 @@
 
 import io
 import json
-import gzip
 import math
-import os
 
 import pytest
 
@@ -15,7 +13,7 @@ from repro.obs.profiler import (DispatchProfiler, handler_ident, kind_of,
                                 render_top)
 from repro.obs.registry import (Counter, Gauge, Histogram, MetricsRegistry,
                                 diff_counts, merge_counter_dicts)
-from repro.obs.report import load_report, load_timeline
+from repro.experiments.results import RunResult, export_json
 from repro.obs.session import ObsSession
 from repro.sim.engine import Simulator
 
@@ -220,7 +218,7 @@ def test_session_window_accounting_is_exact():
     spec = _quickstart_spec()
     sim, session = _run_session(spec)
     rep = session.report()
-    assert rep["schema"] == session_mod.OBS_SCHEMA
+    assert rep["timeline"] == session.rows
     assert rep["events"] == sim.events_processed
     assert sum(row["events"] for row in session.rows) == rep["events"]
     assert rep["windows"] == len(session.rows)
@@ -254,19 +252,18 @@ def test_session_profiler_names_cost_centers():
 
 
 def test_session_write_and_load_artifacts(tmp_path):
+    """The report is a run entry's ``obs`` section: it survives the
+    artifact's JSON round trip, timeline rows included."""
     spec = _quickstart_spec()
     _, session = _run_session(spec)
-    paths = session.write(out_dir=str(tmp_path))
-    report = load_report(paths["report"])
+    path = str(tmp_path / "run.json")
+    export_json(path, [RunResult(obs=session.report())])
+    with open(path, encoding="utf-8") as fh:
+        (run,) = json.load(fh)["runs"]
+    report = run["obs"]
     assert report["name"] == "run"
-    assert os.path.basename(paths["timeline"]) == report["timeline"]
-    rows = load_timeline(paths["timeline"])
-    assert rows == session.rows
-    # Artifacts are valid JSON / gzip-JSONL on disk.
-    with open(paths["report"], encoding="utf-8") as fh:
-        json.load(fh)
-    with gzip.open(paths["timeline"], "rt", encoding="utf-8") as fh:
-        assert all(json.loads(line) for line in fh)
+    assert report["timeline"] == session.rows
+    assert RunResult.from_dict(run).obs == report
 
 
 def test_progress_heartbeat_writes_to_sink(monkeypatch):

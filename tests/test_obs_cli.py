@@ -1,9 +1,8 @@
-"""CLI smoke tests: the readers of ``OBS_*`` artifacts (``summarize``,
-``top``, ``timeline``), ``run --obs`` on the sim and sharded backends,
-sampled ``run --spans --rate`` and ``ladder --progress``, exercised
-in-process."""
+"""CLI smoke tests: the readers of a run artifact's ``obs`` sections
+(``summarize``, ``top``, ``timeline``), ``run --obs`` on the sim and
+sharded backends, sampled ``run --spans --rate`` and ``ladder
+--progress``, exercised in-process."""
 
-import glob
 import json
 import os
 
@@ -11,54 +10,63 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments import registry
-from repro.experiments.runner import build_scenario
-from repro.obs.session import ObsSession
-from repro.sim.engine import Simulator
+from repro.experiments.results import export_json
+from repro.experiments.runner import run_point
 
 
 @pytest.fixture()
-def artifacts(tmp_path):
-    """One small observed run, written to tmp: (report_path, timeline)."""
+def artifact(tmp_path):
+    """One small observed run's ``--out`` artifact, written to tmp."""
     spec = registry.get("quickstart", duration_ms=1200.0, warmup_ms=0.0)
-    sim = Simulator(seed=spec.seed)
-    scenario = build_scenario(spec, sim=sim)
-    session = ObsSession(sim, horizon_ms=spec.duration_ms, name="clismoke")
-    scenario.run()
-    session.finish()
-    paths = session.write(out_dir=str(tmp_path))
-    return paths
+    spec = spec.with_overrides({"name": "clismoke"})
+    path = str(tmp_path / "run.json")
+    export_json(path, [run_point(spec, obs=True)])
+    return path
+
+
+def _obs(path):
+    (run,) = json.load(open(path, encoding="utf-8"))["runs"]
+    return run["obs"]
 
 
 # ----------------------------------------------------------------------
 # summarize / top / timeline
 # ----------------------------------------------------------------------
-def test_obs_summarize(artifacts, capsys):
-    assert main(["summarize", artifacts["report"]]) == 0
+def test_obs_summarize(artifact, capsys):
+    assert main(["summarize", artifact]) == 0
     out = capsys.readouterr().out
     assert "clismoke" in out
     assert "token.holds" in out
 
 
-def test_obs_top(artifacts, capsys):
-    assert main(["top", artifacts["report"]]) == 0
+def test_obs_top(artifact, capsys):
+    assert main(["top", artifact]) == 0
     out = capsys.readouterr().out
     assert "Fabric._arrive" in out
     assert "share" in out
 
 
-def test_obs_timeline(artifacts, capsys):
-    assert main(["timeline", artifacts["timeline"]]) == 0
+def test_obs_timeline(artifact, capsys):
+    assert main(["timeline", artifact]) == 0
     out = capsys.readouterr().out
     assert "events" in out
     # One line per window plus the header block.
-    report = json.load(open(artifacts["report"], encoding="utf-8"))
-    assert len(out.strip().splitlines()) >= report["windows"]
+    assert len(out.strip().splitlines()) >= _obs(artifact)["windows"]
 
 
 def test_obs_missing_file_exits_2(tmp_path, capsys):
-    missing = os.path.join(str(tmp_path), "OBS_nope.json")
+    missing = os.path.join(str(tmp_path), "nope.json")
     assert main(["summarize", missing]) == 2
     assert "error" in capsys.readouterr().err
+    # An artifact without an obs section has nothing to render.
+    plain = str(tmp_path / "plain.json")
+    assert main(["run", "quickstart", "--duration", "400", "--quiet",
+                 "--out", plain]) == 0
+    capsys.readouterr()
+    for reader in ("summarize", "top", "timeline"):
+        assert main([reader, plain]) == 2
+        assert "no run entry carries an obs section" \
+            in capsys.readouterr().err
 
 
 def test_sharded_span_rate_does_not_leak_into_the_process(tmp_path, capsys):
@@ -87,35 +95,47 @@ def test_sharded_span_rate_does_not_leak_into_the_process(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # run --obs, ladder --progress
 # ----------------------------------------------------------------------
-def test_experiments_run_obs(tmp_path):
-    cwd = os.getcwd()
-    os.chdir(str(tmp_path))
-    try:
-        rc = main(["run", "quickstart", "--duration", "800",
-                   "--quiet", "--obs", str(tmp_path)])
-    finally:
-        os.chdir(cwd)
+def test_experiments_run_obs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["run", "quickstart", "--duration", "800",
+               "--quiet", "--obs", "--out", "run.json"])
     assert rc == 0
-    obs_files = glob.glob(str(tmp_path / "OBS_quickstart*p0r0.json"))
-    assert obs_files, "run --obs wrote no OBS report"
+    assert os.listdir(tmp_path) == ["run.json"], "run --obs wrote a file"
+    assert _obs(str(tmp_path / "run.json"))["events"] > 0, \
+        "run --obs wrote no obs section"
+
+
+def test_sweep_obs_sections_come_back_from_the_workers(tmp_path, capsys):
+    out = str(tmp_path / "sweep.json")
+    assert main(["sweep", "quickstart", "--duration", "400", "--quiet",
+                 "--param", "workload.rate_per_sec=10,20", "--reps", "1",
+                 "--jobs", "2", "--obs", "--out", out]) == 0
+    assert os.listdir(tmp_path) == ["sweep.json"]
+    runs = json.load(open(out, encoding="utf-8"))["runs"]
+    assert [run["obs"]["name"] for run in runs] \
+        == ["quickstart#p0r0", "quickstart#p1r0"]
+    capsys.readouterr()
+    # Several sections: one heading per run.
+    assert main(["summarize", out]) == 0
+    printed = capsys.readouterr().out
+    assert "quickstart#p0r0:" in printed and "quickstart#p1r0:" in printed
 
 
 def test_shard_run_obs(tmp_path, capsys):
+    out = str(tmp_path / "run.json")
     rc = main(["run", "quickstart", "--shards", "2",
-               "--duration", "1200", "--obs", str(tmp_path)])
+               "--duration", "1200", "--obs", "--out", out])
     assert rc == 0
-    out = capsys.readouterr().out
+    printed = capsys.readouterr().out
     # The run entry's shard section, printed: per-shard lists.
-    assert "  window_stalls_per_shard: [" in out
-    assert "  lookahead_ms: 2.0" in out
-    assert "stall_causes" not in out
-    obs_files = glob.glob(str(tmp_path / "OBS_quickstart#p0r0.json"))
-    assert obs_files, "run --shards --obs wrote no OBS report"
-    report = json.load(open(obs_files[0], encoding="utf-8"))
+    assert "  window_stalls_per_shard: [" in printed
+    assert "  lookahead_ms: 2.0" in printed
+    assert "stall_causes" not in printed
+    report = _obs(out)
     assert report["n_shards"] == 2
-    # The sharded report renders through the same CLI.
-    assert main(["summarize", obs_files[0]]) == 0
-    assert main(["top", obs_files[0]]) == 0
+    # The sharded section renders through the same CLI.
+    assert main(["summarize", out]) == 0
+    assert main(["top", out]) == 0
 
 
 def test_bench_progress_flag(tmp_path, capsys):

@@ -314,16 +314,21 @@ class TestChromeTrace:
 # Satellite: live lag gauges
 # ----------------------------------------------------------------------
 def test_live_obs_report_carries_lag_gauges():
+    from helpers import load_schema, validate_report
     from repro.live.builder import NetworkBuilder
     from repro.obs.report import render_summary
 
     spec = registry.get("quickstart", duration_ms=600.0, warmup_ms=100.0)
+    # Without obs the loop has no registry: protocol code skips it.
+    assert NetworkBuilder(spec).build().runtime.obs is None
     # Paced (120 ms of wall): the loop sleeps between deadlines, which
     # is what ``yields`` counts with no service registered.
-    run = NetworkBuilder(spec, fabric="queue", time_scale=0.2).build()
+    run = NetworkBuilder(spec, fabric="queue", time_scale=0.2,
+                         obs=True).build()
     run.run()
-    report = run.obs_report()
-    assert report["schema"] == "repro.obs/v1"
+    report = run.result.obs
+    assert validate_report(run.result.to_dict(),
+                           load_schema("run_entry.schema.json")) == []
     gauges = report["registry"]["gauges"]
     lag = run.runtime.lag_report()
     assert gauges["live.max_lag_ms"]["value"] == lag["max_lag_ms"]
