@@ -48,12 +48,6 @@ class OrderingMixin:
         self.last_token_id = None
         self.tokens_held: int = 0
         self.messages_ordered: int = 0
-        # Wall of the current hold's start (sim ms; -1 while not holding).
-        self._hold_started: float = -1.0
-        # Hoisted obs instruments for the token-hold hot path (the hold
-        # handler fires for a double-digit share of all events, so the
-        # per-call registry probes are cached per attached registry).
-        self._obs_cache: Optional[tuple] = None
         # Multiple-Token kill set: token ids ruled dead by resolution.
         self.killed_token_ids: set = set()
         # Test-only fault hook: while positive, _pass_token silently
@@ -132,21 +126,6 @@ class OrderingMixin:
         self.last_token_id = token.token_id
         self.tokens_held += 1
         self.held_token = token
-        self._hold_started = now
-        obs = self.sim.obs
-        oc = None
-        if obs is not None:
-            oc = self._obs_cache
-            if oc is None or oc[0] is not obs:
-                oc = self._obs_cache = (
-                    obs,
-                    obs.counter("token.holds"),
-                    obs.hist("token.assign_run"),
-                    obs.gauge("token.wtsnp_peak"),
-                    obs.hist("token.hold_ms"),
-                    obs.counter("token.wtsnp_pruned"),
-                )
-            oc[1].value += 1
 
         if now < self.quiesce_until:
             # ``quiescing``: Multiple-Token resolution in progress.
@@ -171,23 +150,13 @@ class OrderingMixin:
                 max_local=max_contig,
                 ttl_hops=self._wtsnp_ttl(),
             )
-            if oc is not None:
-                oc[2].observe(max_contig - self.next_unordered_local + 1)
             self.next_unordered_local = max_contig + 1
 
         # Keep at most two versions of the most recently acquired token.
         self.old_token = self.new_token
         self.new_token = token.snapshot()
 
-        pruned = token.age()
-        if oc is not None:
-            if pruned:
-                oc[5].value += pruned
-            g = oc[3]
-            depth = len(token.wtsnp)
-            if depth > g.max:
-                g.max = depth
-                g.value = depth
+        token.age()
         self.sim.trace.emit(now, "token.hold", node=self.id,
                             next_gseq=token.next_global_seq,
                             token_id=token.token_id)
@@ -201,14 +170,6 @@ class OrderingMixin:
         if token is None:
             return
         self.held_token = None
-        obs = self.sim.obs
-        if obs is not None and self._hold_started >= 0:
-            oc = self._obs_cache
-            if oc is not None and oc[0] is obs:
-                oc[4].observe(self.now - self._hold_started)
-            else:
-                obs.observe("token.hold_ms", self.now - self._hold_started)
-        self._hold_started = -1.0
         if self._test_drop_token_passes > 0:
             self._test_drop_token_passes -= 1
             self.sim.trace.emit(self.now, "test.token_dropped", node=self.id,
@@ -247,7 +208,6 @@ class OrderingMixin:
         # guarantees at least one other node's retained snapshot covers
         # every gseq this node ever applies.
         new_token = None if self.held_token is not None else self.new_token
-        obs = self.sim.obs
         moved = 0
         for ordering_node, stream in list(self.wq.streams()):
             if not stream:
@@ -278,17 +238,12 @@ class OrderingMixin:
                         self._maint_timer.wake()    # a hole opened
                     moved += 1
                     self.messages_ordered += 1
-                    if obs is not None:
-                        obs.observe("ordering.assign_latency_ms",
-                                    self.now - entry.created_at)
                     self.sim.trace.emit(
                         self.now, "ordered", node=self.id, gseq=gseq,
                         ordering_node=ordering_node, local_seq=local_seq,
                         created_at=entry.created_at,
                     )
         if moved:
-            if obs is not None:
-                obs.inc("ordering.assigned", moved)
             self.try_deliver()
         return moved
 

@@ -76,8 +76,9 @@ class RunResult:
     shard: Optional[Dict[str, Any]] = None
     #: Out-of-band telemetry of an observed run (``--obs``), omitted when
     #: None: :meth:`~repro.obs.session.ObsSession.report` — engine
-    #: counters, registry snapshot, profiler, per-window ``timeline``
-    #: rows — or what a sharded or live run assembles in its place.
+    #: counters, trace counts, histograms, profiler, per-window
+    #: ``timeline`` rows — or what a sharded or live run assembles in
+    #: its place.
     #: Carries wall-clock numbers.
     obs: Optional[Dict[str, Any]] = None
 

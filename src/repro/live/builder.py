@@ -22,7 +22,6 @@ from repro.experiments.spec import ExperimentSpec
 from repro.live.fabric import QueueFabric, UdpFabric
 from repro.live.loadgen import LoadGenerator
 from repro.live.runtime import LiveRuntime
-from repro.obs.registry import MetricsRegistry
 from repro.workloads.scenarios import Scenario
 
 FABRICS = {"queue": QueueFabric, "udp": UdpFabric}
@@ -45,6 +44,8 @@ class LiveRun:
     harvest: Harvest
     #: The open :func:`observed_scenario` seam; :meth:`run` closes it.
     observed: ExitStack
+    #: Built with ``obs=True``: :attr:`result` carries an ``obs`` section.
+    obs: bool = False
 
     def run(self) -> None:
         """Execute the scenario for its spec duration, in wall time."""
@@ -68,8 +69,8 @@ class LiveRun:
         fabric did not bind, dropped unread.
 
         A run built with ``obs=True`` also has an ``obs`` section: the
-        registry protocol code fed through ``runtime.obs``, with the
-        loop's lag accounting folded in as ``live.*`` gauges."""
+        live trace's per-kind counts (the loop's lag is already under
+        ``live.lag``)."""
         fabric = self.scenario.net.fabric
         sent, dropped, delivered = (fabric.messages_sent,
                                     fabric.messages_dropped,
@@ -97,19 +98,14 @@ class LiveRun:
                 "monitor_violations": self.violations()}
 
     def _obs(self) -> Optional[Dict[str, object]]:
-        reg = self.runtime.obs
-        if reg is None:
+        if not self.obs:
             return None
-        lag = self.runtime.lag_report()
-        for key in ("max_lag_ms", "mean_lag_ms", "time_scale", "events",
-                    "yields"):
-            reg.set_gauge(f"live.{key}", lag[key])
         spec = self.harvest.point.spec
         return {
             "name": spec.name,
             "horizon_ms": spec.duration_ms,
             "events": self.runtime.events_processed,
-            "registry": reg.snapshot(),
+            "trace_counts": dict(self.runtime.trace.counts),
             "timeline": [],
         }
 
@@ -132,10 +128,8 @@ class NetworkBuilder:
         trace stream (before construction, so build-time joins are
         observed).
     obs:
-        Install a :class:`~repro.obs.registry.MetricsRegistry` as
-        ``runtime.obs`` before construction; the run's result then
-        carries an ``obs`` section.  Off, protocol code skips every
-        registry call, as on the sim engine without an ObsSession.
+        The run's result carries an ``obs`` section: the live trace's
+        per-kind counts.
     """
 
     def __init__(self, spec: ExperimentSpec, fabric: str = "queue",
@@ -169,11 +163,6 @@ class NetworkBuilder:
         """
         spec = self.spec
         runtime = LiveRuntime(seed=spec.seed, time_scale=self.time_scale)
-        if self.obs:
-            # Up front, so build-time counters land too: protocol code
-            # reaches it through ``sim.obs`` exactly as under an
-            # ObsSession.
-            runtime.obs = MetricsRegistry()
         harvest = Harvest(spec, self.monitors)
         observed = ExitStack()
         scenario = observed.enter_context(observed_scenario(
@@ -182,4 +171,4 @@ class NetworkBuilder:
         return LiveRun(runtime=runtime, scenario=scenario,
                        fabric_kind=self.fabric_kind,
                        loadgen=LoadGenerator(scenario, runtime),
-                       harvest=harvest, observed=observed)
+                       harvest=harvest, observed=observed, obs=self.obs)

@@ -94,10 +94,6 @@ class Fabric:
         """Look up a node by id (KeyError when absent)."""
         return self.nodes[node_id]
 
-    def has_node(self, node_id: NodeId) -> bool:
-        """True when a node with this id is registered."""
-        return node_id in self.nodes
-
     # ------------------------------------------------------------------
     # Links
     # ------------------------------------------------------------------

@@ -85,7 +85,3 @@ class Link:
     def endpoints(self) -> Tuple[NodeId, NodeId]:
         """The unordered endpoint pair as stored."""
         return (self.a, self.b)
-
-    def connects(self, x: NodeId, y: NodeId) -> bool:
-        """True if this link joins x and y (in either direction)."""
-        return {self.a, self.b} == {x, y}

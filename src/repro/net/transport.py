@@ -189,9 +189,6 @@ class ReliableChannel:
         sim = node.sim
         if len(outstanding) > peer.peak:
             peer.peak = len(outstanding)
-            obs = sim.obs
-            if obs is not None:
-                obs.gauge_max("transport.in_flight_peak", peer.peak)
         self.stats.sent += 1
         spans = sim.spans
         if spans is not None:
@@ -216,9 +213,6 @@ class ReliableChannel:
             del outstanding[seq]
             self._in_flight -= 1
             self.stats.gave_up += 1
-            obs = sim.obs
-            if obs is not None:
-                obs.inc("transport.give_up")
             sim.trace.emit(
                 sim.now, "transport.give_up",
                 src=node.id, dst=dst, msg_kind=payload.kind,
@@ -231,9 +225,6 @@ class ReliableChannel:
             return
         out.retries_left -= 1
         self.stats.retransmitted += 1
-        obs = sim.obs
-        if obs is not None:
-            obs.inc("transport.retransmitted")
         spans = sim.spans
         if spans is not None:
             spans.seg_send(sim.now, node.id, dst, payload, True)

@@ -1,17 +1,16 @@
-"""Out-of-band runtime telemetry: metrics, profiling, windowed timelines.
+"""Out-of-band runtime telemetry: profiling, histograms, windowed timelines.
 
 ``repro.obs`` watches the simulator without ever being part of it: no
-trace emissions, no scheduled events, no RNG draws.  The contract —
-checked byte-for-byte by ``tests/test_obs_identity.py`` across shard
-counts — is that every canonical trace is identical with observability
-on or off, and that a run with it off executes **zero** registry
-callbacks.
+trace emissions, no scheduled events, no RNG draws, and no call from
+protocol code.  The contract — checked byte-for-byte by
+``tests/test_obs_identity.py`` across shard counts — is that every
+canonical trace is identical with observability on or off.  What the
+``obs`` section reports is what the engine and the trace bus already
+count: engine counters, per-kind trace counts, and two histograms
+derived from sampled dispatch and from the ``ordered`` records.
 
-Three pillars:
+Two pillars:
 
-* :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges, and
-  log-bucketed histograms, fed by null-checked call sites in the
-  engine, transport, ordering, and shard runtime;
 * :class:`~repro.obs.profiler.DispatchProfiler` — stride-sampling wall
   time attribution per handler/kind in the dispatch loop (the target
   list for the compiled event-loop kernel);
@@ -26,14 +25,12 @@ Enable with ``--obs`` on ``python -m repro run`` (any backend) or
 """
 
 from repro.obs.profiler import DEFAULT_STRIDE, DispatchProfiler, render_top
-from repro.obs.registry import (Counter, Gauge, Histogram, MetricsRegistry,
-                                diff_counts, merge_counter_dicts)
 from repro.obs.report import render_summary, render_timeline
-from repro.obs.session import DEFAULT_WINDOWS, PROGRESS_INTERVAL_S, ObsSession
+from repro.obs.session import (DEFAULT_WINDOWS, PROGRESS_INTERVAL_S,
+                               Histogram, ObsSession, diff_counts)
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "diff_counts", "merge_counter_dicts",
+    "Histogram", "diff_counts",
     "DEFAULT_STRIDE", "DispatchProfiler", "render_top",
     "DEFAULT_WINDOWS", "PROGRESS_INTERVAL_S", "ObsSession",
     "render_summary", "render_timeline",

@@ -2,8 +2,8 @@
 
 The section is :meth:`~repro.obs.session.ObsSession.report` on the
 sequential engine, the per-shard reports rolled up by
-:mod:`repro.shard.runtime` on the sharded one and the registry snapshot
-of :class:`~repro.live.builder.LiveRun` on the live one; this module is
+:mod:`repro.shard.runtime` on the sharded one and the trace counts of
+:class:`~repro.live.builder.LiveRun` on the live one; this module is
 the read side shared by the ``summarize`` / ``top`` / ``timeline``
 subcommands and tests.
 """
@@ -56,15 +56,7 @@ def render_summary(report: Dict[str, Any], top: int = 5) -> str:
             f"compactions={engine.get('compactions', 0)}")
     if report.get("sample_every"):
         lines.append(f"sampling: every {report['sample_every']} dispatches")
-    registry = report.get("registry") or {}
-    counters = registry.get("counters") or {}
-    if counters:
-        lines.extend(_kv_lines("counters", counters))
-    gauges = registry.get("gauges") or {}
-    if gauges:
-        lines.extend(_kv_lines(
-            "gauges (max)", {n: g.get("max") for n, g in gauges.items()}))
-    for name, h in sorted((registry.get("histograms") or {}).items()):
+    for name, h in sorted((report.get("histograms") or {}).items()):
         if h.get("count"):
             lines.append(
                 f"hist {name}: n={h['count']:,} mean={h['mean']:,.3g} "
@@ -95,8 +87,8 @@ def render_timeline(rows: Iterable[Dict[str, Any]],
                     tail: int = 0) -> str:
     """Tabulate timeline rows: window, span, events, heap, + metrics.
 
-    ``metrics`` names either per-window counter deltas (matched in the
-    row's ``counters`` dict) or trace kinds (matched in ``kinds``).
+    ``metrics`` names trace kinds, matched in the row's per-window
+    ``kinds`` counts.
     """
     rows = list(rows)
     if tail:
@@ -115,12 +107,9 @@ def render_timeline(rows: Iterable[Dict[str, Any]],
             cells.append(str(r.get("shard", "")))
         cells.extend([f"{r.get('t0', 0):g}", f"{r.get('t1', 0):g}",
                       f"{r.get('events', 0):,}", f"{r.get('heap', 0):,}"])
+        kinds = r.get("kinds") or {}
         for m in metrics:
-            v = (r.get("counters") or {}).get(m)
-            if v is None:
-                v = (r.get("kinds") or {}).get(m)
-            if v is None:
-                v = (r.get("gauges") or {}).get(m)
+            v = kinds.get(m)
             cells.append("" if v is None else _fmt_value(v))
         body.append(cells)
     widths = [max(len(h), *(len(b[i]) for b in body))

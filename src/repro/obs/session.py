@@ -1,48 +1,151 @@
-"""One observability session: registry + profiler + windowed timeline.
+"""One observability session: profiler + histograms + windowed timeline.
 
 An :class:`ObsSession` is an observer (``attach(trace)`` / ``finish`` /
 ``detach()``, the contract :func:`repro.experiments.runner.
 observed_scenario` carries) that watches a :class:`~repro.sim.engine.
 Simulator` **out-of-band**: it finds the engine through the bus
 back-reference, installs itself as its dispatch hook (``sim.obs_hook``)
-and exposes its :class:`~repro.obs.registry.MetricsRegistry` as
-``sim.obs``, which instrumented protocol code null-checks before
-touching.  It never emits trace records, never
+and reads only what the engine and the trace bus already count.
+Protocol code never calls it.  It never emits trace records, never
 schedules events, and never draws randomness, so a run with a session
 attached produces a canonical trace byte-identical to a run without —
 the invariant every optimization in this repo is already held to.
 
 Windowed aggregation is *piggybacked on sampled dispatch*, not
-timer-driven: every ``stride``-th dispatched event's timestamp is
-compared against the next window edge, and crossing an edge folds the
-since-last-edge deltas (event count, per-kind trace counts, registry
-counter deltas, last sampled heap depth) into one timeline row.  Fixed
-simulated-time windows make rows comparable across runs of the same
-spec regardless of host speed; edge detection trails the true boundary
-by at most ``stride - 1`` events (counts themselves stay exact — they
-are deltas of the engine's event counter).
+timer-driven: every :data:`~repro.obs.profiler.DEFAULT_STRIDE`-th
+dispatched event's timestamp is compared against the next window edge,
+and crossing an edge folds the since-last-edge deltas (event count,
+per-kind trace counts, last sampled heap depth) into one timeline row.
+Fixed simulated-time windows (:data:`DEFAULT_WINDOWS` per horizon) make
+rows comparable across runs of the same spec regardless of host speed;
+edge detection trails the true boundary by at most ``stride - 1``
+events (counts themselves stay exact — they are deltas of the engine's
+event counter).
 
 :meth:`report` is the run's ``obs`` section
-(:attr:`repro.experiments.results.RunResult.obs`): registry snapshot,
-profiler cost centers, engine counters and the per-window ``timeline``
-rows.  ``python -m repro summarize | top | timeline`` render it from a
-``--out`` artifact.
+(:attr:`repro.experiments.results.RunResult.obs`): engine counters,
+per-kind ``trace_counts``, two ``histograms`` (``engine.heap_depth``
+from sampled dispatch, ``ordering.assign_latency_ms`` from the
+``ordered`` records), profiler cost centers and the per-window
+``timeline`` rows.  ``python -m repro summarize | top | timeline``
+render it from a ``--out`` artifact.
+
+Histograms are **log-bucketed**: bucket ``b`` holds values in
+``[2^(b-1), 2^b)`` (bucket 0 holds zero; negatives go to a dedicated
+underflow slot), which keeps a distribution spanning five orders of
+magnitude in a handful of integers.  Quantiles are read back from the
+bucket upper edges — exact enough to rank cost centers and spot
+regressions, never used for protocol logic.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from time import perf_counter
 from typing import Any, Dict, List, Optional, TextIO
 
 from repro.obs.profiler import DEFAULT_STRIDE, DispatchProfiler
-from repro.obs.registry import MetricsRegistry, diff_counts
 
 #: Default number of timeline windows a run is folded into.
 DEFAULT_WINDOWS = 20
 
 #: Wall-clock seconds between ``--progress`` heartbeat lines.
 PROGRESS_INTERVAL_S = 2.0
+
+
+class Histogram:
+    """Log-bucketed distribution: bucket ``b`` covers ``[2^(b-1), 2^b)``.
+
+    Negative observations land in a dedicated *underflow* slot rather
+    than aliasing into bucket 0 (whose range is ``[0.5, 1)``): a signed
+    metric — a clock skew, a budget delta — would otherwise have its
+    negative tail counted as sub-1.0 positives and every quantile
+    estimate dragged toward 1.0.
+    """
+
+    __slots__ = ("name", "count", "total", "min", "max", "buckets",
+                 "underflow")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        self.buckets: Dict[int, int] = {}
+        self.underflow = 0
+
+    def observe(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if value < 0:
+            self.underflow += 1
+            return
+        # frexp(v) = (m, e) with v = m * 2**e and 0.5 <= |m| < 1, so e
+        # is exactly the [2^(e-1), 2^e) bucket index; 0 pools in 0.
+        b = math.frexp(value)[1] if value > 0 else 0
+        buckets = self.buckets
+        buckets[b] = buckets.get(b, 0) + 1
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def quantile(self, q: float) -> float:
+        """Upper edge of the bucket holding the ``q``-quantile.
+
+        The underflow slot sorts below every log bucket; its upper edge
+        is 0.0 (every value in it is negative).
+        """
+        if not self.count:
+            return 0.0
+        rank = q * self.count
+        seen = self.underflow
+        if seen >= rank and seen:
+            return 0.0
+        for b in sorted(self.buckets):
+            seen += self.buckets[b]
+            if seen >= rank:
+                return float(2 ** b)
+        return float(self.max)  # pragma: no cover - defensive
+
+    def snapshot(self) -> Dict[str, Any]:
+        """JSON-able summary (bucket keys stringified for stable JSON)."""
+        if not self.count:
+            return {"count": 0}
+        out = {
+            "count": self.count,
+            "sum": round(self.total, 6),
+            "mean": round(self.mean, 6),
+            "min": round(self.min, 6),
+            "max": round(self.max, 6),
+            "p50": self.quantile(0.50),
+            "p90": self.quantile(0.90),
+            "p99": self.quantile(0.99),
+            "buckets": {str(b): n for b, n in sorted(self.buckets.items())},
+        }
+        if self.underflow:
+            out["underflow"] = self.underflow
+        return out
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Histogram {self.name} n={self.count} mean={self.mean:.3g}>"
+
+
+def diff_counts(now: Dict[str, int],
+                before: Dict[str, int]) -> Dict[str, int]:
+    """Per-window delta of two cumulative count snapshots (zeros elided)."""
+    out: Dict[str, int] = {}
+    for name, value in now.items():
+        d = value - before.get(name, 0)
+        if d:
+            out[name] = d
+    return out
 
 
 class ObsSession:
@@ -61,12 +164,6 @@ class ObsSession:
         The run's simulated end time (windows and ETA derive from it).
     name:
         Stamped into the report.
-    window_ms:
-        Timeline window width; defaults to ``horizon_ms / 20``.
-    stride:
-        Profiler sampling stride (1 = time every event; default
-        :data:`~repro.obs.profiler.DEFAULT_STRIDE`), stamped into the
-        report as ``sample_every``.
     progress:
         Emit a heartbeat line (events done, ev/s, ETA) roughly every
         :data:`PROGRESS_INTERVAL_S` wall seconds, piggybacked on
@@ -75,21 +172,15 @@ class ObsSession:
     """
 
     def __init__(self, sim=None, *, horizon_ms: float, name: str = "run",
-                 window_ms: Optional[float] = None,
-                 stride: int = DEFAULT_STRIDE,
                  progress: bool = False,
                  progress_sink: Optional[TextIO] = None):
         if horizon_ms <= 0:
             raise ValueError(f"horizon_ms must be positive, got {horizon_ms}")
-        if window_ms is not None and window_ms <= 0:
-            raise ValueError(f"window_ms must be positive, got {window_ms}")
         self.sim = None
         self.name = name
         self.horizon_ms = horizon_ms
-        self.window_ms = window_ms if window_ms is not None \
-            else horizon_ms / DEFAULT_WINDOWS
-        self.registry = MetricsRegistry()
-        self.profiler = DispatchProfiler(stride)
+        self.window_ms = horizon_ms / DEFAULT_WINDOWS
+        self.profiler = DispatchProfiler(DEFAULT_STRIDE)
         self.rows: List[Dict[str, Any]] = []
         self.events_total = 0
         self._stride = self.profiler.stride
@@ -97,8 +188,10 @@ class ObsSession:
         self._last_heap = 0
         self._finished = False
         self.wall_s = 0.0
-        # Heap-depth distribution fed from sampled dispatches only.
-        self._heap_hist = self.registry.hist("engine.heap_depth")
+        # Heap depth from sampled dispatches only; order-assignment
+        # latency from every ``ordered`` record.
+        self._heap_hist = Histogram("engine.heap_depth")
+        self._assign_hist = Histogram("ordering.assign_latency_ms")
         # Progress heartbeat (wall-clock throttled, sampled path only).
         self._progress = progress
         self._progress_sink = progress_sink
@@ -122,7 +215,6 @@ class ObsSession:
         self._t0 = sim.now
         self._edge = sim.now + self.window_ms
         # Baselines for per-window deltas.
-        self._counters_before = self.registry.counter_values()
         self._events_at_attach = sim.events_processed
         self._win_mark = sim.events_processed
         self._saved_counting = trace.counting
@@ -131,9 +223,12 @@ class ObsSession:
         # The engine consults these two attributes and nothing else;
         # "events by kind" rides the trace bus's counting mode.
         trace.counting = True
-        sim.obs = self.registry
+        trace.subscribe("ordered", self._on_ordered)
         sim.obs_hook = self
         return self
+
+    def _on_ordered(self, rec) -> None:
+        self._assign_hist.observe(rec.time - rec["created_at"])
 
     # ------------------------------------------------------------------
     # The engine-facing hot path
@@ -185,7 +280,6 @@ class ObsSession:
         self._edge = edge
 
     def _close_window(self, t1: float) -> None:
-        counters = self.registry.counter_values()
         kinds = self.sim.trace.counts
         # Window event counts come from the engine's own counter (the
         # boundary event is not yet executed when a roll happens, so the
@@ -202,17 +296,10 @@ class ObsSession:
         kind_delta = diff_counts(kinds, self._kinds_before)
         if kind_delta:
             row["kinds"] = kind_delta
-        counter_delta = diff_counts(counters, self._counters_before)
-        if counter_delta:
-            row["counters"] = counter_delta
-        if self.registry.gauges:
-            row["gauges"] = {n: g.value
-                            for n, g in self.registry.gauges.items()}
         self.rows.append(row)
         self.events_total += win_events
         self._win_mark = done
         self._t0 = t1
-        self._counters_before = counters
         self._kinds_before = dict(kinds)
 
     # ------------------------------------------------------------------
@@ -258,14 +345,14 @@ class ObsSession:
         self.detach()
 
     def detach(self) -> None:
-        """Leave the simulator exactly as found (``obs``/``obs_hook``
-        cleared, trace counting restored).  Idempotent."""
+        """Leave the simulator exactly as found (``obs_hook`` cleared,
+        the ``ordered`` subscription dropped, trace counting restored).
+        Idempotent."""
         sim = self.sim
-        if sim.obs is self.registry:
-            sim.obs = None
-            sim.trace.counting = self._saved_counting
         if sim.obs_hook is self:
             sim.obs_hook = None
+            sim.trace.unsubscribe("ordered", self._on_ordered)
+            sim.trace.counting = self._saved_counting
 
     # ------------------------------------------------------------------
     # Reporting
@@ -290,10 +377,12 @@ class ObsSession:
             },
             "trace_counts": diff_counts(dict(sim.trace.counts),
                                         self._kinds_at_attach),
-            "registry": self.registry.snapshot(),
+            "histograms": {h.name: h.snapshot()
+                           for h in (self._heap_hist, self._assign_hist)},
             "profiler": self.profiler.to_dict(),
             "timeline": list(self.rows),
         }
 
 
-__all__ = ["DEFAULT_WINDOWS", "PROGRESS_INTERVAL_S", "ObsSession"]
+__all__ = ["DEFAULT_STRIDE", "DEFAULT_WINDOWS", "PROGRESS_INTERVAL_S",
+           "Histogram", "ObsSession", "diff_counts"]

@@ -6,8 +6,8 @@ reaches its ordering NE, an ``ordered`` when the token assigns the
 global sequence, and an ``mh.deliver`` per receiving mobile host.  What
 it cannot narrate is the *transport*: which link hops a message crossed,
 how many retransmissions each hop took, and when the last copy landed at
-the MH.  This module closes that gap the same way ``repro.obs`` closed
-the metrics gap in PR 6: strictly out of band.
+the MH.  This module closes that gap the same way the rest of
+``repro.obs`` watches a run: strictly out of band.
 
 A :class:`SpanCollector` subscribes to the semantic trace kinds above
 and additionally registers itself as ``sim.spans``, the null-checked
@@ -42,10 +42,11 @@ statistic).
 
 from __future__ import annotations
 
-import gzip
 import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 from zlib import crc32
+
+from repro.sim.trace import read_trace_lines, write_trace_lines
 
 #: Schema tag stamped into span report payloads.
 SPAN_SCHEMA = "repro.spans/v1"
@@ -79,76 +80,20 @@ def sampled(local_seq: Any, rate: float) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Streaming writer / reader
+# Span files: the trace-file format, one compact JSON event per line
 # ----------------------------------------------------------------------
-class SpanStreamWriter:
-    """Windowed (compressed) JSONL sink for span events.
-
-    Mirrors :class:`~repro.sim.trace.StreamingTraceSink`: ``.gz`` paths
-    gzip with ``mtime=0`` for byte-stable output, at most ``window``
-    events are buffered, and :meth:`close` is idempotent.
-    """
-
-    def __init__(self, path: str, window: int = 4096):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.path = path
-        self.window = window
-        self.count = 0
-        self._buffer: List[str] = []
-        if path.endswith(".gz"):
-            self._fh = gzip.GzipFile(path, "wb", mtime=0)
-        else:
-            self._fh = open(path, "wb")
-        self._closed = False
-
-    def write(self, ev: SpanEvent) -> None:
-        self._buffer.append(json.dumps(ev, separators=(",", ":"),
-                                       default=list))
-        self.count += 1
-        if len(self._buffer) >= self.window:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._buffer:
-            data = "".join(line + "\n" for line in self._buffer)
-            self._fh.write(data.encode("utf-8"))
-            self._buffer.clear()
-
-    def close(self) -> None:
-        if not self._closed:
-            self.flush()
-            self._fh.close()
-            self._closed = True
-
-    def __enter__(self) -> "SpanStreamWriter":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
 def read_span_events(path: str) -> List[SpanEvent]:
-    """Load span events written by :class:`SpanStreamWriter`."""
-    opener = gzip.open if path.endswith(".gz") else open
-    out: List[SpanEvent] = []
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(tuple(json.loads(line)))
-    return out
+    """Load span events written by :func:`write_span_events`."""
+    return [tuple(json.loads(line)) for line in read_trace_lines(path)]
 
 
 def write_span_events(path: str, events: Iterable[SpanEvent],
                       window: int = 4096) -> int:
-    """Write pre-collected events through a :class:`SpanStreamWriter`."""
-    with SpanStreamWriter(path, window=window) as sink:
-        n = 0
-        for ev in events:
-            sink.write(ev)
-            n += 1
-    return n
+    """Write events as :func:`~repro.sim.trace.write_trace_lines` does
+    (``.gz`` gzipped with ``mtime=0``, so the bytes are stable)."""
+    return write_trace_lines(
+        path, (json.dumps(ev, separators=(",", ":"), default=list)
+               for ev in events), window=window)
 
 
 # ----------------------------------------------------------------------

@@ -58,16 +58,15 @@ unchanged on any implementation:
     backend these drive causal-key derivation and shard gating; a live
     runtime only tracks the owner label.
 
-Implementations also carry ``gate``/``shard``/``obs``/``obs_hook``/
-``spans`` attributes (default ``None``); instrumented code null-checks
-them, so a backend that never sets them pays nothing.  Three objects
-install the five: a shard worker's ``ShardContext`` is ``shard`` and its
+Implementations also carry ``gate``/``shard``/``obs_hook``/``spans``
+attributes (default ``None``); instrumented code null-checks them, so a
+backend that never sets them pays nothing.  Three objects install the
+four: a shard worker's ``ShardContext`` is ``shard`` and its
 ``is_local`` the ``gate`` (set by hand, because ownership must be in
-place before the build); ``ObsSession.attach`` sets ``obs``/``obs_hook``
-and ``SpanCollector.attach`` sets ``spans``, both as observers handed to
+place before the build); ``ObsSession.attach`` sets ``obs_hook`` and
+``SpanCollector.attach`` sets ``spans``, both as observers handed to
 :func:`repro.experiments.runner.observed_scenario`, whose ``detach()``
-clears them again.  The live ``NetworkBuilder`` gives its runtime a bare
-``obs`` registry (no hook) before the build.
+clears them again.
 """
 
 from __future__ import annotations
@@ -102,12 +101,11 @@ class Runtime:
     # Optional cross-cutting hooks; protocol code null-checks these.
     gate: Optional[Callable[[Any], bool]] = None
     shard = None
-    obs = None
     obs_hook = None
     #: Out-of-band span sink (:class:`repro.obs.spans.SpanCollector`);
     #: the transport layer calls ``spans.seg_send/seg_recv/give_up``
-    #: when set.  Like ``obs``, a run without one executes zero span
-    #: code beyond this null check.
+    #: when set.  A run without one executes zero span code beyond
+    #: this null check.
     spans = None
 
     # ------------------------------------------------------------------

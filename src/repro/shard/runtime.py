@@ -62,7 +62,6 @@ from repro.experiments.results import RunResult
 from repro.experiments.runner import (Harvest, network_totals,
                                       observed_scenario)
 from repro.experiments.spec import ExperimentSpec
-from repro.obs.registry import merge_counter_dicts
 from repro.obs.session import ObsSession
 from repro.obs.spans import SpanCollector
 from repro.shard.context import ShardContext
@@ -200,11 +199,7 @@ def _windowed_run(sim, ctx: ShardContext, net, conn,
                    "exports": ctx.take_outbox(), **extra})
         t0 = time.perf_counter()
         reply = conn.recv()
-        waited = time.perf_counter() - t0
-        barrier_wait += waited
-        obs = sim.obs
-        if obs is not None:
-            obs.observe("shard.barrier_wait_ms", waited * 1e3)
+        barrier_wait += time.perf_counter() - t0
         for (time_, key, dst, msg) in reply["imports"]:
             sim.schedule_keyed(time_, key, dst, fabric._arrive, dst, msg)
         return reply
@@ -399,8 +394,8 @@ def _sequential_result(spec: ExperimentSpec, record: bool,
 def _assemble_obs(result: ShardRunResult, spec: ExperimentSpec,
                   reports: List[Dict[str, Any]]) -> None:
     """Roll the per-shard reports into the run's ``obs`` section: run
-    totals, counters summed over shards, the sub-reports under
-    ``shards`` and every shard's timeline rows (tagged ``shard``)."""
+    totals, the sub-reports under ``shards`` and every shard's timeline
+    rows (tagged ``shard``)."""
     rows = [dict(row, shard=r["shard"]) for r in reports
             for row in r.pop("timeline")]
     result.obs_report = {
@@ -412,8 +407,6 @@ def _assemble_obs(result: ShardRunResult, spec: ExperimentSpec,
         "wall_s": round(result.wall_s, 6),
         "n_shards": result.n_shards,
         "trace_counts": dict(result.trace_counts),
-        "registry": {"counters": merge_counter_dicts(
-            [r["registry"]["counters"] for r in reports])},
         "shards": reports,
         "timeline": sorted(rows, key=lambda r: (r["w"], r["shard"])),
     }

@@ -169,19 +169,16 @@ class Simulator(Runtime):
         worker; owners for which it returns False have their events
         dropped (counters still tick).  ``None`` (the default) keeps
         every event — the exact sequential path.
-    obs:
-        The attached :class:`~repro.obs.registry.MetricsRegistry`, or
-        ``None`` (the default).  Instrumented protocol code null-checks
-        this before recording anything, so a run without observability
-        executes zero registry callbacks.
     obs_hook:
         The attached :class:`~repro.obs.session.ObsSession`, or
-        ``None``.  While set, the run loops route each dispatch through
-        ``obs_hook.dispatch(self, ev)`` — which executes the event via
-        :meth:`_execute` and observes it (event counting, window
-        folding, stride-sampled wall timing).  Observation is strictly
-        out-of-band: the hook never schedules, emits, or draws
-        randomness, so the event sequence is bit-identical either way.
+        ``None``: the one telemetry attribute.  While set, the run loops
+        route every sampled dispatch through
+        ``obs_hook.slow_dispatch(self, ev)`` — which executes the event
+        via :meth:`_execute` and observes it (window folding,
+        stride-sampled wall timing, heap depth).  Protocol code never
+        reads it.  Observation is strictly out-of-band: the hook never
+        schedules, emits, or draws randomness, so the event sequence is
+        bit-identical either way.
     shard:
         The worker's shard context when running under
         :mod:`repro.shard`, else ``None``.  Scenario drivers consult it
@@ -213,7 +210,6 @@ class Simulator(Runtime):
         self._ctx_emits: int = 0
         self.gate: Optional[Callable[[Any], bool]] = None
         self.shard = None
-        self.obs = None
         self.obs_hook = None
         self.spans = None
 
@@ -344,9 +340,6 @@ class Simulator(Runtime):
         heapify(heap)
         self._cancelled_in_heap = 0
         self.compactions += 1
-        obs = self.obs
-        if obs is not None:
-            obs.inc("engine.compactions")
 
     def _discard_cancelled_top(self) -> None:
         """Pop cancelled entries off the top of the heap."""

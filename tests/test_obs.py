@@ -1,4 +1,4 @@
-"""Unit tests for repro.obs: registry, profiler, session lifecycle."""
+"""Unit tests for repro.obs: histograms, profiler, session lifecycle."""
 
 import io
 import json
@@ -11,34 +11,16 @@ from repro.experiments import registry as scenario_registry
 from repro.experiments.runner import build_scenario
 from repro.obs.profiler import (DispatchProfiler, handler_ident, kind_of,
                                 render_top)
-from repro.obs.registry import (Counter, Gauge, Histogram, MetricsRegistry,
-                                diff_counts, merge_counter_dicts)
 from repro.experiments.results import RunResult, export_json
-from repro.obs.session import ObsSession
+from repro.obs.session import Histogram, ObsSession, diff_counts
 from repro.sim.engine import Simulator
+from repro.sim.trace import line_to_record
+from repro.validation.record import TraceRecorder
 
 
 # ----------------------------------------------------------------------
-# Registry instruments
+# Histograms and count deltas
 # ----------------------------------------------------------------------
-def test_counter_inc():
-    c = Counter("x")
-    c.inc()
-    c.inc(41)
-    assert c.value == 42
-
-
-def test_gauge_set_and_max():
-    g = Gauge("g")
-    g.set(5.0)
-    g.set(3.0)
-    assert g.value == 3.0 and g.max == 5.0
-    g.update_max(2.0)
-    assert g.value == 3.0  # not a new max: value untouched
-    g.update_max(9.0)
-    assert g.value == 9.0 and g.max == 9.0
-
-
 def test_histogram_buckets_are_log2():
     h = Histogram("h")
     for v in (0.0, 0.75, 1.5, 3.0, 3.9):
@@ -99,27 +81,7 @@ def test_histogram_empty_snapshot():
     assert Histogram("h").snapshot() == {"count": 0}
 
 
-def test_registry_creates_on_first_use():
-    reg = MetricsRegistry()
-    reg.inc("a")
-    reg.inc("a", 2)
-    reg.set_gauge("b", 7)
-    reg.gauge_max("c", 3)
-    reg.gauge_max("c", 1)
-    reg.observe("d", 4.0)
-    assert reg.counters["a"].value == 3
-    assert reg.gauges["b"].value == 7
-    assert reg.gauges["c"].max == 3
-    assert reg.hists["d"].count == 1
-    snap = reg.snapshot()
-    assert snap["counters"] == {"a": 3}
-    assert snap["gauges"]["c"] == {"value": 3, "max": 3}
-    assert snap["histograms"]["d"]["count"] == 1
-
-
-def test_merge_and_diff_counts():
-    assert merge_counter_dicts([{"a": 1, "b": 2}, {"b": 3, "c": 1}]) == \
-        {"a": 1, "b": 5, "c": 1}
+def test_diff_counts():
     assert diff_counts({"a": 5, "b": 2}, {"a": 3}) == {"a": 2, "b": 2}
     assert diff_counts({"a": 3}, {"a": 3}) == {}
 
@@ -188,21 +150,23 @@ def test_session_validates_arguments():
     with pytest.raises(ValueError):
         ObsSession(sim, horizon_ms=0.0)
     with pytest.raises(ValueError):
-        ObsSession(sim, horizon_ms=100.0, window_ms=-1.0)
+        ObsSession(sim, horizon_ms=-1.0)
 
 
 def test_session_attaches_and_detaches():
     sim = Simulator(seed=1)
-    assert sim.obs is None and sim.obs_hook is None
+    assert sim.obs_hook is None
     saved_counting = sim.trace.counting
+    subscribers = sim.trace.subscriber_count
     session = ObsSession(sim, horizon_ms=100.0)
-    assert sim.obs is session.registry
     assert sim.obs_hook is session
     assert sim.trace.counting is True
+    assert sim.trace.subscriber_count == subscribers + 1
     session.finish()
     session.finish()  # idempotent
-    assert sim.obs is None and sim.obs_hook is None
+    assert sim.obs_hook is None
     assert sim.trace.counting is saved_counting
+    assert sim.trace.subscriber_count == subscribers
 
 
 def test_session_restores_disabled_counting():
@@ -231,12 +195,33 @@ def test_session_window_accounting_is_exact():
 
 def test_session_collects_protocol_metrics():
     _, session = _run_session(_quickstart_spec())
-    counters = session.registry.snapshot()["counters"]
-    assert counters["token.holds"] > 0
-    assert counters["ordering.assigned"] > 0
-    hists = session.registry.snapshot()["histograms"]
-    assert hists["token.hold_ms"]["count"] > 0
+    report = session.report()
+    kinds = report["trace_counts"]
+    assert kinds["token.hold"] > 0
+    assert kinds["ordered"] > 0
+    hists = report["histograms"]
+    assert hists["ordering.assign_latency_ms"]["count"] == kinds["ordered"]
     assert hists["engine.heap_depth"]["count"] > 0
+
+
+def test_assign_latency_is_derived_from_the_ordered_records():
+    """``ordering.assign_latency_ms`` is read off the trace: one value
+    per ``ordered`` record, ``time - created_at``, in emission order."""
+    spec = _quickstart_spec()
+    sim = Simulator(seed=spec.seed)
+    recorder = TraceRecorder(sim.trace)
+    scenario = build_scenario(spec, sim=sim)
+    session = ObsSession(sim, horizon_ms=spec.duration_ms)
+    scenario.run()
+    report = session.report()
+    ordered = [line_to_record(line) for line in recorder.lines
+               if '"k":"ordered"' in line]
+    hist = report["histograms"]["ordering.assign_latency_ms"]
+    assert hist["count"] == report["trace_counts"]["ordered"] == len(ordered)
+    total = 0.0
+    for rec in ordered:
+        total += rec.time - rec["created_at"]
+    assert hist["sum"] == round(total, 6)
 
 
 def test_session_profiler_names_cost_centers():
@@ -281,5 +266,5 @@ def test_disabled_fast_path_unchanged():
     sim = Simulator(seed=spec.seed)
     scenario = build_scenario(spec, sim=sim)
     scenario.run()
-    assert sim.obs is None and sim.obs_hook is None
+    assert sim.obs_hook is None
     assert sim.events_processed > 0

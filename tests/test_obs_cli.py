@@ -36,7 +36,8 @@ def test_obs_summarize(artifact, capsys):
     assert main(["summarize", artifact]) == 0
     out = capsys.readouterr().out
     assert "clismoke" in out
-    assert "token.holds" in out
+    assert "token.hold" in out
+    assert "hist ordering.assign_latency_ms" in out
 
 
 def test_obs_top(artifact, capsys):
@@ -52,6 +53,13 @@ def test_obs_timeline(artifact, capsys):
     assert "events" in out
     # One line per window plus the header block.
     assert len(out.strip().splitlines()) >= _obs(artifact)["windows"]
+    # ``--metric`` names a trace kind: its column is the row's count.
+    assert main(["timeline", artifact, "--metric", "token.hold"]) == 0
+    header, _, *body = capsys.readouterr().out.strip().splitlines()
+    assert header.split()[-1] == "token.hold"
+    rows = _obs(artifact)["timeline"]
+    assert [int(line.split()[-1].replace(",", "")) for line in body] == \
+        [row["kinds"]["token.hold"] for row in rows]
 
 
 def test_obs_missing_file_exits_2(tmp_path, capsys):

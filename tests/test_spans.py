@@ -12,8 +12,8 @@ The two load-bearing properties, checked over the full registry:
 
 Plus unit coverage for deterministic sampling, the gzip span stream,
 the exact stage partition, the critpath summary, the Chrome-trace
-export, the bench-compare span table, the live lag gauges, and the
-profiler stride override.
+export, the bench-compare span table, the live ``obs`` section, and
+the profiler stride.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from repro.obs.critpath import (STAGE_ORDER, chrome_trace, critpath_summary,
                                 dominant_stage, iter_deliveries,
                                 render_critpath, render_stage_delta,
                                 stage_delta, stage_means)
-from repro.obs.spans import (SpanCollector, SpanStreamWriter, assemble,
-                             completeness, events_from_trace,
-                             read_span_events, sampled, write_span_events)
+from repro.obs.spans import (SpanCollector, assemble, completeness,
+                             events_from_trace, read_span_events, sampled,
+                             write_span_events)
 from repro.validation.record import TraceRecorder, first_divergence
 
 from helpers import golden_spec as spec_for
@@ -213,13 +213,6 @@ class TestSpanStream:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
-    def test_writer_is_context_manager(self, tmp_path):
-        path = str(tmp_path / "cm.jsonl.gz")
-        with SpanStreamWriter(path) as sink:
-            for ev in self.EVENTS:
-                sink.write(ev)
-        assert read_span_events(path) == self.EVENTS
-
 
 # ----------------------------------------------------------------------
 # Stage partition and critpath summary
@@ -311,16 +304,14 @@ class TestChromeTrace:
 
 
 # ----------------------------------------------------------------------
-# Satellite: live lag gauges
+# Satellite: the live obs section
 # ----------------------------------------------------------------------
-def test_live_obs_report_carries_lag_gauges():
+def test_live_obs_report_carries_trace_counts():
     from helpers import load_schema, validate_report
     from repro.live.builder import NetworkBuilder
     from repro.obs.report import render_summary
 
     spec = registry.get("quickstart", duration_ms=600.0, warmup_ms=100.0)
-    # Without obs the loop has no registry: protocol code skips it.
-    assert NetworkBuilder(spec).build().runtime.obs is None
     # Paced (120 ms of wall): the loop sleeps between deadlines, which
     # is what ``yields`` counts with no service registered.
     run = NetworkBuilder(spec, fabric="queue", time_scale=0.2,
@@ -329,16 +320,16 @@ def test_live_obs_report_carries_lag_gauges():
     report = run.result.obs
     assert validate_report(run.result.to_dict(),
                            load_schema("run_entry.schema.json")) == []
-    gauges = report["registry"]["gauges"]
-    lag = run.runtime.lag_report()
-    assert gauges["live.max_lag_ms"]["value"] == lag["max_lag_ms"]
-    assert gauges["live.mean_lag_ms"]["value"] == lag["mean_lag_ms"]
-    assert gauges["live.events"]["value"] == run.runtime.events_processed
-    assert gauges["live.yields"]["value"] == run.runtime.yields > 0
-    # Protocol counters reached the registry through runtime.obs.
-    assert report["registry"]["counters"]
-    text = render_summary(report)
-    assert "live.max_lag_ms" in text
+    # The section is the live trace's counts; the loop's lag is the
+    # run entry's ``live.lag`` and is not repeated here.
+    assert report == {"name": spec.name, "horizon_ms": spec.duration_ms,
+                      "events": run.runtime.events_processed,
+                      "trace_counts": dict(run.runtime.trace.counts),
+                      "timeline": []}
+    assert report["trace_counts"]["token.hold"] > 0
+    assert run.result.live["lag"] == run.runtime.lag_report()
+    assert run.result.live["lag"]["yields"] > 0
+    assert "token.hold" in render_summary(report)
 
 
 def test_live_diff_reports_span_stages():
@@ -359,24 +350,23 @@ def test_live_diff_reports_span_stages():
 class TestSampleEvery:
     def test_default_and_env(self, monkeypatch):
         from repro.obs.session import DEFAULT_STRIDE, ObsSession
-        # The REPRO_OBS_SAMPLE_EVERY override is gone: ``stride=`` or
-        # the default.
+        # The REPRO_OBS_SAMPLE_EVERY override is gone, and so is a
+        # ``stride=`` argument: every session samples at the default.
         monkeypatch.setenv("REPRO_OBS_SAMPLE_EVERY", "8")
         assert ObsSession(horizon_ms=100.0).profiler.stride == DEFAULT_STRIDE
-        with pytest.raises(ValueError):
-            ObsSession(horizon_ms=100.0, stride=0)
 
-    def test_report_stamps_effective_stride(self):
+    def test_report_stamps_effective_stride(self, monkeypatch):
+        import repro.obs.session as session_mod
         from repro.experiments.runner import build_scenario
         from repro.obs.report import render_summary
         from repro.obs.session import ObsSession
         from repro.sim.engine import Simulator
 
+        monkeypatch.setattr(session_mod, "DEFAULT_STRIDE", 16)
         spec = registry.get("quickstart", duration_ms=400.0, warmup_ms=100.0)
         sim = Simulator(seed=spec.seed)
         scenario = build_scenario(spec, sim=sim)
-        session = ObsSession(sim, horizon_ms=spec.duration_ms, name="q",
-                             stride=16)
+        session = ObsSession(sim, horizon_ms=spec.duration_ms, name="q")
         scenario.run()
         report = session.report()
         assert report["sample_every"] == 16
