@@ -95,9 +95,13 @@ class RingOrdered(Message):
 class DeliverDown(RingOrdered):
     """An ordered message flowing down a parent→child tree link."""
 
+    __slots__ = ()
+
 
 class WirelessDeliver(RingOrdered):
     """An ordered message over the AP→MH wireless hop."""
+
+    __slots__ = ()
 
 
 class GapRequest(Message):

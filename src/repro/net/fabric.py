@@ -11,7 +11,8 @@ A ``default_spec`` may be installed to auto-create links on first use,
 which keeps ad-hoc tests short.
 
 Hot-path contract: a transmission is ``NetNode.send`` -> ``Fabric.send``
--> ``_dispatch`` -> ``schedule_at``; an arrival ``_arrive`` ->
+-> ``_dispatch`` -> ``schedule_at``; an arrival ``_arrive`` (bound once
+per fabric, so an arrival event holds no method object of its own) ->
 ``NetNode.deliver`` -> ``on_message``.  ``Fabric.send`` and the two
 ``NetNode`` methods are seams ``perfbench`` shims; ``_dispatch`` is the
 one backend seam (the live UDP fabric overrides it); under
@@ -67,6 +68,8 @@ class Fabric:
 
     def __init__(self, sim: Runtime, default_spec: Optional[LinkSpec] = None):
         self.sim = sim
+        #: ``_arrive`` bound once: every arrival schedules this object.
+        self._arrive = self._arrive
         self.nodes: Dict[NodeId, NetNode] = {}
         # Links, indexed the way the send path asks for them: sender's
         # record -> peer -> Link, one shared Link under both directions.

@@ -21,7 +21,7 @@ Three canonical profiles are exported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.net.address import NodeId
@@ -49,16 +49,6 @@ class LinkSpec:
     bandwidth_bps: float = 0.0
     loss_prob: float = 0.0
 
-    def with_loss(self, loss_prob: float) -> "LinkSpec":
-        """Copy of this spec with a different loss probability."""
-        return replace(self, loss_prob=loss_prob)
-
-    def with_latency(self, latency: float, jitter: float | None = None) -> "LinkSpec":
-        """Copy of this spec with different delay parameters."""
-        if jitter is None:
-            return replace(self, latency=latency)
-        return replace(self, latency=latency, jitter=jitter)
-
 
 #: Backbone wired link: 2 ms ± 0.5 ms, effectively lossless.
 WIRED = LinkSpec(latency=2.0, jitter=0.5, bandwidth_bps=0.0, loss_prob=0.0)
@@ -70,7 +60,7 @@ WIRELESS = LinkSpec(latency=5.0, jitter=2.0, bandwidth_bps=0.0, loss_prob=0.02)
 LOSSY_WIRELESS = LinkSpec(latency=5.0, jitter=2.0, bandwidth_bps=0.0, loss_prob=0.10)
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     """A live link instance: spec + operational state + counters."""
 

@@ -1,15 +1,12 @@
 """Base message type carried by the fabric.
 
-Concrete protocols subclass :class:`Message` (usually as frozen-ish
-dataclasses) and dispatch on type in their node handlers.  The fabric
-itself only reads :attr:`size_bits` (for bandwidth serialization delay)
-and fills in the routing envelope (:attr:`src`, :attr:`dst`,
-:attr:`sent_at`).
+Concrete protocols subclass :class:`Message` and dispatch on type in
+their node handlers.  The fabric itself only reads :attr:`size_bits`
+(for bandwidth serialization delay) and fills in the routing envelope
+(:attr:`src`, :attr:`dst`, :attr:`sent_at`).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.net.address import NodeId
 
@@ -21,16 +18,21 @@ DEFAULT_SIZE_BITS = 8 * 1024
 class Message:
     """A network message.  Subclass and add payload fields.
 
-    The envelope fields are assigned by :meth:`repro.net.fabric.Fabric.send`;
-    user code never sets them directly.
+    Every subclass declares ``__slots__`` (``()`` when it adds no field),
+    so a message in flight costs its fields and no instance dict.  The
+    envelope slots are unset until :meth:`repro.net.fabric.Fabric.send`
+    assigns them; user code never sets them directly, and reading one
+    before the first send raises ``AttributeError``.
     """
+
+    __slots__ = ("src", "dst", "sent_at")
 
     #: Size on the wire, used for serialization delay: size_bits / bandwidth.
     size_bits: int = DEFAULT_SIZE_BITS
 
-    src: Optional[NodeId] = None
-    dst: Optional[NodeId] = None
-    sent_at: Optional[float] = None
+    src: NodeId
+    dst: NodeId
+    sent_at: float
 
     @property
     def kind(self) -> str:
@@ -38,4 +40,5 @@ class Message:
         return type(self).__name__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.kind} {self.src}->{self.dst}>"
+        src, dst = getattr(self, "src", None), getattr(self, "dst", None)
+        return f"<{self.kind} {src}->{dst}>"

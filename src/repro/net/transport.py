@@ -34,13 +34,15 @@ Hot-path contract: ``send``, ``accept`` and ``cancel_all`` are the seams
 fails or auto-creates there as for any sender.  Per message they look up
 the peer's one :class:`_Peer` record and work on it; dedup, outstanding
 and RTO book-keeping are written out inside them (no per-message helper
-calls), and dispatch is on the exact message class.
+calls, and no per-message object beside the :class:`Segment`, which is
+its own outstanding record), every RTO schedules the one bound
+``_on_timeout``, and dispatch is on the exact message class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set
+from typing import AbstractSet, Callable, Dict, FrozenSet, Optional
 
 from repro.net.address import NodeId
 from repro.net.message import Message
@@ -48,14 +50,30 @@ from repro.net.node import NetNode
 
 
 class Segment(Message):
-    """Channel-level wrapper: (seq, payload) between one node pair."""
+    """Channel-level wrapper: (seq, payload) between one node pair.
 
-    __slots__ = ("seq", "payload")
+    The segment a channel sends is also its outstanding record:
+    ``retries_left`` and ``rto_event`` (the raw scheduler handle of the
+    pending RTO) are the sender's, set by :meth:`ReliableChannel.send`.
+    They never travel: a segment pickles (shard export, UDP) only its
+    wire fields.
+    """
+
+    __slots__ = ("seq", "payload", "retries_left", "rto_event")
+
+    _WIRE = ("src", "dst", "sent_at", "seq", "payload")
 
     def __init__(self, seq: int, payload: Message):
         self.seq = seq
         self.payload = payload
-        self.size_bits = payload.size_bits + 64  # header overhead
+
+    @property
+    def size_bits(self) -> int:
+        """Payload plus header; derived, so a segment stores no size."""
+        return self.payload.size_bits + 64
+
+    def __getstate__(self):
+        return None, {name: getattr(self, name) for name in self._WIRE}
 
 
 class SegAck(Message):
@@ -81,21 +99,8 @@ class TransportStats:
     delivered: int = 0
 
 
-class _Outstanding:
-    """Book-keeping for one unacked segment.
-
-    Holds the raw scheduler handle of the pending RTO rather than a
-    :class:`~repro.runtime.timers.Timer`: channels create one of
-    these per sent message, and the extra wrapper object plus its
-    attribute dict were measurable on the send hot path.
-    """
-
-    __slots__ = ("segment", "retries_left", "rto_event")
-
-    def __init__(self, segment: Segment, retries_left: int):
-        self.segment = segment
-        self.retries_left = retries_left
-        self.rto_event: Optional[Any] = None
+#: ``_Peer.sparse`` of a peer that never delivered out of order.
+_NO_GAPS: FrozenSet[int] = frozenset()
 
 
 class _Peer:
@@ -105,7 +110,8 @@ class _Peer:
     (insertion order = ascending seq) and their ``peak`` count, which
     the validation monitors bound.  Receiver side: every seq below
     ``floor`` was seen, plus the out-of-order ones in ``sparse`` (all
-    above ``floor``).  Records outlive ``cancel_all``: a peer that
+    above ``floor``; a shared empty frozenset until the first
+    out-of-order arrival).  Records outlive ``cancel_all``: a peer that
     returns continues its numbering instead of looking like duplicates.
     """
 
@@ -113,10 +119,10 @@ class _Peer:
 
     def __init__(self) -> None:
         self.next_seq = 0
-        self.outstanding: Dict[int, _Outstanding] = {}
+        self.outstanding: Dict[int, Segment] = {}
         self.peak = 0
         self.floor = 0
-        self.sparse: Set[int] = set()
+        self.sparse: AbstractSet[int] = _NO_GAPS
 
 
 class ReliableChannel:
@@ -142,7 +148,7 @@ class ReliableChannel:
     """
 
     __slots__ = ("node", "rto", "max_retries", "on_give_up", "on_ack",
-                 "stats", "_peers", "_in_flight")
+                 "stats", "_peers", "_in_flight", "_timeout")
 
     def __init__(
         self,
@@ -164,6 +170,8 @@ class ReliableChannel:
         self.stats = TransportStats()
         self._peers: Dict[NodeId, _Peer] = {}
         self._in_flight = 0
+        #: ``_on_timeout`` bound once: every RTO schedules this object.
+        self._timeout = self._on_timeout
 
     def _peer(self, node_id: NodeId) -> _Peer:
         """First-contact constructor of a peer record (cold)."""
@@ -181,9 +189,10 @@ class ReliableChannel:
         seq = peer.next_seq
         peer.next_seq = seq + 1
         seg = Segment(seq, payload)
-        out = _Outstanding(seg, self.max_retries)
+        seg.retries_left = self.max_retries
+        seg.rto_event = None
         outstanding = peer.outstanding
-        outstanding[seq] = out
+        outstanding[seq] = seg
         self._in_flight += 1
         node = self.node
         sim = node.sim
@@ -194,22 +203,22 @@ class ReliableChannel:
         if spans is not None:
             spans.seg_send(sim.now, node.id, dst, payload, False)
         node.send(dst, seg)
-        out.rto_event = sim.schedule_at(
-            sim.now + self.rto, self._on_timeout, dst, seq)
+        seg.rto_event = sim.schedule_at(
+            sim.now + self.rto, self._timeout, dst, seq)
         return seq
 
     def _on_timeout(self, dst: NodeId, seq: int) -> None:
         outstanding = self._peers[dst].outstanding
-        out = outstanding.get(seq)
-        if out is None:
+        seg = outstanding.get(seq)
+        if seg is None:
             return
         node = self.node
         if not node.alive:
             # A crashed node retransmits nothing; leave state for recovery.
             return
         sim = node.sim
-        payload = out.segment.payload
-        if out.retries_left <= 0:
+        payload = seg.payload
+        if seg.retries_left <= 0:
             del outstanding[seq]
             self._in_flight -= 1
             self.stats.gave_up += 1
@@ -223,14 +232,14 @@ class ReliableChannel:
             if self.on_give_up is not None:
                 self.on_give_up(dst, payload)
             return
-        out.retries_left -= 1
+        seg.retries_left -= 1
         self.stats.retransmitted += 1
         spans = sim.spans
         if spans is not None:
             spans.seg_send(sim.now, node.id, dst, payload, True)
-        node.send(dst, out.segment)
-        out.rto_event = sim.schedule_at(
-            sim.now + self.rto, self._on_timeout, dst, seq)
+        node.send(dst, seg)
+        seg.rto_event = sim.schedule_at(
+            sim.now + self.rto, self._timeout, dst, seq)
 
     @property
     def in_flight(self) -> int:
@@ -253,9 +262,9 @@ class ReliableChannel:
             peers = [] if peer is None else [peer]
         cancel = self.node.sim.cancel
         for peer in peers:
-            for out in peer.outstanding.values():
-                if out.rto_event is not None:   # its first send raised
-                    cancel(out.rto_event)
+            for seg in peer.outstanding.values():
+                if seg.rto_event is not None:   # its first send raised
+                    cancel(seg.rto_event)
             self._in_flight -= len(peer.outstanding)
             peer.outstanding.clear()
 
@@ -292,8 +301,10 @@ class ReliableChannel:
             elif seq < floor or seq in peer.sparse:
                 self.stats.duplicates += 1
                 return None
-            else:
+            elif peer.sparse:
                 peer.sparse.add(seq)
+            else:
+                peer.sparse = {seq}
             self.stats.delivered += 1
             payload = msg.payload
             payload.src = src
@@ -306,13 +317,13 @@ class ReliableChannel:
         if kind is SegAck:
             src = msg.src
             peer = self._peers.get(src)
-            out = (peer.outstanding.pop(msg.seq, None)
+            seg = (peer.outstanding.pop(msg.seq, None)
                    if peer is not None else None)
-            if out is not None:
+            if seg is not None:
                 self._in_flight -= 1
-                self.node.sim.cancel(out.rto_event)
+                self.node.sim.cancel(seg.rto_event)
                 self.stats.acked += 1
                 if self.on_ack is not None:
-                    self.on_ack(src, out.segment.payload)
+                    self.on_ack(src, seg.payload)
             return None
         return msg

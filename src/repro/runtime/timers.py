@@ -20,16 +20,18 @@ class Timer:
     """A one-shot timer that can be started, restarted, and stopped.
 
     Restarting an armed timer cancels the in-flight event; the callback
-    never fires more than once per arm.
+    never fires more than once per arm.  Every arm schedules the same
+    callback object, ``_fire`` bound once at construction.
     """
 
-    __slots__ = ("sim", "fn", "args", "_event")
+    __slots__ = ("sim", "fn", "args", "_event", "_fire_cb")
 
     def __init__(self, sim: Runtime, fn: Callable[..., Any], *args: Any):
         self.sim = sim
         self.fn = fn
         self.args = args
         self._event: Optional[Any] = None
+        self._fire_cb = self._fire
 
     @property
     def armed(self) -> bool:
@@ -39,7 +41,7 @@ class Timer:
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` units from now."""
         self.stop()
-        self._event = self.sim.schedule(delay, self._fire)
+        self._event = self.sim.schedule(delay, self._fire_cb)
 
     def stop(self) -> None:
         """Disarm; safe to call when not armed."""
@@ -74,10 +76,13 @@ class PeriodicTimer:
     polling run minus the ticks that did nothing.  The grid itself (30 ms
     gap checks, τ) is an artefact the goldens pin, not a protocol need:
     a regeneration may replace it by exact deadlines.
+
+    Every tick schedules the same callback object, ``_fire`` bound once
+    at construction.
     """
 
     __slots__ = ("sim", "period", "phase", "fn", "args", "_event",
-                 "_parked", "fires")
+                 "_parked", "fires", "_fire_cb")
 
     def __init__(
         self,
@@ -100,6 +105,7 @@ class PeriodicTimer:
         self._parked: Optional[Any] = None
         #: Ticks executed (a tick skipped while parked is not one).
         self.fires: int = 0
+        self._fire_cb = self._fire
 
     @property
     def running(self) -> bool:
@@ -111,7 +117,8 @@ class PeriodicTimer:
         """Begin ticking; idempotent when already running (or parked)."""
         if self.running:
             return
-        self._event = self.sim.schedule(self.phase + self.period, self._fire)
+        self._event = self.sim.schedule(self.phase + self.period,
+                                        self._fire_cb)
 
     def stop(self) -> None:
         """Stop ticking and forget any resume point; safe to call when
@@ -144,5 +151,5 @@ class PeriodicTimer:
         self.fires += 1
         # Re-arm first so fn() may call stop() or park() on the next tick.
         sim = self.sim
-        self._event = sim.schedule_at(sim.now + self.period, self._fire)
+        self._event = sim.schedule_at(sim.now + self.period, self._fire_cb)
         self.fn(*self.args)

@@ -29,21 +29,6 @@ def test_tier_of():
 
 
 # ---------------------------------------------------------------------------
-# LinkSpec
-# ---------------------------------------------------------------------------
-def test_linkspec_with_loss_copies():
-    spec = WIRED.with_loss(0.5)
-    assert spec.loss_prob == 0.5
-    assert WIRED.loss_prob == 0.0
-    assert spec.latency == WIRED.latency
-
-
-def test_linkspec_with_latency():
-    spec = WIRED.with_latency(9.0, jitter=1.5)
-    assert spec.latency == 9.0 and spec.jitter == 1.5
-
-
-# ---------------------------------------------------------------------------
 # Fabric
 # ---------------------------------------------------------------------------
 def test_duplicate_node_id_rejected(fabric):

@@ -1,5 +1,7 @@
 """Unit tests for the reliable channel (ack/retransmit/give-up/dedup)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,6 +102,22 @@ def test_cancel_all_abandons_outstanding(sim):
     sim.run(until=1_000)
     assert a.chan.in_flight == 0
     assert a.gave_up == []  # cancelled, not given up
+
+
+def test_an_outstanding_segment_pickles_only_its_wire_fields(sim):
+    """The shard export and the UDP fabric pickle segments; the sender's
+    retry budget and armed RTO handle (which reaches the channel's
+    callbacks) must not travel with them."""
+    _, a, _ = make_pair(sim)
+    a.chan.send("b", Ping(7))
+    seg = a.chan._peers["b"].outstanding[0]
+    assert seg.rto_event is not None and seg.retries_left == 5
+    copy = pickle.loads(pickle.dumps(seg))
+    assert (copy.src, copy.dst, copy.sent_at, copy.seq, copy.size_bits) == \
+        (seg.src, seg.dst, seg.sent_at, seg.seq, seg.size_bits)
+    assert copy.payload.n == 7
+    assert not hasattr(copy, "rto_event")
+    assert not hasattr(copy, "retries_left")
 
 
 def test_crashed_sender_stops_retransmitting(sim):
