@@ -150,13 +150,16 @@ class MobileHost(NetNode):
             self._handle_gap_unavailable(payload)
 
     def _handle_join_ack(self, msg: JoinAck) -> None:
+        """Become a member after ``base``: the AP's ``base_seq``, or the
+        MH's own ``front`` if that is further on — a rejoining MH never
+        re-delivers what it already delivered, however far behind the
+        new AP's path still is."""
         if self.is_member:
             return
         self.is_member = True
-        # Membership starts after base_seq: re-seed the MQ pointers.
-        self.mq = MessageQueue(start_seq=msg.base_seq + 1)
-        self.sim.trace.emit(self.now, "mh.member", mh=self.guid,
-                            base=msg.base_seq)
+        base = max(msg.base_seq, self.mq.front)
+        self.mq = MessageQueue(start_seq=base + 1)
+        self.sim.trace.emit(self.now, "mh.member", mh=self.guid, base=base)
 
     def _handle_deliver(self, msg: WirelessDeliver) -> None:
         if not self.is_member:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import time
 from contextlib import contextmanager
@@ -570,6 +569,7 @@ def run_sweep(
     payloads = [dict(p.to_dict(), check=check, obs=obs,
                      spans_dir=spans_dir)
                 for p in points]
+    import multiprocessing
     results = []
     with multiprocessing.Pool(processes=min(jobs, len(points))) as pool:
         # imap yields in submission order, whichever worker finished first.

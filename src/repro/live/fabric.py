@@ -18,9 +18,8 @@ network the sim modelled:
 
 from __future__ import annotations
 
-import asyncio
 import pickle
-from typing import Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.live.runtime import LiveRuntime
 from repro.net.address import NodeId
@@ -28,6 +27,9 @@ from repro.net.fabric import Fabric
 from repro.net.link import LinkSpec
 from repro.net.message import Message
 from repro.net.node import NetNode
+
+if TYPE_CHECKING:
+    import asyncio
 
 
 class QueueFabric(Fabric):
@@ -45,12 +47,14 @@ class QueueFabric(Fabric):
     foreign = 0
 
 
-class _UdpEndpoint(asyncio.DatagramProtocol):
+class _UdpEndpoint:
     """One node's receive protocol: unpickle and deliver inline.
 
     Only a datagram sent from a socket this fabric bound is unpickled;
     anything else landing on the port is dropped and counted in
-    ``UdpFabric.foreign``.
+    ``UdpFabric.foreign``.  A plain class, so this module loads without
+    asyncio; all but ``datagram_received`` do nothing, as on
+    ``asyncio.DatagramProtocol``.
     """
 
     def __init__(self, fabric: "UdpFabric", node_id: NodeId):
@@ -67,6 +71,14 @@ class _UdpEndpoint(asyncio.DatagramProtocol):
         # Receives happen at the wall instant the kernel hands them up.
         rt.run_inline(self.node_id, rt.wall_now(), fabric._arrive,
                       self.node_id, msg)
+
+    def _ignore(self, *args) -> None:
+        """Every other callback a datagram transport makes: connection
+        made / lost, error received, and the flow-control pause / resume
+        when its send buffer crosses a water mark."""
+
+    connection_made = connection_lost = error_received = _ignore
+    pause_writing = resume_writing = _ignore
 
 
 class UdpFabric(Fabric):
@@ -123,6 +135,7 @@ class UdpFabric(Fabric):
 
     # -- service lifecycle ---------------------------------------------
     async def start(self) -> None:
+        import asyncio
         loop = asyncio.get_running_loop()
         for node_id in sorted(self.nodes):
             transport, _ = await loop.create_datagram_endpoint(
@@ -135,6 +148,7 @@ class UdpFabric(Fabric):
         self._running = True
 
     async def stop(self) -> None:
+        import asyncio
         self._running = False
         for transport in self._transports.values():
             transport.close()

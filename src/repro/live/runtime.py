@@ -45,13 +45,15 @@ context.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.runtime.api import _INHERIT, Runtime
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import TraceBus
+
+if TYPE_CHECKING:
+    import asyncio
 
 _INF = float("inf")
 
@@ -116,6 +118,9 @@ class LiveRuntime(Runtime):
         self._ctx_owner: Optional[str] = None
         #: Logical time (ms); see the module docstring.
         self.now = 0.0
+        #: The asyncio module, bound by the first :meth:`arun`: a process
+        #: that never runs live never imports it (nor ssl, socket, ...).
+        self._asyncio: Any = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wall0 = 0.0
         self._wake: Optional[asyncio.Event] = None
@@ -249,6 +254,7 @@ class LiveRuntime(Runtime):
         :class:`~repro.workloads.scenarios.Scenario` runs unmodified on
         this backend.  ``max_events`` is accepted for signature parity.
         """
+        import asyncio
         asyncio.run(self.arun(until=until, max_events=max_events))
 
     async def arun(self, until: Optional[float] = None,
@@ -263,6 +269,8 @@ class LiveRuntime(Runtime):
         """
         if self._loop is not None:
             raise RuntimeError("runtime is already running")
+        import asyncio
+        self._asyncio = asyncio
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._wake = asyncio.Event()
@@ -336,6 +344,7 @@ class LiveRuntime(Runtime):
         to that many seconds toward logical deadline ``toward``, waking
         early for :meth:`stop` or a deadline scheduled before it."""
         self.yields += 1
+        asyncio = self._asyncio
         if dt_wall <= 0:
             await asyncio.sleep(0)
             return

@@ -51,7 +51,6 @@ backend's back.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field, replace
@@ -460,6 +459,7 @@ def run_sharded(spec: ExperimentSpec, shards: int,
     if shards == 1:
         return _sequential_result(spec, record, obs=obs, spans=spans)
 
+    import multiprocessing
     plan = partition_spec(spec, shards)
     mp = multiprocessing.get_context()
     conns = []

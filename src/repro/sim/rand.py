@@ -24,7 +24,6 @@ costs 450–750 ns, and runs no python frame (:class:`UniformBlocks`).
 
 from __future__ import annotations
 
-import hashlib
 import random as _pyrandom
 import zlib
 from array import array
@@ -46,6 +45,7 @@ def derive_seed(root_seed: int, *path: object) -> int:
     Replications and sweep points use this instead of ad-hoc
     ``seed + i`` arithmetic, which correlates nearby streams.
     """
+    import hashlib
     h = hashlib.sha256(str(int(root_seed)).encode("ascii"))
     for key in path:
         h.update(b"/")

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.experiments.runner import observed_scenario
 from repro.net.fabric import Fabric
 from repro.net.link import LinkSpec
 from repro.net.message import Message
 from repro.net.node import NetNode
 from repro.net.transport import ReliableChannel
+from repro.obs.spans import SpanCollector
 from repro.shard.runtime import run_sharded
 from repro.sim.engine import Simulator
+from repro.sim.trace import StreamingTraceSink
+from repro.validation.record import TraceRecorder
 
 from helpers import golden_spec
 
@@ -25,6 +31,43 @@ def sim() -> Simulator:
 def fabric(sim: Simulator) -> Fabric:
     """A fabric with a permissive default link (tests may override)."""
     return Fabric(sim, default_spec=LinkSpec(latency=1.0))
+
+
+@pytest.fixture(scope="session")
+def golden_run(tmp_path_factory):
+    """``name -> run`` of the golden-horizon spec on the sequential
+    engine, simulated once per session with three observers attached
+    together: the in-memory recorder (``run.lines``), the streamed gzip
+    sink (``run.stream_path``, ``run.streamed``: its record count) and
+    a span collector (``run.events``).
+
+    Observers are out of band, so the trace-identity and span suites
+    assert on this one run instead of each simulating the registry.
+    ``test_trace_identity.py`` keeps one golden recorded with no other
+    observer attached.
+    """
+    runs = {}
+    directory = tmp_path_factory.mktemp("golden-streams")
+
+    def run(name: str):
+        if name not in runs:
+            path = str(directory / f"{name}.jsonl.gz")
+            # A small window forces many flush boundaries in every run.
+            sink = StreamingTraceSink(path, window=256)
+            recorder, collector = TraceRecorder(), SpanCollector()
+            try:
+                with observed_scenario(golden_spec(name), recorder, sink,
+                                       collector) as scenario:
+                    scenario.run()
+            finally:
+                sink.close()
+            runs[name] = SimpleNamespace(lines=recorder.lines,
+                                         stream_path=path,
+                                         streamed=sink.count,
+                                         events=collector.events)
+        return runs[name]
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,14 @@
 """Tests for the MH endpoint: join, deliver, handoff, leave, gap fill."""
 
-from repro.core.config import ProtocolConfig
+import pytest
 
-from helpers import run_with_traffic, small_net
+from repro.core.config import ProtocolConfig
+from repro.core.datastructures import MessageQueue
+from repro.core.mobile_host import MobileHost
+from repro.experiments import registry
+from repro.experiments.runner import run_point
+
+from helpers import run_with_traffic, small_net, spec_path
 
 
 def test_join_receives_join_ack_and_membership():
@@ -178,3 +184,44 @@ def test_late_register_cannot_resurrect_detached_attachment():
         net.cfg.gid, mh.guid, max_delivered_seq=5, joining=False,
         epoch=epoch + 1))
     assert other.has_child(mh.guid)
+
+
+# ---------------------------------------------------------------------------
+# Handoff under loss: FINDINGS tables 2 and 3 as spec files (ROADMAP 2a)
+# ---------------------------------------------------------------------------
+WIRED_LOSS = spec_path("campus_wired_loss.json")
+LOSS_BURST = spec_path("campus_loss_burst.json")
+
+
+def _reseed_at_the_aps_base(self, msg):
+    """The re-seed before 2a-i: at the AP's base, even when that is
+    behind what the MH has already delivered."""
+    if self.is_member:
+        return
+    self.is_member = True
+    self.mq = MessageQueue(start_seq=msg.base_seq + 1)
+    self.sim.trace.emit(self.now, "mh.member", mh=self.guid,
+                        base=msg.base_seq)
+
+
+def test_a_rejoin_never_redelivers_and_the_oracle_sees_it(monkeypatch):
+    """At seed 85 ``mh:0.0.2.2`` delivers 337, leaves, and rejoins at an
+    AP whose lossy wired hop has only reached 336.  The run is clean;
+    re-seeding at the AP's base delivers 337 a second time, and the
+    ``OrderChecker`` must say so."""
+    spec = registry.resolve(WIRED_LOSS)
+    assert spec.seed == 85
+    assert run_point(spec, check=True).violations == []
+    monkeypatch.setattr(MobileHost, "_handle_join_ack",
+                        _reseed_at_the_aps_base)
+    assert run_point(spec, check=True).violations == [
+        "total_order: monotonicity: mh:0.0.2.2 delivered gseq 337 after 337"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP 2a-ii: a registration whose retries run out inside a loss "
+    "burst is never re-sent, so mh:2.0.1.0 ends the run attached to live "
+    "AP ap:2.1.0 but registered nowhere (FINDINGS table 3)"))
+def test_campus_loss_burst_at_seed_38_is_clean():
+    spec = registry.resolve(LOSS_BURST, seed=38)
+    assert run_point(spec, check=True).violations == []

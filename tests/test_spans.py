@@ -33,7 +33,7 @@ from repro.obs.critpath import (STAGE_ORDER, chrome_trace, critpath_summary,
 from repro.obs.spans import (SpanCollector, assemble, completeness,
                              events_from_trace, read_span_events, sampled,
                              write_span_events)
-from repro.validation.record import TraceRecorder, first_divergence
+from repro.validation.record import first_divergence
 
 from helpers import golden_spec as spec_for
 
@@ -80,16 +80,15 @@ def assert_complete(events, lines, label):
 # Completeness + identity over the full registry (sequential)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", registry.names())
-def test_sequential_spans_complete_and_trace_identical(name):
-    rec = TraceRecorder()
-    collector = SpanCollector()
-    with observed_scenario(spec_for(name), rec, collector) as scenario:
-        scenario.run()
-    div = first_divergence(golden_lines(name), rec.lines)
+def test_sequential_spans_complete_and_trace_identical(name, golden_run):
+    """On the session's golden run (tests/test_trace_identity.py asserts
+    its recorded and streamed identity too)."""
+    run = golden_run(name)
+    div = first_divergence(golden_lines(name), run.lines)
     assert div is None, (
         f"{name} trace diverged from its seed golden with a span "
         f"collector attached: {div.describe()}")
-    assert_complete(collector.events, rec.lines, f"{name} sequential")
+    assert_complete(run.events, run.lines, f"{name} sequential")
 
 
 # ----------------------------------------------------------------------
@@ -115,14 +114,11 @@ def test_sharded_spans_complete_and_trace_identical(name, shards,
     assert result.windows_per_shard == [result.windows] * shards
 
 
-def test_sharded_span_stream_equals_sequential(sharded_golden_run):
+def test_sharded_span_stream_equals_sequential(golden_run,
+                                               sharded_golden_run):
     """The deterministically merged stream is the sequential stream."""
-    spec = spec_for("quickstart")
-    collector = SpanCollector()
-    with observed_scenario(spec, collector) as scenario:
-        scenario.run()
     sequential = sorted(
-        collector.events,
+        golden_run("quickstart").events,
         key=lambda ev: (ev[1], ev[0], tuple(str(x) for x in ev[2:])))
     for shards in (2, 4):
         result = sharded_golden_run("quickstart", shards)

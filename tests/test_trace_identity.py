@@ -51,30 +51,40 @@ def test_all_registry_scenarios_have_goldens():
     assert missing == [], f"no seed trace recorded for {missing}"
 
 
-@pytest.mark.parametrize("name", registry.names())
-def test_trace_byte_identical_to_seed(name):
-    rec = record(name)
-    div = first_divergence(golden_lines(name), rec.lines)
-    assert div is None, (
-        f"{name} diverged from its seed-commit trace at "
-        f"{div.describe()}")
+#: The golden also recorded plain, with no other observer attached.
+PLAIN = "quickstart"
 
 
 @pytest.mark.parametrize("name", registry.names())
-def test_streamed_trace_byte_identical_to_seed(name, tmp_path):
+def test_trace_byte_identical_to_seed(name, golden_run):
+    """The session's golden run, which streams and collects spans as it
+    records; :data:`PLAIN` is recorded a second time on its own."""
+    golden = golden_lines(name)
+    runs = [golden_run(name).lines]
+    if name == PLAIN:
+        runs.append(record(name).lines)
+    for lines in runs:
+        div = first_divergence(golden, lines)
+        assert div is None, (
+            f"{name} diverged from its seed-commit trace at "
+            f"{div.describe()}")
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_streamed_trace_byte_identical_to_seed(name, golden_run):
     """The streaming sink writes exactly the lines the recorder keeps.
 
-    Same run as above but through ``record_spec(stream_path=...)`` — the
-    windowed gzip sink — then read back from disk.  A small window
-    forces many flush boundaries inside every scenario.
+    The same run as above, through the windowed gzip sink (window 256,
+    so many flush boundaries inside every scenario), read back from
+    disk.
     """
-    path = str(tmp_path / f"{name}.jsonl.gz")
-    sink = record_spec(golden_spec(name), stream_path=path, window=256)
-    div = first_divergence(golden_lines(name), read_trace_lines(path))
+    run = golden_run(name)
+    golden = golden_lines(name)
+    div = first_divergence(golden, read_trace_lines(run.stream_path))
     assert div is None, (
         f"{name} streamed trace diverged from its seed-commit trace at "
         f"{div.describe()}")
-    assert sink.count == len(golden_lines(name))
+    assert run.streamed == len(golden)
 
 
 @pytest.mark.parametrize("shards", [2, 4])
