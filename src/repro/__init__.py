@@ -57,7 +57,7 @@ offline replay, and first-divergence diffing come from
     python -m repro fuzz --budget 50 --duration 3000
     python -m repro run quickstart --record a.jsonl
     python -m repro replay a.jsonl
-    python -m repro diff a.jsonl b.jsonl
+    python -m repro replay a.jsonl b.jsonl
 """
 
 __version__ = "1.0.0"

@@ -3,61 +3,41 @@
 One parser, one ``main()``.  ``run NAME`` is the one way to execute a
 scenario — a registry name or an ``ExperimentSpec`` JSON file, through
 :func:`repro.experiments.registry.resolve` on every subcommand that
-takes one; the backend is read off which selector is present:
-
-* neither — the sequential engine, through the sweep runner
-  (``--reps`` / ``--jobs``);
-* ``--shards K`` — K worker processes (:func:`repro.shard.run_sharded`);
-* ``--live queue|udp`` — the wall-clock asyncio backend
-  (``--time-scale``, ``--max-lag-ms``).
-
-Each prints the same run table and writes the same artifact
-(``--out`` / ``--csv`` / ``--timing``): one
-:class:`~repro.experiments.results.RunResult` per run, a sharded or
-live one with its ``shard`` / ``live`` section.
-
-``--check`` / ``--record FILE`` / ``--obs`` / ``--spans [DIR]`` are
-four observers (the monitor suite, a trace recorder, an
-:class:`~repro.obs.session.ObsSession`, a span collector) that reach the
-build through :func:`repro.experiments.runner.observed_scenario`; they
-mean the same thing on every backend that has them.  ``--obs`` is a
-switch whose ``obs`` section lands in ``--out``'s run entry (no
-``--out`` is a usage error); ``--spans`` writes
-``SPANS_<run_id>.jsonl.gz`` + ``CRITPATH_<run_id>.json``.  A flag a
-backend cannot honour is ``error: ...`` and exit 2, never ignored.
+takes one — on the sequential engine, on K worker processes
+(``--shards K``) or on the wall-clock asyncio backend (``--live
+queue|udp``).  Each prints the same run table and writes the same
+artifact (``--out`` / ``--csv`` / ``--timing``): one
+:class:`~repro.experiments.results.RunResult` per run.  ``--check`` /
+``--record FILE`` / ``--obs`` / ``--spans [DIR]`` are four observers
+that reach the build through
+:func:`repro.experiments.runner.observed_scenario` and mean the same
+thing on every backend that has them.  A flag a backend cannot honour
+is ``error: ...`` and exit 2, never ignored.
 
 The other subcommands are ``run``'s grid form (``sweep``), harnesses
-around it (``compare``, ``live-diff``, ``fuzz``, ``ladder``) and readers
-of what it writes (``replay``, ``diff``, ``summarize``, ``top``,
-``timeline``, ``spans``, ``critpath``, ``export-trace``), plus ``list``,
-``partition``, ``show-plan`` and ``validate-plan``.  ``--duration`` /
-``--seed`` / ``--set`` mean the same on every subcommand that takes a
-scenario, name or file; ``fuzz`` is a sweep over generated specs and
-``--save-traces`` writes its failures as spec files.  Examples::
+around it (``compare``, ``live-diff``, ``fuzz``, ``ladder``), ``list``
+and the two readers of what a run leaves behind: ``replay`` runs the
+monitors over one trace or finds where two diverge, and ``show PATH``
+picks its view from what ``PATH`` holds — a fault plan or scenario
+(``--shards K``: its partition), a run artifact's ``obs`` sections, a
+span stream or trace (completeness and critical path), a ``CRITPATH``
+summary or a ``live-diff`` report.  README "Command line" lists every
+flag and exit code.  Examples::
 
-    python -m repro list
-    python -m repro run quickstart --duration 2000 --check
-    python -m repro run handoff_storm --shards 4 --record trace.jsonl
-    python -m repro run quickstart --live udp --time-scale 0.2 --check
     python -m repro run quickstart --obs --out run.json --spans out
-    python -m repro summarize run.json
-    python -m repro critpath 'out/SPANS_quickstart#p0r0.jsonl.gz'
+    python -m repro show run.json --timeline 5
+    python -m repro show 'out/SPANS_quickstart#p0r0.jsonl.gz'
     python -m repro sweep quickstart --param hierarchy.n_br=3,5,7 \\
         --reps 3 --jobs 4 --out results.json --csv results.csv
-    python -m repro compare failure_drill --shards 2,4
-    python -m repro replay trace.jsonl
-    python -m repro fuzz --budget 20 --save-traces failures
-    python -m repro run failures/fuzz-0007.spec.json --check --spans out
 
 Sweep exports are deterministic: the same scenario, axes and ``--seed``
 produce byte-identical ``--out`` files (``--timing`` adds wall-clock
-times, which of course vary).
+times).
 """
 
 from __future__ import annotations
 
 import argparse
-import gzip
 import json
 import os
 import platform
@@ -80,8 +60,9 @@ from repro.faults.plan import FaultPlan
 from repro.live.builder import FABRICS, NetworkBuilder
 from repro.live.diff import diff_spec
 from repro.metrics.report import format_table
-from repro.obs.critpath import (critpath_summary, render_critpath,
-                                render_stage_delta, write_chrome_trace)
+from repro.obs.critpath import (CRITPATH_SCHEMA, critpath_summary,
+                                render_critpath, render_stage_delta,
+                                write_chrome_trace)
 from repro.obs.profiler import render_top
 from repro.obs.report import render_summary, render_timeline
 from repro.obs.session import ObsSession
@@ -89,7 +70,8 @@ from repro.obs.spans import (SpanCollector, assemble, completeness,
                              events_from_trace, read_span_events)
 from repro.shard.partition import cut_edges, lookahead_of, partition_spec
 from repro.shard.runtime import run_sharded
-from repro.sim.trace import StreamingTraceSink, write_trace_lines
+from repro.sim.trace import (StreamingTraceSink, line_to_record, parse_lines,
+                             read_trace_lines, write_trace_lines)
 from repro.validation import fuzz as campaign
 from repro.validation.record import (first_divergence, read_jsonl,
                                      record_spec, replay)
@@ -100,8 +82,10 @@ exit codes:
   0  ok
   1  a check of the run or of the artifact failed: invariant or order
      violation, trace divergence, span incompleteness, sim-vs-live
-     disagreement, peak-RSS gate, fuzz failure, invalid plan, dead wire
-  2  usage, unknown scenario or rung, invalid spec, unreadable file
+     disagreement, peak-RSS gate, fuzz failure, invalid plan or spec
+     (show), dead wire, nothing to check (an empty trace or stream)
+  2  usage, unknown scenario or rung, invalid spec to run, a flag the
+     backend or file cannot use, unreadable, damaged or wrong-kind file
   3  OVERLOADED: a live run fell behind --max-lag-ms
 """
 
@@ -161,7 +145,10 @@ def _spec(args: argparse.Namespace) -> ExperimentSpec:
 
 def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _print_violations(violations: Sequence[str], limit: int = 20) -> None:
@@ -240,13 +227,18 @@ _UNSUPPORTED = {
 }
 
 
+def _given(args: argparse.Namespace, dests) -> List[str]:
+    """The flags among ``dests`` the command line gave, as spelled."""
+    return ["--" + d.replace("_", "-") for d in dests
+            if getattr(args, d) is not None and getattr(args, d) is not False]
+
+
 def _reject_unsupported(args: argparse.Namespace, backend: str,
                         n_runs: int) -> None:
     if args.shards is not None and args.live is not None:
         raise ValueError("--shards and --live select two different "
                          "backends; give one")
-    bad = ["--" + d.replace("_", "-") for d in _UNSUPPORTED[backend]
-           if getattr(args, d) is not None and getattr(args, d) is not False]
+    bad = _given(args, _UNSUPPORTED[backend])
     if bad:
         raise ValueError(
             f"{', '.join(bad)} not supported "
@@ -492,32 +484,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# partition / compare (the sharded backend's plan and its oracle)
+# compare (the sharded backend's oracle)
 # ----------------------------------------------------------------------
-def cmd_partition(args: argparse.Namespace) -> int:
-    spec = _spec(args)
-    plan = partition_spec(spec, args.shards)
-    scenario = build_scenario(spec)
-    cut = cut_edges(scenario.net.fabric, plan)
-    # The run's lookahead, exactly as every worker derives it.
-    lookahead = lookahead_of(cut, scenario.net.wireless.latency)
-    if args.json:
-        payload = plan.to_dict()
-        payload["cut_edges"] = [list(edge) for edge in cut]
-        payload["lookahead_ms"] = lookahead
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return 0
-    print(f"{spec.name}: {len(plan.shard_of)} nodes -> "
-          f"{plan.n_shards} shards")
-    for shard in range(plan.n_shards):
-        brs = sorted(br for br, s in plan.subtree_shard.items() if s == shard)
-        print(f"  shard {shard}: weight={plan.weights[shard]:4d}  "
-              f"subtrees={', '.join(brs) if brs else '(empty)'}")
-    print(f"  cut edges: {len(cut)}  lookahead: {lookahead}ms")
-    return 0
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     spec = _spec(args)
     shard_counts = [int(k) for k in str(args.shards).split(",")]
@@ -567,10 +535,7 @@ def cmd_live_diff(args: argparse.Namespace) -> int:
             flag = "ok " if env["ok"] else "FAIL"
             print(f"  [{flag}] {env['metric']}: sim={env['sim']:.3f} "
                   f"live={env['live']:.3f} (limit ±{env['limit']:.3f})")
-        delta = (report.get("span_stages") or {}).get("delta")
-        if delta:
-            print("per-stage latency attribution (live vs sim):")
-            print(render_stage_delta(delta, "live", "sim"))
+        _show_report(args, report)
     if not report["ok"]:
         print("FAIL: sim and live disagree beyond tolerance",
               file=sys.stderr)
@@ -581,7 +546,7 @@ def cmd_live_diff(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# fuzz / replay / diff
+# fuzz / replay
 # ----------------------------------------------------------------------
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """A campaign is a sweep: the generator's points, the sweep runner,
@@ -612,8 +577,23 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    records = read_jsonl(args.file)
-    suite = standard_suite(args.system)
+    """One trace: the monitors over it.  Two: their first divergence."""
+    if args.other is not None and args.system is not None:
+        raise ValueError("--system selects the monitors, which replay "
+                         "TRACE OTHER does not run; give one trace")
+    records = read_jsonl(args.trace)
+    other = read_jsonl(args.other) if args.other is not None else []
+    if not records and not other:
+        print(f"{args.trace}: 0 records, nothing to check")
+        return EXIT_FAILED
+    if args.other is not None:
+        div = first_divergence(records, other)
+        if div is None:
+            print(f"streams identical ({len(records)} records)")
+            return 0
+        print("streams diverge at " + div.describe())
+        return EXIT_FAILED
+    suite = standard_suite(args.system or "ringnet")
     replay(records, suite)
     print(f"replayed {len(records)} records through "
           f"{len(suite)} monitors")
@@ -627,55 +607,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         _print_violations(violations)
         return EXIT_FAILED
     print("no violations")
-    return 0
-
-
-def cmd_diff(args: argparse.Namespace) -> int:
-    left = read_jsonl(args.left)
-    right = read_jsonl(args.right)
-    div = first_divergence(left, right)
-    if div is None:
-        print(f"streams identical ({len(left)} records)")
-        return 0
-    print("streams diverge at " + div.describe())
-    return EXIT_FAILED
-
-
-# ----------------------------------------------------------------------
-# show-plan / validate-plan
-# ----------------------------------------------------------------------
-def _plan_of(source: str) -> FaultPlan:
-    """The fault plan ``source`` names: a scenario's (a registry name or
-    a spec file, through the resolver) or — the one file the resolver
-    cannot read — a bare ``{"actions": [...]}`` plan."""
-    if source not in registry.names() and os.path.isfile(source):
-        data = _load_json(source)
-        if "actions" in data:
-            return FaultPlan.from_dict(data)
-    return registry.resolve(source).faults
-
-
-def cmd_show_plan(args: argparse.Namespace) -> int:
-    plan = _plan_of(args.source)
-    if not plan:
-        print(f"{args.source}: empty fault plan")
-    elif args.json:
-        print(plan.to_json())
-    else:
-        print(f"{args.source}: {len(plan)} fault action(s)")
-        for line in plan.describe():
-            print("  " + line)
-    return 0
-
-
-def cmd_validate_plan(args: argparse.Namespace) -> int:
-    _load_json(args.file)  # unreadable or not JSON: exit 2
-    try:
-        plan = _plan_of(args.file)
-    except (ValueError, KeyError) as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    print(f"ok: {len(plan)} action(s)")
     return 0
 
 
@@ -757,71 +688,118 @@ def cmd_ladder(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# summarize / top / timeline (readers of a run artifact's obs sections)
+# show: one reader, its view picked by what the file holds
 # ----------------------------------------------------------------------
-def _obs_sections(path: str):
-    """Every ``obs`` section in the run artifact at ``path`` (``run``
-    / ``sweep --obs --out``), each under a ``run_id:`` heading when
-    there are several."""
-    doc = _load_json(path)
-    runs = [run for run in (doc.get("runs") if isinstance(doc, dict)
-                            else None) or () if run.get("obs")]
-    if not runs:
-        raise ValueError(f"{path}: no run entry carries an obs section "
-                         f"(write one with run/sweep --obs --out)")
-    for run in runs:
-        if len(runs) > 1:
-            print(f"{run['run_id']}:")
-        yield run["obs"]
+def _show_kind(path: str) -> Tuple[str, Any]:
+    """What ``path`` holds -> (kind, content).  A registered name, or a
+    missing path without an extension, is a scenario (the resolver says
+    which names exist).  An empty file is an empty stream."""
+    if path in registry.names() or not (os.path.exists(path)
+                                        or os.path.splitext(path)[1]):
+        return "spec", None
+    lines = read_trace_lines(path)
+    try:
+        first = json.loads(lines[0]) if lines else []
+    except ValueError:
+        first = None  # the first line of a multi-line JSON document
+    if isinstance(first, list):
+        return "spans", read_span_events(path, lines)
+    if isinstance(first, dict) and {"t", "k", "a"} <= first.keys():
+        return "spans", events_from_trace(
+            parse_lines(path, line_to_record, "trace record", lines))
+    try:
+        doc = json.loads("\n".join(lines))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a JSON {type(doc).__name__}, not a run "
+                         f"artifact, report, plan or spec")
+    if doc.get("kind") == "live_diff_report" \
+            or doc.get("schema") == CRITPATH_SCHEMA:
+        return "report", doc
+    if "runs" in doc:
+        return "summary", doc
+    return ("plan", doc) if "actions" in doc else ("spec", None)
 
 
-def cmd_summarize(args: argparse.Namespace) -> int:
-    for obs in _obs_sections(args.artifact):
-        print(render_summary(obs, top=args.top))
+def _show_plan(args: argparse.Namespace, doc: Optional[Dict]) -> int:
+    """A bare plan (``doc``) or a scenario's plan: its timeline, or with
+    ``--shards K`` the scenario's partition."""
+    sets = {k: vs[0] for k, vs in _parse_params(args.set).items()}
+    try:
+        spec = None if doc else registry.resolve(args.path, None, None, sets)
+        plan = FaultPlan.from_dict(doc) if spec is None else spec.faults
+    except (KeyError, TypeError, ValueError) as exc:
+        if doc is None and not os.path.isfile(args.path):
+            raise  # an unknown name or a bad --set: a usage error
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    if args.shards is None:
+        if not plan:
+            print(f"{args.path}: empty fault plan")
+        elif args.json:
+            print(plan.to_json())
+        else:
+            print(f"{args.path}: {len(plan)} fault action(s)")
+            for line in plan.describe():
+                print("  " + line)
+        return 0
+    shards = partition_spec(spec, args.shards)
+    scenario = build_scenario(spec)
+    cut = cut_edges(scenario.net.fabric, shards)
+    # The run's lookahead, exactly as every worker derives it.
+    lookahead = lookahead_of(cut, scenario.net.wireless.latency)
+    if args.json:
+        payload = dict(shards.to_dict(), lookahead_ms=lookahead,
+                       cut_edges=[list(edge) for edge in cut])
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0
+    print(f"{spec.name}: {len(shards.shard_of)} nodes -> "
+          f"{shards.n_shards} shards")
+    for shard in range(shards.n_shards):
+        brs = sorted(br for br, s in shards.subtree_shard.items()
+                     if s == shard)
+        print(f"  shard {shard}: weight={shards.weights[shard]:4d}  "
+              f"subtrees={', '.join(brs) if brs else '(empty)'}")
+    print(f"  cut edges: {len(cut)}  lookahead: {lookahead}ms")
     return 0
 
 
-def cmd_top(args: argparse.Namespace) -> int:
-    for obs in _obs_sections(args.artifact):
-        rows = (obs.get("profiler") or {}).get("top") or []
-        subs = obs.get("shards") or []
-        if rows or not subs:
-            print(render_top(rows, limit=args.n))
+def _show_obs(args: argparse.Namespace, doc: Dict[str, Any]) -> int:
+    """Every ``obs`` section of a run artifact, under a ``run_id:``
+    heading when there are several."""
+    runs = [run for run in doc["runs"] or () if run.get("obs")]
+    if not runs:
+        raise ValueError(f"{args.path}: no run entry carries an obs "
+                         f"section (write one with run/sweep --obs --out)")
+    top = 5 if args.top is None else args.top
+    for run in runs:
+        obs = run["obs"]
+        if len(runs) > 1:
+            print(f"{run['run_id']}:")
+        if args.timeline is not None:
+            print(render_timeline(obs["timeline"], metrics=args.metric or (),
+                                  tail=args.timeline))
+            continue
+        print(render_summary(obs, top=top))
+        if args.top is None:
             continue
         # A sharded section carries one profiler per shard; wall times
         # are per-process, so no cross-shard re-ranking.
-        for i, sub in enumerate(subs):
+        for i, sub in enumerate(obs.get("shards") or ()):
             print(f"shard {i}:")
             print(render_top((sub.get("profiler") or {}).get("top") or [],
-                             limit=args.n))
+                             limit=top))
     return 0
 
 
-def cmd_timeline(args: argparse.Namespace) -> int:
-    for obs in _obs_sections(args.artifact):
-        print(render_timeline(obs["timeline"], metrics=args.metric or (),
-                              tail=args.tail))
-    return 0
-
-
-# ----------------------------------------------------------------------
-# spans / critpath / export-trace (readers of SPANS_* and trace files)
-# ----------------------------------------------------------------------
-def _span_events(path: str) -> Tuple[List[tuple], str]:
-    """A span-event stream (lines are JSON arrays: ``run --spans``) or a
-    recorded trace (lines are JSON objects: coarse stages only — trace
-    records carry no per-hop detail) -> (span events, display name)."""
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        first = fh.readline().lstrip()
-    if first.startswith("["):
-        return read_span_events(path), os.path.basename(path)
-    with opener(path, "rt", encoding="utf-8") as fh:
-        return events_from_trace(fh), os.path.basename(path)
-
-
-def cmd_spans(args: argparse.Namespace) -> int:
-    events, name = _span_events(args.input)
+def _show_spans(args: argparse.Namespace, events: List[tuple]) -> int:
+    """Span events, or a trace's coarse ones (trace records carry no
+    per-hop detail): completeness, then the critical path."""
+    name = os.path.basename(args.path)
+    if not events:
+        print(f"{name}: 0 span events, nothing to check")
+        return EXIT_FAILED
     spanset = assemble(events)
     comp = completeness(spanset)
     print(f"{name}: {len(events):,} span events -> "
@@ -832,44 +810,63 @@ def cmd_spans(args: argparse.Namespace) -> int:
     print(f"retransmissions: {retx:,}")
     if comp["ok"]:
         print("completeness: ok — every tree rooted, no orphan events")
-        return 0
-    print(f"completeness: FAIL — {len(comp['unrooted'])} unrooted trees, "
-          f"{comp['orphan_events']} orphan events")
-    for key in comp["unrooted"][:10]:
-        print(f"  unrooted: {key}")
-    return EXIT_FAILED
+    else:
+        print(f"completeness: FAIL — {len(comp['unrooted'])} unrooted "
+              f"trees, {comp['orphan_events']} orphan events")
+        for key in comp["unrooted"][:10]:
+            print(f"  unrooted: {key}")
+    print(render_critpath(critpath_summary(spanset), name=name))
+    if args.perfetto is not None:
+        n = write_chrome_trace(args.perfetto, spanset,
+                               limit=200 if args.limit is None
+                               else args.limit or None)
+        print(f"wrote {args.perfetto} ({n} trace events; open at "
+              f"https://ui.perfetto.dev or chrome://tracing)")
+    return 0 if comp["ok"] else EXIT_FAILED
 
 
-def cmd_critpath(args: argparse.Namespace) -> int:
-    if args.input.endswith(".json"):
-        payload = _load_json(args.input)
-        stages = payload.get("span_stages")
-        if isinstance(stages, dict) and "delta" in stages:
-            # A live-diff report: per-stage sim-vs-live divergence.
-            print(f"{payload.get('name', args.input)}: per-stage latency, "
-                  f"live vs sim")
-            print(render_stage_delta(stages["delta"], "live", "sim"))
-            return 0
-        if "stages" in payload and "bands" in payload:
-            # An already-computed CRITPATH_*.json summary.
-            print(render_critpath(payload, name=os.path.basename(args.input)))
-            return 0
-        raise ValueError(
-            f"{args.input} carries neither span_stages nor a critpath "
-            f"summary")
-    events, name = _span_events(args.input)
-    print(render_critpath(critpath_summary(assemble(events)), name=name))
+def _show_report(args: argparse.Namespace, doc: Dict[str, Any]) -> int:
+    if doc.get("kind") == "live_diff_report":
+        print(f"{doc['name']}: per-stage latency, live vs sim")
+        print(render_stage_delta(doc["span_stages"]["delta"], "live", "sim"))
+    else:
+        print(render_critpath(doc, name=os.path.basename(args.path)))
     return 0
 
 
-def cmd_export_trace(args: argparse.Namespace) -> int:
-    events, name = _span_events(args.input)
-    out = args.out or f"TRACE_{name}.json"
-    n = write_chrome_trace(out, assemble(events),
-                           limit=args.limit if args.limit > 0 else None)
-    print(f"wrote {out} ({n} trace events; open at "
-          f"https://ui.perfetto.dev or chrome://tracing)")
-    return 0
+#: view -> (what it reads, the flags it takes, its printer).  The file's
+#: kind is the view, but ``--timeline`` / ``--perfetto`` pick a second
+#: one.  A flag the view does not take is exit 2, never ignored.
+_SHOW = {
+    "plan": ("a bare fault plan", ("json",), _show_plan),
+    "spec": ("a scenario", ("json", "shards", "set"), _show_plan),
+    "summary": ("a run artifact", ("top",), _show_obs),
+    "timeline": ("a run artifact's timeline", ("timeline", "metric"),
+                 _show_obs),
+    "spans": ("a span stream or trace", (), _show_spans),
+    "perfetto": ("a Perfetto export", ("perfetto", "limit"), _show_spans),
+    "report": ("a CRITPATH or live-diff report", (), _show_report),
+}
+_SHOW_FLAGS = {dest for _, takes, _ in _SHOW.values() for dest in takes}
+
+
+def cmd_show(args: argparse.Namespace) -> int:
+    kind, content = _show_kind(args.path)
+    view = ("timeline" if kind == "summary" and args.timeline is not None
+            else "perfetto" if kind == "spans" and args.perfetto is not None
+            else kind)
+    what, takes, printer = _SHOW[view]
+    bad = _given(args, sorted(_SHOW_FLAGS - set(takes)))
+    if bad:
+        raise ValueError(f"{args.path}: {', '.join(bad)} not supported on "
+                         f"{what}")
+    try:
+        return printer(args, content)
+    except (KeyError, TypeError, AttributeError) as exc:
+        if content is None:
+            raise  # nothing was read from the file
+        raise ValueError(f"{args.path}: not {what}: "
+                         f"{type(exc).__name__}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -940,7 +937,7 @@ def make_parser() -> argparse.ArgumentParser:
                         f"report overloaded and exit {EXIT_OVERLOADED}")
     p.add_argument("--record", default=None, metavar="FILE",
                    help="write the run's canonical trace (JSONL, .gz by "
-                        "name) for replay / diff")
+                        "name) for replay")
     p.add_argument("--rate", type=float, default=None,
                    help="--spans: keep this fraction of messages, "
                         "deterministically (default 1.0)")
@@ -951,12 +948,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="sweep axis, repeatable; defaults to the "
                         "scenario's default sweep")
     p.set_defaults(out="results.json")
-
-    p = add("partition", cmd_partition, "show the shard plan")
-    _add_spec_args(p)
-    p.add_argument("--shards", type=int, default=2, metavar="K")
-    p.add_argument("--json", action="store_true",
-                   help="dump the full plan as JSON")
 
     p = add("compare", cmd_compare,
             "assert sharded trace == sequential trace")
@@ -991,27 +982,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-case progress lines")
 
-    p = add("replay", cmd_replay, "replay a trace through the monitors")
-    p.add_argument("file", help="JSONL trace stream (run --record)")
+    p = add("replay", cmd_replay, "replay a trace through the monitors, "
+                                  "or diff two traces")
+    p.add_argument("trace", help="run --record / ladder --stream-trace file")
+    p.add_argument("other", nargs="?", help="a second trace: report the "
+                                            "first divergence instead")
     # Validated choices: a typo here would silently select the reduced
     # (orderless) monitor set and report a dirty trace as clean.
-    p.add_argument("--system", default="ringnet", choices=SYSTEMS,
-                   help="system the trace came from (selects monitors)")
-
-    p = add("diff", cmd_diff, "first divergence of two traces")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("show-plan", cmd_show_plan,
-            "render a fault plan as a timeline")
-    p.add_argument("source", help="registry scenario name, spec file or "
-                                  "bare-plan JSON file")
-    p.add_argument("--json", action="store_true",
-                   help="print the canonical JSON instead")
-
-    p = add("validate-plan", cmd_validate_plan,
-            "check a fault plan/spec JSON file")
-    p.add_argument("file", help="JSON file (bare plan or full spec)")
+    p.add_argument("--system", default=None, choices=SYSTEMS,
+                   help="system the trace came from (selects monitors; "
+                        "default ringnet)")
 
     p = add("ladder", cmd_ladder,
             "scale rungs: exact counts and peak RSS")
@@ -1037,45 +1017,28 @@ def make_parser() -> argparse.ArgumentParser:
                         "this ladder artifact; exit 1 on growth or "
                         "nothing to compare")
 
-    obs_input = "run artifact written with --obs --out"
-    p = add("summarize", cmd_summarize,
-            "digest every obs section of a run artifact")
-    p.add_argument("artifact", help=obs_input)
-    p.add_argument("--top", type=int, default=5,
-                   help="profiler rows to include (default 5)")
-
-    p = add("top", cmd_top, "dispatch cost centers, heaviest first")
-    p.add_argument("artifact", help=obs_input)
-    p.add_argument("-n", type=int, default=10,
-                   help="rows to show (default 10)")
-
-    p = add("timeline", cmd_timeline, "tabulate a per-window timeline")
-    p.add_argument("artifact", help=obs_input)
+    p = add("show", cmd_show, "read a plan, scenario, run artifact, span "
+                              "stream, trace or report")
+    p.add_argument("path", help="scenario name or file; its content picks "
+                                "the view")
+    p.add_argument("--json", action="store_true",
+                   help="plan, scenario: canonical JSON")
+    p.add_argument("--shards", type=int, default=None, metavar="K",
+                   help="scenario: its partition over K shards instead")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="scenario: dotted-path spec override, repeatable")
+    p.add_argument("--top", type=int, default=None, metavar="N",
+                   help="run artifact: profiler rows (default 5), per "
+                        "shard too")
+    p.add_argument("--timeline", type=int, nargs="?", const=0, default=None,
+                   metavar="N", help="run artifact: the per-window table "
+                                     "instead (the last N windows)")
     p.add_argument("--metric", action="append", metavar="NAME",
-                   help="add a per-window counter/kind/gauge column, "
-                        "repeatable")
-    p.add_argument("--tail", type=int, default=0,
-                   help="show only the last N windows")
-
-    span_input = ("SPANS_*.jsonl[.gz] span stream (run --spans) or "
-                  "recorded trace *.jsonl[.gz] (run --record)")
-    p = add("spans", cmd_spans,
-            "assemble per-message span trees and check completeness")
-    p.add_argument("input", help=span_input)
-
-    p = add("critpath", cmd_critpath,
-            "per-stage latency attribution")
-    p.add_argument("input", help=span_input + ", CRITPATH_*.json, or a "
-                                              "live-diff report")
-
-    p = add("export-trace", cmd_export_trace,
-            "Chrome-trace/Perfetto JSON export")
-    p.add_argument("input", help=span_input)
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="output path (default TRACE_<name>.json)")
-    p.add_argument("--limit", type=int, default=200,
-                   help="max message spans to export (default 200; "
-                        "0 = all)")
+                   help="--timeline: a trace-kind column, repeatable")
+    p.add_argument("--perfetto", default=None, metavar="OUT",
+                   help="spans, trace: also write Chrome-trace JSON to OUT")
+    p.add_argument("--limit", type=int, default=None, metavar="N",
+                   help="--perfetto: message spans (default 200, 0 = all)")
     return parser
 
 

@@ -11,7 +11,7 @@ The subsystem has three layers:
 * :mod:`repro.faults.driver` — control-plane activation/heal events,
   replicated across shards so K-shard traces stay byte-identical.
 
-``python -m repro show-plan | validate-plan`` render and check plans.
+``python -m repro show NAME|FILE`` renders and checks a plan.
 """
 
 from repro.faults.gilbert import GilbertElliott

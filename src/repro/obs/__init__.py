@@ -21,7 +21,8 @@ Two pillars:
 
 Enable with ``--obs`` on ``python -m repro run`` (any backend) or
 ``sweep``: the section lands in ``--out``'s artifact, and
-``python -m repro summarize | top | timeline`` render it from there.
+``python -m repro show ARTIFACT [--top N | --timeline]`` renders it
+from there.
 """
 
 from repro.obs.profiler import DEFAULT_STRIDE, DispatchProfiler, render_top

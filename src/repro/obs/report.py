@@ -4,8 +4,8 @@ The section is :meth:`~repro.obs.session.ObsSession.report` on the
 sequential engine, the per-shard reports rolled up by
 :mod:`repro.shard.runtime` on the sharded one and the trace counts of
 :class:`~repro.live.builder.LiveRun` on the live one; this module is
-the read side shared by the ``summarize`` / ``top`` / ``timeline``
-subcommands and tests.
+the read side of ``python -m repro show`` on a run artifact, and of
+tests.
 """
 
 from __future__ import annotations

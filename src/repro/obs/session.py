@@ -27,8 +27,8 @@ event counter).
 per-kind ``trace_counts``, two ``histograms`` (``engine.heap_depth``
 from sampled dispatch, ``ordering.assign_latency_ms`` from the
 ``ordered`` records), profiler cost centers and the per-window
-``timeline`` rows.  ``python -m repro summarize | top | timeline``
-render it from a ``--out`` artifact.
+``timeline`` rows.  ``python -m repro show`` renders it from a
+``--out`` artifact.
 
 Histograms are **log-bucketed**: bucket ``b`` holds values in
 ``[2^(b-1), 2^b)`` (bucket 0 holds zero; negatives go to a dedicated

@@ -46,7 +46,7 @@ import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 from zlib import crc32
 
-from repro.sim.trace import read_trace_lines, write_trace_lines
+from repro.sim.trace import parse_lines, write_trace_lines
 
 #: Schema tag stamped into span report payloads.
 SPAN_SCHEMA = "repro.spans/v1"
@@ -82,9 +82,18 @@ def sampled(local_seq: Any, rate: float) -> bool:
 # ----------------------------------------------------------------------
 # Span files: the trace-file format, one compact JSON event per line
 # ----------------------------------------------------------------------
-def read_span_events(path: str) -> List[SpanEvent]:
-    """Load span events written by :func:`write_span_events`."""
-    return [tuple(json.loads(line)) for line in read_trace_lines(path)]
+def _span_event(line: str) -> SpanEvent:
+    event = json.loads(line)
+    if not isinstance(event, list):
+        raise ValueError(f"a JSON {type(event).__name__}, not an array")
+    return tuple(event)
+
+
+def read_span_events(path: str,
+                     lines: Optional[List[str]] = None) -> List[SpanEvent]:
+    """Load span events written by :func:`write_span_events` (from
+    ``lines``, when the caller has read the file already)."""
+    return parse_lines(path, _span_event, "span event", lines)
 
 
 def write_span_events(path: str, events: Iterable[SpanEvent],

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -159,10 +160,34 @@ class StreamingTraceSink:
 
 
 def read_trace_lines(path: str) -> List[str]:
-    """Canonical lines from a JSONL file, transparently gunzipping."""
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+    """The non-blank lines of a JSONL file, gunzipped when it starts
+    with gzip's magic bytes.  A truncated, corrupt or non-UTF-8 file is
+    a ``ValueError`` naming ``path``."""
+    with open(path, "rb") as fh:
+        gzipped = fh.read(2) == b"\x1f\x8b"
+    try:
+        with (gzip.open if gzipped else open)(path, "rt",
+                                              encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh if line.strip()]
+    except (EOFError, gzip.BadGzipFile, zlib.error,
+            UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def parse_lines(path: str, parse: Callable[[str], Any], what: str,
+                lines: Optional[List[str]] = None) -> List[Any]:
+    """``parse`` over :func:`read_trace_lines` (or ``lines``, already
+    read from ``path``).  A line it cannot parse is a ``ValueError``
+    naming ``path`` and the line's number among the non-blank lines."""
+    out = []
+    for n, line in enumerate(read_trace_lines(path) if lines is None
+                             else lines, 1):
+        try:
+            out.append(parse(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: line {n}: not a {what} "
+                             f"({type(exc).__name__}: {exc})") from None
+    return out
 
 
 def write_trace_lines(path: str, lines, window: int = 4096) -> int:

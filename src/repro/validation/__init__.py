@@ -36,7 +36,7 @@ Record a run, replay it offline, diff two runs::
 
     python -m repro run quickstart --record a.jsonl
     python -m repro replay a.jsonl
-    python -m repro diff a.jsonl b.jsonl
+    python -m repro replay a.jsonl b.jsonl
 """
 
 # Only the leaf modules (the monitor contract and the monitor family,

@@ -29,8 +29,8 @@ from repro.experiments.runner import observed_scenario
 # ``repro.sim.trace`` (shared with the streaming sink and the shard
 # merge); re-exported here because this module is its historical home.
 from repro.sim.trace import (StreamingTraceSink, TraceBus, TraceRecord,
-                             _canonical, line_to_record, read_trace_lines,
-                             record_to_line)
+                             _canonical, line_to_record, parse_lines,
+                             read_trace_lines, record_to_line)
 
 
 # ----------------------------------------------------------------------
@@ -88,8 +88,8 @@ class TraceRecorder:
 # File I/O and replay
 # ----------------------------------------------------------------------
 def read_jsonl(path: str) -> List[TraceRecord]:
-    """Load a recorded stream back into memory (``.gz`` transparent)."""
-    return [line_to_record(line) for line in read_trace_lines(path)]
+    """Load a recorded stream back into memory (gzip transparent)."""
+    return parse_lines(path, line_to_record, "trace record")
 
 
 def replay(records: Sequence[TraceRecord], monitors: Iterable,

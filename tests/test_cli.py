@@ -1,6 +1,6 @@
 """The one front door: ``python -m repro``.
 
-Five guarantees, each enforced by a test:
+Six guarantees, each enforced by a test:
 
 (a) **One parser** — the subcommand list is pinned, every ``<sub>
     --help`` parses, the (subcommand, argument) count has a ceiling, and
@@ -21,6 +21,11 @@ Five guarantees, each enforced by a test:
 (e) **``ObsSession`` through the seam** — ``run --obs`` and
     ``run_sharded(spec, 1, obs=True)`` report the same run; the
     constructor form is ``attach`` called for you.
+(f) **One reader** — the kind × flag matrix of ``show``: every kind a
+    run writes or reads reaches its view, every flag its kind cannot use
+    is ``error: PATH: ...`` / exit 2 with the flag named; a damaged or
+    wrong-kind file is exit 2 naming it in ``show`` and ``replay``, and
+    an empty trace or span stream fails its check.
 
 Plus (b'): a scenario argument is a registry name *or a spec file*,
 through the one resolver, on every subcommand that takes one.
@@ -47,7 +52,7 @@ from repro.obs.session import ObsSession
 from repro.obs.spans import write_span_events
 from repro.shard.runtime import run_sharded
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceBus
+from repro.sim.trace import TraceBus, write_trace_lines
 from repro.validation import suite as validation_suite
 from repro.validation.record import record_spec
 
@@ -57,14 +62,13 @@ RUN_ENTRY = load_schema("run_entry.schema.json")
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
-SUBCOMMANDS = ["list", "run", "sweep", "partition", "compare", "live-diff",
-               "fuzz", "replay", "diff", "show-plan", "validate-plan",
-               "ladder", "summarize", "top", "timeline", "spans",
-               "critpath", "export-trace"]
+SUBCOMMANDS = ["list", "run", "sweep", "compare", "live-diff", "fuzz",
+               "replay", "ladder", "show"]
 
-#: Where PR 20 landed (its parent had 23 subcommands, 119 pairs); spec
-#: files and the fuzz-is-a-sweep merge (PR 22) added none.
-MAX_SUBCOMMANDS, MAX_PAIRS = 18, 86
+#: Ten read-only subcommands became ``show PATH`` and ``replay TRACE
+#: [OTHER]`` (18 subcommands and 86 pairs before; 23 and 119 before the
+#: seven per-package programs became one).
+MAX_SUBCOMMANDS, MAX_PAIRS = 9, 73
 
 DURATION = 600.0
 RUN = ["run", "quickstart", "--duration", str(DURATION), "--quiet"]
@@ -151,9 +155,9 @@ def _observer(flag: str, out: str):
         "--record": ([os.path.join(out, "trace.jsonl")],
                      ["trace.jsonl"], "replay"),
         "--obs": (["--out", os.path.join(out, "run.json")], ["run.json"],
-                  "summarize"),
+                  "show"),
         "--spans": ([out], [f"SPANS_{NAME}.jsonl.gz",
-                            f"CRITPATH_{NAME}.json"], "spans"),
+                            f"CRITPATH_{NAME}.json"], "show"),
     }[flag]
 
 
@@ -285,19 +289,22 @@ def test_set_reaches_every_subcommand_that_takes_a_scenario(spec_file,
         if "scenario" in dests:
             assert {"duration", "seed", "set"} <= dests, name
             takes_a_scenario.append(name)
-    assert takes_a_scenario == ["run", "sweep", "partition", "compare",
-                                "live-diff"]
+    assert takes_a_scenario == ["run", "sweep", "compare", "live-diff"]
     # ... and means the same for a spec file as for a name: every one of
-    # them hands what it parsed to the one resolver.
+    # them hands what it parsed to the one resolver, as ``show`` does
+    # with its --set (a plan or partition has no duration or seed).
     resolved = []
     monkeypatch.setattr(registry, "resolve",
                         lambda *a: resolved.append(a) or 1 / 0)
-    for name in takes_a_scenario:
-        for scenario in ("quickstart", spec_file):
+    for scenario in ("quickstart", spec_file):
+        for name in takes_a_scenario:
             with pytest.raises(ZeroDivisionError):
                 main([name, scenario, "--duration", "700", "--seed", "9",
                       "--set", "workload.s=1"])
             assert resolved.pop() == (scenario, 700.0, 9, {"workload.s": 1})
+        with pytest.raises(ZeroDivisionError):
+            main(["show", scenario, "--shards", "2", "--set", "workload.s=1"])
+        assert resolved.pop() == (scenario, None, None, {"workload.s": 1})
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +357,7 @@ class TestSpecFileIsAScenario:
         assert doc["meta"]["scenario"] == spec_file
         assert main(["compare", spec_file, "--shards", "2"] + short) == 0
         assert "shards=2: byte-identical" in capsys.readouterr().out
-        assert main(["partition", spec_file, "--shards", "2"]) == 0
+        assert main(["show", spec_file, "--shards", "2"]) == 0
         assert "quickstart: " in capsys.readouterr().out
         assert main(["live-diff", spec_file, "--time-scale", "0.001",
                      "--quiet"] + short) == 0
@@ -367,12 +374,13 @@ class TestSpecFileIsAScenario:
         bare.write_text(spec.faults.to_json())
         expected = spec.faults.to_json()
         for source in ("split_brain", str(saved), str(bare)):
-            assert main(["show-plan", source, "--json"]) == 0
+            assert main(["show", source, "--json"]) == 0
             assert capsys.readouterr().out.strip() == expected
+        # Without --json, a valid plan is its timeline.
         for source in (str(saved), str(bare)):
-            assert main(["validate-plan", source]) == 0
-        assert capsys.readouterr().out == \
-            f"ok: {len(spec.faults)} action(s)\n" * 2
+            assert main(["show", source]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == \
+                f"{source}: {len(spec.faults)} fault action(s)"
 
     def test_a_registered_name_beats_a_same_named_file(self, tmp_path,
                                                        monkeypatch, capsys):
@@ -380,7 +388,7 @@ class TestSpecFileIsAScenario:
         (tmp_path / "quickstart").write_text(
             registry.get("split_brain").to_json())
         assert registry.resolve("quickstart") == registry.get("quickstart")
-        assert main(["show-plan", "quickstart"]) == 0
+        assert main(["show", "quickstart"]) == 0
         assert "empty fault plan" in capsys.readouterr().out
         # Unregistered, the same file is found without a .json suffix.
         os.rename("quickstart", "saved")
@@ -400,10 +408,13 @@ class TestSpecFileIsAScenario:
         data["no_such_key"] = 1
         (tmp_path / "typo.json").write_text(json.dumps(data))
         (tmp_path / "garbage.json").write_text("{not json")
-        for argv in (["run", "typo.json"], ["compare", "typo.json"],
-                     ["show-plan", "typo.json"]):
+        for argv in (["run", "typo.json"], ["compare", "typo.json"]):
             assert main(argv) == EXIT_USAGE
             assert "no_such_key" in capsys.readouterr().err
+        # ``show`` reads the file to check it: an invalid one fails.
+        assert main(["show", "typo.json"]) == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("INVALID: ") and "no_such_key" in err
         assert main(["run", "garbage.json"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
@@ -469,7 +480,7 @@ class TestExitCodes:
         clean, other = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         assert main(RUN + ["--record", clean]) == 0
         assert main(RUN + ["--seed", "5", "--record", other]) == 0
-        assert main(["diff", clean, other]) == EXIT_FAILED
+        assert main(["replay", clean, other]) == EXIT_FAILED
 
         # One delivery told twice: a dirty trace.
         with open(clean) as fh:
@@ -484,13 +495,13 @@ class TestExitCodes:
         # A delivery whose message was never sent: an unrooted tree.
         unrooted = str(tmp_path / "SPANS_unrooted.jsonl.gz")
         write_span_events(unrooted, [("dlv", 9.0, "mh:0", "src:0", 1, 1, 2.0)])
-        assert main(["spans", unrooted]) == EXIT_FAILED
+        assert main(["show", unrooted]) == EXIT_FAILED
 
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(
             {"actions": [{"kind": "partition", "at_ms": 1.0,
                           "groups": [["a"]]}]}))
-        assert main(["validate-plan", str(plan)]) == EXIT_FAILED
+        assert main(["show", str(plan)]) == EXIT_FAILED
         assert "INVALID" in capsys.readouterr().err
 
     def test_a_dead_wire_is_1_on_every_live_run(self, monkeypatch, capsys):
@@ -503,19 +514,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "no_such_scenario"],
-        ["partition", "no_such_scenario"],
+        ["show", "no_such_scenario", "--shards", "2"],
         ["compare", "no_such_scenario"],
         ["run", "quickstart", "--set", "hierarchy.n_br=0"],
         ["run", "quickstart", "--set", "no.such.field=1"],
         ["ladder", "--rungs", "no_such_rung"],
         ["replay", "no_such_file.jsonl"],
-        ["diff", "no_such_file.jsonl", "no_such_file.jsonl"],
-        ["summarize", "no_such_file.json"],
-        ["top", "no_such_file.json"],
-        ["timeline", "no_such_file.jsonl.gz"],
-        ["critpath", "no_such_file.json"],
-        ["export-trace", "no_such_file.jsonl.gz"],
-        ["show-plan", "no_such_file.json"],
+        ["replay", "no_such_file.jsonl", "no_such_file.jsonl"],
+        ["show", "no_such_file.json"],
+        ["show", "no_such_file.json", "--top", "5"],
+        ["show", "no_such_file.jsonl.gz", "--timeline", "5"],
+        ["show", "no_such_file.jsonl"],
+        ["show", "no_such_file.jsonl.gz", "--perfetto", "t.json"],
+        ["show", "no_such_file.json", "--json"],
     ])
     def test_unknown_names_invalid_specs_and_unreadable_files_are_2(
             self, argv, tmp_path, monkeypatch, capsys):
@@ -623,3 +634,157 @@ class TestObsSessionIsAnObserver:
         session = self._session(Simulator(seed=1))
         with pytest.raises(RuntimeError, match="already attached"):
             session.attach(Simulator(seed=2).trace)
+
+
+# ----------------------------------------------------------------------
+# (f) ``show``: the kind x flag matrix
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """One file of every kind a run writes or reads, by kind."""
+    d = tmp_path_factory.mktemp("written")
+    short = ["--duration", str(DURATION), "--quiet"]
+    paths = {"artifact": d / "run.json", "artifact_no_obs": d / "plain.json",
+             "sharded": d / "sharded.json", "trace": d / "t.jsonl",
+             "live_diff": d / "diff.json", "plan": d / "plan.json",
+             "spec": d / "split_brain.spec.json"}
+    assert main(RUN + ["--obs", "--out", str(paths["artifact"]), "--spans",
+                       str(d), "--record", str(paths["trace"])]) == 0
+    assert main(RUN + ["--out", str(paths["artifact_no_obs"])]) == 0
+    assert main(RUN + ["--shards", "2", "--obs",
+                       "--out", str(paths["sharded"])]) == 0
+    assert main(["ladder", "--rungs", "xs", "--duration", "300",
+                 "--stream-trace", str(d), "--out", str(d / "b.json")]) == 0
+    main(["live-diff", "quickstart", "--time-scale", "0.001",
+          "--out", str(paths["live_diff"])] + short)
+    split_brain = registry.get("split_brain")
+    paths["spec"].write_text(split_brain.to_json())
+    paths["plan"].write_text(split_brain.faults.to_json())
+    paths.update(spans=d / f"SPANS_{NAME}.jsonl.gz",
+                 critpath=d / f"CRITPATH_{NAME}.json",
+                 trace_gz=d / "xs.jsonl.gz")
+    paths = {kind: str(path) for kind, path in paths.items()}
+    paths["name"] = "split_brain"
+    return paths
+
+
+#: A value for each of show's flags (``--perfetto`` writes under tmp).
+SHOW_FLAGS = {"--json": [], "--shards": ["2"], "--set": ["workload.s=1"],
+              "--top": ["3"], "--timeline": ["3"], "--metric": ["ordered"],
+              "--perfetto": ["{tmp}/t.json"], "--limit": ["5"]}
+_SPANS = ({"--perfetto", "--limit"},
+          [([], 0, "completeness: ok"),
+           (["--perfetto", "{tmp}/t.json", "--limit", "5"], 0, "wrote ")])
+_SPEC = ({"--json", "--shards", "--set"},
+         [([], 0, "split_brain"), (["--json"], 0, '"actions"'),
+          (["--set", "workload.s=1"], 0, "fault action(s)"),
+          (["--shards", "2"], 0, "cut edges"),
+          (["--shards", "2", "--json"], 0, '"lookahead_ms"')])
+_OBS = {"--top", "--timeline", "--metric"}
+#: kind -> (the flags it takes, [(a view's argv, exit code, a line it
+#: prints)]).  Every other flag of show's is exit 2, named.
+SHOW_KINDS = {
+    "artifact": (_OBS, [([], 0, "events over"),
+                        (["--top", "3"], 0, "Fabric._arrive"),
+                        (["--timeline"], 0, "heap"),
+                        (["--timeline", "3", "--metric", "ordered"], 0,
+                         "ordered")]),
+    "artifact_no_obs": (_OBS, [([], EXIT_USAGE, "no run entry carries")]),
+    "sharded": (_OBS, [([], 0, "shards: 2"),
+                       (["--top", "3"], 0, "Fabric._arrive"),
+                       (["--timeline", "3"], 0, "shard")]),
+    "spans": _SPANS, "trace": _SPANS, "trace_gz": _SPANS,
+    "critpath": (set(), [([], 0, "critical path")]),
+    "live_diff": (set(), [([], 0, "per-stage latency, live vs sim")]),
+    "plan": ({"--json"}, [([], 0, "fault action(s)"),
+                          (["--json"], 0, '"actions"')]),
+    "spec": _SPEC, "name": _SPEC,
+}
+#: Flags a kind takes only beside another: refused alone (or together
+#: with the flag that picks another view).
+SHOW_NEEDS = [("artifact", ["--metric", "ordered"], "--metric"),
+              ("artifact", ["--top", "3", "--timeline"], "--top"),
+              ("spans", ["--limit", "5"], "--limit")]
+
+
+def _show(argv, tmp_path):
+    return [a.replace("{tmp}", str(tmp_path)) for a in argv]
+
+
+@pytest.mark.parametrize("kind,extra,code,line", [
+    pytest.param(kind, extra, code, line,
+                 id=f"{kind}-{' '.join(extra[:1]) or 'plain'}-{len(extra)}")
+    for kind, (_, views) in SHOW_KINDS.items()
+    for extra, code, line in views])
+def test_show_reaches_every_kinds_view(kind, extra, code, line, written,
+                                       tmp_path, capsys):
+    assert main(["show", written[kind]] + _show(extra, tmp_path)) == code
+    captured = capsys.readouterr()
+    assert line in (captured.out if code == 0 else captured.err)
+    assert "Traceback" not in captured.err
+    if "--perfetto" in extra:
+        assert json.load(open(tmp_path / "t.json"))["traceEvents"]
+
+
+@pytest.mark.parametrize("kind,argv,flag", [
+    pytest.param(kind, argv, flag, id=f"{kind}-{' '.join(argv[::2])}")
+    for kind, argv, flag in [
+        (kind, [flag] + value, flag)
+        for kind, (takes, _) in SHOW_KINDS.items()
+        for flag, value in SHOW_FLAGS.items() if flag not in takes]
+    + SHOW_NEEDS])
+def test_show_refuses_a_flag_its_kind_cannot_use(kind, argv, flag, written,
+                                                 tmp_path, capsys):
+    assert main(["show", written[kind]] + _show(argv, tmp_path)) \
+        == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {written[kind]}: {flag} ")
+    assert captured.out == "" and os.listdir(tmp_path) == []
+
+
+#: (argv over a written kind, what the error says after ``error: PATH:``).
+DAMAGED = [
+    (["replay", "spans"], "line 1: not a trace record"),  # a span stream
+    (["show", "half"], "Compressed file ended"),          # a truncated .gz
+    (["replay", "half"], "Compressed file ended"),
+    (["show", "trace_gz", "--top", "5"], "--top not supported"),
+    (["replay", "artifact"], "line 1: not a trace record"),  # a run artifact
+    (["show", "binary"], "can't decode"),                 # not UTF-8 text
+    (["show", "runs"], "not a run artifact"),             # damaged JSON
+    (["show", "runs", "--timeline"], "not a run artifact's timeline"),
+    (["show", "critpath_stub"], "not a CRITPATH or live-diff report"),
+]
+
+
+@pytest.mark.parametrize("argv,says", [
+    pytest.param(argv, says, id=" ".join(argv)) for argv, says in DAMAGED])
+def test_a_wrong_kind_or_damaged_file_is_exit_2_naming_it(argv, says, written,
+                                                          tmp_path, capsys):
+    half, binary = tmp_path / "half.jsonl.gz", tmp_path / "x.jsonl"
+    data = open(written["trace_gz"], "rb").read()
+    half.write_bytes(data[:len(data) // 2])
+    binary.write_bytes(bytes(range(128, 256)))
+    runs, stub = tmp_path / "runs.json", tmp_path / "stub.json"
+    runs.write_text(json.dumps({"runs": [{"run_id": "r", "obs": 5}]}))
+    stub.write_text(json.dumps({"schema": "repro.critpath/v1"}))
+    paths = dict(written, half=str(half), binary=str(binary),
+                 runs=str(runs), critpath_stub=str(stub))
+    argv = [argv[0], paths[argv[1]]] + argv[2:]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[1]}: ") and says in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["show", "e.jsonl"], ["show", "e.jsonl.gz"],
+                                  ["replay", "e.jsonl"],
+                                  ["replay", "e.jsonl", "e.jsonl.gz"]],
+                         ids=" ".join)
+def test_an_empty_file_has_nothing_to_check_and_fails(argv, tmp_path,
+                                                      monkeypatch, capsys):
+    """An oracle over 0 records proves nothing: it must not pass."""
+    monkeypatch.chdir(tmp_path)
+    write_trace_lines("e.jsonl", [])
+    write_trace_lines("e.jsonl.gz", [])
+    assert main(argv) == EXIT_FAILED
+    assert "nothing to check" in capsys.readouterr().out

@@ -152,31 +152,35 @@ def test_cli_list_names_fault_scenarios(capsys):
 
 
 def test_cli_show_timeline_and_json(capsys):
-    assert cli_main(["show-plan", "split_brain"]) == 0
+    assert cli_main(["show", "split_brain"]) == 0
     out = capsys.readouterr().out
     assert "partition" in out and "@token_holder_subtree" in out
-    assert cli_main(["show-plan", "split_brain", "--json"]) == 0
+    assert cli_main(["show", "split_brain", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["actions"][0]["kind"] == "partition"
 
 
 def test_cli_show_empty_plan(capsys):
-    assert cli_main(["show-plan", "quickstart"]) == 0
+    assert cli_main(["show", "quickstart"]) == 0
     assert "empty fault plan" in capsys.readouterr().out
 
 
 def test_cli_validate_file(tmp_path, capsys):
     good = tmp_path / "plan.json"
     good.write_text(_sample_plan().to_json())
-    assert cli_main(["validate-plan", str(good)]) == 0
-    assert "4 action(s)" in capsys.readouterr().out
+    assert cli_main(["show", str(good)]) == 0
+    assert "4 fault action(s)" in capsys.readouterr().out
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
         {"actions": [{"kind": "partition", "at_ms": 1.0,
                       "groups": [["a"]]}]}))
-    assert cli_main(["validate-plan", str(bad)]) == 1
+    assert cli_main(["show", str(bad)]) == 1
     assert "INVALID" in capsys.readouterr().err
+    # A plan of the wrong shape fails the same check, without a traceback.
+    bad.write_text(json.dumps({"actions": 5}))
+    assert cli_main(["show", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("INVALID: ")
 
 
 def test_describe_keeps_plan_indices():
@@ -194,6 +198,6 @@ def test_describe_keeps_plan_indices():
 
 
 def test_cli_show_unknown_scenario_is_a_clean_error(capsys):
-    assert cli_main(["show-plan", "no_such_scenario"]) == 2
+    assert cli_main(["show", "no_such_scenario"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "no_such_scenario" in err

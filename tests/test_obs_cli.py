@@ -1,5 +1,5 @@
-"""CLI smoke tests: the readers of a run artifact's ``obs`` sections
-(``summarize``, ``top``, ``timeline``), ``run --obs`` on the sim and
+"""CLI smoke tests: ``show`` on a run artifact's ``obs`` sections (the
+summary, ``--top``, ``--timeline``), ``run --obs`` on the sim and
 sharded backends, sampled ``run --spans --rate`` and ``ladder
 --progress``, exercised in-process."""
 
@@ -30,10 +30,10 @@ def _obs(path):
 
 
 # ----------------------------------------------------------------------
-# summarize / top / timeline
+# show ARTIFACT [--top N | --timeline [N] --metric NAME]
 # ----------------------------------------------------------------------
 def test_obs_summarize(artifact, capsys):
-    assert main(["summarize", artifact]) == 0
+    assert main(["show", artifact]) == 0
     out = capsys.readouterr().out
     assert "clismoke" in out
     assert "token.hold" in out
@@ -41,20 +41,21 @@ def test_obs_summarize(artifact, capsys):
 
 
 def test_obs_top(artifact, capsys):
-    assert main(["top", artifact]) == 0
+    assert main(["show", artifact, "--top", "10"]) == 0
     out = capsys.readouterr().out
     assert "Fabric._arrive" in out
     assert "share" in out
 
 
 def test_obs_timeline(artifact, capsys):
-    assert main(["timeline", artifact]) == 0
+    assert main(["show", artifact, "--timeline"]) == 0
     out = capsys.readouterr().out
     assert "events" in out
     # One line per window plus the header block.
     assert len(out.strip().splitlines()) >= _obs(artifact)["windows"]
     # ``--metric`` names a trace kind: its column is the row's count.
-    assert main(["timeline", artifact, "--metric", "token.hold"]) == 0
+    assert main(["show", artifact, "--timeline", "--metric",
+                 "token.hold"]) == 0
     header, _, *body = capsys.readouterr().out.strip().splitlines()
     assert header.split()[-1] == "token.hold"
     rows = _obs(artifact)["timeline"]
@@ -64,15 +65,15 @@ def test_obs_timeline(artifact, capsys):
 
 def test_obs_missing_file_exits_2(tmp_path, capsys):
     missing = os.path.join(str(tmp_path), "nope.json")
-    assert main(["summarize", missing]) == 2
+    assert main(["show", missing]) == 2
     assert "error" in capsys.readouterr().err
     # An artifact without an obs section has nothing to render.
     plain = str(tmp_path / "plain.json")
     assert main(["run", "quickstart", "--duration", "400", "--quiet",
                  "--out", plain]) == 0
     capsys.readouterr()
-    for reader in ("summarize", "top", "timeline"):
-        assert main([reader, plain]) == 2
+    for view in ([], ["--top", "10"], ["--timeline"]):
+        assert main(["show", plain] + view) == 2
         assert "no run entry carries an obs section" \
             in capsys.readouterr().err
 
@@ -93,10 +94,10 @@ def test_sharded_span_rate_does_not_leak_into_the_process(tmp_path, capsys):
     assert SpanCollector().rate == 1.0
     assert main(run + [str(tmp_path / "full")]) == 0
     capsys.readouterr()
-    assert main(["spans", str(tmp_path / "half" / stream)]) == 0
+    assert main(["show", str(tmp_path / "half" / stream)]) == 0
     sampled = capsys.readouterr().out
     assert "completeness: ok" in sampled
-    assert main(["spans", str(tmp_path / "full" / stream)]) == 0
+    assert main(["show", str(tmp_path / "full" / stream)]) == 0
     assert sampled.split("->")[1] != capsys.readouterr().out.split("->")[1]
 
 
@@ -124,7 +125,7 @@ def test_sweep_obs_sections_come_back_from_the_workers(tmp_path, capsys):
         == ["quickstart#p0r0", "quickstart#p1r0"]
     capsys.readouterr()
     # Several sections: one heading per run.
-    assert main(["summarize", out]) == 0
+    assert main(["show", out]) == 0
     printed = capsys.readouterr().out
     assert "quickstart#p0r0:" in printed and "quickstart#p1r0:" in printed
 
@@ -141,9 +142,14 @@ def test_shard_run_obs(tmp_path, capsys):
     assert "stall_causes" not in printed
     report = _obs(out)
     assert report["n_shards"] == 2
-    # The sharded section renders through the same CLI.
-    assert main(["summarize", out]) == 0
-    assert main(["top", out]) == 0
+    # The sharded section renders through the same CLI; --top adds each
+    # shard's own profiler table.
+    assert main(["show", out]) == 0
+    assert "Fabric._arrive" not in capsys.readouterr().out
+    assert main(["show", out, "--top", "10"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "shard 0:" in printed and "shard 1:" in printed
+    assert any("Fabric._arrive" in line for line in printed)
 
 
 def test_bench_progress_flag(tmp_path, capsys):

@@ -351,11 +351,11 @@ class TestResolve:
     ("repro.experiments", ["run", "no_such_scenario"]),
     ("repro.shard", ["run", "no_such_scenario", "--shards", "2"]),
     ("repro.validation", ["run", "no_such_scenario", "--record", "x"]),
-    ("repro.obs", ["spans", "no_such_file.jsonl"]),  # reads files only
+    ("repro.obs", ["show", "no_such_file.jsonl"]),  # reads files only
     ("repro.live", ["run", "no_such_scenario", "--live", "queue"]),
     ("repro.live", ["live-diff", "no_such_scenario"]),
-    ("repro.faults", ["show-plan", "no_such_scenario"]),
-    ("repro.faults", ["validate-plan", "no_such_file.json"]),
+    ("repro.faults", ["show", "no_such_scenario"]),
+    ("repro.faults", ["show", "no_such_file.json"]),
 ])
 def test_unknown_scenario_is_error_exit_2_in_every_cli(was, argv, capsys):
     from repro.__main__ import main

@@ -143,7 +143,7 @@ def test_cli_record_replay_diff(tmp_path, capsys):
                  "--record", a]) == 0
     assert main(["run", "quickstart", "--duration", "1200", "--quiet",
                  "--record", b]) == 0
-    assert main(["diff", a, b]) == 0
+    assert main(["replay", a, b]) == 0
     assert main(["replay", a]) == 0
     out = capsys.readouterr().out
     assert "identical" in out
