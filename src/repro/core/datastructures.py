@@ -68,11 +68,13 @@ class MessageQueue:
     * ``valid_front`` — oldest sequence still buffered; delivered
       messages between ``valid_front`` and ``front`` are the handoff
       catch-up reserve (paper: ValidFront, NEs only).
+    * ``missing`` — how many sequences in ``(front, rear]`` are not
+      buffered: the holes gap recovery chases, counted in O(1).
     """
 
     __slots__ = ("capacity", "start_seq", "_store", "_undelivered", "get",
-                 "rear", "front", "valid_front", "peak_occupancy",
-                 "overflows", "inserted", "tombstoned")
+                 "rear", "front", "valid_front", "missing",
+                 "peak_occupancy", "overflows", "inserted", "tombstoned")
 
     def __init__(self, capacity: int = 0, start_seq: int = 0):
         if capacity < 0:
@@ -91,6 +93,7 @@ class MessageQueue:
         self.rear: int = start_seq - 1
         self.front: int = start_seq - 1
         self.valid_front: int = start_seq
+        self.missing: int = 0
         self.peak_occupancy: int = 0
         self.overflows: int = 0
         self.inserted: int = 0
@@ -110,6 +113,7 @@ class MessageQueue:
         self.rear = start_seq - 1
         self.front = start_seq - 1
         self.valid_front = start_seq
+        self.missing = 0
 
     # ------------------------------------------------------------------
     # Insertion
@@ -130,7 +134,10 @@ class MessageQueue:
             self._undelivered.add(seq)
         self.inserted += 1
         if seq > self.rear:
+            self.missing += seq - self.rear - 1
             self.rear = seq
+        else:
+            self.missing -= 1       # a hole filled (seq > front held)
         if len(self._store) > self.peak_occupancy:
             self.peak_occupancy = len(self._store)
         return True
@@ -147,7 +154,10 @@ class MessageQueue:
             )
             self._store[seq] = msg
             if seq > self.rear:
+                self.missing += seq - self.rear - 1
                 self.rear = seq
+            elif seq > self.front:
+                self.missing -= 1
         else:
             msg.received = False
             msg.waiting = False

@@ -100,5 +100,7 @@ class ForwardingMixin:
             return  # duplicate
         if msg.global_seq > rear + 1:
             self._maint_timer.wake()    # a hole opened behind this one
+        elif msg.global_seq <= rear:
+            self._park_if_drained()     # a hole filled
         self.forward_ordered(bm)
         self.try_deliver()

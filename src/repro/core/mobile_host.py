@@ -210,6 +210,10 @@ class MobileHost(NetNode):
         if mq.rear > mq.front:
             # Stopped short of rear: a hole for the gap tick to watch.
             self._gap_timer.wake()
+        elif self.is_member and self.ap is not None:
+            # Nothing outstanding: park now, as the next tick would.
+            self._gap_state = None
+            self._gap_timer.park()
 
     # ------------------------------------------------------------------
     # Gap recovery (MH side)
@@ -219,13 +223,10 @@ class MobileHost(NetNode):
             return
         hole = self.mq.front + 1
         if self.mq.rear < hole:
-            # Nothing outstanding: park until _deliver_contiguous stops
-            # short of rear.
+            # Nothing outstanding (_deliver_contiguous parks there
+            # too): park until it stops short of rear.
             self._gap_state = None
             self._gap_timer.park()
-            return
-        if self.mq.has(hole):
-            self._gap_state = None
             return
         if self._gap_state is None or self._gap_state[0] != hole:
             self._gap_state = (hole, self.now, 0)

@@ -167,16 +167,13 @@ class NetworkEntity(OrderingMixin, ForwardingMixin, DeliveringMixin,
             self._tau_timer.park()
 
     def _maintenance_tick(self) -> None:
-        hole = self.gap_check()
+        self.gap_check()
         # Expire stale standby reservations (AGs with an MMA population).
         for entry in self.mma.expire_standby(self.now, self.cfg.reservation_ttl):
             self.unregister_child(entry.ap)
             self.sim.trace.emit(self.now, "mma.expired", node=self.id,
                                 ap=entry.ap)
-        if not hole and not self.mma.has_standby():
-            # No hole to chase, no reservation to age: park until an MQ
-            # insert jumps rear or a standby PathReserve arrives.
-            self._maint_timer.park()
+        self._park_if_drained()
 
     # ------------------------------------------------------------------
     # Channel callbacks

@@ -236,6 +236,8 @@ class OrderingMixin:
                 if self.mq.insert(bm):
                     if gseq > rear + 1:
                         self._maint_timer.wake()    # a hole opened
+                    elif gseq <= rear:
+                        self._park_if_drained()     # a hole filled
                     moved += 1
                     self.messages_ordered += 1
                     self.sim.trace.emit(

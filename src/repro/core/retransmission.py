@@ -43,27 +43,21 @@ class GapRecoveryMixin:
 
     # ------------------------------------------------------------------
     # Detection (called from the periodic maintenance tick).  The tick
-    # is quiescent, not polled: with no hole (and no standby MMA entry)
-    # ``NetworkEntity._maintenance_tick`` parks its timer, and the two
-    # MQ inserts that can open one — ``handle_ring_ordered`` and
-    # ``order_assignment``, when ``rear`` jumps by more than one — wake
-    # it (a standby ``PathReserve`` does too).  A tombstoned range opens
-    # none: it answers this NE's own request, below ``rear``.  The 30 ms
-    # grid the rounds are counted on survives only because the goldens
-    # pin it; nothing in §4.2.3 asks for one.
+    # runs only while this NE has an MQ hole or a standby MMA entry: an
+    # MQ insert that jumps ``rear`` by more than one and a standby
+    # ``PathReserve`` wake it; the tick, or the fill or tombstone that
+    # drains the work, parks it (``_park_if_drained``).  A tombstoned
+    # range opens no hole: it answers this NE's own request, below
+    # ``rear``.  The 30 ms grid the rounds are counted on survives only
+    # because the goldens pin it; nothing in §4.2.3 asks for one.
     # ------------------------------------------------------------------
-    def gap_check(self) -> bool:
-        """Detect persistent MQ holes and drive the recovery rounds.
-
-        Returns whether it saw a hole — False is the maintenance tick's
-        leave to park.
-        """
+    def gap_check(self) -> None:
+        """Detect persistent MQ holes and drive the recovery rounds."""
         hole = self._first_hole()
         if hole is None:
             self._gap_state = None
-            return False
-        self._gap_round(hole)
-        return True
+        else:
+            self._gap_round(hole)
 
     def _gap_round(self, hole: int) -> None:
         """One tick's worth of recovery for the hole starting at ``hole``."""
@@ -87,8 +81,17 @@ class GapRecoveryMixin:
                                 to=target, from_seq=hole, to_seq=hole_end)
         self._gap_state = (hole, first_seen_at, attempts + 1)
 
+    def _park_if_drained(self) -> None:
+        """Park the maintenance tick once it has no work: no MQ hole and
+        no standby entry.  Run by the tick and by every MQ fill."""
+        if not self.mq.missing and not self.mma.has_standby():
+            self._gap_state = None
+            self._maint_timer.park()
+
     def _first_hole(self) -> Optional[int]:
         """First missing seq between front and rear, or None."""
+        if not self.mq.missing:
+            return None
         for seq in range(self.mq.front + 1, self.mq.rear + 1):
             if not self.mq.has(seq):
                 return seq
@@ -115,6 +118,7 @@ class GapRecoveryMixin:
                 self.gaps_tombstoned += 1
                 self.sim.trace.emit(self.now, "ne.tombstone", node=self.id,
                                     gseq=seq)
+        self._park_if_drained()
         self.try_deliver()
 
     # ------------------------------------------------------------------

@@ -44,6 +44,14 @@ FAILURE_KINDS = ("crash", "recover", "link_down", "link_up",
                  "crash_token_holder")
 
 
+def _check_number(path: str, old: Any, value: Any) -> None:
+    """Where the spec holds a number, ``value`` must be one (no bool)."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if number(old) and not number(value):
+        raise ValueError(f"{path}: expected a number, got {value!r}")
+
+
 def _check_no_unknown_keys(cls: type, data: Mapping[str, Any]) -> None:
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
@@ -347,24 +355,27 @@ class ExperimentSpec:
                                    f"(in override {path!r})")
             leaf = parts[-1]
             if isinstance(node, list):
-                node[int(leaf)] = value
+                leaf = int(leaf)
+            # `protocol` is an open dict (any ProtocolConfig field);
+            # everywhere else the key must already exist.
+            elif leaf not in node and parts[:-1] != ["protocol"]:
+                raise KeyError(f"unknown spec field {path!r}")
             else:
-                # `protocol` is an open dict (any ProtocolConfig field);
-                # everywhere else the key must already exist.
-                if leaf not in node and parts[:-1] != ["protocol"]:
-                    raise KeyError(f"unknown spec field {path!r}")
-                node[leaf] = value
+                _check_number(path, node.get(leaf), value)
+            node[leaf] = value
         return type(self).from_dict(data)
 
     def protocol_config(self):
         """The :class:`~repro.core.config.ProtocolConfig` this spec's
         ``protocol`` overrides describe (defaults elsewhere)."""
         from repro.core.config import ProtocolConfig  # late: keep spec.py light
-        valid = {f.name for f in fields(ProtocolConfig)}
-        unknown = sorted(set(self.protocol) - valid)
+        valid = {f.name: f.default for f in fields(ProtocolConfig)}
+        unknown = sorted(set(self.protocol) - set(valid))
         if unknown:
             raise ValueError(
                 f"unknown ProtocolConfig fields {unknown}; valid: "
                 f"{sorted(valid)}"
             )
+        for name, value in self.protocol.items():
+            _check_number(f"protocol.{name}", valid[name], value)
         return ProtocolConfig(**self.protocol)

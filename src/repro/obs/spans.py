@@ -67,6 +67,9 @@ Key = Tuple[Any, int]
 #:   ("gup",  t, src, dst, kind, source, local_seq)
 SpanEvent = Tuple[Any, ...]
 
+#: Length of each span event, by its code.
+_ARITY = dict(send=5, wq=4, ord=6, dlv=7, segs=9, segr=7, gup=7)
+
 
 def sampled(local_seq: Any, rate: float) -> bool:
     """Deterministic keep/drop decision for one message.
@@ -86,6 +89,8 @@ def _span_event(line: str) -> SpanEvent:
     event = json.loads(line)
     if not isinstance(event, list):
         raise ValueError(f"a JSON {type(event).__name__}, not an array")
+    if not event or _ARITY.get(event[0]) != len(event):
+        raise ValueError(f"unknown code or length: {line.strip()[:40]}")
     return tuple(event)
 
 

@@ -61,21 +61,22 @@ class PeriodicTimer:
     offset by ``phase``), matching the paper's description of the
     Order-Assignment task that "periodically checks its WQ" with cycle τ.
 
-    **Quiescence.**  The stack does not poll.  A tick whose ``fn`` found
-    nothing to watch calls :meth:`park`; the owner calls :meth:`wake` at
-    the mutation that can create work.  One rule, three callers: the MH
-    gap tick parks with no hole behind ``front`` and
-    ``_deliver_contiguous`` wakes it when it stops short of ``rear``;
-    the NE maintenance tick parks with no MQ hole and no standby MMA
-    entry and is woken by an MQ insert that jumps ``rear`` and by a
-    standby ``PathReserve``; the τ tick parks on an empty WQ and a
-    successful ``wq.insert`` wakes it.  Parking never moves a tick: the
-    chain resumes (:meth:`Runtime.resume`) on its own grid ``start +
-    k·period`` — on the engine at the very ``(time, causal key)`` the
-    skipped ticks would have handed down — so a parked run is the
-    polling run minus the ticks that did nothing.  The grid itself (30 ms
-    gap checks, τ) is an artefact the goldens pin, not a protocol need:
-    a regeneration may replace it by exact deadlines.
+    **Quiescence.**  The stack does not poll: a chain is armed only
+    while its owner has work, and it parks at the tick or at the
+    mutation that drains the work.  The owner calls :meth:`wake` at the
+    mutation that can create work.  Three callers: ``_deliver_contiguous``
+    wakes the MH gap tick when it stops short of ``rear`` and parks it
+    when it reaches ``rear``; an MQ insert that jumps ``rear`` or a
+    standby ``PathReserve`` wakes the NE maintenance tick, and the fill
+    or tombstone that leaves no hole (and no standby MMA entry) parks
+    it; a successful ``wq.insert`` wakes the τ tick, which parks on an
+    empty WQ.  Parking never moves a tick: the chain resumes
+    (:meth:`Runtime.resume`) on its own grid ``start + k·period`` — on
+    the engine at the very ``(time, causal key)`` the skipped ticks
+    would have handed down — so a parked run is the polling run minus
+    the ticks that did nothing.  The grid itself (30 ms gap checks, τ)
+    is an artefact the goldens pin, not a protocol need: a regeneration
+    may replace it by exact deadlines.
 
     Every tick schedules the same callback object, ``_fire`` bound once
     at construction.
@@ -129,9 +130,10 @@ class PeriodicTimer:
             self._event = None
 
     def park(self) -> None:
-        """Suspend the chain until :meth:`wake`.  For the tick's own
-        ``fn``, once it has found nothing to watch: cancels the already
-        re-armed next tick and keeps its handle as the resume point."""
+        """Suspend the chain until :meth:`wake`.  For the owner, once
+        its work is drained, in the tick's ``fn`` or at the draining
+        mutation: cancels the pending next tick and keeps its handle as
+        the resume point; a no-op unless a tick is pending."""
         ev = self._event
         if ev is not None and not ev.cancelled:
             self.sim.cancel(ev)

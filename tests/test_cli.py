@@ -527,6 +527,9 @@ class TestExitCodes:
         ["show", "no_such_file.jsonl"],
         ["show", "no_such_file.jsonl.gz", "--perfetto", "t.json"],
         ["show", "no_such_file.json", "--json"],
+        ["run", "quickstart", "--set", "hierarchy.n_br=abc"],
+        ["show", "quickstart", "--shards", "2", "--set", "hierarchy.n_br=abc"],
+        ["run", "quickstart", "--set", "protocol.tau=abc"],
     ])
     def test_unknown_names_invalid_specs_and_unreadable_files_are_2(
             self, argv, tmp_path, monkeypatch, capsys):
@@ -537,6 +540,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_a_wrong_typed_set_names_its_field(self, capsys):
+        assert main(["run", "quickstart", "--set",
+                     "hierarchy.n_br=abc"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: hierarchy.n_br: expected a number, got 'abc'\n")
 
     @pytest.mark.parametrize("argv", [
         [], ["no-such-subcommand"], ["run", "--no-such-flag"],
@@ -753,6 +762,7 @@ DAMAGED = [
     (["show", "runs"], "not a run artifact"),             # damaged JSON
     (["show", "runs", "--timeline"], "not a run artifact's timeline"),
     (["show", "critpath_stub"], "not a CRITPATH or live-diff report"),
+    (["show", "array"], "line 1: not a span event"),      # any JSON array
 ]
 
 
@@ -767,8 +777,10 @@ def test_a_wrong_kind_or_damaged_file_is_exit_2_naming_it(argv, says, written,
     runs, stub = tmp_path / "runs.json", tmp_path / "stub.json"
     runs.write_text(json.dumps({"runs": [{"run_id": "r", "obs": 5}]}))
     stub.write_text(json.dumps({"schema": "repro.critpath/v1"}))
+    array = tmp_path / "array.jsonl"
+    array.write_text("[1,2]\n")
     paths = dict(written, half=str(half), binary=str(binary),
-                 runs=str(runs), critpath_stub=str(stub))
+                 runs=str(runs), critpath_stub=str(stub), array=str(array))
     argv = [argv[0], paths[argv[1]]] + argv[2:]
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err

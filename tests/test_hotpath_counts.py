@@ -3,7 +3,7 @@
 ROADMAP item 1: "deterministic work counters ... gated by *exact
 equality* in CI: any PR that changes algorithmic work per delivery is
 flagged with zero noise".  ``tests/data/hotpath_counts.json`` holds the
-counts of three pinned perfbench workloads (default seeds, ``--quick``
+counts of four pinned perfbench workloads (default seeds, ``--quick``
 windows); this test recomputes them with perfbench's own shims and
 set-up and compares every row.  Regenerate with
 ``tests/regen_hotpath_counts.py`` only after an *intentional* change of
@@ -25,7 +25,7 @@ from perfbench.workloads import get
 COUNTS_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "hotpath_counts.json")
 
-WORKLOADS = ("token_small", "lossy_churn", "roaming_clean")
+WORKLOADS = ("fanout_wide", "token_small", "lossy_churn", "roaming_clean")
 
 _MQ_WQ_OPS = ("MessageQueue.insert", "MessageQueue.mark_delivered",
               "MessageQueue.advance_front", "MessageQueue.prune",

@@ -16,7 +16,12 @@ ticks forever, which is the parent commit's behaviour.
     ``t <= now`` in its place pass every golden and every fuzz case);
 (c) hypothesis: random give-work / wake / stop / start sequences against
     the polling reference;
-(d) the block-drawn uniform streams (``RandomStreams.uniform``).
+(d) the block-drawn uniform streams (``RandomStreams.uniform``);
+(e) parking where the hole fills: the MH gap tick and the NE maintenance
+    tick park at the mutation that drains their work, so no tick fires
+    only to park — scripted fills against the polling reference, the
+    O(1) ``MessageQueue.missing`` count against a scan, and the idle
+    ticks left in each quick pinned window.
 
 Every wake site left in ``src/`` is there because deleting it fails a
 test (checked by deleting each in turn):
@@ -40,6 +45,12 @@ wake site                                              fails without it
 Goldens are ``tests/test_trace_identity.py``.  A wake in the NE's
 ``_tombstone_range`` is deliberately absent: a tombstoned range answers
 this NE's own request, so it lies below ``rear`` and opens no hole.
+
+The park sites (``_deliver_contiguous`` on the MH; the fills in
+``handle_ring_ordered``, ``order_assignment`` and ``_tombstone_range``
+through ``GapRecoveryMixin._park_if_drained`` on the NE) are the
+opposite: deleting one changes no record, only brings its idle ticks
+back, which (e) counts.
 """
 
 from __future__ import annotations
@@ -52,7 +63,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfbench import measure
 from perfbench.workloads import get as perfbench_workload
+from repro.core.datastructures import BufferedMessage, MessageQueue, WQEntry
+from repro.core.messages import GapUnavailable, RingOrdered, WirelessDeliver
 from repro.experiments import registry
 from repro.experiments.runner import observed_scenario
 from repro.experiments.spec import ExperimentSpec
@@ -65,7 +79,7 @@ from repro.sim.rand import (PurePythonGenerator, RandomStreams,
 from repro.validation.fuzz import fuzz_points
 from repro.validation.record import TraceRecorder, first_divergence
 
-from helpers import spec_path
+from helpers import small_net, spec_path
 
 
 def _poll(self) -> None:
@@ -411,3 +425,239 @@ def test_without_numpy_the_reader_is_the_pure_python_generator(monkeypatch):
     streams.uniform("a")
     with pytest.raises(ValueError):
         streams.get("a")
+
+
+# ----------------------------------------------------------------------
+# (e) Parking where the hole fills
+# ----------------------------------------------------------------------
+# On a quiet ``small_net`` the gap and maintenance chains (period 30 ms)
+# tick at multiples of 30 ms; the scripts below act between two ticks.
+MH, AP, AG, BR = "mh:0.0.0.0", "ap:0.0.0", "ag:0.1", "br:0"
+CHAINS = ("_gap_tick", "_maintenance_tick")
+
+
+def _logging_fire(log):
+    """``PeriodicTimer._fire`` that logs ``(node, time, key)`` of every
+    gap and maintenance tick.  Patch it before the network is built:
+    each timer binds ``_fire`` at construction."""
+    fire = PeriodicTimer._fire
+
+    def logged(self):
+        if self.fn.__name__ in CHAINS:
+            sim = self.sim
+            log.append((self.fn.__self__.id, sim.now, sim._ctx_root))
+        fire(self)
+    return logged
+
+
+def _at(sim, t, fn, *args):
+    """A scripted event with a key of its own, equal in both runs."""
+    sim.schedule_keyed(t, int(t * 1000) | 1, None, fn, *args)
+
+
+def _ordered(net, seq, cls=RingOrdered):
+    return cls(net.cfg.gid, seq, BR, "src:x", seq, ("x", seq), 0.0)
+
+
+def _quiet_pair(script, until=600.0):
+    """``script(sim, net)`` on a small network with no source, once its
+    joins have settled, parked and polling.  ``script`` only schedules
+    keyed events (:func:`_at`), so both runs see the same causal keys
+    from t=200 on.  Returns per run ``(records, ticks, net)``: the trace
+    records and the gap / maintenance ticks after t=200."""
+    runs = []
+    for park in (PeriodicTimer.park, _poll):
+        ticks, records = [], []
+        with mock.patch.object(PeriodicTimer, "park", park), \
+                mock.patch.object(PeriodicTimer, "_fire",
+                                  _logging_fire(ticks)):
+            sim, net = small_net(seed=3)
+            net.start()
+            sim.run(until=200.0)
+            del ticks[:]
+            sim.trace.subscribe(None, records.append)
+            script(sim, net)
+            sim.run(until=until)
+        runs.append((records, ticks, net))
+    parked, polling = runs
+    assert parked[0] == polling[0]
+    assert set(parked[1]) < set(polling[1])
+    return parked, polling
+
+
+def _times(run, node):
+    return [t for n, t, _ in run[1] if n == node]
+
+
+def _parked(run, node):
+    net = run[2]
+    host = net.mobile_hosts.get(node) or net.nes[node]
+    timer = getattr(host, "_gap_timer", None) or host._maint_timer
+    return timer._parked is not None and timer._event is None
+
+
+def test_a_hole_that_opens_and_fills_between_two_ticks_costs_no_tick():
+    def script(sim, net):
+        mh = net.mobile_hosts[MH]
+        _at(sim, 215.0, mh._handle_deliver, _ordered(net, 1, WirelessDeliver))
+        _at(sim, 225.0, mh._handle_deliver, _ordered(net, 0, WirelessDeliver))
+
+    parked, polling = _quiet_pair(script)
+    assert _times(parked, MH) == []       # 240 would only have parked
+    assert _times(polling, MH) == [210.0 + 30.0 * k for k in range(14)]
+    assert parked[2].mobile_hosts[MH].delivered_count == 2
+    assert _parked(parked, MH)
+
+
+def test_a_hole_that_reopens_fires_the_skipped_tick_where_polling_does():
+    def script(sim, net):
+        mh = net.mobile_hosts[MH]
+        for t, seq in ((215.0, 1), (225.0, 0), (235.0, 3)):
+            _at(sim, t, mh._handle_deliver,
+                _ordered(net, seq, WirelessDeliver))
+
+    parked, polling = _quiet_pair(script)
+    first = [tick for tick in parked[1] if tick[0] == MH][0]
+    assert first[1] == 240.0 and first in polling[1]
+    # The hole at 2 is chased to its tombstone, then the chain parks.
+    kinds = [r.kind for r in parked[0] if r.get("mh") == MH]
+    assert kinds.count("mh.gap_request") == 3 and "mh.tombstone" in kinds
+    assert _parked(parked, MH)
+
+
+def test_leave_and_rejoin_while_parked_at_a_fill():
+    def script(sim, net):
+        mh = net.mobile_hosts[MH]
+        _at(sim, 215.0, mh._handle_deliver, _ordered(net, 1, WirelessDeliver))
+        _at(sim, 225.0, mh._handle_deliver, _ordered(net, 0, WirelessDeliver))
+        _at(sim, 228.0, mh.leave)
+        _at(sim, 300.0, mh.join, AP)
+        _at(sim, 415.0, mh._handle_deliver, _ordered(net, 3, WirelessDeliver))
+
+    parked, polling = _quiet_pair(script, until=700.0)
+    # Stopped at the leave; a fresh chain from the join (330), parked
+    # there; resumed on that grid by the hole the delivery at 415 opens.
+    assert _times(parked, MH)[:2] == [330.0, 420.0]
+    assert _times(polling, MH)[:4] == [210.0, 330.0, 360.0, 390.0]
+    mh = parked[2].mobile_hosts[MH]
+    assert mh.is_member and mh.tombstones == 1 and _parked(parked, MH)
+
+
+def _via_ring_ordered(sim, net):
+    ag = net.nes[AG]
+    _at(sim, 215.0, ag.handle_ring_ordered, _ordered(net, 1))
+    _at(sim, 225.0, ag.handle_ring_ordered, _ordered(net, 0))
+
+
+class _Covering:
+    """A token snapshot that orders ``local_seq`` as ``gseq``."""
+
+    def __init__(self, gseq):
+        self.gseq = gseq
+
+    def lookup(self, ordering_node, local_seq):
+        return self
+
+    def global_for(self, local_seq):
+        return self.gseq
+
+
+def _order(br, gseq):
+    """One Order-Assignment pass over one raw entry that ``old_token``
+    covers as ``gseq``; the real tokens are put back afterwards."""
+    tokens = br.new_token, br.old_token
+    br.new_token, br.old_token = None, _Covering(gseq)
+    br.wq.insert(WQEntry(ordering_node=BR, source="src:x", local_seq=gseq,
+                         payload=("x", gseq), created_at=0.0,
+                         arrived_at=br.now))
+    assert br.order_assignment() == 1
+    br.new_token, br.old_token = tokens
+
+
+def _via_order_assignment(sim, net):
+    br = net.nes[BR]
+    _at(sim, 215.0, _order, br, 1)
+    _at(sim, 225.0, _order, br, 0)
+
+
+def _via_tombstone(sim, net):
+    ag = net.nes[AG]
+    _at(sim, 215.0, ag.handle_ring_ordered, _ordered(net, 1))
+    _at(sim, 225.0, ag.handle_gap_unavailable,
+        GapUnavailable(net.cfg.gid, 0, 0))
+
+
+@pytest.mark.parametrize("node, fill", [(AG, _via_ring_ordered),
+                                        (BR, _via_order_assignment),
+                                        (AG, _via_tombstone)],
+                         ids=["ring_ordered", "order_assignment",
+                              "tombstone"])
+def test_an_ne_parks_its_maintenance_tick_where_the_hole_fills(node, fill):
+    parked, polling = _quiet_pair(fill)
+    assert _times(parked, node) == []
+    assert _times(polling, node) == [210.0 + 30.0 * k for k in range(14)]
+    ne = parked[2].nes[node]
+    assert ne.mq.front == ne.mq.rear == 1 and ne.mq.missing == 0
+    assert ne._gap_state is None and _parked(parked, node)
+
+
+_MQ_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["insert", "tombstone"]), st.integers(0, 40)),
+    st.tuples(st.sampled_from(["deliver", "prune"]), st.integers(0, 6)),
+    st.tuples(st.just("anchor"), st.integers(0, 40))), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_MQ_OPS, start=st.integers(0, 5))
+def test_the_missing_count_is_a_scan_of_front_to_rear(ops, start):
+    mq = MessageQueue(start_seq=start)
+    for op, n in ops:
+        if op == "insert":
+            mq.insert(BufferedMessage(global_seq=n, source="s", local_seq=n,
+                                      ordering_node="br:0"))
+        elif op == "tombstone":
+            if not mq.has(n):
+                mq.tombstone_lost(n)
+        elif op == "deliver":       # the next n buffered, then advance
+            for seq in range(mq.front + 1, mq.front + 1 + n):
+                mq.mark_delivered(seq)
+            mq.advance_front()
+        elif op == "prune":
+            mq.prune(n)
+        elif not len(mq):
+            mq.anchor(n)
+        assert mq.missing == sum(
+            1 for seq in range(mq.front + 1, mq.rear + 1) if not mq.has(seq))
+
+
+#: Gap and maintenance ticks that only re-arm and park, per quick pinned
+#: window: ``(before parking at the fill, now)``.
+IDLE_TICKS = {"fanout_wide": (1077, 0), "token_small": (230, 0),
+              "lossy_churn": (1199, 0), "roaming_clean": (769, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(IDLE_TICKS))
+def test_no_tick_fires_only_to_park(name):
+    before, now = IDLE_TICKS[name]
+    idle = []
+    fire = PeriodicTimer._fire
+
+    def counted(self):
+        sim = self.sim
+        emitted = sum(sim.trace.counts.values())
+        fire(self)
+        if (self.fn.__name__ in CHAINS and self._parked is not None
+                and sim._ctx_actions == 1      # the re-arm alone
+                and sum(sim.trace.counts.values()) == emitted):
+            idle.append(self.fn.__self__.id)
+
+    workload = perfbench_workload(name)
+    _, end = workload.window(quick=True)
+    with mock.patch.object(PeriodicTimer, "_fire", counted):
+        scenario, _, _ = measure.sim_setup(
+            workload.spec(workload.default_seed, quick=True),
+            workload.warmup_edges())
+        scenario.sim.trace.counting = True
+        del idle[:]
+        scenario.sim.run(until=end)
+    assert len(idle) == now <= before * 0.03
