@@ -24,6 +24,7 @@ from repro.baselines.hostview import HostViewProtocol
 from repro.baselines.relm import RelMProtocol
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import RingNet
+from repro.faults import FaultDriver, FaultPlan, Partition
 from repro.sim.engine import Simulator
 from repro.topology.builder import HierarchySpec
 from repro.topology.tiers import Tier
@@ -37,6 +38,13 @@ OUTAGE = (2_000.0, 5_000.0)  # one member disconnected in this window
 WINDOW = 8  # RelM catch-up window == RingNet retention, for fairness
 
 
+def disconnect(sim, net, mh_id: str) -> None:
+    """Cut ``mh_id`` off the network for the :data:`OUTAGE` window."""
+    FaultDriver(sim, net, FaultPlan([Partition(
+        at_ms=OUTAGE[0], heal_at_ms=OUTAGE[1],
+        groups=[[mh_id], ["@rest"]])])).schedule()
+
+
 def hostview_cell(n: int) -> dict:
     sim = Simulator(seed=808)
     hv = HostViewProtocol(sim, n_mss=n, rate_per_sec=RATE,
@@ -44,8 +52,7 @@ def hostview_cell(n: int) -> dict:
     for i in range(n):
         hv.add_mobile_host(f"mh:{i}", f"mss:{i}")
     hv.sender.start()
-    sim.schedule_at(OUTAGE[0], hv.mobile_hosts["mh:0"].crash)
-    sim.schedule_at(OUTAGE[1], hv.mobile_hosts["mh:0"].recover)
+    disconnect(sim, hv, "mh:0")
     # A few significant moves to exercise the global-update cost.
     for k in range(1, 5):
         sim.schedule_at(2_000 + 500 * k, hv.handoff, f"mh:{k}",
@@ -72,9 +79,7 @@ def relm_cell(n: int) -> dict:
             relm.add_mobile_host(f"mh:{i}", f"mss:{r}.{m}")
             i += 1
     relm.source.start()
-    mh0 = relm.mobile_hosts["mh:0"]
-    sim.schedule_at(OUTAGE[0], mh0.crash)
-    sim.schedule_at(OUTAGE[1], mh0.recover)
+    disconnect(sim, relm, "mh:0")
     # Reconnect = re-register; the SH window serves bounded catch-up.
     sim.schedule_at(OUTAGE[1] + 50, relm.handoff, "mh:0", "mss:0.0")
     for k in range(1, 5):
@@ -100,9 +105,7 @@ def ringnet_cell(n: int) -> dict:
     src = net.add_source(corresponding="br:0", rate_per_sec=RATE)
     net.start()
     src.start()
-    mh0 = net.mobile_hosts["mh:0.0.0.0"]
-    sim.schedule_at(OUTAGE[0], mh0.crash)
-    sim.schedule_at(OUTAGE[1], mh0.recover)
+    disconnect(sim, net, "mh:0.0.0.0")
     sim.schedule_at(OUTAGE[1] + 50, net.handoff, "mh:0.0.0.0", "ap:0.0.0")
     aps = net.hierarchy.nodes_of_tier(Tier.AP)
     for k in range(1, 5):

@@ -72,7 +72,7 @@ class MessageQueue:
       buffered: the holes gap recovery chases, counted in O(1).
     """
 
-    __slots__ = ("capacity", "start_seq", "_store", "_undelivered", "get",
+    __slots__ = ("capacity", "start_seq", "_store", "get",
                  "rear", "front", "valid_front", "missing",
                  "peak_occupancy", "overflows", "inserted", "tombstoned")
 
@@ -85,11 +85,6 @@ class MessageQueue:
         #: ``get(seq)`` — the buffered message at ``seq``, or None: the
         #: store's own lookup (``_store`` is never rebound), frame-free.
         self.get = self._store.get
-        # Incremental index of buffered-but-undelivered seqs, maintained
-        # by insert/mark_delivered/tombstone_lost, so pending queries
-        # never have to sort the whole store (which also holds the
-        # delivered catch-up reserve between valid_front and front).
-        self._undelivered: set = set()
         self.rear: int = start_seq - 1
         self.front: int = start_seq - 1
         self.valid_front: int = start_seq
@@ -108,7 +103,6 @@ class MessageQueue:
         """
         if self._store:
             raise ValueError("anchor() requires an empty queue")
-        self._undelivered.clear()
         self.start_seq = start_seq
         self.rear = start_seq - 1
         self.front = start_seq - 1
@@ -130,8 +124,6 @@ class MessageQueue:
         if self.capacity and len(self._store) >= self.capacity:
             self.overflows += 1
         self._store[seq] = msg
-        if not msg.delivered:
-            self._undelivered.add(seq)
         self.inserted += 1
         if seq > self.rear:
             self.missing += seq - self.rear - 1
@@ -162,7 +154,6 @@ class MessageQueue:
             msg.received = False
             msg.waiting = False
             msg.delivered = True
-            self._undelivered.discard(seq)
         self.tombstoned += 1
         return msg
 
@@ -195,16 +186,11 @@ class MessageQueue:
     # Delivery pointers
     # ------------------------------------------------------------------
     def mark_delivered(self, seq: int, at: float = 0.0) -> None:
-        """Flag one message delivered (front advances via advance_front).
-
-        This is the *only* supported way to flip a buffered message's
-        ``delivered`` flag — it keeps the pending index in sync.
-        """
+        """Flag one message delivered (front advances via advance_front)."""
         msg = self._store.get(seq)
         if msg is not None:
             msg.delivered = True
             msg.delivered_at = at
-            self._undelivered.discard(seq)
 
     def advance_front(self) -> int:
         """Advance ``front`` over contiguously delivered messages.
@@ -231,25 +217,10 @@ class MessageQueue:
             return 0
         dropped = 0
         for seq in range(self.valid_front, new_valid):
-            msg = self._store.pop(seq, None)
-            if msg is not None:
-                self._undelivered.discard(seq)
+            if self._store.pop(seq, None) is not None:
                 dropped += 1
         self.valid_front = new_valid
         return dropped
-
-    @property
-    def pending(self) -> int:
-        """Buffered-but-undelivered message count (O(1))."""
-        return len(self._undelivered)
-
-    def undelivered(self) -> List[BufferedMessage]:
-        """Buffered messages not yet delivered, in sequence order.
-
-        Sorts only the (usually small) pending index, not the whole
-        store with its delivered catch-up reserve.
-        """
-        return [self._store[s] for s in sorted(self._undelivered)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -159,6 +159,10 @@ class MobileHost(NetNode):
         self.is_member = True
         base = max(msg.base_seq, self.mq.front)
         self.mq = MessageQueue(start_seq=base + 1)
+        if self.ap is not None:
+            # The new queue is empty: park now, as the next tick would.
+            self._gap_state = None
+            self._gap_timer.park()
         self.sim.trace.emit(self.now, "mh.member", mh=self.guid, base=base)
 
     def _handle_deliver(self, msg: WirelessDeliver) -> None:

@@ -352,6 +352,7 @@ class NetworkEntity(OrderingMixin, ForwardingMixin, DeliveringMixin,
         """Register/refresh the (group, AP) downlink entry."""
         if msg.active:
             self.mma.activate(msg.gid, msg.ap, self.now)
+            self._park_if_drained()     # it may have been the last standby
         else:
             # Standby: create/refresh the entry, then make sure it is
             # demoted — an AP whose last member left must become

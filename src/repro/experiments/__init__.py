@@ -5,7 +5,7 @@ data-driven experiment campaigns:
 
 * :mod:`~repro.experiments.spec` — :class:`ExperimentSpec`, a plain-data
   description of one run (hierarchy, protocol knobs, workload, mobility,
-  churn, failures, duration); round-trips through dicts and JSON.
+  churn, fault plan, duration); round-trips through dicts and JSON.
 * :mod:`~repro.experiments.grid` — :func:`expand_grid` expands a dotted
   parameter grid × replications into :class:`RunPoint`\\ s with
   deterministically derived per-run seeds.
@@ -33,7 +33,7 @@ Quickstart
 [10.0, 20.0]
 """
 
-from repro.experiments.spec import (ChurnSpec, ExperimentSpec, FailureEvent,
+from repro.experiments.spec import (ChurnSpec, ExperimentSpec,
                                     HierarchyShape, MobilitySpec,
                                     OpenWorldSpec, WorkloadSpec)
 from repro.experiments.grid import RunPoint, expand_grid
@@ -44,7 +44,7 @@ from repro.experiments import registry
 
 __all__ = [
     "ExperimentSpec", "HierarchyShape", "WorkloadSpec", "MobilitySpec",
-    "ChurnSpec", "OpenWorldSpec", "FailureEvent",
+    "ChurnSpec", "OpenWorldSpec",
     "RunPoint", "expand_grid",
     "RunResult", "aggregate", "export_json", "export_csv", "to_artifact",
     "build_scenario", "run_point", "run_sweep",

@@ -19,11 +19,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.experiments.spec import (ChurnSpec, ExperimentSpec, FailureEvent,
+from repro.experiments.spec import (ChurnSpec, ExperimentSpec,
                                     HierarchyShape, MobilitySpec,
                                     OpenWorldSpec, WorkloadSpec)
-from repro.faults.plan import (Degrade, FaultPlan, Flap, LossBurst,
-                               Partition)
+from repro.faults.plan import (TOKEN_HOLDER, Crash, Degrade, FaultPlan, Flap,
+                               LossBurst, Partition)
 
 
 @dataclass(frozen=True)
@@ -223,10 +223,10 @@ def _failure_drill() -> ExperimentSpec:
         hierarchy=HierarchyShape(n_br=4, ags_per_br=2, aps_per_ag=2,
                                  mhs_per_ap=1),
         workload=WorkloadSpec(s=1, rate_per_sec=20.0),
-        failures=[
-            FailureEvent(at_ms=3_000.0, kind="crash_token_holder"),
-            FailureEvent(at_ms=6_000.0, kind="crash", target="ag:1.0"),
-        ],
+        faults=FaultPlan(actions=[
+            Crash(at_ms=3_000.0, target=TOKEN_HOLDER),
+            Crash(at_ms=6_000.0, target="ag:1.0"),
+        ]),
         duration_ms=15_000.0, warmup_ms=1_000.0, seed=13,
     )
 
@@ -436,10 +436,10 @@ def _correlated_ap_failures() -> ExperimentSpec:
         hierarchy=HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=2,
                                  mhs_per_ap=2),
         workload=WorkloadSpec(s=2, rate_per_sec=15.0),
-        failures=[
-            FailureEvent(at_ms=5_000.0, kind="crash", target="ap:0.0.0"),
-            FailureEvent(at_ms=5_000.0, kind="crash", target="ap:0.0.1"),
-        ],
+        faults=FaultPlan(actions=[
+            Crash(at_ms=5_000.0, target="ap:0.0.0"),
+            Crash(at_ms=5_000.0, target="ap:0.0.1"),
+        ]),
         duration_ms=12_000.0, warmup_ms=2_000.0, seed=29,
     )
 

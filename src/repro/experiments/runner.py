@@ -37,7 +37,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from repro.analysis.bounds import bounds_for
 from repro.experiments.grid import RunPoint
-from repro.faults.driver import FaultDriver, token_holder
+from repro.faults.driver import FaultDriver
 from repro.experiments.results import RunResult
 from repro.experiments.spec import ExperimentSpec
 from repro.baselines.single_ring import SingleRingMulticast
@@ -51,7 +51,6 @@ from repro.mobility.cells import CellGrid
 from repro.mobility.handoff import HandoffDriver
 from repro.mobility.models import DirectionalWalk, RandomWalk
 from repro.net.fabric import Fabric
-from repro.net.failure import FailureInjector
 from repro.net.link import WIRED, WIRELESS
 from repro.obs.critpath import critpath_summary
 from repro.obs.session import ObsSession
@@ -160,42 +159,6 @@ def _mobility_model(spec: ExperimentSpec):
     return RandomWalk(mean_dwell_ms=m.mean_dwell_ms, stay_prob=m.stay_prob)
 
 
-def _schedule_failures(sim: Simulator, net, spec: ExperimentSpec) -> None:
-    injector = FailureInjector(net.fabric)
-
-    def crash_token_holder() -> None:
-        net.crash_ne(token_holder(sim, net))
-
-    for ev in spec.failures:
-        if ev.kind == "crash":
-            if hasattr(net, "crash_ne"):
-                sim.schedule_at(ev.at_ms, net.crash_ne, ev.target)
-            else:
-                sim.schedule_at(ev.at_ms, injector.crash_node, ev.target)
-        elif ev.kind == "recover":
-            if hasattr(net, "crash_ne"):
-                # A token-passing crash removes the NE from the topology
-                # (maintenance re-forms the rings around it); flipping
-                # fabric state back would NOT rejoin it, so a "recover"
-                # would silently measure a permanent crash.
-                raise ValueError(
-                    "recover is not supported for token-passing systems: "
-                    "crash permanently removes the NE from the topology")
-            sim.schedule_at(ev.at_ms, injector.recover_node, ev.target)
-        elif ev.kind == "link_down":
-            sim.schedule_at(ev.at_ms, injector.link_down, ev.target,
-                            ev.target2)
-        elif ev.kind == "link_up":
-            sim.schedule_at(ev.at_ms, injector.link_up, ev.target, ev.target2)
-        elif ev.kind == "crash_token_holder":
-            if not hasattr(net, "top_ring_nes"):
-                raise ValueError(
-                    "crash_token_holder requires a token-passing system")
-            event = sim.schedule_at(ev.at_ms, crash_token_holder)
-            if sim.shard is not None:
-                sim.shard.register_probe(event, "token.holders")
-
-
 def build_scenario(spec: ExperimentSpec,
                    sim: Optional[Simulator] = None,
                    fabric: Optional[Fabric] = None) -> Scenario:
@@ -272,9 +235,6 @@ def build_scenario(spec: ExperimentSpec,
             alpha=ow.alpha,
             max_session_ms=ow.max_session_ms,
             mobility=mobility)
-
-    if spec.failures:
-        _schedule_failures(sim, net, spec)
 
     faults = None
     if spec.faults:

@@ -2,9 +2,10 @@
 
 An :class:`ExperimentSpec` describes one complete simulation run — the
 hierarchy shape, the protocol tunables, the traffic workload, mobility,
-churn, and injected failures — as plain data.  Specs round-trip through
-dicts and JSON, so a sweep definition can live in a file, travel to a
-worker process, or be diffed between two experiment campaigns.
+churn, and the fault plan (crashes and network faults) — as plain data.
+Specs round-trip through dicts and JSON, so a sweep definition can live
+in a file, travel to a worker process, or be diffed between two
+experiment campaigns.
 
 The spec layer is deliberately free of simulator imports (and of numpy):
 building a runnable scenario from a spec is the job of
@@ -38,11 +39,6 @@ CURVE_KINDS = ("constant", "diurnal", "flash")
 
 #: Mobility models the runner can instantiate.
 MOBILITY_MODELS = ("random_walk", "directional")
-
-#: Failure-event kinds the runner can apply.
-FAILURE_KINDS = ("crash", "recover", "link_down", "link_up",
-                 "crash_token_holder")
-
 
 def _check_number(path: str, old: Any, value: Any) -> None:
     """Where the spec holds a number, ``value`` must be one (no bool)."""
@@ -220,37 +216,6 @@ class OpenWorldSpec:
 
 
 @dataclass
-class FailureEvent:
-    """One scheduled fault.
-
-    ``kind`` is one of :data:`FAILURE_KINDS`.  ``target`` names a node
-    (``crash``/``recover``), or the first endpoint of a link
-    (``link_down``/``link_up``, with ``target2`` the second endpoint).
-    ``crash_token_holder`` needs no target: the runner crashes whichever
-    top-ring NE holds the OrderingToken at ``at_ms``.
-    """
-
-    at_ms: float = 0.0
-    kind: str = "crash"
-    target: Optional[str] = None
-    target2: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAILURE_KINDS:
-            raise ValueError(f"kind must be one of {FAILURE_KINDS}")
-        if self.kind in ("crash", "recover") and not self.target:
-            raise ValueError(f"{self.kind} needs a target node id")
-        if self.kind in ("link_down", "link_up") and not (
-                self.target and self.target2):
-            raise ValueError(f"{self.kind} needs target and target2")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FailureEvent":
-        _check_no_unknown_keys(cls, data)
-        return cls(**data)
-
-
-@dataclass
 class ExperimentSpec:
     """A complete, serializable description of one simulation run."""
 
@@ -263,7 +228,6 @@ class ExperimentSpec:
     mobility: MobilitySpec = field(default_factory=MobilitySpec)
     churn: ChurnSpec = field(default_factory=ChurnSpec)
     openworld: OpenWorldSpec = field(default_factory=OpenWorldSpec)
-    failures: List[FailureEvent] = field(default_factory=list)
     faults: FaultPlan = field(default_factory=FaultPlan)
     duration_ms: float = 10_000.0
     warmup_ms: float = 2_000.0
@@ -306,9 +270,6 @@ class ExperimentSpec:
             kwargs["churn"] = ChurnSpec.from_dict(kwargs["churn"])
         if "openworld" in kwargs:
             kwargs["openworld"] = OpenWorldSpec.from_dict(kwargs["openworld"])
-        if "failures" in kwargs:
-            kwargs["failures"] = [FailureEvent.from_dict(f)
-                                  for f in kwargs["failures"]]
         if "faults" in kwargs:
             kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
         if "protocol" in kwargs:

@@ -1,4 +1,4 @@
-"""Composable fault injection: partitions, degradation, correlated loss.
+"""Composable fault injection: crashes, partitions, degradation, loss.
 
 The subsystem has three layers:
 
@@ -17,14 +17,17 @@ The subsystem has three layers:
 from repro.faults.gilbert import GilbertElliott
 from repro.faults.driver import FaultDriver, structural_home, subtree_nodes
 from repro.faults.overlay import FaultOverlay
-from repro.faults.plan import (DIRECTIONS, REST, TOKEN_HOLDER_SUBTREE,
-                               Degrade, FaultAction, FaultPlan, Flap,
-                               LossBurst, Partition, selector_matches)
+from repro.faults.plan import (DIRECTIONS, REST, TOKEN_HOLDER,
+                               TOKEN_HOLDER_SUBTREE, Crash, Degrade,
+                               FaultAction, FaultPlan, Flap, LossBurst,
+                               Partition, selector_matches)
 
 __all__ = [
     "DIRECTIONS",
     "REST",
+    "TOKEN_HOLDER",
     "TOKEN_HOLDER_SUBTREE",
+    "Crash",
     "Degrade",
     "FaultAction",
     "FaultDriver",

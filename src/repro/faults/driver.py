@@ -7,16 +7,21 @@ churn ticks and scheduled crashes — so all shards install identical
 overlay entries at identical instants and the per-send verdicts in
 ``Fabric.send()`` cannot depend on the shard count.
 
+A crash calls the net's ``crash_ne`` (RingNet and the single-ring
+baseline: the NE leaves the topology and maintenance repairs around it);
+a net without one fail-stops the fabric node and emits ``fault.crash``
+itself.
+
 Selector resolution happens at activation time:
 
 * glob/exact selectors resolve against the fabric's node registry
   (replicated structural state — nodes are created by replicated
   control code, so every shard sees the same registry);
-* ``@token_holder_subtree`` needs the data-plane answer to "who holds
-  the token".  Sequentially the driver scans the top ring; under
-  sharding the activation event is registered as a ``token.holders``
-  synchronization probe (the same probe kind ``crash_token_holder``
-  uses), so every shard resolves from the same merged holder set;
+* ``@token_holder`` and ``@token_holder_subtree`` need the data-plane
+  answer to "who holds the token".  Sequentially the driver scans the
+  top ring; under sharding the activation event is registered as a
+  ``token.holders`` synchronization probe, so every shard resolves from
+  the same merged holder set;
 * ``@rest`` takes every fabric node not claimed by an earlier group.
 
 Groups are made disjoint by first-match-wins over the group order.
@@ -27,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from repro.faults.overlay import FaultOverlay, _BurstEntry
-from repro.faults.plan import (REST, TOKEN_HOLDER_SUBTREE, Degrade,
+from repro.faults.plan import (REST, TOKEN_HOLDER_SUBTREE, Crash, Degrade,
                                FaultPlan, Flap, LossBurst, Partition,
                                selector_matches)
 
@@ -131,12 +136,15 @@ class FaultDriver:
             raise RuntimeError("fault plan already scheduled")
         self._scheduled = True
         for index, action in enumerate(self.plan.actions):
+            dynamic = getattr(action, "dynamic", False)
+            if dynamic and not hasattr(self.net, "top_ring_nes"):
+                raise ValueError(
+                    f"{action.kind} action {index} reads the token holder: "
+                    f"it needs a token-passing system")
             event = self.sim.schedule_at(action.at_ms, self._activate, index)
-            if isinstance(action, Partition) and action.dynamic \
-                    and self.sim.shard is not None:
+            if dynamic and self.sim.shard is not None:
                 # Resolution reads "who holds the token" — data-plane
-                # state no single shard knows; gather it exactly like
-                # crash_token_holder does.
+                # state no single shard knows; gather it first.
                 self.sim.shard.register_probe(event, "token.holders")
 
     # ------------------------------------------------------------------
@@ -184,7 +192,17 @@ class FaultDriver:
         sim, overlay = self.sim, self.overlay
         action = self.plan.actions[index]
         key = self._base + index
-        if isinstance(action, Partition):
+        if isinstance(action, Crash):
+            target = action.target
+            if action.dynamic:
+                target = token_holder(sim, self.net)
+            crash_ne = getattr(self.net, "crash_ne", None)
+            if crash_ne is not None:
+                crash_ne(target)
+            else:
+                self.fabric.node(target).crash()
+                sim.trace.emit(sim.now, "fault.crash", node=target)
+        elif isinstance(action, Partition):
             groups = self._resolve_groups(action)
             overlay.install_partition(key, groups, action.direction)
             sim.trace.emit(

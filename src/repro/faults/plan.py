@@ -1,9 +1,10 @@
-"""Declarative fault plans: composable, timed network-fault actions.
+"""Declarative fault plans: composable, timed fault actions.
 
-A :class:`FaultPlan` is an ordered list of timed :class:`FaultAction`\\ s
-describing *network* faults — conditions the binary link up/down and
-fail-stop crash model of :mod:`repro.net.failure` cannot express:
+A :class:`FaultPlan` is an ordered list of timed :class:`FaultAction`\\ s,
+the one description of every fault a run injects:
 
+* :class:`Crash` — fail-stop one node (an NE crash repairs through
+  topology maintenance and token regeneration);
 * :class:`Partition` — drop all traffic crossing a set of node groups
   (including **asymmetric** one-way partitions), healing at a scheduled
   instant;
@@ -21,9 +22,11 @@ spec file, travel to a sweep worker, or be diffed between campaigns.
 Executing a plan is the job of :class:`repro.faults.driver.FaultDriver`.
 
 Node **selectors** are plain ids (``"br:0"``), ``fnmatch`` glob patterns
-over ids (``"ap:0.*"``), or one of two dynamic forms resolved at
+over ids (``"ap:0.*"``), or one of three dynamic forms resolved at
 activation time:
 
+* ``"@token_holder"`` — the top-ring NE holding the OrderingToken (a
+  crash target only);
 * ``"@token_holder_subtree"`` — the hierarchy subtree under the top-ring
   NE currently holding the OrderingToken (plus the MHs structurally
   homed there and the sources feeding it);
@@ -39,6 +42,9 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from fnmatch import fnmatchcase
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+
+#: Crash target resolved dynamically to the token holder itself.
+TOKEN_HOLDER = "@token_holder"
 
 #: Selector resolved dynamically to the token holder's subtree.
 TOKEN_HOLDER_SUBTREE = "@token_holder_subtree"
@@ -94,7 +100,7 @@ class FaultAction:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultAction":
-        kinds = {"partition": Partition, "degrade": Degrade,
+        kinds = {"crash": Crash, "partition": Partition, "degrade": Degrade,
                  "flap": Flap, "loss_burst": LossBurst}
         kind = data.get("kind")
         if kind not in kinds:
@@ -104,6 +110,29 @@ class FaultAction:
         sub = kinds[kind]
         _check_keys(sub, data)
         return sub(**data)
+
+
+@dataclass
+class Crash(FaultAction):
+    """Fail-stop ``target`` at ``at_ms``; a crashed node never recovers.
+
+    ``target`` is a node id, or :data:`TOKEN_HOLDER` for whichever
+    top-ring NE holds the OrderingToken at ``at_ms``.
+    """
+
+    kind: str = "crash"
+    target: str = ""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.target:
+            raise ValueError(
+                f"a crash needs a target node id or {TOKEN_HOLDER!r}")
+
+    @property
+    def dynamic(self) -> bool:
+        """True when resolution needs run-time state (the token holder)."""
+        return self.target == TOKEN_HOLDER
 
 
 @dataclass
@@ -303,8 +332,8 @@ class FaultPlan:
     def span(self) -> Optional[tuple]:
         """(first activation, last known end) or None when empty.
 
-        The end is None when any action never ends (an unhealed
-        partition).
+        The end is None when any action never ends (a crash or an
+        unhealed partition).
         """
         if not self.actions:
             return None
@@ -326,7 +355,9 @@ class FaultPlan:
             end = a.end_ms()
             window = (f"[{a.at_ms:g}, {end:g}) ms" if end is not None
                       else f"[{a.at_ms:g}, ∞) ms")
-            if isinstance(a, Partition):
+            if isinstance(a, Crash):
+                detail = a.target
+            elif isinstance(a, Partition):
                 detail = (f"{len(a.groups)} groups, {a.direction}, "
                           + " | ".join(",".join(g) for g in a.groups))
             elif isinstance(a, Degrade):

@@ -17,7 +17,8 @@ Layering
   retransmission timers, and bounded retries on top of a ``NetNode`` —
   the paper's "some retransmission scheme" for both data and the
   OrderingToken, with best-effort give-up semantics.
-* :class:`FailureInjector` crashes/restores nodes and links mid-run.
+
+Crashes and link faults mid-run are :mod:`repro.faults` plan actions.
 """
 
 from repro.net.address import NodeId, make_id
@@ -26,7 +27,6 @@ from repro.net.link import Link, LinkSpec, WIRED, WIRELESS, LOSSY_WIRELESS
 from repro.net.node import NetNode
 from repro.net.fabric import Fabric
 from repro.net.transport import ReliableChannel, TransportStats
-from repro.net.failure import FailureInjector
 
 __all__ = [
     "NodeId",
@@ -41,5 +41,4 @@ __all__ = [
     "Fabric",
     "ReliableChannel",
     "TransportStats",
-    "FailureInjector",
 ]

@@ -111,7 +111,6 @@ class Fabric:
             self._adj[b].peers[a] = link
         else:
             link.spec = spec
-            link.up = True
         return link
 
     def disconnect(self, a: NodeId, b: NodeId) -> None:
@@ -125,13 +124,6 @@ class Fabric:
         """The link between a and b, or None."""
         rec = self._adj.get(a)
         return rec.peers.get(b) if rec is not None else None
-
-    def set_link_up(self, a: NodeId, b: NodeId, up: bool) -> None:
-        """Raise/lower a link; messages on a down link are dropped."""
-        link = self.link(a, b)
-        if link is None:
-            raise KeyError(f"no link {a!r} <-> {b!r}")
-        link.up = up
 
     @property
     def links(self) -> list[Link]:
@@ -185,10 +177,6 @@ class Fabric:
         msg.sent_at = sim.now
         link.sent += 1
 
-        if not link.up:
-            link.dropped += 1
-            self.messages_dropped += 1
-            return True
         spec = link.spec
         loss_prob = spec.loss_prob
         latency = spec.latency
@@ -205,7 +193,7 @@ class Fabric:
                 if fx.blocks:
                     blocked = overlay.blocked_by(fx, sim.now)
                     if blocked is not None:
-                        # Partition / flap-down: silent, like a down link.
+                        # Partition / flap-down: silent, no net.loss.
                         overlay.note_drop(blocked)
                         link.dropped += 1
                         self.messages_dropped += 1

@@ -7,9 +7,10 @@ parameters.  Delay model per message::
 
 Loss model: i.i.d. Bernoulli(loss_prob) per transmission — appropriate
 for the paper's "high bit error rate" wireless channels when messages fit
-in one frame.  Links can be taken down/up by the failure injector; a down
-link silently drops everything (the reliable transport layer then sees
-retransmission timeouts, exactly as a real protocol stack would).
+in one frame.  A link cut is a :class:`~repro.faults.plan.Partition` of
+its two endpoints: it silently drops everything until it heals (the
+reliable transport layer then sees retransmission timeouts, exactly as
+a real protocol stack would).
 
 Three canonical profiles are exported:
 
@@ -62,12 +63,11 @@ LOSSY_WIRELESS = LinkSpec(latency=5.0, jitter=2.0, bandwidth_bps=0.0, loss_prob=
 
 @dataclass(slots=True)
 class Link:
-    """A live link instance: spec + operational state + counters."""
+    """A live link instance: spec + counters."""
 
     a: NodeId
     b: NodeId
     spec: LinkSpec
-    up: bool = True
     sent: int = 0
     dropped: int = 0
 

@@ -18,7 +18,7 @@ class NetNode:
 
     Subclasses override :meth:`on_message`.  Construction registers the
     node with the fabric; a node that has been :meth:`crash`-ed neither
-    sends nor receives until :meth:`recover`-ed.
+    sends nor receives again.
 
     Slotted so fully-slotted leaf subclasses (``MobileHost`` above all —
     the entity class that exists a million times at the metro rung) pay
@@ -83,10 +83,6 @@ class NetNode:
     def crash(self) -> None:
         """Fail-stop this node (messages to/from it vanish)."""
         self.alive = False
-
-    def recover(self) -> None:
-        """Bring the node back (protocol state is whatever survived)."""
-        self.alive = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"

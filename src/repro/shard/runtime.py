@@ -174,9 +174,9 @@ def _bind(ctx: ShardContext, scenario) -> None:
                 if ctx.is_local(mid)}
 
     def token_holders() -> List[str]:
-        # Consumed by crash_token_holder schedules *and* by fault-plan
-        # partitions with an @token_holder_subtree group (the fault
-        # driver registers its activation event under this probe kind).
+        # Consumed by fault-plan actions that read the token holder: an
+        # @token_holder crash or an @token_holder_subtree partition (the
+        # fault driver registers its activation event under this kind).
         return [ne.id for ne in net.top_ring_nes()
                 if ctx.is_local(ne.id) and ne.held_token is not None]
 

@@ -21,11 +21,11 @@ import random
 from typing import Any, Dict, List
 
 from repro.experiments.grid import RunPoint
-from repro.experiments.spec import (ChurnSpec, ExperimentSpec, FailureEvent,
+from repro.experiments.spec import (ChurnSpec, ExperimentSpec,
                                     HierarchyShape, MobilitySpec,
                                     WorkloadSpec)
-from repro.faults.plan import (Degrade, FaultPlan, Flap, LossBurst,
-                               Partition)
+from repro.faults.plan import (TOKEN_HOLDER, Crash, Degrade, FaultPlan, Flap,
+                               LossBurst, Partition)
 from repro.sim.rand import derive_seed
 from repro.validation.monitor import MonitorSuite
 from repro.validation.monitors import DEFAULT_RECOVERY_WINDOW_MS
@@ -121,7 +121,7 @@ def random_spec(rng: random.Random, *, index: int, seed: int,
     Every constraint the runner enforces is respected by construction:
     ``s <= r`` sources, depth > 1 only for ringnet, mobility only for
     ringnet, crash targets that exist in the generated shape, and
-    failures early enough that the recovery window fits the run.
+    crashes early enough that the recovery window fits the run.
     """
     system = _choice_weighted(rng, _SYSTEM_WEIGHTS)
 
@@ -158,7 +158,7 @@ def random_spec(rng: random.Random, *, index: int, seed: int,
                           mean_interval_ms=float(rng.randint(200, 1_000)),
                           min_members=1)
 
-    failures: List[Any] = []
+    actions: List[Any] = []     # crashes first, then the network faults
     if rng.random() < 0.4:
         # Early enough that recovery must complete inside the run: the
         # tail after the crash covers the (duration-scaled) recovery
@@ -167,28 +167,26 @@ def random_spec(rng: random.Random, *, index: int, seed: int,
         at_ms = round(duration_ms * rng.uniform(0.2, 1.0 - _RECOVERY_FRACTION),
                       1)
         if system in ("ringnet", "single_ring") and rng.random() < 0.6:
-            failures.append(FailureEvent(at_ms=at_ms,
-                                         kind="crash_token_holder"))
+            actions.append(Crash(at_ms=at_ms, target=TOKEN_HOLDER))
         elif system == "ringnet" and depth == 1:
             if ags_per_br > 1 and rng.random() < 0.5:
                 # Crash a non-leader AG: ring repair without reparenting
                 # the whole subtree through a missing leader.
                 br = rng.randrange(n_br)
-                failures.append(FailureEvent(
-                    at_ms=at_ms, kind="crash",
+                actions.append(Crash(
+                    at_ms=at_ms,
                     target=f"ag:{br}.{rng.randrange(1, ags_per_br)}"))
             else:
                 br = rng.randrange(n_br)
                 ag = rng.randrange(ags_per_br)
                 ap = rng.randrange(aps_per_ag)
-                failures.append(FailureEvent(
-                    at_ms=at_ms, kind="crash",
-                    target=f"ap:{br}.{ag}.{ap}"))
+                actions.append(Crash(at_ms=at_ms,
+                                     target=f"ap:{br}.{ag}.{ap}"))
 
-    faults = FaultPlan()
     protocol: Dict[str, Any] = {}
     if system == "ringnet" and depth == 1 and rng.random() < 0.35:
-        faults = random_fault_plan(rng, n_br=n_br, duration_ms=duration_ms)
+        actions += random_fault_plan(rng, n_br=n_br,
+                                     duration_ms=duration_ms).actions
         # No maintenance event fires for a network fault, so the token
         # must ride out any outage in retransmission: widen the retry
         # budget past the longest partition/flap-down span the generator
@@ -204,8 +202,7 @@ def random_spec(rng: random.Random, *, index: int, seed: int,
         workload=workload,
         mobility=mobility,
         churn=churn,
-        failures=failures,
-        faults=faults,
+        faults=FaultPlan(actions=actions),
         duration_ms=float(duration_ms),
         warmup_ms=0.0,
         seed=seed,

@@ -16,7 +16,7 @@ from repro.topology.builder import HierarchySpec
 
 #: Horizons (ms) the goldens under ``tests/data/seed_traces/`` were
 #: recorded at.  Trimmed for suite speed, but always covering every
-#: scheduled failure event of the scenario (failure_drill crashes at
+#: scheduled crash of the scenario (failure_drill crashes at
 #: 3000/6000, correlated_ap_failures at 5000).  Every fault-plan
 #: scenario (split_brain & co.) activates all of its actions inside the
 #: default horizon — asserted by tests/test_faults_scenarios.py — so the

@@ -457,6 +457,11 @@ def poisoned_suite(monkeypatch):
                         poisoned(validation_suite.suite_for_spec))
 
 
+#: A spec file written before crashes joined the fault plan: its
+#: ``failures`` section is an unknown key now.
+LEGACY_FAILURES_SPEC = "failures.spec.json"
+
+
 class TestExitCodes:
     def test_a_check_violation_is_1_in_every_checked_command(
             self, poisoned_suite, tmp_path, capsys):
@@ -530,16 +535,24 @@ class TestExitCodes:
         ["run", "quickstart", "--set", "hierarchy.n_br=abc"],
         ["show", "quickstart", "--shards", "2", "--set", "hierarchy.n_br=abc"],
         ["run", "quickstart", "--set", "protocol.tau=abc"],
+        ["run", LEGACY_FAILURES_SPEC],
     ])
     def test_unknown_names_invalid_specs_and_unreadable_files_are_2(
             self, argv, tmp_path, monkeypatch, capsys):
         # tests/test_run_pipeline.py holds the rows the retired programs
         # had; these are the subcommands that had no such row.
         monkeypatch.chdir(tmp_path)
+        # A spec file from before crashes joined the fault plan.
+        (tmp_path / LEGACY_FAILURES_SPEC).write_text(json.dumps(
+            {"name": "legacy", "failures": [
+                {"at_ms": 5.0, "kind": "crash", "target": "br:0",
+                 "target2": None}]}))
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err and captured.out == ""
+        if LEGACY_FAILURES_SPEC in argv:
+            assert "'failures'" in captured.err
 
     def test_a_wrong_typed_set_names_its_field(self, capsys):
         assert main(["run", "quickstart", "--set",

@@ -160,14 +160,6 @@ def test_mq_range_iterates_in_order():
     assert [m.global_seq for m in mq.range(0, 0)] == []
 
 
-def test_mq_undelivered_listing():
-    mq = MessageQueue()
-    for i in range(3):
-        mq.insert(bm(i))
-    mq.mark_delivered(1)
-    assert [m.global_seq for m in mq.undelivered()] == [0, 2]
-
-
 # ---------------------------------------------------------------------------
 # WorkingQueue
 # ---------------------------------------------------------------------------
@@ -277,42 +269,19 @@ def test_wt_children_sorted():
 
 
 # ---------------------------------------------------------------------------
-# MQ pending index (incremental, no full-store sort)
+# MQ delivery lifecycle
 # ---------------------------------------------------------------------------
 def test_mq_pending_tracks_lifecycle():
     mq = MessageQueue()
     for seq in (0, 2, 1):
         mq.insert(bm(seq))
-    assert mq.pending == 3
     mq.mark_delivered(0)
-    mq.advance_front()
-    assert mq.pending == 2
+    assert mq.advance_front() == 1
     mq.tombstone_lost(3)
-    assert mq.pending == 2          # tombstones arrive pre-delivered
+    assert mq.get(3).delivered      # tombstones arrive pre-delivered
     mq.mark_delivered(1)
     mq.mark_delivered(2)
-    mq.advance_front()
-    assert mq.pending == 0
-    assert mq.undelivered() == []
-
-
-def test_mq_undelivered_matches_brute_force():
-    import random
-
-    rng = random.Random(3)
-    mq = MessageQueue()
-    for seq in rng.sample(range(200), 120):
-        mq.insert(bm(seq))
-    for seq in rng.sample(range(200), 150):
-        if rng.random() < 0.5:
-            mq.mark_delivered(seq)
-        else:
-            mq.tombstone_lost(seq)
-    mq.advance_front()
-    mq.prune(retention=5)
-    brute = [m for s, m in sorted(mq._store.items()) if not m.delivered]
-    assert mq.undelivered() == brute
-    assert mq.pending == len(brute)
+    assert mq.advance_front() == 3 and mq.front == mq.rear == 3
 
 
 def test_mq_pending_survives_prune_and_anchor():
@@ -322,14 +291,14 @@ def test_mq_pending_survives_prune_and_anchor():
         mq.mark_delivered(seq)
     mq.advance_front()
     assert mq.prune(retention=0) == 10
-    assert mq.pending == 0
+    assert len(mq) == 0
     mq.anchor(start_seq=50)
-    mq.insert(bm(50))
-    assert mq.pending == 1
+    assert mq.insert(bm(50))
+    assert (mq.front, mq.rear, mq.missing) == (49, 50, 0)
 
 
 def test_mq_duplicate_insert_does_not_inflate_pending():
     mq = MessageQueue()
     assert mq.insert(bm(4))
     assert not mq.insert(bm(4))
-    assert mq.pending == 1
+    assert len(mq) == 1 and mq.inserted == 1

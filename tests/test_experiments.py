@@ -13,11 +13,12 @@ import math
 
 import pytest
 
-from repro.experiments import (ChurnSpec, ExperimentSpec, FailureEvent,
-                               HierarchyShape, MobilitySpec, RunPoint,
-                               RunResult, WorkloadSpec, aggregate,
-                               build_scenario, expand_grid, export_csv,
-                               export_json, registry, run_point, run_sweep)
+from repro.experiments import (ChurnSpec, ExperimentSpec, HierarchyShape,
+                               MobilitySpec, RunPoint, RunResult,
+                               WorkloadSpec, aggregate, build_scenario,
+                               expand_grid, export_csv, export_json,
+                               registry, run_point, run_sweep)
+from repro.faults import TOKEN_HOLDER, Crash, FaultPlan
 from repro.__main__ import main as cli_main
 from repro.sim.rand import RandomStreams, derive_seed
 
@@ -46,8 +47,8 @@ class TestSpec:
             workload=WorkloadSpec(rates=[60.0, 10.0], pattern="poisson"),
             mobility=MobilitySpec(enabled=True, model="directional"),
             churn=ChurnSpec(enabled=True, mean_interval_ms=100.0),
-            failures=[FailureEvent(at_ms=100.0, kind="crash", target="br:0"),
-                      FailureEvent(kind="crash_token_holder", at_ms=5.0)],
+            faults=FaultPlan([Crash(at_ms=100.0, target="br:0"),
+                              Crash(at_ms=5.0, target=TOKEN_HOLDER)]),
             duration_ms=5_000.0, warmup_ms=1_000.0, seed=99,
         )
         data = spec.to_dict()
@@ -107,7 +108,7 @@ class TestSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(pattern="fractal")
         with pytest.raises(ValueError):
-            FailureEvent(kind="crash")  # no target
+            Crash(at_ms=5.0)  # no target
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +207,7 @@ class TestRegistry:
 
     def test_every_scenario_builds(self):
         # Construction only (no run): catches spec/runner mismatches
-        # like bad node ids in failure events or shape constraints.
+        # like shape constraints a spec cannot meet.
         for name in registry.names():
             scenario = build_scenario(registry.get(name))
             assert scenario.net is not None, name
@@ -274,25 +275,30 @@ class TestRunner:
 
     def test_failure_events_fire(self):
         spec = TINY.with_overrides({"duration_ms": 2_500.0})
-        spec.failures.append(FailureEvent(at_ms=1_000.0, kind="crash",
-                                          target="br:1"))
+        spec.faults.actions.append(Crash(at_ms=1_000.0, target="br:1"))
         r = run_point(spec)
         assert r.delivered > 0 and r.order_violations == 0
 
-    def test_recover_rejected_on_token_passing_systems(self):
-        # A ringnet crash removes the NE from the topology; a fabric
-        # "recover" would silently measure a permanent crash.
-        spec = TINY.copy()
-        spec.failures = [FailureEvent(at_ms=500.0, kind="crash",
-                                      target="br:1"),
-                         FailureEvent(at_ms=900.0, kind="recover",
-                                      target="br:1")]
-        with pytest.raises(ValueError, match="recover"):
+    def test_token_holder_crash_needs_a_token_passing_system(self):
+        spec = TINY.with_overrides({"system": "unordered"})
+        spec.faults.actions.append(Crash(at_ms=500.0, target=TOKEN_HOLDER))
+        with pytest.raises(ValueError, match="token-passing system"):
             build_scenario(spec)
-        # The unordered baseline crashes at fabric level, so its
-        # recover is real.
-        spec.system = "unordered"
-        r = run_point(spec)
+
+    def test_recover_rejected_on_token_passing_systems(self):
+        # A crash is permanent (a ringnet crash removes the NE from the
+        # topology), so a plan has no action that undoes one, on any
+        # system.
+        data = TINY.to_dict()
+        data["faults"] = {"actions": [
+            {"kind": "crash", "at_ms": 500.0, "target": "br:1"},
+            {"kind": "recover", "at_ms": 900.0, "target": "br:1"}]}
+        with pytest.raises(ValueError, match="recover"):
+            ExperimentSpec.from_dict(data)
+        # The unordered baseline crashes at fabric level and runs on.
+        data["faults"]["actions"].pop()
+        data["system"] = "unordered"
+        r = run_point(ExperimentSpec.from_dict(data))
         assert r.delivered > 0
 
     def test_mobility_requires_ringnet(self):

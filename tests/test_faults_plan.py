@@ -7,8 +7,9 @@ import pytest
 from repro.experiments import registry
 from repro.experiments.spec import ExperimentSpec
 from repro.__main__ import main as cli_main
-from repro.faults.plan import (Degrade, FaultAction, FaultPlan, Flap,
-                               LossBurst, Partition, selector_matches)
+from repro.faults.plan import (TOKEN_HOLDER, Crash, Degrade, FaultAction,
+                               FaultPlan, Flap, LossBurst, Partition,
+                               selector_matches)
 
 
 # ----------------------------------------------------------------------
@@ -69,6 +70,24 @@ def test_loss_burst_validation_and_stationary():
     b = LossBurst(at_ms=0.0, until_ms=1.0, links=[["a", "b"]],
                   p_gb=0.05, p_bg=0.25, loss_good=0.0, loss_bad=0.9)
     assert b.stationary_loss == pytest.approx((0.05 / 0.30) * 0.9)
+
+
+def test_crash_validation_round_trip_and_describe():
+    with pytest.raises(ValueError, match="needs a target"):
+        Crash(at_ms=5.0)
+    with pytest.raises(ValueError, match="needs a target"):
+        FaultAction.from_dict({"kind": "crash", "at_ms": 5.0})
+    plan = FaultPlan(actions=[Crash(at_ms=6_000.0, target="ag:1.0"),
+                              Crash(at_ms=3_000.0, target=TOKEN_HOLDER)])
+    assert plan.to_dict()["actions"][1] == {
+        "kind": "crash", "at_ms": 3_000.0, "target": "@token_holder"}
+    assert FaultPlan.from_dict(plan.to_dict()) == plan
+    assert FaultPlan.from_json(plan.to_json()) == plan
+    assert [a.dynamic for a in plan] == [False, True]
+    assert plan.span() == (3_000.0, None)       # a crash never ends
+    assert plan.describe() == [
+        " 1. crash      [3000, ∞) ms       @token_holder",
+        " 0. crash      [6000, ∞) ms       ag:1.0"]
 
 
 def test_unknown_kind_rejected():

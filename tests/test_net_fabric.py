@@ -1,11 +1,13 @@
 """Unit tests for addresses, links, and the fabric."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.faults import FaultDriver, FaultPlan, Partition
 from repro.net.address import make_id, tier_of
 from repro.net.fabric import Fabric
-from repro.net.failure import FailureInjector
-from repro.net.link import LinkSpec, WIRED, WIRELESS
+from repro.net.link import LinkSpec, WIRED
 
 from conftest import Ping, Recorder
 
@@ -95,8 +97,7 @@ def test_down_link_drops(sim):
     fabric = Fabric(sim)
     a = Recorder(fabric, "a")
     b = Recorder(fabric, "b")
-    fabric.connect("a", "b", LinkSpec(latency=1.0))
-    fabric.set_link_up("a", "b", False)
+    fabric.connect("a", "b", LinkSpec(latency=1.0, loss_prob=1.0))
     a.send("b", Ping())
     sim.run()
     assert b.received == []
@@ -173,18 +174,6 @@ def test_crashed_sender_sends_nothing(sim):
     assert b.received == []
 
 
-def test_recover_restores_delivery(sim):
-    fabric = Fabric(sim)
-    a = Recorder(fabric, "a")
-    b = Recorder(fabric, "b")
-    fabric.connect("a", "b", LinkSpec(latency=1.0))
-    b.crash()
-    b.recover()
-    a.send("b", Ping())
-    sim.run()
-    assert len(b.received) == 1
-
-
 def test_disconnect_removes_link(sim):
     fabric = Fabric(sim)
     Recorder(fabric, "a")
@@ -206,27 +195,15 @@ def test_links_listing_sorted(sim):
 
 def test_reconnect_updates_spec_and_raises_link(sim):
     fabric = Fabric(sim)
-    Recorder(fabric, "a")
-    Recorder(fabric, "b")
-    fabric.connect("a", "b", WIRED)
-    fabric.set_link_up("a", "b", False)
-    link = fabric.connect("a", "b", WIRELESS)
-    assert link.up is True
-    assert link.spec == WIRELESS
-
-
-def test_set_link_up_unknown_pair_raises(sim):
-    fabric = Fabric(sim)
-    Recorder(fabric, "a")
-    Recorder(fabric, "b")
-    with pytest.raises(KeyError, match="'a' <-> 'x'"):
-        fabric.set_link_up("a", "x", False)
-    # A configured pair works; tearing the link down then naming a
-    # different pair still raises with the offending pair.
-    fabric.connect("a", "b", WIRED)
-    fabric.set_link_up("a", "b", False)
-    with pytest.raises(KeyError, match="'b' <-> 'c'"):
-        fabric.set_link_up("b", "c", True)
+    a = Recorder(fabric, "a")
+    b = Recorder(fabric, "b")
+    dead = fabric.connect("a", "b", LinkSpec(latency=1.0, loss_prob=1.0))
+    a.send("b", Ping())
+    link = fabric.connect("a", "b", WIRED)
+    assert link is dead and link.spec == WIRED
+    a.send("b", Ping())
+    sim.run()
+    assert len(b.received) == 1 and link.dropped == 1
 
 
 def test_disconnect_unknown_pair_raises(sim):
@@ -306,22 +283,24 @@ def test_default_spec_autocreates_again_after_disconnect(sim):
     assert fabric.messages_sent == 3
 
 
-def test_failure_injector_link_faults_reach_an_indexed_link(sim):
+def test_link_faults_reach_an_indexed_link(sim):
     fabric, a, b = _connected_pair(sim)
-    inj = FailureInjector(fabric)
-    inj.link_down("b", "a")
+    fabric.connect("b", "a", LinkSpec(latency=1.0, loss_prob=1.0))
     a.send("b", Ping())
     b.send("a", Ping())
     sim.run()
     assert len(a.received) == len(b.received) == 1
     assert fabric.messages_dropped == 2
-    inj.link_up("a", "b")
+    fabric.connect("a", "b", LinkSpec(latency=1.0))
     a.send("b", Ping())
     sim.run()
     assert len(b.received) == 2
-    inj.partition(["a"], ["b"])
-    a.send("b", Ping())
-    inj.heal()
-    b.send("a", Ping())
+    # A link cut is a partition of two one-node groups, healed on time.
+    t = sim.now
+    cut = Partition(at_ms=t + 1.0, heal_at_ms=t + 2.0, groups=[["a"], ["b"]])
+    FaultDriver(sim, SimpleNamespace(fabric=fabric),
+                FaultPlan([cut])).schedule()
+    sim.schedule_at(t + 1.5, a.send, "b", Ping())
+    sim.schedule_at(t + 2.5, b.send, "a", Ping())
     sim.run()
     assert (len(a.received), len(b.received)) == (2, 2)

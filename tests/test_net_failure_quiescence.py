@@ -1,8 +1,11 @@
-"""Tests for the failure injector and Multiple-Token quiescence units."""
+"""Tests for fault-plan link cuts and crashes, and Multiple-Token
+quiescence units."""
+
+from types import SimpleNamespace
 
 from repro.core.messages import TokenAnnounce, TokenPass
 from repro.core.token import OrderingToken
-from repro.net.failure import FailureInjector
+from repro.faults import Crash, FaultDriver, FaultPlan, Partition
 from repro.net.fabric import Fabric
 from repro.net.link import LinkSpec
 
@@ -10,36 +13,25 @@ from conftest import Ping, Recorder
 from helpers import small_net
 
 
-# ---------------------------------------------------------------------------
-# FailureInjector
-# ---------------------------------------------------------------------------
-def test_crash_and_recover_node(sim):
-    fabric = Fabric(sim, default_spec=LinkSpec(latency=1.0))
-    a = Recorder(fabric, "a")
-    b = Recorder(fabric, "b")
-    inj = FailureInjector(fabric)
-    inj.crash_node("b")
-    a.send("b", Ping())
-    sim.run(until=10)
-    assert b.received == []
-    inj.recover_node("b")
-    a.send("b", Ping())
-    sim.run(until=20)
-    assert len(b.received) == 1
-    assert [e[1] for e in inj.log] == ["crash", "recover"]
+def run_plan(sim, fabric, *actions):
+    """Arm ``actions`` against a bare fabric (a net without ``crash_ne``)."""
+    FaultDriver(sim, SimpleNamespace(fabric=fabric),
+                FaultPlan(list(actions))).schedule()
 
 
+# ---------------------------------------------------------------------------
+# Fault plans on a bare fabric
+# ---------------------------------------------------------------------------
 def test_link_down_up(sim):
     fabric = Fabric(sim)
     a = Recorder(fabric, "a")
     b = Recorder(fabric, "b")
     fabric.connect("a", "b", LinkSpec(latency=1.0))
-    inj = FailureInjector(fabric)
-    inj.link_down("a", "b")
-    a.send("b", Ping())
+    run_plan(sim, fabric, Partition(at_ms=0.0, heal_at_ms=10.0,
+                                    groups=[["a"], ["b"]]))
+    sim.schedule_at(1.0, a.send, "b", Ping())
     sim.run(until=10)
     assert b.received == []
-    inj.link_up("a", "b")
     a.send("b", Ping())
     sim.run(until=20)
     assert len(b.received) == 1
@@ -50,15 +42,14 @@ def test_partition_and_heal(sim):
     nodes = {n: Recorder(fabric, n) for n in ("a", "b", "c", "d")}
     for x, y in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")):
         fabric.connect(x, y, LinkSpec(latency=1.0))
-    inj = FailureInjector(fabric)
-    inj.partition(["a", "b"], ["c", "d"])
+    run_plan(sim, fabric, Partition(at_ms=0.0, heal_at_ms=10.0,
+                                    groups=[["a", "b"], ["c", "d"]]))
     # Intra-group link still up, cross links down.
-    nodes["a"].send("b", Ping())
-    nodes["a"].send("c", Ping())
+    sim.schedule_at(1.0, nodes["a"].send, "b", Ping())
+    sim.schedule_at(1.0, nodes["a"].send, "c", Ping())
     sim.run(until=10)
     assert len(nodes["b"].received) == 1
     assert nodes["c"].received == []
-    inj.heal()
     nodes["a"].send("c", Ping())
     sim.run(until=20)
     assert len(nodes["c"].received) == 1
@@ -68,12 +59,13 @@ def test_scheduled_faults(sim):
     fabric = Fabric(sim, default_spec=LinkSpec(latency=1.0))
     a = Recorder(fabric, "a")
     b = Recorder(fabric, "b")
-    inj = FailureInjector(fabric)
-    inj.crash_node_at(5.0, "b")
-    inj.recover_node_at(10.0, "b")
+    crashes = []
+    sim.trace.subscribe("fault.crash", crashes.append)
+    run_plan(sim, fabric, Crash(at_ms=5.0, target="b"))
+    sim.schedule_at(6.0, a.send, "b", Ping())
     sim.run(until=20)
-    assert b.alive
-    assert [e[1] for e in inj.log] == ["crash", "recover"]
+    assert not b.alive and b.received == []
+    assert [(r.time, r["node"]) for r in crashes] == [(5.0, "b")]
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,7 @@ def test_duplicates_suppressed(sim):
 
 
 def test_give_up_after_max_retries(sim):
-    fabric, a, b = make_pair(sim, max_retries=2)
-    fabric.set_link_up("a", "b", False)
+    _, a, b = make_pair(sim, loss=1.0, max_retries=2)
     a.chan.send("b", Ping(9))
     sim.run(until=1_000)
     assert len(a.gave_up) == 1
@@ -76,8 +75,7 @@ def test_give_up_after_max_retries(sim):
 
 
 def test_retry_count_respected(sim):
-    fabric, a, b = make_pair(sim, max_retries=3)
-    fabric.set_link_up("a", "b", False)
+    _, a, b = make_pair(sim, loss=1.0, max_retries=3)
     a.chan.send("b", Ping())
     sim.run(until=1_000)
     # original + 3 retries = 4 transmissions attempted
@@ -85,8 +83,7 @@ def test_retry_count_respected(sim):
 
 
 def test_zero_retries_fire_and_forget(sim):
-    fabric, a, b = make_pair(sim, max_retries=0)
-    fabric.set_link_up("a", "b", False)
+    _, a, b = make_pair(sim, loss=1.0, max_retries=0)
     a.chan.send("b", Ping())
     sim.run(until=1_000)
     assert a.chan.stats.retransmitted == 0
@@ -94,8 +91,7 @@ def test_zero_retries_fire_and_forget(sim):
 
 
 def test_cancel_all_abandons_outstanding(sim):
-    fabric, a, b = make_pair(sim)
-    fabric.set_link_up("a", "b", False)
+    _, a, b = make_pair(sim, loss=1.0)
     a.chan.send("b", Ping())
     a.chan.send("b", Ping())
     a.chan.cancel_all("b")
@@ -121,8 +117,7 @@ def test_an_outstanding_segment_pickles_only_its_wire_fields(sim):
 
 
 def test_crashed_sender_stops_retransmitting(sim):
-    fabric, a, b = make_pair(sim, max_retries=5)
-    fabric.set_link_up("a", "b", False)
+    _, a, b = make_pair(sim, loss=1.0, max_retries=5)
     a.chan.send("b", Ping())
     sim.schedule(5.0, a.crash)
     sim.run(until=1_000)
@@ -216,7 +211,7 @@ def make_star(sim, peers=("x", "y"), rto=10.0):
 
 def test_cancel_all_for_one_peer_leaves_the_others_armed(sim):
     fabric, hub, _ = make_star(sim)
-    fabric.set_link_up("hub", "x", False)
+    fabric.connect("hub", "x", LinkSpec(latency=1.0, loss_prob=1.0))
     for i in range(3):
         hub.chan.send("x", Ping(i))
     for i in range(2):
@@ -251,7 +246,7 @@ def test_peer_numbering_and_dedup_survive_cancel_all(sim):
 
 def test_rto_after_disconnect_fails_like_any_send_without_a_link(sim):
     fabric, hub, nodes = make_star(sim)
-    fabric.set_link_up("hub", "x", False)
+    fabric.connect("hub", "x", LinkSpec(latency=1.0, loss_prob=1.0))
     hub.chan.send("x", Ping())
     fabric.disconnect("hub", "x")
     with pytest.raises(KeyError, match="no link 'hub' <-> 'x'"):

@@ -226,13 +226,16 @@ def test_assign_latency_is_derived_from_the_ordered_records():
 
 def test_session_profiler_names_cost_centers():
     _, session = _run_session(_quickstart_spec())
-    top = session.profiler.summary(top=5)
-    assert len(top) == 5
+    rows = session.profiler.summary()
+    # ``top`` keeps the heaviest rows.  Three handler kinds carry most
+    # of the sampled events; the rarest get one sample or none,
+    # depending on where the 1-in-32 stride falls.
+    top = session.profiler.summary(top=3)
+    assert len(rows) > 3 and top == rows[:3]
     handlers = {row["handler"] for row in top}
     assert "Fabric._arrive" in handlers
     # Shares are rounded to 4 decimals per handler, so the sum can be
     # off by up to 5e-5 per row — bound by the row count, not 1e-6.
-    rows = session.profiler.summary()
     assert abs(sum(r["share"] for r in rows) - 1.0) <= 5e-5 * len(rows)
 
 

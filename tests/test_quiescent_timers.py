@@ -46,8 +46,9 @@ Goldens are ``tests/test_trace_identity.py``.  A wake in the NE's
 ``_tombstone_range`` is deliberately absent: a tombstoned range answers
 this NE's own request, so it lies below ``rear`` and opens no hole.
 
-The park sites (``_deliver_contiguous`` on the MH; the fills in
-``handle_ring_ordered``, ``order_assignment`` and ``_tombstone_range``
+The park sites (``_deliver_contiguous`` and ``_handle_join_ack`` on the
+MH; the fills in ``handle_ring_ordered``, ``order_assignment`` and
+``_tombstone_range`` and the activation in ``_ag_handle_path_reserve``
 through ``GapRecoveryMixin._park_if_drained`` on the NE) are the
 opposite: deleting one changes no record, only brings its idle ticks
 back, which (e) counts.
@@ -102,12 +103,28 @@ DIFFERENTIAL_SPECS = [p.spec for p in fuzz_points(40, 0, 3_000.0)] + [
     registry.resolve(CAMPUS_DYNAMIC_PATHS)]
 
 
+def _with_failures_section(spec: ExperimentSpec) -> dict:
+    """``spec.to_dict()`` in the shape it had while crashes were a
+    separate ``failures`` list ahead of the fault plan."""
+    data = spec.to_dict()
+    actions = data["faults"]["actions"]
+    data["failures"] = [
+        {"at_ms": a["at_ms"], "target2": None,
+         **({"kind": "crash_token_holder", "target": None}
+            if a["target"] == "@token_holder"
+            else {"kind": "crash", "target": a["target"]})}
+        for a in actions if a["kind"] == "crash"]
+    data["faults"]["actions"] = [a for a in actions if a["kind"] != "crash"]
+    return data
+
+
 def test_the_differential_runs_the_specs_it_always_ran():
     """The 40 fuzz specs are what the hand-copied derivation this file
     carried before ``fuzz_points`` produced (``to_dict()`` hash of that
-    list at the parent commit), and the campus file is the hand copy."""
-    blob = json.dumps([spec.to_dict() for spec in DIFFERENTIAL_SPECS[:40]],
-                      sort_keys=True)
+    list at the parent commit, crashes written back as the ``failures``
+    section they were then), and the campus file is the hand copy."""
+    blob = json.dumps([_with_failures_section(spec)
+                       for spec in DIFFERENTIAL_SPECS[:40]], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "f49fbc6ad650c265bc8918cf645c3299a575479f02c75d251f359ce4cac616b4")
     campus = DIFFERENTIAL_SPECS[-1]
@@ -535,9 +552,10 @@ def test_leave_and_rejoin_while_parked_at_a_fill():
         _at(sim, 415.0, mh._handle_deliver, _ordered(net, 3, WirelessDeliver))
 
     parked, polling = _quiet_pair(script, until=700.0)
-    # Stopped at the leave; a fresh chain from the join (330), parked
-    # there; resumed on that grid by the hole the delivery at 415 opens.
-    assert _times(parked, MH)[:2] == [330.0, 420.0]
+    # Stopped at the leave; a fresh chain from the join (first tick at
+    # 330), parked by the JoinAck before that tick; resumed on its grid
+    # by the hole the delivery at 415 opens.
+    assert _times(parked, MH)[:2] == [420.0, 450.0]
     assert _times(polling, MH)[:4] == [210.0, 330.0, 360.0, 390.0]
     mh = parked[2].mobile_hosts[MH]
     assert mh.is_member and mh.tombstones == 1 and _parked(parked, MH)
@@ -633,7 +651,7 @@ def test_the_missing_count_is_a_scan_of_front_to_rear(ops, start):
 #: Gap and maintenance ticks that only re-arm and park, per quick pinned
 #: window: ``(before parking at the fill, now)``.
 IDLE_TICKS = {"fanout_wide": (1077, 0), "token_small": (230, 0),
-              "lossy_churn": (1199, 0), "roaming_clean": (769, 2)}
+              "lossy_churn": (1199, 0), "roaming_clean": (769, 0)}
 
 
 @pytest.mark.parametrize("name", sorted(IDLE_TICKS))

@@ -155,7 +155,7 @@ def test_token_holder_probe_path_byte_identical():
     spec = short("failure_drill", 3500.0)
     seq = record_spec(spec)
     result = run_sharded(spec, 2, record=True)
-    assert result.probe_syncs >= 1  # the crash_token_holder at 3000ms
+    assert result.probe_syncs >= 1  # the @token_holder crash at 3000ms
     div = first_divergence(seq.lines, result.merged_lines)
     assert div is None, div.describe() if div else None
 

@@ -38,8 +38,8 @@ from repro.baselines.relm import RelMProtocol
 from repro.baselines.sequencer import SequencerMulticast
 from repro.baselines.single_ring import SingleRingMulticast
 from repro.baselines.unordered import UnorderedRingNet
+from repro.faults import Crash, FaultDriver, FaultPlan
 from repro.metrics.order_checker import OrderChecker
-from repro.net.failure import FailureInjector
 from repro.sim.engine import Simulator
 from repro.topology.builder import HierarchySpec
 from repro.topology.tiers import Tier
@@ -60,6 +60,11 @@ def _kinds(checker):
     for v in checker.violations:
         out[v.split(":")[0]] = out.get(v.split(":")[0], 0) + 1
     return out
+
+
+def _schedule_crash(sim, net, target):
+    FaultDriver(sim, net, FaultPlan([Crash(at_ms=CRASH_AT,
+                                           target=target)])).schedule()
 
 
 def _finish(suite, net, sim):
@@ -83,8 +88,7 @@ def test_unordered_violates_agreement_and_monotonicity():
     for s in sources:
         s.start()
     churn.start()
-    sim.schedule_at(CRASH_AT, FailureInjector(net.fabric).crash_node,
-                    "ap:0.0.0")
+    _schedule_crash(sim, net, "ap:0.0.0")
     sim.run(until=DURATION)
     _finish(suite, net, sim)
 
@@ -136,7 +140,7 @@ def test_hostview_order_holds_with_single_sender():
     churn = ChurnDriver(hv, msss, mean_interval_ms=CHURN_MS)
     hv.sender.start()
     churn.start()
-    sim.schedule_at(CRASH_AT, FailureInjector(hv.fabric).crash_node, "mss:1")
+    _schedule_crash(sim, hv, "mss:1")
     sim.run(until=DURATION)
     _finish(suite, hv, sim)
 
@@ -166,8 +170,7 @@ def test_relm_violates_monotonicity_and_gap_accounting():
             relm.handoff(members[0].guid, msss[-1])
 
     sim.schedule_at(1_200.0, cross_region_handoff)
-    sim.schedule_at(CRASH_AT, FailureInjector(relm.fabric).crash_node,
-                    msss[1])
+    _schedule_crash(sim, relm, msss[1])
     sim.run(until=DURATION)
     _finish(suite, relm, sim)
 
@@ -194,8 +197,7 @@ def test_sequencer_assignment_alone_breaks_on_lossy_access_links():
     for s in sources:
         s.start()
     churn.start()
-    sim.schedule_at(CRASH_AT, FailureInjector(seqm.fabric).crash_node,
-                    "ap:1")
+    _schedule_crash(sim, seqm, "ap:1")
     sim.run(until=DURATION)
     _finish(suite, seqm, sim)
 
@@ -214,8 +216,7 @@ def test_sequencer_assignment_alone_breaks_on_lossy_access_links():
 # ---------------------------------------------------------------------------
 def test_ringnet_same_regime_is_clean():
     from repro.experiments.spec import (ChurnSpec, ExperimentSpec,
-                                        FailureEvent, HierarchyShape,
-                                        WorkloadSpec)
+                                        HierarchyShape, WorkloadSpec)
     from repro.experiments.runner import run_point
 
     spec = ExperimentSpec(
@@ -224,8 +225,7 @@ def test_ringnet_same_regime_is_clean():
                                  mhs_per_ap=1),
         workload=WorkloadSpec(s=2, rate_per_sec=15.0),
         churn=ChurnSpec(enabled=True, mean_interval_ms=CHURN_MS),
-        failures=[FailureEvent(at_ms=CRASH_AT, kind="crash",
-                               target="ap:0.0.0")],
+        faults=FaultPlan([Crash(at_ms=CRASH_AT, target="ap:0.0.0")]),
         duration_ms=DURATION, warmup_ms=0.0, seed=SEED,
     )
     result = run_point(spec, check=True)

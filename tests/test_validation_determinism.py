@@ -9,9 +9,10 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.runner import run_point
-from repro.experiments.spec import (ChurnSpec, ExperimentSpec, FailureEvent,
+from repro.experiments.spec import (ChurnSpec, ExperimentSpec,
                                     HierarchyShape, MobilitySpec,
                                     WorkloadSpec)
+from repro.faults import TOKEN_HOLDER, Crash, FaultPlan
 from repro.validation.record import first_divergence, record_spec
 
 
@@ -44,7 +45,7 @@ def test_failure_schedule_is_deterministic():
         hierarchy=HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=1,
                                  mhs_per_ap=1),
         workload=WorkloadSpec(s=1, rate_per_sec=25.0),
-        failures=[FailureEvent(at_ms=600.0, kind="crash_token_holder")],
+        faults=FaultPlan([Crash(at_ms=600.0, target=TOKEN_HOLDER)]),
         duration_ms=2_000.0, warmup_ms=0.0, seed=42,
     )
     assert _stream(spec) == _stream(spec)

@@ -28,6 +28,11 @@ def _specs(seed, n, duration=2_000.0):
             for i in range(n)]
 
 
+def _network_faults(spec):
+    """The generated network-fault actions (crashes are not among them)."""
+    return [a for a in spec.faults if a.kind != "crash"]
+
+
 def test_generated_specs_are_valid_and_buildable():
     for spec in _specs(seed=42, n=30):
         # Spec validation happened in the constructors; the runner's
@@ -56,7 +61,7 @@ def test_generator_covers_the_scenario_space():
     assert "ringnet" in systems and len(systems) >= 2
     assert any(s.churn.enabled for s in specs)
     assert any(s.mobility.enabled for s in specs)
-    assert any(s.failures for s in specs)
+    assert any(a.kind == "crash" for s in specs for a in s.faults)
     assert any(s.workload.pattern == "poisson" for s in specs)
     # Constraint: never more sources than top-ring members (s <= r).
     for s in specs:
@@ -177,9 +182,9 @@ def test_a_failing_case_is_saved_as_files_run_accepts(tmp_path, monkeypatch,
 # ---------------------------------------------------------------------------
 def test_generator_synthesizes_fault_plans():
     specs = _specs(seed=42, n=80)
-    with_plans = [s for s in specs if s.faults]
+    with_plans = [s for s in specs if _network_faults(s)]
     assert with_plans, "no generated spec carried a fault plan"
-    kinds = {a.kind for s in with_plans for a in s.faults}
+    kinds = {a.kind for s in with_plans for a in _network_faults(s)}
     assert len(kinds) >= 2  # several action families get exercised
     for s in with_plans:
         # Plans only ride on the system that can absorb them, with the
@@ -190,7 +195,7 @@ def test_generator_synthesizes_fault_plans():
 
 def test_generated_fault_plans_are_bounded():
     for s in _specs(seed=9, n=120, duration=2_500.0):
-        for a in s.faults:
+        for a in _network_faults(s):
             assert a.at_ms <= 0.35 * s.duration_ms
             end = a.end_ms()
             if a.kind == "partition":
@@ -201,7 +206,7 @@ def test_generated_fault_plans_are_bounded():
 
 
 def test_fault_plan_specs_roundtrip_json():
-    plans = [s for s in _specs(seed=42, n=80) if s.faults]
+    plans = [s for s in _specs(seed=42, n=80) if _network_faults(s)]
     for s in plans[:5]:
         assert ExperimentSpec.from_json(s.to_json()) == s
 
@@ -215,7 +220,7 @@ def test_fuzz_smoke_ten_seeded_fault_plans_are_clean():
     for i in range(400):
         spec = random_spec(rng, index=i, seed=5000 + i,
                            duration_ms=duration)
-        if spec.faults:
+        if _network_faults(spec):
             cases.append(spec)
         if len(cases) == 10:
             break
