@@ -22,11 +22,11 @@ from repro.core.protocol import RingNet
 from repro.metrics.collectors import LatencyCollector, ThroughputCollector
 from repro.metrics.order_checker import OrderChecker
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 
 from _common import emit, run_once
 
-SPEC = HierarchySpec(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
+SPEC = HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
 DURATION = 8_000.0
 
 

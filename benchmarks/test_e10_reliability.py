@@ -19,11 +19,11 @@ from repro.metrics.collectors import ReliabilityCollector
 from repro.metrics.order_checker import OrderChecker
 from repro.net.link import LinkSpec
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 
 from _common import emit, run_once
 
-SPEC = HierarchySpec(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=2)
+SPEC = HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=2)
 LOSSES = [0.0, 0.02, 0.05, 0.10, 0.20]
 DURATION = 8_000.0
 DRAIN = 20_000.0

@@ -18,7 +18,7 @@ from repro.core.protocol import RingNet
 from repro.metrics.collectors import LatencyCollector
 from repro.net.link import LinkSpec
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 
 from _common import emit, run_once
 
@@ -31,7 +31,7 @@ SWEEP = [(2, 5.0), (4, 5.0), (8, 5.0), (4, 20.0)]
 def run_cell(r: int, tau: float) -> dict:
     cfg = ProtocolConfig(tau=tau)
     sim = Simulator(seed=202)
-    spec = HierarchySpec(n_br=r, ags_per_br=2, aps_per_ag=1, mhs_per_ap=1)
+    spec = HierarchyShape(n_br=r, ags_per_br=2, aps_per_ag=1, mhs_per_ap=1)
     net = RingNet.build(sim, spec, cfg=cfg, wired=LOSSLESS_WIRED,
                         wireless=LOSSLESS_WIRELESS)
     lat = LatencyCollector(sim.trace, warmup=2_000.0)

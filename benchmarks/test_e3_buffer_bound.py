@@ -22,7 +22,7 @@ from repro.core.protocol import RingNet
 from repro.metrics.collectors import BufferSampler
 from repro.net.link import LinkSpec
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 
 from _common import emit, run_once
 
@@ -37,7 +37,7 @@ CELLS = [(1, 20.0), (2, 20.0), (4, 20.0), (4, 50.0), (4, 100.0)]
 def run_cell(s: int, lam: float) -> dict:
     cfg = ProtocolConfig(mq_retention=0)
     sim = Simulator(seed=303)
-    spec = HierarchySpec(n_br=4, ags_per_br=2, aps_per_ag=1, mhs_per_ap=1)
+    spec = HierarchyShape(n_br=4, ags_per_br=2, aps_per_ag=1, mhs_per_ap=1)
     net = RingNet.build(sim, spec, cfg=cfg, wired=LOSSLESS_WIRED,
                         wireless=LOSSLESS_WIRELESS)
     sampler = BufferSampler(sim, net.buffer_reports, period=2.0,

@@ -16,11 +16,11 @@ from repro.baselines.unordered import UnorderedRingNet
 from repro.core.protocol import RingNet
 from repro.metrics.collectors import LatencyCollector
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 
 from _common import emit, run_once
 
-SPEC = HierarchySpec(n_br=4, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
+SPEC = HierarchyShape(n_br=4, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
 DURATION = 10_000.0
 DRAIN = 16_000.0
 RATE = 20.0

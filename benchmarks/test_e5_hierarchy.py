@@ -14,16 +14,16 @@ from repro.core.protocol import RingNet
 from repro.membership.protocol import MembershipService
 from repro.metrics.order_checker import OrderChecker
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec, build_hierarchy
+from repro.topology.builder import HierarchyShape, build_hierarchy
 from repro.topology.tiers import Tier
 from repro.workloads.churn import ChurnDriver
 
 from _common import emit, run_once
 
 SCALES = [
-    HierarchySpec(n_br=2, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1),
-    HierarchySpec(n_br=3, ags_per_br=3, aps_per_ag=2, mhs_per_ap=2),
-    HierarchySpec(n_br=5, ags_per_br=3, aps_per_ag=3, mhs_per_ap=2),
+    HierarchyShape(n_br=2, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1),
+    HierarchyShape(n_br=3, ags_per_br=3, aps_per_ag=2, mhs_per_ap=2),
+    HierarchyShape(n_br=5, ags_per_br=3, aps_per_ag=3, mhs_per_ap=2),
 ]
 
 

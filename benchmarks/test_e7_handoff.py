@@ -22,7 +22,7 @@ from repro.mobility.cells import CellGrid
 from repro.mobility.handoff import HandoffDriver
 from repro.mobility.models import DirectionalWalk
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 from repro.topology.tiers import Tier
 from repro.validation.monitors import MembershipMonitor
 
@@ -39,8 +39,8 @@ def run_cell(smooth: bool, dwell: float, seed: int = 707) -> dict:
     # walker keeps arriving at APs whose paths have gone cold again.
     cfg = ProtocolConfig(smooth_handoff=smooth, reservation_ttl=1_500.0,
                          static_ap_paths=False)
-    net = RingNet.build(sim, HierarchySpec(n_br=2, ags_per_br=1,
-                                           aps_per_ag=12, mhs_per_ap=0),
+    net = RingNet.build(sim, HierarchyShape(n_br=2, ags_per_br=1,
+                                            aps_per_ag=12, mhs_per_ap=0),
                         cfg=cfg)
     checker = OrderChecker(sim.trace)
     membership = MembershipMonitor(sim.trace)

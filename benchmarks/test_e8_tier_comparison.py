@@ -26,7 +26,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.protocol import RingNet
 from repro.faults import FaultDriver, FaultPlan, Partition
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 from repro.topology.tiers import Tier
 
 from _common import emit, run_once
@@ -99,9 +99,9 @@ def ringnet_cell(n: int) -> dict:
     aps_per_ag = max(1, n // 6)
     cfg = ProtocolConfig(mq_retention=WINDOW)
     sim = Simulator(seed=808)
-    net = RingNet.build(sim, HierarchySpec(n_br=3, ags_per_br=2,
-                                           aps_per_ag=aps_per_ag,
-                                           mhs_per_ap=1), cfg=cfg)
+    net = RingNet.build(sim, HierarchyShape(n_br=3, ags_per_br=2,
+                                            aps_per_ag=aps_per_ag,
+                                            mhs_per_ap=1), cfg=cfg)
     src = net.add_source(corresponding="br:0", rate_per_sec=RATE)
     net.start()
     src.start()

@@ -20,11 +20,11 @@ import pytest
 from repro.core.protocol import RingNet
 from repro.metrics.order_checker import OrderChecker
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 
 from _common import emit, run_once
 
-SPEC = HierarchySpec(n_br=4, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
+SPEC = HierarchyShape(n_br=4, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
 
 
 def crash_holder_run() -> dict:

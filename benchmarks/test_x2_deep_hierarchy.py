@@ -18,13 +18,8 @@ import pytest
 from repro.core.protocol import RingNet
 from repro.metrics.collectors import LatencyCollector
 from repro.metrics.order_checker import OrderChecker
-from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator
-from repro.topology.builder import (
-    build_deep_hierarchy,
-    deep_initial_attachments,
-    provision_links,
-)
+from repro.topology.builder import HierarchyShape
 
 from _common import emit, run_once
 
@@ -34,13 +29,10 @@ DURATION = 8_000.0
 
 def run_depth(depth: int) -> dict:
     sim = Simulator(seed=1202)
-    fabric = Fabric(sim)
-    h = build_deep_hierarchy(n_br=2, ring_size=2, depth=depth,
-                             aps_per_ag=1, mhs_per_ap=1)
-    provision_links(fabric, h)
-    net = RingNet(sim, fabric, h)
-    for mh, ap in deep_initial_attachments(h).items():
-        net.add_mobile_host(mh, ap)
+    # Rings of two at every depth, depth 1 included.
+    net = RingNet.build(sim, HierarchyShape(n_br=2, ags_per_br=2,
+                                            ring_size=2, depth=depth,
+                                            aps_per_ag=1, mhs_per_ap=1))
     checker = OrderChecker(sim.trace)
     lat = LatencyCollector(sim.trace, warmup=2_000.0)
     src = net.add_source(corresponding="br:0", rate_per_sec=15)

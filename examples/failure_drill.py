@@ -7,8 +7,9 @@ totally-ordered stream:
 * t=3 s — crash whichever Border Router currently holds the
   OrderingToken (Token-Loss: the membership layer signals, the ring
   regenerates from the freshest NewOrderingToken snapshot);
-* t=6 s — crash an Access Gateway ring leader (leader re-election; its
-  parent BR re-registers the new leader; APs re-parent to candidates);
+* t=6 s — crash ``ag:1.0``, an Access Gateway ring leader (leader
+  re-election; its parent BR re-registers the new leader; APs re-parent
+  to candidates);
 * t=9 s — partition the top ring and merge it back at t=11 s
   (Multiple-Token resolution keeps exactly one token).
 
@@ -21,9 +22,10 @@ Run:  python examples/failure_drill.py
 import os
 
 from repro.core import RingNet
+from repro.faults import Crash, FaultDriver, FaultPlan, TOKEN_HOLDER
 from repro.metrics import OrderChecker, format_table
 from repro.sim import Simulator
-from repro.topology import HierarchySpec
+from repro.topology import HierarchyShape
 
 # Fault times scale with the (env-overridable) drill length so a short
 # smoke run still exercises every injected failure.
@@ -31,8 +33,8 @@ DURATION = float(os.environ.get("REPRO_EXAMPLE_DURATION_MS", 24_000))
 T = DURATION / 24_000.0
 
 sim = Simulator(seed=13)
-net = RingNet.build(sim, HierarchySpec(n_br=4, ags_per_br=2,
-                                       aps_per_ag=2, mhs_per_ap=1))
+net = RingNet.build(sim, HierarchyShape(n_br=4, ags_per_br=2,
+                                        aps_per_ag=2, mhs_per_ap=1))
 order = OrderChecker(sim.trace)
 src = net.add_source(corresponding="br:0", rate_per_sec=20)
 
@@ -42,20 +44,6 @@ for kind in ("token.regenerated", "token.destroyed", "fault.crash"):
         kind, lambda rec, k=kind: timeline.append(
             {"t (ms)": round(rec.time, 1), "event": k,
              "node": rec.get("node", "?")}))
-
-
-def crash_token_holder() -> None:
-    holder = next((ne for ne in net.top_ring_nes()
-                   if ne.held_token is not None), None)
-    victim = holder.id if holder is not None else "br:2"
-    print(f"[{sim.now:8.1f}] crashing token holder {victim}")
-    net.crash_ne(victim)
-
-
-def crash_ag_leader() -> None:
-    ring = net.hierarchy.rings["ring:ag.1"]
-    print(f"[{sim.now:8.1f}] crashing AG ring leader {ring.leader}")
-    net.crash_ne(ring.leader)
 
 
 def partition() -> None:
@@ -73,10 +61,17 @@ def merge() -> None:
     net.maintenance.merge_top_rings(*sorted(ring_ids))
 
 
+# The two crashes are a fault plan, as in the registry's failure_drill:
+# ``@token_holder`` resolves to whichever BR holds the token at 3 s, or
+# to the last top-ring member while the token is in flight.
+crashes = FaultDriver(sim, net, FaultPlan(actions=[
+    Crash(at_ms=3_000 * T, target=TOKEN_HOLDER),
+    Crash(at_ms=6_000 * T, target="ag:1.0"),
+]))
+
 net.start()
 src.start()
-sim.schedule_at(3_000 * T, crash_token_holder)
-sim.schedule_at(6_000 * T, crash_ag_leader)
+crashes.schedule()
 sim.schedule_at(9_000 * T, partition)
 sim.schedule_at(11_000 * T, merge)
 sim.run(until=18_000 * T)

@@ -20,7 +20,7 @@ from repro.core import ProtocolConfig, RingNet
 from repro.metrics import InterruptionCollector, OrderChecker, format_table
 from repro.mobility import CellGrid, DirectionalWalk, HandoffDriver
 from repro.sim import Simulator
-from repro.topology import HierarchySpec
+from repro.topology import HierarchyShape
 from repro.topology.tiers import Tier
 
 DURATION = float(os.environ.get("REPRO_EXAMPLE_DURATION_MS", 20_000))
@@ -33,8 +33,8 @@ def storm(smooth: bool, seed: int = 5) -> dict:
     cfg = ProtocolConfig(smooth_handoff=smooth, reservation_ttl=5_000.0,
                          static_ap_paths=False)
     # One AG ring with many APs: a corridor of cells.
-    net = RingNet.build(sim, HierarchySpec(n_br=2, ags_per_br=1,
-                                           aps_per_ag=6, mhs_per_ap=0),
+    net = RingNet.build(sim, HierarchyShape(n_br=2, ags_per_br=1,
+                                            aps_per_ag=6, mhs_per_ap=0),
                         cfg=cfg)
     order = OrderChecker(sim.trace)
     inter = InterruptionCollector(sim.trace)

@@ -19,7 +19,7 @@ from repro.baselines import SingleRingMulticast
 from repro.core import ProtocolConfig, RingNet
 from repro.metrics import LatencyCollector, format_table
 from repro.sim import Simulator
-from repro.topology import HierarchySpec
+from repro.topology import HierarchyShape
 
 DURATION = float(os.environ.get("REPRO_EXAMPLE_DURATION_MS", 8_000))
 RATE = 15.0
@@ -50,9 +50,9 @@ def run_ringnet(n_bs: int) -> dict:
     ags_per_br = 2
     aps_per_ag = max(1, n_bs // (3 * ags_per_br))
     sim = Simulator(seed=9)
-    net = RingNet.build(sim, HierarchySpec(n_br=3, ags_per_br=ags_per_br,
-                                           aps_per_ag=aps_per_ag,
-                                           mhs_per_ap=1), cfg=CFG)
+    net = RingNet.build(sim, HierarchyShape(n_br=3, ags_per_br=ags_per_br,
+                                            aps_per_ag=aps_per_ag,
+                                            mhs_per_ap=1), cfg=CFG)
     lat = LatencyCollector(sim.trace, warmup=2_000.0)
     src = net.add_source(corresponding="br:0", rate_per_sec=RATE)
     net.start()

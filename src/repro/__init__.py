@@ -9,9 +9,9 @@ Quickstart
 ----------
 >>> from repro.sim import Simulator
 >>> from repro.core import RingNet
->>> from repro.topology import HierarchySpec
+>>> from repro import HierarchyShape
 >>> sim = Simulator(seed=7)
->>> net = RingNet.build(sim, HierarchySpec())
+>>> net = RingNet.build(sim, HierarchyShape(ags_per_br=3))
 >>> src = net.add_source(rate_per_sec=20)
 >>> net.start(); src.start()
 >>> sim.run(until=5000)
@@ -64,7 +64,7 @@ __version__ = "1.0.0"
 
 from repro.sim import Simulator
 from repro.core import ProtocolConfig, RingNet
-from repro.topology import HierarchySpec
+from repro.topology import HierarchyShape
 
-__all__ = ["Simulator", "RingNet", "ProtocolConfig", "HierarchySpec",
+__all__ = ["Simulator", "RingNet", "ProtocolConfig", "HierarchyShape",
            "__version__"]

@@ -66,7 +66,7 @@ class SingleRingMulticast(RingNet):
         # provision_links does for the regular hierarchy; hand-wiring
         # only i -> i+1 left crash recovery without a path — found by
         # the validation fuzzer).
-        provision_links(fabric, hierarchy, wired=wired, wireless=wireless)
+        provision_links(fabric, hierarchy, wired=wired)
         net = cls(sim, fabric, hierarchy, cfg=cfg, wireless=wireless)
         for i, bs in enumerate(bss):
             for m in range(mhs_per_bs):

@@ -37,7 +37,7 @@ from repro.net.node import NetNode
 from repro.net.transport import ReliableChannel
 from repro.sim.engine import Simulator
 from repro.topology.builder import (
-    HierarchySpec,
+    HierarchyShape,
     build_hierarchy,
     initial_attachments,
     provision_links,
@@ -148,19 +148,18 @@ class UnorderedRingNet:
             )
 
     @classmethod
-    def build(cls, sim: Simulator, spec: HierarchySpec,
+    def build(cls, sim: Simulator, shape: HierarchyShape,
               wired: LinkSpec = WIRED, wireless: LinkSpec = WIRELESS,
-              attach_mhs: bool = True, rto: float = 25.0,
+              rto: float = 25.0,
               max_retries: int = 5) -> "UnorderedRingNet":
         """One-call construction matching ``RingNet.build``."""
         fabric = Fabric(sim)
-        hierarchy = build_hierarchy(spec)
-        provision_links(fabric, hierarchy, wired=wired, wireless=wireless)
+        hierarchy = build_hierarchy(shape)
+        provision_links(fabric, hierarchy, wired=wired)
         net = cls(sim, fabric, hierarchy, wireless=wireless, rto=rto,
                   max_retries=max_retries)
-        if attach_mhs:
-            for mh_id, ap_id in initial_attachments(spec).items():
-                net.add_mobile_host(mh_id, ap_id)
+        for mh_id, ap_id in initial_attachments(hierarchy).items():
+            net.add_mobile_host(mh_id, ap_id)
         return net
 
     def start(self) -> None:

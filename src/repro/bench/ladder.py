@@ -120,17 +120,9 @@ def rung_spec(rung: Rung) -> ExperimentSpec:
 
 
 def node_counts(spec: ExperimentSpec) -> Dict[str, int]:
-    """NE/MH/total population of a spec's hierarchy (depth-1 and deep);
-    ``mhs`` is the *declared* count: eagerly built + ``idle_per_ap``."""
+    """NE/MH/total population of a spec's hierarchy; ``mhs`` is the
+    *declared* count: eagerly built + ``idle_per_ap``."""
     h = spec.hierarchy
-    if h.depth > 1:
-        ags = sum(h.n_br * h.ring_size ** level
-                  for level in range(1, h.depth + 1))
-        leaf_ags = h.n_br * h.ring_size ** h.depth
-        aps = leaf_ags * h.aps_per_ag
-    else:
-        ags = h.n_br * h.ags_per_br
-        aps = ags * h.aps_per_ag
-    nes = h.n_br + ags + aps
-    mhs = aps * (h.mhs_per_ap + h.idle_per_ap)
+    nes = h.total_nes
+    mhs = h.n_ap * (h.mhs_per_ap + h.idle_per_ap)
     return {"nes": nes, "mhs": mhs, "total": nes + mhs}

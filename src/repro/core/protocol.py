@@ -16,8 +16,8 @@
 This is the public API the examples and benchmarks use::
 
     sim = Simulator(seed=7)
-    net = RingNet.build(sim, HierarchySpec(n_br=4, ags_per_br=3,
-                                           aps_per_ag=2, mhs_per_ap=2))
+    net = RingNet.build(sim, HierarchyShape(n_br=4, ags_per_br=3,
+                                            aps_per_ag=2, mhs_per_ap=2))
     src = net.add_source("src:0", corresponding="br:0", rate_per_sec=20)
     net.start(); src.start()
     sim.run(until=10_000)
@@ -38,7 +38,7 @@ from repro.net.fabric import Fabric
 from repro.net.link import LinkSpec, WIRED, WIRELESS
 from repro.runtime.api import Runtime
 from repro.topology.builder import (
-    HierarchySpec,
+    HierarchyShape,
     build_hierarchy,
     initial_attachments,
     provision_links,
@@ -92,27 +92,26 @@ class RingNet:
     def build(
         cls,
         sim: Runtime,
-        spec: HierarchySpec,
+        shape: HierarchyShape,
         cfg: Optional[ProtocolConfig] = None,
         wired: LinkSpec = WIRED,
         wireless: LinkSpec = WIRELESS,
-        attach_mhs: bool = True,
         fabric: Optional[Fabric] = None,
     ) -> "RingNet":
         """One-call construction: hierarchy, links, NEs, and MHs.
 
-        ``fabric`` lets a backend supply its own transmission substrate
-        (the live backend passes a queue- or socket-backed fabric); the
-        default is the plain scheduler-dispatched :class:`Fabric`.
+        ``shape`` may be of any depth.  ``fabric`` lets a backend supply
+        its own transmission substrate (the live backend passes a queue-
+        or socket-backed fabric); the default is the plain
+        scheduler-dispatched :class:`Fabric`.
         """
         if fabric is None:
             fabric = Fabric(sim)
-        hierarchy = build_hierarchy(spec)
-        provision_links(fabric, hierarchy, wired=wired, wireless=wireless)
+        hierarchy = build_hierarchy(shape)
+        provision_links(fabric, hierarchy, wired=wired)
         net = cls(sim, fabric, hierarchy, cfg=cfg, wireless=wireless)
-        if attach_mhs:
-            for mh_id, ap_id in initial_attachments(spec).items():
-                net.add_mobile_host(mh_id, ap_id)
+        for mh_id, ap_id in initial_attachments(hierarchy).items():
+            net.add_mobile_host(mh_id, ap_id)
         return net
 
     def _build_nes(self) -> None:

@@ -56,9 +56,6 @@ from repro.obs.critpath import critpath_summary
 from repro.obs.session import ObsSession
 from repro.obs.spans import SpanCollector, assemble, write_span_events
 from repro.sim.engine import Simulator
-from repro.topology.builder import (HierarchySpec, build_deep_hierarchy,
-                                    deep_initial_attachments,
-                                    provision_links)
 from repro.topology.tiers import Tier
 from repro.validation.monitor import MonitorSuite
 from repro.validation import suite as validation_suite
@@ -89,10 +86,9 @@ def _bounded_cfg(cfg: ProtocolConfig,
         rate_per_sec=max(rates),
         wired=WIRED,
         wireless=WIRELESS,
-        # Standard hierarchy: BR→AG, AG→AP, AP→MH = 3 hops below the
-        # top ring; a depth-d generalized hierarchy adds d-1 ring tiers
-        # between BR and AP.
-        tree_depth=3 if shape.depth == 1 else shape.depth + 2,
+        # BR→AG, AG→AP, AP→MH = 3 hops below the top ring; each level
+        # of AG rings past the first adds one more between BR and AP.
+        tree_depth=shape.depth + 2,
     )
     return replace(cfg,
                    mq_retention=max(1, math.ceil(bounds.mq_bound_msgs)))
@@ -113,9 +109,8 @@ def _build_net(sim: Simulator, spec: ExperimentSpec,
                 f"top ring; it has no meaning for {spec.system!r}")
         cfg = _bounded_cfg(cfg, spec)
     if spec.system == "single_ring":
-        n_bs = shape.n_br * shape.ags_per_br * shape.aps_per_ag
         return SingleRingMulticast.build_ring(
-            sim, n_bs=n_bs, mhs_per_bs=shape.mhs_per_ap, cfg=cfg)
+            sim, n_bs=shape.n_ap, mhs_per_bs=shape.mhs_per_ap, cfg=cfg)
     if spec.system == "unordered":
         if shape.depth > 1:
             raise ValueError("the unordered baseline only supports depth=1")
@@ -127,28 +122,9 @@ def _build_net(sim: Simulator, spec: ExperimentSpec,
             raise ValueError(
                 f"protocol overrides {unsupported} have no effect on the "
                 f"unordered baseline (supported: rto, max_retries)")
-        return UnorderedRingNet.build(
-            sim, HierarchySpec(n_br=shape.n_br, ags_per_br=shape.ags_per_br,
-                               aps_per_ag=shape.aps_per_ag,
-                               mhs_per_ap=shape.mhs_per_ap),
-            rto=cfg.rto, max_retries=cfg.max_retries)
-    if shape.depth > 1:
-        if fabric is None:
-            fabric = Fabric(sim)
-        h = build_deep_hierarchy(n_br=shape.n_br, ring_size=shape.ring_size,
-                                 depth=shape.depth,
-                                 aps_per_ag=shape.aps_per_ag,
-                                 mhs_per_ap=shape.mhs_per_ap)
-        provision_links(fabric, h)
-        net = RingNet(sim, fabric, h, cfg=cfg)
-        for mh, ap in deep_initial_attachments(h).items():
-            net.add_mobile_host(mh, ap)
-        return net
-    return RingNet.build(
-        sim, HierarchySpec(n_br=shape.n_br, ags_per_br=shape.ags_per_br,
-                           aps_per_ag=shape.aps_per_ag,
-                           mhs_per_ap=shape.mhs_per_ap),
-        cfg=cfg, fabric=fabric)
+        return UnorderedRingNet.build(sim, shape, rto=cfg.rto,
+                                      max_retries=cfg.max_retries)
+    return RingNet.build(sim, shape, cfg=cfg, fabric=fabric)
 
 
 def _mobility_model(spec: ExperimentSpec):

@@ -7,11 +7,13 @@ Specs round-trip through dicts and JSON, so a sweep definition can live
 in a file, travel to a worker process, or be diffed between two
 experiment campaigns.
 
-The spec layer is deliberately free of simulator imports (and of numpy):
-building a runnable scenario from a spec is the job of
-:mod:`repro.experiments.runner`.  The only protocol knowledge here is the
-set of valid :class:`~repro.core.config.ProtocolConfig` field names,
-checked lazily when :meth:`ExperimentSpec.protocol_config` is called.
+The spec layer builds nothing (and imports no numpy): building a
+runnable scenario from a spec is the job of
+:mod:`repro.experiments.runner`.  :class:`HierarchyShape` lives next to
+its builder in :mod:`repro.topology.builder` and is re-exported here.
+The only protocol knowledge here is the set of valid
+:class:`~repro.core.config.ProtocolConfig` field names, checked lazily
+when :meth:`ExperimentSpec.protocol_config` is called.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.faults.plan import FaultPlan
+from repro.topology.builder import HierarchyShape
 
 #: Systems the runner knows how to build.  ``ringnet`` is the paper's
 #: protocol; the others are the comparison baselines.
@@ -56,43 +59,6 @@ def _check_no_unknown_keys(cls: type, data: Mapping[str, Any]) -> None:
             f"unknown {cls.__name__} keys {unknown}; valid keys: "
             f"{sorted(known)}"
         )
-
-
-@dataclass
-class HierarchyShape:
-    """Shape of the RingNet hierarchy (paper Figure 1, plus §3 nesting).
-
-    ``depth == 1`` is the regular BR/AG/AP shape built by
-    ``HierarchySpec``; ``depth > 1`` nests ``depth`` levels of AG rings
-    of ``ring_size`` members below every BR (the §3 sub-tier extension),
-    in which case ``ags_per_br`` is ignored.
-    """
-
-    n_br: int = 3
-    ags_per_br: int = 2
-    aps_per_ag: int = 2
-    mhs_per_ap: int = 2
-    depth: int = 1
-    ring_size: int = 3
-    #: Lazily-materialized idle MHs behind every AP, *in addition to*
-    #: the ``mhs_per_ap`` active ones built eagerly.  They cost O(#APs)
-    #: memory until an open-world session arrival activates one — this
-    #: is how the xxl/metro rungs describe 10^5–10^6-endpoint
-    #: populations.
-    idle_per_ap: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_br < 1:
-            raise ValueError("n_br must be >= 1")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.idle_per_ap < 0:
-            raise ValueError("idle_per_ap must be >= 0")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HierarchyShape":
-        _check_no_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass
@@ -137,11 +103,6 @@ class WorkloadSpec:
             return [float(r) for r in self.rates]
         return [float(self.rate_per_sec)] * int(self.s)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        _check_no_unknown_keys(cls, data)
-        return cls(**data)
-
 
 @dataclass
 class MobilitySpec:
@@ -157,11 +118,6 @@ class MobilitySpec:
         if self.model not in MOBILITY_MODELS:
             raise ValueError(f"model must be one of {MOBILITY_MODELS}")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MobilitySpec":
-        _check_no_unknown_keys(cls, data)
-        return cls(**data)
-
 
 @dataclass
 class ChurnSpec:
@@ -170,11 +126,6 @@ class ChurnSpec:
     enabled: bool = False
     mean_interval_ms: float = 500.0
     min_members: int = 1
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChurnSpec":
-        _check_no_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass
@@ -209,10 +160,11 @@ class OpenWorldSpec:
             if self.alpha <= 1.0:
                 raise ValueError("alpha must be > 1 (finite mean)")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OpenWorldSpec":
-        _check_no_unknown_keys(cls, data)
-        return cls(**data)
+
+#: The plain-data sections of an :class:`ExperimentSpec`, by field name.
+_SECTIONS = {"hierarchy": HierarchyShape, "workload": WorkloadSpec,
+             "mobility": MobilitySpec, "churn": ChurnSpec,
+             "openworld": OpenWorldSpec}
 
 
 @dataclass
@@ -260,16 +212,10 @@ class ExperimentSpec:
         omitted sections keep their defaults)."""
         _check_no_unknown_keys(cls, data)
         kwargs: Dict[str, Any] = dict(data)
-        if "hierarchy" in kwargs:
-            kwargs["hierarchy"] = HierarchyShape.from_dict(kwargs["hierarchy"])
-        if "workload" in kwargs:
-            kwargs["workload"] = WorkloadSpec.from_dict(kwargs["workload"])
-        if "mobility" in kwargs:
-            kwargs["mobility"] = MobilitySpec.from_dict(kwargs["mobility"])
-        if "churn" in kwargs:
-            kwargs["churn"] = ChurnSpec.from_dict(kwargs["churn"])
-        if "openworld" in kwargs:
-            kwargs["openworld"] = OpenWorldSpec.from_dict(kwargs["openworld"])
+        for name, section in _SECTIONS.items():
+            if name in kwargs:
+                _check_no_unknown_keys(section, kwargs[name])
+                kwargs[name] = section(**kwargs[name])
         if "faults" in kwargs:
             kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
         if "protocol" in kwargs:

@@ -35,19 +35,7 @@ from repro.faults.overlay import FaultOverlay, _BurstEntry
 from repro.faults.plan import (REST, TOKEN_HOLDER_SUBTREE, Crash, Degrade,
                                FaultPlan, Flap, LossBurst, Partition,
                                selector_matches)
-
-
-def structural_home(mh_id: str) -> Optional[str]:
-    """The AP an MH id is structurally homed under (builder convention).
-
-    ``mh:<path>.<m>`` lives under ``ap:<path>``; ids outside the
-    convention (e.g. churn-created MHs) have no structural home and
-    resolve into no subtree.
-    """
-    if not mh_id.startswith("mh:"):
-        return None
-    path, sep, _ = mh_id[3:].rpartition(".")
-    return f"ap:{path}" if sep else None
+from repro.topology.builder import structural_home
 
 
 def subtree_nodes(net, root: str) -> set:

@@ -11,7 +11,6 @@ from repro.metrics.collectors import (
     LatencyCollector,
     ReliabilityCollector,
     ThroughputCollector,
-    TokenRotationCollector,
 )
 from repro.metrics.order_checker import OrderChecker
 from repro.metrics.report import format_table, percentile
@@ -20,7 +19,6 @@ __all__ = [
     "LatencyCollector",
     "ThroughputCollector",
     "BufferSampler",
-    "TokenRotationCollector",
     "InterruptionCollector",
     "ReliabilityCollector",
     "OrderChecker",

@@ -2,13 +2,12 @@
 
 Memory model: per-entity state is *aggregated*, not per-delivery.  At
 the million-endpoint scale a per-MH list of delivery timestamps or
-latency samples dominates the heap, so :class:`LatencyCollector` keeps
-one fixed-size :class:`RunningStats` per MH and per time window, and
-:class:`ThroughputCollector` buckets events into integer counts per
-window — O(windows), not O(messages).  The one unbounded structure left
-is the latency collector's global ``samples`` list, kept so the summary
-percentiles stay exact (it is the reporting artifact itself, and grows
-with total traffic, not with population size).
+latency samples dominates the heap, so :class:`ThroughputCollector`
+buckets events into integer counts per window — O(windows), not
+O(messages).  The one unbounded structure is the latency collector's
+global ``samples`` list, kept so the summary percentiles stay exact (it
+is the reporting artifact itself, and grows with total traffic, not
+with population size); a harvested delivery costs it one append.
 """
 
 from __future__ import annotations
@@ -23,76 +22,25 @@ from repro.runtime.timers import PeriodicTimer
 from repro.sim.trace import TraceBus, TraceRecord
 
 
-class RunningStats:
-    """Constant-size scalar aggregate: count / sum / min / max."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        if not self.count:
-            return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0}
-        return {"count": self.count, "mean": self.mean,
-                "min": self.min, "max": self.max}
-
-
 class LatencyCollector:
     """End-to-end delivery latency: source send → MH app delivery.
 
-    Subscribes to ``mh.deliver`` (which carries ``latency``).  Keeps an
-    exact global sample list for the percentile summary, a constant-size
-    :class:`RunningStats` per MH for fairness checks, and windowed
-    aggregates (``window_ms`` buckets) for time-series views.
+    Subscribes to ``mh.deliver`` (which carries ``latency``) and keeps
+    the exact global sample list the percentile summary reads.
     """
 
-    def __init__(self, trace: TraceBus, warmup: float = 0.0,
-                 window_ms: float = 100.0):
-        if window_ms <= 0:
-            raise ValueError(f"window_ms must be positive, got {window_ms}")
+    def __init__(self, trace: TraceBus, warmup: float = 0.0):
         self.warmup = warmup
-        self.window_ms = window_ms
         self.samples: List[float] = []
-        self.by_mh: Dict[NodeId, RunningStats] = defaultdict(RunningStats)
-        self.windows: Dict[int, RunningStats] = defaultdict(RunningStats)
         trace.subscribe("mh.deliver", self._on_deliver)
 
     def _on_deliver(self, rec: TraceRecord) -> None:
-        if rec.time < self.warmup:
-            return
-        lat = rec["latency"]
-        self.samples.append(lat)
-        self.by_mh[rec["mh"]].add(lat)
-        self.windows[int(rec.time // self.window_ms)].add(lat)
+        if rec.time >= self.warmup:
+            self.samples.append(rec["latency"])
 
     def summary(self) -> Dict[str, float]:
         """mean/p50/p95/p99/max over all deliveries after warmup."""
         return summarize(self.samples)
-
-    def mh_summary(self) -> Dict[NodeId, Dict[str, float]]:
-        """Per-MH latency aggregates (count/mean/min/max)."""
-        return {mh: stats.as_dict() for mh, stats in self.by_mh.items()}
-
-    def window_series(self) -> List[Tuple[float, Dict[str, float]]]:
-        """``(window_start_ms, aggregate)`` pairs in time order."""
-        return [(w * self.window_ms, self.windows[w].as_dict())
-                for w in sorted(self.windows)]
 
     @property
     def count(self) -> int:
@@ -207,26 +155,6 @@ class BufferSampler:
     def max_mq(self) -> int:
         """Largest per-node MQ occupancy observed."""
         return max(self.peak_mq.values(), default=0)
-
-
-class TokenRotationCollector:
-    """Measured token rotation times (T_order) from ``token.hold``."""
-
-    def __init__(self, trace: TraceBus):
-        self._last_hold: Dict[NodeId, float] = {}
-        self.rotations: List[float] = []
-        trace.subscribe("token.hold", self._on_hold)
-
-    def _on_hold(self, rec: TraceRecord) -> None:
-        node = rec["node"]
-        prev = self._last_hold.get(node)
-        if prev is not None:
-            self.rotations.append(rec.time - prev)
-        self._last_hold[node] = rec.time
-
-    def summary(self) -> Dict[str, float]:
-        """Rotation time distribution (ms)."""
-        return summarize(self.rotations)
 
 
 class InterruptionCollector:

@@ -29,6 +29,7 @@ from typing import (AbstractSet, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from repro.net.address import NodeId
+from repro.topology.builder import build_hierarchy, initial_attachments
 from repro.topology.hierarchy import Hierarchy
 from repro.topology.tiers import Tier
 
@@ -146,7 +147,7 @@ def _subtree_nodes(
     return out
 
 
-def _attach_mhs(
+def _weigh_mhs(
     units: Sequence[Tuple[NodeId, List[NodeId]]],
     h: Hierarchy,
     attachments: Mapping[NodeId, NodeId],
@@ -177,7 +178,7 @@ def _br_units(
     """One unit per top-ring member: the whole BR subtree."""
     skip = {h.top_ring_id}
     pairs = [(br, _subtree_nodes(h, br, skip)) for br in h.top_ring.members]
-    return _attach_mhs(pairs, h, attachments)
+    return _weigh_mhs(pairs, h, attachments)
 
 
 def _split_unit(h: Hierarchy, unit: _Unit,
@@ -294,29 +295,12 @@ def partition_spec(spec, n_shards: int) -> PartitionPlan:
     Only the full RingNet system is shardable — the baselines have no
     hierarchy to cut.
     """
-    from repro.topology.builder import (HierarchySpec, build_deep_hierarchy,
-                                        build_hierarchy,
-                                        deep_initial_attachments,
-                                        initial_attachments)
-
     if spec.system != "ringnet":
         raise PartitionError(
             f"sharded execution supports the ringnet system, "
             f"not {spec.system!r}")
-    shape = spec.hierarchy
-    if shape.depth > 1:
-        h = build_deep_hierarchy(n_br=shape.n_br, ring_size=shape.ring_size,
-                                 depth=shape.depth,
-                                 aps_per_ag=shape.aps_per_ag,
-                                 mhs_per_ap=shape.mhs_per_ap)
-        attach = deep_initial_attachments(h)
-    else:
-        hs = HierarchySpec(n_br=shape.n_br, ags_per_br=shape.ags_per_br,
-                           aps_per_ag=shape.aps_per_ag,
-                           mhs_per_ap=shape.mhs_per_ap)
-        h = build_hierarchy(hs)
-        attach = initial_attachments(hs)
-    return partition_hierarchy(h, n_shards, attach)
+    h = build_hierarchy(spec.hierarchy)
+    return partition_hierarchy(h, n_shards, initial_attachments(h))
 
 
 # ----------------------------------------------------------------------

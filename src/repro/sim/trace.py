@@ -2,17 +2,17 @@
 
 Protocol code emits semantic records (``kind`` + attribute dict); metric
 collectors subscribe by kind.  The bus is intentionally dumb and fast:
-no records are retained unless a subscriber (or the ``record=True`` debug
-mode) asks for them, so tracing costs almost nothing in benchmark runs.
+it retains no records (a subscriber keeps what it needs), so tracing
+costs almost nothing in benchmark runs.
 
 The canonical JSONL form (:func:`record_to_line` /
 :func:`line_to_record`) lives here with the bus so that *every*
 consumer — the validation recorder, the shard merge, the streaming sink
 below — serializes one way.  :class:`StreamingTraceSink` writes that
 form to a compressed file in bounded windows: at million-MH scale a run
-emits far more records than fit in an in-memory ``records`` list, and
-the sink keeps trace memory O(window) instead of O(run length) while
-producing byte-identical lines.
+emits far more records than fit in memory, and the sink keeps trace
+memory O(window) instead of O(run length) while producing
+byte-identical lines.
 """
 
 from __future__ import annotations
@@ -221,21 +221,16 @@ class TraceBus:
 
     Parameters
     ----------
-    record:
-        When True, every emitted record is appended to :attr:`records`
-        (useful in tests; avoid in long benchmark runs).
     counting:
         When True (the default), :attr:`counts` tallies emits per kind.
         Benchmark runs pass False so the nobody-listens fast path does
         no dict mutation at all.
     """
 
-    def __init__(self, record: bool = False, counting: bool = True):
+    def __init__(self, counting: bool = True):
         self._subs_by_kind: Dict[str, List[Subscriber]] = {}
         self._subs_all: List[Subscriber] = []
-        self.record = record
         self.counting = counting
-        self.records: List[TraceRecord] = []
         self.counts: Dict[str, int] = {}
         #: Back-reference to the owning simulator (set by ``Simulator``);
         #: keyed recorders use it to stamp records with causal keys.
@@ -319,20 +314,13 @@ class TraceBus:
         fns = self._dispatch.get(kind)
         if fns is None:
             fns = self._wild
-            if not fns and not self.record:
+            if not fns:
                 return
         rec = TraceRecord(time, kind, attrs)
-        if self.record:
-            self.records.append(rec)
         for fn in fns:
             fn(rec)
 
     # ------------------------------------------------------------------
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """Recorded records of one kind (requires ``record=True``)."""
-        return [r for r in self.records if r.kind == kind]
-
     def clear(self) -> None:
-        """Forget recorded records and counters (subscriptions persist)."""
-        self.records.clear()
+        """Forget the per-kind counters (subscriptions persist)."""
         self.counts.clear()

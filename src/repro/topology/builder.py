@@ -1,60 +1,80 @@
-"""Builders: regular (spec-driven) hierarchies and their fabric links.
+"""The hierarchy shape, its one builder, and the matching fabric links.
 
-The regular builder realizes the shape of paper Figure 1: one top ring of
-``n_br`` Border Routers; under each BR one AG ring of ``ags_per_br``
-Access Gateways whose leader is the BR's child; under each AG
-``aps_per_ag`` Access Proxies; under each AP ``mhs_per_ap`` Mobile Hosts
-initially attached.  Candidate-contactor tables are filled so the handoff
-and self-organization paths have fallbacks to try:
+:func:`build_hierarchy` realizes a :class:`HierarchyShape`: one top ring
+of ``n_br`` Border Routers; below every BR ``depth`` levels of AG rings
+(``depth == 1`` is paper Figure 1, deeper is the §3 sub-tier extension),
+each AG of a ring parenting the next level's ring through that ring's
+leader; under each AG of the deepest level ``aps_per_ag`` Access
+Proxies; under each AP ``mhs_per_ap`` Mobile Hosts initially attached.
+Candidate-contactor tables are filled so the handoff and
+self-organization paths have fallbacks to try:
 
 * each AP's candidate parents: its AG plus the AG ring's other members;
 * each AG's candidate neighbors: the other members of its ring;
-* each AG's candidate parents: its ring's parent BR plus the BR ring.
+* each AG's candidate parents: at depth 1 its ring's parent BR plus the
+  BR ring, deeper only its ring's parent AG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.net.address import NodeId, make_id
 from repro.net.fabric import Fabric
-from repro.net.link import LinkSpec, WIRED, WIRELESS
+from repro.net.link import LinkSpec, WIRED
 from repro.topology.hierarchy import Hierarchy
 from repro.topology.ring import LogicalRing
 from repro.topology.tiers import Tier
 
 
-@dataclass(frozen=True)
-class HierarchySpec:
-    """Shape parameters for a regular RingNet hierarchy.
+@dataclass
+class HierarchyShape:
+    """Shape of the RingNet hierarchy (paper Figure 1, plus §3 nesting).
 
-    ``mhs_per_ap`` may be zero; mobile hosts can instead be attached later
-    by the mobility layer.
+    An AG ring has ``ags_per_br`` members at ``depth == 1`` and
+    ``ring_size`` members in a nested hierarchy (:attr:`ags_per_ring`).
+    ``mhs_per_ap`` may be zero; mobile hosts can instead be attached
+    later by the mobility layer.
     """
 
     n_br: int = 3
-    ags_per_br: int = 3
+    ags_per_br: int = 2
     aps_per_ag: int = 2
     mhs_per_ap: int = 2
+    depth: int = 1
+    ring_size: int = 3
+    #: Lazily-materialized idle MHs behind every AP, *in addition to*
+    #: the ``mhs_per_ap`` active ones built eagerly.  They cost O(#APs)
+    #: memory until an open-world session arrival activates one — this
+    #: is how the xxl/metro rungs describe 10^5–10^6-endpoint
+    #: populations.
+    idle_per_ap: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_br < 1:
-            raise ValueError("need at least one BR")
-        if self.ags_per_br < 1:
-            raise ValueError("need at least one AG per BR")
-        if self.aps_per_ag < 0 or self.mhs_per_ap < 0:
-            raise ValueError("counts must be non-negative")
+        for name in ("n_br", "depth", "ags_per_br", "ring_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("aps_per_ag", "mhs_per_ap", "idle_per_ap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
+    @property
+    def ags_per_ring(self) -> int:
+        """Members of one AG ring: ``ags_per_br`` at depth 1, else
+        ``ring_size``."""
+        return self.ags_per_br if self.depth == 1 else self.ring_size
 
     @property
     def n_ag(self) -> int:
-        """Total number of Access Gateways."""
-        return self.n_br * self.ags_per_br
+        """Total number of Access Gateways, over every level."""
+        return self.n_br * sum(self.ags_per_ring ** level
+                               for level in range(1, self.depth + 1))
 
     @property
     def n_ap(self) -> int:
-        """Total number of Access Proxies."""
-        return self.n_ag * self.aps_per_ag
+        """Total number of Access Proxies (below the deepest AGs)."""
+        return self.n_br * self.ags_per_ring ** self.depth * self.aps_per_ag
 
     @property
     def n_mh(self) -> int:
@@ -67,142 +87,78 @@ class HierarchySpec:
         return self.n_br + self.n_ag + self.n_ap
 
 
-def build_hierarchy(spec: HierarchySpec) -> Hierarchy:
-    """Construct the regular hierarchy described by ``spec``.
+def build_hierarchy(shape: HierarchyShape) -> Hierarchy:
+    """Construct the hierarchy described by ``shape``.
 
-    Node ids follow the ``tier:indices`` convention: ``br:0``,
-    ``ag:0.1`` (BR 0, AG 1), ``ap:0.1.0``, ``mh:0.1.0.1``.
+    Node ids encode the path from the BR: ``br:0``, ``ag:0.1`` (BR 0,
+    AG 1), ``ag:0.1.2`` (its ring's AG 2, at depth 2), ``ap:0.1.0``,
+    ``mh:0.1.0.1``.  The protocol layer needs no changes for a nested
+    shape — ring leaders interact with their parent NE generically at
+    every level — which is the self-similarity argument of §3 ("if we
+    consider each logical ring as one node, then the RingNet hierarchy
+    becomes a tree").
     """
     h = Hierarchy()
+    brs = [make_id("br", i) for i in range(shape.n_br)]
+    h.add_ring(LogicalRing("ring:br", brs, leader=brs[0]), Tier.BR, top=True)
 
-    brs = [make_id("br", i) for i in range(spec.n_br)]
-    top = LogicalRing("ring:br", brs, leader=brs[0])
-    h.add_ring(top, Tier.BR, top=True)
-
-    for i, br in enumerate(brs):
-        h.candidate_neighbors[br] = [b for b in brs if b != br]
-        ags = [make_id("ag", i, j) for j in range(spec.ags_per_br)]
-        ag_ring = LogicalRing(f"ring:ag.{i}", ags, leader=ags[0])
-        h.add_ring(ag_ring, Tier.AG)
-        h.set_parent(ags[0], br)
+    def grow(parent: NodeId, path: str, level: int) -> None:
+        ags = [f"ag:{path}.{j}" for j in range(shape.ags_per_ring)]
+        h.add_ring(LogicalRing(f"ring:ag.{path}", ags, leader=ags[0]),
+                   Tier.AG)
+        h.set_parent(ags[0], parent)
+        others = [b for b in brs if b != parent] if shape.depth == 1 else []
         for ag in ags:
             h.candidate_neighbors[ag] = [a for a in ags if a != ag]
-            h.candidate_parents[ag] = [br] + [b for b in brs if b != br]
-
+            h.candidate_parents[ag] = [parent] + others
         for j, ag in enumerate(ags):
-            for k in range(spec.aps_per_ag):
-                ap = make_id("ap", i, j, k)
+            if level < shape.depth:
+                grow(ag, f"{path}.{j}", level + 1)
+                continue
+            for k in range(shape.aps_per_ag):
+                ap = f"ap:{path}.{j}.{k}"
                 h.add_node(ap, Tier.AP)
                 h.set_parent(ap, ag)
                 h.candidate_parents[ap] = [ag] + [a for a in ags if a != ag]
-                for m in range(spec.mhs_per_ap):
-                    mh = make_id("mh", i, j, k, m)
-                    h.add_node(mh, Tier.MH)
-
-    h.validate()
-    return h
-
-
-def build_deep_hierarchy(
-    n_br: int = 3,
-    ring_size: int = 3,
-    depth: int = 2,
-    aps_per_ag: int = 1,
-    mhs_per_ap: int = 1,
-) -> Hierarchy:
-    """Construct a hierarchy with **sub-tier AG rings** (paper §3).
-
-    The paper allows "more complicated scenarios where sub-tiers of the
-    AGT and BRT tiers are allowed": each AG in a ring can itself parent
-    a deeper AG ring.  This builder nests ``depth`` levels of AG rings
-    of ``ring_size`` members below every BR; only the deepest level's
-    AGs carry APs.  Node ids encode the path: ``ag:<br>.<pos>.<pos>...``.
-
-    The protocol layer needs no changes for this shape — ring leaders
-    interact with their parent NE generically at every level — which is
-    exactly the self-similarity argument of §3 ("if we consider each
-    logical ring as one node, then the RingNet hierarchy becomes a
-    tree").
-    """
-    if n_br < 1 or ring_size < 1 or depth < 1:
-        raise ValueError("n_br, ring_size, and depth must be >= 1")
-    if aps_per_ag < 0 or mhs_per_ap < 0:
-        raise ValueError("counts must be non-negative")
-
-    h = Hierarchy()
-    brs = [make_id("br", i) for i in range(n_br)]
-    h.add_ring(LogicalRing("ring:br", brs, leader=brs[0]), Tier.BR, top=True)
-    for br in brs:
-        h.candidate_neighbors[br] = [b for b in brs if b != br]
-
-    def grow(parent: NodeId, path: str, level: int) -> None:
-        ags = [f"ag:{path}.{j}" for j in range(ring_size)]
-        ring = LogicalRing(f"ring:ag.{path}", ags, leader=ags[0])
-        h.add_ring(ring, Tier.AG)
-        h.set_parent(ags[0], parent)
-        for ag in ags:
-            h.candidate_neighbors[ag] = [a for a in ags if a != ag]
-            h.candidate_parents[ag] = [parent]
-        if level + 1 < depth:
-            for j, ag in enumerate(ags):
-                grow(ag, f"{path}.{j}", level + 1)
-        else:
-            for j, ag in enumerate(ags):
-                for k in range(aps_per_ag):
-                    ap = f"ap:{path}.{j}.{k}"
-                    h.add_node(ap, Tier.AP)
-                    h.set_parent(ap, ag)
-                    h.candidate_parents[ap] = [ag] + [a for a in ags
-                                                      if a != ag]
-                    for m in range(mhs_per_ap):
-                        h.add_node(f"mh:{path}.{j}.{k}.{m}", Tier.MH)
+                for m in range(shape.mhs_per_ap):
+                    h.add_node(f"mh:{path}.{j}.{k}.{m}", Tier.MH)
 
     for i, br in enumerate(brs):
-        grow(br, str(i), 0)
+        h.candidate_neighbors[br] = [b for b in brs if b != br]
+        grow(br, str(i), 1)
 
     h.validate()
     return h
 
 
-def deep_initial_attachments(h: Hierarchy) -> Dict[NodeId, NodeId]:
-    """Map each MH of a deep hierarchy to its AP (by id prefix)."""
-    out: Dict[NodeId, NodeId] = {}
-    for mh in h.nodes_of_tier(Tier.MH):
-        # mh:<path>.<j>.<k>.<m>  ->  ap:<path>.<j>.<k>
-        body = mh.split(":", 1)[1]
-        ap = "ap:" + body.rsplit(".", 1)[0]
-        out[mh] = ap
-    return out
+def structural_home(mh_id: str) -> Optional[NodeId]:
+    """The AP an MH id is structurally homed under (builder convention).
+
+    ``mh:<path>.<m>`` lives under ``ap:<path>``; ids outside the
+    convention (e.g. churn-created MHs) have no structural home.
+    """
+    if not mh_id.startswith("mh:"):
+        return None
+    path, sep, _ = mh_id[3:].rpartition(".")
+    return f"ap:{path}" if sep else None
 
 
-def initial_attachments(spec: HierarchySpec) -> Dict[NodeId, NodeId]:
-    """Map each build-time MH id to its initial AP id."""
-    out: Dict[NodeId, NodeId] = {}
-    for i in range(spec.n_br):
-        for j in range(spec.ags_per_br):
-            for k in range(spec.aps_per_ag):
-                ap = make_id("ap", i, j, k)
-                for m in range(spec.mhs_per_ap):
-                    out[make_id("mh", i, j, k, m)] = ap
-    return out
+def initial_attachments(h: Hierarchy) -> Dict[NodeId, NodeId]:
+    """Map each build-time MH to its :func:`structural_home` AP, in
+    build order."""
+    return {mh: structural_home(mh)
+            for mh, tier in h.tier_of.items() if tier is Tier.MH}
 
 
-def provision_links(
-    fabric: Fabric,
-    hierarchy: Hierarchy,
-    wired: LinkSpec = WIRED,
-    wireless: LinkSpec = WIRELESS,
-    *,
-    include_candidates: bool = True,
-) -> int:
+def provision_links(fabric: Fabric, hierarchy: Hierarchy,
+                    wired: LinkSpec = WIRED) -> int:
     """Create fabric links for every logical adjacency in the hierarchy.
 
     Links created: ring next-links (both directions share one link),
-    parent→child tree links, and — when ``include_candidates`` — links to
-    candidate parents/neighbors so fail-over paths exist without new
-    provisioning at failure time.  AP↔MH wireless links are *not* created
-    here; they appear when an MH attaches (mobility layer), using the
-    ``wireless`` spec stored as the fabric default by callers.
+    parent→child tree links, and links to candidate parents/neighbors so
+    fail-over paths exist without new provisioning at failure time.
+    AP↔MH wireless links are *not* created here; they appear when an MH
+    attaches.
 
     Returns the number of links configured.
     """
@@ -220,12 +176,11 @@ def provision_links(
         if fabric.link(child, parent) is None:
             fabric.connect(child, parent, wired)
             count += 1
-    if include_candidates:
-        for node, cands in list(hierarchy.candidate_parents.items()) + list(
-            hierarchy.candidate_neighbors.items()
-        ):
-            for cand in cands:
-                if fabric.link(node, cand) is None:
-                    fabric.connect(node, cand, wired)
-                    count += 1
+    for node, cands in list(hierarchy.candidate_parents.items()) + list(
+        hierarchy.candidate_neighbors.items()
+    ):
+        for cand in cands:
+            if fabric.link(node, cand) is None:
+                fabric.connect(node, cand, wired)
+                count += 1
     return count

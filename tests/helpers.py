@@ -11,7 +11,7 @@ from repro.core.protocol import RingNet
 from repro.experiments import registry
 from repro.metrics.order_checker import OrderChecker
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 
 
 #: Horizons (ms) the goldens under ``tests/data/seed_traces/`` were
@@ -49,8 +49,8 @@ def small_net(
 ) -> Tuple[Simulator, RingNet]:
     """A compact RingNet instance ready to start."""
     sim = Simulator(seed=seed)
-    spec = HierarchySpec(n_br=n_br, ags_per_br=ags_per_br,
-                         aps_per_ag=aps_per_ag, mhs_per_ap=mhs_per_ap)
+    spec = HierarchyShape(n_br=n_br, ags_per_br=ags_per_br,
+                          aps_per_ag=aps_per_ag, mhs_per_ap=mhs_per_ap)
     net = RingNet.build(sim, spec, cfg=cfg)
     return sim, net
 

@@ -9,10 +9,10 @@ from repro.baselines.single_ring import SingleRingMulticast
 from repro.baselines.unordered import UnorderedRingNet
 from repro.metrics.collectors import LatencyCollector
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 
 
-SPEC = HierarchySpec(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
+SPEC = HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
 
 
 # ---------------------------------------------------------------------------

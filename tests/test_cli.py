@@ -522,6 +522,8 @@ class TestExitCodes:
         ["show", "no_such_scenario", "--shards", "2"],
         ["compare", "no_such_scenario"],
         ["run", "quickstart", "--set", "hierarchy.n_br=0"],
+        ["run", "quickstart", "--set", "hierarchy.ags_per_br=0"],
+        ["run", "quickstart", "--set", "hierarchy.ring_size=0"],
         ["run", "quickstart", "--set", "no.such.field=1"],
         ["ladder", "--rungs", "no_such_rung"],
         ["replay", "no_such_file.jsonl"],
@@ -553,6 +555,9 @@ class TestExitCodes:
         assert "Traceback" not in captured.err and captured.out == ""
         if LEGACY_FAILURES_SPEC in argv:
             assert "'failures'" in captured.err
+        if argv[-1].startswith("hierarchy.") and argv[-1].endswith("=0"):
+            field = argv[-1][len("hierarchy."):-len("=0")]
+            assert captured.err == f"error: {field} must be >= 1\n"
 
     def test_a_wrong_typed_set_names_its_field(self, capsys):
         assert main(["run", "quickstart", "--set",

@@ -75,11 +75,11 @@ def test_end_to_end_under_heavy_wired_loss():
     # Lossy *wired* links stress ring forwarding + delivery recovery.
     from repro.core.protocol import RingNet
     from repro.sim.engine import Simulator
-    from repro.topology.builder import HierarchySpec
+    from repro.topology.builder import HierarchyShape
     sim = Simulator(seed=21)
     cfg = ProtocolConfig(gap_timeout=40.0)
-    net = RingNet.build(sim, HierarchySpec(n_br=3, ags_per_br=2,
-                                           aps_per_ag=1, mhs_per_ap=1),
+    net = RingNet.build(sim, HierarchyShape(n_br=3, ags_per_br=2,
+                                            aps_per_ag=1, mhs_per_ap=1),
                         cfg=cfg,
                         wired=LinkSpec(latency=2.0, jitter=0.5, loss_prob=0.05))
     checker = OrderChecker(sim.trace)
@@ -98,10 +98,10 @@ def test_end_to_end_under_heavy_wired_loss():
 def test_end_to_end_under_heavy_wireless_loss():
     from repro.core.protocol import RingNet
     from repro.sim.engine import Simulator
-    from repro.topology.builder import HierarchySpec
+    from repro.topology.builder import HierarchyShape
     sim = Simulator(seed=22)
-    net = RingNet.build(sim, HierarchySpec(n_br=2, ags_per_br=2,
-                                           aps_per_ag=1, mhs_per_ap=2),
+    net = RingNet.build(sim, HierarchyShape(n_br=2, ags_per_br=2,
+                                            aps_per_ag=1, mhs_per_ap=2),
                         wireless=LinkSpec(latency=5.0, jitter=2.0,
                                           loss_prob=0.15))
     checker = OrderChecker(sim.trace)

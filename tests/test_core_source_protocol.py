@@ -6,7 +6,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.protocol import RingNet
 from repro.core.source import MulticastSource
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 from repro.topology.tiers import Tier
 
 from helpers import small_net
@@ -68,7 +68,7 @@ def test_source_invalid_params():
 # ---------------------------------------------------------------------------
 def test_build_creates_all_nes_and_mhs():
     sim = Simulator(seed=1)
-    spec = HierarchySpec(n_br=2, ags_per_br=2, aps_per_ag=2, mhs_per_ap=2)
+    spec = HierarchyShape(n_br=2, ags_per_br=2, aps_per_ag=2, mhs_per_ap=2)
     net = RingNet.build(sim, spec)
     assert len(net.nes) == spec.total_nes
     assert len(net.mobile_hosts) == spec.n_mh

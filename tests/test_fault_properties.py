@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.protocol import RingNet
 from repro.metrics.order_checker import OrderChecker
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 from repro.topology.tiers import Tier
 
-SPEC = HierarchySpec(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
+SPEC = HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
 
 
 @st.composite

@@ -19,7 +19,7 @@ from repro.mobility.handoff import HandoffDriver
 from repro.mobility.models import DirectionalWalk, RandomWalk
 from repro.net.link import LinkSpec
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 from repro.topology.tiers import Tier
 from repro.workloads.churn import ChurnDriver
 from repro.workloads.generators import uniform_sources
@@ -27,7 +27,7 @@ from repro.workloads.generators import uniform_sources
 
 def test_large_topology_multi_source():
     sim = Simulator(seed=31)
-    spec = HierarchySpec(n_br=5, ags_per_br=3, aps_per_ag=2, mhs_per_ap=2)
+    spec = HierarchyShape(n_br=5, ags_per_br=3, aps_per_ag=2, mhs_per_ap=2)
     net = RingNet.build(sim, spec)
     checker = OrderChecker(sim.trace)
     thr = ThroughputCollector(sim.trace)
@@ -45,7 +45,7 @@ def test_large_topology_multi_source():
 def test_everything_at_once():
     """Traffic + mobility + churn + a BR crash, order must still hold."""
     sim = Simulator(seed=32)
-    spec = HierarchySpec(n_br=4, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
+    spec = HierarchyShape(n_br=4, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1)
     net = RingNet.build(sim, spec)
     checker = OrderChecker(sim.trace)
     fleet = uniform_sources(net, s=2, rate_per_sec=15)
@@ -76,7 +76,7 @@ def test_everything_at_once():
 
 def test_directional_mobility_with_lossy_wireless():
     sim = Simulator(seed=33)
-    spec = HierarchySpec(n_br=3, ags_per_br=2, aps_per_ag=3, mhs_per_ap=1)
+    spec = HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=3, mhs_per_ap=1)
     net = RingNet.build(sim, spec,
                         wireless=LinkSpec(latency=5.0, jitter=2.0,
                                           loss_prob=0.08))
@@ -102,7 +102,7 @@ def test_directional_mobility_with_lossy_wireless():
 def test_interruption_small_with_smooth_handoff():
     sim = Simulator(seed=34)
     cfg = ProtocolConfig(smooth_handoff=True)
-    spec = HierarchySpec(n_br=2, ags_per_br=2, aps_per_ag=3, mhs_per_ap=1)
+    spec = HierarchyShape(n_br=2, ags_per_br=2, aps_per_ag=3, mhs_per_ap=1)
     net = RingNet.build(sim, spec, cfg=cfg)
     inter = InterruptionCollector(sim.trace)
     fleet = uniform_sources(net, s=1, rate_per_sec=30)
@@ -125,8 +125,8 @@ def test_deterministic_replay():
     """Same seed ⇒ identical delivery transcript (the repo's bedrock)."""
     def run(seed):
         sim = Simulator(seed=seed)
-        net = RingNet.build(sim, HierarchySpec(n_br=3, ags_per_br=2,
-                                               aps_per_ag=1, mhs_per_ap=1))
+        net = RingNet.build(sim, HierarchyShape(n_br=3, ags_per_br=2,
+                                                aps_per_ag=1, mhs_per_ap=1))
         fleet = uniform_sources(net, s=2, rate_per_sec=20)
         net.start()
         fleet.start()
@@ -140,7 +140,7 @@ def test_deterministic_replay():
 
 def test_latency_statistics_reasonable():
     sim = Simulator(seed=35)
-    net = RingNet.build(sim, HierarchySpec())
+    net = RingNet.build(sim, HierarchyShape(ags_per_br=3))
     lat = LatencyCollector(sim.trace, warmup=1_000)
     fleet = uniform_sources(net, s=2, rate_per_sec=20)
     net.start()

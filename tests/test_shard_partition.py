@@ -12,9 +12,7 @@ from repro.experiments import registry
 from repro.experiments.runner import build_scenario
 from repro.shard.partition import (PartitionError, cut_edges, lookahead_of,
                                    partition_hierarchy, partition_spec)
-from repro.topology.builder import (HierarchySpec, build_deep_hierarchy,
-                                    build_hierarchy,
-                                    deep_initial_attachments,
+from repro.topology.builder import (HierarchyShape, build_hierarchy,
                                     initial_attachments)
 
 ALL_SCENARIOS = registry.names()
@@ -22,17 +20,8 @@ ALL_SCENARIOS = registry.names()
 
 def _build_topology(spec):
     """The hierarchy + initial attachments a spec's build would use."""
-    shape = spec.hierarchy
-    if shape.depth > 1:
-        h = build_deep_hierarchy(n_br=shape.n_br, ring_size=shape.ring_size,
-                                 depth=shape.depth,
-                                 aps_per_ag=shape.aps_per_ag,
-                                 mhs_per_ap=shape.mhs_per_ap)
-        return h, deep_initial_attachments(h)
-    hs = HierarchySpec(n_br=shape.n_br, ags_per_br=shape.ags_per_br,
-                       aps_per_ag=shape.aps_per_ag,
-                       mhs_per_ap=shape.mhs_per_ap)
-    return build_hierarchy(hs), initial_attachments(hs)
+    h = build_hierarchy(spec.hierarchy)
+    return h, initial_attachments(h)
 
 
 # ----------------------------------------------------------------------
@@ -182,13 +171,12 @@ def test_baseline_systems_are_rejected():
 
 
 def test_bad_shard_count_rejected():
-    h = build_hierarchy(HierarchySpec())
+    h = build_hierarchy(HierarchyShape(ags_per_br=3))
     with pytest.raises(PartitionError):
         partition_hierarchy(h, 0, {})
 
 
 def test_unplaced_mh_rejected():
-    hs = HierarchySpec(mhs_per_ap=1)
-    h = build_hierarchy(hs)
+    h = build_hierarchy(HierarchyShape(ags_per_br=3, mhs_per_ap=1))
     with pytest.raises(PartitionError):
         partition_hierarchy(h, 2, {})  # MHs exist but no attachments

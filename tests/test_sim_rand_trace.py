@@ -53,7 +53,6 @@ def test_names_and_contains():
 def test_emit_without_subscribers_is_cheap():
     bus = TraceBus()
     bus.emit(1.0, "x", a=1)
-    assert bus.records == []
     assert bus.counts["x"] == 1
 
 
@@ -86,19 +85,11 @@ def test_unsubscribe():
     assert got == []
 
 
-def test_record_mode_retains():
-    bus = TraceBus(record=True)
-    bus.emit(1.0, "a", v=1)
-    bus.emit(2.0, "b", v=2)
-    assert len(bus.records) == 2
-    assert [r.kind for r in bus.of_kind("a")] == ["a"]
-
-
-def test_clear_resets_records_and_counts():
-    bus = TraceBus(record=True)
+def test_clear_resets_counts():
+    bus = TraceBus()
     bus.emit(1.0, "a")
     bus.clear()
-    assert bus.records == [] and bus.counts == {}
+    assert bus.counts == {}
 
 
 def test_record_get_default():

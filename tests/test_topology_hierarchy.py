@@ -5,7 +5,7 @@ import pytest
 from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator
 from repro.topology.builder import (
-    HierarchySpec,
+    HierarchyShape,
     build_hierarchy,
     initial_attachments,
     provision_links,
@@ -20,7 +20,7 @@ from repro.topology.tiers import Tier
 # Spec + builder
 # ---------------------------------------------------------------------------
 def test_spec_counts():
-    spec = HierarchySpec(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=2)
+    spec = HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=2)
     assert spec.n_ag == 6
     assert spec.n_ap == 12
     assert spec.n_mh == 24
@@ -28,27 +28,26 @@ def test_spec_counts():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        HierarchySpec(n_br=0)
-    with pytest.raises(ValueError):
-        HierarchySpec(ags_per_br=0)
-    with pytest.raises(ValueError):
-        HierarchySpec(aps_per_ag=-1)
+    for field, value in [("n_br", 0), ("depth", 0), ("ags_per_br", 0),
+                         ("ring_size", 0), ("aps_per_ag", -1),
+                         ("mhs_per_ap", -1), ("idle_per_ap", -1)]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            HierarchyShape(**{field: value})
 
 
 def test_build_regular_hierarchy_validates():
-    h = build_hierarchy(HierarchySpec())
+    h = build_hierarchy(HierarchyShape(ags_per_br=3))
     h.validate()  # no raise
 
 
 def test_top_ring_is_br_ring():
-    h = build_hierarchy(HierarchySpec(n_br=4))
+    h = build_hierarchy(HierarchyShape(n_br=4, ags_per_br=3))
     assert h.top_ring.size == 4
     assert all(h.tier_of[n] is Tier.BR for n in h.top_ring)
 
 
 def test_ag_ring_leaders_are_br_children():
-    h = build_hierarchy(HierarchySpec(n_br=2, ags_per_br=3))
+    h = build_hierarchy(HierarchyShape(n_br=2, ags_per_br=3))
     for rid, ring in h.rings.items():
         if rid == h.top_ring_id:
             continue
@@ -57,22 +56,24 @@ def test_ag_ring_leaders_are_br_children():
 
 
 def test_aps_have_ag_parents():
-    h = build_hierarchy(HierarchySpec())
+    h = build_hierarchy(HierarchyShape(ags_per_br=3))
     for ap in h.nodes_of_tier(Tier.AP):
         assert h.tier_of[h.parent[ap]] is Tier.AG
 
 
 def test_mh_count_and_initial_attachments():
-    spec = HierarchySpec(n_br=2, ags_per_br=2, aps_per_ag=2, mhs_per_ap=3)
+    spec = HierarchyShape(n_br=2, ags_per_br=2, aps_per_ag=2, mhs_per_ap=3)
     h = build_hierarchy(spec)
-    att = initial_attachments(spec)
+    att = initial_attachments(h)
     assert len(h.nodes_of_tier(Tier.MH)) == spec.n_mh
     assert len(att) == spec.n_mh
     assert all(h.tier_of[ap] is Tier.AP for ap in att.values())
+    assert att["mh:1.0.1.2"] == "ap:1.0.1"
+    assert list(att) == [n for n, t in h.tier_of.items() if t is Tier.MH]
 
 
 def test_candidate_parents_configured():
-    h = build_hierarchy(HierarchySpec())
+    h = build_hierarchy(HierarchyShape(ags_per_br=3))
     for ap in h.nodes_of_tier(Tier.AP):
         cands = h.candidate_parents[ap]
         assert cands[0] == h.parent[ap]  # primary first
@@ -83,7 +84,7 @@ def test_candidate_parents_configured():
 # Neighbor views
 # ---------------------------------------------------------------------------
 def test_neighbor_view_top_ring_member():
-    h = build_hierarchy(HierarchySpec(n_br=3))
+    h = build_hierarchy(HierarchyShape(n_br=3, ags_per_br=3))
     v = h.neighbor_view("br:1")
     assert v.in_top_ring
     assert v.previous == "br:0" and v.next == "br:2"
@@ -92,13 +93,13 @@ def test_neighbor_view_top_ring_member():
 
 
 def test_neighbor_view_leader_flag():
-    h = build_hierarchy(HierarchySpec())
+    h = build_hierarchy(HierarchyShape(ags_per_br=3))
     v = h.neighbor_view("br:0")
     assert v.is_leader
 
 
 def test_neighbor_view_ap_has_parent_no_ring():
-    h = build_hierarchy(HierarchySpec())
+    h = build_hierarchy(HierarchyShape(ags_per_br=3))
     v = h.neighbor_view("ap:0.0.0")
     assert v.ring_id is None
     assert v.parent == "ag:0.0"
@@ -106,13 +107,13 @@ def test_neighbor_view_ap_has_parent_no_ring():
 
 
 def test_neighbor_view_children():
-    h = build_hierarchy(HierarchySpec(aps_per_ag=3))
+    h = build_hierarchy(HierarchyShape(ags_per_br=3, aps_per_ag=3))
     v = h.neighbor_view("ag:0.0")
     assert len(v.children) == 3
 
 
 def test_all_views_excludes_mhs():
-    h = build_hierarchy(HierarchySpec())
+    h = build_hierarchy(HierarchyShape(ags_per_br=3))
     views = h.all_views()
     assert not any(v.tier is Tier.MH for v in views.values())
 
@@ -123,7 +124,7 @@ def test_all_views_excludes_mhs():
 def test_provision_links_covers_adjacencies():
     sim = Simulator()
     fabric = Fabric(sim)
-    h = build_hierarchy(HierarchySpec())
+    h = build_hierarchy(HierarchyShape(ags_per_br=3))
     provision_links(fabric, h)
     # Every ring adjacency has a link.
     for ring in h.rings.values():
@@ -138,7 +139,7 @@ def test_provision_links_covers_adjacencies():
 def test_provision_links_idempotent():
     sim = Simulator()
     fabric = Fabric(sim)
-    h = build_hierarchy(HierarchySpec())
+    h = build_hierarchy(HierarchyShape(ags_per_br=3))
     n1 = provision_links(fabric, h)
     n2 = provision_links(fabric, h)
     assert n1 > 0 and n2 == 0
@@ -148,8 +149,8 @@ def test_provision_links_idempotent():
 # Maintenance
 # ---------------------------------------------------------------------------
 def small_hierarchy() -> Hierarchy:
-    return build_hierarchy(HierarchySpec(n_br=3, ags_per_br=2, aps_per_ag=1,
-                                         mhs_per_ap=0))
+    return build_hierarchy(HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=1,
+                                          mhs_per_ap=0))
 
 
 def test_remove_non_leader_ring_member():

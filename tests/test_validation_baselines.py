@@ -41,7 +41,7 @@ from repro.baselines.unordered import UnorderedRingNet
 from repro.faults import Crash, FaultDriver, FaultPlan
 from repro.metrics.order_checker import OrderChecker
 from repro.sim.engine import Simulator
-from repro.topology.builder import HierarchySpec
+from repro.topology.builder import HierarchyShape
 from repro.topology.tiers import Tier
 from repro.validation.monitor import MonitorSuite
 from repro.validation.monitors import (MembershipMonitor, QuiescenceMonitor,
@@ -81,7 +81,7 @@ def test_unordered_violates_agreement_and_monotonicity():
     suite = MonitorSuite([MembershipMonitor(),
                           QuiescenceMonitor()]).attach(sim.trace)
     net = UnorderedRingNet.build(
-        sim, HierarchySpec(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1))
+        sim, HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1))
     sources = [net.add_source(rate_per_sec=15) for _ in range(2)]
     aps = net.hierarchy.nodes_of_tier(Tier.AP)
     churn = ChurnDriver(net, aps, mean_interval_ms=CHURN_MS)

@@ -8,6 +8,8 @@ assert the corresponding monitor reports at least one violation.
 """
 
 from repro.core.messages import TokenPass
+from repro.experiments import registry, run_point
+from repro.faults.driver import FaultDriver
 from repro.sim.trace import TraceBus, TraceRecord
 from repro.validation.monitor import MonitorSuite
 from repro.validation.monitors import (BoundsMonitor, QuiescenceMonitor,
@@ -130,6 +132,13 @@ def _adversarial_records():
                                         "new": "ap:2", "front": 0}),
         TraceRecord(10.0, "mh.deliver", {"mh": "mh:b", "gseq": 5,
                                          "source": "s2", "local_seq": 9}),
+        # Partition recovery: the token held before a partition never
+        # holds again after its heal.
+        TraceRecord(11.0, "fault.partition", {"index": 0,
+                                              "direction": "both",
+                                              "group_sizes": [1, 1],
+                                              "heal_at": 12.0}),
+        TraceRecord(12.0, "fault.heal", {"index": 0}),
         # Quiescence: a crash after which nothing ever resumes.
         TraceRecord(5_000.0, "fault.crash", {"node": "br:2"}),
         TraceRecord(20_000.0, "source.send", {"source": "src:0",
@@ -156,10 +165,32 @@ def test_every_monitor_in_the_suite_has_teeth():
 
     fired = {m.name for m in suite if not m.ok}
     assert fired == {"token", "handoff", "total_order", "membership",
-                     "bounds", "quiescence"}
+                     "bounds", "quiescence", "partition_recovery"}
     # And each produced a diagnosable message.
     for m in suite:
         assert all(isinstance(v, str) and v for v in m.violations)
+
+
+# ---------------------------------------------------------------------------
+# Real-protocol mutation: a heal that leaves the partition installed
+# ---------------------------------------------------------------------------
+def test_a_heal_that_keeps_the_partition_trips_partition_recovery(
+        monkeypatch):
+    spec = registry.get("split_brain")
+    healthy = run_point(spec, check=True)
+    assert healthy.violations == []
+
+    def heal_in_name_only(self, index):
+        self.sim.trace.emit(self.sim.now, "fault.heal",
+                            index=self._base + index)
+
+    monkeypatch.setattr(FaultDriver, "_heal", heal_in_name_only)
+    broken = run_point(spec, check=True)
+    for what in ("token", "deliveries"):
+        assert (f"partition_recovery: {what} did not resume within 3000 ms "
+                f"of the heal of partition 0 at t=1250.0"
+                in broken.violations), broken.violations
+    assert broken.delivered < healthy.delivered
 
 
 def test_validity_checker_flags_never_sent_message():
