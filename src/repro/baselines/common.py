@@ -7,13 +7,17 @@ works unchanged across protocols.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import ProtocolConfig
+from repro.core.source import MulticastSource
 from repro.net.address import NodeId
 from repro.net.fabric import Fabric
+from repro.net.link import LinkSpec
 from repro.net.message import Message
 from repro.net.node import NetNode
 from repro.net.transport import ReliableChannel
+from repro.sim.engine import Simulator
 
 
 class PlainDeliver(Message):
@@ -135,56 +139,71 @@ class BaselineMH(NetNode):
         return len(self.app_log)
 
 
-class BaselineSource(NetNode):
-    """CBR/Poisson source for baselines (same cadence as the RingNet one)."""
+class BaselineSource(MulticastSource):
+    """RingNet's source loop, sending one :class:`PlainDeliver` per sink.
 
-    def __init__(self, fabric: Fabric, source_id: NodeId, sink: NodeId,
-                 rate_per_sec: float = 10.0, pattern: str = "cbr",
-                 rto: float = 25.0, max_retries: int = 5):
-        if rate_per_sec <= 0:
-            raise ValueError("rate_per_sec must be positive")
-        NetNode.__init__(self, fabric, source_id)
-        self.sink = sink
-        self.rate_per_sec = rate_per_sec
-        self.pattern = pattern
-        self.chan = ReliableChannel(self, rto=rto, max_retries=max_retries)
-        self.local_seq = 0
-        self.sent = 0
-        self._timer = self.timer(self._emit)
-        self._running = False
+    ``corresponding`` is the ``source.send`` label: the one sink by
+    default, a placeholder such as ``"<all-sh>"`` for a fan-out.
+    """
 
-    @property
-    def interval_ms(self) -> float:
-        """Mean inter-message gap (ms)."""
-        return 1000.0 / self.rate_per_sec
+    def __init__(self, fabric: Fabric, source_id: NodeId,
+                 sinks: Sequence[NodeId], rate_per_sec: float = 10.0,
+                 pattern: str = "cbr", rto: float = 25.0,
+                 max_retries: int = 5,
+                 corresponding: Optional[NodeId] = None):
+        MulticastSource.__init__(
+            self, fabric, source_id,
+            ProtocolConfig(rto=rto, max_retries=max_retries),
+            sinks[0] if corresponding is None else corresponding,
+            rate_per_sec, pattern)
+        self.sinks = list(sinks)
 
-    def _next_gap(self) -> float:
-        if self.pattern == "cbr":
-            return self.interval_ms
-        return float(self.sim.rng(f"source.{self.id}").exponential(self.interval_ms))
+    def _send(self, seq: int, payload: Any) -> None:
+        for sink in self.sinks:
+            self.chan.send(sink, PlainDeliver(self.id, seq, seq, payload,
+                                              self.now))
 
-    def start(self, delay: float = 0.0) -> None:
-        """Begin emitting."""
-        if not self._running:
-            self._running = True
-            self._timer.start(delay + self._next_gap())
 
-    def stop(self) -> None:
-        """Stop emitting."""
-        self._running = False
-        self._timer.stop()
+class BaselineNet:
+    """The MH surface every baseline facade shares, under RingNet's names.
 
-    def _emit(self) -> None:
-        if not self._running:
-            return
-        msg = PlainDeliver(self.id, self.local_seq, self.local_seq,
-                           (self.id, self.local_seq), self.now)
-        self.chan.send(self.sink, msg)
-        self.sim.trace.emit(self.now, "source.send", source=self.id,
-                            local_seq=self.local_seq, corresponding=self.sink)
-        self.local_seq += 1
-        self.sent += 1
-        self._timer.start(self._next_gap())
+    ``wireless`` is the MH access link; ``max_retries``, the MH channels'
+    retransmission budget, may be set per facade.
+    """
 
-    def on_message(self, msg: Message) -> None:
-        self.chan.accept(msg)
+    max_retries = 5
+
+    def __init__(self, sim: Simulator, fabric: Fabric,
+                 wireless: LinkSpec) -> None:
+        self.sim = sim
+        self.fabric = fabric
+        self.wireless = wireless
+        self.mobile_hosts: Dict[NodeId, BaselineMH] = {}
+
+    def start(self) -> None:
+        """No periodic machinery to start; present for API parity."""
+
+    def add_mobile_host(self, mh_id: NodeId, ap_id: NodeId,
+                        join: bool = True) -> BaselineMH:
+        """Create an MH linked to its serving node, optionally joined."""
+        mh = BaselineMH(self.fabric, mh_id, max_retries=self.max_retries)
+        self.fabric.connect(mh_id, ap_id, self.wireless)
+        self.mobile_hosts[mh_id] = mh
+        if join:
+            mh.join(ap_id)
+        return mh
+
+    def handoff(self, mh_id: NodeId, new_ap: NodeId) -> None:
+        """Move an MH to a new serving node."""
+        mh = self.mobile_hosts[mh_id]
+        if self.fabric.link(mh_id, new_ap) is None:
+            self.fabric.connect(mh_id, new_ap, self.wireless)
+        mh.handoff_to(new_ap)
+
+    def member_hosts(self) -> List[BaselineMH]:
+        """All current member MHs."""
+        return [m for m in self.mobile_hosts.values() if m.is_member]
+
+    def total_app_deliveries(self) -> int:
+        """Application deliveries summed over all MHs."""
+        return sum(m.delivered_count for m in self.mobile_hosts.values())

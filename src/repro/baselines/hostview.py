@@ -18,14 +18,16 @@ experiment E8 measures — are:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 from repro.baselines.common import (
-    BaselineMH,
+    BaselineNet,
     Deregister,
     PlainDeliver,
     Register,
 )
+from repro.core.config import ProtocolConfig
+from repro.core.source import MulticastSource
 from repro.net.address import NodeId, make_id
 from repro.net.fabric import Fabric
 from repro.net.link import LinkSpec, WIRED, WIRELESS
@@ -57,64 +59,32 @@ class ViewUpdate(Message):
         self.view_version = view_version
 
 
-class HostViewSender(NetNode):
+class HostViewSender(MulticastSource):
     """The multicast sender holding the group's Host-View."""
 
     def __init__(self, fabric: Fabric, node_id: NodeId,
                  rate_per_sec: float = 10.0, pattern: str = "cbr",
-                 update_latency: float = 100.0,
-                 rto: float = 25.0, max_retries: int = 5):
-        NetNode.__init__(self, fabric, node_id)
-        self.rate_per_sec = rate_per_sec
-        self.pattern = pattern
+                 update_latency: float = 100.0):
+        MulticastSource.__init__(self, fabric, node_id, ProtocolConfig(),
+                                 "<view>", rate_per_sec, pattern)
+        self.chan.on_ack = self._on_ack
         self.update_latency = update_latency
-        self.chan = ReliableChannel(self, rto=rto, max_retries=max_retries,
-                                    on_ack=self._on_ack)
-        self.view: Set[NodeId] = set()
+        #: The Host-View: MSSs in join order (an ordered set).
+        self.view: Dict[NodeId, None] = {}
         self.view_version = 0
-        self.local_seq = 0
-        self.sent = 0
         self.control_messages = 0
         #: local_seq -> set of MSSs still owing an ack (the send buffer).
         self._unacked: Dict[int, Set[NodeId]] = {}
         self.peak_buffer = 0
-        self._timer = self.timer(self._emit)
-        self._running = False
 
     # ------------------------------------------------------------------
-    def start(self, delay: float = 0.0) -> None:
-        """Begin emitting."""
-        if not self._running:
-            self._running = True
-            self._timer.start(delay + self._next_gap())
-
-    def stop(self) -> None:
-        """Stop emitting."""
-        self._running = False
-        self._timer.stop()
-
-    def _next_gap(self) -> float:
-        if self.pattern == "cbr":
-            return 1000.0 / self.rate_per_sec
-        return float(self.sim.rng(f"source.{self.id}")
-                     .exponential(1000.0 / self.rate_per_sec))
-
-    def _emit(self) -> None:
-        if not self._running:
-            return
-        seq = self.local_seq
-        msg_view = set(self.view)
-        if msg_view:
-            self._unacked[seq] = set(msg_view)
-            for mss in msg_view:
-                self.chan.send(mss, PlainDeliver(self.id, seq, seq,
-                                                 (self.id, seq), self.now))
-        self.sim.trace.emit(self.now, "source.send", source=self.id,
-                            local_seq=seq, corresponding="<view>")
-        self.local_seq += 1
-        self.sent += 1
+    def _send(self, seq: int, payload: Any) -> None:
+        if self.view:
+            self._unacked[seq] = set(self.view)
+            for mss in self.view:
+                self.chan.send(mss, PlainDeliver(self.id, seq, seq, payload,
+                                                 self.now))
         self.peak_buffer = max(self.peak_buffer, len(self._unacked))
-        self._timer.start(self._next_gap())
 
     def _on_ack(self, dst: NodeId, payload: Message) -> None:
         if isinstance(payload, PlainDeliver):
@@ -140,9 +110,9 @@ class HostViewSender(NetNode):
 
         def apply() -> None:
             if add is not None:
-                self.view.add(add)
+                self.view[add] = None
             if remove is not None:
-                self.view.discard(remove)
+                self.view.pop(remove, None)
             # Global notification: one control message per view member.
             for mss in self.view:
                 self.chan.send(mss, ViewUpdate(version))
@@ -160,7 +130,8 @@ class HostViewMSS(NetNode):
         self.sender = sender
         self.chan = ReliableChannel(self, rto=rto, max_retries=max_retries,
                                     on_ack=self._on_ack)
-        self.members: Set[NodeId] = set()
+        #: Registered MHs; a dict keeps the fan-out in registration order.
+        self.members: Dict[NodeId, None] = {}
         self.in_view = False
         #: (local_seq) -> members still owing an ack (the MSS buffer).
         self._unacked: Dict[int, Set[NodeId]] = {}
@@ -179,12 +150,12 @@ class HostViewMSS(NetNode):
                         payload.payload, payload.created_at))
                 self.peak_buffer = max(self.peak_buffer, len(self._unacked))
         elif isinstance(payload, Register):
-            self.members.add(payload.mh)
+            self.members[payload.mh] = None
             if not self.in_view:
                 # Ask the sender for a (global) view update.
                 self.chan.send(self.sender, ViewJoinRequest(self.id))
         elif isinstance(payload, Deregister):
-            self.members.discard(payload.mh)
+            self.members.pop(payload.mh, None)
             for owing in self._unacked.values():
                 owing.discard(payload.mh)
             self._gc()
@@ -204,16 +175,14 @@ class HostViewMSS(NetNode):
             del self._unacked[s]
 
 
-class HostViewProtocol:
+class HostViewProtocol(BaselineNet):
     """Facade: sender + MSSs + MHs, mirroring the RingNet surface."""
 
     def __init__(self, sim: Simulator, n_mss: int,
                  rate_per_sec: float = 10.0, update_latency: float = 100.0,
                  wired: LinkSpec = WIRED, wireless: LinkSpec = WIRELESS,
                  mss_max_retries: int = 5):
-        self.sim = sim
-        self.fabric = Fabric(sim)
-        self.wireless = wireless
+        BaselineNet.__init__(self, sim, Fabric(sim), wireless)
         self.sender = HostViewSender(self.fabric, "hv-sender:0",
                                      rate_per_sec=rate_per_sec,
                                      update_latency=update_latency)
@@ -227,31 +196,6 @@ class HostViewProtocol:
                                             self.sender.id,
                                             max_retries=mss_max_retries)
             self.fabric.connect(self.sender.id, mss_id, wired)
-        self.mobile_hosts: Dict[NodeId, BaselineMH] = {}
-
-    def start(self) -> None:
-        """Present for API parity with RingNet."""
-
-    def add_mobile_host(self, mh_id: NodeId, mss_id: NodeId,
-                        join: bool = True) -> BaselineMH:
-        """Create an MH attached at an MSS."""
-        mh = BaselineMH(self.fabric, mh_id)
-        self.fabric.connect(mh_id, mss_id, self.wireless)
-        self.mobile_hosts[mh_id] = mh
-        if join:
-            mh.join(mss_id)
-        return mh
-
-    def handoff(self, mh_id: NodeId, new_mss: NodeId) -> None:
-        """Move an MH to a new MSS (a 'significant move')."""
-        mh = self.mobile_hosts[mh_id]
-        if self.fabric.link(mh_id, new_mss) is None:
-            self.fabric.connect(mh_id, new_mss, self.wireless)
-        mh.handoff_to(new_mss)
-
-    def member_hosts(self) -> List[BaselineMH]:
-        """All current member MHs."""
-        return [m for m in self.mobile_hosts.values() if m.is_member]
 
     def peak_buffers(self) -> dict:
         """Sender + per-MSS peak buffered messages (the E8 metric)."""

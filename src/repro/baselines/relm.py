@@ -20,10 +20,10 @@ catch-up is served from the SH window.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.baselines.common import (
-    BaselineMH,
+    BaselineNet,
     BaselineSource,
     Deregister,
     PlainDeliver,
@@ -72,7 +72,8 @@ class SupervisorHost(NetNode):
         self.chan = ReliableChannel(self, rto=rto, max_retries=max_retries,
                                     on_ack=self._on_ack)
         self.region_msss: List[NodeId] = []
-        self.hosting: Set[NodeId] = set()
+        #: Member-hosting MSSs, in report order (an ordered set).
+        self.hosting: Dict[NodeId, None] = {}
         #: local_seq -> (message, MSSs still owing an ack).
         self._unacked: Dict[int, tuple] = {}
         #: Recent messages kept for catch-up, by local_seq.
@@ -87,9 +88,9 @@ class SupervisorHost(NetNode):
             self._route(payload)
         elif isinstance(payload, MemberReport):
             if payload.hosting:
-                self.hosting.add(payload.mss)
+                self.hosting[payload.mss] = None
             else:
-                self.hosting.discard(payload.mss)
+                self.hosting.pop(payload.mss, None)
         elif isinstance(payload, CatchUpRequest):
             for seq in sorted(self._window):
                 m = self._window[seq]
@@ -97,10 +98,9 @@ class SupervisorHost(NetNode):
                     m.source, m.local_seq, m.seq, m.payload, m.created_at))
 
     def _route(self, msg: PlainDeliver) -> None:
-        targets = set(self.hosting)
-        if targets:
-            self._unacked[msg.local_seq] = (msg, targets)
-            for mss in targets:
+        if self.hosting:
+            self._unacked[msg.local_seq] = (msg, set(self.hosting))
+            for mss in self.hosting:
                 self.chan.send(mss, PlainDeliver(
                     msg.source, msg.local_seq, msg.seq, msg.payload,
                     msg.created_at))
@@ -127,7 +127,8 @@ class RelMMSS(NetNode):
         NetNode.__init__(self, fabric, node_id)
         self.sh = sh
         self.chan = ReliableChannel(self, rto=rto, max_retries=max_retries)
-        self.members: Set[NodeId] = set()
+        #: Registered MHs; a dict keeps the fan-out in registration order.
+        self.members: Dict[NodeId, None] = {}
         self._seen: Set[int] = set()
         self.peak_inflight = 0
 
@@ -146,18 +147,18 @@ class RelMMSS(NetNode):
             self.peak_inflight = max(self.peak_inflight, self.chan.in_flight)
         elif isinstance(payload, Register):
             first = not self.members
-            self.members.add(payload.mh)
+            self.members[payload.mh] = None
             if first:
                 self.chan.send(self.sh, MemberReport(self.id, hosting=True))
             # Post-handoff catch-up from the SH's window.
             self.chan.send(self.sh, CatchUpRequest(self.id))
         elif isinstance(payload, Deregister):
-            self.members.discard(payload.mh)
+            self.members.pop(payload.mh, None)
             if not self.members:
                 self.chan.send(self.sh, MemberReport(self.id, hosting=False))
 
 
-class RelMProtocol:
+class RelMProtocol(BaselineNet):
     """Facade: source → SHs → MSSs → MHs, one SH per region."""
 
     def __init__(self, sim: Simulator, n_regions: int, msss_per_region: int,
@@ -165,9 +166,7 @@ class RelMProtocol:
                  wired: LinkSpec = WIRED, wireless: LinkSpec = WIRELESS):
         if n_regions < 1 or msss_per_region < 1:
             raise ValueError("need at least one region and one MSS per region")
-        self.sim = sim
-        self.fabric = Fabric(sim)
-        self.wireless = wireless
+        BaselineNet.__init__(self, sim, Fabric(sim), wireless)
         self.shs: Dict[NodeId, SupervisorHost] = {}
         self.msss: Dict[NodeId, RelMMSS] = {}
         self.region_of: Dict[NodeId, NodeId] = {}
@@ -183,59 +182,11 @@ class RelMProtocol:
                 sh.region_msss.append(mss_id)
                 self.fabric.connect(sh_id, mss_id, wired)
         # The source fans out to every SH.
-        self.source = BaselineSource(self.fabric, "src:0",
-                                     sink=next(iter(self.shs)),
-                                     rate_per_sec=rate_per_sec)
-        self._fan_out_source(wired)
-        self.mobile_hosts: Dict[NodeId, BaselineMH] = {}
-
-    def _fan_out_source(self, wired: LinkSpec) -> None:
-        # Replace the single-sink emit with an SH fan-out.
+        self.source = BaselineSource(self.fabric, "src:0", list(self.shs),
+                                     rate_per_sec=rate_per_sec,
+                                     corresponding="<all-sh>")
         for sh_id in self.shs:
             self.fabric.connect(self.source.id, sh_id, wired)
-        original_emit = self.source._emit
-        source = self.source
-        shs = list(self.shs)
-
-        def fan_out_emit() -> None:
-            if not source._running:
-                return
-            seq = source.local_seq
-            for sh_id in shs:
-                source.chan.send(sh_id, PlainDeliver(
-                    source.id, seq, seq, (source.id, seq), source.now))
-            source.sim.trace.emit(source.now, "source.send", source=source.id,
-                                  local_seq=seq, corresponding="<all-sh>")
-            source.local_seq += 1
-            source.sent += 1
-            source._timer.start(source._next_gap())
-
-        self.source._emit = fan_out_emit  # type: ignore[method-assign]
-        self.source._timer.fn = fan_out_emit
-
-    def start(self) -> None:
-        """Present for API parity with RingNet."""
-
-    def add_mobile_host(self, mh_id: NodeId, mss_id: NodeId,
-                        join: bool = True) -> BaselineMH:
-        """Create an MH attached at an MSS."""
-        mh = BaselineMH(self.fabric, mh_id)
-        self.fabric.connect(mh_id, mss_id, self.wireless)
-        self.mobile_hosts[mh_id] = mh
-        if join:
-            mh.join(mss_id)
-        return mh
-
-    def handoff(self, mh_id: NodeId, new_mss: NodeId) -> None:
-        """Move an MH to a new MSS."""
-        mh = self.mobile_hosts[mh_id]
-        if self.fabric.link(mh_id, new_mss) is None:
-            self.fabric.connect(mh_id, new_mss, self.wireless)
-        mh.handoff_to(new_mss)
-
-    def member_hosts(self) -> List[BaselineMH]:
-        """All current member MHs."""
-        return [m for m in self.mobile_hosts.values() if m.is_member]
 
     def peak_buffers(self) -> dict:
         """SH-concentrated buffer usage (the E8 metric)."""

@@ -12,10 +12,10 @@ concentrates all load and is a single point of failure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.baselines.common import (
-    BaselineMH,
+    BaselineNet,
     BaselineSource,
     Deregister,
     PlainDeliver,
@@ -62,7 +62,8 @@ class SequencerAP(NetNode):
                  rto: float = 25.0, max_retries: int = 5):
         NetNode.__init__(self, fabric, node_id)
         self.chan = ReliableChannel(self, rto=rto, max_retries=max_retries)
-        self.members: Set[NodeId] = set()
+        #: Registered MHs; a dict keeps the fan-out in registration order.
+        self.members: Dict[NodeId, None] = {}
 
     def on_message(self, msg: Message) -> None:
         payload = self.chan.accept(msg)
@@ -74,19 +75,17 @@ class SequencerAP(NetNode):
                     payload.source, payload.local_seq, payload.seq,
                     payload.payload, payload.created_at))
         elif isinstance(payload, Register):
-            self.members.add(payload.mh)
+            self.members[payload.mh] = None
         elif isinstance(payload, Deregister):
-            self.members.discard(payload.mh)
+            self.members.pop(payload.mh, None)
 
 
-class SequencerMulticast:
+class SequencerMulticast(BaselineNet):
     """Facade: sources → sequencer → APs → MHs."""
 
     def __init__(self, sim: Simulator, n_aps: int,
                  wired: LinkSpec = WIRED, wireless: LinkSpec = WIRELESS):
-        self.sim = sim
-        self.fabric = Fabric(sim)
-        self.wireless = wireless
+        BaselineNet.__init__(self, sim, Fabric(sim), wireless)
         self.sequencer = SequencerNode(self.fabric, "seq:0")
         self.aps: Dict[NodeId, SequencerAP] = {}
         for i in range(n_aps):
@@ -95,10 +94,6 @@ class SequencerMulticast:
             self.sequencer.aps.append(ap_id)
             self.fabric.connect(self.sequencer.id, ap_id, wired)
         self.sources: Dict[NodeId, BaselineSource] = {}
-        self.mobile_hosts: Dict[NodeId, BaselineMH] = {}
-
-    def start(self) -> None:
-        """Present for API parity with RingNet."""
 
     def add_source(self, source_id: Optional[NodeId] = None,
                    rate_per_sec: float = 10.0,
@@ -106,29 +101,8 @@ class SequencerMulticast:
         """Attach a source feeding the sequencer."""
         if source_id is None:
             source_id = make_id("src", len(self.sources))
-        src = BaselineSource(self.fabric, source_id, self.sequencer.id,
+        src = BaselineSource(self.fabric, source_id, [self.sequencer.id],
                              rate_per_sec=rate_per_sec, pattern=pattern)
         self.fabric.connect(source_id, self.sequencer.id, WIRED)
         self.sources[source_id] = src
         return src
-
-    def add_mobile_host(self, mh_id: NodeId, ap_id: NodeId,
-                        join: bool = True) -> BaselineMH:
-        """Create an MH attached at an AP."""
-        mh = BaselineMH(self.fabric, mh_id)
-        self.fabric.connect(mh_id, ap_id, self.wireless)
-        self.mobile_hosts[mh_id] = mh
-        if join:
-            mh.join(ap_id)
-        return mh
-
-    def handoff(self, mh_id: NodeId, new_ap: NodeId) -> None:
-        """Move an MH to a new AP."""
-        mh = self.mobile_hosts[mh_id]
-        if self.fabric.link(mh_id, new_ap) is None:
-            self.fabric.connect(mh_id, new_ap, self.wireless)
-        mh.handoff_to(new_ap)
-
-    def member_hosts(self) -> List[BaselineMH]:
-        """All current member MHs."""
-        return [m for m in self.mobile_hosts.values() if m.is_member]

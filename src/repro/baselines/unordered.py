@@ -20,10 +20,10 @@ Duplicates are suppressed by (source, local_seq) at every hop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.baselines.common import (
-    BaselineMH,
+    BaselineNet,
     BaselineSource,
     Deregister,
     PlainDeliver,
@@ -70,7 +70,8 @@ class UnorderedNE(NetNode):
         self.view = view
         self.chan = ReliableChannel(self, rto=rto, max_retries=max_retries)
         self._seen: Set[Tuple[NodeId, int]] = set()
-        self.members: Set[NodeId] = set()
+        #: Registered MHs; a dict keeps the fan-out in registration order.
+        self.members: Dict[NodeId, None] = {}
         self.buffered_peak = 0
 
     # ------------------------------------------------------------------
@@ -86,9 +87,9 @@ class UnorderedNE(NetNode):
         elif isinstance(payload, RawFlood):
             self._ingest(payload, ring_origin=False)
         elif isinstance(payload, Register):
-            self.members.add(payload.mh)
+            self.members[payload.mh] = None
         elif isinstance(payload, Deregister):
-            self.members.discard(payload.mh)
+            self.members.pop(payload.mh, None)
 
     def _ingest(self, msg: RawFlood, ring_origin: bool) -> None:
         key = (msg.source, msg.local_seq)
@@ -124,21 +125,18 @@ class UnorderedNE(NetNode):
                                             msg.created_at))
 
 
-class UnorderedRingNet:
+class UnorderedRingNet(BaselineNet):
     """Facade mirroring :class:`repro.core.protocol.RingNet`'s surface."""
 
     def __init__(self, sim: Simulator, fabric: Fabric, hierarchy: Hierarchy,
                  wireless: LinkSpec = WIRELESS, rto: float = 25.0,
                  max_retries: int = 5):
-        self.sim = sim
-        self.fabric = fabric
+        BaselineNet.__init__(self, sim, fabric, wireless)
         self.hierarchy = hierarchy
-        self.wireless = wireless
         self.rto = rto
         self.max_retries = max_retries
         self.nes: Dict[NodeId, UnorderedNE] = {}
         self.sources: Dict[NodeId, BaselineSource] = {}
-        self.mobile_hosts: Dict[NodeId, BaselineMH] = {}
         for node_id, tier in sorted(hierarchy.tier_of.items()):
             if tier is Tier.MH:
                 continue
@@ -162,9 +160,6 @@ class UnorderedRingNet:
             net.add_mobile_host(mh_id, ap_id)
         return net
 
-    def start(self) -> None:
-        """No periodic machinery to start; present for API parity."""
-
     def add_source(self, source_id: Optional[NodeId] = None,
                    corresponding: Optional[NodeId] = None,
                    rate_per_sec: float = 10.0,
@@ -175,35 +170,9 @@ class UnorderedRingNet:
             corresponding = members[len(self.sources) % len(members)]
         if source_id is None:
             source_id = make_id("src", len(self.sources))
-        src = BaselineSource(self.fabric, source_id, corresponding,
+        src = BaselineSource(self.fabric, source_id, [corresponding],
                              rate_per_sec, pattern,
                              rto=self.rto, max_retries=self.max_retries)
         self.fabric.connect(source_id, corresponding, WIRED)
         self.sources[source_id] = src
         return src
-
-    def add_mobile_host(self, mh_id: NodeId, ap_id: NodeId,
-                        join: bool = True) -> BaselineMH:
-        """Create an MH attached at ``ap_id``."""
-        mh = BaselineMH(self.fabric, mh_id, rto=30.0,
-                        max_retries=self.max_retries)
-        self.fabric.connect(mh_id, ap_id, self.wireless)
-        self.mobile_hosts[mh_id] = mh
-        if join:
-            mh.join(ap_id)
-        return mh
-
-    def handoff(self, mh_id: NodeId, new_ap: NodeId) -> None:
-        """Move an MH to a new AP."""
-        mh = self.mobile_hosts[mh_id]
-        if self.fabric.link(mh_id, new_ap) is None:
-            self.fabric.connect(mh_id, new_ap, self.wireless)
-        mh.handoff_to(new_ap)
-
-    def member_hosts(self) -> List[BaselineMH]:
-        """All current member MHs."""
-        return [m for m in self.mobile_hosts.values() if m.is_member]
-
-    def total_app_deliveries(self) -> int:
-        """Application deliveries summed over all MHs."""
-        return sum(m.delivered_count for m in self.mobile_hosts.values())

@@ -18,7 +18,6 @@ crowds).  All randomness draws from the per-source stream
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -164,20 +163,21 @@ class MulticastSource(NetNode):
     def _emit(self) -> None:
         if not self._running:
             return
-        msg = SourceData(
-            gid=self.cfg.gid,
-            source=self.id,
-            local_seq=self.local_seq,
-            payload=self.payload_factory(self.local_seq),
-            created_at=self.now,
-        )
-        self.chan.send(self.corresponding, msg)
+        seq = self.local_seq
+        self._send(seq, self.payload_factory(seq))
         self.sim.trace.emit(self.now, "source.send", source=self.id,
-                            local_seq=self.local_seq,
-                            corresponding=self.corresponding)
+                            local_seq=seq, corresponding=self.corresponding)
         self.local_seq += 1
         self.sent += 1
         self._timer.start(self._next_gap())
+
+    def _send(self, seq: int, payload: Any) -> None:
+        """Hand message ``seq`` to the protocol: RingNet sends one
+        :class:`SourceData` to the corresponding node; a baseline
+        subclass sends its own messages to its own targets."""
+        self.chan.send(self.corresponding, SourceData(
+            gid=self.cfg.gid, source=self.id, local_seq=seq,
+            payload=payload, created_at=self.now))
 
     def on_message(self, msg: Message) -> None:
         # Sources only ever receive transport acks.

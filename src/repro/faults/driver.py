@@ -41,37 +41,17 @@ from repro.topology.builder import structural_home
 def subtree_nodes(net, root: str) -> set:
     """The hierarchy subtree under ``root`` plus attached leaves.
 
-    NEs come from the (replicated) hierarchy: the child map plus ring
-    membership — only a ring's *leader* is parented to the tier above,
-    so reaching one member of a sub-ring pulls in the whole ring (never
-    the top ring: the root's siblings are not its subtree).  MHs join
-    the subtree of their *structural* home AP, sources that of their
-    corresponding NE.  Everything used here is replicated state, so all
-    shards compute the same set.
+    NEs come from :meth:`~repro.topology.hierarchy.Hierarchy.subtree`
+    (replicated state); MHs join the subtree of their *structural* home
+    AP, sources that of their corresponding NE, so all shards compute
+    the same set.
     """
-    h = net.hierarchy
-    group = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node in group:
-            continue
-        group.add(node)
-        for child in h.children.get(node, ()):
-            ring = h.ring_containing(child)
-            if ring is not None and ring.ring_id != h.top_ring_id:
-                stack.extend(ring.members)
-            else:
-                stack.append(child)
+    group = set(net.hierarchy.subtree(root))
     for mh_id in getattr(net, "mobile_hosts", {}):
-        home = structural_home(mh_id)
-        if home in group:
+        if structural_home(mh_id) in group:
             group.add(mh_id)
     for sid, src in getattr(net, "sources", {}).items():
-        target = getattr(src, "corresponding", None)
-        if target is None:
-            target = getattr(src, "sink", None)
-        if target in group:
+        if src.corresponding in group:
             group.add(sid)
     return group
 

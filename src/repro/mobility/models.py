@@ -8,14 +8,12 @@ single model instance serves every MH.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-try:  # numpy only appears in a (lazily evaluated) type annotation
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.mobility.cells import Cell, CellGrid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MobilityModel:

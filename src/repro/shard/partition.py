@@ -25,8 +25,7 @@ derive it independently from identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (AbstractSet, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.address import NodeId
 from repro.topology.builder import build_hierarchy, initial_attachments
@@ -111,42 +110,6 @@ class _Unit:
         return len(self.nodes) + len(self.mhs)
 
 
-def _subtree_nodes(
-    h: Hierarchy,
-    root: NodeId,
-    skip_rings: Optional[AbstractSet[object]] = None,
-) -> List[NodeId]:
-    """``root`` plus every descendant NE.
-
-    Descent follows parent→child tree links *and* ring membership: only
-    a ring's leader carries the tree link to its parent, so reaching a
-    leader pulls in its whole ring, and every ring member's children in
-    turn.  Rings in ``skip_rings`` are not expanded — the top ring when
-    cutting at BRs, plus the root's own ring when carving one member's
-    subtree out of a child ring (its siblings are separate units).  The
-    default skips exactly the root's own ring: the closed subtree.
-    """
-    if skip_rings is None:
-        skip_rings = {h.ring_of.get(root)}
-    out: List[NodeId] = []
-    seen = {root}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        ring_id = h.ring_of.get(node)
-        if ring_id is not None and ring_id not in skip_rings:
-            for member in h.rings[ring_id].members:
-                if member not in seen:
-                    seen.add(member)
-                    stack.append(member)
-        for child in reversed(h.children.get(node, ())):
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return out
-
-
 def _weigh_mhs(
     units: Sequence[Tuple[NodeId, List[NodeId]]],
     h: Hierarchy,
@@ -176,8 +139,7 @@ def _br_units(
     attachments: Mapping[NodeId, NodeId],
 ) -> List[_Unit]:
     """One unit per top-ring member: the whole BR subtree."""
-    skip = {h.top_ring_id}
-    pairs = [(br, _subtree_nodes(h, br, skip)) for br in h.top_ring.members]
+    pairs = [(br, h.subtree(br)) for br in h.top_ring.members]
     return _weigh_mhs(pairs, h, attachments)
 
 
@@ -203,8 +165,7 @@ def _split_unit(h: Hierarchy, unit: _Unit,
     pairs = []
     covered = set()
     for root in child_roots:
-        skip = {top, h.ring_of.get(root)}
-        nodes = _subtree_nodes(h, root, skip)
+        nodes = h.subtree(root)
         covered.update(nodes)
         pairs.append((root, nodes))
     core = [n for n in unit.nodes if n not in covered]

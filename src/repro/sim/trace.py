@@ -319,8 +319,3 @@ class TraceBus:
         rec = TraceRecord(time, kind, attrs)
         for fn in fns:
             fn(rec)
-
-    # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Forget the per-kind counters (subscriptions persist)."""
-        self.counts.clear()

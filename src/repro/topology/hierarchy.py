@@ -51,6 +51,10 @@ class NeighborView:
         return self.tier is Tier.BR
 
 
+#: Tier order of a tree link: a parent ranks above its child.
+_RANK = {Tier.BR: 3, Tier.AG: 2, Tier.AP: 1, Tier.MH: 0}
+
+
 class Hierarchy:
     """Mutable ring-of-rings topology."""
 
@@ -136,42 +140,71 @@ class Hierarchy:
         view.children = list(self.children.get(node, ()))
         return view
 
-    def all_views(self) -> Dict[NodeId, NeighborView]:
-        """Neighbor views for every NE (not MHs)."""
-        return {
-            n: self.neighbor_view(n)
-            for n, t in self.tier_of.items()
-            if t is not Tier.MH
-        }
+    def subtree(self, root: NodeId) -> List[NodeId]:
+        """``root`` plus every NE below it, in depth-first order.
+
+        Descent follows parent→child tree links *and* ring membership:
+        only a ring's leader carries the tree link to its parent, so
+        reaching a leader pulls in its whole ring, and every member's
+        children in turn.  The root's own ring is not expanded: its
+        siblings are not its subtree.
+        """
+        own_ring = self.ring_of.get(root)
+        out: List[NodeId] = []
+        seen = {root}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            ring_id = self.ring_of.get(node)
+            if ring_id is not None and ring_id != own_ring:
+                for member in self.rings[ring_id].members:
+                    if member not in seen:
+                        seen.add(member)
+                        stack.append(member)
+            for child in reversed(self.children.get(node, ())):
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return out
 
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise AssertionError when a structural invariant is broken."""
-        assert self.top_ring_id is not None, "no top ring"
+        """Raise ValueError naming the first broken structural invariant."""
+        def check(ok: bool, what: str) -> None:
+            if not ok:
+                raise ValueError(f"hierarchy invariant broken: {what}")
+
+        check(self.top_ring_id is not None, "no top ring")
         for rid, ring in self.rings.items():
-            assert ring.leader in ring, f"ring {rid}: leader not a member"
+            check(ring.leader in ring, f"ring {rid}: leader not a member")
             for node in ring:
-                assert self.ring_of.get(node) == rid, f"{node}: ring_of mismatch"
+                check(self.ring_of.get(node) == rid,
+                      f"{node}: ring_of mismatch")
             if rid != self.top_ring_id:
-                assert ring.leader in self.parent, (
-                    f"ring {rid}: leader {ring.leader} has no parent NE"
-                )
+                check(ring.leader in self.parent,
+                      f"ring {rid}: leader {ring.leader} has no parent NE")
         for child, parent in self.parent.items():
-            assert child in self.children.get(parent, ()), (
-                f"tree link {parent}->{child} not mirrored"
-            )
-            assert self.tier_of[parent].value < self.tier_of[child].value or True
+            check(child in self.children.get(parent, ()),
+                  f"tree link {parent}->{child} not mirrored")
+            check(parent in self.tier_of and child in self.tier_of,
+                  f"tree link {parent}->{child}: unknown node")
+            up, down = self.tier_of[parent], self.tier_of[child]
+            # AG→AG only where a ring leader hangs below another ring.
+            check(_RANK[up] > _RANK[down] or (
+                up is down is Tier.AG
+                and self.ring_of.get(parent) != self.ring_of.get(child)),
+                f"tree link {parent}->{child}: {up.value} cannot parent "
+                f"{down.value}")
         for parent, kids in self.children.items():
-            assert len(set(kids)) == len(kids), f"{parent}: duplicate children"
+            check(len(set(kids)) == len(kids), f"{parent}: duplicate children")
             for child in kids:
-                assert self.parent.get(child) == parent, (
-                    f"tree link {parent}->{child} not mirrored back"
-                )
-        # APs (non-ring NEs below AG rings) must have parents.
+                check(self.parent.get(child) == parent,
+                      f"tree link {parent}->{child} not mirrored back")
         for ap in self.nodes_of_tier(Tier.AP):
-            assert ap in self.parent, f"AP {ap} is orphaned"
+            check(ap in self.parent, f"AP {ap} is orphaned")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -4,7 +4,7 @@ The paper delegates topology upkeep to the membership protocol and keeps
 only its *interface* visible to the multicast layer: when the maintenance
 algorithm runs it may emit a **Token-Loss** or **Multiple-Token** message
 to the multicast protocol (§4.2.1).  This module implements the mutations
-(node removal with ring splice and leader re-election, node join, top-ring
+(node removal with ring splice and leader re-election, top-ring
 split and merge, child re-parenting to candidates) and notifies listeners
 with structured :class:`ChangeRecord` events; the protocol layer
 translates those into neighbor-pointer updates and token signals.
@@ -18,7 +18,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.net.address import NodeId
 from repro.topology.hierarchy import Hierarchy
 from repro.topology.ring import LogicalRing
-from repro.topology.tiers import Tier
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,7 @@ class ChangeRecord:
     """One topology mutation, as reported to listeners.
 
     Kinds: ``ring_splice``, ``leader_change``, ``reparent``,
-    ``node_removed``, ``node_joined``, ``top_ring_split``,
+    ``node_removed``, ``top_ring_split``,
     ``top_ring_merged``, ``ring_dropped``.
     """
 
@@ -132,28 +131,6 @@ class TopologyMaintenance:
             if cand != exclude and cand in self.h.tier_of:
                 return cand
         return None
-
-    # ------------------------------------------------------------------
-    # Node join (an NE attaching to an existing hierarchy)
-    # ------------------------------------------------------------------
-    def join_ring(self, node: NodeId, ring_id: str, tier: Tier,
-                  after: Optional[NodeId] = None) -> ChangeRecord:
-        """Insert ``node`` into an existing ring (self-organization)."""
-        ring = self.h.rings[ring_id]
-        ring.add_member(node, after=after)
-        self.h.tier_of[node] = tier
-        self.h.ring_of[node] = ring_id
-        return self._emit("node_joined", node=node, ring=ring_id)
-
-    def attach_ap(self, ap: NodeId, parent_ag: NodeId,
-                  candidates: Sequence[NodeId] = ()) -> ChangeRecord:
-        """Register a new AP under an AG (builds a multicast path)."""
-        if ap not in self.h.tier_of:
-            self.h.add_node(ap, Tier.AP)
-        self.h.set_parent(ap, parent_ag)
-        if candidates:
-            self.h.candidate_parents[ap] = list(candidates)
-        return self._emit("node_joined", node=ap, ring=None, parent=parent_ag)
 
     # ------------------------------------------------------------------
     # Top-ring split / merge (drives Token-Loss / Multiple-Token)

@@ -573,10 +573,7 @@ class QuiescenceMonitor(Monitor):
         if nes is None or not isinstance(sources, dict) or not sources:
             return True  # cannot tell: keep the check armed
         for src in sources.values():
-            target = getattr(src, "corresponding", None)
-            if target is None:
-                target = getattr(src, "sink", None)
-            ne = nes.get(target) if target is not None else None
+            ne = nes.get(src.corresponding)
             if ne is not None and getattr(ne, "alive", True):
                 return True
         return False

@@ -1,5 +1,10 @@
 """Tests for the five comparator protocols."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.baselines.hostview import HostViewProtocol
@@ -261,3 +266,66 @@ def test_sequencer_all_members_agree():
             ref = this
         else:
             assert this == ref
+
+
+# ---------------------------------------------------------------------------
+# A baseline run does not depend on string hashing
+# ---------------------------------------------------------------------------
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+# A Host-View and a RelM run with several MHs per serving node and a few
+# moves; prints one sha256 over each trace.
+_CELLS = """
+import hashlib
+from repro.baselines.hostview import HostViewProtocol
+from repro.baselines.relm import RelMProtocol
+from repro.sim.engine import Simulator
+from repro.sim.trace import record_to_line
+
+def digest(build, start, home, moved):
+    sim = Simulator(seed=808)
+    h = hashlib.sha256()
+    sim.trace.subscribe(None, lambda r: h.update(record_to_line(r).encode()))
+    net = build(sim)
+    for i in range(12):
+        net.add_mobile_host(f"mh:{i}", home(i))
+    start(net).start()
+    for k in range(1, 4):
+        sim.schedule_at(500.0 * k, net.handoff, f"mh:{k}", moved(k))
+    sim.run(until=3_000)
+    return h.hexdigest()
+
+print(digest(lambda sim: HostViewProtocol(sim, n_mss=6, rate_per_sec=20),
+             lambda net: net.sender, lambda i: f"mss:{i % 6}",
+             lambda k: f"mss:{(k + 1) % 6}"))
+print(digest(lambda sim: RelMProtocol(sim, n_regions=2, msss_per_region=3,
+                                      rate_per_sec=20),
+             lambda net: net.source, lambda i: f"mss:{i % 2}.{i % 3}",
+             lambda k: f"mss:0.{(k + 1) % 3}"))
+"""
+
+
+def _python(args, hash_seed, cwd):
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, *args], cwd=str(cwd), env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_baseline_traces_do_not_depend_on_the_hash_seed(tmp_path):
+    """Fan-outs iterate in registration order, not in set order: the
+    unordered CLI run and a Host-View and a RelM run record the same
+    trace at hash seeds 0 and 1."""
+    traces, cells = [], []
+    for hash_seed in (0, 1):
+        record = tmp_path / f"unordered-{hash_seed}.jsonl"
+        _python(["-m", "repro", "run", "quickstart",
+                 "--set", "system=unordered",
+                 "--set", "hierarchy.mhs_per_ap=4", "--duration", "3000",
+                 "--quiet", "--record", str(record)], hash_seed, tmp_path)
+        traces.append(record.read_bytes())
+        cells.append(_python(["-c", _CELLS], hash_seed, tmp_path).split())
+    assert traces[0] and traces[0] == traces[1]
+    assert len(cells[0]) == 2 and cells[0] == cells[1]

@@ -75,12 +75,10 @@ def test_balanced_shards_within_one_subtree(name, k):
 
     # Recompute each subtree's true weight from the topology: its NEs
     # plus the MHs initially attached under it.
-    from repro.shard.partition import _subtree_nodes
-
     h, attach = _build_topology(spec)
     subtree_weight = {}
     for br in h.top_ring.members:
-        nodes = set(_subtree_nodes(h, br))
+        nodes = set(h.subtree(br))
         mhs = sum(1 for mh, ap in attach.items() if ap in nodes)
         subtree_weight[br] = len(nodes) + mhs
     assert sum(subtree_weight.values()) == sum(plan.weights)

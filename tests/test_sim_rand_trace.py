@@ -85,13 +85,6 @@ def test_unsubscribe():
     assert got == []
 
 
-def test_clear_resets_counts():
-    bus = TraceBus()
-    bus.emit(1.0, "a")
-    bus.clear()
-    assert bus.counts == {}
-
-
 def test_record_get_default():
     rec = TraceRecord(1.0, "k", {"x": 5})
     assert rec.get("x") == 5

@@ -1,7 +1,13 @@
 """Unit tests for the hierarchy, builder, and maintenance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.experiments import registry
 from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator
 from repro.topology.builder import (
@@ -14,6 +20,8 @@ from repro.topology.hierarchy import Hierarchy
 from repro.topology.maintenance import TopologyMaintenance
 from repro.topology.ring import LogicalRing
 from repro.topology.tiers import Tier
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +89,75 @@ def test_candidate_parents_configured():
 
 
 # ---------------------------------------------------------------------------
+# Validation
+# ---------------------------------------------------------------------------
+BROKEN = {
+    "no top ring": lambda h: setattr(h, "top_ring_id", None),
+    "leader not a member": lambda h: setattr(h.rings["ring:ag.0"], "leader",
+                                             "ag:9.9"),
+    "ring_of mismatch": lambda h: h.ring_of.__setitem__("ag:0.1",
+                                                        "ring:ag.1"),
+    "has no parent NE": lambda h: h.drop_parent("ag:0.0"),
+    "ap:0.0.0 not mirrored$": lambda h: h.children["ag:0.0"].remove(
+        "ap:0.0.0"),
+    "not mirrored back": lambda h: h.children["ag:0.1"].append("ap:0.0.0"),
+    "duplicate children": lambda h: h.children["ag:0.0"].append("ap:0.0.0"),
+    "unknown node": lambda h: h.set_parent("ap:0.0.0", "ag:9.9"),
+    "ap cannot parent ag": lambda h: h.set_parent("ag:1.0", "ap:0.0.0"),
+    "br cannot parent br": lambda h: h.set_parent("br:1", "br:0"),
+    # AG→AG is a nested ring's leader below its parent, never a sibling.
+    "ag cannot parent ag": lambda h: h.set_parent("ag:0.1", "ag:0.0"),
+    "orphaned": lambda h: h.drop_parent("ap:0.0.0"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN))
+def test_validate_names_each_broken_invariant(broken):
+    h = build_hierarchy(HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=1,
+                                       mhs_per_ap=0))
+    BROKEN[broken](h)
+    with pytest.raises(ValueError, match=broken):
+        h.validate()
+
+
+def test_validate_raises_under_python_O(tmp_path):
+    """A ValueError, not an assert: ``python -O`` still validates."""
+    probe = ("from repro.topology.builder import HierarchyShape, "
+             "build_hierarchy\n"
+             "h = build_hierarchy(HierarchyShape(mhs_per_ap=0))\n"
+             "h.set_parent('ap:0.0.0', 'ap:0.0.1')\n"
+             "try:\n"
+             "    h.validate()\n"
+             "except ValueError as exc:\n"
+             "    print(__debug__, exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", probe],
+                          cwd=str(tmp_path), env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("False ")
+    assert "ap cannot parent ap" in proc.stdout
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_every_registry_shape_validates(name):
+    build_hierarchy(registry.get(name).hierarchy).validate()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_tree_links_follow_tier_order(depth):
+    h = build_hierarchy(HierarchyShape(n_br=2, ags_per_br=2, ring_size=2,
+                                       depth=depth, aps_per_ag=1))
+    h.validate()
+    links = {(h.tier_of[p], h.tier_of[c]) for c, p in h.parent.items()}
+    expected = {(Tier.BR, Tier.AG), (Tier.AG, Tier.AP)}
+    if depth > 1:
+        expected.add((Tier.AG, Tier.AG))
+    assert links == expected
+
+
+# ---------------------------------------------------------------------------
 # Neighbor views
 # ---------------------------------------------------------------------------
 def test_neighbor_view_top_ring_member():
@@ -110,12 +187,6 @@ def test_neighbor_view_children():
     h = build_hierarchy(HierarchyShape(ags_per_br=3, aps_per_ag=3))
     v = h.neighbor_view("ag:0.0")
     assert len(v.children) == 3
-
-
-def test_all_views_excludes_mhs():
-    h = build_hierarchy(HierarchyShape(ags_per_br=3))
-    views = h.all_views()
-    assert not any(v.tier is Tier.MH for v in views.values())
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +280,6 @@ def test_listeners_receive_records():
     maint.remove_ne("br:2")
     assert seen
     assert seen[-1].kind == "node_removed"
-
-
-def test_join_ring_inserts():
-    h = small_hierarchy()
-    maint = TopologyMaintenance(h)
-    maint.join_ring("br:9", h.top_ring_id, Tier.BR, after="br:0")
-    assert h.top_ring.members.index("br:9") == 1
-    assert h.ring_of["br:9"] == h.top_ring_id
-
-
-def test_attach_ap():
-    h = small_hierarchy()
-    maint = TopologyMaintenance(h)
-    maint.attach_ap("ap:9.9.9", "ag:0.0", candidates=["ag:0.0", "ag:0.1"])
-    assert h.parent["ap:9.9.9"] == "ag:0.0"
-    h.validate()
 
 
 def test_split_and_merge_top_ring():
