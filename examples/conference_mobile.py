@@ -15,7 +15,6 @@ Run:  python examples/conference_mobile.py
 import os
 
 from repro.experiments import build_scenario, registry
-from repro.membership import MembershipService
 from repro.metrics import (
     InterruptionCollector,
     LatencyCollector,
@@ -43,7 +42,6 @@ order = OrderChecker(scenario.sim.trace)
 latency = LatencyCollector(scenario.sim.trace, warmup=WARMUP)
 throughput = ThroughputCollector(scenario.sim.trace)
 interruptions = InterruptionCollector(scenario.sim.trace)
-membership = MembershipService(scenario.net.cfg.gid, scenario.sim.trace)
 
 scenario.run()
 order.assert_ok()
@@ -67,4 +65,7 @@ rows = [
 ]
 print(format_table(rows))
 print()
-print("membership:", membership.summary())
+counts = scenario.sim.trace.counts
+print(f"membership: {len(scenario.net.member_hosts())} members, "
+      f"{counts.get('mh.join', 0)} joins, {counts.get('mh.leave', 0)} leaves, "
+      f"{counts.get('mh.handoff', 0)} handoffs")

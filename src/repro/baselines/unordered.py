@@ -69,10 +69,10 @@ class UnorderedNE(NetNode):
         NetNode.__init__(self, fabric, node_id)
         self.view = view
         self.chan = ReliableChannel(self, rto=rto, max_retries=max_retries)
+        #: Dedup set: every (source, local_seq) this NE has forwarded.
         self._seen: Set[Tuple[NodeId, int]] = set()
         #: Registered MHs; a dict keeps the fan-out in registration order.
         self.members: Dict[NodeId, None] = {}
-        self.buffered_peak = 0
 
     # ------------------------------------------------------------------
     def on_message(self, msg: Message) -> None:
@@ -96,8 +96,6 @@ class UnorderedNE(NetNode):
         if key in self._seen:
             return
         self._seen.add(key)
-        if len(self._seen) > self.buffered_peak:
-            self.buffered_peak = len(self._seen)
         self._ring_forward(msg)
         self._deliver_down(msg)
 

@@ -153,13 +153,6 @@ class NetworkEntity(OrderingMixin, ForwardingMixin, DeliveringMixin,
         if ring_size_hint is not None:
             self.ring_size_hint = ring_size_hint
 
-    def update_view(self, view: NeighborView, ring_size_hint: Optional[int] = None) -> None:
-        """Adopt new neighbor pointers after a topology change."""
-        was_top = self.view.in_top_ring
-        self.adopt_view(view, ring_size_hint)
-        if self.started and view.in_top_ring and not was_top:
-            self._tau_timer.start()
-
     def _tau_tick(self) -> None:
         self.order_assignment()
         if not self.wq.occupancy:

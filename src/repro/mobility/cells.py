@@ -73,13 +73,6 @@ class CellGrid:
                 out.append((nx, ny))
         return out
 
-    def neighbor_aps(self, ap: NodeId) -> List[NodeId]:
-        """APs of the cells adjacent to ``ap``'s cell."""
-        cell = self._cell_of.get(ap)
-        if cell is None:
-            return []
-        return [self._ap_of[c] for c in self.neighbors(cell)]
-
     @property
     def cells(self) -> List[Cell]:
         """All cells in row-major order."""

@@ -143,13 +143,13 @@ def _br_units(
     return _weigh_mhs(pairs, h, attachments)
 
 
-def _split_unit(h: Hierarchy, unit: _Unit,
-                attachments: Mapping[NodeId, NodeId]) -> List[_Unit]:
-    """Split one BR unit one ring level down.
+def _split_unit(h: Hierarchy,
+                unit: _Unit) -> List[Tuple[NodeId, List[NodeId]]]:
+    """Split one BR unit one ring level down into ``(root, nodes)`` pairs.
 
     Yields the BR core (the root plus anything not below a child ring)
-    and one unit per child-ring member's closed subtree.  A root with
-    no child ring is returned unchanged — there is nothing to split.
+    and one pair per child-ring member's closed subtree.  A root with
+    no child ring comes back whole — there is nothing to split.
     """
     top = h.top_ring_id
     child_roots: List[NodeId] = []
@@ -160,27 +160,10 @@ def _split_unit(h: Hierarchy, unit: _Unit,
         for member in h.rings[ring_id].members:
             if member not in child_roots:
                 child_roots.append(member)
-    if not child_roots:
-        return [unit]
-    pairs = []
-    covered = set()
-    for root in child_roots:
-        nodes = h.subtree(root)
-        covered.update(nodes)
-        pairs.append((root, nodes))
+    pairs = [(root, h.subtree(root)) for root in child_roots]
+    covered = {node for _, nodes in pairs for node in nodes}
     core = [n for n in unit.nodes if n not in covered]
-    pairs.insert(0, (unit.root, core))
-    sub_attach = {mh: ap for mh, ap in attachments.items()
-                  if mh in set(unit.mhs)}
-    unit_of_ap: Dict[NodeId, int] = {}
-    for idx, (_, nodes) in enumerate(pairs):
-        for node in nodes:
-            unit_of_ap[node] = idx
-    mhs: List[List[NodeId]] = [[] for _ in pairs]
-    for mh, ap in sub_attach.items():
-        mhs[unit_of_ap[ap]].append(mh)
-    return [_Unit(root, tuple(nodes), tuple(sorted(ms)))
-            for (root, nodes), ms in zip(pairs, mhs)]
+    return [(unit.root, core)] + pairs
 
 
 def _lpt_assign(units: Sequence[_Unit], n_shards: int) -> PartitionPlan:
@@ -244,10 +227,8 @@ def partition_hierarchy(
     lo, hi = min(coarse.weights), max(coarse.weights)
     if lo > 0 and hi <= MAX_IMBALANCE * lo:
         return coarse
-    fine_units: List[_Unit] = []
-    for unit in units:
-        fine_units.extend(_split_unit(h, unit, attachments))
-    return _lpt_assign(fine_units, n_shards)
+    fine = [pair for unit in units for pair in _split_unit(h, unit)]
+    return _lpt_assign(_weigh_mhs(fine, h, attachments), n_shards)
 
 
 def partition_spec(spec, n_shards: int) -> PartitionPlan:

@@ -32,7 +32,7 @@ class LogicalRing:
     # ------------------------------------------------------------------
     @property
     def members(self) -> List[NodeId]:
-        """Members in ring order (copy; mutate via add/remove)."""
+        """Members in ring order (copy; mutate via remove_member)."""
         return list(self._members)
 
     @property
@@ -50,10 +50,6 @@ class LogicalRing:
         return len(self._members)
 
     # ------------------------------------------------------------------
-    def index_of(self, node: NodeId) -> int:
-        """Position of ``node`` in ring order (ValueError when absent)."""
-        return self._members.index(node)
-
     def next_of(self, node: NodeId) -> NodeId:
         """Ring successor (the node itself in a singleton ring)."""
         i = self._members.index(node)
@@ -65,15 +61,6 @@ class LogicalRing:
         return self._members[(i - 1) % len(self._members)]
 
     # ------------------------------------------------------------------
-    def add_member(self, node: NodeId, after: Optional[NodeId] = None) -> None:
-        """Splice ``node`` in after ``after`` (or append at the end)."""
-        if node in self._members:
-            raise ValueError(f"{node!r} already in ring {self.ring_id!r}")
-        if after is None:
-            self._members.append(node)
-        else:
-            self._members.insert(self._members.index(after) + 1, node)
-
     def remove_member(self, node: NodeId) -> None:
         """Splice ``node`` out; re-elect a leader if it led the ring.
 
@@ -85,18 +72,6 @@ class LogicalRing:
         if node == self.leader:
             self.leader = self.next_of(node)
         self._members.remove(node)
-
-    def set_leader(self, node: NodeId) -> None:
-        """Designate ``node`` (a member) as leader."""
-        if node not in self._members:
-            raise ValueError(f"{node!r} not a member of ring {self.ring_id!r}")
-        self.leader = node
-
-    def rotate_to(self, node: NodeId) -> None:
-        """Rotate the member list so ``node`` is first (cosmetic; order
-        relations are unchanged)."""
-        i = self._members.index(node)
-        self._members = self._members[i:] + self._members[:i]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LogicalRing {self.ring_id} n={self.size} leader={self.leader}>"

@@ -8,7 +8,8 @@ token-based recovery — become executable invariants here:
   subscriptions, end-of-run state checks).
 * :mod:`repro.validation.monitors` — the invariant family: token
   uniqueness & liveness, membership view consistency, handoff
-  atomicity, retransmission-buffer boundedness, recovery after failure.
+  atomicity, retransmission-buffer boundedness, and recovery after a
+  crash or a partition heal.
   The total-order checker (:class:`repro.metrics.order_checker.
   OrderChecker`) shares the same base and composes into suites.
 * :mod:`repro.validation.record` — deterministic trace record/replay:
@@ -51,12 +52,12 @@ from repro.validation.monitors import (
     BoundsMonitor,
     HandoffMonitor,
     MembershipMonitor,
-    QuiescenceMonitor,
+    RecoveryMonitor,
     TokenMonitor,
 )
 
 __all__ = [
     "Monitor", "MonitorSuite",
     "TokenMonitor", "MembershipMonitor", "HandoffMonitor",
-    "BoundsMonitor", "QuiescenceMonitor",
+    "BoundsMonitor", "RecoveryMonitor",
 ]

@@ -162,7 +162,7 @@ def random_spec(rng: random.Random, *, index: int, seed: int,
     if rng.random() < 0.4:
         # Early enough that recovery must complete inside the run: the
         # tail after the crash covers the (duration-scaled) recovery
-        # window the campaign checks with, so QuiescenceMonitor really
+        # window the campaign checks with, so RecoveryMonitor really
         # verifies every injected crash instead of skipping it.
         at_ms = round(duration_ms * rng.uniform(0.2, 1.0 - _RECOVERY_FRACTION),
                       1)

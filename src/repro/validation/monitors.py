@@ -25,16 +25,13 @@ online, from :class:`~repro.sim.trace.TraceRecord` streams:
   control-traffic allowance — and WQ/MQ occupancy respects any
   configured capacity.  The claim is that channel state is bounded by
   *configuration*, never by run length or group size.
-* :class:`QuiescenceMonitor` — **recovery after failure**: after an NE
-  crash the ordering token resumes rotating and application deliveries
-  resume within a recovery window (for members with a live attachment
-  point).
-* :class:`PartitionRecoveryMonitor` — **re-convergence after a
-  partition heals** (``fault.partition`` / ``fault.heal`` records from
-  :mod:`repro.faults`): post-heal, application delivery and token
-  rotation resume within a recovery window, every scheduled heal
-  actually happened, and memberships initiated before the heal reach
-  confirmation instead of staying wedged.
+* :class:`RecoveryMonitor` — **recovery after a fault**: after an NE
+  crash and after a partition heals (``fault.crash`` / ``fault.heal``
+  records from :mod:`repro.faults`) the ordering token resumes
+  rotating and application deliveries resume within a recovery window
+  (for members with a live attachment point); every scheduled heal
+  actually happened, and memberships initiated before the last heal
+  reach confirmation instead of staying wedged.
 
 All monitors are pure observers (see :mod:`repro.validation.monitor`):
 they never mutate protocol state, so checked and unchecked runs are
@@ -48,7 +45,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.sim.trace import Subscriber, TraceRecord
 from repro.validation.monitor import Monitor
 
-#: Default recovery window after a crash before quiescence checks fire.
+#: Default recovery window after a crash or a heal before recovery checks fire.
 DEFAULT_RECOVERY_WINDOW_MS = 3_000.0
 
 #: Default settle window: state inconsistencies younger than this at the
@@ -62,6 +59,12 @@ DEFAULT_PER_PEER_SLACK = 64
 #: Floor for the derived token liveness window: crash recovery needs
 #: several membership-maintenance signal rounds before regeneration.
 MIN_LIVENESS_WINDOW_MS = 1_500.0
+
+
+def _live_ne(net: Any, node: Any) -> bool:
+    """Is ``node`` an NE of ``net`` that has not crashed?"""
+    ne = getattr(net, "nes", {}).get(node)
+    return ne is not None and getattr(ne, "alive", True)
 
 
 def derived_liveness_window(net: Any) -> Optional[float]:
@@ -311,12 +314,10 @@ class MembershipMonitor(Monitor):
             elif not aps:
                 # Only an inconsistency when the MH's attachment point is
                 # still alive — members stranded behind a crashed AP are
-                # a liveness problem (QuiescenceMonitor's beat), not a
+                # a liveness problem (RecoveryMonitor's beat), not a
                 # view inconsistency.
                 ap = getattr(mh, "ap", None)
-                ap_ne = nes.get(ap) if ap is not None else None
-                if ap_ne is not None and getattr(ap_ne, "alive", True) \
-                        and ap not in self._dead_nodes:
+                if _live_ne(net, ap) and ap not in self._dead_nodes:
                     self.violation(
                         f"member {mh_id} attached to live AP {ap} but "
                         f"registered nowhere at end of run"
@@ -496,164 +497,48 @@ class BoundsMonitor(Monitor):
         }
 
 
-class QuiescenceMonitor(Monitor):
-    """Recovery after failure: token and deliveries resume post-crash."""
+class RecoveryMonitor(Monitor):
+    """Recovery after a fault: a crash (``fault.crash``) or the heal of
+    a :mod:`repro.faults` partition (``fault.heal``).
 
-    name = "quiescence"
+    Every such instant is judged the same way, once the run has gone a
+    recovery window past it:
 
-    def __init__(self, trace=None,
-                 recovery_window_ms: float = DEFAULT_RECOVERY_WINDOW_MS):
-        self.recovery_window_ms = recovery_window_ms
-        #: (crash time, node, holds seen before this crash).
-        self._crashes: List[Tuple[float, Any, int]] = []
-        self._holds = 0
-        self._first_hold_after: Dict[int, float] = {}
-        self._first_deliver_after: Dict[int, float] = {}
-        #: Crash indices still awaiting their first post-crash hold /
-        #: delivery, so the per-record work is O(1) once satisfied.
-        self._awaiting_hold: List[int] = []
-        self._awaiting_deliver: List[int] = []
-        self._last_send: float = -1.0
-        super().__init__(trace)
+    * **the token resumes** — if it was rotating before the fault (the
+      holds seen before the crash, or before that partition began),
+      ``token.hold`` records resume within the window;
+    * **delivery resumes** — if sources keep talking well past the
+      instant, somebody reachable hears them within the window, unless
+      no member has a live attachment point or no source a live NE.
 
-    def handlers(self) -> Dict[Optional[str], Subscriber]:
-        return {
-            "fault.crash": self._on_crash,
-            "token.hold": self._on_hold,
-            "mh.deliver": self._on_deliver,
-            "source.send": self._on_send,
-        }
-
-    # ------------------------------------------------------------------
-    def _on_crash(self, rec: TraceRecord) -> None:
-        index = len(self._crashes)
-        self._crashes.append((rec.time, rec["node"], self._holds))
-        self._awaiting_hold.append(index)
-        self._awaiting_deliver.append(index)
-
-    def _on_hold(self, rec: TraceRecord) -> None:
-        self._holds += 1
-        if self._awaiting_hold:
-            for i in self._awaiting_hold:
-                self._first_hold_after[i] = rec.time
-            self._awaiting_hold.clear()
-
-    def _on_deliver(self, rec: TraceRecord) -> None:
-        if self._awaiting_deliver:
-            for i in self._awaiting_deliver:
-                self._first_deliver_after[i] = rec.time
-            self._awaiting_deliver.clear()
-
-    def _on_send(self, rec: TraceRecord) -> None:
-        self._last_send = rec.time
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _any_live_attached_member(net: Any) -> bool:
-        """Is any member MH attached to a live, still-known AP?"""
-        nes = getattr(net, "nes", None)
-        if nes is None or not hasattr(net, "member_hosts"):
-            return True  # cannot tell: keep the check armed
-        for mh in net.member_hosts():
-            ap = getattr(mh, "ap", None)
-            ne = nes.get(ap) if ap is not None else None
-            if ne is not None and getattr(ne, "alive", True):
-                return True
-        return False
-
-    @staticmethod
-    def _any_live_source(net: Any) -> bool:
-        """Can traffic still enter the system — does any source feed a
-        live NE?  A source whose corresponding node crashed is
-        disconnected at the host level (the paper gives no source
-        re-attachment mechanism), so deliveries legitimately stop when
-        every source is orphaned."""
-        nes = getattr(net, "nes", None)
-        sources = getattr(net, "sources", None)
-        if nes is None or not isinstance(sources, dict) or not sources:
-            return True  # cannot tell: keep the check armed
-        for src in sources.values():
-            ne = nes.get(src.corresponding)
-            if ne is not None and getattr(ne, "alive", True):
-                return True
-        return False
-
-    def finish(self, net: Any = None, end_time: Optional[float] = None) -> None:
-        if not self._crashes or end_time is None:
-            return
-        window = self.recovery_window_ms
-        for i, (t, node, holds_before) in enumerate(self._crashes):
-            if end_time - t < window:
-                continue  # run ended inside the recovery allowance
-            # Only require token resumption when the token was actually
-            # rotating before *this* crash (per-crash, so an early
-            # pre-token crash doesn't disarm the check for later ones).
-            if holds_before:
-                hold = self._first_hold_after.get(i)
-                if hold is None or hold - t > window:
-                    self.violation(
-                        f"token did not resume within {window:.0f} ms of "
-                        f"the crash of {node} at t={t:.1f}"
-                    )
-            if self._last_send > t + window:
-                # Sources kept talking well past the crash; somebody
-                # reachable should be hearing them — unless every member
-                # (or every source) lost its attachment point to the
-                # crash, in which case silence is the expected outcome.
-                deliver = self._first_deliver_after.get(i)
-                if (deliver is None or deliver - t > window) and (
-                        net is None or (
-                            self._any_live_attached_member(net)
-                            and self._any_live_source(net))):
-                    self.violation(
-                        f"deliveries did not resume within {window:.0f} ms "
-                        f"of the crash of {node} at t={t:.1f}"
-                    )
-
-    def report(self) -> Dict[str, Any]:
-        return {
-            "monitor": self.name,
-            "crashes": len(self._crashes),
-            "violations": self.violation_count,
-        }
-
-
-class PartitionRecoveryMonitor(Monitor):
-    """Re-convergence after a network partition heals.
-
-    Checks three claims about every healed :mod:`repro.faults`
-    partition:
-
-    * **delivery re-converges** — if sources keep talking well past the
-      heal, somebody reachable hears them within the recovery window
-      (same liveness guards as :class:`QuiescenceMonitor`);
-    * **ordering re-converges** — if the token was rotating before the
-      partition started, ``token.hold`` records resume within the
-      window of the heal;
-    * **membership re-converges** — an MH whose join/handoff was still
-      unconfirmed when the partition healed reaches ``mh.member``
-      within the window instead of staying wedged behind lost
-      registrations.
-
-    A partition that advertised a ``heal_at`` but never emitted
-    ``fault.heal`` by the end of the run is itself a violation (the
-    fault subsystem broke its schedule).
+    Two claims are heal-only: a partition that advertised a ``heal_at``
+    but never emitted ``fault.heal`` by the end of the run is a
+    violation (the fault subsystem broke its schedule), and an MH whose
+    join/handoff was still unconfirmed when the last partition healed
+    reaches ``mh.member`` within the window instead of staying wedged
+    behind lost registrations.
     """
 
-    name = "partition_recovery"
+    name = "recovery"
 
     def __init__(self, trace=None,
                  recovery_window_ms: float = DEFAULT_RECOVERY_WINDOW_MS,
                  settle_ms: float = DEFAULT_SETTLE_MS):
         self.recovery_window_ms = recovery_window_ms
         self.settle_ms = settle_ms
-        #: index -> (partition time, advertised heal_at, holds before).
+        #: (time, what recovers, holds gating the token check).
+        self._instants: List[Tuple[float, str, int]] = []
+        self.crashes = 0
+        #: partition index -> (start time, advertised heal_at, holds
+        #: before it began).
         self._partitions: Dict[int, Tuple[float, Optional[float], int]] = {}
-        #: heal order -> (heal time, partition index).
-        self._heals: List[Tuple[float, int]] = []
+        self._healed: Set[int] = set()
+        self._last_heal: Optional[float] = None
         self._holds = 0
         self._first_hold_after: Dict[int, float] = {}
         self._first_deliver_after: Dict[int, float] = {}
+        #: Instants still awaiting their first hold / delivery, so the
+        #: per-record work is O(1) once satisfied.
         self._awaiting_hold: List[int] = []
         self._awaiting_deliver: List[int] = []
         self._last_send: float = -1.0
@@ -664,26 +549,39 @@ class PartitionRecoveryMonitor(Monitor):
 
     def handlers(self) -> Dict[Optional[str], Subscriber]:
         return {
+            "fault.crash": self._on_crash,
             "fault.partition": self._on_partition,
             "fault.heal": self._on_heal,
             "token.hold": self._on_hold,
             "mh.deliver": self._on_deliver,
             "source.send": self._on_send,
             "mh.join": self._on_join,
-            "mh.member": self._on_member,
-            "mh.leave": self._on_leave,
+            "mh.member": self._on_confirmed,
+            "mh.leave": self._on_confirmed,
         }
 
     # ------------------------------------------------------------------
+    def _instant(self, t: float, what: str, holds_before: int) -> None:
+        index = len(self._instants)
+        self._instants.append((t, what, holds_before))
+        self._awaiting_hold.append(index)
+        self._awaiting_deliver.append(index)
+
+    def _on_crash(self, rec: TraceRecord) -> None:
+        self.crashes += 1
+        self._instant(rec.time, f"the crash of {rec['node']}", self._holds)
+
     def _on_partition(self, rec: TraceRecord) -> None:
         self._partitions[rec["index"]] = (rec.time, rec.get("heal_at"),
                                           self._holds)
 
     def _on_heal(self, rec: TraceRecord) -> None:
-        slot = len(self._heals)
-        self._heals.append((rec.time, rec["index"]))
-        self._awaiting_hold.append(slot)
-        self._awaiting_deliver.append(slot)
+        index = rec["index"]
+        self._healed.add(index)
+        self._last_heal = rec.time
+        holds_before = self._partitions.get(index, (0.0, None, 0))[2]
+        self._instant(rec.time, f"the heal of partition {index}",
+                      holds_before)
 
     def _on_hold(self, rec: TraceRecord) -> None:
         self._holds += 1
@@ -708,75 +606,85 @@ class PartitionRecoveryMonitor(Monitor):
     def _on_join(self, rec: TraceRecord) -> None:
         self._pending_join[rec["mh"]] = rec.time
 
-    def _on_member(self, rec: TraceRecord) -> None:
-        self._pending_join.pop(rec["mh"], None)
-
-    def _on_leave(self, rec: TraceRecord) -> None:
+    def _on_confirmed(self, rec: TraceRecord) -> None:
         self._pending_join.pop(rec["mh"], None)
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _traffic_can_flow(net: Any) -> bool:
+        """Does any member MH sit behind a live AP, and does any source
+        feed a live NE?  A source whose corresponding node crashed is
+        disconnected at the host level (the paper gives no source
+        re-attachment mechanism), so deliveries legitimately stop when
+        every member or every source is orphaned.  A net that cannot
+        tell keeps the check armed."""
+        if net is None or getattr(net, "nes", None) is None:
+            return True
+        if hasattr(net, "member_hosts") and not any(
+                _live_ne(net, getattr(mh, "ap", None))
+                for mh in net.member_hosts()):
+            return False
+        sources = getattr(net, "sources", None)
+        return (not isinstance(sources, dict) or not sources
+                or any(_live_ne(net, src.corresponding)
+                       for src in sources.values()))
+
     def finish(self, net: Any = None, end_time: Optional[float] = None) -> None:
-        if not self._partitions or end_time is None:
+        if end_time is None:
             return
         window = self.recovery_window_ms
-        healed = {index for _, index in self._heals}
         for index, (t, heal_at, _) in sorted(self._partitions.items()):
-            if index in healed or heal_at is None:
+            if index in self._healed or heal_at is None:
                 continue
             if end_time - heal_at > self.settle_ms:
                 self.violation(
                     f"partition {index} (t={t:.1f}) advertised heal at "
                     f"{heal_at:.1f} but never healed by end of run"
                 )
-        for slot, (h, index) in enumerate(self._heals):
-            if end_time - h < window:
+        for i, (t, what, holds_before) in enumerate(self._instants):
+            if end_time - t < window:
                 continue  # run ended inside the recovery allowance
-            holds_before = self._partitions.get(index, (0.0, None, 0))[2]
+            # Only require token resumption when the token was actually
+            # rotating before *this* fault (per instant, so an early
+            # pre-token crash doesn't disarm the check for later ones).
             if holds_before:
-                hold = self._first_hold_after.get(slot)
-                if hold is None or hold - h > window:
+                hold = self._first_hold_after.get(i)
+                if hold is None or hold - t > window:
                     self.violation(
                         f"token did not resume within {window:.0f} ms of "
-                        f"the heal of partition {index} at t={h:.1f}"
+                        f"{what} at t={t:.1f}"
                     )
-            if self._last_send > h + window:
-                deliver = self._first_deliver_after.get(slot)
-                if (deliver is None or deliver - h > window) and (
-                        net is None or (
-                            QuiescenceMonitor._any_live_attached_member(net)
-                            and QuiescenceMonitor._any_live_source(net))):
+            if self._last_send > t + window:
+                deliver = self._first_deliver_after.get(i)
+                if (deliver is None or deliver - t > window) \
+                        and self._traffic_can_flow(net):
                     self.violation(
                         f"deliveries did not resume within {window:.0f} ms "
-                        f"of the heal of partition {index} at t={h:.1f}"
+                        f"of {what} at t={t:.1f}"
                     )
-        if self._heals:
-            last_heal = max(h for h, _ in self._heals)
-            for mh, joined_at in sorted(self._pending_join.items()):
-                if joined_at > last_heal:
-                    continue  # initiated after every heal: settle rules
-                deadline = max(joined_at, last_heal) + window
-                if end_time <= deadline:
-                    continue
-                if net is not None:
-                    # A join wedged behind a *crashed* AP is a liveness
-                    # question for QuiescenceMonitor, not partition
-                    # recovery.
-                    host = getattr(net, "mobile_hosts", {}).get(mh)
-                    ap = getattr(host, "ap", None) if host else None
-                    nes = getattr(net, "nes", {})
-                    ap_ne = nes.get(ap) if ap is not None else None
-                    if ap_ne is None or not getattr(ap_ne, "alive", True):
-                        continue
-                self.violation(
-                    f"membership did not re-converge: {mh} joined at "
-                    f"t={joined_at:.1f} and was still unconfirmed "
-                    f"{window:.0f} ms after the last heal (t={last_heal:.1f})"
-                )
+        last_heal = self._last_heal
+        if last_heal is None or end_time <= last_heal + window:
+            return
+        hosts = getattr(net, "mobile_hosts", {})
+        for mh, joined_at in sorted(self._pending_join.items()):
+            if joined_at > last_heal:
+                continue  # initiated after every heal: settle rules
+            # A join wedged behind a *crashed* AP is a liveness question
+            # for the crash instant, not for partition recovery.
+            if net is not None and not _live_ne(
+                    net, getattr(hosts.get(mh), "ap", None)):
+                continue
+            self.violation(
+                f"membership did not re-converge: {mh} joined at "
+                f"t={joined_at:.1f} and was still unconfirmed "
+                f"{window:.0f} ms after the last heal (t={last_heal:.1f})"
+            )
 
     def report(self) -> Dict[str, Any]:
         return {
             "monitor": self.name,
+            "crashes": self.crashes,
             "partitions": len(self._partitions),
-            "heals": len(self._heals),
+            "heals": len(self._instants) - self.crashes,
             "violations": self.violation_count,
         }

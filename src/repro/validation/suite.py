@@ -22,8 +22,7 @@ from repro.validation.monitors import (
     BoundsMonitor,
     HandoffMonitor,
     MembershipMonitor,
-    PartitionRecoveryMonitor,
-    QuiescenceMonitor,
+    RecoveryMonitor,
     TokenMonitor,
 )
 
@@ -47,9 +46,7 @@ def standard_suite(
         monitors.append(OrderChecker())
     monitors.append(MembershipMonitor())
     monitors.append(BoundsMonitor(per_peer_limit=per_peer_limit))
-    monitors.append(QuiescenceMonitor(recovery_window_ms=recovery_window_ms))
-    monitors.append(PartitionRecoveryMonitor(
-        recovery_window_ms=recovery_window_ms))
+    monitors.append(RecoveryMonitor(recovery_window_ms=recovery_window_ms))
     return MonitorSuite(monitors)
 
 

@@ -50,13 +50,15 @@ def test_update_view_promotion_to_top_ring_starts_tau():
     net.start()
     ag = net.nes["ag:0.0"]
     assert not ag._tau_timer.running
-    # Simulate a promotion into the top (ordering) ring.
-    from repro.topology.hierarchy import NeighborView
+    # Promote the AG into the top (ordering) tier, then let the facade
+    # push the new views out as it does after every topology change.
     from repro.topology.tiers import Tier
-    view = NeighborView(current="ag:0.0", tier=Tier.BR, ring_id="ring:br",
-                        leader="br:0", previous="br:2", next="br:0")
-    ag.update_view(view, ring_size_hint=4)
+    net.hierarchy.tier_of["ag:0.0"] = Tier.BR
+    net._refresh_views()
+    assert ag.view.in_top_ring
     assert ag._tau_timer.running
+    # An AG that stays in its ring is left alone.
+    assert not net.nes["ag:0.1"]._tau_timer.running
 
 
 def test_crashed_ne_ignores_messages():

@@ -113,6 +113,31 @@ def test_member_hosts_excludes_left():
     assert len(net.member_hosts()) == len(all_members) - 1
 
 
+def test_joined_hosts_are_members_registered_at_their_aps():
+    sim, net = small_net(mhs_per_ap=0, aps_per_ag=2)
+    net.start()
+    aps = net.hierarchy.nodes_of_tier(Tier.AP)
+    for i in range(4):
+        net.add_mobile_host(f"mh:{i}", aps[i])
+    sim.run(until=1_000)
+    assert sorted(m.guid for m in net.member_hosts()) == \
+        ["mh:0", "mh:1", "mh:2", "mh:3"]
+    for i in range(4):
+        assert net.nes[aps[i]].has_child(f"mh:{i}")
+
+
+def test_handoff_moves_the_member_to_the_new_ap():
+    sim, net = small_net(mhs_per_ap=1)
+    net.start()
+    sim.run(until=500)
+    net.handoff("mh:0.0.0.0", "ap:1.0.0")
+    sim.run(until=1_000)
+    mh = net.mobile_hosts["mh:0.0.0.0"]
+    assert mh.is_member and mh.ap == "ap:1.0.0"
+    assert net.nes["ap:1.0.0"].has_child("mh:0.0.0.0")
+    assert not net.nes["ap:0.0.0"].has_child("mh:0.0.0.0")
+
+
 def test_crash_ne_triggers_maintenance():
     sim, net = small_net(n_br=3)
     net.start()

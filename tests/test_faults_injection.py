@@ -213,6 +213,28 @@ def test_structural_home_convention():
     assert structural_home("br:0") is None
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "no BR holds the token at t=3000.0 in failure_drill: token_holder "
+    "falls back to the top ring's last member (br:3), so the drill "
+    "crashes a BR the token is travelling to, not its holder"))
+def test_failure_drill_crashes_the_token_holder(monkeypatch):
+    import repro.faults.driver as driver
+    resolve = driver.token_holder
+    resolved = []
+
+    def spy(sim, net):
+        target = resolve(sim, net)
+        resolved.append((sim.now, target,
+                         net.nes[target].held_token is not None))
+        return target
+
+    monkeypatch.setattr(driver, "token_holder", spy)
+    scenario = build_scenario(registry.get("failure_drill"))
+    scenario.run(until=3_001.0)
+    assert [(t, held) for t, _, held in resolved] == [(3_000.0, True)], \
+        resolved
+
+
 def test_split_brain_resolves_token_holder_subtree():
     spec = registry.get("split_brain")
     scenario = build_scenario(spec)

@@ -2,7 +2,7 @@
 
 Every new registry scenario must (a) actually exercise its fault plan
 inside the trace-identity recording horizon, (b) run the complete
-monitor suite — including PartitionRecoveryMonitor — to zero violations
+monitor suite — including RecoveryMonitor — to zero violations
 at its full duration, and (c) demonstrably stress the fabric (dropped
 or burst-lost traffic), so the zero-violation verdict is not vacuous.
 """
@@ -80,5 +80,5 @@ def test_partition_recovery_reports_heals_on_partition_scenarios():
     assert harvest.result.violations == []
     # The checked run's suite must show the partition was observed and
     # healed (the zero-violation verdict is about a real partition).
-    pr = harvest.suite.report()["partition_recovery"]
+    pr = harvest.suite.report()["recovery"]
     assert pr["partitions"] == 1 and pr["heals"] == 1

@@ -34,11 +34,6 @@ def test_grid_neighbors_interior_and_corner():
     assert len(grid.neighbors((2, 1))) == 3
 
 
-def test_neighbor_aps():
-    grid = CellGrid(2, 2, ["a", "b", "c", "d"])
-    assert set(grid.neighbor_aps("a")) == {"b", "c"}
-
-
 def test_square_for_pads():
     grid = CellGrid.square_for(["a", "b", "c"])
     assert grid.cols * grid.rows >= 3

@@ -112,8 +112,9 @@ class TestOneSeamOneHarvest:
         assert offenders == [], (
             "build / attach / harvest outside experiments/runner.py — go "
             f"through observed_scenario and Harvest instead: {offenders}")
-        # If the tree moves, the guard must not silently scan nothing.
-        assert scanned >= 100
+        # If the tree moves, the guard must not silently scan nothing
+        # (97 modules today).
+        assert scanned >= 90
 
     def test_the_owner_is_where_the_guard_thinks_it_is(self):
         with open(os.path.join(SRC, OWNER)) as fh:

@@ -6,6 +6,9 @@ exists), shards are as balanced as indivisible BR subtrees allow, and
 every MH lands on its AP's shard.
 """
 
+import json
+import os
+
 import pytest
 
 from repro.experiments import registry
@@ -90,6 +93,22 @@ def test_deterministic_assignment():
     spec = registry.get("quickstart")
     plans = [partition_spec(spec, 3).to_dict() for _ in range(3)]
     assert plans[0] == plans[1] == plans[2]
+
+
+#: Every registry scenario's plan at K = 2, 4 and 8, keyed "name@K":
+#: a refactor of the partitioner must not move one node.
+PINNED_PLANS = os.path.join(os.path.dirname(__file__), "data",
+                            "partition_plans.json")
+
+
+def test_every_registry_plan_matches_its_pinned_copy():
+    with open(PINNED_PLANS) as f:
+        pinned = json.load(f)
+    assert len(pinned) == 3 * len(ALL_SCENARIOS)
+    for name in ALL_SCENARIOS:
+        for k in (2, 4, 8):
+            plan = partition_spec(registry.get(name), k)
+            assert plan.to_dict() == pinned[f"{name}@{k}"], (name, k)
 
 
 # ----------------------------------------------------------------------

@@ -50,25 +50,6 @@ def test_contains_iter_len():
     assert len(r) == 3
 
 
-def test_add_member_appends():
-    r = ring3()
-    r.add_member("d")
-    assert r.members == ["a", "b", "c", "d"]
-    assert r.next_of("d") == "a"
-
-
-def test_add_member_after():
-    r = ring3()
-    r.add_member("x", after="a")
-    assert r.members == ["a", "x", "b", "c"]
-
-
-def test_add_duplicate_rejected():
-    r = ring3()
-    with pytest.raises(ValueError):
-        r.add_member("a")
-
-
 def test_remove_member_splices():
     r = ring3()
     r.remove_member("b")
@@ -86,29 +67,3 @@ def test_remove_last_member_rejected():
     r = LogicalRing("r", ["a"])
     with pytest.raises(ValueError):
         r.remove_member("a")
-
-
-def test_set_leader():
-    r = ring3()
-    r.set_leader("c")
-    assert r.leader == "c"
-
-
-def test_set_foreign_leader_rejected():
-    r = ring3()
-    with pytest.raises(ValueError):
-        r.set_leader("zzz")
-
-
-def test_rotate_preserves_order_relation():
-    r = ring3()
-    r.rotate_to("b")
-    assert r.members == ["b", "c", "a"]
-    assert r.next_of("a") == "b"  # unchanged relation
-
-
-def test_index_of():
-    r = ring3()
-    assert r.index_of("c") == 2
-    with pytest.raises(ValueError):
-        r.index_of("zzz")

@@ -44,7 +44,7 @@ from repro.sim.engine import Simulator
 from repro.topology.builder import HierarchyShape
 from repro.topology.tiers import Tier
 from repro.validation.monitor import MonitorSuite
-from repro.validation.monitors import (MembershipMonitor, QuiescenceMonitor,
+from repro.validation.monitors import (MembershipMonitor, RecoveryMonitor,
                                        TokenMonitor)
 from repro.workloads.churn import ChurnDriver
 
@@ -79,7 +79,7 @@ def test_unordered_violates_agreement_and_monotonicity():
     sim = Simulator(seed=SEED)
     checker = OrderChecker(sim.trace)
     suite = MonitorSuite([MembershipMonitor(),
-                          QuiescenceMonitor()]).attach(sim.trace)
+                          RecoveryMonitor()]).attach(sim.trace)
     net = UnorderedRingNet.build(
         sim, HierarchyShape(n_br=3, ags_per_br=2, aps_per_ag=2, mhs_per_ap=1))
     sources = [net.add_source(rate_per_sec=15) for _ in range(2)]
@@ -108,7 +108,7 @@ def test_single_ring_violates_nothing_under_churn_and_crash():
     sim = Simulator(seed=SEED)
     checker = OrderChecker(sim.trace)
     suite = MonitorSuite([TokenMonitor(), MembershipMonitor(),
-                          QuiescenceMonitor()]).attach(sim.trace)
+                          RecoveryMonitor()]).attach(sim.trace)
     net = SingleRingMulticast.build_ring(sim, n_bs=6, mhs_per_bs=1)
     sources = [net.add_source(rate_per_sec=15) for _ in range(2)]
     churn = ChurnDriver(net, net.base_stations, mean_interval_ms=CHURN_MS)
@@ -132,7 +132,7 @@ def test_hostview_order_holds_with_single_sender():
     sim = Simulator(seed=SEED)
     checker = OrderChecker(sim.trace, check_validity=False)
     suite = MonitorSuite([MembershipMonitor(),
-                          QuiescenceMonitor()]).attach(sim.trace)
+                          RecoveryMonitor()]).attach(sim.trace)
     hv = HostViewProtocol(sim, n_mss=4, rate_per_sec=20)
     msss = [f"mss:{i}" for i in range(4)]
     for i, mss in enumerate(msss):
@@ -155,7 +155,7 @@ def test_relm_violates_monotonicity_and_gap_accounting():
     sim = Simulator(seed=SEED)
     checker = OrderChecker(sim.trace, check_validity=False)
     suite = MonitorSuite([MembershipMonitor(),
-                          QuiescenceMonitor()]).attach(sim.trace)
+                          RecoveryMonitor()]).attach(sim.trace)
     relm = RelMProtocol(sim, n_regions=2, msss_per_region=2, rate_per_sec=20)
     msss = list(relm.msss)
     for i, mss in enumerate(msss):
@@ -187,7 +187,7 @@ def test_sequencer_assignment_alone_breaks_on_lossy_access_links():
     sim = Simulator(seed=SEED)
     checker = OrderChecker(sim.trace, check_validity=False)
     suite = MonitorSuite([MembershipMonitor(),
-                          QuiescenceMonitor()]).attach(sim.trace)
+                          RecoveryMonitor()]).attach(sim.trace)
     seqm = SequencerMulticast(sim, n_aps=4)
     aps = [f"ap:{i}" for i in range(4)]
     for i, ap in enumerate(aps):

@@ -227,8 +227,8 @@ def test_fuzz_smoke_ten_seeded_fault_plans_are_clean():
     assert len(cases) == 10, "generator starved the smoke test"
     # The campaign's duration-scaled window, through the factory: every
     # generated crash leaves room for it, so it is checked, not skipped.
-    quiescence = campaign_suite(cases[0]).get("quiescence")
-    assert quiescence.recovery_window_ms == 0.45 * duration
+    recovery = campaign_suite(cases[0]).get("recovery")
+    assert recovery.recovery_window_ms == 0.45 * duration
     for spec in cases:
         result = run_point(spec, check=campaign_suite)
         assert not result.violations, (spec.name, spec.faults.to_dict(),

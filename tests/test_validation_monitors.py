@@ -9,7 +9,7 @@ from repro.validation.monitors import (
     BoundsMonitor,
     HandoffMonitor,
     MembershipMonitor,
-    QuiescenceMonitor,
+    RecoveryMonitor,
     TokenMonitor,
 )
 from repro.experiments.runner import run_point
@@ -259,11 +259,11 @@ def test_handoff_unknown_front_skips_check():
 
 
 # ---------------------------------------------------------------------------
-# QuiescenceMonitor
+# RecoveryMonitor after a crash
 # ---------------------------------------------------------------------------
 def test_quiescence_flags_dead_token_after_crash():
     bus = TraceBus()
-    mon = QuiescenceMonitor(bus, recovery_window_ms=500.0)
+    mon = RecoveryMonitor(bus, recovery_window_ms=500.0)
     bus.emit(10.0, "token.hold", node="br:0", next_gseq=0,
              token_id=(0, "br:0"))
     bus.emit(100.0, "fault.crash", node="br:0")
@@ -275,7 +275,7 @@ def test_quiescence_flags_dead_token_after_crash():
 
 def test_quiescence_recovered_run_ok():
     bus = TraceBus()
-    mon = QuiescenceMonitor(bus, recovery_window_ms=500.0)
+    mon = RecoveryMonitor(bus, recovery_window_ms=500.0)
     bus.emit(10.0, "token.hold", node="br:0", next_gseq=0,
              token_id=(0, "br:0"))
     bus.emit(100.0, "fault.crash", node="br:0")
@@ -291,7 +291,7 @@ def test_quiescence_recovered_run_ok():
 def test_quiescence_token_gate_is_per_crash():
     """A crash before the first hold must not disarm later crashes."""
     bus = TraceBus()
-    mon = QuiescenceMonitor(bus, recovery_window_ms=500.0)
+    mon = RecoveryMonitor(bus, recovery_window_ms=500.0)
     bus.emit(50.0, "fault.crash", node="ap:0")      # before any hold
     bus.emit(100.0, "token.hold", node="br:0", next_gseq=0,
              token_id=(0, "br:0"))
@@ -311,7 +311,7 @@ def test_quiescence_excuses_fully_orphaned_sources():
 
     sim, net = small_net(seed=2, n_br=2)
     src = net.add_source(corresponding="br:0", rate_per_sec=20)
-    mon = QuiescenceMonitor(sim.trace, recovery_window_ms=400.0)
+    mon = RecoveryMonitor(sim.trace, recovery_window_ms=400.0)
     net.start()
     src.start()
     sim.schedule_at(500.0, net.crash_ne, "br:0")
@@ -324,7 +324,7 @@ def test_quiescence_excuses_fully_orphaned_sources():
 
 def test_quiescence_crash_near_end_inside_allowance():
     bus = TraceBus()
-    mon = QuiescenceMonitor(bus, recovery_window_ms=500.0)
+    mon = RecoveryMonitor(bus, recovery_window_ms=500.0)
     bus.emit(10.0, "token.hold", node="br:0", next_gseq=0,
              token_id=(0, "br:0"))
     bus.emit(900.0, "fault.crash", node="br:0")
@@ -354,7 +354,7 @@ def test_unordered_suite_skips_order_and_token_monitors():
     suite = standard_suite("unordered")
     names = {m.name for m in suite}
     assert "token" not in names and "total_order" not in names
-    assert {"membership", "bounds", "quiescence"} <= names
+    assert {"membership", "bounds", "recovery"} <= names
 
 
 def test_ordered_suite_includes_order_checker():

@@ -12,7 +12,7 @@ from repro.experiments import registry, run_point
 from repro.faults.driver import FaultDriver
 from repro.sim.trace import TraceBus, TraceRecord
 from repro.validation.monitor import MonitorSuite
-from repro.validation.monitors import (BoundsMonitor, QuiescenceMonitor,
+from repro.validation.monitors import (BoundsMonitor, RecoveryMonitor,
                                        TokenMonitor)
 from repro.validation.suite import standard_suite
 
@@ -25,7 +25,7 @@ from helpers import small_net
 def test_dropped_token_pass_trips_liveness_monitor():
     sim, net = small_net(seed=3)
     token_mon = TokenMonitor().attach(sim.trace)
-    quiesce_mon = QuiescenceMonitor().attach(sim.trace)
+    recovery_mon = RecoveryMonitor().attach(sim.trace)
     src = net.add_source(rate_per_sec=20)
     net.start()
     src.start()
@@ -40,9 +40,9 @@ def test_dropped_token_pass_trips_liveness_monitor():
     sim.schedule_at(1_500.0, sabotage)
     sim.run(until=6_000.0)
     token_mon.finish(net=net, end_time=sim.now)
-    quiesce_mon.finish(net=net, end_time=sim.now)
+    recovery_mon.finish(net=net, end_time=sim.now)
     token_mon.detach()
-    quiesce_mon.detach()
+    recovery_mon.detach()
 
     assert sim.trace.counts.get("test.token_dropped", 0) == 1
     assert any("liveness" in v for v in token_mon.violations)
@@ -139,7 +139,7 @@ def _adversarial_records():
                                               "group_sizes": [1, 1],
                                               "heal_at": 12.0}),
         TraceRecord(12.0, "fault.heal", {"index": 0}),
-        # Quiescence: a crash after which nothing ever resumes.
+        # Recovery: a crash after which nothing ever resumes.
         TraceRecord(5_000.0, "fault.crash", {"node": "br:2"}),
         TraceRecord(20_000.0, "source.send", {"source": "src:0",
                                               "local_seq": 99}),
@@ -165,7 +165,7 @@ def test_every_monitor_in_the_suite_has_teeth():
 
     fired = {m.name for m in suite if not m.ok}
     assert fired == {"token", "handoff", "total_order", "membership",
-                     "bounds", "quiescence", "partition_recovery"}
+                     "bounds", "recovery"}
     # And each produced a diagnosable message.
     for m in suite:
         assert all(isinstance(v, str) and v for v in m.violations)
@@ -187,7 +187,7 @@ def test_a_heal_that_keeps_the_partition_trips_partition_recovery(
     monkeypatch.setattr(FaultDriver, "_heal", heal_in_name_only)
     broken = run_point(spec, check=True)
     for what in ("token", "deliveries"):
-        assert (f"partition_recovery: {what} did not resume within 3000 ms "
+        assert (f"recovery: {what} did not resume within 3000 ms "
                 f"of the heal of partition 0 at t=1250.0"
                 in broken.violations), broken.violations
     assert broken.delivered < healthy.delivered

@@ -1,7 +1,8 @@
-"""Unit tests for the PartitionRecoveryMonitor (synthetic streams)."""
+"""Unit tests for RecoveryMonitor after a partition heal (synthetic
+streams)."""
 
 from repro.sim.trace import TraceBus
-from repro.validation.monitors import PartitionRecoveryMonitor
+from repro.validation.monitors import RecoveryMonitor
 from repro.validation.suite import standard_suite
 
 WINDOW = 1_000.0
@@ -9,7 +10,7 @@ WINDOW = 1_000.0
 
 def _monitor():
     bus = TraceBus()
-    mon = PartitionRecoveryMonitor(recovery_window_ms=WINDOW)
+    mon = RecoveryMonitor(recovery_window_ms=WINDOW)
     mon.attach(bus)
     return bus, mon
 
@@ -37,7 +38,7 @@ def test_healed_partition_with_resumed_delivery_is_clean():
     bus.emit(5_000.0, "source.send", source="src:0")
     mon.finish(end_time=6_000.0)
     assert mon.ok, mon.violations
-    assert mon.report() == {"monitor": "partition_recovery",
+    assert mon.report() == {"monitor": "recovery", "crashes": 0,
                             "partitions": 1, "heals": 1, "violations": 0}
 
 
@@ -87,6 +88,22 @@ def test_token_check_disarmed_when_never_rotating():
     bus.emit(5_000.0, "source.send", source="src:0")
     mon.finish(end_time=6_000.0)
     assert mon.ok, mon.violations
+
+
+def test_each_instant_keeps_its_own_token_gate():
+    """A heal's token check counts only the holds seen before its
+    partition began; a crash in the same run counts those before it."""
+    bus, mon = _monitor()
+    _partition(bus)                                  # no hold before it
+    bus.emit(200.0, "token.hold", node="br:0", next_gseq=0)
+    bus.emit(250.0, "fault.crash", node="br:1")      # one hold before it
+    bus.emit(300.0, "fault.heal", index=0)
+    bus.emit(450.0, "mh.deliver", mh="mh:x", gseq=1)
+    bus.emit(5_000.0, "source.send", source="src:0")
+    mon.finish(end_time=6_000.0)
+    assert mon.violations == [
+        "token did not resume within 1000 ms of the crash of br:1 at t=250.0"]
+    assert mon.report()["crashes"] == 1
 
 
 def test_run_ending_inside_recovery_window_is_not_judged():
@@ -139,4 +156,4 @@ def test_leave_clears_pending_join():
 def test_standard_suite_includes_partition_recovery():
     for system in ("ringnet", "single_ring", "unordered"):
         suite = standard_suite(system)
-        assert any(m.name == "partition_recovery" for m in suite)
+        assert any(m.name == "recovery" for m in suite)
