@@ -18,7 +18,7 @@ experiment E8 measures — are:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Set
 
 from repro.baselines.common import (
     BaselineNet,
@@ -37,15 +37,20 @@ from repro.net.transport import ReliableChannel
 from repro.sim.engine import Simulator
 
 
-class ViewJoinRequest(Message):
-    """MSS → sender: add me to the group's Host-View."""
+class ViewRequest(Message):
+    """MSS → sender: add me to the group's Host-View (``join``), or drop
+    me from it once my last member left.  ``epoch`` numbers one MSS's
+    requests, so a request the channel delivers late never undoes a
+    newer one."""
 
     size_bits = 128
 
-    __slots__ = ("mss",)
+    __slots__ = ("mss", "join", "epoch")
 
-    def __init__(self, mss: NodeId):
+    def __init__(self, mss: NodeId, join: bool, epoch: int):
         self.mss = mss
+        self.join = join
+        self.epoch = epoch
 
 
 class ViewUpdate(Message):
@@ -73,6 +78,8 @@ class HostViewSender(MulticastSource):
         self.view: Dict[NodeId, None] = {}
         self.view_version = 0
         self.control_messages = 0
+        #: The newest request epoch seen from each MSS.
+        self._epochs: Dict[NodeId, int] = {}
         #: local_seq -> set of MSSs still owing an ack (the send buffer).
         self._unacked: Dict[int, Set[NodeId]] = {}
         self.peak_buffer = 0
@@ -99,23 +106,28 @@ class HostViewSender(MulticastSource):
         payload = self.chan.accept(msg)
         if payload is None:
             return
-        if isinstance(payload, ViewJoinRequest):
-            self._view_change(add=payload.mss)
+        if (isinstance(payload, ViewRequest)
+                and payload.epoch > self._epochs.get(payload.mss, -1)):
+            self._epochs[payload.mss] = payload.epoch
+            self._view_change(payload.mss, payload.join)
 
-    def _view_change(self, add: Optional[NodeId] = None,
-                     remove: Optional[NodeId] = None) -> None:
+    def _view_change(self, mss: NodeId, join: bool) -> None:
         """A 'significant move': global update to every view member."""
         self.view_version += 1
         version = self.view_version
 
         def apply() -> None:
-            if add is not None:
-                self.view[add] = None
-            if remove is not None:
-                self.view.pop(remove, None)
+            if join:
+                self.view[mss] = None
+            else:
+                self.view.pop(mss, None)
+                for seq, owing in list(self._unacked.items()):
+                    owing.discard(mss)
+                    if not owing:
+                        del self._unacked[seq]
             # Global notification: one control message per view member.
-            for mss in self.view:
-                self.chan.send(mss, ViewUpdate(version))
+            for member in self.view:
+                self.chan.send(member, ViewUpdate(version))
                 self.control_messages += 1
 
         self.sim.schedule(self.update_latency, apply)
@@ -132,7 +144,9 @@ class HostViewMSS(NetNode):
                                     on_ack=self._on_ack)
         #: Registered MHs; a dict keeps the fan-out in registration order.
         self.members: Dict[NodeId, None] = {}
+        #: True from this MSS's join request to its leave request.
         self.in_view = False
+        self._requests = 0
         #: (local_seq) -> members still owing an ack (the MSS buffer).
         self._unacked: Dict[int, Set[NodeId]] = {}
         self.peak_buffer = 0
@@ -152,15 +166,21 @@ class HostViewMSS(NetNode):
         elif isinstance(payload, Register):
             self.members[payload.mh] = None
             if not self.in_view:
-                # Ask the sender for a (global) view update.
-                self.chan.send(self.sender, ViewJoinRequest(self.id))
+                self._request_view(join=True)
         elif isinstance(payload, Deregister):
             self.members.pop(payload.mh, None)
             for owing in self._unacked.values():
                 owing.discard(payload.mh)
             self._gc()
-        elif isinstance(payload, ViewUpdate):
-            self.in_view = True
+            if not self.members and self.in_view:
+                self._request_view(join=False)
+
+    def _request_view(self, join: bool) -> None:
+        """Ask the sender for a (global) view update."""
+        self.in_view = join
+        self._requests += 1
+        self.chan.send(self.sender, ViewRequest(self.id, join,
+                                                self._requests))
 
     def _on_ack(self, dst: NodeId, payload: Message) -> None:
         if isinstance(payload, PlainDeliver):

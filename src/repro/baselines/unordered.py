@@ -20,7 +20,7 @@ Duplicates are suppressed by (source, local_seq) at every hop.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.baselines.common import (
     BaselineNet,
@@ -69,8 +69,10 @@ class UnorderedNE(NetNode):
         NetNode.__init__(self, fabric, node_id)
         self.view = view
         self.chan = ReliableChannel(self, rto=rto, max_retries=max_retries)
-        #: Dedup set: every (source, local_seq) this NE has forwarded.
-        self._seen: Set[Tuple[NodeId, int]] = set()
+        #: Dedup state per source, as the channel's ``_Peer`` keeps it:
+        #: every local_seq below ``floor`` was forwarded, plus the
+        #: out-of-order ones above it in ``sparse``.
+        self._seen: Dict[NodeId, List] = {}
         #: Registered MHs; a dict keeps the fan-out in registration order.
         self.members: Dict[NodeId, None] = {}
 
@@ -92,10 +94,21 @@ class UnorderedNE(NetNode):
             self.members.pop(payload.mh, None)
 
     def _ingest(self, msg: RawFlood, ring_origin: bool) -> None:
-        key = (msg.source, msg.local_seq)
-        if key in self._seen:
+        seen = self._seen.get(msg.source)
+        if seen is None:
+            seen = self._seen[msg.source] = [0, set()]
+        floor, sparse = seen
+        seq = msg.local_seq
+        if seq < floor or seq in sparse:
             return
-        self._seen.add(key)
+        if seq == floor:
+            floor += 1
+            while floor in sparse:
+                sparse.remove(floor)
+                floor += 1
+            seen[0] = floor
+        else:
+            sparse.add(seq)
         self._ring_forward(msg)
         self._deliver_down(msg)
 

@@ -61,7 +61,7 @@ class ForwardingMixin:
         )
         if not self.wq.insert(entry):
             return  # duplicate via retransmission or rejoin
-        self._tau_timer.wake()
+        self._wake_tau_if_orderable(entry)
         self.forward_raw(entry)
 
     # ------------------------------------------------------------------

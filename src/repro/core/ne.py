@@ -155,9 +155,9 @@ class NetworkEntity(OrderingMixin, ForwardingMixin, DeliveringMixin,
 
     def _tau_tick(self) -> None:
         self.order_assignment()
-        if not self.wq.occupancy:
-            # Nothing left to order: park until the next wq.insert.
-            self._tau_timer.park()
+        # Nothing left is orderable: park until a wake site makes an
+        # entry coverable (see core/ordering.py).
+        self._tau_timer.park()
 
     def _maintenance_tick(self) -> None:
         self.gap_check()

@@ -13,6 +13,17 @@ Run only by NEs in the **top logical ring**.  Responsibilities:
   against the two retained snapshots, copy matched messages into MQ with
   their global sequence numbers, and hand them to Message-Delivering.
 
+The τ chain parks after every tick: a tick leaves no WQ entry that a
+usable snapshot (:meth:`OrderingMixin._usable_snapshots`) covers, and
+a tick that finds none does nothing.  Neither a hold (it defers the
+snapshot it takes while the token is held) nor WTSNP expiry makes an
+entry coverable, nor does an own-source insert (only a later hold of
+this node mints its WTSNP entry).  Three mutations do: a ``RingRaw``
+insert that a usable snapshot already covers, and the held token
+leaving — ``_pass_token`` or a kill in ``_recompute_kill_set`` — which
+makes ``new_token`` usable.  Each wakes the chain only if an entry is
+now coverable.
+
 A fidelity note on pre-assignment: the paper says the token "pre-assigns"
 global numbers and a separate Order-Assignment algorithm "really"
 assigns them; both read the same WTSNP data, so the split here is the
@@ -75,7 +86,6 @@ class OrderingMixin:
         )
         if not self.wq.insert(entry):
             return  # duplicate
-        self._tau_timer.wake()
         self.sim.trace.emit(self.now, "wq.insert", node=self.id,
                             local_seq=msg.local_seq)
         self.forward_raw(entry)
@@ -170,6 +180,7 @@ class OrderingMixin:
         if token is None:
             return
         self.held_token = None
+        self._wake_tau_if_orderable()
         if self._test_drop_token_passes > 0:
             self._test_drop_token_passes -= 1
             self.sim.trace.emit(self.now, "test.token_dropped", node=self.id,
@@ -194,33 +205,58 @@ class OrderingMixin:
     # ------------------------------------------------------------------
     # Order-Assignment (τ-periodic)
     # ------------------------------------------------------------------
+    def _usable_snapshots(self) -> tuple:
+        """The retained snapshots Order-Assignment applies now, newest
+        first: ``new_token`` and ``old_token``, but not ``new_token``
+        while this node holds the token.
+
+        Stability guard: while this node still holds the token, the
+        mints of the current hold exist only here and in the held
+        token itself.  Applying them now and then crashing re-mints
+        those global sequence numbers after Token-Regeneration (the
+        best surviving snapshot predates them) — an application-
+        visible agreement violation found by the conformance fuzzer.
+        Deferring the newest snapshot until the token has moved on
+        guarantees at least one other node's retained snapshot covers
+        every gseq this node ever applies.
+        """
+        old = self.old_token
+        if self.held_token is not None or self.new_token is None:
+            return () if old is None else (old,)
+        return (self.new_token,) if old is None else (self.new_token, old)
+
+    def _wake_tau_if_orderable(self, entry: Optional[WQEntry] = None) -> None:
+        """Wake the parked τ chain if ``entry`` (default: any entry in
+        WQ) is coverable."""
+        streams = (self.wq.streams() if entry is None
+                   else ((entry.ordering_node, (entry.local_seq,)),))
+        snapshots = None
+        for ordering_node, seqs in streams:
+            for local_seq in seqs:
+                if snapshots is None:       # WQ holds an entry
+                    snapshots = self._usable_snapshots()
+                for snapshot in snapshots:
+                    if snapshot.lookup(ordering_node, local_seq) is not None:
+                        self._tau_timer.wake()
+                        return
+
     def order_assignment(self) -> int:
         """Copy orderable WQ entries into MQ; returns how many moved."""
-        if self.new_token is None and self.old_token is None:
+        snapshots = self._usable_snapshots()
+        if not snapshots:
             return 0
-        # Stability guard: while this node still holds the token, the
-        # mints of the current hold exist only here and in the held
-        # token itself.  Applying them now and then crashing re-mints
-        # those global sequence numbers after Token-Regeneration (the
-        # best surviving snapshot predates them) — an application-
-        # visible agreement violation found by the conformance fuzzer.
-        # Deferring the newest snapshot until the token has moved on
-        # guarantees at least one other node's retained snapshot covers
-        # every gseq this node ever applies.
-        new_token = None if self.held_token is not None else self.new_token
         moved = 0
         for ordering_node, stream in list(self.wq.streams()):
             if not stream:
                 continue
             for local_seq in sorted(stream):
-                entry = stream[local_seq]
-                covering = None
-                if new_token is not None:
-                    covering = new_token.lookup(ordering_node, local_seq)
-                if covering is None and self.old_token is not None:
-                    covering = self.old_token.lookup(ordering_node, local_seq)
-                if covering is None:
+                for snapshot in snapshots:
+                    covering = snapshot.lookup(ordering_node, local_seq)
+                    if covering is not None:
+                        break
+                else:
                     continue
+                entry = stream[local_seq]
                 gseq = covering.global_for(local_seq)
                 bm = BufferedMessage(
                     global_seq=gseq,

@@ -174,6 +174,7 @@ class TokenRecoveryMixin:
             self.sim.trace.emit(self.now, "token.destroyed", node=self.id,
                                 token_id=self.held_token.token_id)
             self.held_token = None
+            self._wake_tau_if_orderable()
             if self._pass_timer is not None:
                 self._pass_timer.stop()
 

@@ -69,14 +69,15 @@ class PeriodicTimer:
     when it reaches ``rear``; an MQ insert that jumps ``rear`` or a
     standby ``PathReserve`` wakes the NE maintenance tick, and the fill
     or tombstone that leaves no hole (and no standby MMA entry) parks
-    it; a successful ``wq.insert`` wakes the τ tick, which parks on an
-    empty WQ.  Parking never moves a tick: the chain resumes
-    (:meth:`Runtime.resume`) on its own grid ``start + k·period`` — on
-    the engine at the very ``(time, causal key)`` the skipped ticks
-    would have handed down — so a parked run is the polling run minus
-    the ticks that did nothing.  The grid itself (30 ms gap checks, τ)
-    is an artefact the goldens pin, not a protocol need: a regeneration
-    may replace it by exact deadlines.
+    it; the τ tick parks after every tick, and a ``RingRaw`` insert, a
+    token pass or a killed held token wakes it only when a WQ entry has
+    become coverable (``core/ordering.py``).  Parking never moves a
+    tick: the chain resumes (:meth:`Runtime.resume`) on its own grid
+    ``start + k·period`` — on the engine at the very ``(time, causal
+    key)`` the skipped ticks would have handed down — so a parked run
+    is the polling run minus the ticks that did nothing.  The grid
+    itself (30 ms gap checks, τ) is an artefact the goldens pin, not a
+    protocol need: a regeneration may replace it by exact deadlines.
 
     Every tick schedules the same callback object, ``_fire`` bound once
     at construction.

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines.common import PlainDeliver
 from repro.baselines.hostview import HostViewProtocol
 from repro.baselines.relm import RelMProtocol
 from repro.baselines.sequencer import SequencerMulticast
 from repro.baselines.single_ring import SingleRingMulticast
 from repro.baselines.unordered import UnorderedRingNet
 from repro.metrics.collectors import LatencyCollector
+from repro.net.transport import ReliableChannel
 from repro.sim.engine import Simulator
 from repro.topology.builder import HierarchyShape
 
@@ -59,6 +61,24 @@ def test_unordered_multi_source():
     total = sum(s.sent for s in srcs)
     for m in net.member_hosts():
         assert m.delivered_count == total
+
+
+def test_unordered_dedup_state_stays_per_source():
+    sim = Simulator(seed=4)
+    net = UnorderedRingNet.build(sim, SPEC)
+    srcs = [net.add_source(rate_per_sec=20) for _ in range(3)]
+    for s in srcs:
+        s.start()
+    sim.run(until=3_000)
+    for s in srcs:
+        s.stop()
+    sim.run(until=6_000)
+    sent = {s.id: s.sent for s in srcs}
+    for ne in net.nes.values():
+        # One floor per source and nothing held above it: O(sources),
+        # not one entry per message.
+        assert {src: seen[0] for src, seen in ne._seen.items()} == sent
+        assert not any(seen[1] for seen in ne._seen.values())
 
 
 def test_unordered_handoff_reattaches():
@@ -181,6 +201,39 @@ def test_hostview_handoff_to_unviewed_mss_interrupts():
     assert n_during <= n_before + 1  # break in service
     sim.run(until=4_000)
     assert hv.mobile_hosts["mh:0"].delivered_count > n_during  # resumed
+
+
+def test_hostview_mss_leaves_the_view_with_its_last_member(monkeypatch):
+    sent = []
+    send = ReliableChannel.send
+
+    def spy(chan, dst, payload):
+        if isinstance(payload, PlainDeliver):
+            sent.append((chan.node.id, dst, sim.now))
+        return send(chan, dst, payload)
+
+    monkeypatch.setattr(ReliableChannel, "send", spy)
+    sim = Simulator(seed=8)
+    hv = HostViewProtocol(sim, n_mss=3, rate_per_sec=20, update_latency=50.0)
+    hv.add_mobile_host("mh:0", "mss:0")
+    hv.add_mobile_host("mh:1", "mss:1")
+    hv.sender.start()
+    sim.run(until=1_000)
+    assert hv.sender.control_messages == 1 + 2      # two joins
+    hv.handoff("mh:1", "mss:0")                     # mss:1 is left empty
+    sim.run(until=1_500)
+    assert list(hv.sender.view) == ["mss:0"]
+    assert hv.sender.control_messages == 1 + 2 + 1  # the leave
+    assert not any(dst == "mss:1" for src, dst, t in sent
+                   if src == hv.sender.id and t > 1_100.0)
+    assert not any("mss:1" in owing for owing in hv.sender._unacked.values())
+    # Its next Register asks to join again.
+    hv.handoff("mh:0", "mss:1")
+    sim.run(until=2_500)
+    assert list(hv.sender.view) == ["mss:0", "mss:1"]
+    assert hv.mobile_hosts["mh:0"].delivered_count > 0
+    assert any(src == hv.sender.id and dst == "mss:1" and t > 2_000.0
+               for src, dst, t in sent)
 
 
 # ---------------------------------------------------------------------------

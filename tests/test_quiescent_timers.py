@@ -21,7 +21,10 @@ ticks forever, which is the parent commit's behaviour.
     tick park at the mutation that drains their work, so no tick fires
     only to park — scripted fills against the polling reference, the
     O(1) ``MessageQueue.missing`` count against a scan, and the idle
-    ticks left in each quick pinned window.
+    gap, maintenance and τ ticks left in each quick pinned window;
+(f) the τ chain parks after every tick and wakes only when a WQ entry
+    becomes coverable — scripted differentials in which the parked τ
+    ticks are exactly the polling ticks that took an entry out of WQ.
 
 Every wake site left in ``src/`` is there because deleting it fails a
 test (checked by deleting each in turn):
@@ -38,13 +41,25 @@ wake site                                              fails without it
                                                        golden catches it
 ``NetworkEntity._ag_handle_path_reserve`` (standby)    (a) ``fuzz-0013`` alone — no
                                                        golden catches it
-``OrderingMixin.handle_source_data`` (τ tick)          all 22 goldens, all of (a)
-``ForwardingMixin.handle_ring_raw`` (τ tick)           all 22 goldens, all of (a)
+``OrderingMixin._pass_token`` (τ tick)                 all 22 goldens, 35 of (a),
+                                                       6 of (f)
+``ForwardingMixin.handle_ring_raw`` (τ tick)           goldens ``asymmetric_partition``,
+                                                       ``degraded_wan``,
+                                                       ``flapping_backbone``; (a)
+                                                       ``fuzz-0009`` (+3); (f)
+``TokenRecoveryMixin._recompute_kill_set`` (τ tick)    (f) killed held token alone —
+                                                       no golden catches it
 =====================================================  =======================
 
 Goldens are ``tests/test_trace_identity.py``.  A wake in the NE's
 ``_tombstone_range`` is deliberately absent: a tombstoned range answers
 this NE's own request, so it lies below ``rear`` and opens no hole.
+Nor does ``handle_source_data`` wake the τ tick: an own-source entry is
+never coverable on insert, since only a later hold of this node mints
+its WTSNP entry (a wake there failed nothing).  The pass wake comes
+before the drop-hook branch of ``_pass_token``: after it, (f)'s
+drop-hook test alone fails.  A wake on every ``RingRaw`` insert brings
+idle τ ticks back, which (e) counts in all four windows.
 
 The park sites (``_deliver_contiguous`` and ``_handle_join_ack`` on the
 MH; the fills in ``handle_ring_ordered``, ``order_assignment`` and
@@ -67,7 +82,8 @@ from hypothesis import given, settings, strategies as st
 from perfbench import measure
 from perfbench.workloads import get as perfbench_workload
 from repro.core.datastructures import BufferedMessage, MessageQueue, WQEntry
-from repro.core.messages import GapUnavailable, RingOrdered, WirelessDeliver
+from repro.core.messages import (GapUnavailable, RingOrdered, RingRaw,
+                                 SourceData, TokenAnnounce, WirelessDeliver)
 from repro.experiments import registry
 from repro.experiments.runner import observed_scenario
 from repro.experiments.spec import ExperimentSpec
@@ -77,6 +93,7 @@ from repro.sim import rand
 from repro.sim.engine import Simulator, mix_key
 from repro.sim.rand import (PurePythonGenerator, RandomStreams,
                             UniformBlocks)
+from repro.topology.tiers import Tier
 from repro.validation.fuzz import fuzz_points
 from repro.validation.record import TraceRecorder, first_divergence
 
@@ -648,15 +665,16 @@ def test_the_missing_count_is_a_scan_of_front_to_rear(ops, start):
             1 for seq in range(mq.front + 1, mq.rear + 1) if not mq.has(seq))
 
 
-#: Gap and maintenance ticks that only re-arm and park, per quick pinned
-#: window: ``(before parking at the fill, now)``.
-IDLE_TICKS = {"fanout_wide": (1077, 0), "token_small": (230, 0),
-              "lossy_churn": (1199, 0), "roaming_clean": (769, 0)}
+#: Gap, maintenance and τ ticks that only re-arm and park, per quick
+#: pinned window: ``(before the gap and maintenance chains parked at the
+#: fill, idle τ ticks before the τ chain parked after every tick, now)``.
+IDLE_TICKS = {"fanout_wide": (1077, 48, 0), "token_small": (230, 227, 0),
+              "lossy_churn": (1199, 210, 0), "roaming_clean": (769, 148, 0)}
 
 
 @pytest.mark.parametrize("name", sorted(IDLE_TICKS))
 def test_no_tick_fires_only_to_park(name):
-    before, now = IDLE_TICKS[name]
+    before, tau_before, now = IDLE_TICKS[name]
     idle = []
     fire = PeriodicTimer._fire
 
@@ -664,7 +682,8 @@ def test_no_tick_fires_only_to_park(name):
         sim = self.sim
         emitted = sum(sim.trace.counts.values())
         fire(self)
-        if (self.fn.__name__ in CHAINS and self._parked is not None
+        if (self.fn.__name__ in CHAINS + ("_tau_tick",)
+                and self._parked is not None
                 and sim._ctx_actions == 1      # the re-arm alone
                 and sum(sim.trace.counts.values()) == emitted):
             idle.append(self.fn.__self__.id)
@@ -678,4 +697,206 @@ def test_no_tick_fires_only_to_park(name):
         scenario.sim.trace.counting = True
         del idle[:]
         scenario.sim.run(until=end)
-    assert len(idle) == now <= before * 0.03
+    assert len(idle) == now <= (before + tau_before) * 0.03
+
+
+# ----------------------------------------------------------------------
+# (f) The τ chain parks after every tick
+# ----------------------------------------------------------------------
+def _tau_logging_fire(log):
+    """``PeriodicTimer._fire`` that logs every τ tick as ``(node, time,
+    key, moved)``, ``moved`` when the tick took an entry out of WQ."""
+    fire = PeriodicTimer._fire
+
+    def logged(self):
+        if self.fn.__name__ != "_tau_tick":
+            return fire(self)
+        ne, sim = self.fn.__self__, self.sim
+        before, tick = ne.wq.occupancy, (ne.id, sim.now, sim._ctx_root)
+        fire(self)
+        log.append(tick + (ne.wq.occupancy < before,))
+    return logged
+
+
+def _tau_pair(script, n_br=3, until=1_500.0, armed=None):
+    """``script(sim, net)`` on a small network with no source, parked
+    and polling; ``script`` runs before ``net.start()`` and schedules
+    keyed events (:func:`_at`) from t=200 on.  Returns per run
+    ``(records, ticks, net)`` after t=200, and asserts the exact claim:
+    equal records, and the parked τ ticks are exactly the polling ticks
+    that moved a WQ entry — no idle tick, none missed — plus the first
+    tick of the chain a view change arms at node ``armed``, which runs
+    before anything can park it."""
+    runs = []
+    for park in (PeriodicTimer.park, _poll):
+        ticks, records = [], []
+        with mock.patch.object(PeriodicTimer, "park", park), \
+                mock.patch.object(PeriodicTimer, "_fire",
+                                  _tau_logging_fire(ticks)):
+            sim, net = small_net(seed=3, n_br=n_br)
+            script(sim, net)
+            net.start()
+            sim.run(until=200.0)
+            del ticks[:]
+            sim.trace.subscribe(None, records.append)
+            sim.run(until=until)
+        runs.append((records, ticks, net))
+    parked, polling = runs
+    assert parked[0] == polling[0]
+    assert set(parked[1]) < set(polling[1])
+    expected = [tick for tick in polling[1]
+                if tick[3] or tick == _first_tick(polling, armed)]
+    assert parked[1] == expected
+    return parked, polling
+
+
+def _first_tick(run, node):
+    return next((tick for tick in run[1] if tick[0] == node), None)
+
+
+def _own(sim, net, t, seq, br=BR):
+    """A raw message from ``br``'s own source at ``t``."""
+    _at(sim, t, net.nes[br].handle_source_data,
+        SourceData(net.cfg.gid, "src:x", seq, ("x", seq), 0.0))
+
+
+def _once(sim, kind, node, after, fn):
+    """Call ``fn(record)`` at the first ``kind`` record of ``node``
+    after ``after``."""
+    pending = [fn]
+
+    def seen(rec):
+        if pending and rec.get("node") == node and rec.time > after:
+            pending.pop()(rec)
+    sim.trace.subscribe(kind, seen)
+
+
+def _ordered_at(run):
+    return [(r["node"], r.time) for r in run[0] if r.kind == "ordered"]
+
+
+def test_an_own_entry_waits_for_its_hold_and_then_the_pass():
+    def script(sim, net):
+        _own(sim, net, 215.0, 0)
+
+    parked, _ = _tau_pair(script)
+    # One tick per top-ring node, each the first grid tick after that
+    # node passed the token whose snapshot covers the entry.
+    assert sorted(n for n, *_ in parked[1]) == ["br:0", "br:1", "br:2"]
+    passes = [(r["node"], r.time) for r in parked[0]
+              if r.kind == "token.pass" and r.time > 215.0]
+    for node, t in _ordered_at(parked):
+        assert any(n == node and t - 5.0 < at < t for n, at in passes)
+
+
+def test_a_ring_raw_that_arrives_already_covered():
+    def script(sim, net):
+        _own(sim, net, 215.0, 0)
+        # Re-delivered once br:1 ordered it: WQ takes it back, a
+        # retained snapshot covers it, and a tick drops the duplicate.
+        _once(sim, "ordered", "br:1", 215.0, lambda rec: _at(
+            sim, rec.time + 1.0, net.nes["br:1"].handle_ring_raw,
+            RingRaw(net.cfg.gid, BR, "src:x", 0, ("x", 0), 0.0)))
+
+    parked, _ = _tau_pair(script)
+    assert [n for n, *_ in parked[1]].count("br:1") == 2
+    assert len(_ordered_at(parked)) == 3
+    assert parked[2].nes["br:1"].wq.occupancy == 0
+
+
+def _kill_held_token(br):
+    held = br.held_token
+    for tid, gseq in ((held.token_id, held.next_global_seq),
+                      ((99, "br:2"), held.next_global_seq + 1)):
+        br.handle_token_announce(TokenAnnounce(br.cfg.gid, "br:2", tid,
+                                               gseq, 0))
+
+
+def test_a_killed_held_token_releases_its_snapshot():
+    def script(sim, net):
+        _own(sim, net, 215.0, 0)
+        _once(sim, "token.hold", BR, 215.0, lambda rec: _at(
+            sim, rec.time + 0.25, _kill_held_token, net.nes[BR]))
+
+    parked, _ = _tau_pair(script)
+    kinds = [r.kind for r in parked[0]]
+    assert "token.destroyed" in kinds and "token.pass" in kinds
+    # The token died at br:0, so only br:0 orders the entry.
+    assert [n for n, _ in _ordered_at(parked)] == [BR]
+
+
+def test_a_pass_the_drop_hook_swallows_still_wakes():
+    def script(sim, net):
+        _own(sim, net, 215.0, 0)
+        _at(sim, 215.0, setattr, net.nes[BR], "_test_drop_token_passes", 1)
+
+    parked, _ = _tau_pair(script)
+    assert "test.token_dropped" in [r.kind for r in parked[0]]
+    assert [n for n, _ in _ordered_at(parked)] == [BR]
+
+
+def test_a_singleton_ring_orders_after_each_self_pass():
+    def script(sim, net):
+        _own(sim, net, 215.0, 0)
+        _own(sim, net, 400.0, 1)
+
+    parked, _ = _tau_pair(script, n_br=1)
+    assert [n for n, _ in _ordered_at(parked)] == [BR, BR]
+    assert len(parked[1]) == 2
+
+
+def test_a_regenerated_token_orders_what_waited_for_it():
+    def script(sim, net):
+        _at(sim, 215.0, setattr, net.nes["br:1"],
+            "_test_drop_token_passes", 1)
+        _own(sim, net, 300.0, 0)
+        _at(sim, 500.0, net.nes[BR].signal_token_loss)
+
+    parked, _ = _tau_pair(script)
+    kinds = [r.kind for r in parked[0]]
+    assert "token.regenerated" in kinds
+    assert sorted(n for n, _ in _ordered_at(parked)) == [
+        "br:0", "br:1", "br:2"]
+    assert min(t for _, t in _ordered_at(parked)) > 500.0
+
+
+def test_a_view_change_that_arms_tau():
+    """An AG promoted into the top tier gets its τ chain armed by the
+    view refresh: the first tick finds nothing and parks, and nothing
+    it holds ever becomes coverable, while the polling chain ticks on."""
+    def promote(net):
+        net.hierarchy.tier_of[AG] = Tier.BR
+        net._refresh_views()
+
+    def script(sim, net):
+        _at(sim, 300.0, promote, net)
+        _own(sim, net, 400.0, 0)
+
+    parked, polling = _tau_pair(script, armed=AG)
+    assert [t for n, t, *_ in parked[1] if n == AG] == [
+        _first_tick(polling, AG)[1]]
+    assert len([n for n, *_ in polling[1] if n == AG]) > 100
+    assert len(_ordered_at(parked)) == 3
+
+
+def test_a_split_and_merge_of_the_top_ring():
+    """The view refreshes of a split and a merge, with a token
+    regenerated in the half that lost it and killed at the merge.  Each
+    refresh offers every node ``_arm_tau_after_view``; a BR stays a BR,
+    so it meets a running chain, parked or not, and ``start()`` keeps
+    that chain's grid."""
+    def script(sim, net):
+        _own(sim, net, 215.0, 0)
+        _at(sim, 250.0, net.maintenance.split_top_ring,
+            [BR, "br:1"], ["br:2"])
+        _own(sim, net, 400.0, 1)        # never reaches br:2
+        _at(sim, 450.0, net.nes["br:2"].signal_token_loss)
+        _at(sim, 600.0, net.maintenance.merge_top_rings,
+            "ring:br.a", "ring:br.b")
+        _own(sim, net, 800.0, 2)
+
+    parked, _ = _tau_pair(script)
+    kinds = [r.kind for r in parked[0]]
+    assert "token.regenerated" in kinds and "token.destroyed" in kinds
+    assert sorted(n for n, _ in _ordered_at(parked)) == [
+        "br:0", "br:0", "br:0", "br:1", "br:1", "br:1", "br:2", "br:2"]
